@@ -30,10 +30,11 @@ This module provides:
   and mapping back through the transform (exact on step functions).
 
 Monotone decompositions are optimized in successive-difference coordinates,
-where both chain constraints become a coordinate box; projected gradient
-(Barzilai-Borwein with Armijo backtracking) plus a cyclic coordinate polish
-then minimizes the convex (p >= 1) objective.  Non-convergence within the
-iteration cap is flagged, never silently accepted.
+where both chain constraints become a coordinate box; scipy's L-BFGS-B
+minimizes the convex (p >= 1) objective over it from five starts, and the
+best truncation candidate stands when no start beats it.  At p_0 = p_1 = 1
+the objective is affine there and the slope-sign vertex is also tried.  A
+start that stops at the iteration cap is flagged, never silently accepted.
 """
 
 import math
@@ -41,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
 from .norms import LorentzSpace, _powered_lambda, _powered_s
@@ -401,6 +403,13 @@ def _power_tailmoment_vec(beta: float, p: float, t: np.ndarray) -> np.ndarray:
     return t ** (q + 1.0) / (-(q + 1.0))
 
 
+def _pow_slope(x, p: float):
+    """x^(p-1) for x >= 0, with its right limit at x = 0: 1 when p = 1, 0 when p > 1."""
+    if p < 1.0:  # the limit is infinite; 0 keeps a finite subgradient
+        return np.where(x > 0.0, x, 1.0) ** (p - 1.0) * (x > 0.0)
+    return x ** (p - 1.0)
+
+
 class _SpaceOnGrid:
     """Norms of step functions with fixed cells and variable values.
 
@@ -490,15 +499,19 @@ class _SpaceOnGrid:
         return float(self.norm_pow_mono_batch(u[None, :])[0]) ** (1.0 / self.p)
 
     def grad_norm_mono(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(norm, gradient) for a monotone candidate; subgradient 0 at u = 0."""
+        """(norm, gradient) for a monotone candidate.
+
+        Derivatives at zero values are one-sided (right) ones, so at p = 1 the
+        gradient is the norm's linear coefficient everywhere; for p > 1 the
+        subgradient at u = 0 is 0.
+        """
         p = self.p
         if self.space.flavor == "lambda":
             npow = float((u ** p) @ self.dW)
             n = npow ** (1.0 / p)
-            if n == 0.0:
+            if n == 0.0 and p != 1.0:
                 return 0.0, np.zeros_like(u)
-            up = np.where(u > 0.0, u, 1.0) ** (p - 1.0) * (u > 0.0)
-            return n, n ** (1.0 - p) * up * self.dW
+            return n, n ** (1.0 - p) * _pow_slope(u, p) * self.dW
         if self.space.flavor == "s":
             mass = u * self.lengths
             A = np.concatenate(([0.0], np.cumsum(mass)[:-1]))
@@ -506,11 +519,11 @@ class _SpaceOnGrid:
             M = mass.sum()
             npow = float((C ** p) @ self.dPsi + (M ** p) * self.psi_tail)
             n = npow ** (1.0 / p)
-            if n == 0.0:
+            if n == 0.0 and p != 1.0:
                 return 0.0, np.zeros_like(u)
-            Cp = np.where(C > 0.0, C, 1.0) ** (p - 1.0) * (C > 0.0) * self.dPsi
+            Cp = _pow_slope(C, p) * self.dPsi
             suffix = np.concatenate((np.cumsum(Cp[::-1])[::-1][1:], [0.0]))
-            Mp = M ** (p - 1.0) if M > 0.0 else 0.0
+            Mp = _pow_slope(M, p)
             grad_pow = p * (self.lengths * (suffix + Mp * self.psi_tail) - Cp * self.g_prev)
             return n, (1.0 / p) * n ** (1.0 - p) * grad_pow
         # gamma
@@ -523,14 +536,13 @@ class _SpaceOnGrid:
             vals = u[1:, None] * self.nodes_a + A[1:, None] * self.nodes_b
             npow += float((vals ** p * self.nodes_w).sum())
         n = npow ** (1.0 / p)
-        if n == 0.0:
+        if n == 0.0 and p != 1.0:
             return 0.0, np.zeros_like(u)
         grad_pow = np.zeros_like(u)
-        grad_pow[0] = p * (u[0] ** (p - 1.0) if u[0] > 0 else 0.0) * self.head_dW
-        Mp = M ** (p - 1.0) if M > 0.0 else 0.0
-        grad_pow += p * Mp * self.gamma_tail * self.lengths
+        grad_pow[0] = p * _pow_slope(u[0], p) * self.head_dW
+        grad_pow += p * _pow_slope(M, p) * self.gamma_tail * self.lengths
         if self.m > 1:
-            vp = np.where(vals > 0.0, vals, 1.0) ** (p - 1.0) * (vals > 0.0) * self.nodes_w
+            vp = _pow_slope(vals, p) * self.nodes_w
             grad_pow[1:] += p * (vp * self.nodes_a).sum(axis=1)
             # prefix sensitivity: A_{i-1} depends on u_j (j < i) through the cell mass
             rowfull = np.concatenate(([0.0], p * (vp * self.nodes_b).sum(axis=1)))
@@ -649,106 +661,19 @@ class _CoupleObjective:
         return n0 + self.t * n1, g0 - self.t * g1
 
 
-def _pg_minimize(value_grad, lo, hi, x0, max_iter, ftol=1e-12):
-    """Projected gradient with Barzilai-Borwein steps and Armijo backtracking."""
-    x = np.clip(x0, lo, hi)
-    f, g = value_grad(x)
-    span = float(np.max(hi - lo))
-    if span <= 0.0:
-        return x, f, 0, True
-    step = span / (float(np.linalg.norm(g)) + 1e-30)
-    small_runs = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        s = min(step, 1e8)
-        x_new = x
-        f_new, g_new = f, g
-        for _ in range(60):
-            cand = np.clip(x - s * g, lo, hi)
-            d = cand - x
-            if not d.any():
-                break
-            fc, gc = value_grad(cand)
-            if fc <= f + 1e-4 * float(g @ d) or fc < f:
-                x_new, f_new, g_new = cand, fc, gc
-                break
-            s *= 0.5
-        d = x_new - x
-        if not d.any():
-            return x, f, it, True  # projected gradient step is null: stationary
-        y = g_new - g
-        sy = float(d @ y)
-        step = float(d @ d) / sy if sy > 1e-30 else s * 2.0
-        improved = f - f_new
-        x, f, g = x_new, f_new, g_new
-        if improved <= ftol * (1.0 + abs(f)):
-            small_runs += 1
-            if small_runs >= 3:
-                return x, f, it, True
-        else:
-            small_runs = 0
-    return x, f, it, False
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _coordinate_polish(value, lo, hi, x, f, sweeps=2, golden_iters=22, ftol=1e-12):
-    """Cyclic per-coordinate refinement: endpoints plus golden-section interior."""
-    x = x.copy()
-    m = x.size
-    evals = 0
-    for _ in range(sweeps):
-        sweep_gain = 0.0
-        for i in range(m):
-            a, b = float(lo[i]), float(hi[i])
-            if b - a <= 0.0:
-                continue
-            best_v, best_f = float(x[i]), f
-            for v in (a, b):
-                x[i] = v
-                fv = value(x)
-                evals += 1
-                if fv < best_f:
-                    best_f, best_v = fv, v
-            gl, gh = a, b
-            c = gh - _GOLDEN * (gh - gl)
-            d = gl + _GOLDEN * (gh - gl)
-            x[i] = c
-            fc = value(x)
-            x[i] = d
-            fd = value(x)
-            evals += 2
-            for _gi in range(golden_iters):
-                if fc <= fd:
-                    gh, d, fd = d, c, fc
-                    c = gh - _GOLDEN * (gh - gl)
-                    x[i] = c
-                    fc = value(x)
-                else:
-                    gl, c, fc = c, d, fd
-                    d = gl + _GOLDEN * (gh - gl)
-                    x[i] = d
-                    fd = value(x)
-                evals += 1
-            for v, fv in ((c, fc), (d, fd)):
-                if fv < best_f:
-                    best_f, best_v = fv, float(v)
-            x[i] = best_v
-            sweep_gain += f - best_f
-            f = best_f
-        if sweep_gain <= ftol * (1.0 + abs(f)):
-            break
-    return x, f, evals
-
-
 # ---------------------------------------------------------------------------
 # the oracle
 
 
 @dataclass(frozen=True)
 class OracleResult:
+    """An oracle value with the decomposition that attains it.
+
+    ``converged`` is True when no L-BFGS-B start stopped at its iteration cap;
+    it is not an optimality certificate.  ``iterations`` counts L-BFGS-B
+    iterations over all starts (and over both searches in unconstrained mode).
+    """
+
     value: float
     decomposition: Decomposition
     truncation_value: float
@@ -771,18 +696,25 @@ def oracle_grid(fstar: StepFunction, m: int = 64, pad_decades: float = 1.0) -> G
 
 
 def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
-    """Candidates (F - level)^+ on head cells up to each cut, zero beyond."""
+    """Candidates (F - level)^+ on head cells up to each cut, zero beyond.
+
+    A level at or above F[k-1] zeroes the last head cell of cut k, which
+    repeats cut k-1, so each cut k >= 1 takes only the levels below F[k-1].
+    """
     m = F.size
     levels = np.unique(np.concatenate((F, [0.0])))
-    rows: list[np.ndarray] = []
+    rows = [np.zeros((1, m))]
     arange = np.arange(m)
-    for k in range(m + 1):
-        head = arange < k
-        for c in levels:
-            if monotone and 1 <= k < m and c < F[k]:
-                continue  # the remainder min(F, c) would jump up at the cut
-            rows.append(np.where(head, np.maximum(F - c, 0.0), 0.0))
-    return np.unique(np.array(rows), axis=0)
+    for k in range(1, m + 1):
+        cs = levels[levels < F[k - 1]]
+        if monotone and k < m:
+            cs = cs[cs >= F[k]]  # a lower level makes the remainder min(F, c) jump up at the cut
+        rows.append(np.where(arange < k, np.maximum(F[None, :] - cs[:, None], 0.0), 0.0))
+    return np.unique(np.concatenate(rows), axis=0)
+
+
+# per start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
+_LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 
 
 def k_oracle(
@@ -796,9 +728,15 @@ def k_oracle(
 
     The query's function is reduced to its rearrangement; candidates are step
     functions on the grid cells with 0 <= u_i <= f*_i, plus (in monotone
-    mode) the two chain constraints keeping both parts non-increasing.  In
-    unconstrained mode the monotone search also runs and the better value
-    wins, so the unconstrained value never exceeds the monotone one.
+    mode) the two chain constraints keeping both parts non-increasing, which
+    become the box 0 <= d_i <= f*_i - f*_{i+1} on successive differences.
+    L-BFGS-B minimizes over the box from five starts: the best truncation
+    candidate, both corners, the centre and a point drawn from ``seed``.  The
+    truncation candidate wins ties.  When both exponents are 1 the monotone
+    objective is affine in the differences, and the vertex picked by the sign
+    of each slope joins the candidates.  In unconstrained mode the monotone
+    search also runs and the better value wins, so the unconstrained value
+    never exceeds the monotone one.
     """
     fstar = rearrange(q.f)
     if fstar.is_zero:
@@ -818,43 +756,41 @@ def k_oracle(
         k_best = int(np.argmin(tvals))
         trunc_val = float(tvals[k_best])
         u_trunc = U[k_best]
-        rng = np.random.default_rng(seed)
         if monotone:
-            dF = F - np.concatenate((F[1:], [0.0]))
-            lo, hi = np.zeros_like(dF), dF
+            hi = F - np.concatenate((F[1:], [0.0]))
 
             def to_u(d: np.ndarray) -> np.ndarray:
-                return np.cumsum(d[::-1])[::-1]
+                return np.clip(np.cumsum(d[::-1])[::-1], 0.0, F)
 
-            def to_d(u: np.ndarray) -> np.ndarray:
-                return u - np.concatenate((u[1:], [0.0]))
-
-            def vg(d: np.ndarray):
-                val, gu = obj.value_grad(np.clip(to_u(d), 0.0, F))
+            def vg(d: np.ndarray) -> tuple[float, np.ndarray]:
+                val, gu = obj.value_grad(to_u(d))
                 return val, np.cumsum(gu)
 
-            val_only = lambda d: obj.value(np.clip(to_u(d), 0.0, F))
-            starts = [to_d(u_trunc), hi.copy(), lo.copy(), hi / 2.0, rng.uniform(size=dF.size) * dF]
+            x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
         else:
-            lo, hi = np.zeros_like(F), F.copy()
+            hi = F
+
+            def to_u(x: np.ndarray) -> np.ndarray:
+                return np.clip(x, 0.0, F)
+
             vg = obj.value_grad
-            val_only = obj.value
-            starts = [u_trunc.copy(), F.copy(), np.zeros_like(F), F / 2.0, rng.uniform(size=F.size) * F]
-        best_x, best_f, iters, conv = None, math.inf, 0, True
-        budget = 10_000
+            x_trunc = u_trunc
+        rng = np.random.default_rng(seed)
+        starts = [x_trunc, hi, np.zeros_like(hi), hi / 2.0, rng.uniform(size=hi.size) * hi]
+        bounds = Bounds(np.zeros_like(hi), hi)
+        best_u, best_f, iters, conv = u_trunc, trunc_val, 0, True
         for x0 in starts:
-            x, fval, it, ok = _pg_minimize(vg, lo, hi, x0, max_iter=max(200, budget // len(starts)))
-            iters += it
-            conv = conv and ok
-            if fval < best_f:
-                best_x, best_f = x, fval
-        best_x, best_f, ev = _coordinate_polish(val_only, lo, hi, best_x, best_f)
-        iters += ev
-        if trunc_val < best_f:
-            best_f = trunc_val
-            best_x = to_d(u_trunc) if monotone else u_trunc
-        u = np.clip(to_u(best_x), 0.0, F) if monotone else np.clip(best_x, 0.0, F)
-        return best_f, u, trunc_val, iters, conv
+            res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
+            iters += res.nit
+            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
+            if res.fun < best_f:
+                best_u, best_f = to_u(res.x), float(res.fun)
+        if monotone and ev0.p == ev1.p == 1.0:
+            vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
+            f_vertex = vg(vertex)[0]
+            if f_vertex < best_f:
+                best_u, best_f = to_u(vertex), f_vertex
+        return best_f, best_u, trunc_val, iters, conv
 
     value, u, trunc_val, iters, conv = run(monotone=True)
     provenance = "optimizer" if value < trunc_val else "truncation"

@@ -56,6 +56,20 @@ class GridProjectionError(ValueError):
     """Sampled values violate monotonicity beyond tolerance."""
 
 
+def json_number(value, what: str) -> float:
+    """A decoded JSON number as a float; strings, booleans and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(value, what: str) -> tuple[float, ...]:
+    """A decoded JSON array of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array of numbers, got {value!r}")
+    return tuple(json_number(v, what) for v in value)
+
+
 class EvaluableFunction:
     """A non-negative function on (0, inf), evaluable at any positive point."""
 
@@ -199,7 +213,9 @@ class StepFunction(EvaluableFunction):
         data = json.loads(text)
         if not isinstance(data, dict) or set(data) != {"breakpoints", "values"}:
             raise ValueError("expected an object with 'breakpoints' and 'values'")
-        return cls(tuple(data["breakpoints"]), tuple(data["values"]))
+        return cls(
+            json_numbers(data["breakpoints"], "breakpoints"), json_numbers(data["values"], "values")
+        )
 
 
 def _merged_values(

@@ -158,7 +158,10 @@ class EquivalenceReport:
         return median(ratios) if ratios else math.nan
 
     def equivalence_constant(self) -> float:
+        """max(band_max, 1 / band_min); nan when no record has a finite ratio."""
         lo, hi = self.band()
+        if lo > hi:  # the empty band (inf, 0)
+            return math.nan
         if lo <= 0.0:
             return math.inf
         return max(hi, 1.0 / lo)
@@ -175,6 +178,8 @@ class EquivalenceReport:
         if refined is None:
             return None
         base = self.equivalence_constant()
+        if math.isnan(base) or math.isnan(refined):
+            return math.nan
         if not (math.isfinite(base) and math.isfinite(refined)) or base == 0.0:
             return math.inf
         return abs(refined - base) / base

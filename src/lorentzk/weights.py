@@ -27,7 +27,7 @@ from typing import Literal
 from scipy.integrate import quad
 
 from .grids import DEFAULT_CHECK_GRID, Grid
-from .stepfn import EvaluableFunction, StepFunction
+from .stepfn import EvaluableFunction, StepFunction, json_number, json_numbers
 
 __all__ = [
     "Weight",
@@ -305,17 +305,20 @@ def reciprocal_weight(w: Weight, p: float) -> Weight:
 
 
 def weight_from_json_dict(data: dict) -> Weight:
+    """Inverse of ``to_json_dict``; numbers must be JSON numbers, not strings or booleans."""
     family = data.get("family")
     if family == "power":
-        return PowerWeight(float(data["beta"]))
+        return PowerWeight(json_number(data["beta"], "beta"))
     if family == "powerlog":
-        return PowerLogWeight(float(data["beta"]), float(data["gamma"]))
+        return PowerLogWeight(json_number(data["beta"], "beta"), json_number(data["gamma"], "gamma"))
     if family == "tabulated":
         return TabulatedWeight(
-            StepFunction(tuple(data["breakpoints"]), tuple(data["values"]))
+            StepFunction(
+                json_numbers(data["breakpoints"], "breakpoints"), json_numbers(data["values"], "values")
+            )
         )
     if family == "reciprocal":
-        return ReciprocalWeight(weight_from_json_dict(data["base"]), float(data["p"]))
+        return ReciprocalWeight(weight_from_json_dict(data["base"]), json_number(data["p"], "p"))
     raise ValueError(f"unknown weight family {family!r}")
 
 

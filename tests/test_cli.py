@@ -163,6 +163,13 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.output == "suite=identity records=28 band=[1,1] median=1 constant=1\n"
 
+    def test_empty_corpus_is_not_a_pass(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "cor1", "--size", "0", "--refine"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "suite=cor1 records=0 band=[inf,0] median=nan constant=nan drift=nan\n"
+        )
+
     def test_out_and_csv_files(self, runner, tmp_path):
         out = tmp_path / "report.json"
         csv_file = tmp_path / "records.csv"

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzk.kfunctional import (
     Decomposition,
     KQuery,
     _CoupleObjective,
     _SpaceOnGrid,
+    _truncation_family,
     corollary_1,
     corollary_couple,
     decomposition_lemma,
@@ -263,6 +266,63 @@ class TestOracle:
         assert a.seed == 42
 
 
+def _brute_truncation_family(F, monotone):
+    """Every (cut, level) pair, duplicates included, then np.unique."""
+    m = F.size
+    rows = []
+    for k in range(m + 1):
+        for c in np.unique(np.concatenate((F, [0.0]))):
+            if monotone and 1 <= k < m and c < F[k]:
+                continue
+            rows.append(np.where(np.arange(m) < k, np.maximum(F - c, 0.0), 0.0))
+    return np.unique(np.array(rows), axis=0)
+
+
+class TestTruncationFamily:
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_matches_brute_force_construction(self, monotone):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            m = int(rng.integers(1, 12))
+            # repeated values and trailing zeros, as on a grid finer than f*
+            F = np.sort(rng.choice(np.append(rng.uniform(0.1, 5.0, 4), 0.0), m))[::-1]
+            np.testing.assert_array_equal(
+                _truncation_family(F, monotone), _brute_truncation_family(F, monotone)
+            )
+
+
+@st.composite
+def oracle_queries(draw):
+    n = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    exponents = [1.0, 1.5, 2.0, 3.0] if flavor == "lambda" else [1.5, 2.0, 3.0]
+    betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [-0.5, 0.0, 0.3]
+    spaces = [
+        LorentzSpace(flavor, draw(st.sampled_from(exponents)), PowerWeight(draw(st.sampled_from(betas))))
+        for _ in range(2)
+    ]
+    return KQuery(f, draw(st.floats(0.05, 20.0)), *spaces)
+
+
+class TestOracleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_queries())
+    def test_oracle_invariants(self, q):
+        res = k_oracle(q, m=16)
+        # the trivial splits (f, 0) and (0, f) are candidates
+        bound = min(norm(q.space0, q.f), q.t * norm(q.space1, q.f))
+        assert res.value <= bound * (1.0 + 1e-9)
+        assert res.value <= res.truncation_value
+        dec = res.decomposition
+        assert dec.is_monotone()
+        dec.validate_sum(q.f)
+        direct = norm(q.space0, dec.f0) + q.t * norm(q.space1, dec.f1)
+        assert direct == pytest.approx(res.value, rel=1e-9)
+
+
 class TestExhaustive:
     def test_matches_continuous_oracle_on_linear_instance(self):
         # p = 1 makes the objective linear, so the lattice contains an optimum
@@ -371,6 +431,29 @@ class TestGradients:
         assert val == pytest.approx(ev.norm_rearranged(self.U_FREE), rel=1e-12)
         fd = finite_difference(ev.norm_rearranged, self.U_FREE)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("flavor,beta", [("lambda", 0.3), ("s", -0.4), ("gamma", -0.4)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_monotone_gradient_is_one_sided_at_zero_cells(self, flavor, beta, p):
+        u = np.array([3.1, 2.4, 1.6, 0.0, 0.0])
+        ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
+        val, grad = ev.grad_norm_mono(u)
+        assert val == pytest.approx(ev.norm_mono(u), rel=1e-12)
+        h = 1e-7
+        for i in range(u.size):
+            up = u.copy()
+            up[i] += h
+            if u[i] > 0.0:
+                um = u.copy()
+                um[i] -= h
+                fd = (ev.norm_mono(up) - ev.norm_mono(um)) / (2.0 * h)
+                tol = 1e-5 * abs(fd) + 1e-7
+            else:
+                # a value may not go negative: compare with the right derivative,
+                # whose difference quotient is off by O(h^(p-1)) when p > 1
+                fd = (ev.norm_mono(up) - val) / h
+                tol = 1e-5 * abs(fd) + 1e-6 + (10.0 * h ** (p - 1.0) if p > 1.0 else 0.0)
+            assert grad[i] == pytest.approx(fd, abs=tol), i
 
     def test_couple_objective_gradient(self):
         ev0 = _SpaceOnGrid(LorentzSpace("lambda", 2.0, FLAT), self.GRID)

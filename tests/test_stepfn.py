@@ -220,6 +220,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             StepFunction.from_json(json.dumps({"breakpoints": [1.0], "values": [1.0], "x": 1}))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"breakpoints": ["1.0"], "values": [1.0]},
+            {"breakpoints": [1.0], "values": [True]},
+            {"breakpoints": [1.0], "values": [None]},
+            {"breakpoints": 1.0, "values": [1.0]},
+        ],
+    )
+    def test_rejects_strings_and_booleans(self, data):
+        with pytest.raises(ValueError, match="JSON"):
+            StepFunction.from_json(json.dumps(data))
+
+    def test_integers_accepted(self):
+        text = json.dumps({"breakpoints": [1, 2], "values": [3, 1]})
+        assert StepFunction.from_json(text) == StepFunction((1.0, 2.0), (3.0, 1.0))
+
 
 class TestProjection:
     def test_exact_when_grid_contains_breakpoints(self):

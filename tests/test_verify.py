@@ -175,6 +175,12 @@ class TestReportStatistics:
         assert report.band() == (0.5, 1.6)
         assert report.equivalence_constant() == 2.0
 
+    def test_empty_report_has_no_constant(self):
+        for report in (self.mk([]), self.mk([math.inf])):
+            assert math.isnan(report.equivalence_constant())
+        empty = EquivalenceReport("demo", {}, None, (), ())
+        assert math.isnan(empty.drift())
+
     def test_median(self):
         assert self.mk([1.0, 2.0, 4.0]).median_ratio() == 2.0
 

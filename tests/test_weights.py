@@ -245,6 +245,25 @@ class TestJson:
         with pytest.raises(ValueError):
             weight_from_json_dict({"family": "mystery"})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"family": "power", "beta": "2"},
+            {"family": "power", "beta": True},
+            {"family": "powerlog", "beta": 0.5, "gamma": "1"},
+            {"family": "tabulated", "breakpoints": [1.0], "values": ["2"]},
+            {"family": "tabulated", "breakpoints": "1", "values": [2.0]},
+            {"family": "reciprocal", "p": False, "base": {"family": "power", "beta": 0.0}},
+            {"family": "reciprocal", "p": 2.0, "base": {"family": "power", "beta": None}},
+        ],
+    )
+    def test_rejects_strings_and_booleans(self, data):
+        with pytest.raises(ValueError, match="JSON"):
+            weight_from_json_dict(data)
+
+    def test_integers_accepted(self):
+        assert weight_from_json_dict({"family": "power", "beta": 1}) == PowerWeight(1.0)
+
 
 class TestVerdictSerialization:
     def test_inf_constant_serializes_as_string(self):
