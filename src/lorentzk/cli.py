@@ -288,7 +288,6 @@ def k_cmd(
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 if a suite hypothesis fails.")
 @click.option("--refine", is_flag=True, help="Re-run oracle suites at doubled resolution.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default LORENTZK_THREADS or 1).")
 @click.pass_context
 def verify_cmd(
     ctx: click.Context,
@@ -303,7 +302,6 @@ def verify_cmd(
     csv_path: str | None,
     strict: bool,
     refine: bool,
-    threads: int | None,
 ) -> None:
     """Run empirical equivalence suites and summarize the observed bands."""
     p = _parse_p(p_str)
@@ -321,7 +319,6 @@ def verify_cmd(
                     t_count=t_count,
                     seed=seed,
                     refine=refine,
-                    threads=threads,
                 )
             )
     except (ValueError, InvalidWeightError) as exc:

@@ -38,15 +38,6 @@ class Grid:
         merged = sorted(set(self.points) | {float(x) for x in extra if x > 0.0})
         return Grid(tuple(merged))
 
-    def refined(self) -> "Grid":
-        """Insert geometric midpoints between consecutive points (doubles resolution)."""
-        pts: list[float] = []
-        for a, b in zip(self.points, self.points[1:]):
-            pts.append(a)
-            pts.append(math.sqrt(a * b))
-        pts.append(self.points[-1])
-        return Grid(tuple(pts))
-
     def __len__(self) -> int:
         return len(self.points)
 

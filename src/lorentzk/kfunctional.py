@@ -35,6 +35,8 @@ minimizes the convex (p >= 1) objective over it from five starts, and the
 best truncation candidate stands when no start beats it.  At p_0 = p_1 = 1
 the objective is affine there and the slope-sign vertex is also tried.  A
 start that stops at the iteration cap is flagged, never silently accepted.
+The lambda- and s-norms of candidates, and their gradients, come from the
+cell kernel ``norms.cell_sums`` that the norms and the explicit formulas use.
 """
 
 import math
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
-from .norms import LorentzSpace, _powered_lambda, _powered_s
+from .norms import LorentzSpace, _powered_cells, cell_sums
 from .stepfn import (
     StepFunction,
     add,
@@ -207,7 +209,7 @@ def k_explicit_general(
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("split point t must be positive and finite")
     flags: list[str] = []
-    left_pow = _powered_lambda(fstar, cfg.p0, cfg.w0, 0.0, t)
+    left_pow = _powered_cells("lambda", fstar, cfg.p0, cfg.w0, 0.0, t)
     left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / cfg.p0)
     if math.isinf(left):
         flags.append("divergent-head")
@@ -217,9 +219,9 @@ def k_explicit_general(
         sigma_t = 0.0
         flags.append("sigma-degenerate")
     if form == "integral":
-        tail_pow = _powered_lambda(fstar, cfg.p1, cfg.w1, t, math.inf)
+        tail_pow = _powered_cells("lambda", fstar, cfg.p1, cfg.w1, t, math.inf)
     elif form == "norm":
-        tail_pow = _powered_lambda(_shift_tail(fstar, t), cfg.p1, cfg.w1, 0.0, math.inf)
+        tail_pow = _powered_cells("lambda", _shift_tail(fstar, t), cfg.p1, cfg.w1, 0.0, math.inf)
     else:
         raise ValueError("form must be 'integral' or 'norm'")
     tail_root = math.inf if math.isinf(tail_pow) else tail_pow ** (1.0 / cfg.p1)
@@ -264,9 +266,9 @@ def k_explicit_s(
     fstar = rearrange(f)
     flags: list[str] = []
     theta_t = tail_fundamental_ratio(cfg)(t)
-    left_pow = _powered_s(fstar, cfg.p0, cfg.w0, 0.0, t)
+    left_pow = _powered_cells("s", fstar, cfg.p0, cfg.w0, 0.0, t)
     left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / cfg.p0)
-    tail_pow = _powered_s(fstar, cfg.p1, cfg.w1, t, math.inf)
+    tail_pow = _powered_cells("s", fstar, cfg.p1, cfg.w1, t, math.inf)
     tail_root = math.inf if math.isinf(tail_pow) else tail_pow ** (1.0 / cfg.p1)
     for name, val in (("divergent-head", left), ("divergent-tail", tail_root)):
         if math.isinf(val):
@@ -394,15 +396,6 @@ def decomposition_lemma(
 # grid objective machinery for the oracle
 
 
-def _power_primitive_vec(beta: float, t: np.ndarray) -> np.ndarray:
-    return t ** (beta + 1.0) / (beta + 1.0)
-
-
-def _power_tailmoment_vec(beta: float, p: float, t: np.ndarray) -> np.ndarray:
-    q = beta - p
-    return t ** (q + 1.0) / (-(q + 1.0))
-
-
 def _pow_slope(x, p: float):
     """x^(p-1) for x >= 0, with its right limit at x = 0: 1 when p = 1, 0 when p > 1."""
     if p < 1.0:  # the limit is infinite; 0 keeps a finite subgradient
@@ -410,54 +403,54 @@ def _pow_slope(x, p: float):
     return x ** (p - 1.0)
 
 
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """sum_{j > i} x_j for each i."""
+    return np.concatenate((x[::-1].cumsum()[::-1][1:], [0.0]))
+
+
 class _SpaceOnGrid:
     """Norms of step functions with fixed cells and variable values.
 
     Cells are (g_{i-1}, g_i] with g_0 = 0; candidate vectors hold the value
-    per cell and vanish beyond the last point.  Monotone candidates get exact
-    closed-form norms (lambda and s flavors) or fixed Gauss-Legendre node
-    sums (gamma); unconstrained candidates are rearranged first, which needs
-    vectorized primitives and is supported for power weights.
+    per cell and vanish beyond the last point.  The lambda and s flavors
+    evaluate ``norms.cell_sums``, the exact cell kernel the norms use, on
+    moments taken once here from ``Weight.moment``; gamma uses fixed
+    Gauss-Legendre node sums.  Unconstrained candidates are sorted into
+    non-increasing order first, and each row's moments then come from the
+    power primitive over the sorted cell lengths, so they need power weights.
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
         if not math.isfinite(space.p):
             raise ValueError("the oracle supports finite exponents only")
-        self.space = space
-        self.p = float(space.p)
-        self.w = space.w
-        self.g = g
-        self.g_prev = np.concatenate(([0.0], g[:-1]))
-        self.lengths = self.g - self.g_prev
-        self.m = g.size
-        p, w = self.p, self.w
-        flavor = space.flavor
-        if flavor == "lambda":
-            dW = np.array([w.moment(0.0, a, b) for a, b in zip(self.g_prev, self.g)])
-            if not np.isfinite(dW).all():
+        self.flavor = space.flavor
+        self.p = p = float(space.p)
+        w = space.w
+        self.left = np.concatenate(([0.0], g[:-1]))
+        self.lengths = g - self.left
+        self.tail = 0.0
+        if self.flavor in ("lambda", "s"):
+            e = 0.0 if self.flavor == "lambda" else -p
+            # the s flavor's oscillation vanishes identically on the first cell
+            moments = [
+                w.moment(e, a, b) if self.flavor == "lambda" or a > 0.0 else 0.0
+                for a, b in zip(self.left, g)
+            ]
+            if self.flavor == "s":
+                self.tail = w.moment(-p, float(g[-1]), math.inf)
+            if not (np.isfinite(moments).all() and math.isfinite(self.tail)):
                 raise InvalidWeightError(
-                    "weight is not integrable on a grid cell; lambda-norms diverge"
+                    f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
                 )
-            self.dW = dW
-        elif flavor == "s":
-            dPsi = [0.0]  # first cell: the oscillation vanishes identically
-            for a, b in zip(self.g_prev[1:], self.g[1:]):
-                dPsi.append(w.moment(-p, a, b))
-            tail = w.moment(-p, float(g[-1]), math.inf)
-            if not (np.isfinite(dPsi).all() and math.isfinite(tail)):
-                raise InvalidWeightError(
-                    "tail moment diverges; s-norms are infinite for nonzero functions"
-                )
-            self.dPsi = np.array(dPsi)
-            self.psi_tail = tail
-        elif flavor == "gamma":
+            self.moments = np.array(moments)
+            self.grid_cells = (None, self.lengths, self.left, self.moments, self.tail)
+        else:  # gamma
             nodes, wts = np.polynomial.legendre.leggauss(12)
-            a = self.g_prev[1:, None]
-            b = self.g[1:, None]
+            a = self.left[1:, None]
+            b = g[1:, None]
             s = 0.5 * (b - a) * nodes[None, :] + 0.5 * (b + a)
             wq = 0.5 * (b - a) * wts[None, :]
             wvals = np.vectorize(w)(s) if s.size else s
-            self.nodes_s = s
             self.nodes_w = wq * wvals
             self.nodes_a = (s - a) / s
             self.nodes_b = 1.0 / s
@@ -466,168 +459,97 @@ class _SpaceOnGrid:
             if math.isinf(head) or math.isinf(tail):
                 raise InvalidWeightError("gamma-norms diverge on this grid")
             self.head_dW = head
-            self.gamma_tail = tail
-        else:  # pragma: no cover
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.vector_closed_form = isinstance(w, PowerWeight)
-        if self.vector_closed_form:
-            self.beta = w.beta  # type: ignore[attr-defined]
+            self.tail = tail
+        self.beta = w.beta if isinstance(w, PowerWeight) else None
 
-    # -- monotone candidates (values already non-increasing) --------------
+    def _sorted_cells(self, U: np.ndarray):
+        """Sort order, lengths, left edges, moments and tail moment of the cells
+        of each row after sorting its values into non-increasing order."""
+        if self.flavor == "gamma" or self.beta is None:
+            raise InvalidWeightError(
+                "unconstrained oracle candidates need lambda- or s-flavor spaces "
+                "with power weights (rearranged norms require vectorized primitives)"
+            )
+        order = np.argsort(-U, axis=-1, kind="stable")
+        lengths = self.lengths[order]
+        right = np.cumsum(lengths, axis=-1)
+        left = np.concatenate((np.zeros(U.shape[:-1] + (1,)), right[..., :-1]), axis=-1)
+        # the power primitive of s^(beta + e): e = 0 for lambda, -p for s
+        q1 = self.beta + 1.0 - (0.0 if self.flavor == "lambda" else self.p)
+        prim_right = right ** q1 / q1
+        if self.flavor == "lambda":
+            return order, lengths, left, prim_right - left ** q1 / q1, 0.0
+        # the s primitive is infinite at 0, where the oscillation vanishes anyway
+        inner = left > 0.0
+        moments = np.where(inner, prim_right - np.where(inner, left, 1.0) ** q1 / q1, 0.0)
+        return order, lengths, left, moments, -prim_right[..., -1]
 
-    def norm_pow_mono_batch(self, U: np.ndarray) -> np.ndarray:
+    def _forward(self, U: np.ndarray, monotone: bool):
+        """(powered norms of the rows of U, what the backward pass reuses)."""
+        if monotone:
+            if self.flavor == "gamma":
+                return self._gamma_forward(U)
+            cells = self.grid_cells
+        else:
+            cells = self._sorted_cells(U)
+            U = np.take_along_axis(U, cells[0], axis=-1)
+        powered, C, M = cell_sums(self.flavor, self.p, U, *cells[1:])
+        return powered, (U, C, M, cells)
+
+    def _gamma_forward(self, U: np.ndarray):
         p = self.p
-        if self.space.flavor == "lambda":
-            return (U ** p) @ self.dW
-        if self.space.flavor == "s":
-            mass = U * self.lengths
-            A = np.concatenate((np.zeros((U.shape[0], 1)), np.cumsum(mass, axis=1)[:, :-1]), axis=1)
-            C = np.maximum(A - U * self.g_prev, 0.0)
-            M = mass.sum(axis=1)
-            return (C ** p) @ self.dPsi + (M ** p) * self.psi_tail
-        # gamma
         mass = U * self.lengths
-        A = np.concatenate((np.zeros((U.shape[0], 1)), np.cumsum(mass, axis=1)[:, :-1]), axis=1)
-        M = mass.sum(axis=1)
-        out = (U[:, :1] ** p).ravel() * self.head_dW + (M ** p) * self.gamma_tail
-        if self.m > 1:
-            vals = U[:, 1:, None] * self.nodes_a[None, :, :] + A[:, 1:, None] * self.nodes_b[None, :, :]
-            out = out + (vals ** p * self.nodes_w[None, :, :]).sum(axis=(1, 2))
-        return out
+        A = np.zeros_like(mass)
+        mass[..., :-1].cumsum(axis=-1, out=A[..., 1:])
+        M = mass.sum(axis=-1)
+        vals = U[..., 1:, None] * self.nodes_a + A[..., 1:, None] * self.nodes_b
+        out = U[..., 0] ** p * self.head_dW + (M ** p) * self.tail
+        return out + (vals ** p * self.nodes_w).sum(axis=(-2, -1)), (U, M, vals)
 
-    def norm_mono(self, u: np.ndarray) -> float:
-        return float(self.norm_pow_mono_batch(u[None, :])[0]) ** (1.0 / self.p)
+    def norm_pow(self, U: np.ndarray, monotone: bool) -> np.ndarray:
+        """p-th powers of the norms of the rows of U (a 1-d U is one row)."""
+        return self._forward(U, monotone)[0]
 
-    def grad_norm_mono(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(norm, gradient) for a monotone candidate.
+    def norm(self, u: np.ndarray, monotone: bool) -> float:
+        return float(self.norm_pow(u, monotone)) ** (1.0 / self.p)
+
+    def grad(self, u: np.ndarray, monotone: bool) -> tuple[float, np.ndarray]:
+        """(norm, gradient) of one candidate, from one forward pass.
 
         Derivatives at zero values are one-sided (right) ones, so at p = 1 the
         gradient is the norm's linear coefficient everywhere; for p > 1 the
-        subgradient at u = 0 is 0.
+        subgradient at u = 0 is 0.  Unconstrained candidates are
+        differentiated through their sort order, which is locally constant.
         """
         p = self.p
-        if self.space.flavor == "lambda":
-            npow = float((u ** p) @ self.dW)
-            n = npow ** (1.0 / p)
-            if n == 0.0 and p != 1.0:
-                return 0.0, np.zeros_like(u)
-            return n, n ** (1.0 - p) * _pow_slope(u, p) * self.dW
-        if self.space.flavor == "s":
-            mass = u * self.lengths
-            A = np.concatenate(([0.0], np.cumsum(mass)[:-1]))
-            C = np.maximum(A - u * self.g_prev, 0.0)
-            M = mass.sum()
-            npow = float((C ** p) @ self.dPsi + (M ** p) * self.psi_tail)
-            n = npow ** (1.0 / p)
-            if n == 0.0 and p != 1.0:
-                return 0.0, np.zeros_like(u)
-            Cp = _pow_slope(C, p) * self.dPsi
-            suffix = np.concatenate((np.cumsum(Cp[::-1])[::-1][1:], [0.0]))
-            Mp = _pow_slope(M, p)
-            grad_pow = p * (self.lengths * (suffix + Mp * self.psi_tail) - Cp * self.g_prev)
-            return n, (1.0 / p) * n ** (1.0 - p) * grad_pow
-        # gamma
-        mass = u * self.lengths
-        A = np.concatenate(([0.0], np.cumsum(mass)[:-1]))
-        M = mass.sum()
-        npow = float(u[0] ** p * self.head_dW + M ** p * self.gamma_tail)
-        vals = None
-        if self.m > 1:
-            vals = u[1:, None] * self.nodes_a + A[1:, None] * self.nodes_b
-            npow += float((vals ** p * self.nodes_w).sum())
-        n = npow ** (1.0 / p)
+        npow, saved = self._forward(u, monotone)
+        n = float(npow) ** (1.0 / p)
         if n == 0.0 and p != 1.0:
             return 0.0, np.zeros_like(u)
-        grad_pow = np.zeros_like(u)
-        grad_pow[0] = p * _pow_slope(u[0], p) * self.head_dW
-        grad_pow += p * _pow_slope(M, p) * self.gamma_tail * self.lengths
-        if self.m > 1:
-            vp = _pow_slope(vals, p) * self.nodes_w
-            grad_pow[1:] += p * (vp * self.nodes_a).sum(axis=1)
-            # prefix sensitivity: A_{i-1} depends on u_j (j < i) through the cell mass
-            rowfull = np.concatenate(([0.0], p * (vp * self.nodes_b).sum(axis=1)))
-            suffix = np.concatenate((np.cumsum(rowfull[::-1])[::-1][1:], [0.0]))
-            grad_pow += self.lengths * suffix
-        return n, (1.0 / p) * n ** (1.0 - p) * grad_pow
-
-    # -- unconstrained candidates (rearranged first) -----------------------
-
-    def _check_rearranged_support(self) -> None:
-        if not self.vector_closed_form:
-            raise InvalidWeightError(
-                "unconstrained oracle candidates need power weights "
-                "(rearranged norms require vectorized primitives)"
-            )
-        if self.space.flavor == "lambda" and self.beta <= -1.0:
-            raise InvalidWeightError("lambda-norms need beta > -1")
-        if self.space.flavor == "s" and self.beta >= self.p - 1.0:
-            raise InvalidWeightError("s-norms need beta < p - 1")
-
-    def norm_pow_rearranged_batch(self, U: np.ndarray) -> np.ndarray:
-        self._check_rearranged_support()
-        p = self.p
-        idx = np.argsort(-U, axis=1, kind="stable")
-        V = np.take_along_axis(U, idx, axis=1)
-        L = np.take_along_axis(np.broadcast_to(self.lengths, U.shape), idx, axis=1)
-        B = np.cumsum(L, axis=1)
-        A = np.concatenate((np.zeros((U.shape[0], 1)), B[:, :-1]), axis=1)
-        if self.space.flavor == "lambda":
-            WB = _power_primitive_vec(self.beta, B)
-            WA = np.where(A > 0.0, _power_primitive_vec(self.beta, np.where(A > 0, A, 1.0)), 0.0)
-            return (V ** p * (WB - WA)).sum(axis=1)
-        if self.space.flavor == "s":
-            mass = V * L
-            AI = np.concatenate((np.zeros((U.shape[0], 1)), np.cumsum(mass, axis=1)[:, :-1]), axis=1)
-            C = np.maximum(AI - V * A, 0.0)
-            M = mass.sum(axis=1)
-            PsiA = np.where(A > 0.0, _power_tailmoment_vec(self.beta, p, np.where(A > 0, A, 1.0)), np.inf)
-            PsiB = _power_tailmoment_vec(self.beta, p, B)
-            dPsi = np.where(C > 0.0, PsiA - PsiB, 0.0)
-            return (np.where(C > 0.0, C, 0.0) ** p * dPsi).sum(axis=1) + (M ** p) * PsiB[:, -1]
-        raise InvalidWeightError("gamma-flavor oracle supports monotone candidates only")
-
-    def norm_rearranged(self, u: np.ndarray) -> float:
-        return float(self.norm_pow_rearranged_batch(u[None, :])[0]) ** (1.0 / self.p)
-
-    def grad_norm_rearranged(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(norm, subgradient) through the locally constant sort permutation."""
-        self._check_rearranged_support()
-        p = self.p
-        idx = np.argsort(-u, kind="stable")
-        v = u[idx]
-        lens = self.lengths[idx]
-        B = np.cumsum(lens)
-        A = np.concatenate(([0.0], B[:-1]))
-        if self.space.flavor == "lambda":
-            WB = _power_primitive_vec(self.beta, B)
-            WA = np.where(A > 0.0, _power_primitive_vec(self.beta, np.where(A > 0, A, 1.0)), 0.0)
-            dW = WB - WA
-            npow = float((v ** p) @ dW)
-            n = npow ** (1.0 / p)
-            if n == 0.0:
-                return 0.0, np.zeros_like(u)
-            gs = n ** (1.0 - p) * np.where(v > 0, v, 1.0) ** (p - 1.0) * (v > 0.0) * dW
+        if self.flavor == "gamma":
+            return n, (1.0 / p) * n ** (1.0 - p) * self._gamma_backward(*saved)
+        v, C, M, (order, lengths, left, moments, tail) = saved
+        if self.flavor == "lambda":
+            gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
         else:
-            mass = v * lens
-            AI = np.concatenate(([0.0], np.cumsum(mass)[:-1]))
-            C = np.maximum(AI - v * A, 0.0)
-            M = mass.sum()
-            PsiA = np.where(A > 0.0, _power_tailmoment_vec(self.beta, p, np.where(A > 0, A, 1.0)), np.inf)
-            PsiB = _power_tailmoment_vec(self.beta, p, B)
-            dPsi = np.where(C > 0.0, PsiA - PsiB, 0.0)
-            dPsi_eff = np.where(np.isfinite(dPsi), dPsi, 0.0)
-            npow = float((np.where(C > 0, C, 0.0) ** p) @ dPsi_eff + (M ** p) * PsiB[-1])
-            n = npow ** (1.0 / p)
-            if n == 0.0:
-                return 0.0, np.zeros_like(u)
-            Cp = np.where(C > 0.0, C, 1.0) ** (p - 1.0) * (C > 0.0) * dPsi_eff
-            suffix = np.concatenate((np.cumsum(Cp[::-1])[::-1][1:], [0.0]))
-            Mp = M ** (p - 1.0) if M > 0.0 else 0.0
-            grad_pow = p * (lens * (suffix + Mp * PsiB[-1]) - Cp * A)
+            Cp = _pow_slope(C, p) * moments
+            grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
             gs = (1.0 / p) * n ** (1.0 - p) * grad_pow
-        grad = np.zeros_like(u)
-        grad[idx] = gs
+        if order is None:
+            return n, gs
+        grad = np.empty_like(u)
+        grad[order] = gs
         return n, grad
+
+    def _gamma_backward(self, u: np.ndarray, M: float, vals: np.ndarray) -> np.ndarray:
+        p = self.p
+        vp = _pow_slope(vals, p) * self.nodes_w
+        grad_pow = p * _pow_slope(M, p) * self.tail * self.lengths
+        grad_pow[0] += p * _pow_slope(u[0], p) * self.head_dW
+        grad_pow[1:] += p * (vp * self.nodes_a).sum(axis=1)
+        # prefix sensitivity: A_{i-1} depends on u_j (j < i) through the cell mass
+        rowfull = np.concatenate(([0.0], p * (vp * self.nodes_b).sum(axis=1)))
+        return grad_pow + self.lengths * _suffix_sums(rowfull)
 
 
 class _CoupleObjective:
@@ -637,14 +559,9 @@ class _CoupleObjective:
         self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
-        rest = np.maximum(self.F[None, :] - U, 0.0)
-        p0, p1 = self.ev0.p, self.ev1.p
-        if self.monotone:
-            n0 = self.ev0.norm_pow_mono_batch(U) ** (1.0 / p0)
-            n1 = self.ev1.norm_pow_mono_batch(rest) ** (1.0 / p1)
-        else:
-            n0 = self.ev0.norm_pow_rearranged_batch(U) ** (1.0 / p0)
-            n1 = self.ev1.norm_pow_rearranged_batch(rest) ** (1.0 / p1)
+        rest = np.maximum(self.F - U, 0.0)
+        n0 = self.ev0.norm_pow(U, self.monotone) ** (1.0 / self.ev0.p)
+        n1 = self.ev1.norm_pow(rest, self.monotone) ** (1.0 / self.ev1.p)
         return n0 + self.t * n1
 
     def value(self, u: np.ndarray) -> float:
@@ -652,12 +569,8 @@ class _CoupleObjective:
 
     def value_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         rest = np.maximum(self.F - u, 0.0)
-        if self.monotone:
-            n0, g0 = self.ev0.grad_norm_mono(u)
-            n1, g1 = self.ev1.grad_norm_mono(rest)
-        else:
-            n0, g0 = self.ev0.grad_norm_rearranged(u)
-            n1, g1 = self.ev1.grad_norm_rearranged(rest)
+        n0, g0 = self.ev0.grad(u, self.monotone)
+        n1, g1 = self.ev1.grad(rest, self.monotone)
         return n0 + self.t * n1, g0 - self.t * g1
 
 
@@ -760,18 +673,19 @@ def k_oracle(
             hi = F - np.concatenate((F[1:], [0.0]))
 
             def to_u(d: np.ndarray) -> np.ndarray:
-                return np.clip(np.cumsum(d[::-1])[::-1], 0.0, F)
+                # the array methods skip the Python-level wrappers of np.clip and np.cumsum
+                return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), F)
 
             def vg(d: np.ndarray) -> tuple[float, np.ndarray]:
                 val, gu = obj.value_grad(to_u(d))
-                return val, np.cumsum(gu)
+                return val, gu.cumsum()
 
             x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
         else:
             hi = F
 
             def to_u(x: np.ndarray) -> np.ndarray:
-                return np.clip(x, 0.0, F)
+                return np.minimum(np.maximum(x, 0.0), F)
 
             vg = obj.value_grad
             x_trunc = u_trunc

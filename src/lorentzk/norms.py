@@ -11,7 +11,9 @@ mean.  On the cell (x_{i-1}, x_i] of a non-increasing step function the
 oscillation is exactly (A_{i-1} - v_i x_{i-1}) / t with A_{i-1} the prefix
 integral, so the s-flavor integrand is c^p t^{-p} w(t) per cell and every
 piece reduces to a weight moment; beyond the support f* vanishes and both
-gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  Divergent
+gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  The
+lambda and s sums are one vectorized kernel, ``cell_sums``, which the
+K-oracle in ``kfunctional`` also evaluates on its grids.  Divergent
 integrals yield +inf with a flag rather than an error.  p = inf flavors are
 grid suprema over breakpoints plus refinement points (grid-level accuracy).
 
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
 from scipy.integrate import quad
 
 from .stepfn import StepFunction, maximal, osc_transform, rearrange
@@ -88,50 +91,72 @@ class NormResult:
     flags: tuple[str, ...] = ()
 
 
-def _powered_lambda(fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of (f*)^p w, exact."""
-    total = 0.0
-    for a, b, v in fstar.cells():
-        if v == 0.0:
-            continue
+def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    return X @ moments if moments.ndim == 1 else (X * moments).sum(axis=-1)
+
+
+def cell_sums(
+    flavor: str,
+    p: float,
+    V: np.ndarray,
+    lengths: np.ndarray,
+    left: np.ndarray,
+    moments: np.ndarray,
+    tail: float | np.ndarray = 0.0,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The exact cell kernel of the lambda and s flavors: (powered, c, M).
+
+    Rows of V hold non-increasing cell values on cells of the given lengths
+    and left edges x_{i-1} (the last axis runs over cells; a 1-d V is one
+    row).  ``moments`` holds each cell's weight moment, dW_i for lambda and
+    the tail-moment increment dPsi_i for s, shared by all rows (1-d) or one
+    row each; ``tail`` is the s flavor's moment beyond the support.  A cell
+    whose integrand vanishes must carry a finite moment (0 will do).
+
+    ``powered`` is each row's sum of v_i^p dW_i (lambda) or
+    c_i^p dPsi_i + M^p tail (s).  The s flavor also returns what its
+    gradient reuses: the oscillation constants c_i = A_{i-1} - v_i x_{i-1}
+    (A the prefix integral, clamped at 0 against rounding) and the mass M.
+    """
+    if flavor == "lambda":
+        return _moment_sum(V ** p, moments), None, None
+    mass = V * lengths
+    A = np.zeros_like(mass)  # the prefix integrals A_{i-1}
+    mass[..., :-1].cumsum(axis=-1, out=A[..., 1:])
+    C = np.maximum(A - V * left, 0.0)
+    M = mass.sum(axis=-1)
+    return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
+
+
+def _powered_cells(
+    flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float, hi: float
+) -> float:
+    """integral over (lo, hi) of (f*)^p w (lambda) or (f** - f*)^p w (s), exact.
+
+    Each cell's moment is clipped to the window; the s flavor skips the
+    first cell, where the oscillation vanishes, and adds the mass term
+    M^p integral s^{-p} w beyond the support.
+    """
+    if fstar.is_zero:
+        return 0.0
+    e = 0.0 if flavor == "lambda" else -p
+    moments = []
+    for a, b, _v in fstar.cells():
         l, h = max(a, lo), min(b, hi)
-        if l < h:
-            piece = w.moment(0.0, l, h)
-            if math.isinf(piece):
-                return math.inf
-            total += (v ** p) * piece
-    return total
-
-
-def _osc_cell_constants(fstar: StepFunction) -> list[float]:
-    """c_i = A_{i-1} - v_i x_{i-1} per cell: the scaled oscillation constants."""
-    prefix = fstar._prefix
-    out = []
-    for i, (a, _b, v) in enumerate(fstar.cells()):
-        out.append(prefix[i] - v * a)
-    return out
-
-
-def _powered_s(fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of (f** - f*)^p w, exact via tail moments."""
-    total = 0.0
-    consts = _osc_cell_constants(fstar)
-    for (a, b, _v), c in zip(fstar.cells(), consts):
-        l, h = max(a, lo), min(b, hi)
-        if l < h and c > 0.0:
-            piece = w.moment(-p, l, h)
-            if math.isinf(piece):
-                return math.inf
-            total += (c ** p) * piece
-    m = fstar.total_integral
-    end = fstar.support_end
-    l = max(end, lo)
-    if m > 0.0 and l < hi:
-        piece = w.moment(-p, l, hi)
+        piece = w.moment(e, l, h) if l < h and (flavor == "lambda" or a > 0.0) else 0.0
         if math.isinf(piece):
             return math.inf
-        total += (m ** p) * piece
-    return total
+        moments.append(piece)
+    tail = 0.0
+    end = max(fstar.support_end, lo)
+    if flavor == "s" and end < hi:
+        tail = w.moment(-p, end, hi)
+        if math.isinf(tail):
+            return math.inf
+    right = np.array(fstar.breakpoints)
+    left = np.concatenate(([0.0], right[:-1]))
+    V = np.array(fstar.values)
+    return float(cell_sums(flavor, p, V, right - left, left, np.array(moments), tail)[0])
 
 
 def _powered_gamma(
@@ -205,10 +230,8 @@ def _sup_norm(fstar: StepFunction, flavor: str, w: Weight, lo: float, hi: float)
 
 
 def _powered(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float, rel_tol: float) -> float:
-    if space.flavor == "lambda":
-        return _powered_lambda(fstar, space.p, space.w, lo, hi)
-    if space.flavor == "s":
-        return _powered_s(fstar, space.p, space.w, lo, hi)
+    if space.flavor != "gamma":
+        return _powered_cells(space.flavor, fstar, space.p, space.w, lo, hi)
     return _powered_gamma(fstar, space.p, space.w, lo, hi, rel_tol)
 
 
@@ -267,7 +290,7 @@ def s_lambda_identity_check(
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     fstar = rearrange(f)
-    left_pow = _powered_s(fstar, p, w, 0.0, t)
+    left_pow = _powered_cells("s", fstar, p, w, 0.0, t)
     left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / p)
     if fstar.is_zero:
         return left, 0.0
@@ -308,5 +331,5 @@ def gamma_equals_s_check(f: StepFunction, p: float, w: Weight) -> tuple[float, f
     fstar = rearrange(f)
     return (
         _powered_gamma(fstar, p, w, 0.0, math.inf, QUAD_REL_TOL),
-        _powered_s(fstar, p, w, 0.0, math.inf),
+        _powered_cells("s", fstar, p, w, 0.0, math.inf),
     )

@@ -25,7 +25,7 @@ transform of a step function is itself a step function up to a null set and
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .grids import Grid
@@ -48,10 +48,6 @@ __all__ = [
     "GridProjectionError",
 ]
 
-# Value at a jump point comes from the cell (x_{i-1}, x_i] containing it.
-JUMP_CONVENTION = "left-cell"
-
-
 class GridProjectionError(ValueError):
     """Sampled values violate monotonicity beyond tolerance."""
 
@@ -72,9 +68,6 @@ def json_numbers(value, what: str) -> tuple[float, ...]:
 
 class EvaluableFunction:
     """A non-negative function on (0, inf), evaluable at any positive point."""
-
-    #: True when the implementation guarantees a non-increasing function.
-    monotone_nonincreasing: bool = False
 
     def __call__(self, t: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -295,7 +288,6 @@ class MaximalFunction(EvaluableFunction):
     """
 
     base: StepFunction
-    monotone_nonincreasing: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.base.is_zero:
@@ -313,12 +305,10 @@ class OscillationTransform(EvaluableFunction):
 
     Evaluates  t |-> integral_0^{1/t} f - f(1/t)/t  exactly via prefix
     integrals.  Evaluation at a point where 1/t is a breakpoint of f uses the
-    (x_{i-1}, x_i] cell convention for f(1/t); see ``jump_convention``.
+    (x_{i-1}, x_i] cell convention for f(1/t), as ``StepFunction`` does.
     """
 
     base: StepFunction
-    monotone_nonincreasing: bool = field(default=True, init=False, repr=False)
-    jump_convention: str = field(default=JUMP_CONVENTION, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.base.is_zero:

@@ -27,8 +27,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import median
 
@@ -252,15 +250,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _thread_map(fn, items, threads: int | None):
-    if threads is None:
-        threads = int(os.environ.get("LORENTZK_THREADS", "1"))
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 
@@ -289,7 +278,6 @@ def run_identity_suite(
     weight_beta: float = 0.0,
     t_count: int = 15,
     seed: int = 7,
-    threads: int | None = None,
 ) -> EquivalenceReport:
     """Exact structural identities: idempotence, transform norm, reconstruction."""
     corpus = corpus if corpus is not None else make_corpus(seed)
@@ -315,7 +303,7 @@ def run_identity_suite(
         )
         return recs
 
-    all_recs = [r for chunk in _thread_map(one, corpus, threads) for r in chunk]
+    all_recs = [r for entry in corpus for r in one(entry)]
     return EquivalenceReport(
         "identity",
         {"p": p, "weight": f"power:{weight_beta}", "seed": seed},
@@ -361,11 +349,10 @@ def run_theorem_suite(
     t_count: int = 15,
     seed: int = 7,
     refine: bool = False,
-    threads: int | None = None,
 ) -> EquivalenceReport:
     """Run one empirical theorem suite; see the module docstring for tags."""
     if tag == "identity":
-        return run_identity_suite(corpus, p=p, t_count=t_count, seed=seed, threads=threads)
+        return run_identity_suite(corpus, p=p, t_count=t_count, seed=seed)
     if tag not in SUITE_TAGS:
         raise ValueError(f"unknown suite tag {tag!r}; expected one of {SUITE_TAGS}")
     corpus = corpus if corpus is not None else make_corpus(seed)
@@ -425,7 +412,7 @@ def run_theorem_suite(
                 recs.append(EquivalenceRecord(entry.f_id, t, lhs, rhs, _ratio(lhs, rhs), flags))
             return recs
 
-        return tuple(r for chunk in _thread_map(one, corpus, threads) for r in chunk)
+        return tuple(r for entry in corpus for r in one(entry))
 
     records = records_at(m)
     refined = records_at(2 * m) if (refine and tag != "gammaeqs") else None

@@ -51,7 +51,6 @@ __all__ = [
     "check_delta2",
     "check_cond1",
     "check_cond3",
-    "check_ratio_monotone",
     "check_sufconds",
     "tail_diverges_at_zero",
     "weight_from_json_dict",
@@ -344,10 +343,6 @@ class PowerLaw(EvaluableFunction):
             raise ValueError("need t > 0")
         return self.coeff * t ** self.exponent
 
-    @property
-    def monotone_nonincreasing(self) -> bool:  # type: ignore[override]
-        return self.exponent <= 0.0 or self.coeff == 0.0
-
 
 @dataclass(frozen=True)
 class RatioFunction(EvaluableFunction):
@@ -408,7 +403,6 @@ class _QuadratureTailFundamental(EvaluableFunction):
 
     w: Weight
     p: float
-    monotone_nonincreasing: bool = field(default=True, init=False, repr=False)
 
     def __call__(self, t: float) -> float:
         val = self.w.tail_moment(self.p, t)
@@ -678,31 +672,6 @@ def check_cond3(
     psi0 = tail_fundamental(cfg.w0, cfg.p0)
     theta = tail_fundamental_ratio(cfg)
     g = _product_fn(theta, _pow_fn(psi0, eps))
-    if isinstance(g, PowerLaw):
-        holds = g.exponent >= 0.0
-        return ConditionVerdict(
-            "ratio-quasi-monotone", holds, 1.0 if holds else math.inf, 1.0,
-            "closed-form", f"pure power with exponent {g.exponent:.6g}; eps={eps:g}",
-        )
-    grid = grid or DEFAULT_CHECK_GRID
-    holds, c, arg = _quasi_monotone_grid(g, grid, threshold)
-    return ConditionVerdict(
-        "ratio-quasi-monotone", holds, c, arg, "grid",
-        f"eps={eps:g}; threshold={threshold:g}",
-    )
-
-
-def check_ratio_monotone(
-    phi0: EvaluableFunction,
-    phi1: EvaluableFunction,
-    eps: float,
-    grid: Grid | None = None,
-    threshold: float = QUASI_MONOTONE_THRESHOLD,
-) -> ConditionVerdict:
-    """(phi0/phi1) / phi1^eps equivalent to non-decreasing (eps > 0 required)."""
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
-    g = _product_fn(_ratio_fn(phi0, phi1), _pow_fn(phi1, -eps))
     if isinstance(g, PowerLaw):
         holds = g.exponent >= 0.0
         return ConditionVerdict(

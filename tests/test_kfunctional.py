@@ -27,7 +27,7 @@ from lorentzk.kfunctional import (
 )
 from lorentzk.norms import LorentzSpace, norm
 from lorentzk.stepfn import Grid, StepFunction, add, rearrange
-from lorentzk.weights import CoupleConfig, PowerWeight
+from lorentzk.weights import CoupleConfig, InvalidWeightError, PowerLogWeight, PowerWeight
 
 FLAT = PowerWeight(0.0)
 STAIR = StepFunction((1.0, 2.0, 4.0), (3.0, 2.0, 1.0))
@@ -323,6 +323,37 @@ class TestOracleProperties:
         assert direct == pytest.approx(res.value, rel=1e-9)
 
 
+@st.composite
+def unsorted_candidates(draw):
+    n = draw(st.integers(1, 10))
+    g = np.cumsum(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    u = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=n, max_size=n)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    p = draw(st.floats(1.0, 4.0))
+    # lambda needs beta > -1, s needs beta < p - 1
+    lo, hi = (-0.7, 2.0) if flavor == "lambda" else (-1.5, p - 1.3)
+    beta = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    return LorentzSpace(flavor, p, PowerWeight(beta)), g, u
+
+
+class TestRearrangedCandidates:
+    @settings(max_examples=60, deadline=None)
+    @given(unsorted_candidates())
+    def test_norm_matches_norms_module(self, case):
+        space, g, u = case
+        ev = _SpaceOnGrid(space, g)
+        expected = norm(space, StepFunction(tuple(g), tuple(u)))
+        assert ev.norm(u, monotone=False) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "space",
+        [LorentzSpace("gamma", 2.0, FLAT), LorentzSpace("lambda", 2.0, PowerLogWeight(0.5, 1.0))],
+    )
+    def test_unconstrained_oracle_needs_power_weights_and_exact_flavors(self, space):
+        with pytest.raises(InvalidWeightError):
+            k_oracle(KQuery(STAIR, 1.0, space, space), m=8, monotone_only=False)
+
+
 class TestExhaustive:
     def test_matches_continuous_oracle_on_linear_instance(self):
         # p = 1 makes the objective linear, so the lattice contains an optimum
@@ -419,41 +450,48 @@ class TestGradients:
     )
     def test_monotone_gradient_matches_finite_differences(self, flavor, p, beta):
         ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
-        val, grad = ev.grad_norm_mono(self.U_MONO)
-        assert val == pytest.approx(ev.norm_mono(self.U_MONO), rel=1e-12)
-        fd = finite_difference(ev.norm_mono, self.U_MONO)
+        val, grad = ev.grad(self.U_MONO, monotone=True)
+        assert val == pytest.approx(ev.norm(self.U_MONO, monotone=True), rel=1e-12)
+        fd = finite_difference(lambda u: ev.norm(u, monotone=True), self.U_MONO)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("flavor,p,beta", [("lambda", 2.0, 0.3), ("s", 2.0, 0.2)])
     def test_rearranged_gradient_matches_finite_differences(self, flavor, p, beta):
         ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
-        val, grad = ev.grad_norm_rearranged(self.U_FREE)
-        assert val == pytest.approx(ev.norm_rearranged(self.U_FREE), rel=1e-12)
-        fd = finite_difference(ev.norm_rearranged, self.U_FREE)
+        val, grad = ev.grad(self.U_FREE, monotone=False)
+        assert val == pytest.approx(ev.norm(self.U_FREE, monotone=False), rel=1e-12)
+        fd = finite_difference(lambda u: ev.norm(u, monotone=False), self.U_FREE)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("flavor,beta", [("lambda", 0.3), ("s", -0.4), ("gamma", -0.4)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_monotone_gradient_is_one_sided_at_zero_cells(self, flavor, beta, p):
-        u = np.array([3.1, 2.4, 1.6, 0.0, 0.0])
         ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
-        val, grad = ev.grad_norm_mono(u)
-        assert val == pytest.approx(ev.norm_mono(u), rel=1e-12)
-        h = 1e-7
-        for i in range(u.size):
-            up = u.copy()
-            up[i] += h
-            if u[i] > 0.0:
-                um = u.copy()
-                um[i] -= h
-                fd = (ev.norm_mono(up) - ev.norm_mono(um)) / (2.0 * h)
-                tol = 1e-5 * abs(fd) + 1e-7
-            else:
-                # a value may not go negative: compare with the right derivative,
-                # whose difference quotient is off by O(h^(p-1)) when p > 1
-                fd = (ev.norm_mono(up) - val) / h
-                tol = 1e-5 * abs(fd) + 1e-6 + (10.0 * h ** (p - 1.0) if p > 1.0 else 0.0)
-            assert grad[i] == pytest.approx(fd, abs=tol), i
+        cases = [(True, np.array([3.1, 2.4, 1.6, 0.0, 0.0]))]
+        if flavor != "gamma":  # unconstrained candidates: lambda and s only
+            cases.append((False, np.array([1.0, 2.5, 0.0, 1.8, 0.6])))
+        for monotone, u in cases:
+            val, grad = ev.grad(u, monotone)
+
+            def norm(x):
+                return ev.norm(x, monotone)
+
+            assert val == pytest.approx(norm(u), rel=1e-12)
+            h = 1e-7
+            for i in range(u.size):
+                up = u.copy()
+                up[i] += h
+                if u[i] > 0.0:
+                    um = u.copy()
+                    um[i] -= h
+                    fd = (norm(up) - norm(um)) / (2.0 * h)
+                    tol = 1e-5 * abs(fd) + 1e-7
+                else:
+                    # a value may not go negative: compare with the right derivative,
+                    # whose difference quotient is off by O(h^(p-1)) when p > 1
+                    fd = (norm(up) - val) / h
+                    tol = 1e-5 * abs(fd) + 1e-6 + (10.0 * h ** (p - 1.0) if p > 1.0 else 0.0)
+                assert grad[i] == pytest.approx(fd, abs=tol), (monotone, i)
 
     def test_couple_objective_gradient(self):
         ev0 = _SpaceOnGrid(LorentzSpace("lambda", 2.0, FLAT), self.GRID)

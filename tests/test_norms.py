@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lorentzk import (
@@ -11,9 +13,11 @@ from lorentzk import (
     PowerLogWeight,
     PowerWeight,
     StepFunction,
+    TabulatedWeight,
     TruncatedNorm,
     dilate,
     gamma_equals_s_check,
+    maximal,
     norm,
     norm_result,
     rearrange,
@@ -22,6 +26,7 @@ from lorentzk import (
     truncated_norm,
     truncated_norm_result,
 )
+from lorentzk.norms import _powered_cells
 
 FLAT = PowerWeight(0.0)
 IND4 = StepFunction.indicator(4.0)
@@ -215,3 +220,58 @@ class TestDilation:
         a = 0.5
         lhs = norm(sp, dilate(f, a))
         assert lhs == pytest.approx(a ** (-0.5) * norm(sp, f), rel=1e-12)
+
+
+TABULATED = TabulatedWeight(StepFunction((0.5, 2.0, 6.0), (1.0, 3.0, 0.5)))
+
+
+@st.composite
+def windowed_integrals(draw):
+    """A non-increasing step function of at most 10 cells, a flavor, an
+    exponent, a weight inside its convergent range and a window."""
+    n = draw(st.integers(1, 10))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    # values at least 0.1 apart, so the oscillation is never a rounding residue
+    levels = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n, unique=True))
+    fstar = StepFunction(tuple(np.cumsum(widths)), tuple(0.1 * k for k in sorted(levels, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    p = draw(st.floats(1.0, 4.0))
+    if draw(st.booleans()):
+        w = TABULATED
+    else:
+        # lambda needs beta > -1 at the origin, s needs beta < p - 1 at infinity
+        lo, hi = (-0.7, 2.0) if flavor == "lambda" else (-1.5, p - 1.3)
+        w = PowerWeight(lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+    t = draw(st.floats(0.05, 1.5)) * fstar.support_end
+    window = draw(st.sampled_from([(0.0, math.inf), (0.0, t), (t, math.inf)]))
+    return fstar, flavor, p, w, window
+
+
+class TestCellKernel:
+    """The exact cell sums against adaptive quadrature of the integrands."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_integrals())
+    def test_matches_quadrature(self, case):
+        fstar, flavor, p, w, (lo, hi) = case
+        mean = maximal(fstar)
+        if flavor == "lambda":
+            integrand = lambda s: fstar(s) ** p * w(s)
+        else:
+            integrand = lambda s: (mean(s) - fstar(s)) ** p * w(s)
+        end = fstar.support_end
+        jumps = set(fstar.breakpoints) | set(TABULATED.step.breakpoints)
+        # f** = f* on the first cell, where rounding would only add noise
+        a = max(lo, fstar.first_breakpoint) if flavor == "s" else lo
+        ref = 0.0
+        if a < min(hi, end):
+            inner = sorted(x for x in jumps if a < x < min(hi, end))
+            ref += quad(integrand, a, min(hi, end), points=inner or None,
+                        epsabs=0.0, epsrel=1e-11, limit=500)[0]
+        if flavor == "s" and max(lo, end) < hi:
+            # beyond the support the integrand is (M/s)^p w(s)
+            a = max(lo, end)
+            for b in sorted({x for x in jumps if a < x < hi} | {hi}):
+                ref += quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=500)[0]
+                a = b
+        assert _powered_cells(flavor, fstar, p, w, lo, hi) == pytest.approx(ref, rel=1e-7, abs=1e-300)

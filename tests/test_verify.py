@@ -80,11 +80,6 @@ class TestIdentitySuite:
         b = run_identity_suite(SMALL, t_count=4)
         assert a.records == b.records
 
-    def test_threaded_run_matches_serial(self):
-        a = run_identity_suite(SMALL, t_count=4, threads=1)
-        b = run_identity_suite(SMALL, t_count=4, threads=3)
-        assert a.records == b.records
-
 
 class TestTheoremSuites:
     def test_cor1_band_and_refinement(self):

@@ -20,7 +20,6 @@ from lorentzk import (
     check_cond1,
     check_cond3,
     check_delta2,
-    check_ratio_monotone,
     check_rbp,
     check_sufconds,
     fundamental,
@@ -194,13 +193,8 @@ class TestConditionCheckers:
         assert check_cond3(cfg, 0.25).holds
         # eps too large destroys quasi-monotonicity of theta psi0^eps
         assert not check_cond3(cfg, 3.0).holds
-
-    def test_ratio_monotone_requires_positive_eps(self):
-        phi0 = PowerLaw(1.0, 0.5)
-        phi1 = PowerLaw(1.0, 0.25)
         with pytest.raises(ValueError):
-            check_ratio_monotone(phi0, phi1, 0.0)
-        assert check_ratio_monotone(phi0, phi1, 0.5).holds
+            check_cond3(cfg, 0.0)
 
     def test_tail_diverges_at_zero(self):
         assert tail_diverges_at_zero(PowerWeight(0.0), 2.0).holds
