@@ -35,8 +35,8 @@ minimizes the convex (p >= 1) objective over it from five starts, and the
 best truncation candidate stands when no start beats it.  At p_0 = p_1 = 1
 the objective is affine there and the slope-sign vertex is also tried.  A
 start that stops at the iteration cap is flagged, never silently accepted.
-The lambda- and s-norms of candidates, and their gradients, come from the
-cell kernel ``norms.cell_sums`` that the norms and the explicit formulas use.
+The norms of candidates, and their gradients, come from the cell kernel
+``norms.cell_sums`` that the norms and the explicit formulas use.
 """
 
 import math
@@ -47,7 +47,7 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
-from .norms import LorentzSpace, _powered_cells, cell_sums
+from .norms import GammaNodes, LorentzSpace, _powered_cells, cell_sums, gamma_nodes
 from .stepfn import (
     StepFunction,
     add,
@@ -412,10 +412,11 @@ class _SpaceOnGrid:
     """Norms of step functions with fixed cells and variable values.
 
     Cells are (g_{i-1}, g_i] with g_0 = 0; candidate vectors hold the value
-    per cell and vanish beyond the last point.  The lambda and s flavors
-    evaluate ``norms.cell_sums``, the exact cell kernel the norms use, on
-    moments taken once here from ``Weight.moment``; gamma uses fixed
-    Gauss-Legendre node sums.  Unconstrained candidates are sorted into
+    per cell and vanish beyond the last point.  Every flavor evaluates
+    ``norms.cell_sums``, the cell kernel the norms use, on moments taken
+    once here from ``Weight.moment`` (lambda, s) or on the log-panel
+    Gauss-Legendre nodes of ``norms.gamma_nodes`` (gamma), the scheme of the
+    gamma norm.  Unconstrained candidates are sorted into
     non-increasing order first, and each row's moments then come from the
     power primitive over the sorted cell lengths, so they need power weights.
     """
@@ -428,48 +429,38 @@ class _SpaceOnGrid:
         w = space.w
         self.left = np.concatenate(([0.0], g[:-1]))
         self.lengths = g - self.left
-        self.tail = 0.0
-        if self.flavor in ("lambda", "s"):
+        tail = 0.0 if self.flavor == "lambda" else w.moment(-p, float(g[-1]), math.inf)
+        if self.flavor == "gamma":
+            head = w.moment(0.0, 0.0, float(g[0]))
+            moments = gamma_nodes(w, g, 0.0, math.inf, head)
+            finite = math.isfinite(head)
+        else:
             e = 0.0 if self.flavor == "lambda" else -p
             # the s flavor's oscillation vanishes identically on the first cell
-            moments = [
+            moments = np.array([
                 w.moment(e, a, b) if self.flavor == "lambda" or a > 0.0 else 0.0
                 for a, b in zip(self.left, g)
-            ]
-            if self.flavor == "s":
-                self.tail = w.moment(-p, float(g[-1]), math.inf)
-            if not (np.isfinite(moments).all() and math.isfinite(self.tail)):
-                raise InvalidWeightError(
-                    f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
-                )
-            self.moments = np.array(moments)
-            self.grid_cells = (None, self.lengths, self.left, self.moments, self.tail)
-        else:  # gamma
-            nodes, wts = np.polynomial.legendre.leggauss(12)
-            a = self.left[1:, None]
-            b = g[1:, None]
-            s = 0.5 * (b - a) * nodes[None, :] + 0.5 * (b + a)
-            wq = 0.5 * (b - a) * wts[None, :]
-            wvals = np.vectorize(w)(s) if s.size else s
-            self.nodes_w = wq * wvals
-            self.nodes_a = (s - a) / s
-            self.nodes_b = 1.0 / s
-            head = w.moment(0.0, 0.0, float(g[0]))
-            tail = w.moment(-p, float(g[-1]), math.inf)
-            if math.isinf(head) or math.isinf(tail):
-                raise InvalidWeightError("gamma-norms diverge on this grid")
-            self.head_dW = head
-            self.tail = tail
+            ])
+            finite = np.isfinite(moments).all()
+        if not (finite and math.isfinite(tail)):
+            raise InvalidWeightError(
+                f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
+            )
+        self.grid_cells = (None, self.lengths, self.left, moments, tail)
         self.beta = w.beta if isinstance(w, PowerWeight) else None
 
-    def _sorted_cells(self, U: np.ndarray):
-        """Sort order, lengths, left edges, moments and tail moment of the cells
-        of each row after sorting its values into non-increasing order."""
+    def check_unconstrained(self) -> None:
+        """Raise InvalidWeightError unless unconstrained candidates are supported."""
         if self.flavor == "gamma" or self.beta is None:
             raise InvalidWeightError(
                 "unconstrained oracle candidates need lambda- or s-flavor spaces "
                 "with power weights (rearranged norms require vectorized primitives)"
             )
+
+    def _sorted_cells(self, U: np.ndarray):
+        """Sort order, lengths, left edges, moments and tail moment of the cells
+        of each row after sorting its values into non-increasing order."""
+        self.check_unconstrained()
         order = np.argsort(-U, axis=-1, kind="stable")
         lengths = self.lengths[order]
         right = np.cumsum(lengths, axis=-1)
@@ -487,24 +478,12 @@ class _SpaceOnGrid:
     def _forward(self, U: np.ndarray, monotone: bool):
         """(powered norms of the rows of U, what the backward pass reuses)."""
         if monotone:
-            if self.flavor == "gamma":
-                return self._gamma_forward(U)
             cells = self.grid_cells
         else:
             cells = self._sorted_cells(U)
             U = np.take_along_axis(U, cells[0], axis=-1)
         powered, C, M = cell_sums(self.flavor, self.p, U, *cells[1:])
         return powered, (U, C, M, cells)
-
-    def _gamma_forward(self, U: np.ndarray):
-        p = self.p
-        mass = U * self.lengths
-        A = np.zeros_like(mass)
-        mass[..., :-1].cumsum(axis=-1, out=A[..., 1:])
-        M = mass.sum(axis=-1)
-        vals = U[..., 1:, None] * self.nodes_a + A[..., 1:, None] * self.nodes_b
-        out = U[..., 0] ** p * self.head_dW + (M ** p) * self.tail
-        return out + (vals ** p * self.nodes_w).sum(axis=(-2, -1)), (U, M, vals)
 
     def norm_pow(self, U: np.ndarray, monotone: bool) -> np.ndarray:
         """p-th powers of the norms of the rows of U (a 1-d U is one row)."""
@@ -526,11 +505,11 @@ class _SpaceOnGrid:
         n = float(npow) ** (1.0 / p)
         if n == 0.0 and p != 1.0:
             return 0.0, np.zeros_like(u)
-        if self.flavor == "gamma":
-            return n, (1.0 / p) * n ** (1.0 - p) * self._gamma_backward(*saved)
         v, C, M, (order, lengths, left, moments, tail) = saved
         if self.flavor == "lambda":
             gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
+        elif self.flavor == "gamma":
+            gs = n ** (1.0 - p) * self._gamma_backward(v, C, M, moments, tail)
         else:
             Cp = _pow_slope(C, p) * moments
             grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
@@ -541,15 +520,16 @@ class _SpaceOnGrid:
         grad[order] = gs
         return n, grad
 
-    def _gamma_backward(self, u: np.ndarray, M: float, vals: np.ndarray) -> np.ndarray:
-        p = self.p
-        vp = _pow_slope(vals, p) * self.nodes_w
-        grad_pow = p * _pow_slope(M, p) * self.tail * self.lengths
-        grad_pow[0] += p * _pow_slope(u[0], p) * self.head_dW
-        grad_pow[1:] += p * (vp * self.nodes_a).sum(axis=1)
-        # prefix sensitivity: A_{i-1} depends on u_j (j < i) through the cell mass
-        rowfull = np.concatenate(([0.0], p * (vp * self.nodes_b).sum(axis=1)))
-        return grad_pow + self.lengths * _suffix_sums(rowfull)
+    def _gamma_backward(
+        self, u: np.ndarray, vals: np.ndarray, M: float, nodes: GammaNodes, tail: float
+    ) -> np.ndarray:
+        """The gradient of the powered gamma norm, divided by p, from the node values of f**."""
+        slope = _pow_slope(vals, self.p) * nodes.weight
+        # f** at a node is u_i + (A_{i-1} - u_i x_{i-1}) / s, with A_{i-1} = sum_{j<i} u_j L_j
+        via_prefix = np.bincount(nodes.cell, (slope * nodes.inv).sum(axis=1), minlength=u.size)
+        direct = np.bincount(nodes.cell, slope.sum(axis=1), minlength=u.size) - self.left * via_prefix
+        direct[0] = _pow_slope(u[0], self.p) * nodes.head
+        return direct + self.lengths * (_suffix_sums(via_prefix) + _pow_slope(M, self.p) * tail)
 
 
 class _CoupleObjective:
@@ -661,6 +641,9 @@ def k_oracle(
     F = np.array([fstar(x) for x in g])
     ev0 = _SpaceOnGrid(q.space0, g)
     ev1 = _SpaceOnGrid(q.space1, g)
+    if not monotone_only:
+        ev0.check_unconstrained()
+        ev1.check_unconstrained()
 
     def run(monotone: bool) -> tuple[float, np.ndarray, float, int, bool]:
         obj = _CoupleObjective(ev0, ev1, F, q.t, monotone)

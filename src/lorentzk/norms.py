@@ -3,7 +3,7 @@
 Three flavors over a weight w and exponent p:
 
 * lambda:  || f* w^{1/p} ||_{L^p}           (exact cell sums)
-* gamma:   || f** w^{1/p} ||_{L^p}          (adaptive quadrature + exact tails)
+* gamma:   || f** w^{1/p} ||_{L^p}          (log-panel Gauss-Legendre + exact ends)
 * s:       || (f** - f*) w^{1/p} ||_{L^p}   (exact cell sums via tail moments)
 
 where f* is the non-increasing rearrangement and f** its running integral
@@ -12,8 +12,11 @@ oscillation is exactly (A_{i-1} - v_i x_{i-1}) / t with A_{i-1} the prefix
 integral, so the s-flavor integrand is c^p t^{-p} w(t) per cell and every
 piece reduces to a weight moment; beyond the support f* vanishes and both
 gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  The
-lambda and s sums are one vectorized kernel, ``cell_sums``, which the
-K-oracle in ``kfunctional`` also evaluates on its grids.  Divergent
+running mean f** = v + c/t has no moment form; its cells between the first
+(where f** = f*) and the tail are summed over fixed Gauss-Legendre nodes in
+log t, on panels cut at the weight's kinks (``gamma_nodes``).  The three
+flavors' sums are one vectorized kernel, ``cell_sums``, which the K-oracle
+in ``kfunctional`` also evaluates on its grids.  Divergent
 integrals yield +inf with a flag rather than an error.  p = inf flavors are
 grid suprema over breakpoints plus refinement points (grid-level accuracy).
 
@@ -95,28 +98,86 @@ def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return X @ moments if moments.ndim == 1 else (X * moments).sum(axis=-1)
 
 
+# the gamma scheme: 8 Gauss-Legendre nodes on panels of log-width at most 1.
+# The rule on [-1, 1] is written out (numpy's leggauss(8) would load LAPACK
+# at import for these 8 numbers).
+_GL_HALF_X = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
+_GL_HALF_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
+_GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
+_GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
+_PANEL_LOG_WIDTH = 1.0
+
+
+@dataclass(frozen=True)
+class GammaNodes:
+    """Quadrature nodes of the gamma cell integrals, one row of 8 per panel.
+
+    On a cell i >= 1 the running mean is f** = v_i + c_i / s, with
+    c_i = A_{i-1} - v_i x_{i-1}.  ``cell`` holds each panel's cell index,
+    ``inv`` 1/s at its nodes and ``weight`` the Gauss-Legendre weight x ds
+    x w(s).  ``head`` is the first cell's moment of w, on which f** = v_0.
+    """
+
+    cell: np.ndarray
+    inv: np.ndarray
+    weight: np.ndarray
+    head: float
+
+
+def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> GammaNodes:
+    """Nodes for the integrals over the cells (x_{i-1}, x_i], i >= 1, clipped to (lo, hi).
+
+    In the variable u = log s the cells are cut at the weight's kinks and
+    into panels of log-width at most 1, with 8 nodes each.  On such a panel
+    the integrand is analytic: v + c/s vanishes only where s < 0, a distance
+    pi from the real u axis.
+    """
+    edges = np.clip(x, lo, hi)
+    kinks = np.array(w.kinks())
+    cuts = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
+    start = cuts[:-1]
+    width = np.log1p((cuts[1:] - start) / start)
+    panels = np.maximum(np.ceil(width / _PANEL_LOG_WIDTH), 1.0).astype(np.intp)
+    piece = np.repeat(np.arange(width.size), panels)
+    step = width[piece] / panels[piece]
+    j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    # s = start exp(t), t = log(s / start) at the nodes, built in place
+    s = step[:, None] * (j[:, None] + 0.5 * (1.0 + _GL_X))
+    np.exp(s, out=s)
+    s *= start[piece][:, None]
+    weight = w.at(s)
+    weight *= s
+    weight *= (0.5 * step)[:, None]
+    weight *= _GL_W
+    cell = np.searchsorted(x, start, side="right")[piece]
+    return GammaNodes(cell, np.divide(1.0, s, out=s), weight, head)
+
+
 def cell_sums(
     flavor: str,
     p: float,
     V: np.ndarray,
     lengths: np.ndarray,
     left: np.ndarray,
-    moments: np.ndarray,
+    moments: np.ndarray | GammaNodes,
     tail: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The exact cell kernel of the lambda and s flavors: (powered, c, M).
+    """The cell kernel of the three flavors: (powered, what the gradient reuses, M).
 
     Rows of V hold non-increasing cell values on cells of the given lengths
     and left edges x_{i-1} (the last axis runs over cells; a 1-d V is one
     row).  ``moments`` holds each cell's weight moment, dW_i for lambda and
     the tail-moment increment dPsi_i for s, shared by all rows (1-d) or one
-    row each; ``tail`` is the s flavor's moment beyond the support.  A cell
-    whose integrand vanishes must carry a finite moment (0 will do).
+    row each; for gamma it is the node set of ``gamma_nodes``.  ``tail`` is
+    the s and gamma flavors' moment beyond the support.  A cell whose
+    integrand vanishes must carry a finite moment (0 will do).
 
-    ``powered`` is each row's sum of v_i^p dW_i (lambda) or
-    c_i^p dPsi_i + M^p tail (s).  The s flavor also returns what its
-    gradient reuses: the oscillation constants c_i = A_{i-1} - v_i x_{i-1}
-    (A the prefix integral, clamped at 0 against rounding) and the mass M.
+    ``powered`` is each row's sum of v_i^p dW_i (lambda), c_i^p dPsi_i +
+    M^p tail (s) or v_0^p W + the node sum of (v_i + c_i/s)^p w + M^p tail
+    (gamma), exact but for the gamma nodes; c_i = A_{i-1} - v_i x_{i-1} (A
+    the prefix integral, clamped at 0 against rounding) are the oscillation
+    constants.  The s flavor also returns them, the gamma flavor the values
+    of f** at the nodes, and both the mass M.
     """
     if flavor == "lambda":
         return _moment_sum(V ** p, moments), None, None
@@ -125,7 +186,19 @@ def cell_sums(
     mass[..., :-1].cumsum(axis=-1, out=A[..., 1:])
     C = np.maximum(A - V * left, 0.0)
     M = mass.sum(axis=-1)
+    if flavor == "gamma":
+        nodes = moments
+        vals = C[..., nodes.cell, None] * nodes.inv
+        vals += V[..., nodes.cell, None]
+        powered = (vals ** p).reshape(vals.shape[:-2] + (-1,)) @ nodes.weight.ravel()
+        return V[..., 0] ** p * nodes.head + powered + (M ** p) * tail, vals, M
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
+
+
+def _cell_arrays(fstar: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, left edges and right edges of the cells of f*."""
+    right = np.array(fstar.breakpoints)
+    return np.array(fstar.values), np.concatenate(([0.0], right[:-1])), right
 
 
 def _powered_cells(
@@ -153,47 +226,22 @@ def _powered_cells(
         tail = w.moment(-p, end, hi)
         if math.isinf(tail):
             return math.inf
-    right = np.array(fstar.breakpoints)
-    left = np.concatenate(([0.0], right[:-1]))
-    V = np.array(fstar.values)
+    V, left, right = _cell_arrays(fstar)
     return float(cell_sums(flavor, p, V, right - left, left, np.array(moments), tail)[0])
 
 
-def _powered_gamma(
-    fstar: StepFunction, p: float, w: Weight, lo: float, hi: float, rel_tol: float
-) -> float:
-    """integral over (lo, hi) of (f**)^p w: quadrature per cell, exact tail."""
+def _powered_gamma(fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
+    """integral over (lo, hi) of (f**)^p w: exact first cell and tail, node sums between."""
     if fstar.is_zero:
         return 0.0
-    mean = maximal(fstar)
-    total = 0.0
-    first = True
-    for a, b, v in fstar.cells():
-        l, h = max(a, lo), min(b, hi)
-        if l >= h:
-            first = False
-            continue
-        if first and l <= 0.0:
-            # on the first cell the running mean equals the value
-            piece = w.moment(0.0, l, h)
-            if math.isinf(piece):
-                return math.inf
-            total += (v ** p) * piece
-        else:
-            val, _err = quad(
-                lambda s: mean(s) ** p * w(s), l, h, epsrel=rel_tol, epsabs=0.0, limit=200
-            )
-            total += val
-        first = False
-    m = fstar.total_integral
-    end = fstar.support_end
-    l = max(end, lo)
-    if m > 0.0 and l < hi:
-        piece = w.moment(-p, l, hi)
-        if math.isinf(piece):
-            return math.inf
-        total += (m ** p) * piece
-    return total
+    V, left, right = _cell_arrays(fstar)
+    head = w.moment(0.0, lo, min(right[0], hi)) if lo < right[0] else 0.0
+    end = max(fstar.support_end, lo)
+    tail = w.moment(-p, end, hi) if end < hi else 0.0
+    if math.isinf(head) or math.isinf(tail):
+        return math.inf
+    nodes = gamma_nodes(w, right, lo, hi, head)
+    return float(cell_sums("gamma", p, V, right - left, left, nodes, tail)[0])
 
 
 def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:
@@ -229,13 +277,13 @@ def _sup_norm(fstar: StepFunction, flavor: str, w: Weight, lo: float, hi: float)
     return best
 
 
-def _powered(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float, rel_tol: float) -> float:
+def _powered(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float) -> float:
     if space.flavor != "gamma":
         return _powered_cells(space.flavor, fstar, space.p, space.w, lo, hi)
-    return _powered_gamma(fstar, space.p, space.w, lo, hi, rel_tol)
+    return _powered_gamma(fstar, space.p, space.w, lo, hi)
 
 
-def norm_result(space: LorentzSpace, f: StepFunction, rel_tol: float = QUAD_REL_TOL) -> NormResult:
+def norm_result(space: LorentzSpace, f: StepFunction) -> NormResult:
     """Norm of f in the space; divergent integrals give +inf with a flag."""
     fstar = rearrange(f)
     # s-flavor membership requires f* -> 0 at infinity: automatic for
@@ -243,19 +291,17 @@ def norm_result(space: LorentzSpace, f: StepFunction, rel_tol: float = QUAD_REL_
     if not math.isfinite(space.p):
         value = _sup_norm(fstar, space.flavor, space.w, 0.0, math.inf)
         return NormResult(value, False, ("grid-supremum",))
-    powered = _powered(space, fstar, 0.0, math.inf, rel_tol)
+    powered = _powered(space, fstar, 0.0, math.inf)
     if math.isinf(powered):
         return NormResult(math.inf, True, ("divergent-integral",))
     return NormResult(powered ** (1.0 / space.p), False)
 
 
-def norm(space: LorentzSpace, f: StepFunction, rel_tol: float = QUAD_REL_TOL) -> float:
-    return norm_result(space, f, rel_tol).value
+def norm(space: LorentzSpace, f: StepFunction) -> float:
+    return norm_result(space, f).value
 
 
-def truncated_norm_result(
-    tn: TruncatedNorm, fstar: StepFunction, rel_tol: float = QUAD_REL_TOL
-) -> NormResult:
+def truncated_norm_result(tn: TruncatedNorm, fstar: StepFunction) -> NormResult:
     """Windowed norm of a non-increasing function (no rearrangement applied).
 
     The window restricts the integration range, not the function: the
@@ -267,14 +313,14 @@ def truncated_norm_result(
     if not math.isfinite(tn.space.p):
         value = _sup_norm(fstar, tn.space.flavor, tn.space.w, lo, hi)
         return NormResult(value, False, ("grid-supremum",))
-    powered = _powered(tn.space, fstar, lo, hi, rel_tol)
+    powered = _powered(tn.space, fstar, lo, hi)
     if math.isinf(powered):
         return NormResult(math.inf, True, ("divergent-integral",))
     return NormResult(powered ** (1.0 / tn.space.p), False)
 
 
-def truncated_norm(tn: TruncatedNorm, fstar: StepFunction, rel_tol: float = QUAD_REL_TOL) -> float:
-    return truncated_norm_result(tn, fstar, rel_tol).value
+def truncated_norm(tn: TruncatedNorm, fstar: StepFunction) -> float:
+    return truncated_norm_result(tn, fstar).value
 
 
 def s_lambda_identity_check(
@@ -330,6 +376,6 @@ def gamma_equals_s_check(f: StepFunction, p: float, w: Weight) -> tuple[float, f
         )
     fstar = rearrange(f)
     return (
-        _powered_gamma(fstar, p, w, 0.0, math.inf, QUAD_REL_TOL),
+        _powered_gamma(fstar, p, w, 0.0, math.inf),
         _powered_cells("s", fstar, p, w, 0.0, math.inf),
     )

@@ -13,6 +13,8 @@ family.  Every weight exposes ``moment(e, a, b) = integral_a^b s^e w(s) ds``
 (total: +inf on divergence), from which the primitive W(t), tail moments,
 tail fundamentals and the condition checkers are built — in closed form for
 Power/Tabulated, by adaptive quadrature (relative target 1e-8) for PowerLog.
+The gamma norm's node sums read weights through ``at`` (values at an array
+of points) and ``kinks`` (where the weight is not smooth).
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
+import numpy as np
 from scipy.integrate import quad
 
 from .grids import DEFAULT_CHECK_GRID, Grid
@@ -85,6 +88,9 @@ def _power_int(q: float, a: float, b: float) -> float:
         if qp < 0.0:
             return math.inf
         return (b ** qp) / qp
+    if abs(qp) < 1e-3:
+        # near q = -1 the two powers cancel; expm1 keeps their difference accurate
+        return a ** qp * math.expm1(qp * math.log(b / a)) / qp
     return (b ** qp - a ** qp) / qp
 
 
@@ -96,6 +102,14 @@ class Weight(EvaluableFunction):
     def moment(self, e: float, a: float, b: float) -> float:
         """integral_a^b s^e w(s) ds; +inf when divergent."""
         raise NotImplementedError
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """w at each point of an array of positive points."""
+        raise NotImplementedError
+
+    def kinks(self) -> tuple[float, ...]:
+        """The increasing points of (0, inf) where w is not smooth."""
+        return ()
 
     def primitive(self, t: float) -> float:
         """W(t) = integral_0^t w; raises InvalidWeightError when W is not finite."""
@@ -133,6 +147,10 @@ class PowerWeight(Weight):
             raise ValueError("weights live on (0, inf)")
         return s ** self.beta
 
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """s^beta at each point."""
+        return s ** self.beta
+
     def moment(self, e: float, a: float, b: float) -> float:
         return _power_int(self.beta + e, a, b)
 
@@ -159,6 +177,18 @@ class PowerLogWeight(Weight):
         if not (s > 0.0):
             raise ValueError("weights live on (0, inf)")
         return s ** self.beta * (1.0 + abs(math.log(s))) ** self.gamma
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """s^beta (1 + |log s|)^gamma at each point."""
+        out = np.abs(np.log(s))
+        out += 1.0
+        out **= self.gamma
+        out *= s ** self.beta
+        return out
+
+    def kinks(self) -> tuple[float, ...]:
+        """The log factor's kink at s = 1."""
+        return (1.0,)
 
     def moment(self, e: float, a: float, b: float) -> float:
         q = self.beta + e
@@ -232,6 +262,15 @@ class TabulatedWeight(Weight):
     def __call__(self, s: float) -> float:
         return self.step(s)
 
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """The step value at each point (0 beyond the last step)."""
+        vals = np.append(self.step.values, 0.0)
+        return vals[np.searchsorted(self.step.breakpoints, s, side="left")]
+
+    def kinks(self) -> tuple[float, ...]:
+        """Every step of the table."""
+        return self.step.breakpoints
+
     def moment(self, e: float, a: float, b: float) -> float:
         if a < 0.0 or b < a:
             raise ValueError("need 0 <= a <= b")
@@ -274,6 +313,14 @@ class ReciprocalWeight(Weight):
         if not (s > 0.0):
             raise ValueError("weights live on (0, inf)")
         return s ** (self.p - 2.0) * self.base(1.0 / s)
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """t^{p-2} base(1/t) at each point."""
+        return s ** (self.p - 2.0) * self.base.at(1.0 / s)
+
+    def kinks(self) -> tuple[float, ...]:
+        """The reciprocals of the base weight's kinks."""
+        return tuple(1.0 / k for k in reversed(self.base.kinks()))
 
     def moment(self, e: float, a: float, b: float) -> float:
         # substitute u = 1/s: integral becomes base-moment with exponent -e-p

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentzk import kfunctional
 from lorentzk.kfunctional import (
     Decomposition,
     KQuery,
@@ -27,7 +28,13 @@ from lorentzk.kfunctional import (
 )
 from lorentzk.norms import LorentzSpace, norm
 from lorentzk.stepfn import Grid, StepFunction, add, rearrange
-from lorentzk.weights import CoupleConfig, InvalidWeightError, PowerLogWeight, PowerWeight
+from lorentzk.weights import (
+    CoupleConfig,
+    InvalidWeightError,
+    PowerLogWeight,
+    PowerWeight,
+    TabulatedWeight,
+)
 
 FLAT = PowerWeight(0.0)
 STAIR = StepFunction((1.0, 2.0, 4.0), (3.0, 2.0, 1.0))
@@ -336,6 +343,25 @@ def unsorted_candidates(draw):
     return LorentzSpace(flavor, p, PowerWeight(beta)), g, u
 
 
+# steps at 1, 3 and 9: the grids below put the step at 3 inside the cell (1.5, 4]
+TABULATED = TabulatedWeight(StepFunction((1.0, 3.0, 9.0), (1.0, 2.0, 0.5)))
+GAMMA_GRID = np.array([0.5, 1.5, 4.0, 7.0])
+GAMMA_U = np.array([3.0, 2.0, 1.2, 0.4])
+
+
+@st.composite
+def monotone_gamma_candidates(draw):
+    n = draw(st.integers(1, 10))
+    g = np.cumsum(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=n, max_size=n))
+    u = np.array(sorted(values, reverse=True))
+    p = draw(st.floats(1.0, 4.0))
+    # the first cell needs beta > -1, the tail beta < p - 1
+    beta = -0.7 + (p - 0.6) * draw(st.floats(0.0, 1.0))
+    w = draw(st.sampled_from([PowerWeight(beta), PowerLogWeight(beta, draw(st.floats(-1.0, 1.0))), TABULATED]))
+    return LorentzSpace("gamma", p, w), g, u
+
+
 class TestRearrangedCandidates:
     @settings(max_examples=60, deadline=None)
     @given(unsorted_candidates())
@@ -345,13 +371,37 @@ class TestRearrangedCandidates:
         expected = norm(space, StepFunction(tuple(g), tuple(u)))
         assert ev.norm(u, monotone=False) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_gamma_candidates())
+    # a grid cell straddles s = 1 and another holds a step of the table
+    @example((LorentzSpace("gamma", 2.0, PowerWeight(0.3)), GAMMA_GRID, GAMMA_U))
+    @example((LorentzSpace("gamma", 2.0, PowerLogWeight(0.3, 0.8)), GAMMA_GRID, GAMMA_U))
+    @example((LorentzSpace("gamma", 2.0, TABULATED), GAMMA_GRID, GAMMA_U))
+    def test_monotone_gamma_norm_matches_norms_module(self, case):
+        space, g, u = case
+        ev = _SpaceOnGrid(space, g)
+        expected = norm(space, StepFunction(tuple(g), tuple(u)))
+        # power-log moments are quadratures to a relative 1e-8, and the two sides
+        # take them over different cells when u has zeros or equal neighbours
+        rel = 1e-7 if isinstance(space.w, PowerLogWeight) else 1e-10
+        assert ev.norm(u, monotone=True) == pytest.approx(expected, rel=rel, abs=1e-300)
+
     @pytest.mark.parametrize(
         "space",
         [LorentzSpace("gamma", 2.0, FLAT), LorentzSpace("lambda", 2.0, PowerLogWeight(0.5, 1.0))],
     )
-    def test_unconstrained_oracle_needs_power_weights_and_exact_flavors(self, space):
+    def test_unconstrained_oracle_needs_power_weights_and_exact_flavors(self, space, monkeypatch):
+        calls = []
+        real_minimize = kfunctional.minimize
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(1)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(kfunctional, "minimize", counting_minimize)
         with pytest.raises(InvalidWeightError):
             k_oracle(KQuery(STAIR, 1.0, space, space), m=8, monotone_only=False)
+        assert not calls  # refused before the monotone search
 
 
 class TestExhaustive:
@@ -445,11 +495,18 @@ class TestGradients:
     U_FREE = np.array([1.0, 2.5, 0.3, 1.8, 0.6])
 
     @pytest.mark.parametrize(
-        "flavor,p,beta",
-        [("lambda", 2.0, 0.3), ("lambda", 1.5, -0.4), ("s", 2.0, 0.2), ("gamma", 2.5, 0.1)],
+        "flavor,p,w,grid",
+        [
+            pytest.param("lambda", 2.0, PowerWeight(0.3), GRID, id="lambda-2.0-0.3"),
+            pytest.param("lambda", 1.5, PowerWeight(-0.4), GRID, id="lambda-1.5--0.4"),
+            pytest.param("s", 2.0, PowerWeight(0.2), GRID, id="s-2.0-0.2"),
+            pytest.param("gamma", 2.5, PowerWeight(0.1), GRID, id="gamma-2.5-0.1"),
+            # the cell (0.65, 1.3] straddles the kink of the log factor at s = 1
+            pytest.param("gamma", 2.0, PowerLogWeight(0.3, 0.8), 1.3 * GRID, id="gamma-2.0-powerlog"),
+        ],
     )
-    def test_monotone_gradient_matches_finite_differences(self, flavor, p, beta):
-        ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
+    def test_monotone_gradient_matches_finite_differences(self, flavor, p, w, grid):
+        ev = _SpaceOnGrid(LorentzSpace(flavor, p, w), grid)
         val, grad = ev.grad(self.U_MONO, monotone=True)
         assert val == pytest.approx(ev.norm(self.U_MONO, monotone=True), rel=1e-12)
         fd = finite_difference(lambda u: ev.norm(u, monotone=True), self.U_MONO)

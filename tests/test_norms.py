@@ -26,7 +26,7 @@ from lorentzk import (
     truncated_norm,
     truncated_norm_result,
 )
-from lorentzk.norms import _powered_cells
+from lorentzk.norms import _GL_W, _GL_X, _powered_cells, _powered_gamma
 
 FLAT = PowerWeight(0.0)
 IND4 = StepFunction.indicator(4.0)
@@ -234,21 +234,32 @@ def windowed_integrals(draw):
     # values at least 0.1 apart, so the oscillation is never a rounding residue
     levels = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n, unique=True))
     fstar = StepFunction(tuple(np.cumsum(widths)), tuple(0.1 * k for k in sorted(levels, reverse=True)))
-    flavor = draw(st.sampled_from(["lambda", "s"]))
+    flavor = draw(st.sampled_from(["lambda", "s", "gamma"]))
     p = draw(st.floats(1.0, 4.0))
-    if draw(st.booleans()):
+    # lambda needs beta > -1 at the origin, s needs beta < p - 1 at infinity, gamma both
+    lo, hi = {"lambda": (-0.7, 2.0), "s": (-1.5, p - 1.3), "gamma": (-0.7, p - 1.3)}[flavor]
+    beta = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    family = draw(st.sampled_from(["power", "powerlog", "tabulated"]))
+    if family == "tabulated":
         w = TABULATED
+    elif family == "powerlog":
+        w = PowerLogWeight(beta, draw(st.floats(-1.0, 1.0)))
     else:
-        # lambda needs beta > -1 at the origin, s needs beta < p - 1 at infinity
-        lo, hi = (-0.7, 2.0) if flavor == "lambda" else (-1.5, p - 1.3)
-        w = PowerWeight(lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+        w = PowerWeight(beta)
     t = draw(st.floats(0.05, 1.5)) * fstar.support_end
     window = draw(st.sampled_from([(0.0, math.inf), (0.0, t), (t, math.inf)]))
     return fstar, flavor, p, w, window
 
 
 class TestCellKernel:
-    """The exact cell sums against adaptive quadrature of the integrands."""
+    """The cell sums against adaptive quadrature of the integrands."""
+
+    def test_gauss_legendre_rule(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_allclose(_GL_X, x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_GL_W, w, rtol=0.0, atol=1e-15)
+        for k in range(16):  # exact up to degree 15
+            assert _GL_W @ _GL_X ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(windowed_integrals())
@@ -257,10 +268,13 @@ class TestCellKernel:
         mean = maximal(fstar)
         if flavor == "lambda":
             integrand = lambda s: fstar(s) ** p * w(s)
-        else:
+        elif flavor == "s":
             integrand = lambda s: (mean(s) - fstar(s)) ** p * w(s)
+        else:
+            integrand = lambda s: mean(s) ** p * w(s)
         end = fstar.support_end
-        jumps = set(fstar.breakpoints) | set(TABULATED.step.breakpoints)
+        # the breakpoints, the tabulated steps and the power-log kink at 1
+        jumps = set(fstar.breakpoints) | set(TABULATED.step.breakpoints) | {1.0}
         # f** = f* on the first cell, where rounding would only add noise
         a = max(lo, fstar.first_breakpoint) if flavor == "s" else lo
         ref = 0.0
@@ -268,10 +282,17 @@ class TestCellKernel:
             inner = sorted(x for x in jumps if a < x < min(hi, end))
             ref += quad(integrand, a, min(hi, end), points=inner or None,
                         epsabs=0.0, epsrel=1e-11, limit=500)[0]
-        if flavor == "s" and max(lo, end) < hi:
+        if flavor != "lambda" and max(lo, end) < hi:
             # beyond the support the integrand is (M/s)^p w(s)
             a = max(lo, end)
             for b in sorted({x for x in jumps if a < x < hi} | {hi}):
                 ref += quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=500)[0]
                 a = b
-        assert _powered_cells(flavor, fstar, p, w, lo, hi) == pytest.approx(ref, rel=1e-7, abs=1e-300)
+        if flavor == "gamma":
+            got = _powered_gamma(fstar, p, w, lo, hi)
+        else:
+            got = _powered_cells(flavor, fstar, p, w, lo, hi)
+        # power-log moments are quadratures to a relative 1e-8; the gamma node
+        # sums and the other moments are good to a few ulps
+        rel = 1e-9 if flavor == "gamma" and not isinstance(w, PowerLogWeight) else 1e-7
+        assert got == pytest.approx(ref, rel=rel, abs=1e-300)

@@ -42,6 +42,9 @@ class TestMoments:
         w = PowerWeight(-1.0)
         assert w.moment(0.0, 1.0, math.e) == pytest.approx(1.0, rel=1e-12)
         assert math.isinf(w.moment(0.0, 0.0, 1.0))
+        # one ulp off the borderline the difference of powers must not cancel
+        near = PowerWeight(math.nextafter(-1.0, -2.0))
+        assert near.moment(0.0, 1.0, 2.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_primitive_raises_when_divergent(self):
         with pytest.raises(InvalidWeightError):
@@ -110,6 +113,12 @@ class TestReciprocal:
         base = PowerWeight(0.5)
         w = ReciprocalWeight(base, 2.0)
         assert w(2.0) == pytest.approx(2.0 ** (2.0 - 2.0) * base(0.5), rel=1e-14)
+        # the vectorized values match the scalar ones, on the steps and between them
+        table = TabulatedWeight(StepFunction((0.5, 2.0), (1.0, 3.0)))
+        s = np.array([0.1, 0.5, 0.7, 1.0, 2.0, 3.0])
+        for v in (w, PowerLogWeight(0.5, -0.7), table, ReciprocalWeight(table, 3.0)):
+            np.testing.assert_allclose(v.at(s), [v(x) for x in s], rtol=1e-14)
+        assert ReciprocalWeight(table, 3.0).kinks() == (0.5, 2.0)
 
 
 class TestFundamentals:
