@@ -35,8 +35,11 @@ minimizes the convex (p >= 1) objective over it from five starts, and the
 best truncation candidate stands when no start beats it.  At p_0 = p_1 = 1
 the objective is affine there and the slope-sign vertex is also tried.  A
 start that stops at the iteration cap is flagged, never silently accepted.
-The norms of candidates, and their gradients, come from the cell kernel
-``norms.cell_sums`` that the norms and the explicit formulas use.
+The explicit formulas take their head and tail integrals from the windowed
+cell sums of ``norms``.  The oracle takes each grid's cell lengths and weight
+moments (or gamma nodes) once from ``norms.cell_moments``, the builder the
+norms use, and evaluates the candidates' norms, and their gradients, with
+the same cell kernel, ``norms.cell_sums``.
 """
 
 import math
@@ -47,7 +50,7 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
-from .norms import GammaNodes, LorentzSpace, _powered_cells, cell_sums, gamma_nodes
+from .norms import GammaNodes, LorentzSpace, _powered, cell_moments, cell_sums
 from .stepfn import (
     StepFunction,
     add,
@@ -61,7 +64,6 @@ from .weights import (
     InvalidWeightError,
     PowerLaw,
     PowerWeight,
-    Weight,
     check_cond1,
     check_cond3,
     check_rbp,
@@ -209,8 +211,7 @@ def k_explicit_general(
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("split point t must be positive and finite")
     flags: list[str] = []
-    left_pow = _powered_cells("lambda", fstar, cfg.p0, cfg.w0, 0.0, t)
-    left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / cfg.p0)
+    left = _powered("lambda", fstar, cfg.p0, cfg.w0, 0.0, t) ** (1.0 / cfg.p0)
     if math.isinf(left):
         flags.append("divergent-head")
     try:
@@ -219,12 +220,12 @@ def k_explicit_general(
         sigma_t = 0.0
         flags.append("sigma-degenerate")
     if form == "integral":
-        tail_pow = _powered_cells("lambda", fstar, cfg.p1, cfg.w1, t, math.inf)
+        tail_pow = _powered("lambda", fstar, cfg.p1, cfg.w1, t, math.inf)
     elif form == "norm":
-        tail_pow = _powered_cells("lambda", _shift_tail(fstar, t), cfg.p1, cfg.w1, 0.0, math.inf)
+        tail_pow = _powered("lambda", _shift_tail(fstar, t), cfg.p1, cfg.w1, 0.0, math.inf)
     else:
         raise ValueError("form must be 'integral' or 'norm'")
-    tail_root = math.inf if math.isinf(tail_pow) else tail_pow ** (1.0 / cfg.p1)
+    tail_root = tail_pow ** (1.0 / cfg.p1)
     if math.isinf(tail_root):
         flags.append("divergent-tail")
     right = 0.0 if sigma_t == 0.0 else sigma_t * tail_root
@@ -266,10 +267,8 @@ def k_explicit_s(
     fstar = rearrange(f)
     flags: list[str] = []
     theta_t = tail_fundamental_ratio(cfg)(t)
-    left_pow = _powered_cells("s", fstar, cfg.p0, cfg.w0, 0.0, t)
-    left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / cfg.p0)
-    tail_pow = _powered_cells("s", fstar, cfg.p1, cfg.w1, t, math.inf)
-    tail_root = math.inf if math.isinf(tail_pow) else tail_pow ** (1.0 / cfg.p1)
+    left = _powered("s", fstar, cfg.p0, cfg.w0, 0.0, t) ** (1.0 / cfg.p0)
+    tail_root = _powered("s", fstar, cfg.p1, cfg.w1, t, math.inf) ** (1.0 / cfg.p1)
     for name, val in (("divergent-head", left), ("divergent-tail", tail_root)):
         if math.isinf(val):
             flags.append(name)
@@ -412,11 +411,11 @@ class _SpaceOnGrid:
     """Norms of step functions with fixed cells and variable values.
 
     Cells are (g_{i-1}, g_i] with g_0 = 0; candidate vectors hold the value
-    per cell and vanish beyond the last point.  Every flavor evaluates
-    ``norms.cell_sums``, the cell kernel the norms use, on moments taken
-    once here from ``Weight.moment`` (lambda, s) or on the log-panel
-    Gauss-Legendre nodes of ``norms.gamma_nodes`` (gamma), the scheme of the
-    gamma norm.  Unconstrained candidates are sorted into
+    per cell and vanish beyond the last point.  The cell lengths, left edges,
+    moments (lambda, s) or log-panel Gauss-Legendre nodes (gamma) and tail
+    moment are built once here by ``norms.cell_moments``, as for the norms,
+    and every flavor evaluates them with the norms' cell kernel,
+    ``norms.cell_sums``.  Unconstrained candidates are sorted into
     non-increasing order first, and each row's moments then come from the
     power primitive over the sorted cell lengths, so they need power weights.
     """
@@ -425,29 +424,15 @@ class _SpaceOnGrid:
         if not math.isfinite(space.p):
             raise ValueError("the oracle supports finite exponents only")
         self.flavor = space.flavor
-        self.p = p = float(space.p)
-        w = space.w
-        self.left = np.concatenate(([0.0], g[:-1]))
-        self.lengths = g - self.left
-        tail = 0.0 if self.flavor == "lambda" else w.moment(-p, float(g[-1]), math.inf)
-        if self.flavor == "gamma":
-            head = w.moment(0.0, 0.0, float(g[0]))
-            moments = gamma_nodes(w, g, 0.0, math.inf, head)
-            finite = math.isfinite(head)
-        else:
-            e = 0.0 if self.flavor == "lambda" else -p
-            # the s flavor's oscillation vanishes identically on the first cell
-            moments = np.array([
-                w.moment(e, a, b) if self.flavor == "lambda" or a > 0.0 else 0.0
-                for a, b in zip(self.left, g)
-            ])
-            finite = np.isfinite(moments).all()
-        if not (finite and math.isfinite(tail)):
+        self.p = float(space.p)
+        cells = cell_moments(self.flavor, self.p, space.w, g)
+        if cells is None:
             raise InvalidWeightError(
                 f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
             )
-        self.grid_cells = (None, self.lengths, self.left, moments, tail)
-        self.beta = w.beta if isinstance(w, PowerWeight) else None
+        self.lengths, self.left = cells[:2]
+        self.grid_cells = (None, *cells)
+        self.beta = space.w.beta if isinstance(space.w, PowerWeight) else None
 
     def check_unconstrained(self) -> None:
         """Raise InvalidWeightError unless unconstrained candidates are supported."""

@@ -15,13 +15,17 @@ gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  The
 running mean f** = v + c/t has no moment form; its cells between the first
 (where f** = f*) and the tail are summed over fixed Gauss-Legendre nodes in
 log t, on panels cut at the weight's kinks (``gamma_nodes``).  The three
-flavors' sums are one vectorized kernel, ``cell_sums``, which the K-oracle
-in ``kfunctional`` also evaluates on its grids.  Divergent
-integrals yield +inf with a flag rather than an error.  p = inf flavors are
-grid suprema over breakpoints plus refinement points (grid-level accuracy).
+flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
+``cell_moments``, which takes the weight moments (or gamma nodes) of the
+cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
+norms, the explicit K-formulas of ``kfunctional`` and the K-oracle's grids
+all go through this pair.  Divergent integrals yield +inf with a flag
+rather than an error.  p = inf flavors are grid suprema over breakpoints
+plus refinement points (grid-level accuracy).
 
-All entry points rearrange their argument first, so the functionals are
-rearrangement-invariant by construction.
+The full norms rearrange their argument first, so they are
+rearrangement-invariant by construction; the windowed norms take a
+non-increasing function as it is.
 """
 
 import math
@@ -195,53 +199,46 @@ def cell_sums(
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
 
 
-def _cell_arrays(fstar: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, left edges and right edges of the cells of f*."""
-    right = np.array(fstar.breakpoints)
-    return np.array(fstar.values), np.concatenate(([0.0], right[:-1])), right
-
-
-def _powered_cells(
-    flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float, hi: float
-) -> float:
-    """integral over (lo, hi) of (f*)^p w (lambda) or (f** - f*)^p w (s), exact.
-
-    Each cell's moment is clipped to the window; the s flavor skips the
-    first cell, where the oscillation vanishes, and adds the mass term
-    M^p integral s^{-p} w beyond the support.
+def cell_moments(
+    flavor: str, p: float, w: Weight, x: np.ndarray, lo: float = 0.0, hi: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | GammaNodes, float] | None:
+    """What ``cell_sums`` takes after the values: (lengths, left edges, moments,
+    tail) of the cells (x_{i-1}, x_i], their moments clipped to (lo, hi), or
+    None as soon as one moment diverges.  Lengths and left edges stay unclipped,
+    since f** keeps its global prefix integrals.  The moments are dW_i (lambda),
+    dPsi_i (s; 0 on the first cell, where the oscillation vanishes) or the
+    ``gamma_nodes`` with the first cell's dW (gamma); the tail is the moment of
+    s^{-p} w from the support end to hi (s, gamma).  The norms and the oracle
+    grids take weight moments here and nowhere else.
     """
-    if fstar.is_zero:
-        return 0.0
-    e = 0.0 if flavor == "lambda" else -p
-    moments = []
-    for a, b, _v in fstar.cells():
+    right = x.tolist()
+    e = -p if flavor == "s" else 0.0
+    pieces = []
+    a = 0.0
+    for b in right[:1] if flavor == "gamma" else right:
         l, h = max(a, lo), min(b, hi)
-        piece = w.moment(e, l, h) if l < h and (flavor == "lambda" or a > 0.0) else 0.0
+        piece = w.moment(e, l, h) if l < h and (flavor != "s" or a > 0.0) else 0.0
         if math.isinf(piece):
-            return math.inf
-        moments.append(piece)
-    tail = 0.0
-    end = max(fstar.support_end, lo)
-    if flavor == "s" and end < hi:
-        tail = w.moment(-p, end, hi)
-        if math.isinf(tail):
-            return math.inf
-    V, left, right = _cell_arrays(fstar)
-    return float(cell_sums(flavor, p, V, right - left, left, np.array(moments), tail)[0])
+            return None
+        pieces.append(piece)
+        a = b
+    end = max(right[-1], lo)
+    tail = w.moment(-p, end, hi) if flavor != "lambda" and end < hi else 0.0
+    if math.isinf(tail):
+        return None
+    left = np.concatenate(([0.0], x[:-1]))
+    moments = gamma_nodes(w, x, lo, hi, pieces[0]) if flavor == "gamma" else np.array(pieces)
+    return x - left, left, moments, tail
 
 
-def _powered_gamma(fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of (f**)^p w: exact first cell and tail, node sums between."""
+def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
+    """integral over (lo, hi) of (f*)^p w, (f**)^p w or (f** - f*)^p w; +inf on divergence."""
     if fstar.is_zero:
         return 0.0
-    V, left, right = _cell_arrays(fstar)
-    head = w.moment(0.0, lo, min(right[0], hi)) if lo < right[0] else 0.0
-    end = max(fstar.support_end, lo)
-    tail = w.moment(-p, end, hi) if end < hi else 0.0
-    if math.isinf(head) or math.isinf(tail):
+    cells = cell_moments(flavor, p, w, np.array(fstar.breakpoints), lo, hi)
+    if cells is None:
         return math.inf
-    nodes = gamma_nodes(w, right, lo, hi, head)
-    return float(cell_sums("gamma", p, V, right - left, left, nodes, tail)[0])
+    return float(cell_sums(flavor, p, np.array(fstar.values), *cells)[0])
 
 
 def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:
@@ -277,24 +274,22 @@ def _sup_norm(fstar: StepFunction, flavor: str, w: Weight, lo: float, hi: float)
     return best
 
 
-def _powered(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float) -> float:
-    if space.flavor != "gamma":
-        return _powered_cells(space.flavor, fstar, space.p, space.w, lo, hi)
-    return _powered_gamma(fstar, space.p, space.w, lo, hi)
+def _windowed(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float) -> NormResult:
+    """The norm of non-increasing f* over the window (lo, hi)."""
+    if not math.isfinite(space.p):
+        value = _sup_norm(fstar, space.flavor, space.w, lo, hi)
+        return NormResult(value, False, ("grid-supremum",))
+    powered = _powered(space.flavor, fstar, space.p, space.w, lo, hi)
+    if math.isinf(powered):
+        return NormResult(math.inf, True, ("divergent-integral",))
+    return NormResult(powered ** (1.0 / space.p), False)
 
 
 def norm_result(space: LorentzSpace, f: StepFunction) -> NormResult:
     """Norm of f in the space; divergent integrals give +inf with a flag."""
-    fstar = rearrange(f)
     # s-flavor membership requires f* -> 0 at infinity: automatic for
     # compactly supported step functions
-    if not math.isfinite(space.p):
-        value = _sup_norm(fstar, space.flavor, space.w, 0.0, math.inf)
-        return NormResult(value, False, ("grid-supremum",))
-    powered = _powered(space, fstar, 0.0, math.inf)
-    if math.isinf(powered):
-        return NormResult(math.inf, True, ("divergent-integral",))
-    return NormResult(powered ** (1.0 / space.p), False)
+    return _windowed(space, rearrange(f), 0.0, math.inf)
 
 
 def norm(space: LorentzSpace, f: StepFunction) -> float:
@@ -310,13 +305,7 @@ def truncated_norm_result(tn: TruncatedNorm, fstar: StepFunction) -> NormResult:
     if not fstar.is_zero and not fstar.is_nonincreasing():
         raise ValueError("truncated norms are defined for non-increasing step functions")
     lo, hi = (0.0, tn.t) if tn.window == "head" else (tn.t, math.inf)
-    if not math.isfinite(tn.space.p):
-        value = _sup_norm(fstar, tn.space.flavor, tn.space.w, lo, hi)
-        return NormResult(value, False, ("grid-supremum",))
-    powered = _powered(tn.space, fstar, lo, hi)
-    if math.isinf(powered):
-        return NormResult(math.inf, True, ("divergent-integral",))
-    return NormResult(powered ** (1.0 / tn.space.p), False)
+    return _windowed(tn.space, fstar, lo, hi)
 
 
 def truncated_norm(tn: TruncatedNorm, fstar: StepFunction) -> float:
@@ -336,8 +325,7 @@ def s_lambda_identity_check(
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     fstar = rearrange(f)
-    left_pow = _powered_cells("s", fstar, p, w, 0.0, t)
-    left = math.inf if math.isinf(left_pow) else left_pow ** (1.0 / p)
+    left = _powered("s", fstar, p, w, 0.0, t) ** (1.0 / p)
     if fstar.is_zero:
         return left, 0.0
     transform = osc_transform(fstar)
@@ -376,6 +364,6 @@ def gamma_equals_s_check(f: StepFunction, p: float, w: Weight) -> tuple[float, f
         )
     fstar = rearrange(f)
     return (
-        _powered_gamma(fstar, p, w, 0.0, math.inf),
-        _powered_cells("s", fstar, p, w, 0.0, math.inf),
+        _powered("gamma", fstar, p, w, 0.0, math.inf),
+        _powered("s", fstar, p, w, 0.0, math.inf),
     )

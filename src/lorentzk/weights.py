@@ -351,20 +351,31 @@ def reciprocal_weight(w: Weight, p: float) -> Weight:
 
 
 def weight_from_json_dict(data: dict) -> Weight:
-    """Inverse of ``to_json_dict``; numbers must be JSON numbers, not strings or booleans."""
+    """Inverse of ``to_json_dict``; numbers must be JSON numbers, not strings or booleans.
+
+    Data that is not a JSON object, or lacks a field of its family, raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a weight must be a JSON object, got {data!r}")
     family = data.get("family")
+
+    def field(name: str):
+        if name not in data:
+            raise ValueError(f"{family} weight lacks the field {name!r}")
+        return data[name]
+
     if family == "power":
-        return PowerWeight(json_number(data["beta"], "beta"))
+        return PowerWeight(json_number(field("beta"), "beta"))
     if family == "powerlog":
-        return PowerLogWeight(json_number(data["beta"], "beta"), json_number(data["gamma"], "gamma"))
+        return PowerLogWeight(json_number(field("beta"), "beta"), json_number(field("gamma"), "gamma"))
     if family == "tabulated":
         return TabulatedWeight(
             StepFunction(
-                json_numbers(data["breakpoints"], "breakpoints"), json_numbers(data["values"], "values")
+                json_numbers(field("breakpoints"), "breakpoints"), json_numbers(field("values"), "values")
             )
         )
     if family == "reciprocal":
-        return ReciprocalWeight(weight_from_json_dict(data["base"]), json_number(data["p"], "p"))
+        return ReciprocalWeight(weight_from_json_dict(field("base")), json_number(field("p"), "p"))
     raise ValueError(f"unknown weight family {family!r}")
 
 

@@ -66,10 +66,24 @@ class TestNorm:
         assert result.exit_code == 0
         assert float(result.output) > 0.0
 
-    def test_bad_weight_spec_exits_one(self, runner, fn_file):
-        result = runner.invoke(main, ["norm", "--flavor", "lambda", "--weight", "nope:1", "--fn", fn_file])
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ("nope:1", "unknown weight kind"),
+            ({"family": "power"}, "bad weight spec"),
+            ([1, 2], "bad weight spec"),
+        ],
+        ids=["unknown-kind", "file-missing-field", "file-not-object"],
+    )
+    def test_bad_weight_spec_exits_one(self, runner, fn_file, tmp_path, weight, message):
+        if not isinstance(weight, str):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(weight))
+            weight = f"file:{path}"
+        result = runner.invoke(main, ["norm", "--flavor", "lambda", "--weight", weight, "--fn", fn_file])
         assert result.exit_code == 1
-        assert "unknown weight kind" in result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_missing_fn_file_exits_one(self, runner, tmp_path):
         result = runner.invoke(

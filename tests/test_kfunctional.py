@@ -331,6 +331,42 @@ class TestOracleProperties:
 
 
 @st.composite
+def k_sweeps(draw):
+    """A non-increasing function of at most 6 cells, a lambda or s couple with
+    power weights, and three sorted parameters."""
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+        # the s flavor needs beta < p - 1 at infinity
+        betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [b for b in (-0.5, 0.0, 0.3) if b < p - 1.1]
+        spaces.append(LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas)))))
+    ts = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3, unique=True)))
+    return f, spaces, ts
+
+
+class TestKFunctionalLaws:
+    """K(f, t) is non-decreasing and concave in t, and K(f, t)/t is non-increasing
+    (Bergh-Lofstrom, Interpolation Spaces, Lemma 3.1.1)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k_sweeps())
+    def test_monotone_concave_and_ratio_non_increasing(self, case):
+        f, (space0, space1), (t1, t2, t3) = case
+        grid = oracle_grid(f, 16)
+        k1, k2, k3 = (k_oracle(KQuery(f, t, space0, space1), grid=grid).value for t in (t1, t2, t3))
+        rel = 1e-9
+        assert k1 <= k2 * (1.0 + rel) and k2 <= k3 * (1.0 + rel)
+        assert k3 / t3 <= k2 / t2 * (1.0 + rel) and k2 / t2 <= k1 / t1 * (1.0 + rel)
+        chord = k1 + (k3 - k1) * (t2 - t1) / (t3 - t1)
+        assert k2 >= chord - rel * k3
+
+
+@st.composite
 def unsorted_candidates(draw):
     n = draw(st.integers(1, 10))
     g = np.cumsum(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))

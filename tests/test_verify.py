@@ -1,7 +1,10 @@
 """Tests for the empirical suites: corpus, records, reports, and serialization."""
 
+import csv
+import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from lorentzk.verify import (
 )
 
 SMALL = make_corpus(seed=7, size=6)
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.csv"
 
 
 class TestCorpus:
@@ -120,6 +124,36 @@ class TestTheoremSuites:
 
     def test_all_tags_declared(self):
         assert SUITE_TAGS == ("identity", "t11", "t2", "cor1", "generalk", "gammaeqs")
+
+
+class TestGolden:
+    # which of (lhs, rhs) come from the oracle, per suite; the other sides are
+    # explicit formulas, norms and identities
+    ORACLE_SIDES = {"t11": (True, True), "t2": (False, True), "cor1": (False, True), "generalk": (False, True)}
+
+    def test_rows_match_golden_file(self):
+        """The rows of ``lorentz-k verify --suite identity --suite t11 --suite t2
+        --suite cor1 --suite generalk --suite gammaeqs --refine --size 14
+        --t-count 3 --csv`` (refined records are not written to the CSV).
+
+        Oracle values may move by rel 1e-9, so that another BLAS or libm does
+        not fail the test; everything else by rel 1e-12.
+        """
+        corpus = make_corpus(seed=7, size=14)
+        reports = [run_theorem_suite(tag, corpus, t_count=3) for tag in SUITE_TAGS]
+        got = list(csv.reader(io.StringIO(records_to_csv(reports))))
+        with open(GOLDEN, newline="") as fh:
+            want = list(csv.reader(fh))
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for g, w in zip(got[1:], want[1:]):
+            assert (g[0], g[1], g[6]) == (w[0], w[1], w[6])
+            rel_l, rel_r = (1e-9 if oracle else 1e-12 for oracle in self.ORACLE_SIDES.get(w[0], (False, False)))
+            (t, lhs, rhs, ratio), (t_w, lhs_w, rhs_w, ratio_w) = ([float(x) for x in row[2:6]] for row in (g, w))
+            assert t == pytest.approx(t_w, rel=1e-12, abs=0.0)
+            assert lhs == pytest.approx(lhs_w, rel=rel_l, abs=0.0)
+            assert rhs == pytest.approx(rhs_w, rel=rel_r, abs=0.0)
+            assert ratio == pytest.approx(ratio_w, rel=rel_l + rel_r, abs=0.0)
 
 
 class TestSerialization:

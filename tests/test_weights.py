@@ -264,6 +264,21 @@ class TestJson:
         with pytest.raises(ValueError, match="JSON"):
             weight_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"family": "power"}, "'beta'"),
+            ({"family": "reciprocal", "p": 2.0}, "'base'"),
+            ({"family": "tabulated", "values": [1.0]}, "'breakpoints'"),
+            ({"family": "reciprocal", "p": 2.0, "base": {"family": "powerlog", "beta": 0.5}}, "'gamma'"),
+            ([1, 2], "JSON object"),
+        ],
+        ids=["power-no-beta", "reciprocal-no-base", "tabulated-no-breakpoints", "base-no-gamma", "array"],
+    )
+    def test_rejects_missing_fields_and_non_objects(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            weight_from_json_dict(data)
+
     def test_integers_accepted(self):
         assert weight_from_json_dict({"family": "power", "beta": 1}) == PowerWeight(1.0)
 
