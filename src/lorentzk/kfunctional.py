@@ -53,6 +53,7 @@ from .grids import Grid
 from .norms import GammaNodes, LorentzSpace, _powered, cell_moments, cell_sums
 from .stepfn import (
     StepFunction,
+    _require_nonincreasing,
     add,
     dilate,
     osc_transform,
@@ -121,28 +122,24 @@ class Decomposition:
         for the same reason.
         """
         total = add(self.f0, self.f1)
-        pts = sorted(set(total.breakpoints) | set(f.breakpoints))
-        if not pts:
+        pts = np.union1d(total.breakpoints, f.breakpoints)
+        if not pts.size:
             return
-        scale = max([*f.values, *total.values, 1.0])
-        probes = []
-        prev = 0.0
-        for x in pts:
-            if x - prev > 4.0 * math.ulp(max(x, 1.0)):
-                probes.append(0.5 * (prev + x))
-            prev = x
-        probes.append(2.0 * pts[-1])
-        for x in probes:
-            if abs(total(x) - f(x)) > rel_tol * scale:
-                raise ValueError(
-                    f"decomposition does not sum to the target at t={x!r}: "
-                    f"{total(x)!r} vs {f(x)!r}"
-                )
+        scale = np.concatenate((f.values, total.values, [1.0])).max()
+        prev = np.concatenate(([0.0], pts[:-1]))
+        wide = pts - prev > 4.0 * np.spacing(np.maximum(pts, 1.0))
+        probes = np.append(0.5 * (prev + pts)[wide], 2.0 * pts[-1])
+        got, want = total.at(probes), f.at(probes)
+        bad = np.flatnonzero(np.abs(got - want) > rel_tol * scale)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"decomposition does not sum to the target at t={float(probes[i])!r}: "
+                f"{float(got[i])!r} vs {float(want[i])!r}"
+            )
 
     def is_monotone(self) -> bool:
-        return (self.f0.is_zero or self.f0.is_nonincreasing()) and (
-            self.f1.is_zero or self.f1.is_nonincreasing()
-        )
+        return self.f0.is_nonincreasing() and self.f1.is_nonincreasing()
 
 
 @dataclass(frozen=True)
@@ -176,21 +173,10 @@ class ExplicitKValue:
     hypotheses: dict | None = None
 
 
-def _require_nonincreasing(fstar: StepFunction, what: str) -> None:
-    if not fstar.is_zero and not fstar.is_nonincreasing():
-        raise ValueError(f"{what} requires a non-increasing step function")
-
-
 def _shift_tail(fstar: StepFunction, t: float) -> StepFunction:
     """Rearrangement of f* restricted to (t, inf): the tail slid to the origin."""
-    bps: list[float] = []
-    vals: list[float] = []
-    for a, b, v in fstar.cells():
-        if b <= t:
-            continue
-        bps.append(b - t)
-        vals.append(v)
-    return StepFunction(tuple(bps), tuple(vals))
+    tail = fstar.breakpoints > t
+    return StepFunction(fstar.breakpoints[tail] - t, fstar.values[tail])
 
 
 def k_explicit_general(
@@ -319,33 +305,22 @@ def truncation_decomposition(fstar: StepFunction, t: float) -> Decomposition:
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("cut point t must be positive and finite")
     level = fstar.value_right(t)
-    bps: list[float] = []
-    vals: list[float] = []
-    for a, b, v in fstar.cells():
-        if a >= t:
-            break
-        bps.append(min(b, t))
-        vals.append(max(v - level, 0.0))
-    f0 = StepFunction(tuple(bps), tuple(vals))
+    bps, vals = fstar.breakpoints, fstar.values
+    head = int(np.searchsorted(bps, t)) + 1  # the cells that start left of t
+    f0 = StepFunction(np.minimum(bps[:head], t), np.maximum(vals[:head] - level, 0.0))
     # exact remainder: the cut level up to t, f* itself beyond; subtracting
     # f0 from f* instead would leave ulp-level wiggles in the head values
-    f1 = StepFunction(
-        fstar.breakpoints,
-        tuple(level if b <= t else v for _, b, v in fstar.cells()),
-    )
+    f1 = StepFunction(bps, np.where(bps <= t, level, vals))
     dec = Decomposition(f0, f1, "truncation")
     dec.validate_sum(fstar)
     return dec
 
 
-def _clamp_nonincreasing(vals: list[float], tol_scale: float) -> list[float]:
-    """Clamp ulp-level increases down; raise on anything larger."""
-    out = list(vals)
-    for i in range(1, len(out)):
-        if out[i] > out[i - 1]:
-            if out[i] - out[i - 1] > 1e-9 * tol_scale:
-                raise AssertionError("monotonicity violated beyond rounding slack")
-            out[i] = out[i - 1]
+def _clamp_nonincreasing(vals: np.ndarray, tol_scale: float) -> np.ndarray:
+    """Clamp ulp-level increases down (a running minimum); raise on anything larger."""
+    out = np.minimum.accumulate(vals)
+    if (vals[1:] - out[:-1] > 1e-9 * tol_scale).any():
+        raise AssertionError("monotonicity violated beyond rounding slack")
     return out
 
 
@@ -358,35 +333,32 @@ def decomposition_lemma(
     smallest non-increasing function with f - g <= f1 <= h; f0 = f - f1.
     """
     for name, fn in (("f", f), ("g", g), ("h", h)):
-        if not fn.is_zero and not fn.is_nonincreasing():
+        if not fn.is_nonincreasing():
             raise ValueError(f"{name} must be non-increasing")
-    pts = sorted(set(f.breakpoints) | set(g.breakpoints) | set(h.breakpoints))
-    if not pts:
+    pts = np.unique(np.concatenate((f.breakpoints, g.breakpoints, h.breakpoints)))
+    if not pts.size:
         return Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
-    fv = [f(x) for x in pts]
-    gv = [g(x) for x in pts]
-    hv = [h(x) for x in pts]
-    scale = max([*fv, *gv, *hv, 1.0])
-    for x, a, b, c in zip(pts, fv, gv, hv):
-        if a > b + c + 1e-12 * scale:
-            raise ValueError(f"majorization f <= g + h fails at t={x!r}: {a!r} > {b + c!r}")
+    fv, gv, hv = f.at(pts), g.at(pts), h.at(pts)
+    scale = np.concatenate((fv, gv, hv, [1.0])).max()
+    over = np.flatnonzero(fv > gv + hv + 1e-12 * scale)
+    if over.size:
+        i = over[0]
+        raise ValueError(
+            f"majorization f <= g + h fails at t={float(pts[i])!r}: "
+            f"{float(fv[i])!r} > {float(gv[i] + hv[i])!r}"
+        )
     # running sup from the right of (f - g)^+
-    f1v = [0.0] * len(pts)
-    run = 0.0
-    for i in range(len(pts) - 1, -1, -1):
-        run = max(run, fv[i] - gv[i])
-        f1v[i] = max(run, 0.0)
-    f0v = _clamp_nonincreasing([a - b for a, b in zip(fv, f1v)], scale)
-    f0 = StepFunction(tuple(pts), tuple(max(v, 0.0) for v in f0v))
-    f1 = StepFunction(tuple(pts), tuple(f1v))
+    f1v = np.maximum.accumulate(np.maximum(fv - gv, 0.0)[::-1])[::-1]
+    f0v = _clamp_nonincreasing(fv - f1v, scale)
+    f0 = StepFunction(pts, np.maximum(f0v, 0.0))
+    f1 = StepFunction(pts, f1v)
     dec = Decomposition(f0, f1, "decomposition-lemma")
     # postconditions from the construction
     slack = 1e-9 * scale
-    for x in pts:
-        if f0(x) > g(x) + slack:
-            raise AssertionError(f"part bound f0 <= g fails at t={x!r}")
-        if f1(x) > h(x) + slack:
-            raise AssertionError(f"part bound f1 <= h fails at t={x!r}")
+    for part, bound, name in ((f0, gv, "f0 <= g"), (f1, hv, "f1 <= h")):
+        broken = np.flatnonzero(part.at(pts) > bound + slack)
+        if broken.size:
+            raise AssertionError(f"part bound {name} fails at t={float(pts[broken[0]])!r}")
     dec.validate_sum(f)
     return dec
 
@@ -623,7 +595,7 @@ def k_oracle(
         return OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed)
     grid = grid or oracle_grid(fstar, m)
     g = np.array(grid.points)
-    F = np.array([fstar(x) for x in g])
+    F = fstar.at(g)
     ev0 = _SpaceOnGrid(q.space0, g)
     ev1 = _SpaceOnGrid(q.space1, g)
     if not monotone_only:
@@ -689,10 +661,8 @@ def k_oracle(
     if won_monotone:
         # F - u is non-increasing in exact arithmetic; kill rounding wiggles
         rest = np.minimum.accumulate(rest)
-    f0 = StepFunction(grid.points, tuple(u))
-    f1 = StepFunction(grid.points, tuple(rest))
-    dec = Decomposition(f0, f1, provenance)
-    dec.validate_sum(StepFunction(grid.points, tuple(F)))
+    dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
+    dec.validate_sum(StepFunction(g, F))
     return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, grid, seed)
 
 
@@ -714,7 +684,7 @@ def k_oracle_exhaustive(
     g = np.array(grid.points)
     if g.size > 6:
         raise ValueError("exhaustive mode is for instances with at most 6 cells")
-    F = np.array([fstar(x) for x in g])
+    F = fstar.at(g)
     steps = np.rint(F / quantum).astype(int)
     if not np.allclose(steps * quantum, F, rtol=0.0, atol=1e-12):
         raise ValueError("instance values are not multiples of the quantum")
@@ -812,28 +782,24 @@ def near_optimal_s_decomposition(
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
     grid = oracle_grid(fstar, m)
     g = np.array(grid.points)
-    F = np.array([fstar(x) for x in g])
+    F = fstar.at(g)
     ev0 = _SpaceOnGrid(space0, g)
     ev1 = _SpaceOnGrid(space1, g)
     obj = _CoupleObjective(ev0, ev1, F, t, monotone=True)
     U = _truncation_family(F, monotone=True)
     vals = obj.value_batch(U)
     u = U[int(np.argmin(vals))]
-    f0_init = StepFunction(grid.points, tuple(u))
-    rest = np.minimum.accumulate(np.maximum(F - u, 0.0))
-    f1_init = StepFunction(grid.points, tuple(rest))
+    f0_init = StepFunction(g, u)
+    f1_init = StepFunction(g, np.minimum.accumulate(np.maximum(F - u, 0.0)))
     initial = Decomposition(f0_init, f1_init, "truncation")
 
     tstep = osc_transform(fstar).as_step()
     mass0 = f0_init.total_integral
 
-    h_step = dilate(osc_transform(f1_init).as_step(), 0.5) if not f1_init.is_zero else StepFunction.zero()
-    pts = set(tstep.breakpoints) | set(h_step.breakpoints)
-    pts |= {1.0 / x for x in f0_init.breakpoints}
-    end = max(pts) if pts else 1.0
-    start = min(pts) if pts else 0.1
-    pts |= set(Grid.log(start / 10.0, end, 2 * m).points)
-    grid_t = Grid(tuple(sorted(pts)))
+    h_step = dilate(osc_transform(f1_init).as_step(), 0.5)
+    pts = np.concatenate((tstep.breakpoints, h_step.breakpoints, 1.0 / f0_init.breakpoints))
+    start, end = (float(pts.min()), float(pts.max())) if pts.size else (0.1, 1.0)
+    grid_t = Grid(tuple(np.union1d(pts, Grid.log(start / 10.0, end, 2 * m).points).tolist()))
 
     # G(s) = 2 integral_0^{1/s} f0 majorizes T f0 and is non-increasing, so the
     # ceiling projection onto the grid takes the left-endpoint value per cell.
@@ -842,7 +808,7 @@ def near_optimal_s_decomposition(
     for x in grid_t.points:
         gv.append(2.0 * mass0 if prev == 0.0 else 2.0 * f0_init.prefix_integral(1.0 / prev))
         prev = x
-    g_step = StepFunction(grid_t.points, tuple(gv))
+    g_step = StepFunction(grid_t.points, gv)
     parts = decomposition_lemma(tstep, g_step, h_step)
     back0 = osc_transform(parts.f0).as_step()
     back1 = osc_transform(parts.f1).as_step()

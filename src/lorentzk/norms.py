@@ -235,10 +235,10 @@ def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float, h
     """integral over (lo, hi) of (f*)^p w, (f**)^p w or (f** - f*)^p w; +inf on divergence."""
     if fstar.is_zero:
         return 0.0
-    cells = cell_moments(flavor, p, w, np.array(fstar.breakpoints), lo, hi)
+    cells = cell_moments(flavor, p, w, fstar.breakpoints, lo, hi)
     if cells is None:
         return math.inf
-    return float(cell_sums(flavor, p, np.array(fstar.values), *cells)[0])
+    return float(cell_sums(flavor, p, fstar.values, *cells)[0])
 
 
 def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:
@@ -249,7 +249,7 @@ def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:
     lo_eff = lo if lo > 0.0 else min(fstar.first_breakpoint, hi_eff) * 1e-3
     if lo_eff >= hi_eff:
         lo_eff = hi_eff * 1e-6
-    knots = sorted({lo_eff, hi_eff} | {x for x in fstar.breakpoints if lo_eff < x < hi_eff})
+    knots = sorted({lo_eff, hi_eff} | {x for x in fstar.breakpoints.tolist() if lo_eff < x < hi_eff})
     pts: set[float] = set()
     for a, b in zip(knots, knots[1:]):
         for i in range(10):
@@ -302,7 +302,7 @@ def truncated_norm_result(tn: TruncatedNorm, fstar: StepFunction) -> NormResult:
     The window restricts the integration range, not the function: the
     oscillation and running mean keep their global prefix integrals.
     """
-    if not fstar.is_zero and not fstar.is_nonincreasing():
+    if not fstar.is_nonincreasing():
         raise ValueError("truncated norms are defined for non-increasing step functions")
     lo, hi = (0.0, tn.t) if tn.window == "head" else (tn.t, math.inf)
     return _windowed(tn.space, fstar, lo, hi)
@@ -334,12 +334,13 @@ def s_lambda_identity_check(
     hi = 1.0 / fstar.first_breakpoint  # the transform vanishes beyond this point
     if lo >= hi:
         return left, 0.0
-    interior = [1.0 / x for x in fstar.breakpoints if lo < 1.0 / x < hi]
+    jumps = 1.0 / fstar.breakpoints[::-1]
+    interior = jumps[(lo < jumps) & (jumps < hi)]
     val, _err = quad(
         lambda s: transform(s) ** p * wr(s),
         lo,
         hi,
-        points=sorted(interior) if interior else None,
+        points=interior if interior.size else None,
         epsrel=QUAD_REL_TOL,
         epsabs=0.0,
         limit=300,

@@ -7,8 +7,14 @@ cell that contains it, i.e. f(x_i) = v_i.  Canonical form merges adjacent
 cells with exactly equal values and drops trailing zero cells, so two step
 functions are equal as functions iff their canonical data are equal.
 
-On top of the exact cell algebra (sums, scaling, clamped differences,
-rearrangement) the module provides two derived pointwise-evaluable objects:
+The breakpoints and values are stored as read-only float64 numpy arrays, and
+the cell operations run on them whole; lists appear only at the JSON edge
+(``to_json``).  Scalar queries (``f(t)``, ``value_right``, the integrals,
+``support_end``, ``first_breakpoint``) return Python floats, ``at`` evaluates
+at many points at once.
+
+On top of the exact cell algebra (sums, scaling, dilation, rearrangement)
+the module provides two derived pointwise-evaluable objects:
 
 * the running integral mean  t |-> (1/t) * integral_0^t f(s) ds  of a
   non-increasing function (``maximal``), and
@@ -22,13 +28,12 @@ transform of a step function is itself a step function up to a null set and
 ``OscillationTransform.as_step`` returns that exact almost-everywhere form.
 """
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grids import Grid
+import numpy as np
 
 __all__ = [
     "EvaluableFunction",
@@ -38,18 +43,10 @@ __all__ = [
     "rearrange",
     "maximal",
     "osc_transform",
-    "project_to_grid",
     "add",
     "scale",
-    "sub_clamped",
-    "pointwise_min_with_constant",
     "dilate",
-    "equimeasurable",
-    "GridProjectionError",
 ]
-
-class GridProjectionError(ValueError):
-    """Sampled values violate monotonicity beyond tolerance."""
 
 
 def json_number(value, what: str) -> float:
@@ -73,44 +70,51 @@ class EvaluableFunction:
         raise NotImplementedError
 
 
-def _canonicalize(
-    breakpoints: tuple[float, ...], values: tuple[float, ...]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if len(breakpoints) != len(values):
+def _left_edges(breakpoints: np.ndarray) -> np.ndarray:
+    """x_{i-1} for each cell, with x_0 = 0."""
+    return np.concatenate(([0.0], breakpoints[:-1]))
+
+
+def _canonical(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
+    bps = np.array(breakpoints, dtype=float)
+    vals = np.array(values, dtype=float)
+    if bps.ndim != 1 or bps.shape != vals.shape:
         raise ValueError("breakpoints and values must have equal length")
-    prev = 0.0
-    for x in breakpoints:
-        if not (math.isfinite(x) and x > prev):
-            raise ValueError("breakpoints must be finite, positive, strictly increasing")
-        prev = x
-    for v in values:
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ValueError("values must be finite and non-negative")
-    bps: list[float] = []
-    vals: list[float] = []
-    for x, v in zip(breakpoints, values):
-        if vals and v == vals[-1]:
-            bps[-1] = x  # merge cells with exactly equal values
-        else:
-            bps.append(x)
-            vals.append(v)
-    while vals and vals[-1] == 0.0:  # trailing zero cells carry no mass
-        bps.pop()
-        vals.pop()
-    return tuple(bps), tuple(vals)
+    if not (np.isfinite(bps).all() and (bps > _left_edges(bps)).all()):
+        raise ValueError("breakpoints must be finite, positive, strictly increasing")
+    if not (np.isfinite(vals).all() and (vals >= 0.0).all()):
+        raise ValueError("values must be finite and non-negative")
+    if vals.size:
+        # a run of exactly equal values becomes one cell: its first value, its last breakpoint
+        new = vals[1:] != vals[:-1]
+        bps, vals = bps[np.append(new, True)], vals[np.insert(new, 0, True)]
+        if vals[-1] == 0.0:  # a trailing zero cell carries no mass
+            bps, vals = bps[:-1], vals[:-1]
+    bps.flags.writeable = vals.flags.writeable = False
+    return bps, vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction(EvaluableFunction):
     """Canonical step function; immutable after construction."""
 
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    breakpoints: np.ndarray = ()
+    values: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        bps, vals = _canonicalize(tuple(map(float, self.breakpoints)), tuple(map(float, self.values)))
+        bps, vals = _canonical(self.breakpoints, self.values)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepFunction):
+            return NotImplemented
+        return np.array_equal(self.breakpoints, other.breakpoints) and np.array_equal(
+            self.values, other.values
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.breakpoints.tolist()), tuple(self.values.tolist())))
 
     # -- basic queries ----------------------------------------------------
 
@@ -124,81 +128,69 @@ class StepFunction(EvaluableFunction):
 
     @property
     def is_zero(self) -> bool:
-        return not self.values
+        return self.values.size == 0
 
     @property
     def support_end(self) -> float:
-        return self.breakpoints[-1] if self.breakpoints else 0.0
+        return float(self.breakpoints[-1]) if self.breakpoints.size else 0.0
 
     @property
     def first_breakpoint(self) -> float:
-        if not self.breakpoints:
+        if not self.breakpoints.size:
             raise ValueError("zero function has no breakpoints")
-        return self.breakpoints[0]
-
-    def cells(self) -> list[tuple[float, float, float]]:
-        """List of (left, right, value) triples."""
-        out = []
-        a = 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            out.append((a, b, v))
-            a = b
-        return out
+        return float(self.breakpoints[0])
 
     def __call__(self, t: float) -> float:
         if not (t > 0.0):
             raise ValueError(f"step functions live on (0, inf); got t={t!r}")
-        i = bisect.bisect_left(self.breakpoints, t)
-        return self.values[i] if i < len(self.values) else 0.0
+        i = int(np.searchsorted(self.breakpoints, t, side="left"))
+        return float(self.values[i]) if i < self.values.size else 0.0
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """The value at each point of an array of positive points."""
+        padded = np.append(self.values, 0.0)
+        return padded[np.searchsorted(self.breakpoints, points, side="left")]
 
     def value_right(self, t: float) -> float:
         """Right-limit value just beyond t (0 at or past the support end)."""
         if not (t >= 0.0):
             raise ValueError("need t >= 0")
-        i = bisect.bisect_right(self.breakpoints, t)
-        return self.values[i] if i < len(self.values) else 0.0
+        i = int(np.searchsorted(self.breakpoints, t, side="right"))
+        return float(self.values[i]) if i < self.values.size else 0.0
 
     # -- integrals --------------------------------------------------------
 
     @cached_property
-    def _prefix(self) -> tuple[float, ...]:
-        acc = 0.0
-        out = [0.0]
-        a = 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            acc += v * (b - a)
-            out.append(acc)
-            a = b
-        return tuple(out)
+    def _prefix(self) -> np.ndarray:
+        """integral_0^{x_i} f for i = 0..n, summed cell by cell from the left."""
+        cells = self.values * (self.breakpoints - _left_edges(self.breakpoints))
+        return np.cumsum(np.concatenate(([0.0], cells)))
 
     @property
     def total_integral(self) -> float:
-        return self._prefix[-1]
+        return float(self._prefix[-1])
 
     def prefix_integral(self, t: float) -> float:
         """integral_0^t f(s) ds, exact."""
         if not (t >= 0.0):
             raise ValueError("need t >= 0")
         bps = self.breakpoints
-        if not bps or t >= bps[-1]:
-            return self._prefix[-1]
-        i = bisect.bisect_left(bps, t)
+        if not bps.size or t >= bps[-1]:
+            return float(self._prefix[-1])
+        i = int(np.searchsorted(bps, t, side="left"))
         a = bps[i - 1] if i > 0 else 0.0
-        return self._prefix[i] + self.values[i] * (t - a)
+        return float(self._prefix[i] + self.values[i] * (t - a))
 
     def is_nonincreasing(self) -> bool:
-        # canonical form has unequal adjacent values, so non-increasing means
-        # strictly decreasing values with no interior zero cell
-        vals = self.values
-        return all(vals[i] > vals[i + 1] for i in range(len(vals) - 1)) and (
-            not vals or vals[-1] > 0.0
-        )
+        # canonical form has unequal adjacent values and no trailing zero cell,
+        # so non-increasing means strictly decreasing values
+        return bool((self.values[1:] < self.values[:-1]).all())
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps(
-            {"breakpoints": list(self.breakpoints), "values": list(self.values)}
+            {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
         )
 
     @classmethod
@@ -211,67 +203,33 @@ class StepFunction(EvaluableFunction):
         )
 
 
-def _merged_values(
-    f: StepFunction, g: StepFunction
-) -> tuple[list[float], list[float], list[float]]:
-    """Union of breakpoints and the per-cell values of f and g on it."""
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    fv = [f(b) for b in bps]
-    gv = [g(b) for b in bps]
-    return bps, fv, gv
-
-
 def add(f: StepFunction, g: StepFunction) -> StepFunction:
-    bps, fv, gv = _merged_values(f, g)
-    return StepFunction(tuple(bps), tuple(a + b for a, b in zip(fv, gv)))
+    """f + g on the union of their breakpoints."""
+    bps = np.union1d(f.breakpoints, g.breakpoints)
+    return StepFunction(bps, f.at(bps) + g.at(bps))
 
 
 def scale(f: StepFunction, c: float) -> StepFunction:
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError("scale factor must be finite and non-negative")
-    return StepFunction(f.breakpoints, tuple(c * v for v in f.values))
-
-
-def sub_clamped(f: StepFunction, g: StepFunction) -> StepFunction:
-    """(f - g)^+ on the merged cell grid."""
-    bps, fv, gv = _merged_values(f, g)
-    return StepFunction(tuple(bps), tuple(max(a - b, 0.0) for a, b in zip(fv, gv)))
-
-
-def pointwise_min_with_constant(f: StepFunction, c: float) -> StepFunction:
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("constant must be finite and non-negative")
-    return StepFunction(f.breakpoints, tuple(min(v, c) for v in f.values))
+    return StepFunction(f.breakpoints, c * f.values)
 
 
 def dilate(f: StepFunction, a: float) -> StepFunction:
     """t |-> f(a t); breakpoints divide by a."""
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("dilation factor must be positive and finite")
-    return StepFunction(tuple(x / a for x in f.breakpoints), f.values)
+    return StepFunction(f.breakpoints / a, f.values)
 
 
 def rearrange(f: StepFunction) -> StepFunction:
     """Non-increasing rearrangement: same values, cell lengths sorted by value."""
-    sizes: dict[float, float] = {}
-    a = 0.0
-    for b, v in zip(f.breakpoints, f.values):
-        if v > 0.0:
-            sizes[v] = sizes.get(v, 0.0) + (b - a)
-        a = b
-    bps: list[float] = []
-    vals: list[float] = []
-    acc = 0.0
-    for v in sorted(sizes, reverse=True):
-        acc += sizes[v]
-        bps.append(acc)
-        vals.append(v)
-    return StepFunction(tuple(bps), tuple(vals))
-
-
-def equimeasurable(f: StepFunction, g: StepFunction) -> bool:
-    """True iff f and g have identical non-increasing rearrangements."""
-    return rearrange(f) == rearrange(g)
+    positive = f.values > 0.0
+    levels, level_of = np.unique(f.values[positive], return_inverse=True)
+    lengths = (f.breakpoints - _left_edges(f.breakpoints))[positive]
+    # each level's measure, summed in cell order; then the levels from the top
+    sizes = np.bincount(level_of, weights=lengths, minlength=levels.size)
+    return StepFunction(np.cumsum(sizes[::-1]), levels[::-1])
 
 
 def _require_nonincreasing(f: StepFunction, what: str) -> None:
@@ -290,8 +248,7 @@ class MaximalFunction(EvaluableFunction):
     base: StepFunction
 
     def __post_init__(self) -> None:
-        if not self.base.is_zero:
-            _require_nonincreasing(self.base, "the running mean")
+        _require_nonincreasing(self.base, "the running mean")
 
     def __call__(self, t: float) -> float:
         if not (t > 0.0):
@@ -311,8 +268,7 @@ class OscillationTransform(EvaluableFunction):
     base: StepFunction
 
     def __post_init__(self) -> None:
-        if not self.base.is_zero:
-            _require_nonincreasing(self.base, "the oscillation transform")
+        _require_nonincreasing(self.base, "the oscillation transform")
 
     def __call__(self, t: float) -> float:
         if not (t > 0.0):
@@ -334,47 +290,19 @@ class OscillationTransform(EvaluableFunction):
         finitely many reciprocal breakpoints.
         """
         f = self.base
-        n = len(f.breakpoints)
-        if n == 0:
+        if f.is_zero:
             return StepFunction.zero()
-        prefix = f._prefix
-        # c_i for i = 1..n; c_1 = 0 is the value beyond 1/x_1 and is dropped
-        c = [prefix[i - 1] - f.values[i - 1] * (f.breakpoints[i - 2] if i >= 2 else 0.0) for i in range(1, n + 1)]
-        bps = [1.0 / x for x in reversed(f.breakpoints)]
-        vals = [f.total_integral] + [c[i] for i in range(n - 1, 0, -1)]
-        return StepFunction(tuple(bps), tuple(vals))
+        c = f._prefix[:-1] - f.values * _left_edges(f.breakpoints)
+        # c_1 = 0 is the value beyond 1/x_1 and is dropped
+        vals = np.concatenate((f._prefix[-1:], c[:0:-1]))
+        return StepFunction(1.0 / f.breakpoints[::-1], vals)
 
 
 def maximal(fstar: StepFunction) -> MaximalFunction:
     """Running integral mean of a non-increasing step function."""
-    if not fstar.is_zero:
-        _require_nonincreasing(fstar, "maximal")
     return MaximalFunction(fstar)
 
 
 def osc_transform(fstar: StepFunction) -> OscillationTransform:
     """Oscillation transform of a non-increasing step function."""
     return OscillationTransform(fstar)
-
-
-def project_to_grid(g: EvaluableFunction, grid: Grid, tol: float = 1e-9) -> StepFunction:
-    """Sample a non-increasing function at grid points into a step function.
-
-    The result takes the value g(x_i) on (x_{i-1}, x_i] (x_0 = 0), which
-    under-approximates a non-increasing g on each cell.  Sampled increases
-    beyond tol raise GridProjectionError; smaller wiggles (quadrature noise)
-    are repaired by a running minimum.
-    """
-    samples = [float(g(x)) for x in grid.points]
-    scale_ref = max((abs(s) for s in samples), default=0.0)
-    allowed = tol * max(1.0, scale_ref)
-    out: list[float] = []
-    run = math.inf
-    for x, s in zip(grid.points, samples):
-        if s > run + allowed:
-            raise GridProjectionError(
-                f"sampled values increase at t={x!r} by {s - run!r} (tolerance {allowed!r})"
-            )
-        run = min(run, s)
-        out.append(max(run, 0.0))
-    return StepFunction(grid.points, tuple(out))

@@ -68,7 +68,7 @@ class CorpusEntry:
 def _random_monotone(rng: np.random.Generator, cells: int) -> StepFunction:
     bps = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(50.0), size=cells)))
     vals = np.sort(rng.uniform(0.1, 8.0, size=cells))[::-1]
-    return StepFunction(tuple(float(b) for b in bps), tuple(float(v) for v in vals))
+    return StepFunction(bps, vals)
 
 
 def make_corpus(seed: int = 7, size: int = 20) -> tuple[CorpusEntry, ...]:
@@ -123,8 +123,8 @@ def t_sweep(fn: StepFunction, count: int = 15) -> tuple[float, ...]:
     lo = fstar.first_breakpoint / 10.0
     hi = fstar.support_end * 10.0
     ts = np.geomspace(lo, hi, count)
-    bset = set(fstar.breakpoints)
-    return tuple(float(t * (1.0 + 1e-7)) if float(t) in bset else float(t) for t in ts)
+    ts = np.where(np.isin(ts, fstar.breakpoints), ts * (1.0 + 1e-7), ts)
+    return tuple(ts.tolist())
 
 
 @dataclass(frozen=True)
@@ -256,19 +256,16 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 def _reconstruction_rhs(fstar: StepFunction, t: float) -> float:
     """integral_t^inf (f** - f*)(s) ds / s, evaluated exactly on cells."""
-    total = 0.0
-    prefix = 0.0
-    prev = 0.0
-    for a, b, v in fstar.cells():
-        c = prefix - v * a
-        lo = max(a, t)
-        if b > lo:
-            total += c * (1.0 / lo - 1.0 / b)
-        prefix += v * (b - a)
-        prev = b
+    b, v = fstar.breakpoints, fstar.values
+    a = np.concatenate(([0.0], b[:-1]))
+    # c_i = A_{i-1} - v_i x_{i-1}, f** - f* = c_i / s on cell i; sums run from the left
+    c = np.cumsum(np.concatenate(([0.0], v * (b - a))))[:-1] - v * a
+    lo = np.maximum(a, t)
+    live = b > lo
+    total = float(np.cumsum(np.append(0.0, c[live] * (1.0 / lo[live] - 1.0 / b[live])))[-1])
     mass = fstar.total_integral
     if mass > 0.0:
-        total += mass / max(prev, t)
+        total += mass / max(fstar.support_end, t)
     return total
 
 

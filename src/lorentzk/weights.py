@@ -264,26 +264,25 @@ class TabulatedWeight(Weight):
 
     def at(self, s: np.ndarray) -> np.ndarray:
         """The step value at each point (0 beyond the last step)."""
-        vals = np.append(self.step.values, 0.0)
-        return vals[np.searchsorted(self.step.breakpoints, s, side="left")]
+        return self.step.at(s)
 
-    def kinks(self) -> tuple[float, ...]:
+    def kinks(self) -> np.ndarray:
         """Every step of the table."""
         return self.step.breakpoints
 
     def moment(self, e: float, a: float, b: float) -> float:
         if a < 0.0 or b < a:
             raise ValueError("need 0 <= a <= b")
+        bps = self.step.breakpoints
+        lo = np.maximum(np.concatenate(([0.0], bps[:-1])), a)
+        hi = np.minimum(bps, b)
+        live = (self.step.values != 0.0) & (lo < hi)
         total = 0.0
-        for lo, hi, v in self.step.cells():
-            if v == 0.0:
-                continue
-            l, h = max(lo, a), min(hi, b)
-            if l < h:
-                piece = _power_int(e, l, h)
-                if math.isinf(piece):
-                    return math.inf
-                total += v * piece
+        for l, h, v in zip(lo[live].tolist(), hi[live].tolist(), self.step.values[live].tolist()):
+            piece = _power_int(e, l, h)
+            if math.isinf(piece):
+                return math.inf
+            total += v * piece
         return total
 
     def describe(self) -> str:
@@ -292,8 +291,8 @@ class TabulatedWeight(Weight):
     def to_json_dict(self) -> dict:
         return {
             "family": "tabulated",
-            "breakpoints": list(self.step.breakpoints),
-            "values": list(self.step.values),
+            "breakpoints": self.step.breakpoints.tolist(),
+            "values": self.step.values.tolist(),
         }
 
 

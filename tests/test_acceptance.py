@@ -21,7 +21,8 @@ from lorentzk.norms import (
     s_lambda_identity_check,
     truncated_norm,
 )
-from lorentzk.stepfn import Grid, StepFunction, maximal, osc_transform, rearrange
+from lorentzk.grids import Grid
+from lorentzk.stepfn import StepFunction, maximal, osc_transform, rearrange
 from lorentzk.verify import _reconstruction_rhs, make_corpus, run_theorem_suite, t_sweep
 from lorentzk.weights import (
     InvalidWeightError,

@@ -27,7 +27,8 @@ from lorentzk.kfunctional import (
     truncation_decomposition,
 )
 from lorentzk.norms import LorentzSpace, norm
-from lorentzk.stepfn import Grid, StepFunction, add, rearrange
+from lorentzk.grids import Grid
+from lorentzk.stepfn import StepFunction, add, rearrange
 from lorentzk.weights import (
     CoupleConfig,
     InvalidWeightError,

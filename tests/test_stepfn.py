@@ -5,21 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzk import (
-    Grid,
-    GridProjectionError,
     StepFunction,
+    TabulatedWeight,
     add,
     dilate,
-    equimeasurable,
     maximal,
     osc_transform,
-    pointwise_min_with_constant,
-    project_to_grid,
     rearrange,
     scale,
-    sub_clamped,
 )
 
 
@@ -31,25 +28,52 @@ def random_step(rng, cells=6, monotone=False):
     return StepFunction(bps, tuple(float(v) for v in vals))
 
 
+def reference_rearrange(f):
+    """The cell loop that accumulated each level's measure in a dict."""
+    sizes: dict[float, float] = {}
+    a = 0.0
+    for b, v in zip(f.breakpoints.tolist(), f.values.tolist()):
+        if v > 0.0:
+            sizes[v] = sizes.get(v, 0.0) + (b - a)
+        a = b
+    bps, vals, acc = [], [], 0.0
+    for v in sorted(sizes, reverse=True):
+        acc += sizes[v]
+        bps.append(acc)
+        vals.append(v)
+    return bps, vals
+
+
+@st.composite
+def unsorted_steps(draw):
+    """At most 12 cells of widely spread widths; levels from a small pool, so
+    they repeat and include zero."""
+    n = draw(st.integers(0, 12))
+    widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0]), min_size=n, max_size=n))
+    return StepFunction(np.cumsum(widths), levels)
+
+
 class TestCanonicalization:
     def test_merges_equal_adjacent_values(self):
         f = StepFunction((1.0, 2.0, 3.0), (2.0, 2.0, 1.0))
-        assert f.breakpoints == (2.0, 3.0)
-        assert f.values == (2.0, 1.0)
+        assert f.breakpoints.tolist() == [2.0, 3.0]
+        assert f.values.tolist() == [2.0, 1.0]
 
     def test_drops_trailing_zeros(self):
         f = StepFunction((1.0, 2.0, 3.0), (2.0, 0.0, 0.0))
-        assert f.breakpoints == (1.0,)
-        assert f.values == (2.0,)
+        assert f.breakpoints.tolist() == [1.0]
+        assert f.values.tolist() == [2.0]
 
     def test_keeps_interior_zeros(self):
         f = StepFunction((1.0, 2.0, 3.0), (2.0, 0.0, 1.0))
-        assert f.values == (2.0, 0.0, 1.0)
+        assert f.values.tolist() == [2.0, 0.0, 1.0]
 
     def test_zero_function(self):
         z = StepFunction((), ())
         assert z.is_zero
         assert z(1.0) == 0.0
+        assert z.is_nonincreasing()
         assert StepFunction((1.0,), (0.0,)).is_zero
 
     def test_rejects_bad_breakpoints(self):
@@ -67,6 +91,56 @@ class TestCanonicalization:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             StepFunction((1.0, 2.0), (1.0,))
+
+
+class TestRepresentation:
+    def test_arrays_are_read_only(self):
+        f = StepFunction((1.0, 2.0), (3.0, 1.0))
+        with pytest.raises(ValueError):
+            f.values[0] = 5.0
+        with pytest.raises(ValueError):
+            f.breakpoints[0] = 0.5
+
+    def test_caller_array_stays_writable(self):
+        vals = np.array([3.0, 1.0])
+        StepFunction(np.array([1.0, 2.0]), vals)
+        vals[0] = 4.0
+
+    def test_noncanonical_input_equals_and_hashes_as_canonical(self):
+        raw = StepFunction((1.0, 2.0, 3.0, 4.0), (2.0, 2.0, 1.0, 0.0))
+        canon = StepFunction((2.0, 3.0), (2.0, 1.0))
+        assert raw == canon
+        assert hash(raw) == hash(canon)
+        assert raw != StepFunction((2.0, 3.0), (2.0, 0.5))
+        assert len({raw, canon}) == 1
+
+    def test_tabulated_weights_on_equal_steps_are_equal(self):
+        a = TabulatedWeight(StepFunction((1.0, 2.0), (2.0, 2.0)))
+        b = TabulatedWeight(StepFunction((2.0,), (2.0,)))
+        assert a == b
+
+    def test_scalar_queries_are_python_floats(self):
+        f = StepFunction((1.0, 2.0), (3.0, 1.0))
+        for x in (
+            f(1.5),
+            f(5.0),
+            f.value_right(1.0),
+            f.value_right(5.0),
+            f.prefix_integral(1.5),
+            f.prefix_integral(5.0),
+            f.total_integral,
+            f.support_end,
+            f.first_breakpoint,
+            maximal(f)(1.5),
+            osc_transform(f)(0.7),
+        ):
+            assert type(x) is float
+
+    def test_at_matches_pointwise_evaluation(self):
+        f = StepFunction((0.5, 1.0, 2.0, 3.0), (1.0, 0.0, 3.0, 0.5))
+        points = np.array([0.1, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 100.0])
+        assert f.at(points).tolist() == [f(x) for x in points]
+        assert StepFunction.zero().at(points).tolist() == [0.0] * points.size
 
 
 class TestEvaluation:
@@ -112,17 +186,6 @@ class TestAlgebra:
         assert scale(f, 2.0)(1.0) == 6.0
         assert scale(f, 0.0).is_zero
 
-    def test_sub_clamped(self):
-        f = StepFunction((2.0,), (1.0,))
-        g = StepFunction((1.0,), (3.0,))
-        d = sub_clamped(f, g)
-        assert d(0.5) == 0.0 and d(1.5) == 1.0
-
-    def test_min_with_constant(self):
-        f = StepFunction((1.0, 2.0), (3.0, 1.0))
-        m = pointwise_min_with_constant(f, 2.0)
-        assert m(0.5) == 2.0 and m(1.5) == 1.0
-
     def test_dilate(self):
         f = StepFunction.indicator(2.0)
         d = dilate(f, 0.5)  # d(t) = f(t/2): support doubles
@@ -141,13 +204,20 @@ class TestRearrangement:
             f = random_step(rng)
             fs = rearrange(f)
             assert rearrange(fs) == fs
-            assert fs.is_zero or fs.is_nonincreasing()
-            assert equimeasurable(f, fs)
+            assert fs.is_nonincreasing()
             assert math.isclose(f.total_integral, fs.total_integral, rel_tol=1e-12)
 
     def test_leading_zero_cells_shift_mass_left(self):
         f = StepFunction((1.0, 3.0), (0.0, 2.0))
         assert rearrange(f) == StepFunction((2.0,), (2.0,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(unsorted_steps())
+    def test_matches_the_cell_loop_exactly(self, f):
+        bps, vals = reference_rearrange(f)
+        fs = rearrange(f)
+        assert fs.breakpoints.tolist() == bps
+        assert fs.values.tolist() == vals
 
 
 class TestMaximal:
@@ -237,28 +307,3 @@ class TestJsonRoundTrip:
         text = json.dumps({"breakpoints": [1, 2], "values": [3, 1]})
         assert StepFunction.from_json(text) == StepFunction((1.0, 2.0), (3.0, 1.0))
 
-
-class TestProjection:
-    def test_exact_when_grid_contains_breakpoints(self):
-        f = StepFunction((1.0, 2.0), (2.0, 1.0))
-        grid = Grid((0.5, 1.0, 1.5, 2.0, 3.0))
-        proj = project_to_grid(f, grid)
-        for t in (0.3, 0.8, 1.2, 1.8, 2.5):
-            assert proj(t) == f(t)
-
-    def test_raises_on_nonmonotone_samples(self):
-        bumpy = StepFunction((1.0, 2.0, 3.0), (1.0, 0.0, 2.0))  # rises again
-        grid = Grid((0.5, 1.5, 2.5, 3.5))
-        with pytest.raises(GridProjectionError):
-            project_to_grid(bumpy, grid, tol=1e-9)
-
-    def test_repairs_tiny_wiggles(self):
-        base = StepFunction((1.0,), (1.0,))
-
-        class Wiggly:
-            def __call__(self, t: float) -> float:
-                return base(t) + (1e-12 if 0.4 < t < 0.6 else 0.0)
-
-        proj = project_to_grid(Wiggly(), Grid((0.25, 0.5, 0.75, 1.0)), tol=1e-9)
-        assert proj(0.3) == 1.0
-        assert proj.is_nonincreasing() or proj.values == (1.0,)
