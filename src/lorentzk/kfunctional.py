@@ -38,8 +38,9 @@ start that stops at the iteration cap is flagged, never silently accepted.
 The explicit formulas take their head and tail integrals from the windowed
 cell sums of ``norms``.  The oracle takes each grid's cell lengths and weight
 moments (or gamma nodes) once from ``norms.cell_moments``, the builder the
-norms use, and evaluates the candidates' norms, and their gradients, with
-the same cell kernel, ``norms.cell_sums``.
+norms use (the sorted rows of unconstrained candidates from one
+``Weight.moment`` call), and evaluates the candidates' norms, and their
+gradients, with the same cell kernel, ``norms.cell_sums``.
 """
 
 import math
@@ -388,8 +389,9 @@ class _SpaceOnGrid:
     moment are built once here by ``norms.cell_moments``, as for the norms,
     and every flavor evaluates them with the norms' cell kernel,
     ``norms.cell_sums``.  Unconstrained candidates are sorted into
-    non-increasing order first, and each row's moments then come from the
-    power primitive over the sorted cell lengths, so they need power weights.
+    non-increasing order first; each row's cells are then the cumulative sums
+    of its sorted cell lengths, and their moments and tail come from one
+    ``Weight.moment`` call each over all rows.  They need power weights.
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -404,11 +406,11 @@ class _SpaceOnGrid:
             )
         self.lengths, self.left = cells[:2]
         self.grid_cells = (None, *cells)
-        self.beta = space.w.beta if isinstance(space.w, PowerWeight) else None
+        self.w = space.w
 
     def check_unconstrained(self) -> None:
         """Raise InvalidWeightError unless unconstrained candidates are supported."""
-        if self.flavor == "gamma" or self.beta is None:
+        if self.flavor == "gamma" or not isinstance(self.w, PowerWeight):
             raise InvalidWeightError(
                 "unconstrained oracle candidates need lambda- or s-flavor spaces "
                 "with power weights (rearranged norms require vectorized primitives)"
@@ -422,15 +424,11 @@ class _SpaceOnGrid:
         lengths = self.lengths[order]
         right = np.cumsum(lengths, axis=-1)
         left = np.concatenate((np.zeros(U.shape[:-1] + (1,)), right[..., :-1]), axis=-1)
-        # the power primitive of s^(beta + e): e = 0 for lambda, -p for s
-        q1 = self.beta + 1.0 - (0.0 if self.flavor == "lambda" else self.p)
-        prim_right = right ** q1 / q1
         if self.flavor == "lambda":
-            return order, lengths, left, prim_right - left ** q1 / q1, 0.0
-        # the s primitive is infinite at 0, where the oscillation vanishes anyway
-        inner = left > 0.0
-        moments = np.where(inner, prim_right - np.where(inner, left, 1.0) ** q1 / q1, 0.0)
-        return order, lengths, left, moments, -prim_right[..., -1]
+            return order, lengths, left, self.w.moment(0.0, left, right), 0.0
+        # the s moment diverges at 0, where the oscillation vanishes anyway
+        moments = np.where(left > 0.0, self.w.moment(-self.p, left, right), 0.0)
+        return order, lengths, left, moments, self.w.moment(-self.p, right[..., -1], math.inf)
 
     def _forward(self, U: np.ndarray, monotone: bool):
         """(powered norms of the rows of U, what the backward pass reuses)."""

@@ -204,30 +204,29 @@ def cell_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | GammaNodes, float] | None:
     """What ``cell_sums`` takes after the values: (lengths, left edges, moments,
     tail) of the cells (x_{i-1}, x_i], their moments clipped to (lo, hi), or
-    None as soon as one moment diverges.  Lengths and left edges stay unclipped,
-    since f** keeps its global prefix integrals.  The moments are dW_i (lambda),
+    None if one moment diverges.  Lengths and left edges stay unclipped, since
+    f** keeps its global prefix integrals.  The moments are dW_i (lambda),
     dPsi_i (s; 0 on the first cell, where the oscillation vanishes) or the
     ``gamma_nodes`` with the first cell's dW (gamma); the tail is the moment of
-    s^{-p} w from the support end to hi (s, gamma).  The norms and the oracle
-    grids take weight moments here and nowhere else.
+    s^{-p} w from the support end to hi (s, gamma).  One ``Weight.moment``
+    call takes the clipped cells (a cell outside the window gets an empty
+    interval, so 0) and one the tail; the norms and the oracle grids take
+    weight moments here and nowhere else.
     """
-    right = x.tolist()
-    e = -p if flavor == "s" else 0.0
-    pieces = []
-    a = 0.0
-    for b in right[:1] if flavor == "gamma" else right:
-        l, h = max(a, lo), min(b, hi)
-        piece = w.moment(e, l, h) if l < h and (flavor != "s" or a > 0.0) else 0.0
-        if math.isinf(piece):
-            return None
-        pieces.append(piece)
-        a = b
-    end = max(right[-1], lo)
-    tail = w.moment(-p, end, hi) if flavor != "lambda" and end < hi else 0.0
+    left = np.concatenate(([0.0], x[:-1]))
+    cells = slice(1) if flavor == "gamma" else slice(None)
+    a = np.maximum(left[cells], lo)
+    b = np.maximum(np.minimum(x[cells], hi), a)
+    if flavor == "s":
+        b[0] = a[0]  # dPsi_1 = 0: no oscillation on the first cell
+    pieces = w.moment(-p if flavor == "s" else 0.0, a, b)
+    if np.isinf(pieces).any():
+        return None
+    end = max(float(x[-1]), lo)
+    tail = float(w.moment(-p, end, hi)) if flavor != "lambda" and end < hi else 0.0
     if math.isinf(tail):
         return None
-    left = np.concatenate(([0.0], x[:-1]))
-    moments = gamma_nodes(w, x, lo, hi, pieces[0]) if flavor == "gamma" else np.array(pieces)
+    moments = gamma_nodes(w, x, lo, hi, float(pieces[0])) if flavor == "gamma" else pieces
     return x - left, left, moments, tail
 
 

@@ -9,12 +9,17 @@ with three closed families:
 
 and the reciprocal transform  w -> t^{p-2} w(1/t), under which Power and
 PowerLog are closed and Tabulated maps to a dedicated reciprocal-sampled
-family.  Every weight exposes ``moment(e, a, b) = integral_a^b s^e w(s) ds``
-(total: +inf on divergence), from which the primitive W(t), tail moments,
-tail fundamentals and the condition checkers are built — in closed form for
-Power/Tabulated, by adaptive quadrature (relative target 1e-8) for PowerLog.
-The gamma norm's node sums read weights through ``at`` (values at an array
-of points) and ``kinks`` (where the weight is not smooth).
+family.  Every weight has one moment routine: ``moment(e, a, b)``, the
+integrals of s^e w(s) over (a, b) for a and b broadcast against each other
+(0 <= a <= b <= inf), a float64 array with +inf where one diverges.  Power
+weights integrate in closed form, tabulated ones by the same power primitive
+over every pair and table cell at once, the reciprocal family by its base's
+moment over (1/b, 1/a); PowerLog runs one adaptive quadrature (relative
+target 1e-8) per pair, still inaccurate on long ranges near zero.  The
+norms' cells, the K-oracle's sorted rows and each grid checker take their
+moments in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar
+wrappers.  The gamma norm's node sums read weights through ``at`` (values
+at an array of points) and ``kinks`` (where the weight is not smooth).
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
@@ -69,29 +74,30 @@ class InvalidWeightError(ValueError):
     """Operation outside the weight family's validity range."""
 
 
-def _power_int(q: float, a: float, b: float) -> float:
-    """integral_a^b s^q ds, total on 0 <= a <= b <= inf (+inf on divergence)."""
-    if a < 0.0 or b < a:
+def _bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as broadcast float64 arrays; raises ValueError unless 0 <= a <= b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    if ((a < 0.0) | (b < a)).any():
         raise ValueError("need 0 <= a <= b")
-    if a == b:
-        return 0.0
-    if q == -1.0:
-        if a == 0.0 or math.isinf(b):
-            return math.inf
-        return math.log(b / a)
+    return a, b
+
+
+def _power_int(q: float, a, b) -> np.ndarray:
+    """integral_a^b s^q ds, elementwise on 0 <= a <= b <= inf (+inf on divergence)."""
+    a, b = _bounds(a, b)
     qp = q + 1.0
-    if math.isinf(b):
-        if qp > 0.0:
-            return math.inf
-        return -(a ** qp) / qp  # a > 0 here since qp < 0 makes a=0 divergent too
-    if a == 0.0:
-        if qp < 0.0:
-            return math.inf
-        return (b ** qp) / qp
-    if abs(qp) < 1e-3:
-        # near q = -1 the two powers cancel; expm1 keeps their difference accurate
-        return a ** qp * math.expm1(qp * math.log(b / a)) / qp
-    return (b ** qp - a ** qp) / qp
+    diverges = ((a == 0.0) & (qp <= 0.0)) | (np.isinf(b) & (qp >= 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if qp == 0.0:
+            out = np.log(b / a)
+        elif abs(qp) < 1e-3:
+            # near q = -1 the two powers cancel; expm1 keeps their difference accurate
+            out = np.where(a == 0.0, b ** qp, a ** qp * np.expm1(qp * np.log(b / a))) / qp
+        else:
+            out = (b ** qp - a ** qp) / qp
+    return np.where(a == b, 0.0, np.where(diverges, math.inf, out))
 
 
 class Weight(EvaluableFunction):
@@ -99,8 +105,10 @@ class Weight(EvaluableFunction):
 
     family: str = "abstract"
 
-    def moment(self, e: float, a: float, b: float) -> float:
-        """integral_a^b s^e w(s) ds; +inf when divergent."""
+    def moment(self, e: float, a, b) -> np.ndarray:
+        """integral_a^b s^e w(s) ds for a, b scalars or arrays broadcast against
+        each other (0 <= a <= b <= inf): a float64 array of their broadcast
+        shape, +inf where the integral diverges and 0 where a == b."""
         raise NotImplementedError
 
     def at(self, s: np.ndarray) -> np.ndarray:
@@ -113,7 +121,7 @@ class Weight(EvaluableFunction):
 
     def primitive(self, t: float) -> float:
         """W(t) = integral_0^t w; raises InvalidWeightError when W is not finite."""
-        val = self.moment(0.0, 0.0, float(t))
+        val = float(self.moment(0.0, 0.0, t))
         if math.isinf(val):
             raise InvalidWeightError(
                 f"{self.describe()} is not integrable near zero; W(t) diverges"
@@ -122,7 +130,7 @@ class Weight(EvaluableFunction):
 
     def tail_moment(self, p: float, t: float) -> float:
         """integral_t^inf s^{-p} w(s) ds; +inf when divergent."""
-        return self.moment(-float(p), float(t), math.inf)
+        return float(self.moment(-float(p), t, math.inf))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -151,7 +159,7 @@ class PowerWeight(Weight):
         """s^beta at each point."""
         return s ** self.beta
 
-    def moment(self, e: float, a: float, b: float) -> float:
+    def moment(self, e: float, a, b) -> np.ndarray:
         return _power_int(self.beta + e, a, b)
 
     def describe(self) -> str:
@@ -190,10 +198,14 @@ class PowerLogWeight(Weight):
         """The log factor's kink at s = 1."""
         return (1.0,)
 
-    def moment(self, e: float, a: float, b: float) -> float:
+    def moment(self, e: float, a, b) -> np.ndarray:
+        """One adaptive quadrature per pair, on the pairs as Python floats."""
+        a, b = _bounds(a, b)
+        pairs = zip(a.ravel().tolist(), b.ravel().tolist())
+        return np.array([self._quad_moment(e, lo, hi) for lo, hi in pairs]).reshape(a.shape)
+
+    def _quad_moment(self, e: float, a: float, b: float) -> float:
         q = self.beta + e
-        if a < 0.0 or b < a:
-            raise ValueError("need 0 <= a <= b")
         if a == b:
             return 0.0
         # convergence is decided by the power factor; the log factor only
@@ -270,20 +282,13 @@ class TabulatedWeight(Weight):
         """Every step of the table."""
         return self.step.breakpoints
 
-    def moment(self, e: float, a: float, b: float) -> float:
-        if a < 0.0 or b < a:
-            raise ValueError("need 0 <= a <= b")
+    def moment(self, e: float, a, b) -> np.ndarray:
+        a, b = _bounds(a, b)
         bps = self.step.breakpoints
-        lo = np.maximum(np.concatenate(([0.0], bps[:-1])), a)
-        hi = np.minimum(bps, b)
-        live = (self.step.values != 0.0) & (lo < hi)
-        total = 0.0
-        for l, h, v in zip(lo[live].tolist(), hi[live].tolist(), self.step.values[live].tolist()):
-            piece = _power_int(e, l, h)
-            if math.isinf(piece):
-                return math.inf
-            total += v * piece
-        return total
+        live = self.step.values != 0.0
+        lo = np.maximum(a[..., None], np.concatenate(([0.0], bps[:-1]))[live])
+        hi = np.maximum(np.minimum(b[..., None], bps[live]), lo)  # lo == hi outside (a, b): 0
+        return _power_int(e, lo, hi) @ self.step.values[live]
 
     def describe(self) -> str:
         return f"tabulated weight with {len(self.step.values)} cells"
@@ -321,12 +326,11 @@ class ReciprocalWeight(Weight):
         """The reciprocals of the base weight's kinks."""
         return tuple(1.0 / k for k in reversed(self.base.kinks()))
 
-    def moment(self, e: float, a: float, b: float) -> float:
+    def moment(self, e: float, a, b) -> np.ndarray:
         # substitute u = 1/s: integral becomes base-moment with exponent -e-p
-        if a < 0.0 or b < a:
-            raise ValueError("need 0 <= a <= b")
-        lo = 0.0 if math.isinf(b) else 1.0 / b
-        hi = math.inf if a == 0.0 else 1.0 / a
+        a, b = _bounds(a, b)
+        with np.errstate(divide="ignore"):  # 1 / 0 = inf
+            lo, hi = 1.0 / b, 1.0 / a
         return self.base.moment(-e - self.p, lo, hi)
 
     def describe(self) -> str:
@@ -599,6 +603,12 @@ def _sup_scan(pairs) -> tuple[float, float]:
     return best, arg
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, reading x / 0 as inf for x > 0 and as 0 for x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.where(num > 0.0, math.inf, 0.0), num / den)
+
+
 def _require_head_valid(w: Weight) -> None:
     # surfaces InvalidWeightError for weights with divergent W
     w.primitive(1.0)
@@ -620,11 +630,9 @@ def check_bp(w: Weight, p: float, grid: Grid | None = None, method: Method = "au
         c = (beta + 1.0) / (p - 1.0 - beta)
         return ConditionVerdict("Bp", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
-    ratios = []
-    for t in grid.points:
-        tail = w.tail_moment(p, t)
-        ratios.append((t, (t ** p) * tail / w.primitive(t)))
-    c, arg = _sup_scan(ratios)
+    t = np.array(grid.points)
+    ratios = _ratio(t ** p * w.moment(-p, t, math.inf), w.moment(0.0, 0.0, t))
+    c, arg = _sup_scan(zip(grid.points, ratios.tolist()))
     return ConditionVerdict("Bp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
@@ -644,19 +652,11 @@ def check_rbp(w: Weight, p: float, grid: Grid | None = None, method: Method = "a
         c = (p - 1.0 - beta) / (beta + 1.0)
         return ConditionVerdict("RBp", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
-    ratios = []
-    for t in grid.points:
-        tail = w.tail_moment(p, t)
-        rhs = (t ** p) * tail
-        lhs = w.primitive(t)
-        if rhs == 0.0:
-            ratios.append((t, math.inf if lhs > 0.0 else 0.0))
-        elif math.isinf(rhs):
-            # divergent tail: treated as failing, matching the closed-form branch
-            ratios.append((t, math.inf))
-        else:
-            ratios.append((t, lhs / rhs))
-    c, arg = _sup_scan(ratios)
+    t = np.array(grid.points)
+    rhs = t ** p * w.moment(-p, t, math.inf)
+    # divergent tail: treated as failing, matching the closed-form branch
+    ratios = np.where(np.isinf(rhs), math.inf, _ratio(w.moment(0.0, 0.0, t), rhs))
+    c, arg = _sup_scan(zip(grid.points, ratios.tolist()))
     return ConditionVerdict("RBp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
@@ -669,8 +669,8 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
         c = 2.0 ** (beta + 1.0)
         return ConditionVerdict("Delta2", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
-    ratios = [(t, w.primitive(2.0 * t) / w.primitive(t)) for t in grid.points]
-    c, arg = _sup_scan(ratios)
+    doubled, single = w.moment(0.0, 0.0, np.multiply.outer((2.0, 1.0), grid.points))
+    c, arg = _sup_scan(zip(grid.points, _ratio(doubled, single).tolist()))
     return ConditionVerdict("Delta2", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 

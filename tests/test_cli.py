@@ -128,6 +128,17 @@ class TestCheckWeights:
         assert result.exit_code == 0
         assert "sufficient-head: fails constant=inf [inapplicable]" in result.output
 
+    def test_weight_vanishing_near_zero(self, runner, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [0, 1]}))
+        result = runner.invoke(main, ["check-weights", "--p", "2", "--weight", f"file:{path}"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "bp: fails constant=inf [grid]",
+            "rbp: fails constant=inf [grid]",
+            "delta2: fails constant=inf [grid]",
+        ]
+
     def test_json_format(self, runner):
         result = runner.invoke(
             main, ["check-weights", "--p", "2", "--weight", "power:0", "--format", "json"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lorentzk import (
@@ -73,6 +75,129 @@ class TestMoments:
         assert w.moment(0.0, 0.0, 2.0) == pytest.approx(3.0, rel=1e-14)
         assert w.moment(1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert w.moment(0.0, 2.0, math.inf) == 0.0
+
+
+def _scalar_power_int(q: float, a: float, b: float) -> float:
+    """The scalar power primitive that the array one replaced, kept as the reference."""
+    if a < 0.0 or b < a:
+        raise ValueError("need 0 <= a <= b")
+    if a == b:
+        return 0.0
+    if q == -1.0:
+        if a == 0.0 or math.isinf(b):
+            return math.inf
+        return math.log(b / a)
+    qp = q + 1.0
+    if math.isinf(b):
+        if qp > 0.0:
+            return math.inf
+        return -(a ** qp) / qp
+    if a == 0.0:
+        if qp < 0.0:
+            return math.inf
+        return (b ** qp) / qp
+    if abs(qp) < 1e-3:
+        return a ** qp * math.expm1(qp * math.log(b / a)) / qp
+    return (b ** qp - a ** qp) / qp
+
+
+def _scalar_moment(w, e: float, a: float, b: float) -> float:
+    """One pair's moment of a power, tabulated or reciprocal weight, as the
+    scalar moments computed it: per table cell, and through the reciprocal edges."""
+    if a == b:  # the scalar reciprocal moment divided by zero at a = b = 0
+        return 0.0
+    if isinstance(w, PowerWeight):
+        try:
+            return _scalar_power_int(w.beta + e, a, b)
+        except ZeroDivisionError:  # 0.0 ** (q + 1) < 0 at a = 0, b = inf: divergent
+            return math.inf
+    if isinstance(w, ReciprocalWeight):
+        lo = 0.0 if math.isinf(b) else 1.0 / b
+        hi = math.inf if a == 0.0 else 1.0 / a
+        return _scalar_moment(w.base, -e - w.p, lo, hi)
+    bps = w.step.breakpoints.tolist()
+    total = 0.0
+    for l, h, v in zip([0.0] + bps[:-1], bps, w.step.values.tolist()):
+        l, h = max(l, a), min(h, b)
+        if v != 0.0 and l < h:
+            piece = _scalar_power_int(e, l, h)
+            if math.isinf(piece):
+                return math.inf
+            total += v * piece
+    return total
+
+
+# Points a factor 2^(1/4) apart (table edges are powers of 2, so reciprocal
+# edges stay apart too) and exponents on a quarter lattice keep the difference
+# of powers well conditioned: numpy's and libm's pow may differ in the last
+# bit, which a near-cancelling difference would magnify.  Exponents within
+# 1e-3 of -1 take the expm1 branch, which does not cancel.
+_POINTS = st.one_of(st.sampled_from([0.0, math.inf]), st.integers(-24, 24).map(lambda k: 2.0 ** (k / 4)))
+_EXPONENTS = st.one_of(
+    st.integers(-16, 12).map(lambda k: k / 4), st.floats(-9.9e-4, 9.9e-4).map(lambda d: -1.0 + d)
+)
+_SHAPES = st.sampled_from([(), (6,), (2, 3)])
+_PAIRS = st.lists(st.tuples(_POINTS, _POINTS), min_size=6, max_size=6)
+_TABLE = TabulatedWeight(StepFunction((0.5, 1.0, 4.0), (2.0, 0.0, 1.5)))
+_FAMILIES = {
+    "power": PowerWeight,
+    "tabulated": lambda beta: _TABLE,
+    "reciprocal": lambda beta: ReciprocalWeight(_TABLE, 2.0),
+    "reciprocal-power": lambda beta: ReciprocalWeight(PowerWeight(beta), 3.0),
+}
+
+
+def _intervals(pairs, shape):
+    pairs = pairs[: math.prod(shape)]
+    a = np.array([min(x, y) for x, y in pairs]).reshape(shape)
+    b = np.array([max(x, y) for x, y in pairs]).reshape(shape)
+    return a, b
+
+
+class TestArrayMoment:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @settings(max_examples=150, deadline=None)
+    @given(beta=_EXPONENTS, e=_EXPONENTS, pairs=_PAIRS, shape=_SHAPES)
+    # a = 0 with q + 1 in (0, 1e-3): the expm1 branch must not form 0 * inf
+    @example(beta=0.0, e=-0.9995, pairs=[(0.0, 2.0), (0.0, 0.25), (0.0, 8.0)] * 2, shape=(6,))
+    @example(beta=-0.9995, e=0.0, pairs=[(0.0, 2.0)] * 6, shape=())
+    # q = -1: the logarithm, divergent at both ends
+    @example(beta=0.0, e=-1.0, pairs=[(0.5, 2.0), (0.0, 1.0), (1.0, math.inf)] * 2, shape=(2, 3))
+    # b = inf: a finite tail and a divergent one
+    @example(beta=0.0, e=-3.0, pairs=[(1.0, math.inf), (0.0, math.inf), (4.0, math.inf)] * 2, shape=(6,))
+    @example(beta=0.5, e=0.0, pairs=[(2.0, math.inf)] * 6, shape=())
+    # a == b, at 0, inside and at inf
+    @example(beta=0.5, e=-2.0, pairs=[(2.0, 2.0), (0.0, 0.0), (math.inf, math.inf)] * 2, shape=(2, 3))
+    def test_matches_the_scalar_moments(self, family, beta, e, pairs, shape):
+        w = _FAMILIES[family](beta)
+        a, b = _intervals(pairs, shape)
+        got = np.asarray(w.moment(e, a, b))
+        assert got.shape == shape and got.dtype == np.float64
+        want = np.array([_scalar_moment(w, e, x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())])
+        np.testing.assert_allclose(got, want.reshape(shape), rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(beta=_EXPONENTS, gamma=st.integers(-4, 4).map(lambda k: k / 4), pairs=_PAIRS, shape=_SHAPES)
+    @example(beta=-0.5, gamma=1.0, pairs=[(0.0, 2.0), (1.0, math.inf), (2.0, 2.0)] * 2, shape=(2, 3))
+    def test_powerlog_matches_its_pairs_exactly(self, beta, gamma, pairs, shape):
+        w = PowerLogWeight(beta, gamma)
+        a, b = _intervals(pairs, shape)
+        got = w.moment(-1.0, a, b)
+        want = [float(w.moment(-1.0, x, y)) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.ravel(), want)
+
+    def test_broadcast_and_validation(self):
+        # a of shape (3,) against b of shape (2, 1): integral_a^b s^0.5 ds = (b^1.5 - a^1.5) / 1.5
+        a, b = np.array([0.0, 1.0, 4.0]), np.array([[4.0], [9.0]])
+        want = [[16.0 / 3.0, 14.0 / 3.0, 0.0], [18.0, 52.0 / 3.0, 38.0 / 3.0]]
+        for w in (PowerWeight(0.5), ReciprocalWeight(PowerWeight(-1.5), 1.0)):
+            np.testing.assert_allclose(w.moment(0.0, a, b), want, rtol=1e-14)
+        assert PowerLogWeight(0.5, 1.0).moment(0.0, a, b).shape == (2, 3)
+        with pytest.raises(ValueError, match="0 <= a <= b"):
+            w.moment(0.0, np.array([1.0, 3.0]), 2.0)
+        with pytest.raises(ValueError, match="0 <= a <= b"):
+            TabulatedWeight(StepFunction((1.0,), (1.0,))).moment(0.0, -1.0, 2.0)
 
 
 class TestReciprocal:
@@ -181,6 +306,15 @@ class TestConditionCheckers:
         v = check_delta2(w)
         assert v.holds and v.method == "grid"
         assert v.constant == pytest.approx(2.0, rel=1e-6)
+
+    def test_weight_vanishing_near_zero(self):
+        # W(t) = 0 for t <= 1: a ratio x / 0 reads inf for x > 0 and 0 for x = 0
+        w = TabulatedWeight(StepFunction((1.0, 2.0), (0.0, 1.0)))
+        bp, delta2 = check_bp(w, 2.0), check_delta2(w)
+        assert not bp.holds and bp.constant == math.inf and bp.witness_t == 1e-6
+        assert not delta2.holds and delta2.constant == math.inf
+        assert 0.5 < delta2.witness_t <= 1.0
+        assert not check_rbp(w, 2.0).holds
 
     def test_grid_matches_closed_form(self):
         for beta in (-0.5, 0.0, 0.7):
