@@ -257,6 +257,8 @@ def k_cmd(
             res = k_oracle(q, m=m, seed=seed)
             payload["oracle"] = res.value
             payload["oracle_converged"] = res.converged
+            payload["oracle_gap"] = res.gap
+            payload["oracle_starts"] = res.starts
         if method == "both" and payload["oracle"] > 0.0:
             payload["ratio"] = payload["explicit"] / payload["oracle"]
     except (ValueError, InvalidWeightError) as exc:

@@ -30,15 +30,16 @@ This module provides:
   and mapping back through the transform (exact on step functions).
 
 Monotone decompositions are optimized in successive-difference coordinates,
-where both chain constraints become a coordinate box; scipy's L-BFGS-B
-minimizes the convex (p >= 1) objective over it from five starts, and the
-best truncation candidate stands when no start beats it.  At p_0 = p_1 = 1
-the objective is affine there and the slope-sign vertex is also tried.  A
-start that stops at the iteration cap is flagged, never silently accepted.
-The explicit formulas take their head and tail integrals from the windowed
-cell sums of ``norms``.  The oracle takes each grid's cell lengths and weight
-moments (or gamma nodes) once from ``norms.cell_moments``, the builder the
-norms use (the sorted rows of unconstrained candidates from one
+where both chain constraints become a coordinate box; the objective is
+convex there (p >= 1) and ``_CoupleObjective.gap`` certifies a candidate.
+The best truncation candidate stands when certified; otherwise scipy's
+L-BFGS-B runs from up to five starts until the best point is certified.  At
+p_0 = p_1 = 1 the objective is affine and the slope-sign vertex is also
+tried.  A start that stops at the iteration cap is flagged, never silently
+accepted.  The explicit formulas take their head and tail integrals from the
+windowed cell sums of ``norms``.  The oracle takes each grid's cell lengths
+and weight moments (or gamma nodes) once from ``norms.cell_moments``, the
+builder the norms use (the sorted rows of unconstrained candidates from one
 ``Weight.moment`` call), and evaluates the candidates' norms, and their
 gradients, with the same cell kernel, ``norms.cell_sums``.
 """
@@ -508,6 +509,43 @@ class _CoupleObjective:
         n1, g1 = self.ev1.grad(rest, self.monotone)
         return n0 + self.t * n1, g0 - self.t * g1
 
+    def gap(self, u: np.ndarray) -> float:
+        """A bound on J(u) - min J over the monotone candidates (+inf if p < 1 or unconstrained).
+
+        In differences u = Ld, 0 <= d <= hi, J is convex and g = L^T grad J a
+        subgradient, so the Frank-Wolfe gap g.d - min_box g.x bounds it.  At
+        u = 0 (p_0 > 1): each flavor maps the indicator e_k of cells 0..k to a
+        nonnegative function and x^p is superadditive, so N_0(Ld)^p_0 >=
+        sum d_k^p_0 a_k, a_k = N_0(e_k)^p_0.  By Hoelder and the convexity of
+        N_1, J(d) >= J(0) + (1 - D) N_0(Ld) with D the dual norm of -g, and
+        N_0(Ld) <= J(d): the gap is (D - 1)^+ J(0).  u = f* is the mirror
+        image in hi - d.
+        """
+        p0, p1 = self.ev0.p, self.ev1.p
+        if not self.monotone or min(p0, p1) < 1.0:
+            return math.inf
+        F, hi = self.F, self.F - np.append(self.F[1:], 0.0)
+        val, gu = self.value_grad(u)
+        g = gu.cumsum()
+        gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ hi), 0.0)
+        free = hi > 0.0
+        if p0 > 1.0 and not u.any():
+            ev, c, scale = self.ev0, -g, 1.0
+        elif p1 > 1.0 and np.array_equal(u, F):
+            ev, c, scale = self.ev1, g, self.t
+        else:
+            return gap
+        D = _cone_dual(c[free], ev.norm_pow(np.tri(F.size), monotone=True)[free], ev.p) / scale
+        return min(gap, max(D - 1.0, 0.0) * val)
+
+
+def _cone_dual(c: np.ndarray, a: np.ndarray, p: float) -> float:
+    """max <c, d> over d >= 0 with sum_k d_k^p a_k <= 1: the p/(p-1)-norm of c^+ / a^(1/p)."""
+    pos, q = c > 0.0, p / (p - 1.0)
+    if (a[pos] <= 0.0).any():
+        return math.inf
+    return float(((c[pos] / a[pos] ** (1.0 / p)) ** q).sum() ** (1.0 / q))
+
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -517,9 +555,12 @@ class _CoupleObjective:
 class OracleResult:
     """An oracle value with the decomposition that attains it.
 
-    ``converged`` is True when no L-BFGS-B start stopped at its iteration cap;
-    it is not an optimality certificate.  ``iterations`` counts L-BFGS-B
-    iterations over all starts (and over both searches in unconstrained mode).
+    ``gap``, the certificate, bounds ``value`` minus the grid problem's minimum
+    (``_CoupleObjective.gap``; +inf in unconstrained mode or at p < 1).
+    ``converged`` only says that no L-BFGS-B start stopped at its cap.
+    ``starts`` counts L-BFGS-B starts (0 when the truncation candidate was
+    certified), ``iterations`` their iterations, over both searches in
+    unconstrained mode.
     """
 
     value: float
@@ -530,6 +571,8 @@ class OracleResult:
     monotone_only: bool
     grid: Grid
     seed: int
+    gap: float
+    starts: int
 
 
 def oracle_grid(fstar: StepFunction, m: int = 64, pad_decades: float = 1.0) -> Grid:
@@ -548,21 +591,24 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
 
     A level at or above F[k-1] zeroes the last head cell of cut k, which
     repeats cut k-1, so each cut k >= 1 takes only the levels below F[k-1].
+    In monotone mode also level >= F[k], so the rows are (F - level)^+, in ``np.unique``'s order.
     """
     m = F.size
     levels = np.unique(np.concatenate((F, [0.0])))
+    if monotone:
+        return np.maximum(F - levels[::-1, None], 0.0)
     rows = [np.zeros((1, m))]
     arange = np.arange(m)
     for k in range(1, m + 1):
         cs = levels[levels < F[k - 1]]
-        if monotone and k < m:
-            cs = cs[cs >= F[k]]  # a lower level makes the remainder min(F, c) jump up at the cut
         rows.append(np.where(arange < k, np.maximum(F[None, :] - cs[:, None], 0.0), 0.0))
     return np.unique(np.concatenate(rows), axis=0)
 
 
 # per start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
+# a candidate whose gap is at most this share of its value is returned as optimal
+_GAP_REL_TOL = 1e-10
 
 
 def k_oracle(
@@ -579,18 +625,20 @@ def k_oracle(
     mode) the two chain constraints keeping both parts non-increasing, which
     become the box 0 <= d_i <= f*_i - f*_{i+1} on successive differences.
     L-BFGS-B minimizes over the box from five starts: the best truncation
-    candidate, both corners, the centre and a point drawn from ``seed``.  The
+    candidate, both corners, the centre and a point drawn from ``seed``,
+    until the best point has a gap of at most ``_GAP_REL_TOL`` of its value,
+    which the truncation candidate may have before any start.  The
     truncation candidate wins ties.  When both exponents are 1 the monotone
     objective is affine in the differences, and the vertex picked by the sign
     of each slope joins the candidates.  In unconstrained mode the monotone
     search also runs and the better value wins, so the unconstrained value
-    never exceeds the monotone one.
+    never exceeds the monotone one; the unconstrained search runs all starts.
     """
     fstar = rearrange(q.f)
     if fstar.is_zero:
         dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
         g0 = grid or Grid.log(0.1, 10.0, 2)
-        return OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed)
+        return OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed, 0.0, 0)
     grid = grid or oracle_grid(fstar, m)
     g = np.array(grid.points)
     F = fstar.at(g)
@@ -600,7 +648,7 @@ def k_oracle(
         ev0.check_unconstrained()
         ev1.check_unconstrained()
 
-    def run(monotone: bool) -> tuple[float, np.ndarray, float, int, bool]:
+    def run(monotone: bool) -> tuple[float, np.ndarray, float, int, bool, float, int]:
         obj = _CoupleObjective(ev0, ev1, F, q.t, monotone)
         U = _truncation_family(F, monotone)
         tvals = obj.value_batch(U)
@@ -630,26 +678,34 @@ def k_oracle(
         rng = np.random.default_rng(seed)
         starts = [x_trunc, hi, np.zeros_like(hi), hi / 2.0, rng.uniform(size=hi.size) * hi]
         bounds = Bounds(np.zeros_like(hi), hi)
-        best_u, best_f, iters, conv = u_trunc, trunc_val, 0, True
+        best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
+        gap = obj.gap(best_u)
         for x0 in starts:
+            if gap <= _GAP_REL_TOL * best_f:
+                break
             res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
-            iters += res.nit
+            used, iters = used + 1, iters + res.nit
             conv = conv and res.status != 1  # status 1: iteration or evaluation cap
             if res.fun < best_f:
-                best_u, best_f = to_u(res.x), float(res.fun)
+                # the upper corner exactly, which the sum of the differences misses by rounding
+                best_u = F if np.array_equal(res.x, hi) else to_u(res.x)
+                best_f, gap = float(res.fun), obj.gap(best_u)
         if monotone and ev0.p == ev1.p == 1.0:
             vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
             f_vertex = vg(vertex)[0]
             if f_vertex < best_f:
                 best_u, best_f = to_u(vertex), f_vertex
-        return best_f, best_u, trunc_val, iters, conv
+                gap = obj.gap(best_u)
+        return best_f, best_u, trunc_val, iters, conv, gap, used
 
-    value, u, trunc_val, iters, conv = run(monotone=True)
+    value, u, trunc_val, iters, conv, gap, used = run(monotone=True)
     provenance = "optimizer" if value < trunc_val else "truncation"
     won_monotone = True
     if not monotone_only:
-        v2, u2, t2, it2, c2 = run(monotone=False)
+        v2, u2, t2, it2, c2, _, used2 = run(monotone=False)
         iters += it2
+        used += used2
+        gap = math.inf  # the certificate covers the monotone problem only
         conv = conv and c2
         trunc_val = min(trunc_val, t2)
         if v2 < value:
@@ -661,7 +717,7 @@ def k_oracle(
         rest = np.minimum.accumulate(rest)
     dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
     dec.validate_sum(StepFunction(g, F))
-    return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, grid, seed)
+    return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, grid, seed, gap, used)
 
 
 def k_oracle_exhaustive(

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -174,6 +175,25 @@ class TestK:
         assert payload["theta"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
         assert payload["t"] == 4.0
         assert "explicit" in payload and "oracle" not in payload
+
+    def test_json_reports_the_oracle_certificate(self, runner, fn_file):
+        result = runner.invoke(
+            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--m", "16", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["oracle_converged"] is True
+        assert 0.0 <= payload["oracle_gap"] <= 1e-10 * payload["oracle"]
+        assert isinstance(payload["oracle_starts"], int) and 0 <= payload["oracle_starts"] <= 5
+
+    def test_json_writes_an_infinite_gap_as_a_string(self, runner, fn_file, monkeypatch):
+        real = cli.k_oracle
+        monkeypatch.setattr(cli, "k_oracle", lambda *a, **k: replace(real(*a, **k), gap=math.inf))
+        result = runner.invoke(
+            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--m", "16", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["oracle_gap"] == "inf"
 
     def test_invalid_p_for_couple_exits_one(self, runner, fn_file):
         result = runner.invoke(main, ["k", "--fn", fn_file, "--t", "1", "--p", "1"])
