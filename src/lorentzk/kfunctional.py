@@ -46,7 +46,7 @@ gradients, with the same cell kernel, ``norms.cell_sums``.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -108,10 +108,10 @@ class Decomposition:
 
     f0: StepFunction
     f1: StepFunction
-    provenance: str = "manual"
+    provenance: Provenance = "manual"
 
     def __post_init__(self) -> None:
-        if self.provenance not in ("truncation", "decomposition-lemma", "optimizer", "manual"):
+        if self.provenance not in get_args(Provenance):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def validate_sum(self, f: StepFunction, rel_tol: float = _SUM_REL_TOL) -> None:

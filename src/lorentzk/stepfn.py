@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "EvaluableFunction",
     "StepFunction",
     "MaximalFunction",
     "OscillationTransform",
@@ -61,13 +60,6 @@ def json_numbers(value, what: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array of numbers, got {value!r}")
     return tuple(json_number(v, what) for v in value)
-
-
-class EvaluableFunction:
-    """A non-negative function on (0, inf), evaluable at any positive point."""
-
-    def __call__(self, t: float) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 def _left_edges(breakpoints: np.ndarray) -> np.ndarray:
@@ -95,7 +87,7 @@ def _canonical(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class StepFunction(EvaluableFunction):
+class StepFunction:
     """Canonical step function; immutable after construction."""
 
     breakpoints: np.ndarray = ()
@@ -238,7 +230,7 @@ def _require_nonincreasing(f: StepFunction, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class MaximalFunction(EvaluableFunction):
+class MaximalFunction:
     """Running integral mean t |-> (1/t) integral_0^t f of a non-increasing step f.
 
     Piecewise of the form (A + v (t - a)) / t per cell and (total mass)/t
@@ -257,7 +249,7 @@ class MaximalFunction(EvaluableFunction):
 
 
 @dataclass(frozen=True)
-class OscillationTransform(EvaluableFunction):
+class OscillationTransform:
     """Oscillation transform of a non-increasing step function.
 
     Evaluates  t |-> integral_0^{1/t} f - f(1/t)/t  exactly via prefix

@@ -21,6 +21,13 @@ moments in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar
 wrappers.  The gamma norm's node sums read weights through ``at`` (values
 at an array of points) and ``kinks`` (where the weight is not smooth).
 
+Derived functions (the fundamental function phi = W^{1/p}, the tail
+fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)
+are a ``PowerLaw`` c t^e where the closed form is known, i.e. for power
+weights, and otherwise a plain function of t over ``primitive`` or
+``tail_moment``, evaluated point by point.  The checkers take the closed form
+when given a ``PowerLaw`` and scan a grid otherwise.
+
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
 outside the family's validity range; tail-side operations are total so that
@@ -28,6 +35,7 @@ tail-only weights (e.g. negative powers below -1) remain usable.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -35,7 +43,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .grids import DEFAULT_CHECK_GRID, Grid
-from .stepfn import EvaluableFunction, StepFunction, json_number, json_numbers
+from .stepfn import StepFunction, json_number, json_numbers
 
 __all__ = [
     "Weight",
@@ -45,8 +53,6 @@ __all__ = [
     "ReciprocalWeight",
     "InvalidWeightError",
     "PowerLaw",
-    "RatioFunction",
-    "ProductFunction",
     "CoupleConfig",
     "ConditionVerdict",
     "reciprocal_weight",
@@ -100,7 +106,7 @@ def _power_int(q: float, a, b) -> np.ndarray:
     return np.where(a == b, 0.0, np.where(diverges, math.inf, out))
 
 
-class Weight(EvaluableFunction):
+class Weight:
     """Common weight interface; subclasses provide pointwise values and moments."""
 
     family: str = "abstract"
@@ -387,7 +393,7 @@ def weight_from_json_dict(data: dict) -> Weight:
 
 
 @dataclass(frozen=True)
-class PowerLaw(EvaluableFunction):
+class PowerLaw:
     """c * t^e with c >= 0; closed under products, ratios and powers."""
 
     coeff: float
@@ -405,87 +411,25 @@ class PowerLaw(EvaluableFunction):
         return self.coeff * t ** self.exponent
 
 
-@dataclass(frozen=True)
-class RatioFunction(EvaluableFunction):
-    numerator: EvaluableFunction
-    denominator: EvaluableFunction
-
-    def __call__(self, t: float) -> float:
-        den = self.denominator(t)
-        num = self.numerator(t)
-        if den == 0.0:
-            return math.inf if num > 0.0 else 0.0
-        return num / den
-
-
-@dataclass(frozen=True)
-class ProductFunction(EvaluableFunction):
-    factors: tuple[EvaluableFunction, ...]
-
-    def __call__(self, t: float) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f(t)
-        return out
-
-
-@dataclass(frozen=True)
-class _PowerOf(EvaluableFunction):
-    base: EvaluableFunction
-    exponent: float
-
-    def __call__(self, t: float) -> float:
-        return self.base(t) ** self.exponent
-
-
-def _pow_fn(f: EvaluableFunction, e: float) -> EvaluableFunction:
-    if isinstance(f, PowerLaw):
-        return PowerLaw(f.coeff ** e, f.exponent * e)
-    return _PowerOf(f, e)
-
-
-def _ratio_fn(f: EvaluableFunction, g: EvaluableFunction) -> EvaluableFunction:
+def _ratio_fn(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
+    """t |-> f(t) / g(t), reading x / 0 as inf for x > 0 and as 0 for x = 0;
+    two power laws fold into one."""
     if isinstance(f, PowerLaw) and isinstance(g, PowerLaw):
         if g.coeff == 0.0:
             raise ValueError("ratio denominator is identically zero")
         return PowerLaw(f.coeff / g.coeff, f.exponent - g.exponent)
-    return RatioFunction(f, g)
+
+    def ratio(t: float) -> float:
+        den = g(t)
+        num = f(t)
+        if den == 0.0:
+            return math.inf if num > 0.0 else 0.0
+        return num / den
+
+    return ratio
 
 
-def _product_fn(f: EvaluableFunction, g: EvaluableFunction) -> EvaluableFunction:
-    if isinstance(f, PowerLaw) and isinstance(g, PowerLaw):
-        return PowerLaw(f.coeff * g.coeff, f.exponent + g.exponent)
-    return ProductFunction((f, g))
-
-
-@dataclass(frozen=True)
-class _QuadratureTailFundamental(EvaluableFunction):
-    """(integral_t^inf s^{-p} w)^{1/p} via the weight's moment machinery."""
-
-    w: Weight
-    p: float
-
-    def __call__(self, t: float) -> float:
-        val = self.w.tail_moment(self.p, t)
-        if math.isinf(val):
-            raise InvalidWeightError(
-                f"tail moment of {self.w.describe()} diverges at exponent {self.p:g}"
-            )
-        return val ** (1.0 / self.p)
-
-
-@dataclass(frozen=True)
-class _QuadratureFundamental(EvaluableFunction):
-    """W(t)^{1/p} via the weight's primitive."""
-
-    w: Weight
-    p: float
-
-    def __call__(self, t: float) -> float:
-        return self.w.primitive(t) ** (1.0 / self.p)
-
-
-def tail_fundamental(w: Weight, p: float) -> EvaluableFunction:
+def tail_fundamental(w: Weight, p: float) -> Callable[[float], float]:
     """t |-> (integral_t^inf s^{-p} w(s) ds)^{1/p}; closed form for Power."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
@@ -496,15 +440,20 @@ def tail_fundamental(w: Weight, p: float) -> EvaluableFunction:
                 f"(requires beta < p - 1)"
             )
         return PowerLaw((1.0 / (p - 1.0 - w.beta)) ** (1.0 / p), (w.beta + 1.0 - p) / p)
-    probe = w.tail_moment(p, 1.0)
-    if math.isinf(probe):
-        raise InvalidWeightError(
-            f"tail moment of {w.describe()} diverges at exponent {p:g}"
-        )
-    return _QuadratureTailFundamental(w, p)
+
+    def psi(t: float) -> float:
+        val = w.tail_moment(p, t)
+        if math.isinf(val):
+            raise InvalidWeightError(
+                f"tail moment of {w.describe()} diverges at exponent {p:g}"
+            )
+        return val ** (1.0 / p)
+
+    psi(1.0)  # raises when the tail integral diverges
+    return psi
 
 
-def fundamental(w: Weight, p: float) -> EvaluableFunction:
+def fundamental(w: Weight, p: float) -> Callable[[float], float]:
     """t |-> W(t)^{1/p}, the fundamental function of the Lambda-type space."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
@@ -515,7 +464,7 @@ def fundamental(w: Weight, p: float) -> EvaluableFunction:
             )
         return PowerLaw((1.0 / (w.beta + 1.0)) ** (1.0 / p), (w.beta + 1.0) / p)
     w.primitive(1.0)  # raises when the head integral diverges
-    return _QuadratureFundamental(w, p)
+    return lambda t: w.primitive(t) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +500,12 @@ class CoupleConfig:
         }
 
 
-def tail_fundamental_ratio(cfg: CoupleConfig) -> EvaluableFunction:
+def tail_fundamental_ratio(cfg: CoupleConfig) -> Callable[[float], float]:
     """Ratio of the two tail fundamentals: the K-parameter map of the S-couple."""
     return _ratio_fn(tail_fundamental(cfg.w0, cfg.p0), tail_fundamental(cfg.w1, cfg.p1))
 
 
-def fundamental_ratio(cfg: CoupleConfig) -> EvaluableFunction:
+def fundamental_ratio(cfg: CoupleConfig) -> Callable[[float], float]:
     """Ratio of the two fundamental functions: the K-parameter map of the head couple."""
     return _ratio_fn(fundamental(cfg.w0, cfg.p0), fundamental(cfg.w1, cfg.p1))
 
@@ -595,7 +544,7 @@ def _resolve_method(w: Weight, method: Method) -> str:
 
 
 def _sup_scan(pairs) -> tuple[float, float]:
-    """(max ratio, witness t) over (t, ratio) pairs; inf ratios win immediately."""
+    """(max ratio, witness t) over (t, ratio) pairs: the first t attaining the max."""
     best, arg = -math.inf, math.nan
     for t, r in pairs:
         if r > best:
@@ -677,32 +626,31 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
 def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
     """Doubling of both tail fundamentals: psi_i(t) <= C psi_i(2t)."""
     constants: list[float] = []
+    witnesses: list[float] = []
     details: list[str] = []
     hows: list[str] = []
-    witness = 1.0
     for label, w, p in (("index0", cfg.w0, cfg.p0), ("index1", cfg.w1, cfg.p1)):
         psi = tail_fundamental(w, p)  # raises on divergent tails
-        how = _resolve_method(w, method) if method != "grid" else "grid"
-        if how == "closed-form" and isinstance(psi, PowerLaw):
-            c = 2.0 ** (-psi.exponent)
+        if _resolve_method(w, method) == "closed-form" and isinstance(psi, PowerLaw):
+            c, witness = 2.0 ** (-psi.exponent), 1.0
             hows.append("closed-form")
         else:
-            g = grid or DEFAULT_CHECK_GRID
-            pairs = [(t, psi(t) / psi(2.0 * t)) for t in g.points]
-            c, witness = _sup_scan(pairs)
+            doubling = _ratio_fn(psi, lambda t: psi(2.0 * t))  # psi(2t) = 0 reads inf
+            c, witness = _sup_scan([(t, doubling(t)) for t in (grid or DEFAULT_CHECK_GRID).points])
             hows.append("grid")
         constants.append(c)
+        witnesses.append(witness)
         details.append(f"{label}: C={c:.6g}")
     c = max(constants)
     return ConditionVerdict(
-        "tail-doubling", math.isfinite(c), c, witness,
+        "tail-doubling", math.isfinite(c), c, witnesses[constants.index(c)],
         "closed-form" if all(h == "closed-form" for h in hows) else "grid",
         "; ".join(details),
     )
 
 
 def _quasi_monotone_grid(
-    fn: EvaluableFunction, grid: Grid, threshold: float
+    fn: Callable[[float], float], grid: Grid, threshold: float
 ) -> tuple[bool, float, float]:
     """Quasi-monotone non-decreasing check: sup_{s<=t} fn(s)/fn(t) <= threshold."""
     best, arg = 1.0, grid.points[0]
@@ -728,15 +676,19 @@ def check_cond3(
         raise ValueError("eps must be positive and finite")
     psi0 = tail_fundamental(cfg.w0, cfg.p0)
     theta = tail_fundamental_ratio(cfg)
-    g = _product_fn(theta, _pow_fn(psi0, eps))
-    if isinstance(g, PowerLaw):
-        holds = g.exponent >= 0.0
+    if isinstance(psi0, PowerLaw):  # the grid scan evaluates c^eps t^{e eps}, not (c t^e)^eps
+        psi0_eps = PowerLaw(psi0.coeff ** eps, psi0.exponent * eps)
+    else:
+        psi0_eps = lambda t: psi0(t) ** eps
+    if isinstance(theta, PowerLaw) and isinstance(psi0_eps, PowerLaw):
+        exponent = theta.exponent + psi0_eps.exponent
+        holds = exponent >= 0.0
         return ConditionVerdict(
             "ratio-quasi-monotone", holds, 1.0 if holds else math.inf, 1.0,
-            "closed-form", f"pure power with exponent {g.exponent:.6g}; eps={eps:g}",
+            "closed-form", f"pure power with exponent {exponent:.6g}; eps={eps:g}",
         )
     grid = grid or DEFAULT_CHECK_GRID
-    holds, c, arg = _quasi_monotone_grid(g, grid, threshold)
+    holds, c, arg = _quasi_monotone_grid(lambda t: theta(t) * psi0_eps(t), grid, threshold)
     return ConditionVerdict(
         "ratio-quasi-monotone", holds, c, arg, "grid",
         f"eps={eps:g}; threshold={threshold:g}",

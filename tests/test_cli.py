@@ -140,6 +140,14 @@ class TestCheckWeights:
             "delta2: fails constant=inf [grid]",
         ]
 
+    def test_vanishing_tail_fundamental_fails_doubling(self, runner, tmp_path):
+        # the table's tail fundamental is 0 from t = 5 on, so psi1(t) / psi1(2t) reads inf
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2, 5], "values": [1, 0.5, 2]}))
+        result = runner.invoke(main, ["check-weights", "--weight", "power:0", "--weight2", f"file:{path}"])
+        assert result.exit_code == 0, result.output
+        assert "tail-doubling: fails constant=inf [grid]" in result.output.splitlines()
+
     def test_json_format(self, runner):
         result = runner.invoke(
             main, ["check-weights", "--p", "2", "--weight", "power:0", "--format", "json"]

@@ -25,6 +25,7 @@ from lorentzk import (
     check_rbp,
     check_sufconds,
     fundamental,
+    fundamental_ratio,
     reciprocal_weight,
     tail_diverges_at_zero,
     tail_fundamental,
@@ -277,6 +278,21 @@ class TestFundamentals:
         for t in (0.5, 1.0, 4.0):
             assert theta(t) == pytest.approx(math.sqrt(2.0) * math.sqrt(t), rel=1e-12)
 
+    def test_theta_beyond_a_tabulated_support(self):
+        # psi of the table vanishes from its last step on: x / 0 reads inf, 0 / 0 reads 0
+        tab = TabulatedWeight(StepFunction((1.0, 2.0, 5.0), (1.0, 0.5, 2.0)))
+        theta = tail_fundamental_ratio(CoupleConfig(2.0, PowerWeight(0.0), 2.0, tab))
+        assert 0.0 < theta(4.0) < math.inf
+        assert theta(5.0) == theta(6.0) == math.inf
+        assert tail_fundamental_ratio(CoupleConfig(2.0, tab, 3.0, tab))(6.0) == 0.0
+
+    def test_power_couples_keep_power_laws(self):
+        cfg = CoupleConfig(2.0, PowerWeight(0.0), 3.0, PowerWeight(-0.5))
+        assert isinstance(fundamental_ratio(cfg), PowerLaw)
+        assert isinstance(tail_fundamental_ratio(cfg), PowerLaw)
+        assert check_cond1(cfg).method == "closed-form"
+        assert check_cond3(cfg, 0.5).method == "closed-form"
+
 
 class TestConditionCheckers:
     def test_bp_closed_form_constant(self):
@@ -330,6 +346,25 @@ class TestConditionCheckers:
         # doubling constant of psi: 2^{(p-1-beta)/p} per index, max over both
         expect = max(2.0 ** (1.0 / 2.0), 2.0 ** (2.0 / 2.0))
         assert v.constant == pytest.approx(expect, rel=1e-12)
+
+    def test_cond1_fails_when_a_tail_fundamental_vanishes(self):
+        # psi1(2t) = 0 beyond the table's support while psi1(t) > 0: C = inf
+        tab = TabulatedWeight(StepFunction((1.0, 2.0, 5.0), (1.0, 0.5, 2.0)))
+        v = check_cond1(CoupleConfig(2.0, PowerWeight(0.0), 2.0, tab))
+        assert not v.holds and v.constant == math.inf and v.method == "grid"
+        assert 2.5 <= v.witness_t < 5.0
+
+    def test_cond1_witness_of_the_attaining_index(self):
+        # index 0 attains C = 1.917 at t = 0.1; index 1 is grid-scanned after it
+        cfg = CoupleConfig(2.0, PowerLogWeight(-0.5, 1.0), 2.0, PowerLogWeight(0.2, -0.4))
+        v = check_cond1(cfg, Grid.log(1e-2, 1e2, 9))
+        assert v.constant == pytest.approx(1.917, abs=1e-3)
+        assert v.witness_t == pytest.approx(0.1, rel=1e-12)
+        # index 1 attains C = 2^{3/4} in closed form, t-independent: witness 1
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.0, 0.0), 2.0, PowerWeight(-0.5))
+        v = check_cond1(cfg, Grid.log(1e-2, 1e2, 9))
+        assert v.constant == pytest.approx(2.0 ** 0.75, rel=1e-12)
+        assert v.witness_t == 1.0
 
     def test_cond3_power_couples(self):
         cfg = CoupleConfig(2.0, PowerWeight(0.0), 2.0, PowerWeight(-1.0))
