@@ -31,11 +31,14 @@ This module provides:
 
 Monotone decompositions are optimized in successive-difference coordinates,
 where both chain constraints become a coordinate box; the objective is
-convex there (p >= 1) and ``_CoupleObjective.gap`` certifies a candidate.
-The best truncation candidate stands when certified; otherwise scipy's
-L-BFGS-B runs from up to five starts until the best point is certified.  At
-p_0 = p_1 = 1 the objective is affine and the slope-sign vertex is also
-tried.  A start that stops at the iteration cap is flagged, never silently
+convex there (p >= 1) and ``_CoupleObjective.gap`` certifies a candidate:
+a Frank-Wolfe gap, and at a vanishing part the level-function dual norm
+over the cone of non-increasing functions.  The best truncation candidate
+stands when certified; otherwise scipy's L-BFGS-B runs from up to five
+distinct starts until the best point is certified, and a few Newton steps
+on the free face polish each new best point.  At p_0 = p_1 = 1 the
+objective is affine and the slope-sign vertex is also tried.  A monotone
+value without a certificate is flagged unconverged, never silently
 accepted.  The explicit formulas take their head and tail integrals from the
 windowed cell sums of ``norms``.  The oracle takes each grid's cell lengths
 and weight moments (or gamma nodes) once from ``norms.cell_moments``, the
@@ -476,6 +479,24 @@ class _SpaceOnGrid:
         grad[order] = gs
         return n, grad
 
+    def cone_dual(self, c: np.ndarray, free: np.ndarray) -> float:
+        """max <c, d> over d >= 0 with d_k = 0 off ``free`` and N(Ld) <= 1.
+
+        Exact for lambda, where N(Ld)^p = sum_i dW_i u_i^p, and for s, where
+        C_i = A_{i-1} - u_i x_{i-1} = sum_{k<i} x_k d_k makes N(Ld)^p the same
+        sum over the partial sums of x_k d_k (weights dPsi_1, ..., dPsi_{m-1}
+        and the tail), read backwards.  Gamma takes the superadditive bound
+        N(Ld)^p >= sum_k d_k^p N(e_k)^p, e_k the indicator of cells 0..k.
+        """
+        _, lengths, left, moments, tail = self.grid_cells
+        if self.flavor == "lambda":
+            return _level_dual(c[free], moments.cumsum()[free], self.p)
+        if self.flavor == "s":
+            back = free[::-1]
+            X = np.append(moments[1:], tail)[::-1].cumsum()
+            return _level_dual((c / (left + lengths))[::-1][back], X[back], self.p)
+        return _cone_dual(c[free], self.norm_pow(np.tri(c.size), monotone=True)[free], self.p)
+
     def _gamma_backward(
         self, u: np.ndarray, vals: np.ndarray, M: float, nodes: GammaNodes, tail: float
     ) -> np.ndarray:
@@ -489,10 +510,15 @@ class _SpaceOnGrid:
 
 
 class _CoupleObjective:
-    """J(u) = ||u||_0 + t ||F - u||_1 on the grid, monotone or unconstrained."""
+    """J(u) = ||u||_0 + t ||F - u||_1 on the grid, monotone or unconstrained.
+
+    Monotone candidates are u = Ld, the suffix sums of differences d in the
+    box 0 <= d <= hi, hi_k = F_k - F_{k+1}.
+    """
 
     def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float, monotone: bool):
         self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
+        self.hi = F - np.append(F[1:], 0.0)
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
         rest = np.maximum(self.F - U, 0.0)
@@ -509,42 +535,131 @@ class _CoupleObjective:
         n1, g1 = self.ev1.grad(rest, self.monotone)
         return n0 + self.t * n1, g0 - self.t * g1
 
+    def to_u(self, d: np.ndarray) -> np.ndarray:
+        """The candidate Ld of differences d, clipped to [0, F] against rounding."""
+        # the array methods skip the Python-level wrappers of np.clip and np.cumsum
+        return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), self.F)
+
+    def diff_value_grad(self, d: np.ndarray) -> tuple[float, np.ndarray]:
+        """J(Ld) and its gradient L^T grad J in the differences."""
+        val, gu = self.value_grad(self.to_u(d))
+        return val, gu.cumsum()
+
     def gap(self, u: np.ndarray) -> float:
         """A bound on J(u) - min J over the monotone candidates (+inf if p < 1 or unconstrained).
 
         In differences u = Ld, 0 <= d <= hi, J is convex and g = L^T grad J a
         subgradient, so the Frank-Wolfe gap g.d - min_box g.x bounds it.  At
-        u = 0 (p_0 > 1): each flavor maps the indicator e_k of cells 0..k to a
-        nonnegative function and x^p is superadditive, so N_0(Ld)^p_0 >=
-        sum d_k^p_0 a_k, a_k = N_0(e_k)^p_0.  By Hoelder and the convexity of
-        N_1, J(d) >= J(0) + (1 - D) N_0(Ld) with D the dual norm of -g, and
-        N_0(Ld) <= J(d): the gap is (D - 1)^+ J(0).  u = f* is the mirror
-        image in hi - d.
+        u = 0 (p_0 > 1) the subgradient of N_0 vanishes, so by the convexity
+        of N_1, J(d) >= J(0) + (1 - D) N_0(Ld) with D the dual norm of c = -g
+        over the cone d >= 0 (``_SpaceOnGrid.cone_dual``; d_k = 0 where hi_k =
+        0, and dropping d <= hi only relaxes it).  As N_0(Ld) <= J(d), the gap
+        is (D - 1)^+ J(0), which is 0 when u = 0 is optimal and D exact (the
+        lambda and s flavors).  u = f* is the mirror image in hi - d, with c =
+        g and the dual norm of t N_1.
         """
         p0, p1 = self.ev0.p, self.ev1.p
         if not self.monotone or min(p0, p1) < 1.0:
             return math.inf
-        F, hi = self.F, self.F - np.append(self.F[1:], 0.0)
         val, gu = self.value_grad(u)
         g = gu.cumsum()
-        gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ hi), 0.0)
-        free = hi > 0.0
+        gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ self.hi), 0.0)
         if p0 > 1.0 and not u.any():
             ev, c, scale = self.ev0, -g, 1.0
-        elif p1 > 1.0 and np.array_equal(u, F):
+        elif p1 > 1.0 and np.array_equal(u, self.F):
             ev, c, scale = self.ev1, g, self.t
         else:
             return gap
-        D = _cone_dual(c[free], ev.norm_pow(np.tri(F.size), monotone=True)[free], ev.p) / scale
+        D = ev.cone_dual(c, self.hi > 0.0) / scale
         return min(gap, max(D - 1.0, 0.0) * val)
+
+    def polish(self, d: np.ndarray, val: float, gap: float) -> tuple[np.ndarray, float, float]:
+        """Up to three Newton steps on the free face 0 < d < hi, each clipped to the box.
+
+        L-BFGS-B stops where its ftol resolves d only to about sqrt(eps), which
+        can leave a Frank-Wolfe gap above ``_GAP_REL_TOL``.  The Hessian on
+        the free coordinates comes from forward differences of the gradient.
+        A step is kept when J stays within 4 ulps of ``val`` and the gap
+        shrinks; the first step that fails ends the polish.  Returns the best
+        (d, J, gap).
+        """
+        h = math.sqrt(_EPS) * float(self.F[0])  # the forward-difference step
+        for _ in range(3):
+            free = np.flatnonzero((d > 0.0) & (d < self.hi))
+            if not free.size or gap <= _GAP_REL_TOL * val:
+                break
+            g = self.diff_value_grad(d)[1][free]
+            # step into the box, from the side with more room
+            steps = np.where(self.hi[free] - d[free] >= d[free], h, -h)
+            H = np.empty((free.size, free.size))
+            for col, (k, hk) in enumerate(zip(free, steps)):
+                e = d.copy()
+                e[k] += hk
+                H[:, col] = (self.diff_value_grad(e)[1][free] - g) / hk
+            try:
+                delta = np.linalg.solve(0.5 * (H + H.T), -g)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(delta).all():
+                break
+            trial = d.copy()
+            trial[free] = np.clip(d[free] + delta, 0.0, self.hi[free])
+            u = self.to_u(trial)
+            f_trial, gap_trial = self.value_grad(u)[0], self.gap(u)
+            if not (f_trial <= val * (1.0 + 4.0 * _EPS) and gap_trial < gap):
+                break
+            d, val, gap = trial, f_trial, gap_trial
+        return d, val, gap
+
+
+def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The slope over (X_{k-1}, X_k] of the least concave majorant of (0, 0)
+    and the points (X_k, c_k), X non-decreasing and X_{-1} = 0: one per point,
+    +inf where the majorant jumps up at X = 0, -inf on a drop at equal X."""
+    xs, ys = [0.0, *X.tolist()], [0.0, *c.tolist()]
+    hull = [0]
+    for j in range(1, len(xs)):
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if (xs[b] - xs[a]) * (ys[j] - ys[a]) < (ys[b] - ys[a]) * (xs[j] - xs[a]):
+                break
+            hull.pop()  # b lies on or below the chord from a to j
+        hull.append(j)
+    v = np.array(hull)
+    dx, dy = np.diff(np.array(xs)[v]), np.diff(np.array(ys)[v])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg = np.where(dx > 0.0, dy / dx, np.where(dy > 0.0, math.inf, -math.inf))
+    return np.repeat(seg, np.diff(v))
+
+
+def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
+    """max <c, d> over d >= 0 with sum_i W_i (sum_{k >= i} d_k)^p <= 1, X_k = W_0 + ... + W_k.
+
+    The level-function duality for the cone of non-increasing functions
+    (Sawyer 1990; Sinnamon 2001): with sigma the slopes of the least concave
+    majorant of the points (X_k, c_k), the value is the p'-norm
+    (sum_k (X_k - X_{k-1}) (sigma_k^+)^{p'})^{1/p'}, attained at the
+    non-increasing u_k = (sigma_k^+)^{p'-1}, which is constant on each block
+    of the majorant.
+    """
+    sigma = np.maximum(_level_slopes(c, X), 0.0)
+    return _scaled_norm(sigma, np.diff(X, prepend=0.0), p / (p - 1.0))
 
 
 def _cone_dual(c: np.ndarray, a: np.ndarray, p: float) -> float:
     """max <c, d> over d >= 0 with sum_k d_k^p a_k <= 1: the p/(p-1)-norm of c^+ / a^(1/p)."""
-    pos, q = c > 0.0, p / (p - 1.0)
+    pos = c > 0.0
     if (a[pos] <= 0.0).any():
         return math.inf
-    return float(((c[pos] / a[pos] ** (1.0 / p)) ** q).sum() ** (1.0 / q))
+    return _scaled_norm(c[pos] / a[pos] ** (1.0 / p), np.ones(pos.sum()), p / (p - 1.0))
+
+
+def _scaled_norm(x: np.ndarray, w: np.ndarray, q: float) -> float:
+    """(sum_k w_k x_k^q)^{1/q} for x >= 0, scaled by max x so that x^q cannot underflow."""
+    top = x.max(initial=0.0)
+    if top == 0.0 or top == math.inf:
+        return float(top)
+    return float(top * (w @ (x / top) ** q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +672,12 @@ class OracleResult:
 
     ``gap``, the certificate, bounds ``value`` minus the grid problem's minimum
     (``_CoupleObjective.gap``; +inf in unconstrained mode or at p < 1).
-    ``converged`` only says that no L-BFGS-B start stopped at its cap.
-    ``starts`` counts L-BFGS-B starts (0 when the truncation candidate was
-    certified), ``iterations`` their iterations, over both searches in
-    unconstrained mode.
+    ``converged`` means ``gap <= _GAP_REL_TOL * value`` in monotone mode with
+    both exponents at least 1.  Unconstrained mode and p < 1 have no
+    certificate, so there it only says that no L-BFGS-B start stopped at its
+    cap.  ``starts`` counts the distinct L-BFGS-B starts run (0 when the
+    truncation candidate was certified), ``iterations`` their iterations,
+    over both searches in unconstrained mode.
     """
 
     value: float
@@ -609,6 +726,7 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def k_oracle(
@@ -625,14 +743,18 @@ def k_oracle(
     mode) the two chain constraints keeping both parts non-increasing, which
     become the box 0 <= d_i <= f*_i - f*_{i+1} on successive differences.
     L-BFGS-B minimizes over the box from five starts: the best truncation
-    candidate, both corners, the centre and a point drawn from ``seed``,
-    until the best point has a gap of at most ``_GAP_REL_TOL`` of its value,
-    which the truncation candidate may have before any start.  The
-    truncation candidate wins ties.  When both exponents are 1 the monotone
-    objective is affine in the differences, and the vertex picked by the sign
-    of each slope joins the candidates.  In unconstrained mode the monotone
-    search also runs and the better value wins, so the unconstrained value
-    never exceeds the monotone one; the unconstrained search runs all starts.
+    candidate, both corners, the centre and a point drawn from ``seed``; a
+    start equal to an earlier one is skipped.  The search stops once the
+    best point has a gap of at most ``_GAP_REL_TOL`` of its value, which the
+    truncation candidate may have before any start (the exact dual certifies
+    an optimum at a vanishing part there).  A start that beats the best
+    point but leaves it uncertified is polished by up to three Newton steps
+    on the free face (``_CoupleObjective.polish``).  The truncation candidate
+    wins ties.  When both exponents are 1 the monotone objective is affine in
+    the differences, and the vertex picked by the sign of each slope joins
+    the candidates.  In unconstrained mode the monotone search also runs and
+    the better value wins, so the unconstrained value never exceeds the
+    monotone one; the unconstrained search runs all its distinct starts.
     """
     fstar = rearrange(q.f)
     if fstar.is_zero:
@@ -656,16 +778,7 @@ def k_oracle(
         trunc_val = float(tvals[k_best])
         u_trunc = U[k_best]
         if monotone:
-            hi = F - np.concatenate((F[1:], [0.0]))
-
-            def to_u(d: np.ndarray) -> np.ndarray:
-                # the array methods skip the Python-level wrappers of np.clip and np.cumsum
-                return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), F)
-
-            def vg(d: np.ndarray) -> tuple[float, np.ndarray]:
-                val, gu = obj.value_grad(to_u(d))
-                return val, gu.cumsum()
-
+            hi, to_u, vg = obj.hi, obj.to_u, obj.diff_value_grad
             x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
         else:
             hi = F
@@ -680,16 +793,23 @@ def k_oracle(
         bounds = Bounds(np.zeros_like(hi), hi)
         best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
         gap = obj.gap(best_u)
-        for x0 in starts:
+        for j, x0 in enumerate(starts):
             if gap <= _GAP_REL_TOL * best_f:
                 break
+            if any(np.array_equal(x0, y) for y in starts[:j]):
+                continue  # L-BFGS-B would repeat that start's run
             res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
             used, iters = used + 1, iters + res.nit
             conv = conv and res.status != 1  # status 1: iteration or evaluation cap
             if res.fun < best_f:
+                beaten = best_f
                 # the upper corner exactly, which the sum of the differences misses by rounding
                 best_u = F if np.array_equal(res.x, hi) else to_u(res.x)
                 best_f, gap = float(res.fun), obj.gap(best_u)
+                if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
+                    d, f_d, gap_d = obj.polish(res.x, best_f, gap)
+                    if gap_d < gap and f_d < beaten:
+                        best_u, best_f, gap = to_u(d), f_d, gap_d
         if monotone and ev0.p == ev1.p == 1.0:
             vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
             f_vertex = vg(vertex)[0]
@@ -699,6 +819,8 @@ def k_oracle(
         return best_f, best_u, trunc_val, iters, conv, gap, used
 
     value, u, trunc_val, iters, conv, gap, used = run(monotone=True)
+    if monotone_only and min(ev0.p, ev1.p) >= 1.0:
+        conv = gap <= _GAP_REL_TOL * value  # the certificate, not the iteration cap
     provenance = "optimizer" if value < trunc_val else "truncation"
     won_monotone = True
     if not monotone_only:

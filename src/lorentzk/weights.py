@@ -554,6 +554,7 @@ def _sup_scan(pairs) -> tuple[float, float]:
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den elementwise, reading x / 0 as inf for x > 0 and as 0 for x = 0."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0.0, np.where(num > 0.0, math.inf, 0.0), num / den)
 
@@ -769,7 +770,7 @@ def check_sufconds(
         probe = head_integral(t, cutoff / 32.0)
         if full > 0.0 and (probe - full) > 0.05 * full:
             unstable = True
-        pairs_a.append((t, full / sigma(t) ** cfg.p0))
+        pairs_a.append((t, float(_ratio(full, sigma(t) ** cfg.p0))))
     ca, wa = _sup_scan(pairs_a)
     holds_a = math.isfinite(ca) and ca <= threshold and not unstable
     detail_a = f"lower cutoff {cutoff:g}" + ("; cutoff-sensitive (divergent head)" if unstable else "")
@@ -777,7 +778,9 @@ def check_sufconds(
         "head-integral-vs-sigma", holds_a, math.inf if unstable else ca, wa, "grid", detail_a
     )
 
-    pairs_b = [(t, sigma(t) * tail_integral(t) ** (1.0 / cfg.p1)) for t in grid.points]
+    # sigma(t) = 0 makes the tail term 0, as in the explicit formula; phi0 may vanish beyond t then
+    sigmas = [sigma(t) for t in grid.points]
+    pairs_b = [(t, s and s * tail_integral(t) ** (1.0 / cfg.p1)) for t, s in zip(grid.points, sigmas)]
     cb, wb = _sup_scan(pairs_b)
     holds_b = math.isfinite(cb) and cb <= threshold
     vb = ConditionVerdict("sigma-vs-tail-integral", holds_b, cb, wb, "grid", "")
@@ -800,7 +803,7 @@ def tail_diverges_at_zero(w: Weight, p: float) -> ConditionVerdict:
         )
     psi = tail_fundamental(w, p)
     lo, hi = 1e-8, 1e-2
-    ratio = psi(lo) / psi(hi)
+    ratio = float(_ratio(psi(lo), psi(hi)))
     holds = ratio > 1e2
     return ConditionVerdict(
         "tail-blowup-at-zero", holds, ratio, lo, "grid",

@@ -140,6 +140,16 @@ class TestCheckWeights:
             "delta2: fails constant=inf [grid]",
         ]
 
+    def test_vanishing_fundamental_ratio(self, runner, tmp_path):
+        # phi0 = 0 on (0, 1], so sigma = phi0 / phi1 vanishes there: the head ratio
+        # reads x / 0 by the checkers' rule and the tail term is 0
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [0, 1]}))
+        result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
+        assert result.exit_code == 0, result.output
+        # the head sup is t ln 2 at t = 1e4: phi1(s)^-2 = 1/s integrates to ln 2 over (1, 2], sigma(t)^2 = 1/t
+        assert "sufficient-head: fails constant=6931.47 [grid]" in result.output.splitlines()
+
     def test_vanishing_tail_fundamental_fails_doubling(self, runner, tmp_path):
         # the table's tail fundamental is 0 from t = 5 on, so psi1(t) / psi1(2t) reads inf
         path = tmp_path / "tab.json"

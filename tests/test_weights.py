@@ -378,6 +378,11 @@ class TestConditionCheckers:
         assert tail_diverges_at_zero(PowerWeight(0.0), 2.0).holds
         assert not tail_diverges_at_zero(PowerWeight(1.5), 2.0).holds
 
+    def test_tail_diverges_at_zero_when_psi_vanishes_at_the_probe(self):
+        # no mass beyond 1e-3, so psi(1e-2) = 0 while psi(1e-8) > 0: x / 0 reads inf
+        verdict = tail_diverges_at_zero(TabulatedWeight(StepFunction((1e-3,), (1.0,))), 2.0)
+        assert verdict.holds and verdict.constant == math.inf
+
 
 class TestSufficientConditions:
     def test_swapped_couple_closed_form(self):
