@@ -3,22 +3,25 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing finite tuple of positive evaluation points."""
+    """Strictly increasing positive evaluation points, a read-only float64 array."""
 
-    points: tuple[float, ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        if not pts:
-            raise ValueError("grid must contain at least one point")
-        for p in pts:
-            if not (p > 0.0 and math.isfinite(p)):
-                raise ValueError(f"grid points must be positive and finite, got {p!r}")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 1 or not pts.size:
+            raise ValueError("grid must be a flat sequence of at least one point")
+        bad = np.flatnonzero(~((pts > 0.0) & np.isfinite(pts)))
+        if bad.size:
+            raise ValueError(f"grid points must be positive and finite, got {float(pts[bad[0]])!r}")
+        if (pts[1:] <= pts[:-1]).any():
             raise ValueError("grid points must be strictly increasing")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -29,20 +32,18 @@ class Grid:
         if n < 2:
             raise ValueError("need at least two points")
         la, lb = math.log(lo), math.log(hi)
+        # libm exp per point: np.exp may differ in the last bit, which would move every grid
         pts = [math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
         pts[0], pts[-1] = lo, hi
-        return cls(tuple(pts))
+        return cls(pts)
 
-    def union(self, extra: tuple[float, ...]) -> "Grid":
-        """Grid over the same span with the extra points merged in."""
-        merged = sorted(set(self.points) | {float(x) for x in extra if x > 0.0})
-        return Grid(tuple(merged))
+    def union(self, extra: np.ndarray | tuple[float, ...]) -> "Grid":
+        """Grid over the same span with the positive extra points merged in."""
+        extra = np.asarray(extra, dtype=float)
+        return Grid(np.union1d(self.points, extra[extra > 0.0]))
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+        return self.points.size
 
 
 DEFAULT_CHECK_GRID = Grid.log(1e-6, 1e6, 400)

@@ -40,8 +40,9 @@ on the free face polish each new best point.  At p_0 = p_1 = 1 the
 objective is affine and the slope-sign vertex is also tried.  A monotone
 value without a certificate is flagged unconverged, never silently
 accepted.  The explicit formulas take their head and tail integrals from the
-windowed cell sums of ``norms``.  The oracle takes each grid's cell lengths
-and weight moments (or gamma nodes) once from ``norms.cell_moments``, the
+windowed cell sums of ``norms``.  The oracle runs lambda- and s-flavor
+couples, the two the paper's K-functionals reduce to.  It takes each grid's
+cell lengths and weight moments once from ``norms.cell_moments``, the
 builder the norms use (the sorted rows of unconstrained candidates from one
 ``Weight.moment`` call), and evaluates the candidates' norms, and their
 gradients, with the same cell kernel, ``norms.cell_sums``.
@@ -55,7 +56,7 @@ import numpy as np
 from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
-from .norms import GammaNodes, LorentzSpace, _powered, cell_moments, cell_sums
+from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
 from .stepfn import (
     StepFunction,
     _require_nonincreasing,
@@ -388,19 +389,21 @@ class _SpaceOnGrid:
     """Norms of step functions with fixed cells and variable values.
 
     Cells are (g_{i-1}, g_i] with g_0 = 0; candidate vectors hold the value
-    per cell and vanish beyond the last point.  The cell lengths, left edges,
-    moments (lambda, s) or log-panel Gauss-Legendre nodes (gamma) and tail
-    moment are built once here by ``norms.cell_moments``, as for the norms,
-    and every flavor evaluates them with the norms' cell kernel,
-    ``norms.cell_sums``.  Unconstrained candidates are sorted into
-    non-increasing order first; each row's cells are then the cumulative sums
-    of its sorted cell lengths, and their moments and tail come from one
-    ``Weight.moment`` call each over all rows.  They need power weights.
+    per cell and vanish beyond the last point.  The space is a lambda- or
+    s-flavor one.  The cell lengths, left edges, moments and tail moment are
+    built once here by ``norms.cell_moments``, as for the norms, and both
+    flavors evaluate them with the norms' cell kernel, ``norms.cell_sums``.
+    Unconstrained candidates are sorted into non-increasing order first; each
+    row's cells are then the cumulative sums of its sorted cell lengths, and
+    their moments and tail come from one ``Weight.moment`` call each over all
+    rows.  They need power weights.
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
         if not math.isfinite(space.p):
             raise ValueError("the oracle supports finite exponents only")
+        if space.flavor == "gamma":
+            raise InvalidWeightError("the oracle takes lambda- and s-flavor spaces, not gamma")
         self.flavor = space.flavor
         self.p = float(space.p)
         cells = cell_moments(self.flavor, self.p, space.w, g)
@@ -408,16 +411,16 @@ class _SpaceOnGrid:
             raise InvalidWeightError(
                 f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
             )
-        self.lengths, self.left = cells[:2]
+        self.lengths = cells[0]
         self.grid_cells = (None, *cells)
         self.w = space.w
 
     def check_unconstrained(self) -> None:
         """Raise InvalidWeightError unless unconstrained candidates are supported."""
-        if self.flavor == "gamma" or not isinstance(self.w, PowerWeight):
+        if not isinstance(self.w, PowerWeight):
             raise InvalidWeightError(
-                "unconstrained oracle candidates need lambda- or s-flavor spaces "
-                "with power weights (rearranged norms require vectorized primitives)"
+                "unconstrained oracle candidates need power weights "
+                "(rearranged norms require vectorized primitives)"
             )
 
     def _sorted_cells(self, U: np.ndarray):
@@ -467,8 +470,6 @@ class _SpaceOnGrid:
         v, C, M, (order, lengths, left, moments, tail) = saved
         if self.flavor == "lambda":
             gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
-        elif self.flavor == "gamma":
-            gs = n ** (1.0 - p) * self._gamma_backward(v, C, M, moments, tail)
         else:
             Cp = _pow_slope(C, p) * moments
             grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
@@ -485,28 +486,14 @@ class _SpaceOnGrid:
         Exact for lambda, where N(Ld)^p = sum_i dW_i u_i^p, and for s, where
         C_i = A_{i-1} - u_i x_{i-1} = sum_{k<i} x_k d_k makes N(Ld)^p the same
         sum over the partial sums of x_k d_k (weights dPsi_1, ..., dPsi_{m-1}
-        and the tail), read backwards.  Gamma takes the superadditive bound
-        N(Ld)^p >= sum_k d_k^p N(e_k)^p, e_k the indicator of cells 0..k.
+        and the tail), read backwards.
         """
         _, lengths, left, moments, tail = self.grid_cells
         if self.flavor == "lambda":
             return _level_dual(c[free], moments.cumsum()[free], self.p)
-        if self.flavor == "s":
-            back = free[::-1]
-            X = np.append(moments[1:], tail)[::-1].cumsum()
-            return _level_dual((c / (left + lengths))[::-1][back], X[back], self.p)
-        return _cone_dual(c[free], self.norm_pow(np.tri(c.size), monotone=True)[free], self.p)
-
-    def _gamma_backward(
-        self, u: np.ndarray, vals: np.ndarray, M: float, nodes: GammaNodes, tail: float
-    ) -> np.ndarray:
-        """The gradient of the powered gamma norm, divided by p, from the node values of f**."""
-        slope = _pow_slope(vals, self.p) * nodes.weight
-        # f** at a node is u_i + (A_{i-1} - u_i x_{i-1}) / s, with A_{i-1} = sum_{j<i} u_j L_j
-        via_prefix = np.bincount(nodes.cell, (slope * nodes.inv).sum(axis=1), minlength=u.size)
-        direct = np.bincount(nodes.cell, slope.sum(axis=1), minlength=u.size) - self.left * via_prefix
-        direct[0] = _pow_slope(u[0], self.p) * nodes.head
-        return direct + self.lengths * (_suffix_sums(via_prefix) + _pow_slope(M, self.p) * tail)
+        back = free[::-1]
+        X = np.append(moments[1:], tail)[::-1].cumsum()
+        return _level_dual((c / (left + lengths))[::-1][back], X[back], self.p)
 
 
 class _CoupleObjective:
@@ -554,9 +541,9 @@ class _CoupleObjective:
         of N_1, J(d) >= J(0) + (1 - D) N_0(Ld) with D the dual norm of c = -g
         over the cone d >= 0 (``_SpaceOnGrid.cone_dual``; d_k = 0 where hi_k =
         0, and dropping d <= hi only relaxes it).  As N_0(Ld) <= J(d), the gap
-        is (D - 1)^+ J(0), which is 0 when u = 0 is optimal and D exact (the
-        lambda and s flavors).  u = f* is the mirror image in hi - d, with c =
-        g and the dual norm of t N_1.
+        is (D - 1)^+ J(0), which is 0 when u = 0 is optimal, as D is exact.
+        u = f* is the mirror image in hi - d, with c = g and the dual norm of
+        t N_1.
         """
         p0, p1 = self.ev0.p, self.ev1.p
         if not self.monotone or min(p0, p1) < 1.0:
@@ -643,23 +630,11 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
     of the majorant.
     """
     sigma = np.maximum(_level_slopes(c, X), 0.0)
-    return _scaled_norm(sigma, np.diff(X, prepend=0.0), p / (p - 1.0))
-
-
-def _cone_dual(c: np.ndarray, a: np.ndarray, p: float) -> float:
-    """max <c, d> over d >= 0 with sum_k d_k^p a_k <= 1: the p/(p-1)-norm of c^+ / a^(1/p)."""
-    pos = c > 0.0
-    if (a[pos] <= 0.0).any():
-        return math.inf
-    return _scaled_norm(c[pos] / a[pos] ** (1.0 / p), np.ones(pos.sum()), p / (p - 1.0))
-
-
-def _scaled_norm(x: np.ndarray, w: np.ndarray, q: float) -> float:
-    """(sum_k w_k x_k^q)^{1/q} for x >= 0, scaled by max x so that x^q cannot underflow."""
-    top = x.max(initial=0.0)
+    top, q = sigma.max(initial=0.0), p / (p - 1.0)
     if top == 0.0 or top == math.inf:
         return float(top)
-    return float(top * (w @ (x / top) ** q) ** (1.0 / q))
+    # scaled by the largest slope, so that sigma^q cannot underflow
+    return float(top * (np.diff(X, prepend=0.0) @ (sigma / top) ** q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +737,7 @@ def k_oracle(
         g0 = grid or Grid.log(0.1, 10.0, 2)
         return OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed, 0.0, 0)
     grid = grid or oracle_grid(fstar, m)
-    g = np.array(grid.points)
+    g = grid.points
     F = fstar.at(g)
     ev0 = _SpaceOnGrid(q.space0, g)
     ev1 = _SpaceOnGrid(q.space1, g)
@@ -857,7 +832,7 @@ def k_oracle_exhaustive(
     objective is linear, so the continuous optimum lies on the lattice.
     """
     fstar = rearrange(q.f)
-    g = np.array(grid.points)
+    g = grid.points
     if g.size > 6:
         raise ValueError("exhaustive mode is for instances with at most 6 cells")
     F = fstar.at(g)
@@ -956,8 +931,7 @@ def near_optimal_s_decomposition(
     if fstar.is_zero:
         zero = Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
-    grid = oracle_grid(fstar, m)
-    g = np.array(grid.points)
+    g = oracle_grid(fstar, m).points
     F = fstar.at(g)
     ev0 = _SpaceOnGrid(space0, g)
     ev1 = _SpaceOnGrid(space1, g)
@@ -975,13 +949,13 @@ def near_optimal_s_decomposition(
     h_step = dilate(osc_transform(f1_init).as_step(), 0.5)
     pts = np.concatenate((tstep.breakpoints, h_step.breakpoints, 1.0 / f0_init.breakpoints))
     start, end = (float(pts.min()), float(pts.max())) if pts.size else (0.1, 1.0)
-    grid_t = Grid(tuple(np.union1d(pts, Grid.log(start / 10.0, end, 2 * m).points).tolist()))
+    grid_t = Grid(np.union1d(pts, Grid.log(start / 10.0, end, 2 * m).points))
 
     # G(s) = 2 integral_0^{1/s} f0 majorizes T f0 and is non-increasing, so the
     # ceiling projection onto the grid takes the left-endpoint value per cell.
     gv = []
     prev = 0.0
-    for x in grid_t.points:
+    for x in grid_t.points.tolist():
         gv.append(2.0 * mass0 if prev == 0.0 else 2.0 * f0_init.prefix_integral(1.0 / prev))
         prev = x
     g_step = StepFunction(grid_t.points, gv)
@@ -990,7 +964,5 @@ def near_optimal_s_decomposition(
     back1 = osc_transform(parts.f1).as_step()
     dec = Decomposition(back0, back1, "decomposition-lemma")
     dec.validate_sum(fstar)
-    from .norms import norm
-
     objective = norm(space0, back0) + t * norm(space1, back1)
     return NearOptimalSDecomposition(dec, objective, initial, parts)

@@ -166,7 +166,7 @@ def cell_sums(
     moments: np.ndarray | GammaNodes,
     tail: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The cell kernel of the three flavors: (powered, what the gradient reuses, M).
+    """The cell kernel of the three flavors: (powered, C, M), C and M for the s gradient.
 
     Rows of V hold non-increasing cell values on cells of the given lengths
     and left edges x_{i-1} (the last axis runs over cells; a 1-d V is one
@@ -180,8 +180,8 @@ def cell_sums(
     M^p tail (s) or v_0^p W + the node sum of (v_i + c_i/s)^p w + M^p tail
     (gamma), exact but for the gamma nodes; c_i = A_{i-1} - v_i x_{i-1} (A
     the prefix integral, clamped at 0 against rounding) are the oscillation
-    constants.  The s flavor also returns them, the gamma flavor the values
-    of f** at the nodes, and both the mass M.
+    constants.  The s flavor also returns them and the mass M, which the
+    K-oracle's s gradient reuses; the other flavors return None for both.
     """
     if flavor == "lambda":
         return _moment_sum(V ** p, moments), None, None
@@ -195,7 +195,7 @@ def cell_sums(
         vals = C[..., nodes.cell, None] * nodes.inv
         vals += V[..., nodes.cell, None]
         powered = (vals ** p).reshape(vals.shape[:-2] + (-1,)) @ nodes.weight.ravel()
-        return V[..., 0] ** p * nodes.head + powered + (M ** p) * tail, vals, M
+        return V[..., 0] ** p * nodes.head + powered + (M ** p) * tail, None, None
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
 
 

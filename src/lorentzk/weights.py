@@ -580,9 +580,9 @@ def check_bp(w: Weight, p: float, grid: Grid | None = None, method: Method = "au
         c = (beta + 1.0) / (p - 1.0 - beta)
         return ConditionVerdict("Bp", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
-    t = np.array(grid.points)
+    t = grid.points
     ratios = _ratio(t ** p * w.moment(-p, t, math.inf), w.moment(0.0, 0.0, t))
-    c, arg = _sup_scan(zip(grid.points, ratios.tolist()))
+    c, arg = _sup_scan(zip(t.tolist(), ratios.tolist()))
     return ConditionVerdict("Bp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
@@ -602,11 +602,11 @@ def check_rbp(w: Weight, p: float, grid: Grid | None = None, method: Method = "a
         c = (p - 1.0 - beta) / (beta + 1.0)
         return ConditionVerdict("RBp", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
-    t = np.array(grid.points)
+    t = grid.points
     rhs = t ** p * w.moment(-p, t, math.inf)
     # divergent tail: treated as failing, matching the closed-form branch
     ratios = np.where(np.isinf(rhs), math.inf, _ratio(w.moment(0.0, 0.0, t), rhs))
-    c, arg = _sup_scan(zip(grid.points, ratios.tolist()))
+    c, arg = _sup_scan(zip(t.tolist(), ratios.tolist()))
     return ConditionVerdict("RBp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
@@ -620,7 +620,7 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
         return ConditionVerdict("Delta2", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
     doubled, single = w.moment(0.0, 0.0, np.multiply.outer((2.0, 1.0), grid.points))
-    c, arg = _sup_scan(zip(grid.points, _ratio(doubled, single).tolist()))
+    c, arg = _sup_scan(zip(grid.points.tolist(), _ratio(doubled, single).tolist()))
     return ConditionVerdict("Delta2", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
@@ -637,7 +637,7 @@ def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "a
             hows.append("closed-form")
         else:
             doubling = _ratio_fn(psi, lambda t: psi(2.0 * t))  # psi(2t) = 0 reads inf
-            c, witness = _sup_scan([(t, doubling(t)) for t in (grid or DEFAULT_CHECK_GRID).points])
+            c, witness = _sup_scan([(t, doubling(t)) for t in (grid or DEFAULT_CHECK_GRID).points.tolist()])
             hows.append("grid")
         constants.append(c)
         witnesses.append(witness)
@@ -654,9 +654,10 @@ def _quasi_monotone_grid(
     fn: Callable[[float], float], grid: Grid, threshold: float
 ) -> tuple[bool, float, float]:
     """Quasi-monotone non-decreasing check: sup_{s<=t} fn(s)/fn(t) <= threshold."""
-    best, arg = 1.0, grid.points[0]
+    pts = grid.points.tolist()
+    best, arg = 1.0, pts[0]
     run = -math.inf
-    for t in grid.points:
+    for t in pts:
         v = fn(t)
         if v <= 0.0 or not math.isfinite(v):
             return False, math.inf, t
@@ -739,7 +740,8 @@ def check_sufconds(
     First: integral_0^t phi1(s)^{-p0} w0(s) ds <= C sigma(t)^{p0}.
     Second: sigma(t) (integral_t^inf phi0(s)^{-p1} w1(s) ds)^{1/p1} <= C.
     Closed form for Power couples; otherwise quadrature over a log grid of t
-    with a lower-cutoff divergence probe.
+    with a lower-cutoff divergence probe for the head; a negative tail
+    quadrature, which only a divergence gives, reads as an infinite tail.
     """
     both_power = isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)
     if method == "closed-form" or (method == "auto" and both_power):
@@ -751,7 +753,8 @@ def check_sufconds(
     phi0 = fundamental(cfg.w0, cfg.p0)
     phi1 = fundamental(cfg.w1, cfg.p1)
     sigma = _ratio_fn(phi0, phi1)
-    cutoff = grid.points[0] / 100.0
+    pts = grid.points.tolist()
+    cutoff = pts[0] / 100.0
 
     def head_integral(t: float, lo: float) -> float:
         fn = lambda s: phi1(s) ** (-cfg.p0) * cfg.w0(s)
@@ -759,13 +762,15 @@ def check_sufconds(
 
     def tail_integral(t: float) -> float:
         fn = lambda s: phi0(s) ** (-cfg.p1) * cfg.w1(s)
-        hi = grid.points[-1] * 100.0
+        hi = pts[-1] * 100.0
         g = lambda u: phi0(1.0 / u) ** (-cfg.p1) * cfg.w1(1.0 / u) / (u * u)
-        return max(_quad_decades(fn, t, hi) + _quad_improper(g, 0.0, 1.0 / hi), 0.0)
+        near, far = _quad_decades(fn, t, hi), _quad_improper(g, 0.0, 1.0 / hi)
+        # the integrand is non-negative: a negative quadrature is quad's extrapolation of a divergence
+        return math.inf if min(near, far) < 0.0 else near + far
 
     pairs_a = []
     unstable = False
-    for t in grid.points:
+    for t in pts:
         full = head_integral(t, cutoff)
         probe = head_integral(t, cutoff / 32.0)
         if full > 0.0 and (probe - full) > 0.05 * full:
@@ -779,8 +784,8 @@ def check_sufconds(
     )
 
     # sigma(t) = 0 makes the tail term 0, as in the explicit formula; phi0 may vanish beyond t then
-    sigmas = [sigma(t) for t in grid.points]
-    pairs_b = [(t, s and s * tail_integral(t) ** (1.0 / cfg.p1)) for t, s in zip(grid.points, sigmas)]
+    sigmas = [sigma(t) for t in pts]
+    pairs_b = [(t, s and s * tail_integral(t) ** (1.0 / cfg.p1)) for t, s in zip(pts, sigmas)]
     cb, wb = _sup_scan(pairs_b)
     holds_b = math.isfinite(cb) and cb <= threshold
     vb = ConditionVerdict("sigma-vs-tail-integral", holds_b, cb, wb, "grid", "")

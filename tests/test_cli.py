@@ -158,6 +158,14 @@ class TestCheckWeights:
         assert result.exit_code == 0, result.output
         assert "tail-doubling: fails constant=inf [grid]" in result.output.splitlines()
 
+    def test_divergent_tail_integral_fails(self, runner, tmp_path):
+        # phi0 is constant from s = 2 on, so integral_t^inf phi0^-2 w1 diverges for w1 = 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [1, 1]}))
+        result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
+        assert result.exit_code == 0, result.output
+        assert "sufficient-tail: fails constant=inf [grid]" in result.output.splitlines()
+
     def test_json_format(self, runner):
         result = runner.invoke(
             main, ["check-weights", "--p", "2", "--weight", "power:0", "--format", "json"]
