@@ -18,13 +18,19 @@ This module provides:
 * ``decomposition_lemma`` — given non-increasing f <= g + h, split
   f = f_0 + f_1 with non-increasing f_0 <= g, f_1 <= h via the right
   running supremum of (f - g)^+;
-* ``k_oracle`` — a brute-force minimizer over step decompositions on a grid,
-  with monotone (both parts non-increasing) and unconstrained modes, an
-  exhaustive lattice mode for tiny instances, and the two-parameter
+* ``k_curve`` — a brute-force minimizer over monotone step decompositions on
+  a grid, for a sweep of parameters t: the grid, both spaces and the
+  truncation family's norms are built once per sweep, and only the search
+  runs per t; ``curve_violations`` checks the sweep against the concavity of
+  K(t) and the monotonicity of K(t)/t, within the gaps;
+* ``k_oracle`` — one query, the one-t case of ``k_curve``, with an
+  unconstrained mode besides the monotone one (both parts non-increasing),
+  an exhaustive lattice mode for tiny instances, and the two-parameter
   truncation family as seed and cross-check;
-* ``k_oracle_s_couple`` — the same K-functional computed twice: directly on
-  the s-couple and through the oscillation transform on the reciprocal
-  lambda-couple (independent grids, so agreement is evidence, not tautology);
+* ``k_curve_s_couple`` and its one-t case ``k_oracle_s_couple`` — the same
+  K-functional computed twice: directly on the s-couple and through the
+  oscillation transform on the reciprocal lambda-couple (independent grids,
+  so agreement is evidence, not tautology);
 * ``near_optimal_s_decomposition`` — the constructive decomposition obtained
   by majorizing the transform of f*, splitting with the decomposition lemma,
   and mapping back through the transform (exact on step functions).
@@ -49,7 +55,8 @@ gradients, with the same cell kernel, ``norms.cell_sums``.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
@@ -60,7 +67,6 @@ from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
 from .stepfn import (
     StepFunction,
     _require_nonincreasing,
-    add,
     dilate,
     osc_transform,
     rearrange,
@@ -95,6 +101,9 @@ __all__ = [
     "truncation_decomposition",
     "decomposition_lemma",
     "oracle_grid",
+    "k_curve",
+    "k_curve_s_couple",
+    "curve_violations",
     "k_oracle",
     "k_oracle_exhaustive",
     "k_oracle_s_couple",
@@ -127,15 +136,15 @@ class Decomposition:
         from opposite sides.  Sliver cells no wider than a few ulps are skipped
         for the same reason.
         """
-        total = add(self.f0, self.f1)
-        pts = np.union1d(total.breakpoints, f.breakpoints)
+        pts = np.unique(np.concatenate((self.f0.breakpoints, self.f1.breakpoints, f.breakpoints)))
         if not pts.size:
             return
-        scale = np.concatenate((f.values, total.values, [1.0])).max()
+        # the value of f0 + f1 on each cell of the merged grid
+        scale = np.concatenate((f.values, self.f0.at(pts) + self.f1.at(pts), [1.0])).max()
         prev = np.concatenate(([0.0], pts[:-1]))
         wide = pts - prev > 4.0 * np.spacing(np.maximum(pts, 1.0))
         probes = np.append(0.5 * (prev + pts)[wide], 2.0 * pts[-1])
-        got, want = total.at(probes), f.at(probes)
+        got, want = self.f0.at(probes) + self.f1.at(probes), f.at(probes)
         bad = np.flatnonzero(np.abs(got - want) > rel_tol * scale)
         if bad.size:
             i = bad[0]
@@ -507,10 +516,15 @@ class _CoupleObjective:
         self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
         self.hi = F - np.append(F[1:], 0.0)
 
-    def value_batch(self, U: np.ndarray) -> np.ndarray:
+    def norms_batch(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """N0 and N1(F - U) of the rows of U, which do not depend on t."""
         rest = np.maximum(self.F - U, 0.0)
         n0 = self.ev0.norm_pow(U, self.monotone) ** (1.0 / self.ev0.p)
         n1 = self.ev1.norm_pow(rest, self.monotone) ** (1.0 / self.ev1.p)
+        return n0, n1
+
+    def value_batch(self, U: np.ndarray) -> np.ndarray:
+        n0, n1 = self.norms_batch(U)
         return n0 + self.t * n1
 
     def value(self, u: np.ndarray) -> float:
@@ -627,14 +641,20 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
     majorant of the points (X_k, c_k), the value is the p'-norm
     (sum_k (X_k - X_{k-1}) (sigma_k^+)^{p'})^{1/p'}, attained at the
     non-increasing u_k = (sigma_k^+)^{p'-1}, which is constant on each block
-    of the majorant.
+    of the majorant.  Only the rising part of the majorant has sigma > 0, and
+    no point below zero lies on it, so the hull is taken of c^+; the value is
+    positively homogeneous in c, so c^+ is first scaled by an exact power of
+    two into [1/2, 1) and the value scaled back: bit for bit the same for
+    normal c, and subnormal coefficients keep their precision.
     """
-    sigma = np.maximum(_level_slopes(c, X), 0.0)
+    c = np.maximum(c, 0.0)
+    e = math.frexp(float(c.max(initial=0.0)))[1]
+    sigma = np.maximum(_level_slopes(np.ldexp(c, -e), X), 0.0)
     top, q = sigma.max(initial=0.0), p / (p - 1.0)
     if top == 0.0 or top == math.inf:
         return float(top)
     # scaled by the largest slope, so that sigma^q cannot underflow
-    return float(top * (np.diff(X, prepend=0.0) @ (sigma / top) ** q) ** (1.0 / q))
+    return float(np.ldexp(top * (np.diff(X, prepend=0.0) @ (sigma / top) ** q) ** (1.0 / q), e))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +724,212 @@ _GAP_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
+def _starts(x_trunc: np.ndarray, hi: np.ndarray, seed: int):
+    """The L-BFGS-B starts in order, each made only when the search reaches it:
+    the best truncation candidate, both corners of the box [0, hi], its centre
+    and a point drawn from ``seed``."""
+    yield x_trunc
+    yield hi
+    yield np.zeros_like(hi)
+    yield hi / 2.0
+    yield np.random.default_rng(seed).uniform(size=hi.size) * hi
+
+
+class _GridProblem:
+    """Everything of a K-query but its parameter: f* sampled on the grid, both
+    spaces on the grid, and the truncation family with its norms N0(U) and
+    N1(F - U), built once per mode.  ``found`` holds each monotone optimizer
+    point with its two norms (u, N0(u), N1(F - u)); it is feasible at every
+    t, so it joins the candidates of every later search at value a + t b.
+    """
+
+    def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
+                 monotone_only: bool):
+        self.grid = grid
+        g = grid.points
+        self.F = fstar.at(g)
+        self.target = StepFunction(g, self.F)  # what every decomposition must sum to
+        self.ev0 = _SpaceOnGrid(space0, g)
+        self.ev1 = _SpaceOnGrid(space1, g)
+        if not monotone_only:
+            self.ev0.check_unconstrained()
+            self.ev1.check_unconstrained()
+        self.families: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.found: list[tuple[np.ndarray, float, float]] = []
+
+    def truncation(self, obj: _CoupleObjective) -> tuple[np.ndarray, float]:
+        """The best truncation candidate at the objective's t, and its value."""
+        if obj.monotone not in self.families:
+            U = _truncation_family(self.F, obj.monotone)
+            self.families[obj.monotone] = (U, *obj.norms_batch(U))
+        U, n0, n1 = self.families[obj.monotone]
+        tvals = n0 + obj.t * n1  # value_batch's arithmetic
+        k_best = int(np.argmin(tvals))
+        return U[k_best], float(tvals[k_best])
+
+    def search(
+        self, t: float, monotone: bool, seed: int
+    ) -> tuple[float, np.ndarray, float, int, bool, float, int]:
+        """(value, u, truncation value, iterations, no start capped, gap, starts) at t."""
+        F = self.F
+        obj = _CoupleObjective(self.ev0, self.ev1, F, t, monotone)
+        u_trunc, trunc_val = self.truncation(obj)
+        if monotone:
+            hi, to_u, vg = obj.hi, obj.to_u, obj.diff_value_grad
+            x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
+        else:
+            hi = F
+
+            def to_u(x: np.ndarray) -> np.ndarray:
+                return np.minimum(np.maximum(x, 0.0), F)
+
+            vg = obj.value_grad
+            x_trunc = u_trunc
+        best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
+        if monotone:
+            for u, a, b in self.found:
+                if a + t * b < best_f:
+                    best_u, best_f = u, a + t * b
+        gap = obj.gap(best_u)
+        tried: list[np.ndarray] = []
+        for x0 in _starts(x_trunc, hi, seed):
+            if gap <= _GAP_REL_TOL * best_f:
+                break
+            if any(np.array_equal(x0, y) for y in tried):
+                continue  # L-BFGS-B would repeat that start's run
+            tried.append(x0)
+            res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(np.zeros_like(hi), hi),
+                           options=_LBFGSB_OPTIONS)
+            used, iters = used + 1, iters + res.nit
+            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
+            if res.fun < best_f:
+                beaten = best_f
+                # the upper corner exactly, which the sum of the differences misses by rounding
+                best_u = F if np.array_equal(res.x, hi) else to_u(res.x)
+                best_f, gap = float(res.fun), obj.gap(best_u)
+                if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
+                    d, f_d, gap_d = obj.polish(res.x, best_f, gap)
+                    if gap_d < gap and f_d < beaten:
+                        best_u, best_f, gap = to_u(d), f_d, gap_d
+        if monotone and self.ev0.p == self.ev1.p == 1.0:
+            vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
+            f_vertex = vg(vertex)[0]
+            if f_vertex < best_f:
+                best_u, best_f = to_u(vertex), f_vertex
+                gap = obj.gap(best_u)
+        if monotone and best_f < trunc_val and all(best_u is not u for u, _, _ in self.found):
+            n0, n1 = obj.norms_batch(best_u[None, :])
+            self.found.append((best_u, float(n0[0]), float(n1[0])))
+        return best_f, best_u, trunc_val, iters, conv, gap, used
+
+    def solve(self, t: float, monotone_only: bool, seed: int) -> OracleResult:
+        value, u, trunc_val, iters, conv, gap, used = self.search(t, True, seed)
+        if monotone_only and min(self.ev0.p, self.ev1.p) >= 1.0:
+            conv = gap <= _GAP_REL_TOL * value  # the certificate, not the iteration cap
+        provenance = "optimizer" if value < trunc_val else "truncation"
+        won_monotone = True
+        if not monotone_only:
+            v2, u2, t2, it2, c2, _, used2 = self.search(t, False, seed)
+            iters += it2
+            used += used2
+            gap = math.inf  # the certificate covers the monotone problem only
+            conv = conv and c2
+            trunc_val = min(trunc_val, t2)
+            if v2 < value:
+                value, u, won_monotone = v2, u2, False
+                provenance = "optimizer" if v2 < t2 else "truncation"
+        rest = np.maximum(self.F - u, 0.0)
+        if won_monotone:
+            # F - u is non-increasing in exact arithmetic; kill rounding wiggles
+            rest = np.minimum.accumulate(rest)
+        g = self.grid.points
+        dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
+        dec.validate_sum(self.target)
+        return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, self.grid, seed, gap, used)
+
+
+def _oracle_curve(
+    f: StepFunction,
+    space0: LorentzSpace,
+    space1: LorentzSpace,
+    ts: Sequence[float],
+    grid: Grid | None,
+    m: int,
+    monotone_only: bool,
+    seed: int,
+) -> list[OracleResult]:
+    ts = [float(t) for t in ts]
+    if not all(t > 0.0 and math.isfinite(t) for t in ts):
+        raise ValueError("K-parameter t must be positive and finite")
+    fstar = rearrange(f)
+    if fstar.is_zero:
+        dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
+        g0 = grid or Grid.log(0.1, 10.0, 2)
+        return [OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed, 0.0, 0) for _ in ts]
+    problem = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, m), monotone_only)
+    return [problem.solve(t, monotone_only, seed) for t in ts]
+
+
+def k_curve(
+    f: StepFunction,
+    space0: LorentzSpace,
+    space1: LorentzSpace,
+    ts: Sequence[float],
+    grid: Grid | None = None,
+    m: int = 64,
+    seed: int = 0,
+) -> list[OracleResult]:
+    """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
+
+    The grid, the rearrangement sampled on it, both spaces and the truncation
+    family's norms N0(U) and N1(F - U) are built once; each t takes the
+    argmin of N0 + t N1, the certificate, the L-BFGS-B starts and the polish
+    (see ``k_oracle``).  An optimizer point found at one t is feasible at
+    every t, so it joins the candidates of every later t at value
+    N0 + t N1; the search order is that of ``ts``, which may be unsorted or
+    repeat a value.
+    """
+    return _oracle_curve(f, space0, space1, ts, grid, m, True, seed)
+
+
+# relative rounding slack of the K-curve laws; the values' own rounding is a few ulps
+_CURVE_REL_TOL = 1e-12
+
+
+def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np.ndarray:
+    """Which points of one grid's K-curve break its laws beyond their gaps.
+
+    The grid K(t) is the minimum of N0 + t N1 over one fixed candidate set,
+    so it is non-decreasing and concave, and K(t)/t is non-increasing
+    (Bergh-Lofstrom, Lemma 3.1.1).  A result brackets it in [value - gap,
+    value].  Sorted by t, each pair of neighbours and each triple is tested
+    at the ends of the brackets that favour the laws, so a point is marked
+    (with the others of its pair or triple) only when no values within the
+    gaps obey them.  Returns one flag per result, in the order of ``ts``.
+    """
+    t = np.asarray(ts, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    hi = np.array([results[i].value for i in order], dtype=float)
+    lo = hi - np.array([results[i].gap for i in order], dtype=float)
+    slack = 1.0 + _CURVE_REL_TOL
+    bad = np.zeros(t.size, dtype=bool)
+    # neighbours: K(t) non-decreasing and K(t)/t non-increasing
+    pair = (lo[:-1] > hi[1:] * slack) | (lo[1:] / t[1:] > hi[:-1] / t[:-1] * slack)
+    bad[:-1] |= pair
+    bad[1:] |= pair
+    # triples: the middle value at or above the chord of the outer ones
+    with np.errstate(invalid="ignore", divide="ignore"):  # infinite gaps and equal outer t give nan
+        weight = (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
+        chord = lo[:-2] + (lo[2:] - lo[:-2]) * weight
+        triple = hi[1:-1] * slack < chord
+    for k in range(3):
+        bad[k : k + triple.size] |= triple
+    flags = np.empty_like(bad)
+    flags[order] = bad
+    return flags
+
+
 def k_oracle(
     q: KQuery,
     grid: Grid | None = None,
@@ -730,91 +956,11 @@ def k_oracle(
     the candidates.  In unconstrained mode the monotone search also runs and
     the better value wins, so the unconstrained value never exceeds the
     monotone one; the unconstrained search runs all its distinct starts.
+
+    A single query is the one-t case of ``k_curve``, with the unconstrained
+    search added on the same set-up when ``monotone_only`` is false.
     """
-    fstar = rearrange(q.f)
-    if fstar.is_zero:
-        dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
-        g0 = grid or Grid.log(0.1, 10.0, 2)
-        return OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed, 0.0, 0)
-    grid = grid or oracle_grid(fstar, m)
-    g = grid.points
-    F = fstar.at(g)
-    ev0 = _SpaceOnGrid(q.space0, g)
-    ev1 = _SpaceOnGrid(q.space1, g)
-    if not monotone_only:
-        ev0.check_unconstrained()
-        ev1.check_unconstrained()
-
-    def run(monotone: bool) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        obj = _CoupleObjective(ev0, ev1, F, q.t, monotone)
-        U = _truncation_family(F, monotone)
-        tvals = obj.value_batch(U)
-        k_best = int(np.argmin(tvals))
-        trunc_val = float(tvals[k_best])
-        u_trunc = U[k_best]
-        if monotone:
-            hi, to_u, vg = obj.hi, obj.to_u, obj.diff_value_grad
-            x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
-        else:
-            hi = F
-
-            def to_u(x: np.ndarray) -> np.ndarray:
-                return np.minimum(np.maximum(x, 0.0), F)
-
-            vg = obj.value_grad
-            x_trunc = u_trunc
-        rng = np.random.default_rng(seed)
-        starts = [x_trunc, hi, np.zeros_like(hi), hi / 2.0, rng.uniform(size=hi.size) * hi]
-        bounds = Bounds(np.zeros_like(hi), hi)
-        best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
-        gap = obj.gap(best_u)
-        for j, x0 in enumerate(starts):
-            if gap <= _GAP_REL_TOL * best_f:
-                break
-            if any(np.array_equal(x0, y) for y in starts[:j]):
-                continue  # L-BFGS-B would repeat that start's run
-            res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
-            used, iters = used + 1, iters + res.nit
-            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
-            if res.fun < best_f:
-                beaten = best_f
-                # the upper corner exactly, which the sum of the differences misses by rounding
-                best_u = F if np.array_equal(res.x, hi) else to_u(res.x)
-                best_f, gap = float(res.fun), obj.gap(best_u)
-                if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
-                    d, f_d, gap_d = obj.polish(res.x, best_f, gap)
-                    if gap_d < gap and f_d < beaten:
-                        best_u, best_f, gap = to_u(d), f_d, gap_d
-        if monotone and ev0.p == ev1.p == 1.0:
-            vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
-            f_vertex = vg(vertex)[0]
-            if f_vertex < best_f:
-                best_u, best_f = to_u(vertex), f_vertex
-                gap = obj.gap(best_u)
-        return best_f, best_u, trunc_val, iters, conv, gap, used
-
-    value, u, trunc_val, iters, conv, gap, used = run(monotone=True)
-    if monotone_only and min(ev0.p, ev1.p) >= 1.0:
-        conv = gap <= _GAP_REL_TOL * value  # the certificate, not the iteration cap
-    provenance = "optimizer" if value < trunc_val else "truncation"
-    won_monotone = True
-    if not monotone_only:
-        v2, u2, t2, it2, c2, _, used2 = run(monotone=False)
-        iters += it2
-        used += used2
-        gap = math.inf  # the certificate covers the monotone problem only
-        conv = conv and c2
-        trunc_val = min(trunc_val, t2)
-        if v2 < value:
-            value, u, won_monotone = v2, u2, False
-            provenance = "optimizer" if v2 < t2 else "truncation"
-    rest = np.maximum(F - u, 0.0)
-    if won_monotone:
-        # F - u is non-increasing in exact arithmetic; kill rounding wiggles
-        rest = np.minimum.accumulate(rest)
-    dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
-    dec.validate_sum(StepFunction(g, F))
-    return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, grid, seed, gap, used)
+    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, m, monotone_only, seed)[0]
 
 
 def k_oracle_exhaustive(
@@ -876,27 +1022,47 @@ class SCoupleOracleResult:
     ratio: float
 
 
-def k_oracle_s_couple(q: KQuery, m: int = 64, seed: int = 0) -> SCoupleOracleResult:
-    """K-functional of an s-flavor couple, directly and through the transform.
+def k_curve_s_couple(
+    f: StepFunction,
+    space0: LorentzSpace,
+    space1: LorentzSpace,
+    ts: Sequence[float],
+    m: int = 64,
+    seed: int = 0,
+) -> list[SCoupleOracleResult]:
+    """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
 
-    Route one optimizes monotone decompositions of f* under the s-norms;
-    route two maps f* through the oscillation transform and optimizes the
-    reciprocal-weight lambda-couple at the same parameter.  Each route uses
+    Route one is the monotone K-curve of f* under the s-norms; route two maps
+    f* through the oscillation transform once and takes the K-curve of the
+    reciprocal-weight lambda-couple at the same parameters.  Each route uses
     its own grid (log-spaced over its own function's support), so the ratio
     of the two values measures the theorem's equivalence plus grid effects.
     """
-    if q.space0.flavor != "s" or q.space1.flavor != "s":
+    if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
-    fstar = rearrange(q.f)
-    direct = k_oracle(replace(q, f=fstar), m=m, monotone_only=True, seed=seed)
+    fstar = rearrange(f)
+    direct = k_curve(fstar, space0, space1, ts, m=m, seed=seed)
     tstep = osc_transform(fstar).as_step()
-    tilde0 = LorentzSpace("lambda", q.space0.p, reciprocal_weight(q.space0.w, q.space0.p))
-    tilde1 = LorentzSpace("lambda", q.space1.p, reciprocal_weight(q.space1.w, q.space1.p))
-    q_t = KQuery(tstep, q.t, tilde0, tilde1)
-    transformed = k_oracle(q_t, m=m, monotone_only=True, seed=seed)
-    a, b = direct.value, transformed.value
-    ratio = a / b if b > 0.0 else (1.0 if a == 0.0 else math.inf)
-    return SCoupleOracleResult(direct, transformed, ratio)
+    tilde0 = LorentzSpace("lambda", space0.p, reciprocal_weight(space0.w, space0.p))
+    tilde1 = LorentzSpace("lambda", space1.p, reciprocal_weight(space1.w, space1.p))
+    transformed = k_curve(tstep, tilde0, tilde1, ts, m=m, seed=seed)
+    results = []
+    for d, tr in zip(direct, transformed):
+        a, b = d.value, tr.value
+        ratio = a / b if b > 0.0 else (1.0 if a == 0.0 else math.inf)
+        results.append(SCoupleOracleResult(d, tr, ratio))
+    return results
+
+
+def k_oracle_s_couple(q: KQuery, m: int = 64, seed: int = 0) -> SCoupleOracleResult:
+    """K-functional of an s-flavor couple, directly and through the transform.
+
+    The one-t case of ``k_curve_s_couple``: route one optimizes monotone
+    decompositions of f* under the s-norms, route two the reciprocal-weight
+    lambda-couple at the same parameter, on the transform of f* and its own
+    grid.
+    """
+    return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,), m=m, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -931,14 +1097,9 @@ def near_optimal_s_decomposition(
     if fstar.is_zero:
         zero = Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
-    g = oracle_grid(fstar, m).points
-    F = fstar.at(g)
-    ev0 = _SpaceOnGrid(space0, g)
-    ev1 = _SpaceOnGrid(space1, g)
-    obj = _CoupleObjective(ev0, ev1, F, t, monotone=True)
-    U = _truncation_family(F, monotone=True)
-    vals = obj.value_batch(U)
-    u = U[int(np.argmin(vals))]
+    problem = _GridProblem(fstar, space0, space1, oracle_grid(fstar, m), monotone_only=True)
+    g, F = problem.grid.points, problem.F
+    u = problem.truncation(_CoupleObjective(problem.ev0, problem.ev1, F, t, monotone=True))[0]
     f0_init = StepFunction(g, u)
     f1_init = StepFunction(g, np.minimum.accumulate(np.maximum(F - u, 0.0)))
     initial = Decomposition(f0_init, f1_init, "truncation")

@@ -72,14 +72,19 @@ def _canonical(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
     vals = np.array(values, dtype=float)
     if bps.ndim != 1 or bps.shape != vals.shape:
         raise ValueError("breakpoints and values must have equal length")
-    if not (np.isfinite(bps).all() and (bps > _left_edges(bps)).all()):
+    # a nan fails every comparison, and a strictly increasing array is finite when its ends are
+    if bps.size and not (bps[0] > 0.0 and bps[-1] < math.inf and (bps[1:] > bps[:-1]).all()):
         raise ValueError("breakpoints must be finite, positive, strictly increasing")
-    if not (np.isfinite(vals).all() and (vals >= 0.0).all()):
+    if vals.size and not (vals.min() >= 0.0 and vals.max() < math.inf):
         raise ValueError("values must be finite and non-negative")
-    if vals.size:
-        # a run of exactly equal values becomes one cell: its first value, its last breakpoint
-        new = vals[1:] != vals[:-1]
-        bps, vals = bps[np.append(new, True)], vals[np.insert(new, 0, True)]
+    if n := vals.size:
+        # a run of exactly equal values becomes one cell: its first value, its last
+        # breakpoint; keep[1:n] marks where a new run starts, so keep[1:] picks the
+        # breakpoints and keep[:-1] the values
+        keep = np.empty(n + 1, dtype=bool)
+        keep[0] = keep[n] = True
+        np.not_equal(vals[1:], vals[:-1], out=keep[1:n])
+        bps, vals = bps[keep[1:]], vals[keep[:-1]]
         if vals[-1] == 0.0:  # a trailing zero cell carries no mass
             bps, vals = bps[:-1], vals[:-1]
     bps.flags.writeable = vals.flags.writeable = False

@@ -21,6 +21,13 @@ Suites
   oracle at the matched parameter sigma(t);
 * ``gammaeqs``: the gamma-norm against the s-norm (ratio >= 1 always;
   bounded when the reverse balance condition holds).
+
+The oracle suites take one oracle curve per entry, suite and resolution
+(``kfunctional.k_curve``; two in ``t11``, one per route) over the sweep's
+parameters t, theta(t) or sigma(t).  A record is flagged
+``oracle-unconverged`` when its oracle value is uncertified, and
+``oracle-nonconcave`` when its curve breaks the concavity of K(t) or the
+monotonicity of K(t)/t beyond the gaps (``kfunctional.curve_violations``).
 """
 
 import csv
@@ -33,12 +40,12 @@ from statistics import median
 import numpy as np
 
 from .kfunctional import (
-    KQuery,
     corollary_couple,
+    curve_violations,
+    k_curve,
+    k_curve_s_couple,
     k_explicit_general,
     k_explicit_s,
-    k_oracle,
-    k_oracle_s_couple,
 )
 from .norms import LorentzSpace, gamma_equals_s_check, s_lambda_identity_check
 from .stepfn import StepFunction, add, rearrange
@@ -365,6 +372,8 @@ def run_theorem_suite(
     def records_at(m_run: int) -> tuple[EquivalenceRecord, ...]:
         space_s0 = LorentzSpace("s", cfg.p0, cfg.w0)
         space_s1 = LorentzSpace("s", cfg.p1, cfg.w1)
+        space_l0 = LorentzSpace("lambda", cfg.p0, cfg.w0)
+        space_l1 = LorentzSpace("lambda", cfg.p1, cfg.w1)
 
         def one(entry: CorpusEntry) -> list[EquivalenceRecord]:
             recs: list[EquivalenceRecord] = []
@@ -376,36 +385,29 @@ def run_theorem_suite(
                     EquivalenceRecord(entry.f_id, math.inf, lhs, rhs, _ratio(lhs, rhs))
                 )
                 return recs
-            for t in t_sweep(entry.fn, t_count):
-                flags: tuple[str, ...] = ()
-                if tag == "t11":
-                    q = KQuery(entry.fn, t, space_s0, space_s1)
-                    res = k_oracle_s_couple(q, m=m_run, seed=seed)
-                    lhs, rhs = res.direct.value, res.transformed.value
-                    if not (res.direct.converged and res.transformed.converged):
-                        flags = ("oracle-unconverged",)
-                elif tag in ("t2", "cor1"):
-                    explicit = k_explicit_s(entry.fn, t, cfg, check_hypotheses=False)
-                    theta_t = explicit.param
-                    q = KQuery(entry.fn, theta_t, space_s0, space_s1)
-                    res_o = k_oracle(q, m=m_run, seed=seed)
-                    lhs, rhs = explicit.value, res_o.value
-                    if not res_o.converged:
-                        flags = ("oracle-unconverged",)
-                else:  # generalk
-                    fstar = rearrange(entry.fn)
-                    explicit = k_explicit_general(fstar, t, cfg)
-                    sigma_t = fundamental_ratio(cfg)(t)
-                    q = KQuery(
-                        fstar,
-                        sigma_t,
-                        LorentzSpace("lambda", cfg.p0, cfg.w0),
-                        LorentzSpace("lambda", cfg.p1, cfg.w1),
-                    )
-                    res_o = k_oracle(q, m=m_run, seed=seed)
-                    lhs, rhs = explicit.value, res_o.value
-                    if not res_o.converged:
-                        flags = ("oracle-unconverged",)
+            ts = t_sweep(entry.fn, t_count)
+            if tag == "t11":
+                pairs = k_curve_s_couple(entry.fn, space_s0, space_s1, ts, m=m_run, seed=seed)
+                sides = [(res.direct.value, res.transformed.value) for res in pairs]
+                curves = [(ts, [res.direct for res in pairs]), (ts, [res.transformed for res in pairs])]
+            else:
+                if tag == "generalk":
+                    sigma, fstar = fundamental_ratio(cfg), rearrange(entry.fn)
+                    explicit = [k_explicit_general(fstar, t, cfg) for t in ts]
+                    params, spaces = [sigma(t) for t in ts], (space_l0, space_l1)
+                else:  # t2, cor1: the oracle at the matched parameters theta(t)
+                    explicit = [k_explicit_s(entry.fn, t, cfg, check_hypotheses=False) for t in ts]
+                    params, spaces = [e.param for e in explicit], (space_s0, space_s1)
+                oracle = k_curve(entry.fn, *spaces, params, m=m_run, seed=seed)
+                sides = [(e.value, res.value) for e, res in zip(explicit, oracle)]
+                curves = [(params, oracle)]
+            unconverged = np.zeros(len(ts), dtype=bool)
+            nonconcave = np.zeros(len(ts), dtype=bool)
+            for params, results in curves:
+                unconverged |= [not res.converged for res in results]
+                nonconcave |= curve_violations(params, results)
+            for t, (lhs, rhs), *marks in zip(ts, sides, unconverged, nonconcave):
+                flags = tuple(f for f, on in zip(("oracle-unconverged", "oracle-nonconcave"), marks) if on)
                 recs.append(EquivalenceRecord(entry.f_id, t, lhs, rhs, _ratio(lhs, rhs), flags))
             return recs
 

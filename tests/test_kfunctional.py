@@ -1,6 +1,7 @@
 """Tests for explicit K-values, constructive decompositions, and the oracles."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,10 @@ from lorentzk.kfunctional import (
     _truncation_family,
     corollary_1,
     corollary_couple,
+    curve_violations,
     decomposition_lemma,
+    k_curve,
+    k_curve_s_couple,
     k_explicit_general,
     k_explicit_s,
     k_oracle,
@@ -31,12 +35,13 @@ from lorentzk.kfunctional import (
 from lorentzk.norms import LorentzSpace, norm
 from lorentzk.grids import Grid
 from lorentzk.stepfn import StepFunction, add, osc_transform, rearrange
-from lorentzk.verify import make_corpus, t_sweep
+from lorentzk.verify import _default_couple, make_corpus, t_sweep
 from lorentzk.weights import (
     CoupleConfig,
     InvalidWeightError,
     PowerLogWeight,
     PowerWeight,
+    fundamental_ratio,
     reciprocal_weight,
 )
 
@@ -480,12 +485,24 @@ class TestLevelDual:
     """``_SpaceOnGrid.cone_dual``: the exact dual norm over the cone for the lambda and s flavors."""
 
     @settings(max_examples=80, deadline=None)
-    @given(dual_problems(), st.integers(0, 2**32 - 1))
-    def test_sound_and_attained(self, problem, seed):
+    @given(dual_problems(), st.integers(0, 2**32 - 1), st.integers(-300, 300))
+    # subnormal coefficients, on which both the dual and <c, d> / N(Ld) round
+    @example((_SpaceOnGrid(LorentzSpace("s", 2.0, FLAT), np.array([1.0, 2.0, 3.0])),
+              np.array([0.0, 2.22507386e-313, 0.0]), np.ones(3, dtype=bool)), 0, 1)
+    @example((_SpaceOnGrid(LorentzSpace("lambda", 2.0, FLAT), np.array([1.0, 2.0, 3.0, 4.0])),
+              np.array([0.0, 0.0, 2.22507386e-311, -1.0]), np.array([False, False, True, True])), 0, 0)
+    def test_sound_and_attained(self, problem, seed, k):
         ev, c, free = problem
         n, p = c.size, ev.p
+        # The checks run on c scaled by a power of two that brings its largest
+        # positive free coefficient into [1/2, 1), as far as the others allow:
+        # below the normal range no relative tolerance holds.  The dual is
+        # positively homogeneous, exactly so under powers of two.
+        top = float(np.maximum(c[free], 0.0).max(initial=0.0))
+        c = np.ldexp(np.where(free, c, 0.0), min(-math.frexp(top)[1], 600))
         D = ev.cone_dual(c, free)
         assert 0.0 <= D < math.inf
+        assert ev.cone_dual(np.ldexp(c, k), free) == np.ldexp(D, k)
 
         def ratio(d):
             u = np.cumsum(d[::-1])[::-1]
@@ -509,6 +526,13 @@ class TestLevelDual:
             assert ratio(d) == pytest.approx(D, rel=1e-12)
         else:
             assert not d.any()
+
+    def test_subnormal_coefficients_scale_exactly(self):
+        # the hull and its slopes are taken on c scaled into the normal range
+        c, X = np.array([0.0, 0.7, -0.2]), np.array([0.3, 1.3, 2.0])
+        D = kfunctional._level_dual(c, X, 2.0)
+        for k in (-1030, -1050, -1070):
+            assert kfunctional._level_dual(np.ldexp(c, k), X, 2.0) == np.ldexp(D, k)
 
     def test_jump_at_zero_weight_is_unbounded(self):
         # a free difference whose cells carry no weight: <c, d> > 0 at norm 0
@@ -712,6 +736,145 @@ class TestSCoupleOracle:
         sp = LorentzSpace("lambda", 2.0, FLAT)
         with pytest.raises(ValueError, match="s-flavor"):
             k_oracle_s_couple(KQuery(STAIR, 1.0, sp, sp))
+
+
+def _suite_curves(t_count):
+    """The oracle sweeps of the t2, cor1 and generalk suites on the seed-7 corpus of
+    14 entries, as ``verify`` runs them: (f, space0, space1, parameters)."""
+    curves = []
+    for tag in ("t2", "cor1", "generalk"):
+        cfg = _default_couple(tag, 2.0, 1.0)
+        flavor = "lambda" if tag == "generalk" else "s"
+        spaces = (LorentzSpace(flavor, cfg.p0, cfg.w0), LorentzSpace(flavor, cfg.p1, cfg.w1))
+        for entry in make_corpus(seed=7, size=14):
+            ts = t_sweep(entry.fn, t_count)
+            if tag == "generalk":
+                params = [fundamental_ratio(cfg)(t) for t in ts]
+            else:
+                params = [k_explicit_s(entry.fn, t, cfg, check_hypotheses=False).param for t in ts]
+            curves.append((entry.fn, *spaces, params))
+    return curves
+
+
+def _t11_curves(t_count):
+    s0, s1, _, _ = _verify_spaces()
+    return [(entry.fn, s0, s1, t_sweep(entry.fn, t_count)) for entry in make_corpus(seed=7, size=14)]
+
+
+def _same_result(a, b):
+    return (a.value, a.gap, a.truncation_value, a.decomposition) == (b.value, b.gap, b.truncation_value, b.decomposition)
+
+
+class TestKCurve:
+    """``k_curve`` shares the set-up of one sweep; each value is the per-t oracle's, up to its gap."""
+
+    def test_verify_sweeps_at_t_count_3_are_bit_identical(self):
+        for f, s0, s1, params in _suite_curves(3):
+            curve = k_curve(f, s0, s1, params, seed=7)
+            assert all(_same_result(res, k_oracle(KQuery(f, t, s0, s1), seed=7)) for res, t in zip(curve, params))
+        for f, s0, s1, ts in _t11_curves(3):
+            for pair, t in zip(k_curve_s_couple(f, s0, s1, ts, seed=7), ts):
+                single = k_oracle_s_couple(KQuery(f, t, s0, s1), seed=7)
+                assert _same_result(pair.direct, single.direct)
+                assert _same_result(pair.transformed, single.transformed)
+                assert pair.ratio == single.ratio
+
+    def test_verify_sweeps_at_t_count_15_are_within_the_gaps(self):
+        s0, s1, tilde0, tilde1 = _verify_spaces()
+        curves = _suite_curves(15) + [
+            (osc_transform(rearrange(f)).as_step(), tilde0, tilde1, ts) for f, _, _, ts in _t11_curves(15)
+        ]
+        for f, space0, space1, params in curves:
+            for res, t in zip(k_curve(f, space0, space1, params, seed=7), params):
+                single = k_oracle(KQuery(f, t, space0, space1), seed=7)
+                assert res.converged
+                slack = 4e-16 * single.value
+                assert -single.gap - slack <= res.value - single.value <= res.gap + slack
+
+    def test_unsorted_and_repeated_parameters(self):
+        s0, s1, _, _ = _verify_spaces()
+        f = StepFunction((1.0, 2.0, 4.0, 8.0), (8.0, 4.0, 2.0, 1.0))
+        ts = [math.sqrt(8.0), 0.1, math.sqrt(8.0), 80.0, 0.1]
+        curve = k_curve(f, s0, s1, ts, m=16)
+        assert len(curve) == len(ts)
+        for res, t in zip(curve, ts):
+            single = k_oracle(KQuery(f, t, s0, s1), m=16)
+            assert abs(res.value - single.value) <= max(res.gap, single.gap) + 1e-15 * single.value
+        # the repeat starts from the optimizer point of the first visit and runs no start
+        assert curve[0].starts > 0 and curve[2].starts == 0
+        assert curve[2].decomposition.provenance == "optimizer" and curve[2].value <= curve[0].value
+        assert not curve_violations(ts, curve).any()
+
+    def test_one_parameter_is_the_single_query(self):
+        s0, s1, _, _ = _verify_spaces()
+        q = KQuery(STAIR, 0.7, s0, s1)
+        (res,) = k_curve(STAIR, s0, s1, [0.7], seed=3)
+        single = k_oracle(q, seed=3)
+        assert _same_result(res, single)
+        assert (res.converged, res.iterations, res.starts, res.seed) == (single.converged, single.iterations,
+                                                                         single.starts, single.seed)
+        assert np.array_equal(res.grid.points, single.grid.points)
+        (pair,) = k_curve_s_couple(STAIR, s0, s1, [0.7])
+        assert pair.ratio == k_oracle_s_couple(q).ratio
+
+    def test_zero_function(self):
+        s0, s1, _, _ = _verify_spaces()
+        curve = k_curve(StepFunction.zero(), s0, s1, [0.5, 2.0])
+        assert [(r.value, r.gap, r.converged) for r in curve] == [(0.0, 0.0, True)] * 2
+        assert [p.ratio for p in k_curve_s_couple(StepFunction.zero(), s0, s1, [0.5, 2.0])] == [1.0, 1.0]
+        assert not curve_violations([0.5, 2.0], curve).any()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_parameters(self, bad):
+        space = LorentzSpace("lambda", 2.0, FLAT)
+        with pytest.raises(ValueError, match="positive and finite"):
+            k_curve(STAIR, space, space, [1.0, bad])
+
+    def test_exported(self):
+        import lorentzk
+
+        for name in ("k_curve", "k_curve_s_couple", "curve_violations"):
+            assert name in kfunctional.__all__ and name in lorentzk.__all__
+
+
+class TestCurveViolations:
+    """The grid K(t) is non-decreasing and concave and K(t)/t non-increasing; a point
+    is flagged only when no value within the gaps obeys that."""
+
+    TS = [0.3, 0.8, 2.0, 5.0]
+
+    def _curve(self):
+        space = LorentzSpace("lambda", 2.0, FLAT)
+        return k_curve(STAIR, space, LorentzSpace("lambda", 2.0, PowerWeight(-0.5)), self.TS, m=16)
+
+    def test_a_computed_curve_has_none(self):
+        assert not curve_violations(self.TS, self._curve()).any()
+
+    def test_a_dent_is_flagged_unless_a_gap_explains_it(self):
+        curve = self._curve()
+        (t0, t1, t2, _), (k0, _, k2, _) = self.TS, [r.value for r in curve]
+        chord = k0 + (k2 - k0) * (t1 - t0) / (t2 - t0)
+        dent = chord - 0.1 * (chord - k0)  # still above its left neighbour
+        broken = curve[:1] + [replace(curve[1], value=dent, gap=0.0)] + curve[2:]
+        # below the chord of its neighbours: the triple around it is flagged, not the last point
+        assert curve_violations(self.TS, broken).tolist() == [True, True, True, False]
+        # order follows the input, not t
+        assert curve_violations(self.TS[::-1], broken[::-1]).tolist() == [False, True, True, True]
+        # a value is an upper bound, so only the neighbours' gaps can lower the chord
+        assert curve_violations(self.TS, curve[:1] + [replace(broken[1], gap=math.inf)] + curve[2:])[:3].all()
+        explained = [replace(curve[0], gap=k0), broken[1], replace(curve[2], gap=k2 - dent), curve[3]]
+        assert not curve_violations(self.TS, explained).any()
+        unbounded = [replace(curve[0], gap=math.inf), broken[1], replace(curve[2], gap=math.inf), curve[3]]
+        assert not curve_violations(self.TS, unbounded).any()
+
+    def test_ratio_and_order_laws(self):
+        curve = self._curve()
+        # K(t)/t rising between the last two points
+        steep = replace(curve[3], value=curve[2].value * self.TS[3] / self.TS[2] * 1.01, gap=0.0)
+        assert curve_violations(self.TS, curve[:3] + [steep])[2:].all()
+        # K(t) falling between the first two
+        fall = replace(curve[1], value=curve[0].value * 0.9, gap=0.0)
+        assert curve_violations(self.TS, curve[:1] + [fall] + curve[2:])[:2].all()
 
 
 class TestNearOptimal:

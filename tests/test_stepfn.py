@@ -54,7 +54,38 @@ def unsorted_steps(draw):
     return StepFunction(np.cumsum(widths), levels)
 
 
+def plain_merge(bps, vals):
+    """Canonical data by a Python loop: runs of equal values merged, a trailing zero cell dropped."""
+    out_b, out_v = [], []
+    for b, v in zip(bps, vals):
+        if out_v and out_v[-1] == v:
+            out_b[-1] = b
+        else:
+            out_b.append(b)
+            out_v.append(v)
+    if out_v and out_v[-1] == 0.0:
+        out_b.pop()
+        out_v.pop()
+    return out_b, out_v
+
+
+@st.composite
+def runs_with_trailing_zeros(draw):
+    """Breakpoints and values whose values come in runs of equal values, then some zero cells."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0, 2.5]), st.integers(1, 4)), max_size=6))
+    vals = [v for v, count in runs for _ in range(count)] + [0.0] * draw(st.integers(0, 3))
+    widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(vals), max_size=len(vals)))
+    return np.cumsum(widths).tolist(), vals
+
+
 class TestCanonicalization:
+    @settings(max_examples=200, deadline=None)
+    @given(runs_with_trailing_zeros())
+    def test_matches_a_plain_merge(self, data):
+        bps, vals = data
+        f = StepFunction(bps, vals)
+        assert (f.breakpoints.tolist(), f.values.tolist()) == plain_merge(bps, vals)
+
     def test_merges_equal_adjacent_values(self):
         f = StepFunction((1.0, 2.0, 3.0), (2.0, 2.0, 1.0))
         assert f.breakpoints.tolist() == [2.0, 3.0]

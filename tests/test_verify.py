@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from lorentzk import verify
 from lorentzk.stepfn import rearrange
 from lorentzk.verify import (
     SUITE_TAGS,
@@ -124,6 +126,23 @@ class TestTheoremSuites:
 
     def test_all_tags_declared(self):
         assert SUITE_TAGS == ("identity", "t11", "t2", "cor1", "generalk", "gammaeqs")
+
+
+class TestCurveFlags:
+    def test_nonconcave_oracle_curve_flags_its_records(self, monkeypatch):
+        real = verify.k_curve
+
+        def dented(*args, **kwargs):
+            # the middle value down to the first, below the chord of its neighbours
+            curve = real(*args, **kwargs)
+            return [curve[0], replace(curve[1], value=curve[0].value, gap=0.0), *curve[2:]]
+
+        monkeypatch.setattr(verify, "k_curve", dented)
+        report = run_theorem_suite("cor1", corpus=SMALL[3:4], m=16, t_count=3)
+        assert [r.flags for r in report.records] == [("oracle-nonconcave",)] * 3
+        monkeypatch.setattr(verify, "k_curve", real)
+        report = run_theorem_suite("cor1", corpus=SMALL[3:4], m=16, t_count=3)
+        assert [r.flags for r in report.records] == [()] * 3
 
 
 class TestGolden:
