@@ -14,12 +14,13 @@ integrals of s^e w(s) over (a, b) for a and b broadcast against each other
 (0 <= a <= b <= inf), a float64 array with +inf where one diverges.  Power
 weights integrate in closed form, tabulated ones by the same power primitive
 over every pair and table cell at once, the reciprocal family by its base's
-moment over (1/b, 1/a); PowerLog runs one adaptive quadrature (relative
-target 1e-8) per pair, still inaccurate on long ranges near zero.  The
-norms' cells, the K-oracle's sorted rows and each grid checker take their
-moments in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar
-wrappers.  The gamma norm's node sums read weights through ``at`` (values
-at an array of points) and ``kinks`` (where the weight is not smooth).
+moment over (1/b, 1/a); PowerLog runs adaptive quadratures (relative target
+1e-8) either side of s = 1, still inaccurate on long ranges near zero, and
+memoizes its pieces over (0, 1) and (1, inf) unless their quadrature warned.
+The norms' cells, the K-oracle's sorted rows and each grid checker take
+their moments in one call; ``primitive`` W(t) and ``tail_moment`` are its
+scalar wrappers.  The gamma norm's node sums read weights through ``at``
+(values at an array of points) and ``kinks`` (where the weight is not smooth).
 
 Derived functions (the fundamental function phi = W^{1/p}, the tail
 fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)
@@ -35,6 +36,7 @@ tail-only weights (e.g. negative powers below -1) remain usable.
 """
 
 import math
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Literal
@@ -74,6 +76,7 @@ __all__ = [
 
 QUAD_REL_TOL = 1e-8
 QUASI_MONOTONE_THRESHOLD = 10.0
+_UNIT_PIECES: dict = {}  # (side, beta + e, gamma) -> a PowerLog piece over (0, 1) or (1, inf)
 
 
 class InvalidWeightError(ValueError):
@@ -177,7 +180,7 @@ class PowerWeight(Weight):
 
 @dataclass(frozen=True)
 class PowerLogWeight(Weight):
-    """w(s) = s^beta (1 + |log s|)^gamma; moments by adaptive quadrature."""
+    """w(s) = s^beta (1 + |log s|)^gamma; moments by adaptive quadrature, unit pieces memoized."""
 
     beta: float
     gamma: float
@@ -205,7 +208,7 @@ class PowerLogWeight(Weight):
         return (1.0,)
 
     def moment(self, e: float, a, b) -> np.ndarray:
-        """One adaptive quadrature per pair, on the pairs as Python floats."""
+        """Per pair, as Python floats: quadratures either side of s = 1, unit pieces memoized."""
         a, b = _bounds(a, b)
         pairs = zip(a.ravel().tolist(), b.ravel().tolist())
         return np.array([self._quad_moment(e, lo, hi) for lo, hi in pairs]).reshape(a.shape)
@@ -225,15 +228,16 @@ class PowerLogWeight(Weight):
         def head(x: float) -> float:
             return x ** q * (1.0 + abs(math.log(x))) ** self.gamma
 
+        unit = lambda side, fn: _kept(_UNIT_PIECES, fn, 0.0, 1.0, key=(side, q, self.gamma), maxsize=256)
         total = 0.0
         if a < 1.0:
-            total += _quad_improper(head, a, min(b, 1.0))
+            total += unit("head", head) if a == 0.0 and b >= 1.0 else _quad_improper(head, a, min(b, 1.0))
         if b > 1.0:
             lo = max(a, 1.0)
             if math.isinf(b):
                 # u = 1/s maps (lo, inf) to (0, 1/lo)
                 g = lambda u: u ** (-q - 2.0) * (1.0 + abs(math.log(u))) ** self.gamma
-                total += _quad_improper(g, 0.0, 1.0 / lo)
+                total += unit("tail", g) if lo == 1.0 else _quad_improper(g, 0.0, 1.0 / lo)
             else:
                 total += _quad_improper(head, lo, b)
         return total
@@ -252,16 +256,41 @@ def _quad_improper(fn, a: float, b: float) -> float:
     return val
 
 
-def _quad_decades(fn, a: float, b: float) -> float:
-    """Quadrature split per decade: wide ranges defeat a single adaptive pass
-    when the mass concentrates near one endpoint."""
+def _kept(memo: dict, fn, a: float, b: float, key=None, maxsize: float = math.inf) -> float:
+    """``_quad_improper(fn, a, b)`` once per key of ``memo`` (default (fn, a, b));
+    a piece whose quadrature, or one nested in fn, shows a warning is not kept,
+    so each call that needs it warns again.  Past ``maxsize`` the oldest goes."""
+    key = key or (fn, a, b)
+    if key in memo:
+        return memo[key]
+    shown, warned = warnings.showwarning, []
+
+    def note(*args):
+        warned.append(args)
+        shown(*args)
+
+    warnings.showwarning = note
+    try:
+        val = _quad_improper(fn, a, b)
+    finally:
+        warnings.showwarning = shown
+    if not warned:
+        if len(memo) >= maxsize:
+            del memo[next(iter(memo))]
+        memo[key] = val
+    return val
+
+
+def _quad_decades(fn, a: float, b: float, memo: dict) -> float:
+    """Quadrature split per decade, pieces through ``memo``: wide ranges defeat
+    a single adaptive pass when the mass concentrates near one endpoint."""
     if a >= b:
         return 0.0
     total = 0.0
     lo = a
     while lo < b:
         hi = min(lo * 10.0, b)
-        total += _quad_improper(fn, lo, hi)
+        total += _kept(memo, fn, lo, hi)
         lo = hi
     return total
 
@@ -742,6 +771,7 @@ def check_sufconds(
     Closed form for Power couples; otherwise quadrature over a log grid of t
     with a lower-cutoff divergence probe for the head; a negative tail
     quadrature, which only a divergence gives, reads as an infinite tail.
+    The grid points share decade pieces: each is computed once per call.
     """
     both_power = isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)
     if method == "closed-form" or (method == "auto" and both_power):
@@ -754,17 +784,17 @@ def check_sufconds(
     phi1 = fundamental(cfg.w1, cfg.p1)
     sigma = _ratio_fn(phi0, phi1)
     pts = grid.points.tolist()
-    cutoff = pts[0] / 100.0
+    cutoff, hi = pts[0] / 100.0, pts[-1] * 100.0
+    head_fn = lambda s: phi1(s) ** (-cfg.p0) * cfg.w0(s)
+    tail_fn = lambda s: phi0(s) ** (-cfg.p1) * cfg.w1(s)
+    far_fn = lambda u: phi0(1.0 / u) ** (-cfg.p1) * cfg.w1(1.0 / u) / (u * u)
+    pieces: dict = {}
 
     def head_integral(t: float, lo: float) -> float:
-        fn = lambda s: phi1(s) ** (-cfg.p0) * cfg.w0(s)
-        return max(_quad_decades(fn, lo, t), 0.0)
+        return max(_quad_decades(head_fn, lo, t, pieces), 0.0)
 
     def tail_integral(t: float) -> float:
-        fn = lambda s: phi0(s) ** (-cfg.p1) * cfg.w1(s)
-        hi = pts[-1] * 100.0
-        g = lambda u: phi0(1.0 / u) ** (-cfg.p1) * cfg.w1(1.0 / u) / (u * u)
-        near, far = _quad_decades(fn, t, hi), _quad_improper(g, 0.0, 1.0 / hi)
+        near, far = _quad_decades(tail_fn, t, hi, pieces), _kept(pieces, far_fn, 0.0, 1.0 / hi)
         # the integrand is non-negative: a negative quadrature is quad's extrapolation of a divergence
         return math.inf if min(near, far) < 0.0 else near + far
 

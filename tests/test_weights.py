@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+from lorentzk import weights
 from lorentzk import (
     CoupleConfig,
     Grid,
@@ -201,6 +202,86 @@ class TestArrayMoment:
             TabulatedWeight(StepFunction((1.0,), (1.0,))).moment(0.0, -1.0, 2.0)
 
 
+def _direct_powerlog_moment(w: PowerLogWeight, e: float, a: float, b: float) -> float:
+    """A convergent power-log moment as the sum of its pieces, each an uncached quadrature."""
+    q = w.beta + e
+    head = lambda x: x ** q * (1.0 + abs(math.log(x))) ** w.gamma
+    tail = lambda u: u ** (-q - 2.0) * (1.0 + abs(math.log(u))) ** w.gamma
+    total = 0.0
+    if a < 1.0:
+        total += weights._quad_improper(head, a, min(b, 1.0))
+    if b > 1.0:
+        lo = max(a, 1.0)
+        if math.isinf(b):
+            total += weights._quad_improper(tail, 0.0, 1.0 / lo)
+        else:
+            total += weights._quad_improper(head, lo, b)
+    return total
+
+
+class TestUnitPieceMemo:
+    """PowerLog pieces over (0, 1) and (1, inf) come from a memo: the same
+    floats as the direct quadratures, and a warning on every call that needs a
+    piece whose quadrature warned."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(-0.9, 0.9),
+        gamma=st.floats(-1.0, 1.0),
+        d=st.floats(0.05, 3.0),
+        end=st.one_of(st.just(1.0), st.floats(1.0, 1e3)),
+        tail=st.booleans(),
+    )
+    @example(beta=0.5, gamma=1.0, d=0.5, end=1.0, tail=False)
+    @example(beta=-0.5, gamma=0.5, d=1.0, end=1.0, tail=True)
+    def test_memoized_moment_is_the_sum_of_direct_pieces(self, beta, gamma, d, end, tail):
+        w = PowerLogWeight(beta, gamma)
+        # q = beta + e is -1 - d on the tail side and -1 + d on the head side: both converge
+        if tail:
+            e, a, b = -1.0 - d - beta, 1.0 / end, math.inf
+        else:
+            e, a, b = -1.0 + d - beta, 0.0, end
+        want = _direct_powerlog_moment(w, e, a, b)
+        weights._UNIT_PIECES.clear()
+        first = float(w.moment(e, a, b))
+        again = float(w.moment(e, a, b))
+        assert first == want and again == want
+
+    def test_unit_pieces_are_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append((a, b)) or quad(fn, a, b, **kw))
+        weights._UNIT_PIECES.clear()
+        w = PowerLogWeight(0.5, 1.0)
+        for e, a, b in ((0.0, 0.0, 2.0), (-3.0, 0.5, math.inf)):
+            calls.clear()
+            first = w.moment(e, a, b)
+            assert len(calls) == 2
+            calls.clear()
+            assert w.moment(e, a, b) == first and len(calls) == 1
+        # the key is (side, beta + e, gamma): another gamma misses, another beta with the same q
+        # hits (the direct sums run two quadratures each)
+        calls.clear()
+        other = PowerLogWeight(0.5, 0.5)
+        assert float(other.moment(0.0, 0.0, 2.0)) == _direct_powerlog_moment(other, 0.0, 0.0, 2.0)
+        assert len(calls) == 4
+        calls.clear()
+        shifted = PowerLogWeight(0.0, 1.0)
+        assert float(shifted.moment(0.5, 0.0, 2.0)) == _direct_powerlog_moment(shifted, 0.5, 0.0, 2.0)
+        assert len(calls) == 3
+
+    def test_a_warned_piece_warns_on_every_call(self):
+        # the head piece of s^-0.9 (1 + |log s|)^-0.5 over (0, 1) ends in a quad roundoff warning
+        w = PowerLogWeight(-0.9, -0.5)
+        weights._UNIT_PIECES.clear()
+        with pytest.warns(IntegrationWarning):
+            first = w.moment(0.0, 0.0, 1.0)
+        with pytest.warns(IntegrationWarning):
+            again = w.moment(0.0, 0.0, 2.0)
+        assert float(first) == _direct_powerlog_moment(w, 0.0, 0.0, 1.0)
+        assert float(again) == _direct_powerlog_moment(w, 0.0, 0.0, 2.0)
+        assert not weights._UNIT_PIECES
+
+
 class TestReciprocal:
     def test_power_maps_to_power(self):
         w = reciprocal_weight(PowerWeight(0.5), 2.0)
@@ -382,6 +463,39 @@ class TestConditionCheckers:
         # no mass beyond 1e-3, so psi(1e-2) = 0 while psi(1e-8) > 0: x / 0 reads inf
         verdict = tail_diverges_at_zero(TabulatedWeight(StepFunction((1e-3,), (1.0,))), 2.0)
         assert verdict.holds and verdict.constant == math.inf
+
+
+class TestQuadraturePins:
+    """The grid checkers' quadrature values on the ROADMAP couple
+    powerlog(0.5, 1) / powerlog(-0.5, 0.5) at p = 2, as computed with one
+    quadrature per piece before the memos.  Exact power-log moments will move
+    them, and re-pin them after a check against mpmath."""
+
+    W0 = PowerLogWeight(0.5, 1.0)
+
+    def test_sufficient_conditions(self):
+        cfg = CoupleConfig(2.0, self.W0, 2.0, PowerLogWeight(-0.5, 0.5))
+        head, tail = check_sufconds(cfg, grid=Grid.log(1e-4, 1e4, 5))
+        assert head.constant == 1.5411013354882397
+        assert tail.constant == 0.7406479824822495
+
+    def test_single_weight_checkers(self):
+        assert check_bp(self.W0, 2.0).constant == 7.4269306694083985
+        assert check_rbp(self.W0, 2.0).constant == 0.5395799730252662
+        assert check_delta2(self.W0).constant == 3.7165659492910446
+
+    def test_sufficient_conditions_compute_each_piece_once(self, monkeypatch):
+        pieces = []
+
+        def recording(fn, a, b, **kw):
+            if fn.__qualname__.startswith("check_sufconds"):
+                pieces.append((fn, a, b))
+            return quad(fn, a, b, **kw)
+
+        monkeypatch.setattr(weights, "quad", recording)
+        cfg = CoupleConfig(2.0, self.W0, 2.0, PowerLogWeight(-0.5, 0.5))
+        check_sufconds(cfg, grid=Grid.log(1e-4, 1e4, 5))
+        assert len(pieces) == len(set(pieces)) > 0
 
 
 class TestSufficientConditions:
