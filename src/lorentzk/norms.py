@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .stepfn import StepFunction, maximal, osc_transform, rearrange
-from .weights import QUAD_REL_TOL, Weight, check_rbp, reciprocal_weight
+from .weights import _GL_W, QUAD_REL_TOL, Weight, _log_panels, check_rbp, reciprocal_weight
 
 __all__ = [
     "LorentzSpace",
@@ -102,13 +102,7 @@ def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return X @ moments if moments.ndim == 1 else (X * moments).sum(axis=-1)
 
 
-# the gamma scheme: 8 Gauss-Legendre nodes on panels of log-width at most 1.
-# The rule on [-1, 1] is written out (numpy's leggauss(8) would load LAPACK
-# at import for these 8 numbers).
-_GL_HALF_X = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
-_GL_HALF_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
-_GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
-_GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
+# the gamma scheme: 8 Gauss-Legendre nodes on panels of log-width at most 1
 _PANEL_LOG_WIDTH = 1.0
 
 
@@ -140,15 +134,7 @@ def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> 
     kinks = np.array(w.kinks())
     cuts = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
     start = cuts[:-1]
-    width = np.log1p((cuts[1:] - start) / start)
-    panels = np.maximum(np.ceil(width / _PANEL_LOG_WIDTH), 1.0).astype(np.intp)
-    piece = np.repeat(np.arange(width.size), panels)
-    step = width[piece] / panels[piece]
-    j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    # s = start exp(t), t = log(s / start) at the nodes, built in place
-    s = step[:, None] * (j[:, None] + 0.5 * (1.0 + _GL_X))
-    np.exp(s, out=s)
-    s *= start[piece][:, None]
+    piece, step, s = _log_panels(start, cuts[1:], _PANEL_LOG_WIDTH)
     weight = w.at(s)
     weight *= s
     weight *= (0.5 * step)[:, None]

@@ -26,7 +26,8 @@ from lorentzk import (
     truncated_norm,
     truncated_norm_result,
 )
-from lorentzk.norms import _GL_W, _GL_X, _powered
+from lorentzk.norms import _powered
+from lorentzk.weights import _GL_W, _GL_X
 
 FLAT = PowerWeight(0.0)
 IND4 = StepFunction.indicator(4.0)
@@ -95,7 +96,8 @@ class TestStructure:
         sp = LorentzSpace(flavor, p, w)
         a, b = norm_result(sp, f), norm_result(sp, g)
         assert a.diverged == b.diverged
-        # power-log moments are quadratures, which see breakpoints shifted by an ulp
+        # power-log moments from 0 and to inf are still quadratures, which see
+        # breakpoints shifted by an ulp
         rel = 1e-7 if isinstance(w, PowerLogWeight) else 1e-12
         assert a.value == pytest.approx(b.value, rel=rel)
 
@@ -320,7 +322,8 @@ class TestCellKernel:
                 ref += quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=500)[0]
                 a = b
         got = _powered(flavor, fstar, p, w, lo, hi)
-        # power-log moments are quadratures to a relative 1e-8; the gamma node
-        # sums and the other moments are good to a few ulps
+        # power-log moments from 0 and to inf are quadratures to a relative 1e-8
+        # (finite ones are log-panel sums); the gamma node sums and the other
+        # moments are good to a few ulps
         rel = 1e-9 if flavor == "gamma" and not isinstance(w, PowerLogWeight) else 1e-7
         assert got == pytest.approx(ref, rel=rel, abs=1e-300)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,12 @@ _FAMILIES = {
 }
 
 
+# a norm-workload-shaped call: the first cell from 0 (a quadrature), 2,000
+# finite cells across s = 1 (the log panels) and the tail to inf (a quadrature)
+_EDGES = (0.05 * 1.005 ** np.arange(2001)).tolist()
+_NORM_CELLS = [(0.0, _EDGES[0])] + list(zip(_EDGES, _EDGES[1:])) + [(_EDGES[-1], math.inf)]
+
+
 def _intervals(pairs, shape):
     pairs = pairs[: math.prod(shape)]
     a = np.array([min(x, y) for x, y in pairs]).reshape(shape)
@@ -181,6 +188,7 @@ class TestArrayMoment:
     @settings(max_examples=15, deadline=None)
     @given(beta=_EXPONENTS, gamma=st.integers(-4, 4).map(lambda k: k / 4), pairs=_PAIRS, shape=_SHAPES)
     @example(beta=-0.5, gamma=1.0, pairs=[(0.0, 2.0), (1.0, math.inf), (2.0, 2.0)] * 2, shape=(2, 3))
+    @example(beta=0.5, gamma=0.75, pairs=_NORM_CELLS, shape=(len(_NORM_CELLS),))
     def test_powerlog_matches_its_pairs_exactly(self, beta, gamma, pairs, shape):
         w = PowerLogWeight(beta, gamma)
         a, b = _intervals(pairs, shape)
@@ -200,6 +208,46 @@ class TestArrayMoment:
             w.moment(0.0, np.array([1.0, 3.0]), 2.0)
         with pytest.raises(ValueError, match="0 <= a <= b"):
             TabulatedWeight(StepFunction((1.0,), (1.0,))).moment(0.0, -1.0, 2.0)
+
+
+def _mpmath_powerlog_moment(beta: float, gamma: float, e: float, a: float, b: float) -> float:
+    """integral_a^b s^(beta + e) (1 + |log s|)^gamma ds by mpmath.quad in u = log s
+    (30 digits), split at u = 0 and at every integer u in between."""
+    with mpmath.workdps(30):
+        lo, hi, q1 = mpmath.log(a), mpmath.log(b), mpmath.mpf(beta) + e + 1
+        cuts = [lo] + [mpmath.mpf(k) for k in range(math.floor(lo) + 1, math.ceil(hi))] + [hi]
+        return float(mpmath.quad(lambda u: mpmath.exp(q1 * u) * (1 + abs(u)) ** gamma, cuts))
+
+
+class TestPanelMoments:
+    """Finite power-log pairs, 0 < a < b < inf, by the log-panel Gauss-Legendre
+    sums: against mpmath, and never through ``quad``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.floats(-0.9, 2.0),
+        gamma=st.floats(-2.0, 3.0),
+        e=st.sampled_from([0.0, -1.5, -2.0, -3.0, -4.0]),
+        log_a=st.floats(-15.0, 12.0),
+        log_ratio=st.floats(-9.0, math.log10(25.0)),
+    )
+    @example(beta=0.5, gamma=-1.55, e=0.0, log_a=math.log(3.0), log_ratio=-9.0)  # b / a - 1 = 1e-9
+    @example(beta=-0.5, gamma=-1.55, e=-1.5, log_a=math.log(0.25), log_ratio=math.log10(math.log(20.0)))
+    @example(beta=-0.9, gamma=2.5, e=0.0, log_a=-15.0, log_ratio=math.log10(25.0))  # 25 e-folds from e^-15
+    def test_matches_mpmath(self, beta, gamma, e, log_a, log_ratio):
+        a = math.exp(log_a)
+        b = a * math.exp(10.0 ** log_ratio)
+        got = float(PowerLogWeight(beta, gamma).moment(e, a, b))
+        assert got == pytest.approx(_mpmath_powerlog_moment(beta, gamma, e, a, b), rel=1e-12)
+
+    def test_finite_pairs_call_no_quad(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a finite power-log pair reached quad")
+
+        monkeypatch.setattr(weights, "quad", refuse)
+        x = np.geomspace(1e-3, 1e3, 50)
+        got = PowerLogWeight(0.5, 1.0).moment(-2.0, x[:-1], x[1:])
+        assert got.shape == (49,) and (got > 0.0).all() and np.isfinite(got).all()
 
 
 def _direct_powerlog_moment(w: PowerLogWeight, e: float, a: float, b: float) -> float:
@@ -469,7 +517,9 @@ class TestQuadraturePins:
     """The grid checkers' quadrature values on the ROADMAP couple
     powerlog(0.5, 1) / powerlog(-0.5, 0.5) at p = 2, as computed with one
     quadrature per piece before the memos.  Exact power-log moments will move
-    them, and re-pin them after a check against mpmath."""
+    them, and re-pin them after a check against mpmath.  Finite pairs
+    0 < a < b < inf never reach these pins: the checkers take only moments
+    from 0 or to inf, which stay quadratures."""
 
     W0 = PowerLogWeight(0.5, 1.0)
 
