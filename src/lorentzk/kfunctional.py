@@ -113,6 +113,7 @@ __all__ = [
 Provenance = Literal["truncation", "decomposition-lemma", "optimizer", "manual"]
 
 _SUM_REL_TOL = 1e-9
+_PAD_DECADES = 1.0  # the oracle grid's padding beyond the support, each side
 
 
 @dataclass(frozen=True)
@@ -687,14 +688,14 @@ class OracleResult:
     starts: int
 
 
-def oracle_grid(fstar: StepFunction, m: int = 64, pad_decades: float = 1.0) -> Grid:
+def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
     """Log-spaced grid over the support, one decade padding, breakpoints merged."""
     if fstar.is_zero:
         return Grid.log(0.1, 10.0, m)
-    lo = fstar.first_breakpoint * 10.0 ** (-pad_decades)
-    hi = fstar.support_end * 10.0 ** pad_decades
+    lo = fstar.first_breakpoint * 10.0 ** (-_PAD_DECADES)
+    hi = fstar.support_end * 10.0 ** _PAD_DECADES
     if lo >= hi:
-        lo = hi / 10.0 ** (2 * pad_decades)
+        lo = hi / 10.0 ** (2 * _PAD_DECADES)
     return Grid.log(lo, hi, m).union(fstar.breakpoints)
 
 

@@ -102,10 +102,6 @@ def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return X @ moments if moments.ndim == 1 else (X * moments).sum(axis=-1)
 
 
-# the gamma scheme: 8 Gauss-Legendre nodes on panels of log-width at most 1
-_PANEL_LOG_WIDTH = 1.0
-
-
 @dataclass(frozen=True)
 class GammaNodes:
     """Quadrature nodes of the gamma cell integrals, one row of 8 per panel.
@@ -126,7 +122,8 @@ def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> 
     """Nodes for the integrals over the cells (x_{i-1}, x_i], i >= 1, clipped to (lo, hi).
 
     In the variable u = log s the cells are cut at the weight's kinks and
-    into panels of log-width at most 1, with 8 nodes each.  On such a panel
+    into the panels of ``weights._log_panels``, log-width at most 0.5, with 8
+    nodes each: the nodes of the power-log moments.  On such a panel
     the integrand is analytic: v + c/s vanishes only where s < 0, a distance
     pi from the real u axis.
     """
@@ -134,7 +131,7 @@ def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> 
     kinks = np.array(w.kinks())
     cuts = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
     start = cuts[:-1]
-    piece, step, s = _log_panels(start, cuts[1:], _PANEL_LOG_WIDTH)
+    piece, step, s = _log_panels(start, cuts[1:])
     weight = w.at(s)
     weight *= s
     weight *= (0.5 * step)[:, None]

@@ -29,7 +29,8 @@ fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)
 are a ``PowerLaw`` c t^e where the closed form is known, i.e. for power
 weights, and otherwise a plain function of t over ``primitive`` or
 ``tail_moment``, evaluated point by point.  The checkers take the closed form
-when given a ``PowerLaw`` and scan a grid otherwise.
+when given a ``PowerLaw`` and scan a grid otherwise; the sufficient
+conditions' scan takes W and its integrals in one pass over the log panels.
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
@@ -40,7 +41,7 @@ tail-only weights (e.g. negative powers below -1) remain usable.
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -96,19 +97,21 @@ def _bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_int(q: float, a, b) -> np.ndarray:
-    """integral_a^b s^q ds, elementwise on 0 <= a <= b <= inf (+inf on divergence)."""
+    """integral_a^b s^q ds, elementwise on 0 <= a <= b <= inf (+inf on divergence):
+    with L = log(b / a) as log1p((b - a) / a), b^{q+1} (1 - e^{-(q+1)L}) / (q+1)
+    for q > -1, a^{q+1} (e^{(q+1)L} - 1) / (q+1) for q < -1 and L for q = -1,
+    differences by expm1, so nothing cancels; L = inf gives a = 0 and b = inf."""
     a, b = _bounds(a, b)
     qp = q + 1.0
-    diverges = ((a == 0.0) & (qp <= 0.0)) | (np.isinf(b) & (qp >= 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if qp == 0.0:
-            out = np.log(b / a)
-        elif abs(qp) < 1e-3:
-            # near q = -1 the two powers cancel; expm1 keeps their difference accurate
-            out = np.where(a == 0.0, b ** qp, a ** qp * np.expm1(qp * np.log(b / a))) / qp
+        log_ratio = np.log1p((b - a) / a)
+        if qp > 0.0:
+            out = b ** qp * -np.expm1(-qp * log_ratio) / qp
+        elif qp < 0.0:
+            out = a ** qp * np.expm1(qp * log_ratio) / qp
         else:
-            out = (b ** qp - a ** qp) / qp
-    return np.where(a == b, 0.0, np.where(diverges, math.inf, out))
+            out = log_ratio
+    return np.where(a == b, 0.0, out)
 
 
 # the 8-point Gauss-Legendre rule on [-1, 1], written out (numpy's leggauss(8)
@@ -119,18 +122,25 @@ _GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
 _GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 
 
-def _log_panels(a: np.ndarray, b: np.ndarray, max_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes in u = log s on the pieces [a_k, b_k], 0 < a_k < b_k < inf,
-    each split into equal panels of log-width at most ``max_width`` (the width is
-    log1p((b - a) / a), so a narrow piece does not cancel): each panel's piece
-    index, its log-width and its row of 8 nodes s (ds = s du at them)."""
-    width = np.log1p((b - a) / a)
-    panels = np.maximum(np.ceil(width / max_width), 1.0).astype(np.intp)
+    each split into equal panels of log-width at most 0.5 (width 1 loses digits
+    next to the power-log kink u = 0 at negative gamma): each panel's piece
+    index, its log-width and its row of 8 nodes s (ds = s du at them).  The
+    width is log1p((b - a) / a), so a narrow piece does not cancel."""
+    with np.errstate(over="ignore"):
+        width = np.log1p((b - a) / a)
+    wide = np.isinf(width)  # b / a overflows: a subnormal left end
+    width[wide] = np.log(b[wide]) - np.log(a[wide])
+    panels = np.maximum(np.ceil(width / 0.5), 1.0).astype(np.intp)
     piece = np.repeat(np.arange(width.size), panels)
     step = width[piece] / panels[piece]
     j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)
     # s = a exp(t), t = log(s / a) at the nodes, built in place
     s = step[:, None] * (j[:, None] + 0.5 * (1.0 + _GL_X))
+    if wide.any():  # exp(t) would overflow there: b exp(t - width) instead
+        s -= np.where(wide, width, 0.0)[piece][:, None]
+        a = np.where(wide, b, a)
     np.exp(s, out=s)
     s *= a[piece][:, None]
     return piece, step, s
@@ -138,8 +148,6 @@ def _log_panels(a: np.ndarray, b: np.ndarray, max_width: float) -> tuple[np.ndar
 
 class Weight:
     """Common weight interface; subclasses provide pointwise values and moments."""
-
-    family: str = "abstract"
 
     def moment(self, e: float, a, b) -> np.ndarray:
         """integral_a^b s^e w(s) ds for a, b scalars or arrays broadcast against
@@ -180,7 +188,6 @@ class PowerWeight(Weight):
     """w(s) = s^beta.  Any real beta is constructible; W needs beta > -1."""
 
     beta: float
-    family: str = field(default="power", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta):
@@ -212,7 +219,6 @@ class PowerLogWeight(Weight):
 
     beta: float
     gamma: float
-    family: str = field(default="powerlog", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
@@ -250,13 +256,12 @@ class PowerLogWeight(Weight):
 
     def _panel_moment(self, q: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """integral_a^b s^q (1 + |log s|)^gamma ds per pair, 0 < a < b < inf: in
-        u = log s, 8 Gauss-Legendre nodes on panels of width at most 0.5 (width
-        1 loses digits near the kink u = 0 at negative gamma), each pair cut at
-        s = 1.  Every panel row is reduced on its own, so a pair's value does
-        not depend on the other pairs."""
+        u = log s, the ``_log_panels`` nodes with each pair cut at s = 1.
+        Every panel row is reduced on its own, so a pair's value does not
+        depend on the other pairs."""
         below = np.where(a < 1.0, np.minimum(b, 1.0), b)  # each pair up to s = 1,
         cut = np.flatnonzero(below < b)  # then the pairs that go on past it
-        piece, step, s = _log_panels(np.append(a, np.ones(cut.size)), np.append(below, b[cut]), 0.5)
+        piece, step, s = _log_panels(np.append(a, np.ones(cut.size)), np.append(below, b[cut]))
         f = np.log(s)
         np.abs(f, out=f)
         f += 1.0
@@ -282,7 +287,7 @@ class PowerLogWeight(Weight):
         def head(x: float) -> float:
             return x ** q * (1.0 + abs(math.log(x))) ** self.gamma
 
-        unit = lambda side, fn: _kept(_UNIT_PIECES, fn, 0.0, 1.0, key=(side, q, self.gamma), maxsize=256)
+        unit = lambda side, fn: _kept(fn, (side, q, self.gamma))
         total = 0.0
         if a < 1.0:
             total += unit("head", head) if a == 0.0 and b >= 1.0 else _quad_improper(head, a, min(b, 1.0))
@@ -310,13 +315,12 @@ def _quad_improper(fn, a: float, b: float) -> float:
     return val
 
 
-def _kept(memo: dict, fn, a: float, b: float, key=None, maxsize: float = math.inf) -> float:
-    """``_quad_improper(fn, a, b)`` once per key of ``memo`` (default (fn, a, b));
-    a piece whose quadrature, or one nested in fn, shows a warning is not kept,
-    so each call that needs it warns again.  Past ``maxsize`` the oldest goes."""
-    key = key or (fn, a, b)
-    if key in memo:
-        return memo[key]
+def _kept(fn, key) -> float:
+    """``_quad_improper(fn, 0, 1)`` once per key of ``_UNIT_PIECES``; a piece
+    whose quadrature shows a warning is not kept, so each call that needs it
+    warns again.  Past 256 keys the oldest goes."""
+    if key in _UNIT_PIECES:
+        return _UNIT_PIECES[key]
     shown, warned = warnings.showwarning, []
 
     def note(*args):
@@ -325,28 +329,14 @@ def _kept(memo: dict, fn, a: float, b: float, key=None, maxsize: float = math.in
 
     warnings.showwarning = note
     try:
-        val = _quad_improper(fn, a, b)
+        val = _quad_improper(fn, 0.0, 1.0)
     finally:
         warnings.showwarning = shown
     if not warned:
-        if len(memo) >= maxsize:
-            del memo[next(iter(memo))]
-        memo[key] = val
+        if len(_UNIT_PIECES) >= 256:
+            del _UNIT_PIECES[next(iter(_UNIT_PIECES))]
+        _UNIT_PIECES[key] = val
     return val
-
-
-def _quad_decades(fn, a: float, b: float, memo: dict) -> float:
-    """Quadrature split per decade, pieces through ``memo``: wide ranges defeat
-    a single adaptive pass when the mass concentrates near one endpoint."""
-    if a >= b:
-        return 0.0
-    total = 0.0
-    lo = a
-    while lo < b:
-        hi = min(lo * 10.0, b)
-        total += _kept(memo, fn, lo, hi)
-        lo = hi
-    return total
 
 
 @dataclass(frozen=True)
@@ -354,7 +344,6 @@ class TabulatedWeight(Weight):
     """Weight given by a step function; all moments are exact cell sums."""
 
     step: StepFunction
-    family: str = field(default="tabulated", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.step.is_zero:
@@ -396,7 +385,6 @@ class ReciprocalWeight(Weight):
 
     base: Weight
     p: float
-    family: str = field(default="reciprocal", init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and self.p > 0.0):
@@ -822,10 +810,13 @@ def check_sufconds(
 
     First: integral_0^t phi1(s)^{-p0} w0(s) ds <= C sigma(t)^{p0}.
     Second: sigma(t) (integral_t^inf phi0(s)^{-p1} w1(s) ds)^{1/p1} <= C.
-    Closed form for Power couples; otherwise quadrature over a log grid of t
-    with a lower-cutoff divergence probe for the head; a negative tail
-    quadrature, which only a divergence gives, reads as an infinite tail.
-    The grid points share decade pieces: each is computed once per call.
+    Closed form for Power couples; otherwise a log grid of t, one pass of sums
+    on the ``_log_panels`` nodes between cutoff/32, cutoff = t_min/100, the
+    grid points, hi = 100 t_max and the weights' kinks, with W = W(cutoff/32)
+    plus finite moments and x / 0 read by ``_ratio``.  The head integrals from
+    the cutoff are a prefix sum, divergent if the piece below the cutoff adds
+    over 5% to one; the tail ones a suffix sum to hi plus one quadrature over
+    (hi, inf) in u = 1/s, whose negative value (a divergence) reads as inf.
     """
     both_power = isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)
     if method == "closed-form" or (method == "auto" and both_power):
@@ -833,44 +824,47 @@ def check_sufconds(
             raise ValueError("closed-form checks are available for power couples only")
         return _sufcond_closed_form(cfg)
 
-    grid = grid or Grid.log(1e-4, 1e4, 49)
-    phi0 = fundamental(cfg.w0, cfg.p0)
-    phi1 = fundamental(cfg.w1, cfg.p1)
-    sigma = _ratio_fn(phi0, phi1)
-    pts = grid.points.tolist()
+    pts = (grid or Grid.log(1e-4, 1e4, 49)).points
+    phi0 = fundamental(cfg.w0, cfg.p0)  # both raise InvalidWeightError where W diverges
+    fundamental(cfg.w1, cfg.p1)
     cutoff, hi = pts[0] / 100.0, pts[-1] * 100.0
-    head_fn = lambda s: phi1(s) ** (-cfg.p0) * cfg.w0(s)
-    tail_fn = lambda s: phi0(s) ** (-cfg.p1) * cfg.w1(s)
-    far_fn = lambda u: phi0(1.0 / u) ** (-cfg.p1) * cfg.w1(1.0 / u) / (u * u)
-    pieces: dict = {}
+    low = cutoff / 32.0
+    kinks = np.concatenate([np.asarray(w.kinks(), dtype=float) for w in (cfg.w0, cfg.w1)])
+    edges = np.union1d(np.append(pts, kinks[(kinks > low) & (kinks < hi)]), (low, cutoff, hi))
+    piece, step, s = _log_panels(edges[:-1], edges[1:])
+    dx = s * (0.5 * step)[:, None] * _GL_W  # the Gauss-Legendre weight x ds at each node
 
-    def head_integral(t: float, lo: float) -> float:
-        return max(_quad_decades(head_fn, lo, t, pieces), 0.0)
+    def piece_integrals(w: Weight, W: np.ndarray, power: float) -> np.ndarray:
+        """integral of W^{-power} w over each piece between two edges."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (_ratio(w.at(s), W ** power) * dx).sum(axis=1)
+        return np.bincount(piece, weights=rows, minlength=edges.size - 1)
 
-    def tail_integral(t: float) -> float:
-        near, far = _quad_decades(tail_fn, t, hi, pieces), _kept(pieces, far_fn, 0.0, 1.0 / hi)
-        # the integrand is non-negative: a negative quadrature is quad's extrapolation of a divergence
-        return math.inf if min(near, far) < 0.0 else near + far
+    x = np.append(s, pts)  # W at the nodes, then at the grid points
+    W0, W1 = (w.primitive(low) + w.moment(0.0, low, x) for w in (cfg.w0, cfg.w1))
+    sigma = _ratio(W0[s.size :] ** (1.0 / cfg.p0), W1[s.size :] ** (1.0 / cfg.p1))
+    W0, W1 = W0[: s.size].reshape(s.shape), W1[: s.size].reshape(s.shape)
+    at = np.searchsorted(edges, pts)  # each grid point's edge index
+    below = np.searchsorted(edges, cutoff)
 
-    pairs_a = []
-    unstable = False
-    for t in pts:
-        full = head_integral(t, cutoff)
-        probe = head_integral(t, cutoff / 32.0)
-        if full > 0.0 and (probe - full) > 0.05 * full:
-            unstable = True
-        pairs_a.append((t, float(_ratio(full, sigma(t) ** cfg.p0))))
-    ca, wa = _sup_scan(pairs_a)
+    head = piece_integrals(cfg.w0, W1, cfg.p0 / cfg.p1)
+    full = np.cumsum(head[below:])[at - below - 1]  # over (cutoff, t)
+    unstable = bool(((full > 0.0) & (head[:below].sum() > 0.05 * full)).any())
+    ca, wa = _sup_scan(zip(pts.tolist(), _ratio(full, sigma ** cfg.p0).tolist()))
     holds_a = math.isfinite(ca) and ca <= threshold and not unstable
     detail_a = f"lower cutoff {cutoff:g}" + ("; cutoff-sensitive (divergent head)" if unstable else "")
     va = ConditionVerdict(
         "head-integral-vs-sigma", holds_a, math.inf if unstable else ca, wa, "grid", detail_a
     )
 
+    near = np.cumsum(piece_integrals(cfg.w1, W0, cfg.p1 / cfg.p0)[::-1])[::-1][at]  # over (t, hi)
+    far = _quad_improper(lambda u: phi0(1.0 / u) ** (-cfg.p1) * cfg.w1(1.0 / u) / (u * u), 0.0, 1.0 / hi)
+    # the integrand is non-negative: a negative quadrature is quad's extrapolation of a divergence
+    tails = near + far if far >= 0.0 else np.full(pts.size, math.inf)
     # sigma(t) = 0 makes the tail term 0, as in the explicit formula; phi0 may vanish beyond t then
-    sigmas = [sigma(t) for t in pts]
-    pairs_b = [(t, s and s * tail_integral(t) ** (1.0 / cfg.p1)) for t, s in zip(pts, sigmas)]
-    cb, wb = _sup_scan(pairs_b)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(sigma == 0.0, 0.0, sigma * tails ** (1.0 / cfg.p1))
+    cb, wb = _sup_scan(zip(pts.tolist(), terms.tolist()))
     holds_b = math.isfinite(cb) and cb <= threshold
     vb = ConditionVerdict("sigma-vs-tail-integral", holds_b, cb, wb, "grid", "")
     return va, vb

@@ -150,6 +150,14 @@ class TestCheckWeights:
         # the head sup is t ln 2 at t = 1e4: phi1(s)^-2 = 1/s integrates to ln 2 over (1, 2], sigma(t)^2 = 1/t
         assert "sufficient-head: fails constant=6931.47 [grid]" in result.output.splitlines()
 
+    def test_second_weight_vanishing_near_zero(self, runner, tmp_path):
+        # w1 = 0 on (0, 1], so W1^-1 w0 = x / 0 there reads inf: the head integral diverges
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [0, 1]}))
+        result = runner.invoke(main, ["check-weights", "--weight", "power:0", "--weight2", f"file:{path}"])
+        assert result.exit_code == 0, result.output
+        assert "sufficient-head: fails constant=inf [grid]" in result.output.splitlines()
+
     def test_vanishing_tail_fundamental_fails_doubling(self, runner, tmp_path):
         # the table's tail fundamental is 0 from t = 5 on, so psi1(t) / psi1(2t) reads inf
         path = tmp_path / "tab.json"

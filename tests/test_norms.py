@@ -26,7 +26,7 @@ from lorentzk import (
     truncated_norm,
     truncated_norm_result,
 )
-from lorentzk.norms import _powered
+from lorentzk.norms import _powered, gamma_nodes
 from lorentzk.weights import _GL_W, _GL_X
 
 FLAT = PowerWeight(0.0)
@@ -293,6 +293,14 @@ class TestCellKernel:
         np.testing.assert_allclose(_GL_W, w, rtol=0.0, atol=1e-15)
         for k in range(16):  # exact up to degree 15
             assert _GL_W @ _GL_X ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-15)
+
+    def test_gamma_nodes_match_the_moments_next_to_the_kink(self):
+        # the gamma nodes and the power-log moments share their log panels; at
+        # log-width 1 this cell's node sum was 5.1e-10 off
+        w = PowerLogWeight(2.0, -2.0)
+        x = np.array([1.0 / math.e, 1.0])
+        nodes = gamma_nodes(w, x, 0.0, math.inf, 0.0)
+        assert nodes.weight.sum() == pytest.approx(float(w.moment(0.0, x[0], x[1])), rel=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(windowed_integrals())

@@ -1,6 +1,7 @@
 """Weight moments, duality, and condition checkers against closed forms."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -50,6 +51,17 @@ class TestMoments:
         # one ulp off the borderline the difference of powers must not cancel
         near = PowerWeight(math.nextafter(-1.0, -2.0))
         assert near.moment(0.0, 1.0, 2.0) == pytest.approx(math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [-3.0, -1.5, -1.0005, -1.0, -0.9995, 0.5, 2.0])
+    @pytest.mark.parametrize("a", [0.7, 3.0])
+    def test_power_moment_of_a_narrow_pair_matches_mpmath(self, q, a):
+        # b / a - 1 = 1e-12: a difference of two powers, or log(b / a), would
+        # keep only about 4 of the 16 digits
+        b = a * (1.0 + 1e-12)
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+            want = mpmath.log(hi / lo) if q == -1.0 else (hi ** (q + 1) - lo ** (q + 1)) / (q + 1)
+        assert float(PowerWeight(q).moment(0.0, a, b)) == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     def test_primitive_raises_when_divergent(self):
         with pytest.raises(InvalidWeightError):
@@ -239,6 +251,12 @@ class TestPanelMoments:
         b = a * math.exp(10.0 ** log_ratio)
         got = float(PowerLogWeight(beta, gamma).moment(e, a, b))
         assert got == pytest.approx(_mpmath_powerlog_moment(beta, gamma, e, a, b), rel=1e-12)
+
+    @pytest.mark.parametrize("beta, gamma, a, b", [(0.0, 0.0, 1e-310, 1.0), (0.5, 1.0, 1e-310, 2.0)])
+    def test_subnormal_left_end(self, beta, gamma, a, b):
+        # b / a overflows a float, so the pair's log-width is log b - log a
+        got = float(PowerLogWeight(beta, gamma).moment(0.0, a, b))
+        assert got == pytest.approx(_mpmath_powerlog_moment(beta, gamma, 0.0, a, b), rel=1e-12)
 
     def test_finite_pairs_call_no_quad(self, monkeypatch):
         def refuse(*args, **kw):
@@ -514,38 +532,44 @@ class TestConditionCheckers:
 
 
 class TestQuadraturePins:
-    """The grid checkers' quadrature values on the ROADMAP couple
-    powerlog(0.5, 1) / powerlog(-0.5, 0.5) at p = 2, as computed with one
-    quadrature per piece before the memos.  Exact power-log moments will move
-    them, and re-pin them after a check against mpmath.  Finite pairs
-    0 < a < b < inf never reach these pins: the checkers take only moments
-    from 0 or to inf, which stay quadratures."""
+    """The grid checkers' values on the ROADMAP couple powerlog(0.5, 1) /
+    powerlog(-0.5, 0.5) at p = 2.  The B_p, RB_p and Delta_2 constants take
+    moments from 0 or to inf, which are still quadratures: exact power-log
+    moments will move them, and re-pin them after a check against mpmath.
+    The sufficient-condition constants are log-panel sums, which agree with
+    a 25-digit mpmath evaluation at their witness t (W by ``gammainc``) to
+    about 1.4e-15 relative."""
 
     W0 = PowerLogWeight(0.5, 1.0)
+    COUPLE = CoupleConfig(2.0, W0, 2.0, PowerLogWeight(-0.5, 0.5))
 
     def test_sufficient_conditions(self):
-        cfg = CoupleConfig(2.0, self.W0, 2.0, PowerLogWeight(-0.5, 0.5))
-        head, tail = check_sufconds(cfg, grid=Grid.log(1e-4, 1e4, 5))
-        assert head.constant == 1.5411013354882397
-        assert tail.constant == 0.7406479824822495
+        head, tail = check_sufconds(self.COUPLE, grid=Grid.log(1e-4, 1e4, 5))
+        assert head.constant == 1.541101335729306
+        assert tail.constant == 0.7406479825297092
 
     def test_single_weight_checkers(self):
         assert check_bp(self.W0, 2.0).constant == 7.4269306694083985
         assert check_rbp(self.W0, 2.0).constant == 0.5395799730252662
         assert check_delta2(self.W0).constant == 3.7165659492910446
 
-    def test_sufficient_conditions_compute_each_piece_once(self, monkeypatch):
-        pieces = []
+    def test_sufficient_conditions_quadratures_do_not_grow_with_the_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append(a) or quad(fn, a, b, **kw))
+        counts = []
+        for n in (5, 49):
+            weights._UNIT_PIECES.clear()
+            calls.clear()
+            check_sufconds(self.COUPLE, grid=Grid.log(1e-4, 1e4, n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
-        def recording(fn, a, b, **kw):
-            if fn.__qualname__.startswith("check_sufconds"):
-                pieces.append((fn, a, b))
-            return quad(fn, a, b, **kw)
-
-        monkeypatch.setattr(weights, "quad", recording)
-        cfg = CoupleConfig(2.0, self.W0, 2.0, PowerLogWeight(-0.5, 0.5))
-        check_sufconds(cfg, grid=Grid.log(1e-4, 1e4, 5))
-        assert len(pieces) == len(set(pieces)) > 0
+    def test_sufficient_conditions_emit_no_integration_warning(self):
+        weights._UNIT_PIECES.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            head, tail = check_sufconds(self.COUPLE)
+        assert head.holds and tail.holds
 
 
 class TestSufficientConditions:
