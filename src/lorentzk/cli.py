@@ -223,16 +223,17 @@ def check_weights_cmd(
     show_default=True,
 )
 @click.option("--m", type=int, default=64, show_default=True, help="Oracle grid resolution.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def k_cmd(
-    fn_path: str, t: float, p_str: str, alpha: float, method: str, m: int, seed: int, fmt: str
+    fn_path: str, t: float, p_str: str, alpha: float, method: str, m: int, fmt: str
 ) -> None:
     """K-functional of the flat/power s-couple at the matched parameter.
 
     The explicit head/tail formula at split point t approximates the
-    K-functional at parameter theta(t); the oracle minimizes over step
-    decompositions at that same parameter.
+    K-functional at parameter theta(t); the oracle minimizes over monotone
+    step decompositions at that same parameter, by a deterministic search
+    that certifies its value by a duality gap (JSON: oracle_converged,
+    oracle_gap, oracle_starts).
     """
     p = _parse_p(p_str)
     f = _load_fn(fn_path)
@@ -254,7 +255,7 @@ def k_cmd(
                 LorentzSpace("s", cfg.p0, cfg.w0),
                 LorentzSpace("s", cfg.p1, cfg.w1),
             )
-            res = k_oracle(q, m=m, seed=seed)
+            res = k_oracle(q, m=m)
             payload["oracle"] = res.value
             payload["oracle_converged"] = res.converged
             payload["oracle_gap"] = res.gap

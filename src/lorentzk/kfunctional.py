@@ -26,7 +26,7 @@ This module provides:
 * ``k_oracle`` — one query, the one-t case of ``k_curve``, with an
   unconstrained mode besides the monotone one (both parts non-increasing),
   an exhaustive lattice mode for tiny instances, and the two-parameter
-  truncation family as seed and cross-check;
+  truncation family as first candidate and cross-check;
 * ``k_curve_s_couple`` and its one-t case ``k_oracle_s_couple`` — the same
   K-functional computed twice: directly on the s-couple and through the
   oscillation transform on the reciprocal lambda-couple (independent grids,
@@ -40,18 +40,19 @@ where both chain constraints become a coordinate box; the objective is
 convex there (p >= 1) and ``_CoupleObjective.gap`` certifies a candidate:
 a Frank-Wolfe gap, and at a vanishing part the level-function dual norm
 over the cone of non-increasing functions.  The best truncation candidate
-stands when certified; otherwise scipy's L-BFGS-B runs from up to five
-distinct starts until the best point is certified, and a few Newton steps
-on the free face polish each new best point.  At p_0 = p_1 = 1 the
-objective is affine and the slope-sign vertex is also tried.  A monotone
-value without a certificate is flagged unconverged, never silently
-accepted.  The explicit formulas take their head and tail integrals from the
-windowed cell sums of ``norms``.  The oracle runs lambda- and s-flavor
-couples, the two the paper's K-functionals reduce to.  It takes each grid's
-cell lengths and weight moments once from ``norms.cell_moments``, the
-builder the norms use (the sorted rows of unconstrained candidates from one
-``Weight.moment`` call), and evaluates the candidates' norms, and their
-gradients, with the same cell kernel, ``norms.cell_sums``.
+stands when certified; otherwise scipy's L-BFGS-B runs from the centre of
+the box, then its two corners, until the best point is certified, and after
+each start Newton steps with the exact Hessian polish the best point.  The
+search draws nothing at random.  At p_0 = p_1 = 1 the objective is affine
+and the slope-sign vertex is also tried.  A monotone value without a
+certificate is flagged unconverged, never silently accepted.  The explicit
+formulas take their head and tail integrals from the windowed cell sums of
+``norms``.  The oracle runs lambda- and s-flavor couples, the two the
+paper's K-functionals reduce to.  It takes each grid's cell lengths and
+weight moments once from ``norms.cell_moments``, the builder the norms use
+(the sorted rows of unconstrained candidates from one ``Weight.moment``
+call), and evaluates the candidates' norms, and their gradients, with the
+same cell kernel, ``norms.cell_sums``.
 """
 
 import math
@@ -424,6 +425,14 @@ class _SpaceOnGrid:
         self.lengths = cells[0]
         self.grid_cells = (None, *cells)
         self.w = space.w
+        # N(Ld)^p = sum_i omega_i y_i^p with y = B d (see ``cone_dual``), for the Hessian
+        _, lengths, left, moments, tail = self.grid_cells
+        ones = np.ones((lengths.size, lengths.size))
+        if self.flavor == "lambda":
+            self.B, self.omega = np.triu(ones), moments
+        else:
+            self.B = np.vstack((np.tril(ones, -1), ones[0])) * (left + lengths)
+            self.omega = np.append(moments, tail)
 
     def check_unconstrained(self) -> None:
         """Raise InvalidWeightError unless unconstrained candidates are supported."""
@@ -505,6 +514,23 @@ class _SpaceOnGrid:
         X = np.append(moments[1:], tail)[::-1].cumsum()
         return _level_dual((c / (left + lengths))[::-1][back], X[back], self.p)
 
+    def hessian(self, d: np.ndarray) -> np.ndarray:
+        """The Hessian of N(Ld) in the differences d >= 0.
+
+        With y = Bd, r = N^{1-p} omega y^{p-1} is the gradient of N in y, and
+        the Hessian is B^T ((p-1)/N)(N^{2-p} diag(omega y^{p-2}) - r r^T) B.
+        Rows with y_i = 0, where y^{p-2} blows up for p < 2, are left out; the
+        Hessian of N at 0 is taken as 0.
+        """
+        y = self.B @ d
+        live = y > 0.0
+        if not live.any():
+            return np.zeros((d.size, d.size))
+        p, B, omega, y = self.p, self.B[live], self.omega[live], y[live]
+        n = float(omega @ y**p) ** (1.0 / p)
+        r = B.T @ (n ** (1.0 - p) * omega * y ** (p - 1.0))
+        return (p - 1.0) / n * ((B.T * (n ** (2.0 - p) * omega * y ** (p - 2.0))) @ B - np.outer(r, r))
+
 
 class _CoupleObjective:
     """J(u) = ||u||_0 + t ||F - u||_1 on the grid, monotone or unconstrained.
@@ -537,10 +563,11 @@ class _CoupleObjective:
         n1, g1 = self.ev1.grad(rest, self.monotone)
         return n0 + self.t * n1, g0 - self.t * g1
 
-    def to_u(self, d: np.ndarray) -> np.ndarray:
-        """The candidate Ld of differences d, clipped to [0, F] against rounding."""
+    def to_u(self, x: np.ndarray) -> np.ndarray:
+        """The candidate of search point x (differences d in monotone mode, so
+        Ld), clipped to [0, F] against rounding."""
         # the array methods skip the Python-level wrappers of np.clip and np.cumsum
-        return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), self.F)
+        return np.minimum(np.maximum(x[::-1].cumsum()[::-1] if self.monotone else x, 0.0), self.F)
 
     def diff_value_grad(self, d: np.ndarray) -> tuple[float, np.ndarray]:
         """J(Ld) and its gradient L^T grad J in the differences."""
@@ -576,30 +603,27 @@ class _CoupleObjective:
         return min(gap, max(D - 1.0, 0.0) * val)
 
     def polish(self, d: np.ndarray, val: float, gap: float) -> tuple[np.ndarray, float, float]:
-        """Up to three Newton steps on the free face 0 < d < hi, each clipped to the box.
+        """Up to three Newton steps from d, each clipped to the box 0 <= d <= hi.
 
         L-BFGS-B stops where its ftol resolves d only to about sqrt(eps), which
-        can leave a Frank-Wolfe gap above ``_GAP_REL_TOL``.  The Hessian on
-        the free coordinates comes from forward differences of the gradient.
+        can leave a Frank-Wolfe gap above ``_GAP_REL_TOL``.  The steps move the
+        coordinates inside the box and those at a bound whose gradient points
+        into it, with the exact Hessian of J on them
+        (``_SpaceOnGrid.hessian``; Bertsekas 1982, SIAM J. Control Optim. 20).
         A step is kept when J stays within 4 ulps of ``val`` and the gap
         shrinks; the first step that fails ends the polish.  Returns the best
         (d, J, gap).
         """
-        h = math.sqrt(_EPS) * float(self.F[0])  # the forward-difference step
         for _ in range(3):
-            free = np.flatnonzero((d > 0.0) & (d < self.hi))
-            if not free.size or gap <= _GAP_REL_TOL * val:
+            if gap <= _GAP_REL_TOL * val:
                 break
-            g = self.diff_value_grad(d)[1][free]
-            # step into the box, from the side with more room
-            steps = np.where(self.hi[free] - d[free] >= d[free], h, -h)
-            H = np.empty((free.size, free.size))
-            for col, (k, hk) in enumerate(zip(free, steps)):
-                e = d.copy()
-                e[k] += hk
-                H[:, col] = (self.diff_value_grad(e)[1][free] - g) / hk
+            g = self.diff_value_grad(d)[1]
+            free = np.flatnonzero((self.hi > 0.0) & ((d > 0.0) | (g < 0.0)) & ((d < self.hi) | (g > 0.0)))
+            if not free.size:
+                break
+            H = self.ev0.hessian(d) + self.t * self.ev1.hessian(self.hi - d)
             try:
-                delta = np.linalg.solve(0.5 * (H + H.T), -g)
+                delta = np.linalg.solve(H[np.ix_(free, free)], -g[free])
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(delta).all():
@@ -672,8 +696,9 @@ class OracleResult:
     both exponents at least 1.  Unconstrained mode and p < 1 have no
     certificate, so there it only says that no L-BFGS-B start stopped at its
     cap.  ``starts`` counts the distinct L-BFGS-B starts run (0 when the
-    truncation candidate was certified), ``iterations`` their iterations,
-    over both searches in unconstrained mode.
+    truncation candidate was certified, at most 3 in monotone mode),
+    ``iterations`` their iterations, over both searches in unconstrained
+    mode.
     """
 
     value: float
@@ -683,7 +708,6 @@ class OracleResult:
     iterations: int
     monotone_only: bool
     grid: Grid
-    seed: int
     gap: float
     starts: int
 
@@ -725,23 +749,10 @@ _GAP_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _starts(x_trunc: np.ndarray, hi: np.ndarray, seed: int):
-    """The L-BFGS-B starts in order, each made only when the search reaches it:
-    the best truncation candidate, both corners of the box [0, hi], its centre
-    and a point drawn from ``seed``."""
-    yield x_trunc
-    yield hi
-    yield np.zeros_like(hi)
-    yield hi / 2.0
-    yield np.random.default_rng(seed).uniform(size=hi.size) * hi
-
-
 class _GridProblem:
     """Everything of a K-query but its parameter: f* sampled on the grid, both
     spaces on the grid, and the truncation family with its norms N0(U) and
-    N1(F - U), built once per mode.  ``found`` holds each monotone optimizer
-    point with its two norms (u, N0(u), N1(F - u)); it is feasible at every
-    t, so it joins the candidates of every later search at value a + t b.
+    N1(F - U), built once per mode.  Each search depends on its t alone.
     """
 
     def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
@@ -756,7 +767,6 @@ class _GridProblem:
             self.ev0.check_unconstrained()
             self.ev1.check_unconstrained()
         self.families: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.found: list[tuple[np.ndarray, float, float]] = []
 
     def truncation(self, obj: _CoupleObjective) -> tuple[np.ndarray, float]:
         """The best truncation candidate at the objective's t, and its value."""
@@ -769,31 +779,30 @@ class _GridProblem:
         return U[k_best], float(tvals[k_best])
 
     def search(
-        self, t: float, monotone: bool, seed: int
+        self, t: float, monotone: bool, seed: int = 0
     ) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, no start capped, gap, starts) at t."""
+        """(value, u, truncation value, iterations, no start capped, gap, starts) at t.
+
+        The unconstrained starts are the best truncation candidate, both
+        corners, the centre and a point drawn from ``seed``."""
         F = self.F
         obj = _CoupleObjective(self.ev0, self.ev1, F, t, monotone)
         u_trunc, trunc_val = self.truncation(obj)
         if monotone:
-            hi, to_u, vg = obj.hi, obj.to_u, obj.diff_value_grad
-            x_trunc = u_trunc - np.concatenate((u_trunc[1:], [0.0]))
+            hi, vg, x_best = obj.hi, obj.diff_value_grad, u_trunc - np.append(u_trunc[1:], 0.0)
+            starts = (hi / 2.0, hi, np.zeros_like(hi))
         else:
-            hi = F
+            hi, vg, x_best = F, obj.value_grad, u_trunc
+            starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
 
-            def to_u(x: np.ndarray) -> np.ndarray:
-                return np.minimum(np.maximum(x, 0.0), F)
+        def to_u(x: np.ndarray) -> np.ndarray:
+            # the upper corner exactly, which the sum of the differences misses by rounding
+            return F if np.array_equal(x, hi) else obj.to_u(x)
 
-            vg = obj.value_grad
-            x_trunc = u_trunc
         best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
-        if monotone:
-            for u, a, b in self.found:
-                if a + t * b < best_f:
-                    best_u, best_f = u, a + t * b
         gap = obj.gap(best_u)
         tried: list[np.ndarray] = []
-        for x0 in _starts(x_trunc, hi, seed):
+        for x0 in starts:
             if gap <= _GAP_REL_TOL * best_f:
                 break
             if any(np.array_equal(x0, y) for y in tried):
@@ -804,27 +813,22 @@ class _GridProblem:
             used, iters = used + 1, iters + res.nit
             conv = conv and res.status != 1  # status 1: iteration or evaluation cap
             if res.fun < best_f:
-                beaten = best_f
-                # the upper corner exactly, which the sum of the differences misses by rounding
-                best_u = F if np.array_equal(res.x, hi) else to_u(res.x)
-                best_f, gap = float(res.fun), obj.gap(best_u)
-                if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
-                    d, f_d, gap_d = obj.polish(res.x, best_f, gap)
-                    if gap_d < gap and f_d < beaten:
-                        best_u, best_f, gap = to_u(d), f_d, gap_d
+                x_best, best_u, best_f = res.x, to_u(res.x), float(res.fun)
+                gap = obj.gap(best_u)
+            if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
+                d, f_d, gap_d = obj.polish(x_best, best_f, gap)
+                if gap_d < gap and f_d <= trunc_val:  # never above the truncation value
+                    x_best, best_u, best_f, gap = d, to_u(d), f_d, gap_d
         if monotone and self.ev0.p == self.ev1.p == 1.0:
             vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
             f_vertex = vg(vertex)[0]
             if f_vertex < best_f:
                 best_u, best_f = to_u(vertex), f_vertex
                 gap = obj.gap(best_u)
-        if monotone and best_f < trunc_val and all(best_u is not u for u, _, _ in self.found):
-            n0, n1 = obj.norms_batch(best_u[None, :])
-            self.found.append((best_u, float(n0[0]), float(n1[0])))
         return best_f, best_u, trunc_val, iters, conv, gap, used
 
-    def solve(self, t: float, monotone_only: bool, seed: int) -> OracleResult:
-        value, u, trunc_val, iters, conv, gap, used = self.search(t, True, seed)
+    def solve(self, t: float, monotone_only: bool, seed: int = 0) -> OracleResult:
+        value, u, trunc_val, iters, conv, gap, used = self.search(t, True)
         if monotone_only and min(self.ev0.p, self.ev1.p) >= 1.0:
             conv = gap <= _GAP_REL_TOL * value  # the certificate, not the iteration cap
         provenance = "optimizer" if value < trunc_val else "truncation"
@@ -846,19 +850,11 @@ class _GridProblem:
         g = self.grid.points
         dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
         dec.validate_sum(self.target)
-        return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, self.grid, seed, gap, used)
+        return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, self.grid, gap, used)
 
 
-def _oracle_curve(
-    f: StepFunction,
-    space0: LorentzSpace,
-    space1: LorentzSpace,
-    ts: Sequence[float],
-    grid: Grid | None,
-    m: int,
-    monotone_only: bool,
-    seed: int,
-) -> list[OracleResult]:
+def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
+                  grid: Grid | None, m: int, monotone_only: bool, seed: int = 0) -> list[OracleResult]:
     ts = [float(t) for t in ts]
     if not all(t > 0.0 and math.isfinite(t) for t in ts):
         raise ValueError("K-parameter t must be positive and finite")
@@ -866,7 +862,7 @@ def _oracle_curve(
     if fstar.is_zero:
         dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
         g0 = grid or Grid.log(0.1, 10.0, 2)
-        return [OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, seed, 0.0, 0) for _ in ts]
+        return [OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, 0.0, 0) for _ in ts]
     problem = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, m), monotone_only)
     return [problem.solve(t, monotone_only, seed) for t in ts]
 
@@ -878,19 +874,17 @@ def k_curve(
     ts: Sequence[float],
     grid: Grid | None = None,
     m: int = 64,
-    seed: int = 0,
 ) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
     The grid, the rearrangement sampled on it, both spaces and the truncation
     family's norms N0(U) and N1(F - U) are built once; each t takes the
     argmin of N0 + t N1, the certificate, the L-BFGS-B starts and the polish
-    (see ``k_oracle``).  An optimizer point found at one t is feasible at
-    every t, so it joins the candidates of every later t at value
-    N0 + t N1; the search order is that of ``ts``, which may be unsorted or
-    repeat a value.
+    (see ``k_oracle``) on its own, so each result is bit for bit the
+    ``k_oracle`` result at its t, whatever the order of ``ts`` (which may be
+    unsorted or repeat a value).
     """
-    return _oracle_curve(f, space0, space1, ts, grid, m, True, seed)
+    return _oracle_curve(f, space0, space1, ts, grid, m, True)
 
 
 # relative rounding slack of the K-curve laws; the values' own rounding is a few ulps
@@ -944,19 +938,18 @@ def k_oracle(
     functions on the grid cells with 0 <= u_i <= f*_i, plus (in monotone
     mode) the two chain constraints keeping both parts non-increasing, which
     become the box 0 <= d_i <= f*_i - f*_{i+1} on successive differences.
-    L-BFGS-B minimizes over the box from five starts: the best truncation
-    candidate, both corners, the centre and a point drawn from ``seed``; a
-    start equal to an earlier one is skipped.  The search stops once the
-    best point has a gap of at most ``_GAP_REL_TOL`` of its value, which the
-    truncation candidate may have before any start (the exact dual certifies
-    an optimum at a vanishing part there).  A start that beats the best
-    point but leaves it uncertified is polished by up to three Newton steps
-    on the free face (``_CoupleObjective.polish``).  The truncation candidate
-    wins ties.  When both exponents are 1 the monotone objective is affine in
-    the differences, and the vertex picked by the sign of each slope joins
-    the candidates.  In unconstrained mode the monotone search also runs and
-    the better value wins, so the unconstrained value never exceeds the
-    monotone one; the unconstrained search runs all its distinct starts.
+    The search stops once the best point has a gap of at most
+    ``_GAP_REL_TOL`` of its value, which the truncation candidate may have
+    before any start (the exact dual certifies an optimum at a vanishing
+    part there).  Otherwise L-BFGS-B runs from the centre of the box, then
+    its upper and its lower corner, and after each start Newton steps
+    polish the best point (``_CoupleObjective.polish``).  The truncation
+    candidate wins ties.  When both exponents are 1 the monotone objective
+    is affine in the differences, and the vertex picked by the sign of each
+    slope joins the candidates.  In unconstrained mode the monotone search
+    also runs and the better value wins, so the unconstrained value never
+    exceeds the monotone one.  That problem is not convex; its search runs
+    every distinct start of ``_GridProblem.search``, one drawn from ``seed``.
 
     A single query is the one-t case of ``k_curve``, with the unconstrained
     search added on the same set-up when ``monotone_only`` is false.
@@ -1029,7 +1022,6 @@ def k_curve_s_couple(
     space1: LorentzSpace,
     ts: Sequence[float],
     m: int = 64,
-    seed: int = 0,
 ) -> list[SCoupleOracleResult]:
     """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
 
@@ -1042,11 +1034,11 @@ def k_curve_s_couple(
     if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
     fstar = rearrange(f)
-    direct = k_curve(fstar, space0, space1, ts, m=m, seed=seed)
+    direct = k_curve(fstar, space0, space1, ts, m=m)
     tstep = osc_transform(fstar).as_step()
     tilde0 = LorentzSpace("lambda", space0.p, reciprocal_weight(space0.w, space0.p))
     tilde1 = LorentzSpace("lambda", space1.p, reciprocal_weight(space1.w, space1.p))
-    transformed = k_curve(tstep, tilde0, tilde1, ts, m=m, seed=seed)
+    transformed = k_curve(tstep, tilde0, tilde1, ts, m=m)
     results = []
     for d, tr in zip(direct, transformed):
         a, b = d.value, tr.value
@@ -1055,7 +1047,7 @@ def k_curve_s_couple(
     return results
 
 
-def k_oracle_s_couple(q: KQuery, m: int = 64, seed: int = 0) -> SCoupleOracleResult:
+def k_oracle_s_couple(q: KQuery, m: int = 64) -> SCoupleOracleResult:
     """K-functional of an s-flavor couple, directly and through the transform.
 
     The one-t case of ``k_curve_s_couple``: route one optimizes monotone
@@ -1063,7 +1055,7 @@ def k_oracle_s_couple(q: KQuery, m: int = 64, seed: int = 0) -> SCoupleOracleRes
     lambda-couple at the same parameter, on the transform of f* and its own
     grid.
     """
-    return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,), m=m, seed=seed)[0]
+    return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,), m=m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def run_theorem_suite(
                 return recs
             ts = t_sweep(entry.fn, t_count)
             if tag == "t11":
-                pairs = k_curve_s_couple(entry.fn, space_s0, space_s1, ts, m=m_run, seed=seed)
+                pairs = k_curve_s_couple(entry.fn, space_s0, space_s1, ts, m=m_run)
                 sides = [(res.direct.value, res.transformed.value) for res in pairs]
                 curves = [(ts, [res.direct for res in pairs]), (ts, [res.transformed for res in pairs])]
             else:
@@ -398,7 +398,7 @@ def run_theorem_suite(
                 else:  # t2, cor1: the oracle at the matched parameters theta(t)
                     explicit = [k_explicit_s(entry.fn, t, cfg, check_hypotheses=False) for t in ts]
                     params, spaces = [e.param for e in explicit], (space_s0, space_s1)
-                oracle = k_curve(entry.fn, *spaces, params, m=m_run, seed=seed)
+                oracle = k_curve(entry.fn, *spaces, params, m=m_run)
                 sides = [(e.value, res.value) for e, res in zip(explicit, oracle)]
                 curves = [(params, oracle)]
             unconverged = np.zeros(len(ts), dtype=bool)

@@ -749,17 +749,23 @@ def check_cond3(
         raise ValueError("eps must be positive and finite")
     psi0 = tail_fundamental(cfg.w0, cfg.p0)
     theta = tail_fundamental_ratio(cfg)
-    if isinstance(psi0, PowerLaw):  # the grid scan evaluates c^eps t^{e eps}, not (c t^e)^eps
-        psi0_eps = PowerLaw(psi0.coeff ** eps, psi0.exponent * eps)
-    else:
-        psi0_eps = lambda t: psi0(t) ** eps
-    if isinstance(theta, PowerLaw) and isinstance(psi0_eps, PowerLaw):
-        exponent = theta.exponent + psi0_eps.exponent
+    if isinstance(theta, PowerLaw) and isinstance(psi0, PowerLaw):
+        # decided by the exponents alone: c^eps may overflow at a large eps
+        exponent = theta.exponent + psi0.exponent * eps
         holds = exponent >= 0.0
         return ConditionVerdict(
             "ratio-quasi-monotone", holds, 1.0 if holds else math.inf, 1.0,
             "closed-form", f"pure power with exponent {exponent:.6g}; eps={eps:g}",
         )
+    if isinstance(psi0, PowerLaw):  # the grid scan evaluates c^eps t^{e eps}, not (c t^e)^eps
+        try:
+            psi0_eps = PowerLaw(psi0.coeff ** eps, psi0.exponent * eps)
+        except OverflowError:
+            raise InvalidWeightError(
+                f"psi_0^eps overflows at eps={eps:g}: coefficient {psi0.coeff:g} to that power"
+            ) from None
+    else:
+        psi0_eps = lambda t: psi0(t) ** eps
     grid = grid or DEFAULT_CHECK_GRID
     holds, c, arg = _quasi_monotone_grid(lambda t: theta(t) * psi0_eps(t), grid, threshold)
     return ConditionVerdict(

@@ -150,6 +150,17 @@ class TestCheckWeights:
         # the head sup is t ln 2 at t = 1e4: phi1(s)^-2 = 1/s integrates to ln 2 over (1, 2], sigma(t)^2 = 1/t
         assert "sufficient-head: fails constant=6931.47 [grid]" in result.output.splitlines()
 
+    def test_overflowing_quasi_monotone_power_exits_one(self, runner, tmp_path):
+        # psi_0 = 2^{1/2} t^{-1/4} for w0 = s^{1/2} at p = 2, and w1 is not a power: the grid
+        # scan would need 2^{eps/2}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [1, 0.5]}))
+        result = runner.invoke(
+            main, ["check-weights", "--weight", "power:0.5", "--weight2", f"file:{path}", "--eps", "5000"]
+        )
+        assert result.exit_code == 1
+        assert "overflows at eps=5000" in result.output
+
     def test_second_weight_vanishing_near_zero(self, runner, tmp_path):
         # w1 = 0 on (0, 1], so W1^-1 w0 = x / 0 there reads inf: the head integral diverges
         path = tmp_path / "z.json"
@@ -232,6 +243,17 @@ class TestK:
     def test_invalid_p_for_couple_exits_one(self, runner, fn_file):
         result = runner.invoke(main, ["k", "--fn", fn_file, "--t", "1", "--p", "1"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("p", ["1.001", "1.0000001"])
+    def test_borderline_exponent_runs(self, runner, tmp_path, p):
+        # eps of the quasi-monotone check is about 1 / (2 (p - 1)) here, so c^eps would overflow
+        path = tmp_path / "f.json"
+        path.write_text(StepFunction((1.0, 2.0), (2.0, 1.0)).to_json())
+        result = runner.invoke(main, ["k", "--fn", str(path), "--t", "1", "--p", p])
+        assert result.exit_code == 0, result.output
+        lines = dict(line.split(" ", 1) for line in result.output.splitlines())
+        assert list(lines) == ["explicit", "oracle", "ratio"]
+        assert float(lines["ratio"]) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestVerify:

@@ -521,6 +521,16 @@ class TestConditionCheckers:
         with pytest.raises(ValueError):
             check_cond3(cfg, 0.0)
 
+    def test_cond3_at_a_large_eps(self):
+        # psi_0 = 2^{1/2} t^{-1/4}: 2^{eps/2} overflows, the exponents decide a power couple
+        cfg = CoupleConfig(2.0, PowerWeight(0.5), 2.0, PowerWeight(-0.5))
+        v = check_cond3(cfg, 5000.0)
+        assert (v.holds, v.method) == (False, "closed-form")
+        assert "exponent -1249.5;" in v.detail
+        mixed = CoupleConfig(2.0, PowerWeight(0.5), 2.0, TabulatedWeight(StepFunction((1.0, 2.0), (1.0, 0.5))))
+        with pytest.raises(InvalidWeightError, match="overflows"):
+            check_cond3(mixed, 5000.0)
+
     def test_tail_diverges_at_zero(self):
         assert tail_diverges_at_zero(PowerWeight(0.0), 2.0).holds
         assert not tail_diverges_at_zero(PowerWeight(1.5), 2.0).holds
