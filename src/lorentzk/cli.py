@@ -222,7 +222,8 @@ def check_weights_cmd(
     default="both",
     show_default=True,
 )
-@click.option("--m", type=int, default=64, show_default=True, help="Oracle grid resolution.")
+@click.option("--m", type=int, default=64, show_default=True,
+              help="Unused: the monotone oracle solves on the steps of f*.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def k_cmd(
     fn_path: str, t: float, p_str: str, alpha: float, method: str, m: int, fmt: str
@@ -285,12 +286,14 @@ def k_cmd(
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--size", type=int, default=20, show_default=True, help="Corpus size.")
-@click.option("--m", type=int, default=64, show_default=True, help="Oracle grid resolution.")
+@click.option("--m", type=int, default=64, show_default=True,
+              help="Recorded in the config; the monotone oracle solves on the steps of f*.")
 @click.option("--t-count", type=int, default=15, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 if a suite hypothesis fails.")
-@click.option("--refine", is_flag=True, help="Re-run oracle suites at doubled resolution.")
+@click.option("--refine", is_flag=True,
+              help="Re-run oracle suites at 2m; the steps of f* do not change, so neither do the values.")
 @click.pass_context
 def verify_cmd(
     ctx: click.Context,

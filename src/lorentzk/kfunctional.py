@@ -18,8 +18,8 @@ This module provides:
 * ``decomposition_lemma`` — given non-increasing f <= g + h, split
   f = f_0 + f_1 with non-increasing f_0 <= g, f_1 <= h via the right
   running supremum of (f - g)^+;
-* ``k_curve`` — a brute-force minimizer over monotone step decompositions on
-  a grid, for a sweep of parameters t: the grid, both spaces and the
+* ``k_curve`` — a brute-force minimizer over monotone step decompositions
+  of f*, for a sweep of parameters t: the cells, both spaces and the
   truncation family's norms are built once per sweep, and only the search
   runs per t; ``curve_violations`` checks the sweep against the concavity of
   K(t) and the monotonicity of K(t)/t, within the gaps;
@@ -29,30 +29,35 @@ This module provides:
   truncation family as first candidate and cross-check;
 * ``k_curve_s_couple`` and its one-t case ``k_oracle_s_couple`` — the same
   K-functional computed twice: directly on the s-couple and through the
-  oscillation transform on the reciprocal lambda-couple (independent grids,
-  so agreement is evidence, not tautology);
+  oscillation transform on the reciprocal lambda-couple (different cells and
+  weights, so agreement is evidence, not tautology);
 * ``near_optimal_s_decomposition`` — the constructive decomposition obtained
   by majorizing the transform of f*, splitting with the decomposition lemma,
   and mapping back through the transform (exact on step functions).
 
-Monotone decompositions are optimized in successive-difference coordinates,
-where both chain constraints become a coordinate box; the objective is
-convex there (p >= 1) and ``_CoupleObjective.gap`` certifies a candidate:
-a Frank-Wolfe gap, and at a vanishing part the level-function dual norm
-over the cone of non-increasing functions.  The best truncation candidate
-stands when certified; otherwise scipy's L-BFGS-B runs from the centre of
-the box, then its two corners, until the best point is certified, and after
-each start Newton steps with the exact Hessian polish the best point.  The
-search draws nothing at random.  At p_0 = p_1 = 1 the objective is affine
-and the slope-sign vertex is also tried.  A monotone value without a
-certificate is flagged unconverged, never silently accepted.  The explicit
-formulas take their head and tail integrals from the windowed cell sums of
-``norms``.  The oracle runs lambda- and s-flavor couples, the two the
-paper's K-functionals reduce to.  It takes each grid's cell lengths and
-weight moments once from ``norms.cell_moments``, the builder the norms use
-(the sorted rows of unconstrained candidates from one ``Weight.moment``
-call), and evaluates the candidates' norms, and their gradients, with the
-same cell kernel, ``norms.cell_sums``.
+Monotone decompositions are optimized on the steps of f* (of f* sampled on
+the grid, when one is given): both parts of a monotone decomposition can
+only jump where f* does, so the problem on those cells is the problem on
+any finer grid, with at most one coordinate per step.  They are optimized
+in successive-difference coordinates, where both chain constraints become a
+coordinate box; the objective is convex there (p >= 1) and
+``_CoupleObjective.gap`` certifies a candidate: a Frank-Wolfe gap, and at a
+vanishing part the level-function dual norm over the cone of non-increasing
+functions.  The best truncation candidate stands when certified; otherwise
+scipy's L-BFGS-B runs from the centre of the box, projected Newton with the
+exact Hessian polishes the best point, and, if that is still uncertified,
+Newton runs from the centre.  The search draws nothing at random.  At
+p_0 = p_1 = 1 the objective is affine and the slope-sign vertex is also
+tried.  A monotone value without a certificate is flagged unconverged,
+never silently accepted.  The unconstrained search keeps the whole grid
+(``oracle_grid`` when none is given).  The explicit formulas take their
+head and tail integrals from the windowed cell sums of ``norms``.  The
+oracle runs lambda- and s-flavor couples, the two the paper's K-functionals
+reduce to.  It takes the cell lengths and weight moments once from
+``norms.cell_moments``, the builder the norms use (the sorted rows of
+unconstrained candidates from one ``Weight.moment`` call), and evaluates
+the candidates' norms, and their gradients, with the same cell kernel,
+``norms.cell_sums``.
 """
 
 import math
@@ -565,7 +570,10 @@ class _CoupleObjective:
 
     def to_u(self, x: np.ndarray) -> np.ndarray:
         """The candidate of search point x (differences d in monotone mode, so
-        Ld), clipped to [0, F] against rounding."""
+        Ld), clipped to [0, F] against rounding; the upper corner is F exactly,
+        which the sum of the differences can miss by rounding."""
+        if self.monotone and np.array_equal(x, self.hi):
+            return self.F
         # the array methods skip the Python-level wrappers of np.clip and np.cumsum
         return np.minimum(np.maximum(x[::-1].cumsum()[::-1] if self.monotone else x, 0.0), self.F)
 
@@ -574,7 +582,7 @@ class _CoupleObjective:
         val, gu = self.value_grad(self.to_u(d))
         return val, gu.cumsum()
 
-    def gap(self, u: np.ndarray) -> float:
+    def gap(self, u: np.ndarray, vg: tuple[float, np.ndarray] | None = None) -> float:
         """A bound on J(u) - min J over the monotone candidates (+inf if p < 1 or unconstrained).
 
         In differences u = Ld, 0 <= d <= hi, J is convex and g = L^T grad J a
@@ -585,12 +593,12 @@ class _CoupleObjective:
         0, and dropping d <= hi only relaxes it).  As N_0(Ld) <= J(d), the gap
         is (D - 1)^+ J(0), which is 0 when u = 0 is optimal, as D is exact.
         u = f* is the mirror image in hi - d, with c = g and the dual norm of
-        t N_1.
+        t N_1.  ``vg`` is ``value_grad(u)`` when the caller has it.
         """
         p0, p1 = self.ev0.p, self.ev1.p
         if not self.monotone or min(p0, p1) < 1.0:
             return math.inf
-        val, gu = self.value_grad(u)
+        val, gu = vg or self.value_grad(u)
         g = gu.cumsum()
         gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ self.hi), 0.0)
         if p0 > 1.0 and not u.any():
@@ -602,40 +610,59 @@ class _CoupleObjective:
         D = ev.cone_dual(c, self.hi > 0.0) / scale
         return min(gap, max(D - 1.0, 0.0) * val)
 
-    def polish(self, d: np.ndarray, val: float, gap: float) -> tuple[np.ndarray, float, float]:
-        """Up to three Newton steps from d, each clipped to the box 0 <= d <= hi.
+    def point(self, d: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(J, gradient in the differences, gap) at d."""
+        u = self.to_u(d)
+        vg = self.value_grad(u)
+        return vg[0], vg[1].cumsum(), self.gap(u, vg)
 
-        L-BFGS-B stops where its ftol resolves d only to about sqrt(eps), which
-        can leave a Frank-Wolfe gap above ``_GAP_REL_TOL``.  The steps move the
-        coordinates inside the box and those at a bound whose gradient points
-        into it, with the exact Hessian of J on them
-        (``_SpaceOnGrid.hessian``; Bertsekas 1982, SIAM J. Control Optim. 20).
-        A step is kept when J stays within 4 ulps of ``val`` and the gap
-        shrinks; the first step that fails ends the polish.  Returns the best
-        (d, J, gap).
+    def newton(self, d: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+        """Projected Newton from d in the box 0 <= d <= hi: (d, J, gap, steps).
+
+        Bertsekas (1982, SIAM J. Control Optim. 20), in the unit box z = d/hi:
+        the coordinates within eps of a bound whose gradient points out of the
+        box take a gradient step, the others a Newton step with the exact
+        Hessian (``_SpaceOnGrid.hessian``), damped by |g_free| I (Li, Fukushima,
+        Qi and Yamashita 2004, Comput. Optim. Appl. 28), since J is affine on
+        the segment from 0 to hi and so singular along it.  The step is
+        projected onto the box and cut tenfold until J falls by the Armijo
+        share of its first-order decrease, or, once J is flat to rounding,
+        until the gap shrinks: near a bound at p < 2, where y^{p-2} blows up,
+        the step can be too long by many decades.  It stops at a gap of
+        ``_GAP_REL_TOL`` of J, after ``_NEWTON_STEPS`` steps or when no step
+        is accepted.
         """
-        for _ in range(3):
+        hi = self.hi
+        val, g, gap = self.point(d)
+        for step in range(_NEWTON_STEPS):
             if gap <= _GAP_REL_TOL * val:
+                return d, val, gap, step
+            z, gz = d / hi, g * hi
+            eps = min(_ACTIVE_EPS, float(np.linalg.norm(z - np.clip(z - gz, 0.0, 1.0))))
+            free = ~(((z <= eps) & (gz > 0.0)) | ((z >= 1.0 - eps) & (gz < 0.0)))
+            dz = -gz
+            if free.any():
+                H = (self.ev0.hessian(d) + self.t * self.ev1.hessian(hi - d)) * np.outer(hi, hi)
+                Hf = H[np.ix_(free, free)]
+                Hf[np.diag_indices_from(Hf)] += np.linalg.norm(gz[free])
+                try:
+                    newton_dz = np.linalg.solve(Hf, -gz[free])
+                except np.linalg.LinAlgError:
+                    newton_dz = dz[free]
+                if newton_dz @ gz[free] < 0.0:  # a descent direction (H is indefinite at p < 1)
+                    dz[free] = newton_dz
+            for _ in range(_BACKTRACKS):
+                trial = np.clip(z + dz, 0.0, 1.0) * hi
+                f_t, g_t, gap_t = self.point(trial)
+                if f_t <= val + _ARMIJO * (g @ (trial - d)) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
+                    break
+                dz = 0.1 * dz
+            else:
                 break
-            g = self.diff_value_grad(d)[1]
-            free = np.flatnonzero((self.hi > 0.0) & ((d > 0.0) | (g < 0.0)) & ((d < self.hi) | (g > 0.0)))
-            if not free.size:
-                break
-            H = self.ev0.hessian(d) + self.t * self.ev1.hessian(self.hi - d)
-            try:
-                delta = np.linalg.solve(H[np.ix_(free, free)], -g[free])
-            except np.linalg.LinAlgError:
-                break
-            if not np.isfinite(delta).all():
-                break
-            trial = d.copy()
-            trial[free] = np.clip(d[free] + delta, 0.0, self.hi[free])
-            u = self.to_u(trial)
-            f_trial, gap_trial = self.value_grad(u)[0], self.gap(u)
-            if not (f_trial <= val * (1.0 + 4.0 * _EPS) and gap_trial < gap):
-                break
-            d, val, gap = trial, f_trial, gap_trial
-        return d, val, gap
+            d, val, g, gap = trial, f_t, g_t, gap_t
+        else:
+            step = _NEWTON_STEPS
+        return d, val, gap, step
 
 
 def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -690,15 +717,18 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
 class OracleResult:
     """An oracle value with the decomposition that attains it.
 
-    ``gap``, the certificate, bounds ``value`` minus the grid problem's minimum
-    (``_CoupleObjective.gap``; +inf in unconstrained mode or at p < 1).
-    ``converged`` means ``gap <= _GAP_REL_TOL * value`` in monotone mode with
-    both exponents at least 1.  Unconstrained mode and p < 1 have no
-    certificate, so there it only says that no L-BFGS-B start stopped at its
-    cap.  ``starts`` counts the distinct L-BFGS-B starts run (0 when the
-    truncation candidate was certified, at most 3 in monotone mode),
-    ``iterations`` their iterations, over both searches in unconstrained
-    mode.
+    ``gap``, the certificate, bounds ``value`` minus the monotone problem's
+    minimum (``_CoupleObjective.gap``; +inf in unconstrained mode or at
+    p < 1).  ``converged`` means ``gap <= _GAP_REL_TOL * value``, so a
+    monotone value at p < 1, which has no certificate, never converges; in
+    unconstrained mode it means that no L-BFGS-B start stopped at its cap.
+    ``starts`` counts the searches run from a start of their own: in
+    monotone mode L-BFGS-B and Newton from the centre (0 when the truncation
+    candidate was certified, at most 2), in unconstrained mode also the
+    distinct L-BFGS-B starts; ``iterations`` counts their iterations and
+    the Newton steps.  ``grid`` holds the right ends of the cells of the
+    decomposition: the steps of f* (of f* sampled on the grid given) when
+    the monotone search wins, the whole grid when the unconstrained one does.
     """
 
     value: float
@@ -713,7 +743,10 @@ class OracleResult:
 
 
 def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
-    """Log-spaced grid over the support, one decade padding, breakpoints merged."""
+    """Log-spaced grid over the support, one decade padding, breakpoints merged.
+
+    The unconstrained oracle searches on it when no grid is given; the
+    monotone one needs only the steps of f*, which it contains."""
     if fstar.is_zero:
         return Grid.log(0.1, 10.0, m)
     lo = fstar.first_breakpoint * 10.0 ** (-_PAD_DECADES)
@@ -742,115 +775,118 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
     return np.unique(np.concatenate(rows), axis=0)
 
 
-# per start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
+# per unconstrained start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
+# projected Newton: steps per run, tenfold cuts per step, the Armijo share and the active-set width
+_NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS = 50, 20, 1e-4, 1e-3
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
 class _GridProblem:
-    """Everything of a K-query but its parameter: f* sampled on the grid, both
-    spaces on the grid, and the truncation family with its norms N0(U) and
-    N1(F - U), built once per mode.  Each search depends on its t alone.
+    """Everything of a K-query but its parameter, in one mode: f* sampled on
+    the grid, both spaces on the grid, and the truncation family with its
+    norms N0(U) and N1(F - U), built once.  Each search depends on its t alone.
     """
 
     def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
-                 monotone_only: bool):
-        self.grid = grid
+                 monotone: bool):
+        self.grid, self.monotone = grid, monotone
         g = grid.points
         self.F = fstar.at(g)
         self.target = StepFunction(g, self.F)  # what every decomposition must sum to
         self.ev0 = _SpaceOnGrid(space0, g)
         self.ev1 = _SpaceOnGrid(space1, g)
-        if not monotone_only:
+        if not monotone:
             self.ev0.check_unconstrained()
             self.ev1.check_unconstrained()
-        self.families: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.family: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def truncation(self, obj: _CoupleObjective) -> tuple[np.ndarray, float]:
         """The best truncation candidate at the objective's t, and its value."""
-        if obj.monotone not in self.families:
-            U = _truncation_family(self.F, obj.monotone)
-            self.families[obj.monotone] = (U, *obj.norms_batch(U))
-        U, n0, n1 = self.families[obj.monotone]
+        if self.family is None:
+            U = _truncation_family(self.F, self.monotone)
+            self.family = (U, *obj.norms_batch(U))
+        U, n0, n1 = self.family
         tvals = n0 + obj.t * n1  # value_batch's arithmetic
         k_best = int(np.argmin(tvals))
         return U[k_best], float(tvals[k_best])
 
-    def search(
-        self, t: float, monotone: bool, seed: int = 0
-    ) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, no start capped, gap, starts) at t.
+    def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
+        """(value, u, truncation value, iterations, converged, gap, starts) at t.
 
-        The unconstrained starts are the best truncation candidate, both
-        corners, the centre and a point drawn from ``seed``."""
+        The searches are those of ``k_oracle``.  In monotone mode each point's
+        value less its gap bounds min J from below, and the gap returned is
+        the best value less the best such bound."""
         F = self.F
-        obj = _CoupleObjective(self.ev0, self.ev1, F, t, monotone)
+        obj = _CoupleObjective(self.ev0, self.ev1, F, t, self.monotone)
         u_trunc, trunc_val = self.truncation(obj)
-        if monotone:
-            hi, vg, x_best = obj.hi, obj.diff_value_grad, u_trunc - np.append(u_trunc[1:], 0.0)
-            starts = (hi / 2.0, hi, np.zeros_like(hi))
-        else:
-            hi, vg, x_best = F, obj.value_grad, u_trunc
+        best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
+        if not self.monotone:
+            conv = True
             starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
-
-        def to_u(x: np.ndarray) -> np.ndarray:
-            # the upper corner exactly, which the sum of the differences misses by rounding
-            return F if np.array_equal(x, hi) else obj.to_u(x)
-
-        best_u, best_f, iters, conv, used = u_trunc, trunc_val, 0, True, 0
-        gap = obj.gap(best_u)
-        tried: list[np.ndarray] = []
-        for x0 in starts:
-            if gap <= _GAP_REL_TOL * best_f:
+            tried: list[np.ndarray] = []
+            for x0 in starts:
+                if any(np.array_equal(x0, y) for y in tried):
+                    continue  # L-BFGS-B would repeat that start's run
+                tried.append(x0)
+                res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
+                               bounds=Bounds(np.zeros_like(F), F), options=_LBFGSB_OPTIONS)
+                used, iters = used + 1, iters + res.nit
+                conv = conv and res.status != 1  # status 1: iteration or evaluation cap
+                if res.fun < best_f:
+                    best_u, best_f = obj.to_u(res.x), float(res.fun)
+            return best_f, best_u, trunc_val, iters, conv, math.inf, used
+        hi = obj.hi
+        lower = trunc_val - obj.gap(u_trunc)  # min J lies above it
+        x_best = u_trunc - np.append(u_trunc[1:], 0.0)
+        # L-BFGS-B from the centre, Newton from the best point (a polish, no start of its
+        # own) and Newton from the centre, where L-BFGS-B can stop at the kink of N0 at u = 0
+        for stage in range(3):
+            if best_f - lower <= _GAP_REL_TOL * best_f:
                 break
-            if any(np.array_equal(x0, y) for y in tried):
-                continue  # L-BFGS-B would repeat that start's run
-            tried.append(x0)
-            res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(np.zeros_like(hi), hi),
-                           options=_LBFGSB_OPTIONS)
-            used, iters = used + 1, iters + res.nit
-            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
-            if res.fun < best_f:
-                x_best, best_u, best_f = res.x, to_u(res.x), float(res.fun)
-                gap = obj.gap(best_u)
-            if monotone and _GAP_REL_TOL * best_f < gap < math.inf:
-                d, f_d, gap_d = obj.polish(x_best, best_f, gap)
-                if gap_d < gap and f_d <= trunc_val:  # never above the truncation value
-                    x_best, best_u, best_f, gap = d, to_u(d), f_d, gap_d
-        if monotone and self.ev0.p == self.ev1.p == 1.0:
-            vertex = np.where(vg(hi / 2.0)[1] < 0.0, hi, 0.0)
-            f_vertex = vg(vertex)[0]
+            if stage == 0:
+                res = minimize(obj.diff_value_grad, hi / 2.0, jac=True, method="L-BFGS-B",
+                               bounds=Bounds(np.zeros_like(hi), hi), options=_LBFGSB_OPTIONS)
+                d, f_d, gap_d, steps = res.x, float(res.fun), math.inf, res.nit
+            else:
+                d, f_d, gap_d, steps = obj.newton(x_best if stage == 1 else hi / 2.0)
+            used, iters, lower = used + (stage != 1), iters + steps, max(lower, f_d - gap_d)
+            if f_d < best_f:
+                x_best, best_u, best_f = d, obj.to_u(d), f_d
+        if self.ev0.p == self.ev1.p == 1.0:
+            vertex = np.where(obj.diff_value_grad(hi / 2.0)[1] < 0.0, hi, 0.0)
+            f_vertex, _, gap_vertex = obj.point(vertex)
+            lower = max(lower, f_vertex - gap_vertex)
             if f_vertex < best_f:
-                best_u, best_f = to_u(vertex), f_vertex
-                gap = obj.gap(best_u)
-        return best_f, best_u, trunc_val, iters, conv, gap, used
+                best_u, best_f = obj.to_u(vertex), f_vertex
+        gap = max(best_f - lower, 0.0)
+        return best_f, best_u, trunc_val, iters, gap <= _GAP_REL_TOL * best_f, gap, used
 
-    def solve(self, t: float, monotone_only: bool, seed: int = 0) -> OracleResult:
-        value, u, trunc_val, iters, conv, gap, used = self.search(t, True)
-        if monotone_only and min(self.ev0.p, self.ev1.p) >= 1.0:
-            conv = gap <= _GAP_REL_TOL * value  # the certificate, not the iteration cap
-        provenance = "optimizer" if value < trunc_val else "truncation"
-        won_monotone = True
-        if not monotone_only:
-            v2, u2, t2, it2, c2, _, used2 = self.search(t, False, seed)
-            iters += it2
-            used += used2
-            gap = math.inf  # the certificate covers the monotone problem only
-            conv = conv and c2
-            trunc_val = min(trunc_val, t2)
-            if v2 < value:
-                value, u, won_monotone = v2, u2, False
-                provenance = "optimizer" if v2 < t2 else "truncation"
-        rest = np.maximum(self.F - u, 0.0)
-        if won_monotone:
-            # F - u is non-increasing in exact arithmetic; kill rounding wiggles
-            rest = np.minimum.accumulate(rest)
-        g = self.grid.points
-        dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
-        dec.validate_sum(self.target)
-        return OracleResult(value, dec, trunc_val, conv, iters, monotone_only, self.grid, gap, used)
+
+def _solve(t: float, mono: _GridProblem, free: _GridProblem | None, seed: int) -> OracleResult:
+    """The monotone search at t, and the unconstrained one too when ``free`` is given."""
+    value, u, trunc_val, iters, conv, gap, used = mono.search(t)
+    provenance = "optimizer" if value < trunc_val else "truncation"
+    won = mono
+    if free is not None:
+        v2, u2, t2, it2, c2, _, used2 = free.search(t, seed)
+        iters += it2
+        used += used2
+        gap, conv = math.inf, c2  # the certificate covers the monotone problem only
+        trunc_val = min(trunc_val, t2)
+        if v2 < value:
+            value, u, won = v2, u2, free
+            provenance = "optimizer" if v2 < t2 else "truncation"
+    rest = np.maximum(won.F - u, 0.0)
+    if won.monotone:
+        # F - u is non-increasing in exact arithmetic; kill rounding wiggles
+        rest = np.minimum.accumulate(rest)
+    g = won.grid.points
+    dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
+    dec.validate_sum(won.target)
+    return OracleResult(value, dec, trunc_val, conv, iters, free is None, won.grid, gap, used)
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
@@ -859,12 +895,15 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
     if not all(t > 0.0 and math.isfinite(t) for t in ts):
         raise ValueError("K-parameter t must be positive and finite")
     fstar = rearrange(f)
-    if fstar.is_zero:
+    # the monotone problem on the steps of the target: its parts can only jump where F does
+    cells = fstar if grid is None else StepFunction(grid.points, fstar.at(grid.points))
+    if cells.is_zero:
         dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
         g0 = grid or Grid.log(0.1, 10.0, 2)
         return [OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, 0.0, 0) for _ in ts]
-    problem = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, m), monotone_only)
-    return [problem.solve(t, monotone_only, seed) for t in ts]
+    mono = _GridProblem(fstar, space0, space1, Grid(cells.breakpoints), True)
+    free = None if monotone_only else _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, m), False)
+    return [_solve(t, mono, free, seed) for t in ts]
 
 
 def k_curve(
@@ -877,12 +916,13 @@ def k_curve(
 ) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
-    The grid, the rearrangement sampled on it, both spaces and the truncation
-    family's norms N0(U) and N1(F - U) are built once; each t takes the
-    argmin of N0 + t N1, the certificate, the L-BFGS-B starts and the polish
-    (see ``k_oracle``) on its own, so each result is bit for bit the
-    ``k_oracle`` result at its t, whatever the order of ``ts`` (which may be
-    unsorted or repeat a value).
+    The cells (the steps of f*, or of f* sampled on ``grid``; see
+    ``k_oracle``), both spaces on them and the truncation family's norms
+    N0(U) and N1(F - U) are built once; each t takes the argmin of N0 + t N1,
+    the certificate and the search on its own, so each result is bit for bit
+    the ``k_oracle`` result at its t, whatever the order of ``ts`` (which may
+    be unsorted or repeat a value).  ``m`` sizes only the unconstrained
+    search's grid, so it does not change a monotone result.
     """
     return _oracle_curve(f, space0, space1, ts, grid, m, True)
 
@@ -932,27 +972,33 @@ def k_oracle(
     monotone_only: bool = True,
     seed: int = 0,
 ) -> OracleResult:
-    """Brute-force K-functional value over step decompositions on a grid.
+    """Brute-force K-functional value over step decompositions.
 
-    The query's function is reduced to its rearrangement; candidates are step
-    functions on the grid cells with 0 <= u_i <= f*_i, plus (in monotone
-    mode) the two chain constraints keeping both parts non-increasing, which
-    become the box 0 <= d_i <= f*_i - f*_{i+1} on successive differences.
-    The search stops once the best point has a gap of at most
-    ``_GAP_REL_TOL`` of its value, which the truncation candidate may have
-    before any start (the exact dual certifies an optimum at a vanishing
-    part there).  Otherwise L-BFGS-B runs from the centre of the box, then
-    its upper and its lower corner, and after each start Newton steps
-    polish the best point (``_CoupleObjective.polish``).  The truncation
-    candidate wins ties.  When both exponents are 1 the monotone objective
-    is affine in the differences, and the vertex picked by the sign of each
-    slope joins the candidates.  In unconstrained mode the monotone search
-    also runs and the better value wins, so the unconstrained value never
-    exceeds the monotone one.  That problem is not convex; its search runs
-    every distinct start of ``_GridProblem.search``, one drawn from ``seed``.
+    The query's function is reduced to its rearrangement f*, and ``grid``,
+    when given, samples it (beyond its last point the function is 0).  The
+    monotone candidates keep both parts non-increasing, so they can only
+    jump where f* does: they are solved on the steps of f*, at most one cell
+    per step, whatever the grid; the unconstrained candidates live on the
+    whole grid, ``oracle_grid(f*, m)`` when none is given.  Candidates are
+    step functions with 0 <= u_i <= f*_i, plus (in monotone mode) the two
+    chain constraints, which become the box 0 <= d_i <= f*_i - f*_{i+1} on
+    successive differences.  The search stops once the best point has a gap
+    of at most ``_GAP_REL_TOL`` of its value, which the truncation candidate
+    may have before any start (the exact dual certifies an optimum at a
+    vanishing part there).  Otherwise L-BFGS-B runs from the centre of the
+    box, projected Newton (``_CoupleObjective.newton``) polishes the best
+    point, and Newton runs from the centre, where L-BFGS-B can stop at the
+    kink of N0 at u = 0, each while the best point is uncertified.  The
+    truncation candidate wins ties.  When both exponents are 1 the monotone
+    objective is affine in the differences, and the vertex picked by the
+    sign of each slope joins the candidates.  In unconstrained mode the
+    monotone search also runs and the better value wins, so the
+    unconstrained value never exceeds the monotone one.  That problem is not
+    convex; L-BFGS-B runs from each distinct one of the best truncation
+    candidate, both corners, the centre and a point drawn from ``seed``.
 
     A single query is the one-t case of ``k_curve``, with the unconstrained
-    search added on the same set-up when ``monotone_only`` is false.
+    search added when ``monotone_only`` is false.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, m, monotone_only, seed)[0]
 
@@ -1027,9 +1073,10 @@ def k_curve_s_couple(
 
     Route one is the monotone K-curve of f* under the s-norms; route two maps
     f* through the oscillation transform once and takes the K-curve of the
-    reciprocal-weight lambda-couple at the same parameters.  Each route uses
-    its own grid (log-spaced over its own function's support), so the ratio
-    of the two values measures the theorem's equivalence plus grid effects.
+    reciprocal-weight lambda-couple at the same parameters.  Each route
+    solves on the steps of its own function, so the ratio of the two values
+    measures the theorem's equivalence alone.  ``m`` is passed on to
+    ``k_curve``, where it does not change a monotone result.
     """
     if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
@@ -1052,8 +1099,7 @@ def k_oracle_s_couple(q: KQuery, m: int = 64) -> SCoupleOracleResult:
 
     The one-t case of ``k_curve_s_couple``: route one optimizes monotone
     decompositions of f* under the s-norms, route two the reciprocal-weight
-    lambda-couple at the same parameter, on the transform of f* and its own
-    grid.
+    lambda-couple at the same parameter, on the steps of the transform of f*.
     """
     return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,), m=m)[0]
 
@@ -1090,7 +1136,7 @@ def near_optimal_s_decomposition(
     if fstar.is_zero:
         zero = Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
-    problem = _GridProblem(fstar, space0, space1, oracle_grid(fstar, m), monotone_only=True)
+    problem = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), monotone=True)
     g, F = problem.grid.points, problem.F
     u = problem.truncation(_CoupleObjective(problem.ev0, problem.ev1, F, t, monotone=True))[0]
     f0_init = StepFunction(g, u)

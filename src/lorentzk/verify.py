@@ -13,7 +13,8 @@ Suites
   lambda-norm of the oscillation transform (exact sums against independent
   quadrature), and reconstruction of f** from the oscillation tail integral;
 * ``t11``: the s-couple K-functional computed directly versus through the
-  oscillation transform on the reciprocal couple (independent grids);
+  oscillation transform on the reciprocal couple (each on the steps of its
+  own function);
 * ``t2``: the explicit head/tail s-couple formula at split t versus the
   oracle at the matched parameter theta(t);
 * ``cor1``: the same with w_0 = 1, w_1 = s^{-alpha};
@@ -24,7 +25,9 @@ Suites
 
 The oracle suites take one oracle curve per entry, suite and resolution
 (``kfunctional.k_curve``; two in ``t11``, one per route) over the sweep's
-parameters t, theta(t) or sigma(t).  A record is flagged
+parameters t, theta(t) or sigma(t).  The monotone oracle solves on the steps
+of f*, so the resolution m, and the refined pass at 2m, do not change its
+values.  A record is flagged
 ``oracle-unconverged`` when its oracle value is uncertified, and
 ``oracle-nonconcave`` when its curve breaks the concavity of K(t) or the
 monotonicity of K(t)/t beyond the gaps (``kfunctional.curve_violations``).

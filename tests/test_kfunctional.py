@@ -349,7 +349,8 @@ class TestOracleProperties:
 
 
 def _monotone_problem(q, m=16):
-    """The grid objective of ``k_oracle(q, m=m)`` and its best truncation candidate."""
+    """The objective on the padded grid ``oracle_grid(f*, m)`` and its best truncation candidate:
+    the same minimum as ``k_oracle``'s problem on the steps of f*, with more coordinates."""
     fstar = rearrange(q.f)
     g = oracle_grid(fstar, m).points
     F = fstar.at(g)
@@ -657,6 +658,25 @@ class TestNewtonPolish:
         assert (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value and res.value < res.truncation_value
 
+    def test_a_start_that_collapses_onto_the_vertex_u_0(self):
+        """The transformed lambda-couple of t11 at p = 1.5, alpha = 0.4 (reciprocal weights s^-0.5
+        and s^-0.1) on random-monotone-3 of the seed-7 corpus, five steps: L-BFGS-B from the centre
+        ends at d = 0, where N0 has its kink, so Newton from the centre certifies the optimum."""
+        cfg = corollary_couple(1.5, 0.4)
+        (entry,) = (e for e in make_corpus(seed=7, size=20) if e.f_id == "random-monotone-3")
+        tstep = osc_transform(rearrange(entry.fn)).as_step()
+        spaces = [LorentzSpace("lambda", 1.5, reciprocal_weight(w, 1.5)) for w in (cfg.w0, cfg.w1)]
+        q = KQuery(tstep, 2.6355253153338025, *spaces)
+        g = tstep.breakpoints
+        obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t, True)
+        centre = minimize(obj.diff_value_grad, obj.hi / 2.0, jac=True, method="L-BFGS-B",
+                          bounds=Bounds(np.zeros_like(obj.hi), obj.hi), options=kfunctional._LBFGSB_OPTIONS)
+        assert not centre.x.any() and obj.gap(obj.to_u(centre.x)) > 1.0
+        res = k_oracle(q)
+        assert len(res.grid) == 5 and (res.starts, res.converged) == (2, True)
+        assert res.gap <= 1e-10 * res.value
+        assert res.value == pytest.approx(40.718159121103334, rel=1e-12)
+
 
 @st.composite
 def k_sweeps(draw):
@@ -883,6 +903,48 @@ class TestKCurve:
 
         for name in ("k_curve", "k_curve_s_couple", "curve_violations"):
             assert name in kfunctional.__all__ and name in lorentzk.__all__
+
+
+@st.composite
+def grid_independence_cases(draw):
+    """A non-increasing function of at most 8 steps, a lambda or s couple with exponents
+    in [1.5, 3], one power weight and one power-log weight, and three parameters."""
+    n = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    p0, p1 = (draw(st.floats(1.5, 3.0)) for _ in range(2))
+    # lambda needs beta > -1 at 0, s needs beta < p - 1 at infinity
+    beta = st.floats(-0.5, 0.5) if flavor == "lambda" else st.floats(-0.5, 0.4)
+    weights = [PowerWeight(draw(beta)), PowerLogWeight(draw(beta), draw(st.floats(-1.0, 1.0)))]
+    if draw(st.booleans()):
+        weights.reverse()
+    spaces = (LorentzSpace(flavor, p0, weights[0]), LorentzSpace(flavor, p1, weights[1]))
+    ts = draw(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3))
+    return f, spaces, ts
+
+
+class TestStepsOfFstar:
+    """The monotone oracle solves on the steps of f*: a grid with f*'s breakpoints gives the same problem."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid_independence_cases())
+    def test_the_monotone_oracle_does_not_depend_on_the_grid(self, case):
+        f, (space0, space1), ts = case
+        base = k_curve(f, space0, space1, ts)
+        assert all(len(res.grid) == f.values.size for res in base)
+        for m in (8, 16, 64):
+            for a, b in zip(base, k_curve(f, space0, space1, ts, grid=oracle_grid(f, m))):
+                assert len(b.grid) == f.values.size
+                assert abs(a.value - b.value) <= a.gap + b.gap + 1e-12 * max(a.value, b.value)
+
+    def test_a_grid_that_misses_a_breakpoint_solves_on_its_own_steps(self):
+        space = LorentzSpace("lambda", 2.0, FLAT)
+        res = k_oracle(KQuery(STAIR, 1.0, space, space), grid=Grid((0.5, 1.5, 2.5, 3.0, 5.0)))
+        # STAIR sampled there is 3, 2, 1, 1, 0: three steps, ending at 0.5, 1.5 and 3
+        assert res.grid.points.tolist() == [0.5, 1.5, 3.0]
+        assert res.decomposition.f0.support_end <= 3.0 and res.decomposition.f1.support_end <= 3.0
 
 
 class TestCurveViolations:
