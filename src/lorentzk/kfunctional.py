@@ -48,16 +48,17 @@ scipy's L-BFGS-B runs from the centre of the box, projected Newton with the
 exact Hessian polishes the best point, and, if that is still uncertified,
 Newton runs from the centre.  The search draws nothing at random.  At
 p_0 = p_1 = 1 the objective is affine and the slope-sign vertex is also
-tried.  A monotone value without a certificate is flagged unconverged,
-never silently accepted.  The unconstrained search keeps the whole grid
-(``oracle_grid`` when none is given).  The explicit formulas take their
-head and tail integrals from the windowed cell sums of ``norms``.  The
-oracle runs lambda- and s-flavor couples, the two the paper's K-functionals
-reduce to.  It takes the cell lengths and weight moments once from
-``norms.cell_moments``, the builder the norms use (the sorted rows of
-unconstrained candidates from one ``Weight.moment`` call), and evaluates
-the candidates' norms, and their gradients, with the same cell kernel,
-``norms.cell_sums``.
+tried.  At p < 1 the objective is not convex and has no certificate, and
+L-BFGS-B runs from the centre and both corners.  An uncertified monotone
+value at p >= 1 is flagged unconverged, never silently accepted.  The
+unconstrained search keeps the whole grid (``oracle_grid`` when none is
+given).  The explicit formulas take their head and tail integrals from the
+windowed cell sums of ``norms``.  The oracle runs lambda- and s-flavor
+couples, the two the paper's K-functionals reduce to.  It takes the cell
+lengths and weight moments once from ``norms.cell_moments``, the builder
+the norms use (the sorted rows of unconstrained candidates from one
+``Weight.moment`` call), and evaluates the candidates' norms, and their
+gradients, with the same cell kernel, ``norms.cell_sums``.
 """
 
 import math
@@ -629,14 +630,20 @@ class _CoupleObjective:
         share of its first-order decrease, or, once J is flat to rounding,
         until the gap shrinks: near a bound at p < 2, where y^{p-2} blows up,
         the step can be too long by many decades.  It stops at a gap of
-        ``_GAP_REL_TOL`` of J, after ``_NEWTON_STEPS`` steps or when no step
-        is accepted.
+        ``_GAP_REL_TOL`` of J, after ``_NEWTON_STEPS`` steps, when no step is
+        accepted, or on a stall: when over the last ``_STALL`` steps J has
+        not fallen and the least gap seen has not halved.  (The gap bounces
+        from step to step, and a run can sit on a plateau of its least gap
+        for a few steps before it certifies.)
         """
         hi = self.hi
         val, g, gap = self.point(d)
+        seen = [(val, gap)]  # J and the least gap so far, after each step
         for step in range(_NEWTON_STEPS):
             if gap <= _GAP_REL_TOL * val:
                 return d, val, gap, step
+            if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
+                break
             z, gz = d / hi, g * hi
             eps = min(_ACTIVE_EPS, float(np.linalg.norm(z - np.clip(z - gz, 0.0, 1.0))))
             free = ~(((z <= eps) & (gz > 0.0)) | ((z >= 1.0 - eps) & (gz < 0.0)))
@@ -649,7 +656,7 @@ class _CoupleObjective:
                     newton_dz = np.linalg.solve(Hf, -gz[free])
                 except np.linalg.LinAlgError:
                     newton_dz = dz[free]
-                if newton_dz @ gz[free] < 0.0:  # a descent direction (H is indefinite at p < 1)
+                if newton_dz @ gz[free] < 0.0:  # a descent direction
                     dz[free] = newton_dz
             for _ in range(_BACKTRACKS):
                 trial = np.clip(z + dz, 0.0, 1.0) * hi
@@ -660,6 +667,7 @@ class _CoupleObjective:
             else:
                 break
             d, val, g, gap = trial, f_t, g_t, gap_t
+            seen.append((val, min(gap, seen[-1][1])))
         else:
             step = _NEWTON_STEPS
         return d, val, gap, step
@@ -719,16 +727,17 @@ class OracleResult:
 
     ``gap``, the certificate, bounds ``value`` minus the monotone problem's
     minimum (``_CoupleObjective.gap``; +inf in unconstrained mode or at
-    p < 1).  ``converged`` means ``gap <= _GAP_REL_TOL * value``, so a
-    monotone value at p < 1, which has no certificate, never converges; in
-    unconstrained mode it means that no L-BFGS-B start stopped at its cap.
-    ``starts`` counts the searches run from a start of their own: in
-    monotone mode L-BFGS-B and Newton from the centre (0 when the truncation
-    candidate was certified, at most 2), in unconstrained mode also the
-    distinct L-BFGS-B starts; ``iterations`` counts their iterations and
-    the Newton steps.  ``grid`` holds the right ends of the cells of the
-    decomposition: the steps of f* (of f* sampled on the grid given) when
-    the monotone search wins, the whole grid when the unconstrained one does.
+    p < 1).  ``converged`` means ``gap <= _GAP_REL_TOL * value``; where
+    there is no certificate (p < 1, or unconstrained mode) it means that no
+    L-BFGS-B start stopped at its cap.  ``starts`` counts the searches run
+    from a start of their own: in monotone mode at p >= 1 L-BFGS-B and
+    Newton from the centre (0 when the truncation candidate was certified,
+    at most 2), at p < 1 the three L-BFGS-B starts, in unconstrained mode
+    also its distinct L-BFGS-B starts; ``iterations`` counts their
+    iterations and the Newton steps.  ``grid`` holds the right ends of the
+    cells of the decomposition: the steps of f* (of f* sampled on the grid
+    given) when the monotone search wins, the whole grid when the
+    unconstrained one does.
     """
 
     value: float
@@ -777,8 +786,9 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
 
 # per unconstrained start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
-# projected Newton: steps per run, tenfold cuts per step, the Armijo share and the active-set width
-_NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS = 50, 20, 1e-4, 1e-3
+# projected Newton: steps per run, tenfold cuts per step, the Armijo share, the active-set
+# width and the steps without progress that end a run
+_NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS, _STALL = 50, 20, 1e-4, 1e-3, 8
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -816,23 +826,30 @@ class _GridProblem:
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
         """(value, u, truncation value, iterations, converged, gap, starts) at t.
 
-        The searches are those of ``k_oracle``.  In monotone mode each point's
-        value less its gap bounds min J from below, and the gap returned is
-        the best value less the best such bound."""
+        The searches are those of ``k_oracle``.  In monotone mode at p >= 1
+        each point's value less its gap bounds min J from below, and the gap
+        returned is the best value less the best such bound; elsewhere the
+        gap is +inf and converged means that no L-BFGS-B start was capped."""
         F = self.F
         obj = _CoupleObjective(self.ev0, self.ev1, F, t, self.monotone)
         u_trunc, trunc_val = self.truncation(obj)
         best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
-        if not self.monotone:
+        if not self.monotone or min(self.ev0.p, self.ev1.p) < 1.0:
+            # not convex and no certificate: L-BFGS-B from several starts
+            if self.monotone:
+                fun, upper = obj.diff_value_grad, obj.hi
+                starts = (upper / 2.0, upper, np.zeros_like(upper))
+            else:
+                fun, upper = obj.value_grad, F
+                starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
             conv = True
-            starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
             tried: list[np.ndarray] = []
             for x0 in starts:
                 if any(np.array_equal(x0, y) for y in tried):
                     continue  # L-BFGS-B would repeat that start's run
                 tried.append(x0)
-                res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
-                               bounds=Bounds(np.zeros_like(F), F), options=_LBFGSB_OPTIONS)
+                res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                               bounds=Bounds(np.zeros_like(upper), upper), options=_LBFGSB_OPTIONS)
                 used, iters = used + 1, iters + res.nit
                 conv = conv and res.status != 1  # status 1: iteration or evaluation cap
                 if res.fun < best_f:
@@ -890,7 +907,9 @@ def _solve(t: float, mono: _GridProblem, free: _GridProblem | None, seed: int) -
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
-                  grid: Grid | None, m: int, monotone_only: bool, seed: int = 0) -> list[OracleResult]:
+                  grid: Grid | None, free_m: int | None = None, seed: int = 0) -> list[OracleResult]:
+    """The monotone oracle at each t, and the unconstrained one too (on ``grid``
+    or ``oracle_grid(f*, free_m)``) unless ``free_m`` is None."""
     ts = [float(t) for t in ts]
     if not all(t > 0.0 and math.isfinite(t) for t in ts):
         raise ValueError("K-parameter t must be positive and finite")
@@ -900,9 +919,11 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
     if cells.is_zero:
         dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
         g0 = grid or Grid.log(0.1, 10.0, 2)
-        return [OracleResult(0.0, dec, 0.0, True, 0, monotone_only, g0, 0.0, 0) for _ in ts]
+        return [OracleResult(0.0, dec, 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
     mono = _GridProblem(fstar, space0, space1, Grid(cells.breakpoints), True)
-    free = None if monotone_only else _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, m), False)
+    free = None
+    if free_m is not None:
+        free = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, free_m), False)
     return [_solve(t, mono, free, seed) for t in ts]
 
 
@@ -912,7 +933,6 @@ def k_curve(
     space1: LorentzSpace,
     ts: Sequence[float],
     grid: Grid | None = None,
-    m: int = 64,
 ) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
@@ -921,10 +941,9 @@ def k_curve(
     N0(U) and N1(F - U) are built once; each t takes the argmin of N0 + t N1,
     the certificate and the search on its own, so each result is bit for bit
     the ``k_oracle`` result at its t, whatever the order of ``ts`` (which may
-    be unsorted or repeat a value).  ``m`` sizes only the unconstrained
-    search's grid, so it does not change a monotone result.
+    be unsorted or repeat a value).
     """
-    return _oracle_curve(f, space0, space1, ts, grid, m, True)
+    return _oracle_curve(f, space0, space1, ts, grid)
 
 
 # relative rounding slack of the K-curve laws; the values' own rounding is a few ulps
@@ -991,16 +1010,18 @@ def k_oracle(
     kink of N0 at u = 0, each while the best point is uncertified.  The
     truncation candidate wins ties.  When both exponents are 1 the monotone
     objective is affine in the differences, and the vertex picked by the
-    sign of each slope joins the candidates.  In unconstrained mode the
-    monotone search also runs and the better value wins, so the
-    unconstrained value never exceeds the monotone one.  That problem is not
-    convex; L-BFGS-B runs from each distinct one of the best truncation
-    candidate, both corners, the centre and a point drawn from ``seed``.
+    sign of each slope joins the candidates.  Below exponent 1 the monotone
+    problem is not convex and has no certificate: L-BFGS-B runs from the
+    centre and both corners.  In unconstrained mode the monotone search
+    also runs and the better value wins, so the unconstrained value never
+    exceeds the monotone one.  That problem is not convex; L-BFGS-B runs
+    from each distinct one of the best truncation candidate, both corners,
+    the centre and a point drawn from ``seed``.
 
     A single query is the one-t case of ``k_curve``, with the unconstrained
     search added when ``monotone_only`` is false.
     """
-    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, m, monotone_only, seed)[0]
+    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, None if monotone_only else m, seed)[0]
 
 
 def k_oracle_exhaustive(
@@ -1067,7 +1088,6 @@ def k_curve_s_couple(
     space0: LorentzSpace,
     space1: LorentzSpace,
     ts: Sequence[float],
-    m: int = 64,
 ) -> list[SCoupleOracleResult]:
     """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
 
@@ -1075,17 +1095,16 @@ def k_curve_s_couple(
     f* through the oscillation transform once and takes the K-curve of the
     reciprocal-weight lambda-couple at the same parameters.  Each route
     solves on the steps of its own function, so the ratio of the two values
-    measures the theorem's equivalence alone.  ``m`` is passed on to
-    ``k_curve``, where it does not change a monotone result.
+    measures the theorem's equivalence alone.
     """
     if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
     fstar = rearrange(f)
-    direct = k_curve(fstar, space0, space1, ts, m=m)
+    direct = k_curve(fstar, space0, space1, ts)
     tstep = osc_transform(fstar).as_step()
     tilde0 = LorentzSpace("lambda", space0.p, reciprocal_weight(space0.w, space0.p))
     tilde1 = LorentzSpace("lambda", space1.p, reciprocal_weight(space1.w, space1.p))
-    transformed = k_curve(tstep, tilde0, tilde1, ts, m=m)
+    transformed = k_curve(tstep, tilde0, tilde1, ts)
     results = []
     for d, tr in zip(direct, transformed):
         a, b = d.value, tr.value
@@ -1094,14 +1113,14 @@ def k_curve_s_couple(
     return results
 
 
-def k_oracle_s_couple(q: KQuery, m: int = 64) -> SCoupleOracleResult:
+def k_oracle_s_couple(q: KQuery) -> SCoupleOracleResult:
     """K-functional of an s-flavor couple, directly and through the transform.
 
     The one-t case of ``k_curve_s_couple``: route one optimizes monotone
     decompositions of f* under the s-norms, route two the reciprocal-weight
     lambda-couple at the same parameter, on the steps of the transform of f*.
     """
-    return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,), m=m)[0]
+    return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,))[0]
 
 
 # ---------------------------------------------------------------------------

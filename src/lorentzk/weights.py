@@ -362,22 +362,25 @@ class TabulatedWeight(Weight):
 
     def moment(self, e: float, a, b) -> np.ndarray:
         """The partial cells at both ends of each pair by ``_power_int``, the
-        whole cells between them as a difference of prefix sums: memory linear
-        in pairs plus cells.  The first cell, from 0, is never whole there, so
-        its divergence (e <= -1) reaches only the pairs that touch it."""
+        whole cells between them summed slice by slice (``np.add.reduceat``):
+        memory linear in pairs plus cells, and each sum rounds relative to the
+        pair's own moment, however large the cells outside it.  The first
+        cell, from 0, is never whole there, so its divergence (e <= -1)
+        reaches only the pairs that touch it."""
         a, b = _bounds(a, b)
         bps, n = self.step.breakpoints, self.step.breakpoints.size
         v = np.append(self.step.values, 0.0)  # 0 beyond the table
         left, right = np.append(0.0, bps), np.append(bps, math.inf)  # cell j is (left_j, right_j]
-        whole = np.zeros(n + 2)  # whole[k]: the moments of cells 1, ..., k - 1
-        np.cumsum(v[1:n] * _power_int(e, left[1:n], right[1:n]), out=whole[2 : n + 1])
-        whole[n + 1] = whole[n]
+        # cells[j] is the moment of cell j + 1; the 0 appended keeps every index in range
+        cells = np.append(v[1:n] * _power_int(e, bps[:-1], bps[1:]), 0.0)
         first, last = np.searchsorted(bps, a, side="right"), np.searchsorted(bps, b, side="left")
-        apart = last > first
+        apart, inner = last > first, last > first + 1  # inner: cells first + 1, ..., last - 1 are whole
+        ends = np.stack((np.minimum(first, n - 1), np.maximum(last - 1, 0)), axis=-1)
+        whole = np.add.reduceat(cells, ends.ravel())[::2].reshape(a.shape)  # cells[first : last - 1]
         with np.errstate(invalid="ignore"):  # a zero cell times an infinite piece: 0
             head = np.where(v[first] == 0.0, 0.0, v[first] * _power_int(e, a, np.minimum(b, right[first])))
             tail = np.where(v[last] == 0.0, 0.0, v[last] * _power_int(e, np.where(apart, left[last], b), b))
-        return head + np.where(apart, whole[last] - whole[np.minimum(first + 1, n + 1)], 0.0) + tail
+        return head + np.where(inner, whole, 0.0) + tail
 
     def describe(self) -> str:
         return f"tabulated weight with {len(self.step.values)} cells"

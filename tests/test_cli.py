@@ -203,7 +203,7 @@ class TestK:
 
     def test_both_reports_ratio_one_for_indicator(self, runner, fn_file):
         result = runner.invoke(
-            main, ["k", "--fn", fn_file, "--t", "2", "--method", "both", "--m", "24"]
+            main, ["k", "--fn", fn_file, "--t", "2", "--method", "both"]
         )
         assert result.exit_code == 0
         lines = dict(line.split(" ", 1) for line in result.output.splitlines())
@@ -223,7 +223,7 @@ class TestK:
 
     def test_json_reports_the_oracle_certificate(self, runner, fn_file):
         result = runner.invoke(
-            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--m", "16", "--format", "json"]
+            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--format", "json"]
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
@@ -235,7 +235,7 @@ class TestK:
         real = cli.k_oracle
         monkeypatch.setattr(cli, "k_oracle", lambda *a, **k: replace(real(*a, **k), gap=math.inf))
         result = runner.invoke(
-            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--m", "16", "--format", "json"]
+            main, ["k", "--fn", fn_file, "--t", "2", "--method", "oracle", "--format", "json"]
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["oracle_gap"] == "inf"

@@ -35,7 +35,7 @@ from lorentzk.kfunctional import (
 from lorentzk.norms import LorentzSpace, norm
 from lorentzk.grids import Grid
 from lorentzk.stepfn import StepFunction, add, osc_transform, rearrange
-from lorentzk.verify import _default_couple, make_corpus, t_sweep
+from lorentzk.verify import _default_couple, make_corpus, run_theorem_suite, t_sweep
 from lorentzk.weights import (
     CoupleConfig,
     InvalidWeightError,
@@ -411,6 +411,19 @@ class TestOracleCertificate:
         for value, gap in ((obj.value(u_trunc), obj.gap(u_trunc)), (res.value, res.gap)):
             assert gap >= 0.0
             assert lowest >= value - gap - 1e-12 * value
+
+    @pytest.mark.parametrize("p0,p1,t,value", [(0.5, 2.0, 1.0, 4.5334517648099535), (0.7, 0.7, 3.0, 12.265963273248264)])
+    def test_below_exponent_one_there_is_no_certificate(self, p0, p1, t, value):
+        """At p < 1 the problem is not convex and has no certificate: L-BFGS-B runs from the
+        centre and both corners, and the value converges when no start stopped at its cap."""
+        q = KQuery(STAIR, t, LorentzSpace("lambda", p0, FLAT), LorentzSpace("lambda", p1, PowerWeight(-0.5)))
+        res = k_oracle(q)
+        assert (res.starts, res.converged, res.gap) == (3, True, math.inf)
+        assert res.value == pytest.approx(value, rel=1e-14)
+
+    def test_below_exponent_one_verify_flags_nothing(self):
+        report = run_theorem_suite("generalk", corpus=make_corpus(7, 8), p=0.5, alpha=0.5, t_count=5)
+        assert not any(r.flags for r in report.records)
 
     @pytest.mark.parametrize("t,zero_part", [(0.05, "f0"), (20.0, "f1")])
     def test_vanishing_part_is_certified_at_truncation(self, t, zero_part):
@@ -868,7 +881,7 @@ class TestKCurve:
         s0, s1, _, _ = _verify_spaces()
         f = StepFunction((1.0, 2.0, 4.0, 8.0), (8.0, 4.0, 2.0, 1.0))
         ts = [math.sqrt(8.0), 0.1, math.sqrt(8.0), 80.0, 0.1]
-        curve = k_curve(f, s0, s1, ts, m=16)
+        curve = k_curve(f, s0, s1, ts)
         assert len(curve) == len(ts)
         for res, t in zip(curve, ts):
             assert _same_result(res, k_oracle(KQuery(f, t, s0, s1), m=16))
@@ -955,7 +968,7 @@ class TestCurveViolations:
 
     def _curve(self):
         space = LorentzSpace("lambda", 2.0, FLAT)
-        return k_curve(STAIR, space, LorentzSpace("lambda", 2.0, PowerWeight(-0.5)), self.TS, m=16)
+        return k_curve(STAIR, space, LorentzSpace("lambda", 2.0, PowerWeight(-0.5)), self.TS)
 
     def test_a_computed_curve_has_none(self):
         assert not curve_violations(self.TS, self._curve()).any()

@@ -254,10 +254,25 @@ class TestTabulatedMoment:
         assert not np.isnan(got).any()
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
-        # a difference of prefix sums rounds relative to the prefix sum up to b, not to the pair's moment
-        first = w.step.breakpoints[0]
-        scale = want + _dense_tabulated_moment(w, e, np.full_like(b, first), np.maximum(b, first))
-        assert (np.abs(got[finite] - want[finite]) <= 1e-13 * scale[finite]).all()
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("e", [-2.0, -3.0])
+    def test_a_decaying_table_keeps_its_tail_cells(self, e):
+        """Cells that shrink to the right: each pair's sum rounds relative to its
+        own moment, not to the cells before it (a difference of prefix sums
+        loses the tail cells altogether here)."""
+        w = TabulatedWeight(StepFunction((1.0, 2.0, 3.0, 4.0), (1.0, 1.0, 1e-20, 1e-20)))
+        # the cells (2, 3] and (3, 4] of 1e-20, and 0 beyond 4
+        want = 1e-20 * float(weights._power_int(e, 2.5, 4.0))
+        np.testing.assert_allclose(w.moment(e, 2.5, math.inf), want, rtol=1e-14)
+        n = 40
+        bps = np.geomspace(1.0, 1e4, n)
+        decay = TabulatedWeight(StepFunction(tuple(bps), tuple(10.0 ** -np.arange(n))))
+        a = np.concatenate(([0.5], bps[:-1] * 1.01, bps[: n // 2]))
+        b = np.concatenate(([math.inf], np.full(n - 1, math.inf), bps[n // 2 :] * 0.99))
+        got, dense = decay.moment(e, a, b), _dense_tabulated_moment(decay, e, a, b)
+        assert (got > 0.0).all()
+        np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0.0)
 
     def test_a_divergent_first_cell_reaches_only_the_pairs_that_touch_it(self):
         w = TabulatedWeight(StepFunction((1.0, 2.0, 4.0), (3.0, 0.0, 2.0)))
