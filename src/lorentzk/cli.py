@@ -283,13 +283,14 @@ def k_cmd(fn_path: str, t: float, p_str: str, alpha: float, method: str, fmt: st
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--size", type=int, default=20, show_default=True, help="Corpus size.")
 @click.option("--m", type=int, default=64, show_default=True,
-              help="Recorded in the config; the monotone oracle solves on the steps of f*.")
+              help="Recorded in the config only; the monotone oracle solves exactly on the steps of f*.")
 @click.option("--t-count", type=int, default=15, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 if a suite hypothesis fails.")
 @click.option("--refine", is_flag=True,
-              help="Re-run oracle suites at 2m; the steps of f* do not change, so neither do the values.")
+              help="Report refined records for the oracle suites: the base records, as a pass at 2m "
+                   "solves the same problems on the steps of f*, so drift is 0 by construction.")
 @click.pass_context
 def verify_cmd(
     ctx: click.Context,

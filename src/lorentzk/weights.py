@@ -371,16 +371,18 @@ class TabulatedWeight(Weight):
         bps, n = self.step.breakpoints, self.step.breakpoints.size
         v = np.append(self.step.values, 0.0)  # 0 beyond the table
         left, right = np.append(0.0, bps), np.append(bps, math.inf)  # cell j is (left_j, right_j]
-        # cells[j] is the moment of cell j + 1; the 0 appended keeps every index in range
-        cells = np.append(v[1:n] * _power_int(e, bps[:-1], bps[1:]), 0.0)
         first, last = np.searchsorted(bps, a, side="right"), np.searchsorted(bps, b, side="left")
         apart, inner = last > first, last > first + 1  # inner: cells first + 1, ..., last - 1 are whole
         ends = np.stack((np.minimum(first, n - 1), np.maximum(last - 1, 0)), axis=-1)
-        whole = np.add.reduceat(cells, ends.ravel())[::2].reshape(a.shape)  # cells[first : last - 1]
-        with np.errstate(invalid="ignore"):  # a zero cell times an infinite piece: 0
+        # every term is >= 0, so a product or sum above the largest float (tiny breakpoints at
+        # e < -1) is rightly inf; a zero cell times an infinite piece is 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            # cells[j] is the moment of cell j + 1; the 0 appended keeps every index in range
+            cells = np.append(np.where(v[1:n] == 0.0, 0.0, v[1:n] * _power_int(e, bps[:-1], bps[1:])), 0.0)
+            whole = np.add.reduceat(cells, ends.ravel())[::2].reshape(a.shape)  # cells[first : last - 1]
             head = np.where(v[first] == 0.0, 0.0, v[first] * _power_int(e, a, np.minimum(b, right[first])))
             tail = np.where(v[last] == 0.0, 0.0, v[last] * _power_int(e, np.where(apart, left[last], b), b))
-        return head + np.where(inner, whole, 0.0) + tail
+            return head + np.where(inner, whole, 0.0) + tail
 
     def describe(self) -> str:
         return f"tabulated weight with {len(self.step.values)} cells"

@@ -128,6 +128,37 @@ class TestTheoremSuites:
         assert SUITE_TAGS == ("identity", "t11", "t2", "cor1", "generalk", "gammaeqs")
 
 
+class TestRefineReusesRecords:
+    @pytest.mark.parametrize("tag", ["t11", "t2", "cor1", "generalk"])
+    def test_one_oracle_curve_per_entry_and_route(self, tag, monkeypatch):
+        """The refined records are the base records: refine runs no oracle curve
+        of its own, and the records do not depend on it."""
+        calls = {"k_curve": 0, "k_curve_s_couple": 0}
+
+        def counted(name):
+            real = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        corpus = SMALL[:3]
+        base = run_theorem_suite(tag, corpus=corpus, t_count=3)
+        counts = dict(calls)
+        # one curve per entry: k_curve_s_couple for t11 (both routes), k_curve otherwise
+        assert counts == {"k_curve": 0 if tag == "t11" else 3, "k_curve_s_couple": 3 if tag == "t11" else 0}
+        refined = run_theorem_suite(tag, corpus=corpus, t_count=3, refine=True)
+        assert {name: calls[name] - counts[name] for name in calls} == counts
+        assert refined.records == base.records
+        assert refined.refined_records == refined.records
+        assert refined.drift() == 0.0
+        assert base.refined_records is None and base.drift() is None
+
+
 class TestCurveFlags:
     def test_nonconcave_oracle_curve_flags_its_records(self, monkeypatch):
         real = verify.k_curve

@@ -229,7 +229,8 @@ def _dense_tabulated_moment(w: TabulatedWeight, e: float, a: np.ndarray, b: np.n
     live = w.step.values != 0.0
     lo = np.maximum(a[..., None], np.concatenate(([0.0], bps[:-1]))[live])
     hi = np.maximum(np.minimum(b[..., None], bps[live]), lo)
-    return weights._power_int(e, lo, hi) @ w.step.values[live]
+    with np.errstate(over="ignore"):  # a moment above the largest float is inf
+        return weights._power_int(e, lo, hi) @ w.step.values[live]
 
 
 class TestTabulatedMoment:
@@ -243,6 +244,8 @@ class TestTabulatedMoment:
         pairs=st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 40.0))] * 2),
                        min_size=1, max_size=8),
     )
+    # a subnormal left end: the true moment 2 (1/a - 1) is above the largest float, so inf
+    @example(widths=[1.0], values=[2.0] + [0.0] * 11, e=-2.0, pairs=[(1.1125369292536007e-308, 1.0)])
     def test_matches_the_dense_form(self, widths, values, e, pairs):
         bps = np.cumsum(widths)
         vals = values[: bps.size]
@@ -273,6 +276,18 @@ class TestTabulatedMoment:
         got, dense = decay.moment(e, a, b), _dense_tabulated_moment(decay, e, a, b)
         assert (got > 0.0).all()
         np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0.0)
+
+    def test_whole_cells_above_the_largest_float_are_inf(self):
+        """A cell on tiny breakpoints whose moment is above the largest float
+        (4 (1/1e-308 - 1/2e-308) = 2e308) is inf, with no overflow warning,
+        and reaches only the pairs that hold it whole; a zero cell whose piece
+        is infinite (s^-3 on (1e-300, 1e-200]) carries 0, not nan."""
+        w = TabulatedWeight(StepFunction((1e-308, 2e-308, 1.0), (1.0, 4.0, 1.0)))
+        got = w.moment(-2.0, np.array([0.5e-308, 0.5]), np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(got, [math.inf, 1.0])
+        gap = TabulatedWeight(StepFunction((1e-300, 1e-200, 1.0), (1.0, 0.0, 1.0)))
+        np.testing.assert_array_equal(gap.moment(-3.0, np.array([1e-310, 0.5]), np.array([2.0, 2.0])),
+                                      [math.inf, 1.5])
 
     def test_a_divergent_first_cell_reaches_only_the_pairs_that_touch_it(self):
         w = TabulatedWeight(StepFunction((1.0, 2.0, 4.0), (3.0, 0.0, 2.0)))
