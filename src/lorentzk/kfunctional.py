@@ -4,61 +4,41 @@ The K-functional of f at parameter t > 0 for a couple (X_0, X_1) is the
 infimum of ||f_0||_{X_0} + t ||f_1||_{X_1} over decompositions f = f_0 + f_1.
 This module provides:
 
-* ``k_explicit_general`` — the head/tail formula for couples of lambda-flavor
-  spaces: (integral_0^t (f*)^{p_0} w_0)^{1/p_0}
-  + sigma(t) (integral_t^inf (f*)^{p_1} w_1)^{1/p_1}, sigma the ratio of
-  fundamental functions (the matched K-parameter);
-* ``k_explicit_s`` — the analogous formula for couples of s-flavor spaces
-  with the oscillation f** - f* in both integrals and the tail-fundamental
-  ratio theta as K-parameter, plus hypothesis verdicts (tail doubling,
-  reverse balance, quasi-monotone ratio, tail blow-up at zero);
-* ``corollary_1`` — the specialization w_0 = 1, w_1 = s^{-alpha};
-* ``truncation_decomposition`` — cut f* at a point: the part above the level
-  f*(t+) on (0, t] and the rest;
-* ``decomposition_lemma`` — given non-increasing f <= g + h, split
-  f = f_0 + f_1 with non-increasing f_0 <= g, f_1 <= h via the right
-  running supremum of (f - g)^+;
-* ``k_curve`` — a brute-force minimizer over monotone step decompositions
-  of f*, for a sweep of parameters t: the cells, both spaces and the
-  truncation family's norms are built once per sweep, and only the search
-  runs per t; ``curve_violations`` checks the sweep against the concavity of
-  K(t) and the monotonicity of K(t)/t, within the gaps;
-* ``k_oracle`` — one query, the one-t case of ``k_curve``, with an
-  unconstrained mode besides the monotone one (both parts non-increasing),
-  an exhaustive lattice mode for tiny instances, and the two-parameter
-  truncation family as first candidate and cross-check;
-* ``k_curve_s_couple`` and its one-t case ``k_oracle_s_couple`` — the same
-  K-functional computed twice: directly on the s-couple and through the
-  oscillation transform on the reciprocal lambda-couple (different cells and
-  weights, so agreement is evidence, not tautology);
-* ``near_optimal_s_decomposition`` — the constructive decomposition obtained
-  by majorizing the transform of f*, splitting with the decomposition lemma,
-  and mapping back through the transform (exact on step functions).
+* ``k_explicit_general`` — the head/tail formula for lambda-flavor couples,
+  (integral_0^t (f*)^{p_0} w_0)^{1/p_0} + sigma(t) (integral_t^inf
+  (f*)^{p_1} w_1)^{1/p_1}, sigma the ratio of fundamental functions;
+* ``k_explicit_s`` — the analogue for s-flavor couples, with f** - f* in both
+  integrals, the tail-fundamental ratio theta as parameter and the verdicts
+  of ``s_couple_hypotheses``; ``corollary_1`` is w_0 = 1, w_1 = s^{-alpha};
+* ``truncation_decomposition`` and ``decomposition_lemma`` — cut f* at a
+  point; split non-increasing f <= g + h by the right running supremum of
+  (f - g)^+;
+* ``k_curve`` and its one-t case ``k_oracle`` — a brute-force minimizer over
+  monotone step decompositions of f* for a sweep of parameters (the cells,
+  spaces and truncation family built once), with an unconstrained mode and
+  an exhaustive lattice mode; ``curve_violations`` checks a sweep against
+  the concavity of K(t) and the monotonicity of K(t)/t, within the gaps;
+* ``k_curve_s_couple`` and ``k_oracle_s_couple`` — the s-couple K-functional
+  directly and through the oscillation transform on the reciprocal
+  lambda-couple (different cells and weights: agreement is evidence);
+* ``near_optimal_s_decomposition`` — the constructive decomposition through
+  the transform side and the decomposition lemma.
 
-Monotone decompositions are optimized on the steps of f* (of f* sampled on
-the grid, when one is given): both parts of a monotone decomposition can
-only jump where f* does, so the problem on those cells is the problem on
-any finer grid, with at most one coordinate per step.  They are optimized
-in successive-difference coordinates, where both chain constraints become a
-coordinate box; the objective is convex there (p >= 1) and
-``_CoupleObjective.gap`` certifies a candidate: a Frank-Wolfe gap, and at a
-vanishing part the level-function dual norm over the cone of non-increasing
-functions.  The best truncation candidate stands when certified; otherwise
-scipy's L-BFGS-B runs from the centre of the box, projected Newton with the
-exact Hessian polishes the best point, and, if that is still uncertified,
-Newton runs from the centre.  The search draws nothing at random.  At
-p_0 = p_1 = 1 the objective is affine and the slope-sign vertex is also
-tried.  At p < 1 the objective is not convex and has no certificate, and
-L-BFGS-B runs from the centre and both corners.  An uncertified monotone
-value at p >= 1 is flagged unconverged, never silently accepted.  The
-unconstrained search keeps the whole grid (``oracle_grid`` when none is
-given).  The explicit formulas take their head and tail integrals from the
-windowed cell sums of ``norms``.  The oracle runs lambda- and s-flavor
-couples, the two the paper's K-functionals reduce to.  It takes the cell
-lengths and weight moments once from ``norms.cell_moments``, the builder
-the norms use (the sorted rows of unconstrained candidates from one
-``Weight.moment`` call), and evaluates the candidates' norms, and their
-gradients, with the same cell kernel, ``norms.cell_sums``.
+Both parts of a monotone decomposition can only jump where f* does, so it is
+optimized on the steps of f* (sampled on the grid, when one is given), in
+differences d, where the chain constraints become a box and the objective is
+convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd:
+one numpy pass per space (``_SpaceOnGrid.forward``) gives the objective, its
+gradient and Hessian, and ``_CoupleObjective.point`` the certificate, a
+Frank-Wolfe gap or, at a vanishing part, the level-function dual over the
+cone of non-increasing functions (at the corners of the box a closed form in
+t, ``_Vertex``).  An uncertified truncation candidate is followed by
+projected Newton from the centre, then from the best point.  At p < 1 (not
+convex, no certificate) L-BFGS-B runs from the centre and both corners, as
+in unconstrained mode on the whole grid; the truncation family and these
+searches take the norms' cell kernel, ``norms.cell_sums``, on the cell
+moments of ``norms.cell_moments``.  An uncertified value at p >= 1 is
+flagged unconverged, never silently accepted.
 """
 
 import math
@@ -103,6 +83,7 @@ __all__ = [
     "NearOptimalSDecomposition",
     "k_explicit_general",
     "k_explicit_s",
+    "s_couple_hypotheses",
     "corollary_couple",
     "corollary_1",
     "truncation_decomposition",
@@ -138,11 +119,9 @@ class Decomposition:
     def validate_sum(self, f: StepFunction, rel_tol: float = _SUM_REL_TOL) -> None:
         """Check f0 + f1 = f on the merged grid (relative tolerance for rounding).
 
-        Probes cell midpoints rather than the breakpoints themselves: grids
-        that went through a reciprocal round trip carry breakpoints shifted by
-        one ulp, and sampling exactly at a shifted jump would compare values
-        from opposite sides.  Sliver cells no wider than a few ulps are skipped
-        for the same reason.
+        Probes cell midpoints, not breakpoints: after a reciprocal round trip
+        a breakpoint can move by one ulp, and a probe at a jump would compare
+        values from opposite sides; sliver cells of a few ulps are skipped.
         """
         pts = np.unique(np.concatenate((self.f0.breakpoints, self.f1.breakpoints, f.breakpoints)))
         if not pts.size:
@@ -210,11 +189,10 @@ def k_explicit_general(
 ) -> ExplicitKValue:
     """Head/tail explicit value for a lambda-flavor couple at split point t.
 
-    The "integral" form evaluates the tail as integral_t^inf (f*)^{p_1} w_1;
-    the "norm" form rearranges the tail to the origin first (the two agree up
-    to constants under doubling of the second fundamental function).  The
-    matched K-parameter sigma(t) is returned alongside; a couple whose second
-    fundamental function is infinite yields sigma = 0 with a flag.
+    The "integral" form takes the tail as integral_t^inf (f*)^{p_1} w_1, the
+    "norm" form rearranges it to the origin first (equal up to constants when
+    the second fundamental function doubles).  The matched parameter sigma(t)
+    comes along; an infinite second fundamental function gives sigma = 0 and a flag.
     """
     _require_nonincreasing(fstar, "the explicit K-formula")
     if not (t > 0.0 and math.isfinite(t)):
@@ -255,6 +233,20 @@ def _auto_eps(cfg: CoupleConfig) -> float:
     return 0.5
 
 
+def s_couple_hypotheses(cfg: CoupleConfig, eps: float | Literal["auto"] = "auto") -> dict[str, ConditionVerdict]:
+    """The verdicts of the hypotheses under which ``k_explicit_s`` holds, by name: tail
+    doubling, reverse balance of w_0, the quasi-monotone ratio at ``eps`` and the tail
+    blow-up at zero of each weight.  They depend on the couple alone."""
+    eps_val = _auto_eps(cfg) if eps == "auto" else float(eps)
+    return {
+        "tail-doubling": check_cond1(cfg),
+        "reverse-balance-w0": check_rbp(cfg.w0, cfg.p0),
+        "ratio-quasi-monotone": check_cond3(cfg, eps_val),
+        "tail-blowup-at-zero-0": tail_diverges_at_zero(cfg.w0, cfg.p0),
+        "tail-blowup-at-zero-1": tail_diverges_at_zero(cfg.w1, cfg.p1),
+    }
+
+
 def k_explicit_s(
     f: StepFunction,
     t: float,
@@ -264,36 +256,19 @@ def k_explicit_s(
 ) -> ExplicitKValue:
     """Explicit head/tail value for an s-flavor couple at split point t.
 
-    value = (integral_0^t (f**-f*)^{p_0} w_0)^{1/p_0}
-            + theta(t) (integral_t^inf (f**-f*)^{p_1} w_1)^{1/p_1}
-
-    with theta the ratio of tail fundamentals.  Hypothesis checkers run and
-    their verdicts are attached; violations are flagged, never silently
-    assumed.
+    value = (integral_0^t (f**-f*)^{p_0} w_0)^{1/p_0} + theta(t) (integral_t^inf
+    (f**-f*)^{p_1} w_1)^{1/p_1}, theta the ratio of tail fundamentals; the verdicts of
+    ``s_couple_hypotheses`` are attached, and a violation is flagged, never assumed away.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("split point t must be positive and finite")
     fstar = rearrange(f)
-    flags: list[str] = []
     theta_t = tail_fundamental_ratio(cfg)(t)
     left = _powered("s", fstar, cfg.p0, cfg.w0, 0.0, t) ** (1.0 / cfg.p0)
     tail_root = _powered("s", fstar, cfg.p1, cfg.w1, t, math.inf) ** (1.0 / cfg.p1)
-    for name, val in (("divergent-head", left), ("divergent-tail", tail_root)):
-        if math.isinf(val):
-            flags.append(name)
-    hypotheses: dict[str, ConditionVerdict] | None = None
-    if check_hypotheses:
-        eps_val = _auto_eps(cfg) if eps == "auto" else float(eps)
-        hypotheses = {
-            "tail-doubling": check_cond1(cfg),
-            "reverse-balance-w0": check_rbp(cfg.w0, cfg.p0),
-            "ratio-quasi-monotone": check_cond3(cfg, eps_val),
-            "tail-blowup-at-zero-0": tail_diverges_at_zero(cfg.w0, cfg.p0),
-            "tail-blowup-at-zero-1": tail_diverges_at_zero(cfg.w1, cfg.p1),
-        }
-        for name, verdict in hypotheses.items():
-            if not verdict.holds:
-                flags.append(f"hypothesis-violated:{name}")
+    flags = [name for name, val in (("divergent-head", left), ("divergent-tail", tail_root)) if math.isinf(val)]
+    hypotheses = s_couple_hypotheses(cfg, eps) if check_hypotheses else None
+    flags += [f"hypothesis-violated:{name}" for name, verdict in (hypotheses or {}).items() if not verdict.holds]
     value = left + (0.0 if tail_root == 0.0 else theta_t * tail_root)
     return ExplicitKValue(value, theta_t, left, theta_t * tail_root if tail_root else 0.0, tail_root, tuple(flags), hypotheses)
 
@@ -403,17 +378,12 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 
 class _SpaceOnGrid:
-    """Norms of step functions with fixed cells and variable values.
+    """Norms of step functions with fixed cells (g_{i-1}, g_i], g_0 = 0, and variable values.
 
-    Cells are (g_{i-1}, g_i] with g_0 = 0; candidate vectors hold the value
-    per cell and vanish beyond the last point.  The space is a lambda- or
-    s-flavor one.  The cell lengths, left edges, moments and tail moment are
-    built once here by ``norms.cell_moments``, as for the norms, and both
-    flavors evaluate them with the norms' cell kernel, ``norms.cell_sums``.
-    Unconstrained candidates are sorted into non-increasing order first; each
-    row's cells are then the cumulative sums of its sorted cell lengths, and
-    their moments and tail come from one ``Weight.moment`` call each over all
-    rows.  They need power weights.
+    Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``,
+    evaluated by ``norms.cell_sums`` on values and by ``forward`` on monotone
+    differences.  Unconstrained rows are sorted first, their moments taken in
+    one ``Weight.moment`` call (power weights only).
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -431,7 +401,7 @@ class _SpaceOnGrid:
         self.lengths = cells[0]
         self.grid_cells = (None, *cells)
         self.w = space.w
-        # N(Ld)^p = sum_i omega_i y_i^p with y = B d (see ``cone_dual``), for the Hessian
+        # N(Ld)^p = sum_i omega_i y_i^p with y = B d (see ``cone_dual``)
         _, lengths, left, moments, tail = self.grid_cells
         ones = np.ones((lengths.size, lengths.size))
         if self.flavor == "lambda":
@@ -482,10 +452,9 @@ class _SpaceOnGrid:
     def grad(self, u: np.ndarray, monotone: bool) -> tuple[float, np.ndarray]:
         """(norm, gradient) of one candidate, from one forward pass.
 
-        Derivatives at zero values are one-sided (right) ones, so at p = 1 the
-        gradient is the norm's linear coefficient everywhere; for p > 1 the
-        subgradient at u = 0 is 0.  Unconstrained candidates are
-        differentiated through their sort order, which is locally constant.
+        Derivatives at zero values are right ones (at p = 1 the linear
+        coefficient, at p > 1 0 at u = 0); unconstrained candidates are
+        differentiated through their sort order, locally constant.
         """
         p = self.p
         npow, saved = self._forward(u, monotone)
@@ -505,49 +474,99 @@ class _SpaceOnGrid:
         grad[order] = gs
         return n, grad
 
-    def cone_dual(self, c: np.ndarray, free: np.ndarray) -> float:
-        """max <c, d> over d >= 0 with d_k = 0 off ``free`` and N(Ld) <= 1.
+    def forward(self, x: np.ndarray, hess: bool = False) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian), from y = Bx.
 
-        Exact for lambda, where N(Ld)^p = sum_i dW_i u_i^p, and for s, where
-        C_i = A_{i-1} - u_i x_{i-1} = sum_{k<i} x_k d_k makes N(Ld)^p the same
-        sum over the partial sums of x_k d_k (weights dPsi_1, ..., dPsi_{m-1}
-        and the tail), read backwards.
+        With r = N^{1-p} omega y^{p-1}: gradient B^T r, Hessian B^T ((p-1)/N)(N^{2-p}
+        diag(omega y^{p-2}) - r r^T) B without the rows y_i = 0 in the diagonal.  At N = 0,
+        as in ``grad``, the gradient is B^T omega (p = 1) or 0 (p > 1), the Hessian 0.
+        """
+        p, B = self.p, self.B
+        y = B @ x
+        wy = self.omega * y ** (p - 1.0)
+        powered = float(wy @ y)
+        if powered == 0.0 or p == 1.0:
+            return powered, wy @ B, (np.zeros((x.size, x.size)) if hess else None)
+        n = powered ** (1.0 / p)
+        grad = n ** (1.0 - p) * wy @ B
+        if not hess:
+            return n, grad, None
+        diag = np.divide(wy, y, out=np.zeros_like(y), where=y > 0.0) * n ** (2.0 - p)
+        return n, grad, (p - 1.0) / n * ((B.T * diag) @ B - np.outer(grad, grad))
+
+    def cone_dual(self, c: np.ndarray, free: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """max <c, d> over d >= 0, d_k = 0 off ``free``, N(Ld) <= 1, and a maximizer up to scale.
+
+        Exact: for lambda N(Ld)^p = sum_i dW_i u_i^p, for s the same sum over
+        C_i = sum_{k<i} x_k d_k read backwards (weights dPsi_1..., the tail);
+        the maximizer differences ``_level_dual``'s levels (None at 0 or inf).
         """
         _, lengths, left, moments, tail = self.grid_cells
-        if self.flavor == "lambda":
-            return _level_dual(c[free], moments.cumsum()[free], self.p)
-        back = free[::-1]
-        X = np.append(moments[1:], tail)[::-1].cumsum()
-        return _level_dual((c / (left + lengths))[::-1][back], X[back], self.p)
+        x = left + lengths if self.flavor == "s" else np.ones_like(c)
+        order = slice(None, None, -1 if self.flavor == "s" else 1)  # s reads backwards
+        X = np.append(moments[1:], tail)[::-1].cumsum() if self.flavor == "s" else moments.cumsum()
+        keep = free[order]
+        value, level = _level_dual((c / x)[order][keep], X[keep], self.p)
+        if level is None:
+            return value, None
+        d = np.zeros_like(c)
+        d[keep] = level - np.append(level[1:], 0.0)
+        return value, d[order] / x
 
-    def hessian(self, d: np.ndarray) -> np.ndarray:
-        """The Hessian of N(Ld) in the differences d >= 0.
 
-        With y = Bd, r = N^{1-p} omega y^{p-1} is the gradient of N in y, and
-        the Hessian is B^T ((p-1)/N)(N^{2-p} diag(omega y^{p-2}) - r r^T) B.
-        Rows with y_i = 0, where y^{p-2} blows up for p < 2, are left out; the
-        Hessian of N at 0 is taken as 0.
-        """
-        y = self.B @ d
-        live = y > 0.0
-        if not live.any():
-            return np.zeros((d.size, d.size))
-        p, B, omega, y = self.p, self.B[live], self.omega[live], y[live]
-        n = float(omega @ y**p) ** (1.0 / p)
-        r = B.T @ (n ** (1.0 - p) * omega * y ** (p - 1.0))
-        return (p - 1.0) / n * ((B.T * (n ** (2.0 - p) * omega * y ** (p - 2.0))) @ B - np.outer(r, r))
+class _Vertex:
+    """The corner u = 0 (``low``: d = 0) or u = f* (d = hi) of one curve's box.
+
+    One part vanishes, so with wv, wl the factors (1 or t) of the vanishing
+    and the live part, J = wl N_live(F), g = +-(wv a - wl G) (a the vanishing
+    gradient at 0, 0 when p > 1; G the live one at F), FW = (wl G - wv a)^+ .
+    hi, and at p > 1 the cone dual is D = wl D_1 / wv, the gap min(FW, (D -
+    1)^+ J).  If D > 1, J falls along the maximizer ``exit`` at the rate
+    wv N_van(L exit)(1 - D), curving by wl exit^T H_live(F) exit.
+    """
+
+    def __init__(self, vanishing: _SpaceOnGrid, live: _SpaceOnGrid, hi: np.ndarray, low: bool):
+        self.low, self.hi, self.spaces = low, hi, (vanishing, live)
+        self.d, self.e = (np.zeros_like(hi), hi) if low else (hi, np.zeros_like(hi))
+        self.a = vanishing.forward(np.zeros_like(hi))[1]
+        self.j, self.G, _ = live.forward(hi)
+        self.dual, self.exit = None, None
+        if vanishing.p > 1.0:
+            self.dual, direction = vanishing.cone_dual(self.G, hi > 0.0)
+            if direction is not None:
+                self.exit = direction if low else -direction
+                moving = direction > 0.0
+                self.reach = float((hi[moving] / direction[moving]).min())
+
+    def value(self, t: float) -> float:
+        return (t if self.low else 1.0) * self.j
+
+    def gap(self, t: float) -> float:
+        wv, wl = (1.0, t) if self.low else (t, 1.0)
+        fw = float(np.maximum(wl * self.G - wv * self.a, 0.0) @ self.hi)
+        return fw if self.dual is None else min(fw, max(wl * self.dual / wv - 1.0, 0.0) * self.value(t))
+
+    def slope(self, t: float) -> tuple[float, float]:
+        """J's right derivative and curvature along ``exit`` at the corner."""
+        (wv, wl), (vanishing, live) = ((1.0, t) if self.low else (t, 1.0)), self.spaces
+        direction = self.exit if self.low else -self.exit
+        curvature = float(direction @ live.forward(self.hi, hess=True)[2] @ direction)
+        return wv * vanishing.forward(direction)[0] * (1.0 - wl * self.dual / wv), wl * curvature
 
 
 class _CoupleObjective:
     """J(u) = ||u||_0 + t ||F - u||_1 on the grid, monotone or unconstrained.
 
-    Monotone candidates are u = Ld, the suffix sums of differences d in the
-    box 0 <= d <= hi, hi_k = F_k - F_{k+1}.
+    Monotone candidates are u = Ld, d in the box 0 <= d <= hi_k = F_k -
+    F_{k+1}; ``point`` takes them in d at p >= 1, with ``vertices``, the
+    corners (built on first use unless given).  The rest takes the cell kernel.
     """
 
-    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float, monotone: bool):
+    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float, monotone: bool,
+                 vertices: list[_Vertex | None] | None = None):
         self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
         self.hi = F - np.append(F[1:], 0.0)
+        self.vertices = [None, None] if vertices is None else vertices
 
     def norms_batch(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """N0 and N1(F - U) of the rows of U, which do not depend on t."""
@@ -579,98 +598,116 @@ class _CoupleObjective:
         return np.minimum(np.maximum(x[::-1].cumsum()[::-1] if self.monotone else x, 0.0), self.F)
 
     def diff_value_grad(self, d: np.ndarray) -> tuple[float, np.ndarray]:
-        """J(Ld) and its gradient L^T grad J in the differences."""
+        """J(Ld) and its gradient L^T grad J in the differences, by the cell kernel (p < 1)."""
         val, gu = self.value_grad(self.to_u(d))
         return val, gu.cumsum()
 
-    def gap(self, u: np.ndarray, vg: tuple[float, np.ndarray] | None = None) -> float:
-        """A bound on J(u) - min J over the monotone candidates (+inf if p < 1 or unconstrained).
+    def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
+        """The corner of the box at d, e = hi - d, if it is one."""
+        low = not d.any()
+        if not low and e.any():
+            return None
+        k = 0 if low else 1
+        if self.vertices[k] is None:
+            self.vertices[k] = _Vertex(*((self.ev0, self.ev1) if low else (self.ev1, self.ev0)), self.hi, low)
+        return self.vertices[k]
 
-        In differences u = Ld, 0 <= d <= hi, J is convex and g = L^T grad J a
-        subgradient, so the Frank-Wolfe gap g.d - min_box g.x bounds it.  At
-        u = 0 (p_0 > 1) the subgradient of N_0 vanishes, so by the convexity
-        of N_1, J(d) >= J(0) + (1 - D) N_0(Ld) with D the dual norm of c = -g
-        over the cone d >= 0 (``_SpaceOnGrid.cone_dual``; d_k = 0 where hi_k =
-        0, and dropping d <= hi only relaxes it).  As N_0(Ld) <= J(d), the gap
-        is (D - 1)^+ J(0), which is 0 when u = 0 is optimal, as D is exact.
-        u = f* is the mirror image in hi - d, with c = g and the dual norm of
-        t N_1.  ``vg`` is ``value_grad(u)`` when the caller has it.
+    def point(self, d: np.ndarray, hess: bool = False, e: np.ndarray | None = None
+              ) -> tuple[float, np.ndarray, float, np.ndarray | None]:
+        """(J, gradient in d, gap, Hessian with ``hess``) at d for p >= 1; ``e`` = hi - d, kept by
+        the caller where hi - d would round away digits that a steep gradient needs.
+
+        J is convex in d, so the Frank-Wolfe gap g.d - min_box g.x bounds J(d)
+        - min J.  At u = 0 (p_0 > 1) N_0's subgradient vanishes, so J(d) >=
+        J(0) + (1 - D) N_0(Ld), D the cone dual of -g (``_SpaceOnGrid.cone_dual``),
+        and the gap is (D - 1)^+ J(0); u = f* mirrors it (``_Vertex.gap``).
         """
-        p0, p1 = self.ev0.p, self.ev1.p
-        if not self.monotone or min(p0, p1) < 1.0:
-            return math.inf
-        val, gu = vg or self.value_grad(u)
-        g = gu.cumsum()
-        gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ self.hi), 0.0)
-        if p0 > 1.0 and not u.any():
-            ev, c, scale = self.ev0, -g, 1.0
-        elif p1 > 1.0 and np.array_equal(u, self.F):
-            ev, c, scale = self.ev1, g, self.t
-        else:
-            return gap
-        D = ev.cone_dual(c, self.hi > 0.0) / scale
-        return min(gap, max(D - 1.0, 0.0) * val)
+        hi, t = self.hi, self.t
+        e = hi - d if e is None else e
+        n0, g0, h0 = self.ev0.forward(d, hess)
+        n1, g1, h1 = self.ev1.forward(e, hess)
+        val, g = n0 + t * n1, g0 - t * g1
+        vertex = self.vertex(d, e)
+        gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
+        return val, g, gap, (h0 + t * h1 if hess else None)
 
-    def point(self, d: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """(J, gradient in the differences, gap) at d."""
-        u = self.to_u(d)
-        vg = self.value_grad(u)
-        return vg[0], vg[1].cumsum(), self.gap(u, vg)
+    def leave(self, vertex: _Vertex):
+        """(d, e, ``point``) at the minimizer of J, convex, along the exit ray of a corner: Newton
+        steps on the slope from the corner's closed forms, bisecting the bracket of its sign
+        change when one leaves it, up to the box edge, until the bracket is ``_EXIT_REL`` wide."""
+        lo, up, s = 0.0, vertex.reach, 0.0
+        slope, curv = vertex.slope(self.t)
+        for _ in range(_EXIT_STEPS):
+            nxt = s - slope / curv if curv > 0.0 else math.inf
+            s = min(nxt, up) if s == 0.0 else (nxt if lo < nxt < up else 0.5 * (lo + up))
+            d = np.minimum(np.maximum(vertex.d + s * vertex.exit, 0.0), self.hi)
+            e = np.minimum(np.maximum(vertex.e - s * vertex.exit, 0.0), self.hi)
+            res = self.point(d, True, e)
+            slope, curv = float(res[1] @ vertex.exit), float(vertex.exit @ res[3] @ vertex.exit)
+            lo, up = (s, up) if slope < 0.0 else (lo, s)
+            if up - lo <= _EXIT_REL * up:
+                break
+        return d, e, res
 
-    def newton(self, d: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-        """Projected Newton from d in the box 0 <= d <= hi: (d, J, gap, steps).
+    def newton(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+        """Projected Newton from d, e = hi - d: (d, e, J, gap, steps).
 
-        Bertsekas (1982, SIAM J. Control Optim. 20), in the unit box z = d/hi:
-        the coordinates within eps of a bound whose gradient points out of the
-        box take a gradient step, the others a Newton step with the exact
-        Hessian (``_SpaceOnGrid.hessian``), damped by |g_free| I (Li, Fukushima,
-        Qi and Yamashita 2004, Comput. Optim. Appl. 28), since J is affine on
-        the segment from 0 to hi and so singular along it.  The step is
-        projected onto the box and cut tenfold until J falls by the Armijo
-        share of its first-order decrease, or, once J is flat to rounding,
-        until the gap shrinks: near a bound at p < 2, where y^{p-2} blows up,
-        the step can be too long by many decades.  It stops at a gap of
-        ``_GAP_REL_TOL`` of J, after ``_NEWTON_STEPS`` steps, when no step is
-        accepted, or on a stall: when over the last ``_STALL`` steps J has
-        not fallen and the least gap seen has not halved.  (The gap bounces
-        from step to step, and a run can sit on a plateau of its least gap
-        for a few steps before it certifies.)
+        Bertsekas (1982, SIAM J. Control Optim. 20) in z = d/hi: a coordinate
+        within eps of the bound its gradient points out of takes a gradient
+        step unless its own Newton step stops short of the bound (at p < 2 an
+        optimum can sit 1e-13 inside, where y^{p-2} blows up); the others a
+        Newton step damped by |g_free| I (Li, Fukushima, Qi and Yamashita 2004,
+        Comput. Optim. Appl. 28), since J is affine from 0 to hi.  Projected,
+        it is cut tenfold until Armijo holds or, with J flat, the gap shrinks;
+        at an uncertified corner the step is ``leave``'s.  It stops at a gap of
+        ``_GAP_REL_TOL`` J, after ``_NEWTON_STEPS``, with no step accepted, or
+        when in ``_STALL`` steps J has not fallen nor the least gap halved.
+        d and e are both stepped, each keeping its digits near its bound.
         """
         hi = self.hi
-        val, g, gap = self.point(d)
+        hh = np.outer(hi, hi)
+        val, g, gap, H = self.point(d, True, e)
         seen = [(val, gap)]  # J and the least gap so far, after each step
         for step in range(_NEWTON_STEPS):
             if gap <= _GAP_REL_TOL * val:
-                return d, val, gap, step
+                return d, e, val, gap, step
             if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
                 break
-            z, gz = d / hi, g * hi
-            eps = min(_ACTIVE_EPS, float(np.linalg.norm(z - np.clip(z - gz, 0.0, 1.0))))
-            free = ~(((z <= eps) & (gz > 0.0)) | ((z >= 1.0 - eps) & (gz < 0.0)))
-            dz = -gz
-            if free.any():
-                H = (self.ev0.hessian(d) + self.t * self.ev1.hessian(hi - d)) * np.outer(hi, hi)
-                Hf = H[np.ix_(free, free)]
-                Hf[np.diag_indices_from(Hf)] += np.linalg.norm(gz[free])
-                try:
-                    newton_dz = np.linalg.solve(Hf, -gz[free])
-                except np.linalg.LinAlgError:
-                    newton_dz = dz[free]
-                if newton_dz @ gz[free] < 0.0:  # a descent direction
-                    dz[free] = newton_dz
-            for _ in range(_BACKTRACKS):
-                trial = np.clip(z + dz, 0.0, 1.0) * hi
-                f_t, g_t, gap_t = self.point(trial)
-                if f_t <= val + _ARMIJO * (g @ (trial - d)) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
+            vertex = self.vertex(d, e)
+            if vertex is not None and vertex.exit is not None:
+                trial, trial_e, (f_t, g_t, gap_t, H_t) = self.leave(vertex)
+                if not f_t < val:
                     break
-                dz = 0.1 * dz
             else:
-                break
-            d, val, g, gap = trial, f_t, g_t, gap_t
+                z, gz, Hz = d / hi, g * hi, H * hh
+                pg = z - np.minimum(np.maximum(z - gz, 0.0), 1.0)
+                room = np.where(gz > 0.0, z, e / hi)  # to the bound the gradient points out of
+                free = (room > min(_ACTIVE_EPS, math.sqrt(pg @ pg))) | (np.abs(gz) < Hz.flat[:: gz.size + 1] * room)
+                dz = -gz
+                if free.any():
+                    gf = gz[free]
+                    Hf = Hz[free][:, free]
+                    Hf.flat[:: gf.size + 1] += math.sqrt(gf @ gf)
+                    try:
+                        newton_dz = np.linalg.solve(Hf, -gf)
+                    except np.linalg.LinAlgError:
+                        newton_dz = -gf
+                    if newton_dz @ gf < 0.0:  # a descent direction
+                        dz[free] = newton_dz
+                for _ in range(_BACKTRACKS):
+                    move = dz * hi
+                    trial, trial_e = np.minimum(np.maximum(d + move, 0.0), hi), np.minimum(np.maximum(e - move, 0.0), hi)
+                    f_t, g_t, gap_t, H_t = self.point(trial, True, trial_e)
+                    if f_t <= val + _ARMIJO * (g @ (trial - d)) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
+                        break
+                    dz = 0.1 * dz
+                else:
+                    break
+            d, e, val, g, gap, H = trial, trial_e, f_t, g_t, gap_t, H_t
             seen.append((val, min(gap, seen[-1][1])))
         else:
             step = _NEWTON_STEPS
-        return d, val, gap, step
+        return d, e, val, gap, step
 
 
 def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -693,28 +730,26 @@ def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.repeat(seg, np.diff(v))
 
 
-def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
-    """max <c, d> over d >= 0 with sum_i W_i (sum_{k >= i} d_k)^p <= 1, X_k = W_0 + ... + W_k.
+def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> tuple[float, np.ndarray | None]:
+    """max <c, d> over d >= 0 with sum_i W_i (sum_{k >= i} d_k)^p <= 1, X_k = W_0 + ... + W_k,
+    and the levels sum_{k >= i} d_k of a maximizer, up to scale (None at a value of 0 or +inf).
 
-    The level-function duality for the cone of non-increasing functions
-    (Sawyer 1990; Sinnamon 2001): with sigma the slopes of the least concave
-    majorant of the points (X_k, c_k), the value is the p'-norm
-    (sum_k (X_k - X_{k-1}) (sigma_k^+)^{p'})^{1/p'}, attained at the
-    non-increasing u_k = (sigma_k^+)^{p'-1}, which is constant on each block
-    of the majorant.  Only the rising part of the majorant has sigma > 0, and
-    no point below zero lies on it, so the hull is taken of c^+; the value is
-    positively homogeneous in c, so c^+ is first scaled by an exact power of
-    two into [1/2, 1) and the value scaled back: bit for bit the same for
-    normal c, and subnormal coefficients keep their precision.
+    Level-function duality for the cone of non-increasing functions (Sawyer
+    1990; Sinnamon 2001): with sigma the slopes of the least concave majorant
+    of the points (X_k, c_k), the value is (sum_k (X_k - X_{k-1})
+    (sigma_k^+)^{p'})^{1/p'}, attained at u_k = (sigma_k^+)^{p'-1}.  Only
+    c^+ reaches the rising part, and c^+ is scaled by a power of two into
+    [1/2, 1) and the value back, so subnormal coefficients keep their digits.
     """
     c = np.maximum(c, 0.0)
     e = math.frexp(float(c.max(initial=0.0)))[1]
     sigma = np.maximum(_level_slopes(np.ldexp(c, -e), X), 0.0)
     top, q = sigma.max(initial=0.0), p / (p - 1.0)
     if top == 0.0 or top == math.inf:
-        return float(top)
+        return float(top), None
     # scaled by the largest slope, so that sigma^q cannot underflow
-    return float(np.ldexp(top * (np.diff(X, prepend=0.0) @ (sigma / top) ** q) ** (1.0 / q), e))
+    ratio = sigma / top
+    return float(np.ldexp(top * (np.diff(X, prepend=0.0) @ ratio**q) ** (1.0 / q), e)), ratio ** (q - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -725,19 +760,12 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> float:
 class OracleResult:
     """An oracle value with the decomposition that attains it.
 
-    ``gap``, the certificate, bounds ``value`` minus the monotone problem's
-    minimum (``_CoupleObjective.gap``; +inf in unconstrained mode or at
-    p < 1).  ``converged`` means ``gap <= _GAP_REL_TOL * value``; where
-    there is no certificate (p < 1, or unconstrained mode) it means that no
-    L-BFGS-B start stopped at its cap.  ``starts`` counts the searches run
-    from a start of their own: in monotone mode at p >= 1 L-BFGS-B and
-    Newton from the centre (0 when the truncation candidate was certified,
-    at most 2), at p < 1 the three L-BFGS-B starts, in unconstrained mode
-    also its distinct L-BFGS-B starts; ``iterations`` counts their
-    iterations and the Newton steps.  ``grid`` holds the right ends of the
-    cells of the decomposition: the steps of f* (of f* sampled on the grid
-    given) when the monotone search wins, the whole grid when the
-    unconstrained one does.
+    ``gap`` bounds ``value`` minus the monotone minimum (+inf in unconstrained
+    mode or at p < 1); ``converged`` means ``gap <= _GAP_REL_TOL * value``,
+    or without a certificate that no L-BFGS-B start was capped.  ``starts``
+    counts the Newton runs (p >= 1; 0 when the truncation candidate stands)
+    or the L-BFGS-B starts, ``iterations`` their steps (an exit from a corner
+    is one); ``grid`` holds the right ends of the decomposition's cells.
     """
 
     value: float
@@ -784,11 +812,14 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
     return np.unique(np.concatenate(rows), axis=0)
 
 
-# per unconstrained start; at scipy's default ftol and gtol some K values stop ~1e-9 above the optimum
+# per L-BFGS-B start, which only unconstrained mode and p < 1 run; at scipy's default ftol and
+# gtol some K values stop ~1e-9 above the optimum
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 # projected Newton: steps per run, tenfold cuts per step, the Armijo share, the active-set
 # width and the steps without progress that end a run
 _NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS, _STALL = 50, 20, 1e-4, 1e-3, 8
+# the exit from a corner: its Newton steps on the slope, and the relative width that ends it
+_EXIT_STEPS, _EXIT_REL = 20, 1e-6
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -812,6 +843,7 @@ class _GridProblem:
             self.ev0.check_unconstrained()
             self.ev1.check_unconstrained()
         self.family: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.vertices: list[_Vertex | None] = [None, None]  # each corner, once a search reaches it
 
     def truncation(self, obj: _CoupleObjective) -> tuple[np.ndarray, float]:
         """The best truncation candidate at the objective's t, and its value."""
@@ -824,14 +856,11 @@ class _GridProblem:
         return U[k_best], float(tvals[k_best])
 
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, converged, gap, starts) at t.
-
-        The searches are those of ``k_oracle``.  In monotone mode at p >= 1
-        each point's value less its gap bounds min J from below, and the gap
-        returned is the best value less the best such bound; elsewhere the
-        gap is +inf and converged means that no L-BFGS-B start was capped."""
+        """(value, u, truncation value, iterations, converged, gap, starts) at t, by
+        ``k_oracle``'s searches.  At p >= 1 monotone, the gap is the best value less the
+        best value-less-gap seen; elsewhere +inf, and converged means no capped L-BFGS-B."""
         F = self.F
-        obj = _CoupleObjective(self.ev0, self.ev1, F, t, self.monotone)
+        obj = _CoupleObjective(self.ev0, self.ev1, F, t, self.monotone, self.vertices)
         u_trunc, trunc_val = self.truncation(obj)
         best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
         if not self.monotone or min(self.ev0.p, self.ev1.p) < 1.0:
@@ -856,25 +885,21 @@ class _GridProblem:
                     best_u, best_f = obj.to_u(res.x), float(res.fun)
             return best_f, best_u, trunc_val, iters, conv, math.inf, used
         hi = obj.hi
-        lower = trunc_val - obj.gap(u_trunc)  # min J lies above it
-        x_best = u_trunc - np.append(u_trunc[1:], 0.0)
-        # L-BFGS-B from the centre, Newton from the best point (a polish, no start of its
-        # own) and Newton from the centre, where L-BFGS-B can stop at the kink of N0 at u = 0
-        for stage in range(3):
+        d = np.minimum(u_trunc - np.append(u_trunc[1:], 0.0), hi)  # its cut cell can pass hi by rounding
+        best = (d, hi - d)
+        vertex = obj.vertex(*best)
+        lower = trunc_val - (obj.point(d)[2] if vertex is None else vertex.gap(t))  # min J lies above it
+        # Newton from the centre, then from the best point
+        for start in (True, False):
             if best_f - lower <= _GAP_REL_TOL * best_f:
                 break
-            if stage == 0:
-                res = minimize(obj.diff_value_grad, hi / 2.0, jac=True, method="L-BFGS-B",
-                               bounds=Bounds(np.zeros_like(hi), hi), options=_LBFGSB_OPTIONS)
-                d, f_d, gap_d, steps = res.x, float(res.fun), math.inf, res.nit
-            else:
-                d, f_d, gap_d, steps = obj.newton(x_best if stage == 1 else hi / 2.0)
-            used, iters, lower = used + (stage != 1), iters + steps, max(lower, f_d - gap_d)
+            d, e, f_d, gap_d, steps = obj.newton(*((hi / 2.0, hi / 2.0) if start else best))
+            used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
             if f_d < best_f:
-                x_best, best_u, best_f = d, obj.to_u(d), f_d
+                best, best_u, best_f = (d, e), obj.to_u(d), f_d
         if self.ev0.p == self.ev1.p == 1.0:
-            vertex = np.where(obj.diff_value_grad(hi / 2.0)[1] < 0.0, hi, 0.0)
-            f_vertex, _, gap_vertex = obj.point(vertex)
+            vertex = np.where(obj.point(hi / 2.0)[1] < 0.0, hi, 0.0)
+            f_vertex, _, gap_vertex, _ = obj.point(vertex)
             lower = max(lower, f_vertex - gap_vertex)
             if f_vertex < best_f:
                 best_u, best_f = obj.to_u(vertex), f_vertex
@@ -936,12 +961,10 @@ def k_curve(
 ) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
-    The cells (the steps of f*, or of f* sampled on ``grid``; see
-    ``k_oracle``), both spaces on them and the truncation family's norms
-    N0(U) and N1(F - U) are built once; each t takes the argmin of N0 + t N1,
-    the certificate and the search on its own, so each result is bit for bit
-    the ``k_oracle`` result at its t, whatever the order of ``ts`` (which may
-    be unsorted or repeat a value).
+    The cells (see ``k_oracle``), both spaces, the truncation family's norms
+    and the corners of the box are built once; each t runs its own search,
+    so each result is bit for bit ``k_oracle``'s at its t, whatever the
+    order of ``ts`` (unsorted, or with a value repeated).
     """
     return _oracle_curve(f, space0, space1, ts, grid)
 
@@ -953,13 +976,12 @@ _CURVE_REL_TOL = 1e-12
 def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np.ndarray:
     """Which points of one grid's K-curve break its laws beyond their gaps.
 
-    The grid K(t) is the minimum of N0 + t N1 over one fixed candidate set,
-    so it is non-decreasing and concave, and K(t)/t is non-increasing
-    (Bergh-Lofstrom, Lemma 3.1.1).  A result brackets it in [value - gap,
-    value].  Sorted by t, each pair of neighbours and each triple is tested
-    at the ends of the brackets that favour the laws, so a point is marked
-    (with the others of its pair or triple) only when no values within the
-    gaps obey them.  Returns one flag per result, in the order of ``ts``.
+    The grid K(t), a minimum of N0 + t N1 over one candidate set, is
+    non-decreasing and concave, and K(t)/t non-increasing (Bergh-Lofstrom,
+    Lemma 3.1.1).  Each result brackets it in [value - gap, value]; sorted by
+    t, pairs and triples are tested at the bracket ends that favour the laws,
+    so a point is marked only when no values within the gaps obey them.  One
+    flag per result, in the order of ``ts``.
     """
     t = np.asarray(ts, dtype=float)
     order = np.argsort(t, kind="stable")
@@ -993,33 +1015,18 @@ def k_oracle(
 ) -> OracleResult:
     """Brute-force K-functional value over step decompositions.
 
-    The query's function is reduced to its rearrangement f*, and ``grid``,
-    when given, samples it (beyond its last point the function is 0).  The
-    monotone candidates keep both parts non-increasing, so they can only
-    jump where f* does: they are solved on the steps of f*, at most one cell
-    per step, whatever the grid; the unconstrained candidates live on the
-    whole grid, ``oracle_grid(f*, m)`` when none is given.  Candidates are
-    step functions with 0 <= u_i <= f*_i, plus (in monotone mode) the two
-    chain constraints, which become the box 0 <= d_i <= f*_i - f*_{i+1} on
-    successive differences.  The search stops once the best point has a gap
-    of at most ``_GAP_REL_TOL`` of its value, which the truncation candidate
-    may have before any start (the exact dual certifies an optimum at a
-    vanishing part there).  Otherwise L-BFGS-B runs from the centre of the
-    box, projected Newton (``_CoupleObjective.newton``) polishes the best
-    point, and Newton runs from the centre, where L-BFGS-B can stop at the
-    kink of N0 at u = 0, each while the best point is uncertified.  The
-    truncation candidate wins ties.  When both exponents are 1 the monotone
-    objective is affine in the differences, and the vertex picked by the
-    sign of each slope joins the candidates.  Below exponent 1 the monotone
-    problem is not convex and has no certificate: L-BFGS-B runs from the
-    centre and both corners.  In unconstrained mode the monotone search
-    also runs and the better value wins, so the unconstrained value never
-    exceeds the monotone one.  That problem is not convex; L-BFGS-B runs
-    from each distinct one of the best truncation candidate, both corners,
-    the centre and a point drawn from ``seed``.
-
-    A single query is the one-t case of ``k_curve``, with the unconstrained
-    search added when ``monotone_only`` is false.
+    f* (sampled on ``grid`` when given, 0 beyond it) is split monotonically
+    on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences,
+    and in unconstrained mode also on the whole grid (``oracle_grid(f*, m)``
+    by default), 0 <= u_i <= f*_i.  A truncation candidate with a gap of at
+    most ``_GAP_REL_TOL`` of its value stands; else projected Newton
+    (``_CoupleObjective.newton``) runs from the centre, then from the best
+    point, while uncertified, leaving a corner u = 0 or f* with dual norm
+    above 1 along the dual's maximizer.  Ties go to the truncation candidate;
+    at p_0 = p_1 = 1 the slope-sign vertex joins.  Below exponent 1, and in
+    unconstrained mode (not convex), L-BFGS-B runs from the centre and both
+    corners, unconstrained also from the truncation candidate and a point
+    drawn from ``seed``; the better search wins.  The one-t case of ``k_curve``.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, None if monotone_only else m, seed)[0]
 
@@ -1091,11 +1098,9 @@ def k_curve_s_couple(
 ) -> list[SCoupleOracleResult]:
     """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
 
-    Route one is the monotone K-curve of f* under the s-norms; route two maps
-    f* through the oscillation transform once and takes the K-curve of the
-    reciprocal-weight lambda-couple at the same parameters.  Each route
-    solves on the steps of its own function, so the ratio of the two values
-    measures the theorem's equivalence alone.
+    Route one is the monotone K-curve of f* under the s-norms, route two the
+    K-curve of the transform of f* under the reciprocal-weight lambda-couple;
+    each solves on its own steps, so their ratio measures the equivalence alone.
     """
     if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
@@ -1114,12 +1119,8 @@ def k_curve_s_couple(
 
 
 def k_oracle_s_couple(q: KQuery) -> SCoupleOracleResult:
-    """K-functional of an s-flavor couple, directly and through the transform.
-
-    The one-t case of ``k_curve_s_couple``: route one optimizes monotone
-    decompositions of f* under the s-norms, route two the reciprocal-weight
-    lambda-couple at the same parameter, on the steps of the transform of f*.
-    """
+    """K-functional of an s-flavor couple, directly and through the transform: the one-t
+    case of ``k_curve_s_couple``."""
     return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,))[0]
 
 
@@ -1140,12 +1141,10 @@ def near_optimal_s_decomposition(
 ) -> NearOptimalSDecomposition:
     """Constructive s-couple decomposition via the transform side.
 
-    Starting from the best truncation split f* = f_0 + f_1 under the
-    s-couple objective, the transform of f* is majorized by
-    (2/s) f_0**(1/s) + (T f_1)(s/2); the decomposition lemma splits the
-    transform below these majorants, and mapping the two parts back through
-    the transform (exact on step functions) yields a feasible decomposition
-    of f* whose objective upper-bounds the oracle value.
+    From the best truncation split f* = f_0 + f_1, the transform of f* is
+    majorized by (2/s) f_0**(1/s) + (T f_1)(s/2); the decomposition lemma
+    splits it below these, and the parts mapped back (exactly, on step
+    functions) decompose f* with an objective above the oracle value.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("K-parameter t must be positive and finite")

@@ -50,6 +50,7 @@ from .kfunctional import (
     k_curve_s_couple,
     k_explicit_general,
     k_explicit_s,
+    s_couple_hypotheses,
 )
 from .norms import LorentzSpace, gamma_equals_s_check, s_lambda_identity_check
 from .stepfn import StepFunction, add, rearrange
@@ -339,9 +340,7 @@ def _default_couple(tag: str, p: float, alpha: float) -> CoupleConfig:
 
 def _hypotheses_json(cfg: CoupleConfig, tag: str) -> dict | None:
     if tag in ("t2", "cor1", "t11"):
-        probe = k_explicit_s(StepFunction.indicator(1.0), 1.0, cfg)
-        assert probe.hypotheses is not None
-        return {name: v.to_json_dict() for name, v in probe.hypotheses.items()}
+        return {name: v.to_json_dict() for name, v in s_couple_hypotheses(cfg).items()}
     if tag == "gammaeqs":
         verdict = check_rbp(cfg.w0, cfg.p0)
         return {"reverse-balance": verdict.to_json_dict()}

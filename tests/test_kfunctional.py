@@ -359,6 +359,11 @@ def _monotone_problem(q, m=16):
     return obj, F, U[int(np.argmin(obj.value_batch(U)))]
 
 
+def _gap(obj, u):
+    """The certificate of ``_CoupleObjective.point`` at the monotone candidate u."""
+    return obj.point(np.minimum(u - np.append(u[1:], 0.0), obj.hi))[2]
+
+
 def _five_start_search(obj, F, u_trunc, seed=0):
     """The monotone search without the early exit: (best value, each start's end point as u)."""
     hi = F - np.append(F[1:], 0.0)
@@ -408,7 +413,7 @@ class TestOracleCertificate:
         U = np.minimum(np.cumsum((W * hi)[:, ::-1], axis=1)[:, ::-1], F)
         _, ends = _five_start_search(obj, F, u_trunc)
         lowest = min(obj.value_batch(U).min(), min(obj.value(u) for u in ends))
-        for value, gap in ((obj.value(u_trunc), obj.gap(u_trunc)), (res.value, res.gap)):
+        for value, gap in ((obj.value(u_trunc), _gap(obj, u_trunc)), (res.value, res.gap)):
             assert gap >= 0.0
             assert lowest >= value - gap - 1e-12 * value
 
@@ -516,9 +521,9 @@ class TestLevelDual:
         # positively homogeneous, exactly so under powers of two.
         top = float(np.maximum(c[free], 0.0).max(initial=0.0))
         c = np.ldexp(np.where(free, c, 0.0), min(-math.frexp(top)[1], 600))
-        D = ev.cone_dual(c, free)
+        D, direction = ev.cone_dual(c, free)
         assert 0.0 <= D < math.inf
-        assert ev.cone_dual(np.ldexp(c, k), free) == np.ldexp(D, k)
+        assert ev.cone_dual(np.ldexp(c, k), free)[0] == np.ldexp(D, k)
 
         def ratio(d):
             u = np.cumsum(d[::-1])[::-1]
@@ -540,20 +545,23 @@ class TestLevelDual:
             d = _block_maximizer((c / x)[::-1], X, p, free[::-1])[::-1] / x
         if D > 0.0:
             assert ratio(d) == pytest.approx(D, rel=1e-12)
+            # the maximizer that the exit from a corner follows
+            assert (direction >= 0.0).all() and not direction[~free].any()
+            assert ratio(direction) == pytest.approx(D, rel=1e-12)
         else:
-            assert not d.any()
+            assert not d.any() and direction is None
 
     def test_subnormal_coefficients_scale_exactly(self):
         # the hull and its slopes are taken on c scaled into the normal range
         c, X = np.array([0.0, 0.7, -0.2]), np.array([0.3, 1.3, 2.0])
-        D = kfunctional._level_dual(c, X, 2.0)
+        D = kfunctional._level_dual(c, X, 2.0)[0]
         for k in (-1030, -1050, -1070):
-            assert kfunctional._level_dual(np.ldexp(c, k), X, 2.0) == np.ldexp(D, k)
+            assert kfunctional._level_dual(np.ldexp(c, k), X, 2.0)[0] == np.ldexp(D, k)
 
     def test_jump_at_zero_weight_is_unbounded(self):
         # a free difference whose cells carry no weight: <c, d> > 0 at norm 0
-        assert kfunctional._level_dual(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0) == math.inf
-        assert kfunctional._level_dual(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 2.0) == 2.0
+        assert kfunctional._level_dual(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0) == (math.inf, None)
+        assert kfunctional._level_dual(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 2.0)[0] == 2.0
 
 
 def _verify_queries():
@@ -650,7 +658,7 @@ class TestNewtonPolish:
             def grad(y):
                 return ev.grad(y[::-1].cumsum()[::-1], monotone=True)[1].cumsum()
 
-            H = ev.hessian(x)
+            H = ev.forward(x, hess=True)[2]
             h = 1e-4 * x.min()
             fd = np.array([(grad(x + h * e) - grad(x - h * e)) / (2.0 * h) for e in np.eye(x.size)]).T
             # a norm is homogeneous of degree 1, so its Hessian is of the size of gradient / u;
@@ -661,12 +669,12 @@ class TestNewtonPolish:
 
     def test_vanishing_truncation_candidate_takes_one_start(self):
         """A t11 query of the CLI defaults whose best truncation candidate, u = 0, is uncertified:
-        L-BFGS-B from that point stops at once, so the search starts at the centre instead."""
+        Newton from the centre certifies the optimum."""
         f = StepFunction((1.0, 1.5, 2.5), (3.0, 1.0, 0.5))
         s0, s1, _, _ = _verify_spaces()
         q = KQuery(f, t_sweep(f, 15)[7], s0, s1)
         obj, _, u_trunc = _monotone_problem(q, m=64)
-        assert not u_trunc.any() and obj.gap(u_trunc) > 1e-10 * obj.value(u_trunc)
+        assert not u_trunc.any() and _gap(obj, u_trunc) > 1e-10 * obj.value(u_trunc)
         res = k_oracle(q)
         assert (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value and res.value < res.truncation_value
@@ -674,7 +682,7 @@ class TestNewtonPolish:
     def test_a_start_that_collapses_onto_the_vertex_u_0(self):
         """The transformed lambda-couple of t11 at p = 1.5, alpha = 0.4 (reciprocal weights s^-0.5
         and s^-0.1) on random-monotone-3 of the seed-7 corpus, five steps: L-BFGS-B from the centre
-        ends at d = 0, where N0 has its kink, so Newton from the centre certifies the optimum."""
+        ends at d = 0, where N0 has its kink, and Newton from the centre certifies the optimum."""
         cfg = corollary_couple(1.5, 0.4)
         (entry,) = (e for e in make_corpus(seed=7, size=20) if e.f_id == "random-monotone-3")
         tstep = osc_transform(rearrange(entry.fn)).as_step()
@@ -684,11 +692,32 @@ class TestNewtonPolish:
         obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t, True)
         centre = minimize(obj.diff_value_grad, obj.hi / 2.0, jac=True, method="L-BFGS-B",
                           bounds=Bounds(np.zeros_like(obj.hi), obj.hi), options=kfunctional._LBFGSB_OPTIONS)
-        assert not centre.x.any() and obj.gap(obj.to_u(centre.x)) > 1.0
+        assert not centre.x.any() and obj.point(centre.x)[2] > 1.0
         res = k_oracle(q)
-        assert len(res.grid) == 5 and (res.starts, res.converged) == (2, True)
+        assert len(res.grid) == 5 and (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value
         assert res.value == pytest.approx(40.718159121103334, rel=1e-12)
+
+
+    def test_newton_leaves_the_kink_at_u_0_along_the_level_maximizer(self):
+        """cor1 on staircase-arith-3 of the seed-7 corpus at its middle parameter: the optimum,
+        u = (0.00876, 0.00161, 0), lies next to the corner u = 0, whose cone dual exceeds 1."""
+        s0, s1, _, _ = _verify_spaces()
+        (entry,) = (e for e in make_corpus(seed=7, size=14) if e.f_id == "staircase-arith-3")
+        f, t = rearrange(entry.fn), 1.8612097182041993
+        assert k_explicit_s(f, t_sweep(f, 3)[1], corollary_couple(2.0, 1.0), check_hypotheses=False).param == t
+        res = k_oracle(KQuery(f, t, s0, s1))
+        assert res.converged and res.gap <= 1e-10 * res.value
+        assert res.value <= 3.2237045816858823 * (1.0 + 1e-12)
+        # from the corner itself: the exit, then Newton
+        obj = _CoupleObjective(_SpaceOnGrid(s0, f.breakpoints), _SpaceOnGrid(s1, f.breakpoints), f.values, t, True)
+        zero = np.zeros_like(obj.hi)
+        vertex = obj.vertex(zero, obj.hi)
+        assert vertex.gap(t) > 1e-10 * vertex.value(t) and t * vertex.dual > 1.0
+        d, _, (value, _, _, _) = obj.leave(vertex)
+        assert d.any() and value < vertex.value(t)
+        _, _, value, gap, _ = obj.newton(zero, obj.hi.copy())
+        assert gap <= 1e-10 * value and value <= 3.2237045816858823 * (1.0 + 1e-12)
 
 
 @st.composite
@@ -708,6 +737,89 @@ def k_sweeps(draw):
         spaces.append(LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas)))))
     ts = sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3, unique=True)))
     return f, spaces, ts
+
+
+@st.composite
+def fused_cases(draw):
+    """A lambda or s space at p in {1, 1.5, 2, 3} on a grid, and differences d >= 0, some of
+    them 0, so that rows of y = Bd vanish.  Widths and differences are small dyadic numbers:
+    the cell kernel, the reference, takes the s flavor's oscillation constants as A - u x, which
+    then cancel exactly where they vanish (else C^(p-1) of their rounding reaches 1e-9)."""
+    n = draw(st.integers(1, 8))
+    g = np.cumsum(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))) / 8.0
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    # the s flavor needs beta < p - 1 at infinity
+    betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [b for b in (-0.5, 0.0, 0.3) if b < p - 1.1]
+    ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas)))), g)
+    d = draw(st.lists(st.one_of(st.just(0), st.integers(1, 192)), min_size=n, max_size=n))
+    return ev, np.array(d) / 64.0
+
+
+def _direct_gap(obj, u):
+    """The certificate at u from the cell kernel and the cone dual at the objective's t."""
+    val, gu = obj.value_grad(u)
+    g = gu.cumsum()
+    gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ obj.hi), 0.0)
+    if obj.ev0.p > 1.0 and not u.any():
+        ev, c, scale = obj.ev0, -g, 1.0
+    elif obj.ev1.p > 1.0 and np.array_equal(u, obj.F):
+        ev, c, scale = obj.ev1, g, obj.t
+    else:
+        return gap
+    return min(gap, max(ev.cone_dual(c, obj.hi > 0.0)[0] / scale - 1.0, 0.0) * val)
+
+
+class TestFusedPass:
+    """``_SpaceOnGrid.forward`` evaluates the monotone objective from y = Bd, and ``_Vertex``
+    certifies the two corners of the box in closed form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fused_cases())
+    def test_matches_the_cell_kernel(self, case):
+        ev, d = case
+        u = d[::-1].cumsum()[::-1]
+        value, grad, _ = ev.forward(d)
+        assert value == pytest.approx(ev.norm(u, monotone=True), rel=1e-12, abs=0.0)
+        ref = ev.grad(u, monotone=True)[1].cumsum()
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k_sweeps())
+    def test_vertex_certificates_match_the_direct_gap(self, case):
+        f, (space0, space1), ts = case
+        g, F = f.breakpoints, f.values
+        ev0, ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
+        vertices = None
+        for t in ts:
+            obj = _CoupleObjective(ev0, ev1, F, t, True, vertices)
+            for u in (np.zeros_like(F), F):
+                d = np.minimum(u - np.append(u[1:], 0.0), obj.hi)
+                vertex = obj.vertex(d, obj.hi - d)
+                value = vertex.value(t)
+                assert value == pytest.approx(obj.value(u), rel=1e-12)
+                # the gap can be a difference of near-equal terms (p = 1, t near 1): J sets its rounding
+                assert vertex.gap(t) == pytest.approx(_direct_gap(obj, u), rel=1e-12, abs=1e-14 * value)
+                assert obj.point(d)[2] == vertex.gap(t)
+            vertices = obj.vertices  # built at the first t, shared by the others
+
+
+class TestNewtonOnly:
+    """The monotone search at p >= 1 runs no L-BFGS-B."""
+
+    @pytest.mark.parametrize("suites,kwargs", [
+        (("t11", "cor1", "t2", "generalk"), dict(seed=7, size=20, p=2.0, alpha=1.0, t_count=15)),
+        (("t11", "cor1", "generalk"), dict(seed=7, size=20, p=1.5, alpha=0.4, t_count=15)),
+        (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.2, alpha=0.5, t_count=7)),
+    ], ids=["cli-defaults", "p-1.5", "p-1.2"])
+    def test_the_ci_oracle_configurations(self, suites, kwargs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kfunctional, "minimize", lambda *a, **k: calls.append(1))
+        corpus = make_corpus(kwargs.pop("seed"), kwargs.pop("size"))
+        for tag in suites:
+            report = run_theorem_suite(tag, corpus=corpus, seed=7, **kwargs)
+            assert not any(r.flags for r in report.records), tag
+        assert not calls
 
 
 class TestKFunctionalLaws:
