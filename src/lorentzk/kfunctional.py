@@ -38,12 +38,15 @@ convex, no certificate) L-BFGS-B runs from the centre and both corners, as
 in unconstrained mode on the whole grid; the truncation family and these
 searches take the norms' cell kernel, ``norms.cell_sums``, on the cell
 moments of ``norms.cell_moments``.  An uncertified value at p >= 1 is
-flagged unconverged, never silently accepted.
+flagged unconverged, never silently accepted.  A result holds its parts as
+arrays on its cells, checked to sum to f* at every cell; the parts as step
+functions are built only when its ``decomposition`` is read.
 """
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
@@ -758,18 +761,22 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> tuple[float, np.ndarr
 
 @dataclass(frozen=True)
 class OracleResult:
-    """An oracle value with the decomposition that attains it.
+    """An oracle value with the split f* = u + rest that attains it.
 
+    ``u`` and ``rest``: read-only arrays of the parts' values on the cells
+    ending at ``grid``, checked by ``_checked_parts`` to sum to f*;
+    ``decomposition``, the parts as step functions, is built on first read.
     ``gap`` bounds ``value`` minus the monotone minimum (+inf in unconstrained
-    mode or at p < 1); ``converged`` means ``gap <= _GAP_REL_TOL * value``,
-    or without a certificate that no L-BFGS-B start was capped.  ``starts``
-    counts the Newton runs (p >= 1; 0 when the truncation candidate stands)
-    or the L-BFGS-B starts, ``iterations`` their steps (an exit from a corner
-    is one); ``grid`` holds the right ends of the decomposition's cells.
+    mode or at p < 1); ``converged`` means ``gap <= _GAP_REL_TOL * value``, or
+    without a certificate that no L-BFGS-B start was capped.  ``starts`` counts
+    the Newton runs (p >= 1; 0 when the truncation candidate stands) or the
+    L-BFGS-B starts, ``iterations`` their steps (an exit from a corner is one).
     """
 
     value: float
-    decomposition: Decomposition
+    u: np.ndarray = field(repr=False, compare=False)
+    rest: np.ndarray = field(repr=False, compare=False)
+    provenance: Provenance
     truncation_value: float
     converged: bool
     iterations: int
@@ -777,6 +784,26 @@ class OracleResult:
     grid: Grid
     gap: float
     starts: int
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        g = self.grid.points
+        return Decomposition(StepFunction(g, self.u), StepFunction(g, self.rest), self.provenance)
+
+
+def _checked_parts(u: np.ndarray, rest: np.ndarray, F: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views of u and rest, after checking at every cell of g that both are finite and non-negative
+    and that |u + rest - F| <= ``_SUM_REL_TOL`` max(F, u + rest, 1) (a nan fails every comparison)."""
+    total = u + rest
+    ok = (np.abs(total - F) <= _SUM_REL_TOL * np.maximum(np.maximum(F, total), 1.0)) & (total < math.inf)
+    ok &= np.minimum(u, rest) >= 0.0
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"decomposition does not sum to the target at t={float(g[i])!r}: "
+                         f"{float(u[i])!r} + {float(rest[i])!r} vs {float(F[i])!r}")
+    u, rest = u.view(), rest.view()
+    u.flags.writeable = rest.flags.writeable = False
+    return u, rest
 
 
 def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
@@ -836,7 +863,6 @@ class _GridProblem:
         self.grid, self.monotone = grid, monotone
         g = grid.points
         self.F = fstar.at(g)
-        self.target = StepFunction(g, self.F)  # what every decomposition must sum to
         self.ev0 = _SpaceOnGrid(space0, g)
         self.ev1 = _SpaceOnGrid(space1, g)
         if not monotone:
@@ -908,7 +934,8 @@ class _GridProblem:
 
 
 def _solve(t: float, mono: _GridProblem, free: _GridProblem | None, seed: int) -> OracleResult:
-    """The monotone search at t, and the unconstrained one too when ``free`` is given."""
+    """The monotone search at t, and the unconstrained one too when ``free`` is given: the better
+    search's parts u and rest = F - u (its running minimum in monotone mode), checked to sum to F."""
     value, u, trunc_val, iters, conv, gap, used = mono.search(t)
     provenance = "optimizer" if value < trunc_val else "truncation"
     won = mono
@@ -925,10 +952,8 @@ def _solve(t: float, mono: _GridProblem, free: _GridProblem | None, seed: int) -
     if won.monotone:
         # F - u is non-increasing in exact arithmetic; kill rounding wiggles
         rest = np.minimum.accumulate(rest)
-    g = won.grid.points
-    dec = Decomposition(StepFunction(g, u), StepFunction(g, rest), provenance)
-    dec.validate_sum(won.target)
-    return OracleResult(value, dec, trunc_val, conv, iters, free is None, won.grid, gap, used)
+    u, rest = _checked_parts(u, rest, won.F, won.grid.points)
+    return OracleResult(value, u, rest, provenance, trunc_val, conv, iters, free is None, won.grid, gap, used)
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
@@ -942,9 +967,9 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
     # the monotone problem on the steps of the target: its parts can only jump where F does
     cells = fstar if grid is None else StepFunction(grid.points, fstar.at(grid.points))
     if cells.is_zero:
-        dec = Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
         g0 = grid or Grid.log(0.1, 10.0, 2)
-        return [OracleResult(0.0, dec, 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
+        zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
+        return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
     mono = _GridProblem(fstar, space0, space1, Grid(cells.breakpoints), True)
     free = None
     if free_m is not None:
@@ -1058,27 +1083,13 @@ def k_oracle_exhaustive(
     ev0 = _SpaceOnGrid(q.space0, g)
     ev1 = _SpaceOnGrid(q.space1, g)
     obj = _CoupleObjective(ev0, ev1, F, q.t, monotone_only)
-    if monotone_only:
-        dsteps = steps - np.concatenate((steps[1:], [0]))
-        axes = [np.arange(k + 1) for k in dsteps]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        D = np.stack([a.ravel() for a in mesh], axis=1).astype(float) * quantum
-        if D.shape[0] > max_candidates:
-            raise ValueError("lattice too large for exhaustive mode")
-        U = np.cumsum(D[:, ::-1], axis=1)[:, ::-1]
-    else:
-        axes = [np.arange(k + 1) for k in steps]
-        total = int(np.prod([a.size for a in axes]))
-        if total > max_candidates:
-            raise ValueError("lattice too large for exhaustive mode")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        U = np.stack([a.ravel() for a in mesh], axis=1).astype(float) * quantum
-    best = math.inf
-    for start in range(0, U.shape[0], 200_000):
-        chunk = U[start : start + 200_000]
-        vals = obj.value_batch(chunk)
-        best = min(best, float(vals.min()))
-    return best
+    # monotone candidates are the lattice points of the differences, summed from the right
+    axes = [np.arange(k + 1) for k in (steps - np.append(steps[1:], 0) if monotone_only else steps)]
+    if math.prod(a.size for a in axes) > max_candidates:
+        raise ValueError("lattice too large for exhaustive mode")
+    X = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1).astype(float) * quantum
+    U = np.cumsum(X[:, ::-1], axis=1)[:, ::-1] if monotone_only else X
+    return min(float(obj.value_batch(U[start : start + 200_000]).min()) for start in range(0, U.shape[0], 200_000))
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,18 @@ def cell_sums(
     ``powered`` is each row's sum of v_i^p dW_i (lambda), c_i^p dPsi_i +
     M^p tail (s) or v_0^p W + the node sum of (v_i + c_i/s)^p w + M^p tail
     (gamma), exact but for the gamma nodes; c_i = A_{i-1} - v_i x_{i-1} (A
-    the prefix integral, clamped at 0 against rounding) are the oscillation
-    constants.  The s flavor also returns them and the mass M, which the
-    K-oracle's s gradient reuses; the other flavors return None for both.
+    the prefix integral) are the oscillation constants, summed as jumps
+    (v_{j-1} - v_j) x_{j-1}, so a run of equal values gives 0 exactly.  The
+    s flavor also returns them and the mass M, which the K-oracle's s
+    gradient reuses; the other flavors return None for both.
     """
     if flavor == "lambda":
         return _moment_sum(V ** p, moments), None, None
-    mass = V * lengths
-    A = np.zeros_like(mass)  # the prefix integrals A_{i-1}
-    mass[..., :-1].cumsum(axis=-1, out=A[..., 1:])
-    C = np.maximum(A - V * left, 0.0)
-    M = mass.sum(axis=-1)
+    # c_i = sum_{j <= i} (v_{j-1} - v_j) x_{j-1}, clamped at 0 for rows non-increasing up to rounding
+    C = np.zeros_like(V)
+    ((V[..., :-1] - V[..., 1:]) * left[..., 1:]).cumsum(axis=-1, out=C[..., 1:])
+    np.maximum(C, 0.0, out=C)
+    M = (V * lengths).sum(axis=-1)
     if flavor == "gamma":
         nodes = moments
         vals = C[..., nodes.cell, None] * nodes.inv

@@ -220,7 +220,10 @@ def dilate(f: StepFunction, a: float) -> StepFunction:
 
 
 def rearrange(f: StepFunction) -> StepFunction:
-    """Non-increasing rearrangement: same values, cell lengths sorted by value."""
+    """Non-increasing rearrangement: same values, cell lengths sorted by value.  A non-increasing f is
+    its own rearrangement and is returned itself (re-summing its cell lengths can move a breakpoint one ulp)."""
+    if f.is_nonincreasing():
+        return f
     positive = f.values > 0.0
     levels, level_of = np.unique(f.values[positive], return_inverse=True)
     lengths = (f.breakpoints - _left_edges(f.breakpoints))[positive]

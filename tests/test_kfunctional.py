@@ -741,19 +741,17 @@ def k_sweeps(draw):
 
 @st.composite
 def fused_cases(draw):
-    """A lambda or s space at p in {1, 1.5, 2, 3} on a grid, and differences d >= 0, some of
-    them 0, so that rows of y = Bd vanish.  Widths and differences are small dyadic numbers:
-    the cell kernel, the reference, takes the s flavor's oscillation constants as A - u x, which
-    then cancel exactly where they vanish (else C^(p-1) of their rounding reaches 1e-9)."""
+    """A lambda or s space at p in {1, 1.5, 2, 3} on a grid of unequal widths, and differences
+    d >= 0, some of them 0, so that rows of y = Bd vanish and u = Ld has runs of equal values."""
     n = draw(st.integers(1, 8))
-    g = np.cumsum(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))) / 8.0
+    g = np.cumsum(draw(st.lists(st.floats(1e-3, 40.0), min_size=n, max_size=n)))
     flavor = draw(st.sampled_from(["lambda", "s"]))
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     # the s flavor needs beta < p - 1 at infinity
     betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [b for b in (-0.5, 0.0, 0.3) if b < p - 1.1]
     ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas)))), g)
-    d = draw(st.lists(st.one_of(st.just(0), st.integers(1, 192)), min_size=n, max_size=n))
-    return ev, np.array(d) / 64.0
+    d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), min_size=n, max_size=n))
+    return ev, np.array(d)
 
 
 def _direct_gap(obj, u):
@@ -776,6 +774,14 @@ class TestFusedPass:
 
     @settings(max_examples=80, deadline=None)
     @given(fused_cases())
+    # u is a run of four equal values: the cell kernel took C = A - u x, which lost all its digits
+    # where it vanishes, and C^(1/2) of that rounding moved the s gradient by 5.6e-9 relative
+    @example((
+        _SpaceOnGrid(LorentzSpace("s", 1.5, PowerWeight(-0.5)),
+                     np.array([1.962709538354162, 24.230537487596358, 46.83691105615143,
+                               63.837687270172346, 95.38795294754404])),
+        np.array([0.0, 0.0, 0.0, 1.6014529429280226, 0.0]),
+    ))
     def test_matches_the_cell_kernel(self, case):
         ev, d = case
         u = d[::-1].cumsum()[::-1]
@@ -1070,6 +1076,64 @@ class TestStepsOfFstar:
         # STAIR sampled there is 3, 2, 1, 1, 0: three steps, ending at 0.5, 1.5 and 3
         assert res.grid.points.tolist() == [0.5, 1.5, 3.0]
         assert res.decomposition.f0.support_end <= 3.0 and res.decomposition.f1.support_end <= 3.0
+
+
+class TestArrayResults:
+    """An oracle result holds its parts as arrays on its grid, checked to sum to f* at every
+    cell; the parts as step functions are built only when ``decomposition`` is read."""
+
+    ENTRY = next(e.fn for e in make_corpus(7, 20) if e.f_id == "random-monotone-4")
+    TS = (0.01, 0.1, 0.5, 1.0, 3.0, 20.0)
+
+    @pytest.mark.parametrize("monotone_only", [True, False])
+    @pytest.mark.parametrize("spoiled", [2.0, math.nan, -1.0], ids=["no-sum", "nan", "negative"])
+    def test_a_spoiled_part_fails_the_sum_check(self, spoiled, monotone_only, monkeypatch):
+        """u_0 above f*_0 leaves rest_0 = 0, so the parts do not sum; a nan or a negative u_0 fails
+        even though rest_0 = f*_0 - u_0 makes the sum right."""
+        real = kfunctional._GridProblem.search
+
+        def search(problem, t, seed=0):
+            value, u, *rest = real(problem, t, seed)
+            return (value, np.where(np.arange(u.size) == 0, problem.F[0] * spoiled, u), *rest)
+
+        monkeypatch.setattr(kfunctional._GridProblem, "search", search)
+        q = KQuery(STAIR, 1.0, LAMBDA2, LorentzSpace("lambda", 1.5, FLAT))
+        with pytest.raises(ValueError, match="does not sum to the target at t="):
+            k_oracle(q, m=8, monotone_only=monotone_only)
+
+    def test_parts_are_read_only_and_stay_out_of_repr_and_eq(self):
+        res = k_oracle(KQuery(STAIR, 1.0, LAMBDA2, LAMBDA2))
+        for part in (res.u, res.rest):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+        assert "u=" not in repr(res) and "rest=" not in repr(res)
+        assert res == replace(res, u=res.u + 1.0)
+
+    @pytest.mark.parametrize("space0,space1", [
+        (LorentzSpace("lambda", 2.0, FLAT), LorentzSpace("lambda", 1.5, PowerWeight(-0.5))),
+        (LorentzSpace("s", 2.0, FLAT), LorentzSpace("s", 2.0, PowerWeight(-1.0))),
+    ], ids=["lambda", "s"])
+    def test_a_curve_builds_no_step_function_until_a_decomposition_is_read(self, space0, space1, monkeypatch):
+        created = []
+        real = StepFunction.__post_init__
+        monkeypatch.setattr(StepFunction, "__post_init__", lambda self: (created.append(1), real(self))[1])
+        fstar = rearrange(self.ENTRY)
+        assert fstar is self.ENTRY  # a non-increasing corpus entry
+        results = k_curve(self.ENTRY, space0, space1, self.TS)
+        assert not created
+        for res in results:
+            dec = res.decomposition
+            assert len(created) == 2 and res.decomposition is dec
+            created.clear()
+            g = res.grid.points
+            assert dec == Decomposition(StepFunction(g, res.u), StepFunction(g, res.rest), res.provenance)
+            dec.validate_sum(fstar)
+            created.clear()
+
+    def test_the_zero_function_reads_a_zero_decomposition(self):
+        res = k_oracle(KQuery(StepFunction.zero(), 1.0, LAMBDA2, LAMBDA2), monotone_only=False)
+        assert not res.u.any() and not res.rest.any() and res.provenance == "optimizer"
+        assert res.decomposition == Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
 
 
 class TestCurveViolations:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorentzk import (
@@ -52,6 +52,35 @@ def unsorted_steps(draw):
     widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     levels = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0]), min_size=n, max_size=n))
     return StepFunction(np.cumsum(widths), levels)
+
+
+@st.composite
+def nonincreasing_steps(draw):
+    """``unsorted_steps`` with its levels sorted, some of them from any range: runs of equal
+    levels merge, and all zero levels, or no cells, give the zero function."""
+    n = draw(st.integers(0, 12))
+    widths = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    pool = st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0])
+    levels = draw(st.lists(st.one_of(pool, st.floats(0.0, 1e3)), min_size=n, max_size=n))
+    return StepFunction(np.cumsum(widths), sorted(levels, reverse=True))
+
+
+@st.composite
+def separated_steps(draw):
+    """A non-increasing step function of at most 12 cells whose widths and whose drops between
+    values are at least 1e-3, as are its values."""
+    n = draw(st.integers(0, 12))
+    widths = draw(st.lists(st.floats(1e-3, 20.0), min_size=n, max_size=n))
+    drops = draw(st.lists(st.floats(1e-3, 5.0), min_size=n, max_size=n))
+    return StepFunction(np.cumsum(widths), np.cumsum(drops)[::-1])
+
+
+def seeded_monotone_examples(test):
+    """The 30 rearranged functions of ``random_step(rng, monotone=True)`` at seed 11, as examples of ``fs``."""
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        test = example(fs=rearrange(random_step(rng, monotone=True)))(test)
+    return test
 
 
 def plain_merge(bps, vals):
@@ -243,9 +272,21 @@ class TestRearrangement:
         assert rearrange(f) == StepFunction((2.0,), (2.0,))
 
     @settings(max_examples=300, deadline=None)
+    @given(nonincreasing_steps())
+    # summing the lengths again gives 1025.8561067645242 for the second breakpoint
+    @example(StepFunction((1.0272946251110397, 1025.856106764524), (1.0, 0.3)))
+    def test_a_nonincreasing_function_is_its_own_rearrangement(self, f):
+        assert rearrange(f) is f
+        # the cell loop sums the cells' lengths again, a + (b - a), which can miss b by one ulp
+        bps, vals = reference_rearrange(f)
+        assert vals == f.values.tolist()
+        np.testing.assert_array_max_ulp(np.array(bps), f.breakpoints, maxulp=1)
+
+    @settings(max_examples=300, deadline=None)
     @given(unsorted_steps())
     def test_matches_the_cell_loop_exactly(self, f):
-        bps, vals = reference_rearrange(f)
+        # a non-increasing f is its own rearrangement, exactly (the test above)
+        bps, vals = (f.breakpoints.tolist(), f.values.tolist()) if f.is_nonincreasing() else reference_rearrange(f)
         fs = rearrange(f)
         assert fs.breakpoints.tolist() == bps
         assert fs.values.tolist() == vals
@@ -285,13 +326,13 @@ class TestOscillationTransform:
         g = StepFunction((1.0, 2.0), (2.0, 1.0))
         assert osc_transform(g).as_step() == StepFunction((0.5, 1.0), (3.0, 1.0))
 
-    def test_involution_exact_on_step_data(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            fs = rearrange(random_step(rng, monotone=True))
-            back = osc_transform(osc_transform(fs).as_step()).as_step()
-            assert back.breakpoints == pytest.approx(fs.breakpoints, rel=1e-12)
-            assert back.values == pytest.approx(fs.values, rel=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @seeded_monotone_examples
+    @given(separated_steps())
+    def test_involution_exact_on_step_data(self, fs):
+        back = osc_transform(osc_transform(fs).as_step()).as_step()
+        assert back.breakpoints == pytest.approx(fs.breakpoints, rel=1e-12)
+        assert back.values == pytest.approx(fs.values, rel=1e-12)
 
     def test_as_step_matches_pointwise_evaluation(self):
         fs = StepFunction((0.5, 2.0, 8.0), (4.0, 1.5, 0.25))
