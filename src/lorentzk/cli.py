@@ -281,10 +281,10 @@ def k_cmd(fn_path: str, t: float, p_str: str, alpha: float, method: str, fmt: st
 @click.option("--p", "p_str", default="2", show_default=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--size", type=int, default=20, show_default=True, help="Corpus size.")
+@click.option("--size", type=click.IntRange(min=1), default=20, show_default=True, help="Corpus size.")
 @click.option("--m", type=int, default=64, show_default=True,
               help="Recorded in the config only; the monotone oracle solves exactly on the steps of f*.")
-@click.option("--t-count", type=int, default=15, show_default=True)
+@click.option("--t-count", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 if a suite hypothesis fails.")

@@ -14,7 +14,14 @@ piece reduces to a weight moment; beyond the support f* vanishes and both
 gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  The
 running mean f** = v + c/t has no moment form; its cells between the first
 (where f** = f*) and the tail are summed over fixed Gauss-Legendre nodes in
-log t, on panels cut at the weight's kinks (``gamma_nodes``).  The three
+log t, on panels cut at the weight's kinks, against the weight's density in
+log t (``gamma_nodes``, ``Weight.u_density``).  For a power-log weight the
+cell moments take three routes: log panels on the finite cells, the
+incomplete-gamma kernel on the first cell's piece below s = 1 and the
+tail's piece above it, and quadrature on the remainder of a first cell
+past s = 1 or a tail from below it, which stays until pinned check-weights
+verdicts move off it; so a first breakpoint below 1 and a support end
+above 1 take no quadrature.  The three
 flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
@@ -104,7 +111,7 @@ def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaNodes:
-    """Quadrature nodes of the gamma cell integrals, one row of 8 per panel.
+    """Quadrature nodes of the gamma cell integrals, one column of 8 per panel.
 
     On a cell i >= 1 the running mean is f** = v_i + c_i / s, with
     c_i = A_{i-1} - v_i x_{i-1}.  ``cell`` holds each panel's cell index,
@@ -128,16 +135,17 @@ def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> 
     pi from the real u axis.
     """
     edges = np.clip(x, lo, hi)
-    kinks = np.array(w.kinks())
-    cuts = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
+    kinks = np.array(w.kinks(), dtype=float)
+    kinks = kinks[(kinks > edges[0]) & (kinks < edges[-1])]
+    cuts = np.insert(edges, np.searchsorted(edges, kinks), kinks)
+    cuts = cuts[np.append(True, cuts[1:] > cuts[:-1])]  # sorted already: drop repeats, without a sort
     start = cuts[:-1]
-    piece, step, s = _log_panels(start, cuts[1:])
-    weight = w.at(s)
-    weight *= s
-    weight *= (0.5 * step)[:, None]
-    weight *= _GL_W
+    piece, step, u = _log_panels(start, cuts[1:])
+    weight = w.u_density(u)
+    weight *= 0.5 * step
+    weight *= _GL_W[:, None]
     cell = np.searchsorted(x, start, side="right")[piece]
-    return GammaNodes(cell, np.divide(1.0, s, out=s), weight, head)
+    return GammaNodes(cell, np.exp(np.negative(u, out=u), out=u), weight, head)
 
 
 def cell_sums(
@@ -176,8 +184,8 @@ def cell_sums(
     M = (V * lengths).sum(axis=-1)
     if flavor == "gamma":
         nodes = moments
-        vals = C[..., nodes.cell, None] * nodes.inv
-        vals += V[..., nodes.cell, None]
+        vals = C[..., None, nodes.cell] * nodes.inv
+        vals += V[..., None, nodes.cell]
         powered = (vals ** p).reshape(vals.shape[:-2] + (-1,)) @ nodes.weight.ravel()
         return V[..., 0] ** p * nodes.head + powered + (M ** p) * tail, None, None
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from scipy.integrate import IntegrationWarning
 
 from lorentzk import cli
 from lorentzk.cli import main
@@ -145,7 +146,8 @@ class TestCheckWeights:
         # reads x / 0 by the checkers' rule and the tail term is 0
         path = tmp_path / "z.json"
         path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [0, 1]}))
-        result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
+        with pytest.warns(IntegrationWarning):  # the far piece's quadrature
+            result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
         assert result.exit_code == 0, result.output
         # the head sup is t ln 2 at t = 1e4: phi1(s)^-2 = 1/s integrates to ln 2 over (1, 2], sigma(t)^2 = 1/t
         assert "sufficient-head: fails constant=6931.47 [grid]" in result.output.splitlines()
@@ -181,7 +183,8 @@ class TestCheckWeights:
         # phi0 is constant from s = 2 on, so integral_t^inf phi0^-2 w1 diverges for w1 = 1
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"family": "tabulated", "breakpoints": [1, 2], "values": [1, 1]}))
-        result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
+        with pytest.warns(IntegrationWarning):  # the far piece's quadrature of the divergent integral
+            result = runner.invoke(main, ["check-weights", "--weight", f"file:{path}", "--weight2", "power:0"])
         assert result.exit_code == 0, result.output
         assert "sufficient-tail: fails constant=inf [grid]" in result.output.splitlines()
 
@@ -265,11 +268,15 @@ class TestVerify:
         assert result.output == "suite=identity records=28 band=[1,1] median=1 constant=1\n"
 
     def test_empty_corpus_is_not_a_pass(self, runner):
+        # no records would print band=[inf,0] and constant=nan and exit 0: a usage error instead
         result = runner.invoke(main, ["verify", "--suite", "cor1", "--size", "0", "--refine"])
-        assert result.exit_code == 0
-        assert result.output == (
-            "suite=cor1 records=0 band=[inf,0] median=nan constant=nan drift=nan\n"
-        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--size'" in result.output
+
+    def test_empty_sweep_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "t11", "--t-count", "0"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--t-count'" in result.output
 
     def test_out_and_csv_files(self, runner, tmp_path):
         out = tmp_path / "report.json"

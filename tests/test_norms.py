@@ -1,6 +1,7 @@
 """Lorentz norms of the three flavors: exact values and structural laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lorentzk import (
     truncated_norm,
     truncated_norm_result,
 )
+from lorentzk import weights
 from lorentzk.norms import _powered, gamma_nodes
 from lorentzk.weights import _GL_W, _GL_X
 
@@ -151,6 +153,20 @@ class TestStructure:
         val = norm(LorentzSpace("lambda", 2.0, w), f)
         ref, _ = quad(lambda s: (1.0 + abs(math.log(s))), 0.0, 2.0)
         assert val == pytest.approx(ref ** 0.5, rel=1e-7)
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s", "gamma"])
+    def test_powerlog_norm_takes_no_quadrature(self, flavor, monkeypatch):
+        # first breakpoint 0.25 < 1 < support end 3: the first cell from 0 and the
+        # tail to inf are pieces of ``weights._gamma_tail``, the other cells log panels
+        def refuse(*args, **kw):
+            raise AssertionError("a power-log norm reached quad")
+
+        monkeypatch.setattr(weights, "quad", refuse)
+        f = StepFunction((0.25, 0.5, 3.0), (1.0, 4.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = norm_result(LorentzSpace(flavor, 2.0, PowerLogWeight(0.3, -0.7)), f)
+        assert math.isfinite(res.value) and res.value > 0.0 and not res.diverged
 
 
 class TestDivergenceFlags:

@@ -81,6 +81,15 @@ class TestIdentitySuite:
         assert report.theorem == "identity"
         assert report.hypotheses is None
 
+    def test_a_broken_rearrangement_fails_the_invariance_records(self, monkeypatch):
+        # a rearrange that does not sort: it returns every monotone entry as it is, but
+        # the staircase's reversed cells stay increasing
+        monkeypatch.setattr(verify, "rearrange", lambda f: f)
+        report = run_identity_suite(SMALL, t_count=5)
+        ratios = [r.ratio for r in report.records if r.flags == ("idempotence",)]
+        assert len(ratios) == len(SMALL) * 5
+        assert max(abs(r - 1.0) for r in ratios) > 0.5
+
     def test_deterministic(self):
         a = run_identity_suite(SMALL, t_count=4)
         b = run_identity_suite(SMALL, t_count=4)

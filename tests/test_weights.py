@@ -346,84 +346,57 @@ class TestPanelMoments:
         assert got.shape == (49,) and (got > 0.0).all() and np.isfinite(got).all()
 
 
-def _direct_powerlog_moment(w: PowerLogWeight, e: float, a: float, b: float) -> float:
-    """A convergent power-log moment as the sum of its pieces, each an uncached quadrature."""
-    q = w.beta + e
-    head = lambda x: x ** q * (1.0 + abs(math.log(x))) ** w.gamma
-    tail = lambda u: u ** (-q - 2.0) * (1.0 + abs(math.log(u))) ** w.gamma
-    total = 0.0
-    if a < 1.0:
-        total += weights._quad_improper(head, a, min(b, 1.0))
-    if b > 1.0:
-        lo = max(a, 1.0)
-        if math.isinf(b):
-            total += weights._quad_improper(tail, 0.0, 1.0 / lo)
-        else:
-            total += weights._quad_improper(head, lo, b)
-    return total
+def _mpmath_gamma_tail(kappa: float, gamma: float, v0: float) -> float:
+    """integral_{v0}^inf e^{-kappa (v - 1)} v^gamma dv by mpmath.quad (30 digits): in
+    v = v0 + r, e^{-kappa (v0 - 1)} v0^gamma times the integral of e^{-kappa r}
+    (1 + r / v0)^gamma, split at r = {0.1, 1, 10, 100} / kappa (mpmath's tolerance
+    is absolute, so the integrand is scaled to be 1 at r = 0)."""
+    with mpmath.workdps(30):
+        k, g, v = mpmath.mpf(kappa), mpmath.mpf(gamma), mpmath.mpf(v0)
+        if kappa == 0.0:
+            return float(mpmath.quad(lambda x: x ** g, [v, mpmath.inf]))
+        cuts = [0] + [mpmath.mpf(d) / k for d in (0.1, 1, 10, 100)] + [mpmath.inf]
+        inner = mpmath.quad(lambda r: mpmath.exp(-k * r) * (1 + r / v) ** g, cuts)
+        return float(mpmath.exp(-k * (v - 1)) * v ** g * inner)
 
 
-class TestUnitPieceMemo:
-    """PowerLog pieces over (0, 1) and (1, inf) come from a memo: the same
-    floats as the direct quadratures, and a warning on every call that needs a
-    piece whose quadrature warned."""
+class TestGammaTail:
+    """The kernel of the power-log pieces from 0 and to inf, G(kappa, gamma, v0) =
+    integral_{v0}^inf e^{-kappa (v - 1)} v^gamma dv, against mpmath."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        beta=st.floats(-0.9, 0.9),
-        gamma=st.floats(-1.0, 1.0),
-        d=st.floats(0.05, 3.0),
-        end=st.one_of(st.just(1.0), st.floats(1.0, 1e3)),
-        tail=st.booleans(),
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(1e-12, 10.0), gamma=st.floats(-3.0, 3.0), v0=st.floats(1.0, 700.0))
+    @example(kappa=1e-12, gamma=-2.0, v0=1.0)  # lam = 1e-12: 58 log panels before the unit ones
+    @example(kappa=0.0, gamma=-2.0, v0=1.0)
+    @example(kappa=0.0, gamma=-1.5, v0=300.0)
+    @example(kappa=1.05, gamma=3.0, v0=700.0)  # G near the smallest normal float
+    def test_matches_mpmath(self, kappa, gamma, v0):
+        got = float(weights._gamma_tail(kappa, gamma, np.array([v0]))[0])
+        # below the smallest normal float only the absolute error is small
+        assert got == pytest.approx(_mpmath_gamma_tail(kappa, gamma, v0), rel=1e-13, abs=1e-320)
+
+    @pytest.mark.parametrize(
+        "beta, gamma, e, a, b",
+        [(0.5, 1.0, 0.0, 0.0, 0.3), (-0.9, -0.5, 0.0, 0.0, 1.0), (0.0, -2.0, -1.0, 0.0, 1e-3),
+         (0.5, 1.0, -2.0, 1.0, math.inf), (-0.5, 0.5, -2.0, 40.0, math.inf), (0.0, -2.0, -1.0, 1e3, math.inf)],
     )
-    @example(beta=0.5, gamma=1.0, d=0.5, end=1.0, tail=False)
-    @example(beta=-0.5, gamma=0.5, d=1.0, end=1.0, tail=True)
-    def test_memoized_moment_is_the_sum_of_direct_pieces(self, beta, gamma, d, end, tail):
-        w = PowerLogWeight(beta, gamma)
-        # q = beta + e is -1 - d on the tail side and -1 + d on the head side: both converge
-        if tail:
-            e, a, b = -1.0 - d - beta, 1.0 / end, math.inf
-        else:
-            e, a, b = -1.0 + d - beta, 0.0, end
-        want = _direct_powerlog_moment(w, e, a, b)
-        weights._UNIT_PIECES.clear()
-        first = float(w.moment(e, a, b))
-        again = float(w.moment(e, a, b))
-        assert first == want and again == want
+    def test_unbounded_pieces_are_the_kernel(self, beta, gamma, e, a, b):
+        # (0, a] is G(q + 1, gamma, 1 - log a) and [b, inf) is G(-q - 1, gamma, 1 + log b)
+        q = beta + e
+        want = (_mpmath_gamma_tail(q + 1.0, gamma, 1.0 - math.log(b)) if a == 0.0
+                else _mpmath_gamma_tail(-q - 1.0, gamma, 1.0 + math.log(a)))
+        assert float(PowerLogWeight(beta, gamma).moment(e, a, b)) == pytest.approx(want, rel=1e-13)
 
-    def test_unit_pieces_are_computed_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append((a, b)) or quad(fn, a, b, **kw))
-        weights._UNIT_PIECES.clear()
-        w = PowerLogWeight(0.5, 1.0)
-        for e, a, b in ((0.0, 0.0, 2.0), (-3.0, 0.5, math.inf)):
-            calls.clear()
-            first = w.moment(e, a, b)
-            assert len(calls) == 2
-            calls.clear()
-            assert w.moment(e, a, b) == first and len(calls) == 1
-        # the key is (side, beta + e, gamma): another gamma misses, another beta with the same q
-        # hits (the direct sums run two quadratures each)
-        calls.clear()
-        other = PowerLogWeight(0.5, 0.5)
-        assert float(other.moment(0.0, 0.0, 2.0)) == _direct_powerlog_moment(other, 0.0, 0.0, 2.0)
-        assert len(calls) == 4
-        calls.clear()
-        shifted = PowerLogWeight(0.0, 1.0)
-        assert float(shifted.moment(0.5, 0.0, 2.0)) == _direct_powerlog_moment(shifted, 0.5, 0.0, 2.0)
-        assert len(calls) == 3
+    def test_pieces_from_0_and_to_inf_call_no_quad(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("an unbounded power-log piece reached quad")
 
-    def test_a_warned_piece_warns_on_every_call(self):
-        # the head piece of s^-0.9 (1 + |log s|)^-0.5 over (0, 1) ends in a quad roundoff warning
-        w = PowerLogWeight(-0.9, -0.5)
-        weights._UNIT_PIECES.clear()
-        with pytest.warns(IntegrationWarning):
-            first = w.moment(0.0, 0.0, 1.0)
-        with pytest.warns(IntegrationWarning):
-            again = w.moment(0.0, 0.0, 2.0)
-        assert float(first) == _direct_powerlog_moment(w, 0.0, 0.0, 1.0)
-        assert float(again) == _direct_powerlog_moment(w, 0.0, 0.0, 2.0)
-        assert not weights._UNIT_PIECES
+        monkeypatch.setattr(weights, "quad", refuse)
+        w = PowerLogWeight(0.5, -0.5)
+        t = np.geomspace(1e-6, 1.0, 7)
+        assert (w.moment(0.0, 0.0, t) > 0.0).all() and (w.moment(-3.0, 1.0 / t, math.inf) > 0.0).all()
+        # q = -1 with gamma < -1 converges on both sides: 1 / (-gamma - 1) each
+        assert float(PowerLogWeight(0.0, -3.0).moment(-1.0, 0.0, math.inf)) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestReciprocal:
@@ -621,39 +594,37 @@ class TestConditionCheckers:
 
 class TestQuadraturePins:
     """The grid checkers' values on the ROADMAP couple powerlog(0.5, 1) /
-    powerlog(-0.5, 0.5) at p = 2.  The B_p, RB_p and Delta_2 constants take
-    moments from 0 or to inf, which are still quadratures: exact power-log
-    moments will move them, and re-pin them after a check against mpmath.
-    The sufficient-condition constants are log-panel sums, which agree with
-    a 25-digit mpmath evaluation at their witness t (W by ``gammainc``) to
-    about 1.4e-15 relative."""
+    powerlog(-0.5, 0.5) at p = 2.  Each pin agrees with a 25-digit mpmath
+    evaluation at its witness t to 2.1e-15 relative (W by closed form and
+    ``gammainc``).  The B_p, RB_p and Delta_2 constants take the pieces from
+    0 and to inf by ``_gamma_tail`` and the finite remainders (a, 1) and
+    (1, b) by quadrature, which warns on the grid's long ranges."""
 
     W0 = PowerLogWeight(0.5, 1.0)
     COUPLE = CoupleConfig(2.0, W0, 2.0, PowerLogWeight(-0.5, 0.5))
 
     def test_sufficient_conditions(self):
         head, tail = check_sufconds(self.COUPLE, grid=Grid.log(1e-4, 1e4, 5))
-        assert head.constant == 1.541101335729306
-        assert tail.constant == 0.7406479825297092
+        assert head.constant == 1.5411013357293049
+        assert tail.constant == 0.7406479825297094
 
     def test_single_weight_checkers(self):
-        assert check_bp(self.W0, 2.0).constant == 7.4269306694083985
-        assert check_rbp(self.W0, 2.0).constant == 0.5395799730252662
-        assert check_delta2(self.W0).constant == 3.7165659492910446
+        with pytest.warns(IntegrationWarning):
+            assert check_bp(self.W0, 2.0).constant == 7.4269306694082475
+            assert check_rbp(self.W0, 2.0).constant == 0.5395799730252667
+            assert check_delta2(self.W0).constant == 3.7165659492910446
 
     def test_sufficient_conditions_quadratures_do_not_grow_with_the_grid(self, monkeypatch):
         calls = []
         monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append(a) or quad(fn, a, b, **kw))
         counts = []
         for n in (5, 49):
-            weights._UNIT_PIECES.clear()
             calls.clear()
             check_sufconds(self.COUPLE, grid=Grid.log(1e-4, 1e4, n))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
     def test_sufficient_conditions_emit_no_integration_warning(self):
-        weights._UNIT_PIECES.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             head, tail = check_sufconds(self.COUPLE)
