@@ -27,22 +27,23 @@ This module provides:
 Both parts of a monotone decomposition can only jump where f* does, so it is
 optimized on the steps of f* (sampled on the grid, when one is given), in
 differences d, where the chain constraints become a box and the objective is
-convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd:
-one numpy pass per space (``_SpaceOnGrid.forward``) gives the objective, its
-gradient and Hessian, and ``_CoupleObjective.point`` the certificate, a
+convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd: one
+pass over both spaces' stacked arrays (``_forward_rows``) gives the objective,
+its gradient and Hessian, and ``_CoupleObjective.point`` the certificate, a
 Frank-Wolfe gap or, at a vanishing part, the level-function dual over the
 cone of non-increasing functions (at the corners of the box a closed form in
-t, ``_Vertex``).  An uncertified truncation candidate is followed by
-projected Newton from the centre, then from the best point.  At p < 1 (not
-convex, no certificate) L-BFGS-B runs from the centre and both corners, as
-in unconstrained mode on the whole grid; the truncation family and these
-searches take the norms' cell kernel, ``norms.cell_sums``, on the cell
-moments of ``norms.cell_moments``.  An uncertified value at p >= 1 is
-flagged unconverged, never silently accepted.  A result holds its parts as
-arrays on its cells, checked to sum to f* at every cell; the parts as step
-functions are built only when its ``decomposition`` is read.
+t, ``_Vertex``).  A sweep picks every t's truncation candidate from one array
+and certifies them together (``_GridProblem.curve``); an uncertified one is
+followed by projected Newton from the centre, then from the best point.  At
+p < 1 (not convex, no certificate) L-BFGS-B runs from the centre and both
+corners, as in unconstrained mode on the whole grid; the truncation family and
+these searches take the norms' cell kernel on the cell moments.  An
+uncertified value at p >= 1 is flagged unconverged, never silently accepted.
+A result holds its parts as arrays on its cells, checked to sum to f* at every
+cell; the parts as step functions are built only when read.
 """
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -54,51 +55,16 @@ from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
 from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
-from .stepfn import (
-    StepFunction,
-    _require_nonincreasing,
-    dilate,
-    osc_transform,
-    rearrange,
-)
-from .weights import (
-    ConditionVerdict,
-    CoupleConfig,
-    InvalidWeightError,
-    PowerLaw,
-    PowerWeight,
-    check_cond1,
-    check_cond3,
-    check_rbp,
-    fundamental_ratio,
-    reciprocal_weight,
-    tail_diverges_at_zero,
-    tail_fundamental,
-    tail_fundamental_ratio,
-)
+from .stepfn import StepFunction, _require_nonincreasing, dilate, osc_transform, rearrange
+from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerLaw, PowerWeight, check_cond1,
+                      check_cond3, check_rbp, fundamental_ratio, reciprocal_weight, tail_diverges_at_zero,
+                      tail_fundamental, tail_fundamental_ratio)
 
 __all__ = [
-    "Decomposition",
-    "KQuery",
-    "ExplicitKValue",
-    "OracleResult",
-    "SCoupleOracleResult",
-    "NearOptimalSDecomposition",
-    "k_explicit_general",
-    "k_explicit_s",
-    "s_couple_hypotheses",
-    "corollary_couple",
-    "corollary_1",
-    "truncation_decomposition",
-    "decomposition_lemma",
-    "oracle_grid",
-    "k_curve",
-    "k_curve_s_couple",
-    "curve_violations",
-    "k_oracle",
-    "k_oracle_exhaustive",
-    "k_oracle_s_couple",
-    "near_optimal_s_decomposition",
+    "Decomposition", "KQuery", "ExplicitKValue", "OracleResult", "SCoupleOracleResult", "NearOptimalSDecomposition",
+    "k_explicit_general", "k_explicit_s", "s_couple_hypotheses", "corollary_couple", "corollary_1",
+    "truncation_decomposition", "decomposition_lemma", "oracle_grid", "k_curve", "k_curve_s_couple",
+    "curve_violations", "k_oracle", "k_oracle_exhaustive", "k_oracle_s_couple", "near_optimal_s_decomposition",
 ]
 
 Provenance = Literal["truncation", "decomposition-lemma", "optimizer", "manual"]
@@ -138,10 +104,8 @@ class Decomposition:
         bad = np.flatnonzero(np.abs(got - want) > rel_tol * scale)
         if bad.size:
             i = bad[0]
-            raise ValueError(
-                f"decomposition does not sum to the target at t={float(probes[i])!r}: "
-                f"{float(got[i])!r} vs {float(want[i])!r}"
-            )
+            raise ValueError(f"decomposition does not sum to the target at t={float(probes[i])!r}: "
+                             f"{float(got[i])!r} vs {float(want[i])!r}")
 
     def is_monotone(self) -> bool:
         return self.f0.is_nonincreasing() and self.f1.is_nonincreasing()
@@ -184,12 +148,8 @@ def _shift_tail(fstar: StepFunction, t: float) -> StepFunction:
     return StepFunction(fstar.breakpoints[tail] - t, fstar.values[tail])
 
 
-def k_explicit_general(
-    fstar: StepFunction,
-    t: float,
-    cfg: CoupleConfig,
-    form: Literal["integral", "norm"] = "integral",
-) -> ExplicitKValue:
+def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig,
+                       form: Literal["integral", "norm"] = "integral") -> ExplicitKValue:
     """Head/tail explicit value for a lambda-flavor couple at split point t.
 
     The "integral" form takes the tail as integral_t^inf (f*)^{p_1} w_1, the
@@ -250,13 +210,8 @@ def s_couple_hypotheses(cfg: CoupleConfig, eps: float | Literal["auto"] = "auto"
     }
 
 
-def k_explicit_s(
-    f: StepFunction,
-    t: float,
-    cfg: CoupleConfig,
-    eps: float | Literal["auto"] = "auto",
-    check_hypotheses: bool = True,
-) -> ExplicitKValue:
+def k_explicit_s(f: StepFunction, t: float, cfg: CoupleConfig, eps: float | Literal["auto"] = "auto",
+                 check_hypotheses: bool = True) -> ExplicitKValue:
     """Explicit head/tail value for an s-flavor couple at split point t.
 
     value = (integral_0^t (f**-f*)^{p_0} w_0)^{1/p_0} + theta(t) (integral_t^inf
@@ -285,9 +240,7 @@ def corollary_couple(p: float, alpha: float) -> CoupleConfig:
     return CoupleConfig(p, PowerWeight(0.0), p, PowerWeight(-alpha))
 
 
-def corollary_1(
-    f: StepFunction, t: float, p: float = 2.0, alpha: float = 1.0, **kwargs
-) -> ExplicitKValue:
+def corollary_1(f: StepFunction, t: float, p: float = 2.0, alpha: float = 1.0, **kwargs) -> ExplicitKValue:
     """Explicit s-couple K-value for w_0 = 1, w_1 = s^{-alpha}."""
     return k_explicit_s(f, t, corollary_couple(p, alpha), **kwargs)
 
@@ -325,9 +278,7 @@ def _clamp_nonincreasing(vals: np.ndarray, tol_scale: float) -> np.ndarray:
     return out
 
 
-def decomposition_lemma(
-    f: StepFunction, g: StepFunction, h: StepFunction
-) -> Decomposition:
+def decomposition_lemma(f: StepFunction, g: StepFunction, h: StepFunction) -> Decomposition:
     """Split non-increasing f <= g + h into non-increasing f0 <= g, f1 <= h.
 
     f1 is the running supremum from the right of (f - g)^+, which is the
@@ -344,10 +295,8 @@ def decomposition_lemma(
     over = np.flatnonzero(fv > gv + hv + 1e-12 * scale)
     if over.size:
         i = over[0]
-        raise ValueError(
-            f"majorization f <= g + h fails at t={float(pts[i])!r}: "
-            f"{float(fv[i])!r} > {float(gv[i] + hv[i])!r}"
-        )
+        raise ValueError(f"majorization f <= g + h fails at t={float(pts[i])!r}: "
+                         f"{float(fv[i])!r} > {float(gv[i] + hv[i])!r}")
     # running sup from the right of (f - g)^+
     f1v = np.maximum.accumulate(np.maximum(fv - gv, 0.0)[::-1])[::-1]
     f0v = _clamp_nonincreasing(fv - f1v, scale)
@@ -394,32 +343,29 @@ class _SpaceOnGrid:
             raise ValueError("the oracle supports finite exponents only")
         if space.flavor == "gamma":
             raise InvalidWeightError("the oracle takes lambda- and s-flavor spaces, not gamma")
-        self.flavor = space.flavor
-        self.p = float(space.p)
+        self.flavor, self.p = space.flavor, float(space.p)
         cells = cell_moments(self.flavor, self.p, space.w, g)
         if cells is None:
-            raise InvalidWeightError(
-                f"a weight moment diverges on this grid; {self.flavor}-norms are infinite"
-            )
-        self.lengths = cells[0]
-        self.grid_cells = (None, *cells)
-        self.w = space.w
-        # N(Ld)^p = sum_i omega_i y_i^p with y = B d (see ``cone_dual``)
-        _, lengths, left, moments, tail = self.grid_cells
-        ones = np.ones((lengths.size, lengths.size))
+            raise InvalidWeightError(f"a weight moment diverges on this grid; {self.flavor}-norms are infinite")
+        self.lengths, left, moments, tail = cells
+        self.grid_cells, self.w = (None, *cells), space.w
+        # N(Ld)^p = sum_i omega_i y_i^p with y = B d, B = 1 on and above the diagonal (lambda) or
+        # x_k below it, a last row all x (s); ``cone_dual``'s scale x of the differences, and its
+        # weights X, read backwards for s
+        m = g.size
         if self.flavor == "lambda":
-            self.B, self.omega = np.triu(ones), moments
+            self.B, self.omega = 1.0 - np.tri(m, m, -1), moments
+            self.x, self.X, self.order = np.ones(m), moments.cumsum(), slice(None)
         else:
-            self.B = np.vstack((np.tril(ones, -1), ones[0])) * (left + lengths)
-            self.omega = np.append(moments, tail)
+            self.x = left + self.lengths
+            self.B, self.omega = np.tri(m + 1, m, -1) * self.x, np.append(moments, tail)
+            self.X, self.order = self.omega[:0:-1].cumsum(), slice(None, None, -1)
 
     def check_unconstrained(self) -> None:
         """Raise InvalidWeightError unless unconstrained candidates are supported."""
         if not isinstance(self.w, PowerWeight):
-            raise InvalidWeightError(
-                "unconstrained oracle candidates need power weights "
-                "(rearranged norms require vectorized primitives)"
-            )
+            raise InvalidWeightError("unconstrained oracle candidates need power weights "
+                                     "(rearranged norms require vectorized primitives)")
 
     def _sorted_cells(self, U: np.ndarray):
         """Sort order, lengths, left edges, moments and tail moment of the cells
@@ -478,43 +424,64 @@ class _SpaceOnGrid:
         return n, grad
 
     def forward(self, x: np.ndarray, hess: bool = False) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian), from y = Bx.
+        """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian), by ``_forward_rows``."""
+        n, grad, H = _forward_rows(self.B[None], self.omega[None], (self.p,), x[None], hess)
+        return n[0], grad[0], (H[0] if hess else None)
 
-        With r = N^{1-p} omega y^{p-1}: gradient B^T r, Hessian B^T ((p-1)/N)(N^{2-p}
-        diag(omega y^{p-2}) - r r^T) B without the rows y_i = 0 in the diagonal.  At N = 0,
-        as in ``grad``, the gradient is B^T omega (p = 1) or 0 (p > 1), the Hessian 0.
-        """
-        p, B = self.p, self.B
-        y = B @ x
-        wy = self.omega * y ** (p - 1.0)
-        powered = float(wy @ y)
-        if powered == 0.0 or p == 1.0:
-            return powered, wy @ B, (np.zeros((x.size, x.size)) if hess else None)
-        n = powered ** (1.0 / p)
-        grad = n ** (1.0 - p) * wy @ B
-        if not hess:
-            return n, grad, None
-        diag = np.divide(wy, y, out=np.zeros_like(y), where=y > 0.0) * n ** (2.0 - p)
-        return n, grad, (p - 1.0) / n * ((B.T * diag) @ B - np.outer(grad, grad))
-
-    def cone_dual(self, c: np.ndarray, free: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """max <c, d> over d >= 0, d_k = 0 off ``free``, N(Ld) <= 1, and a maximizer up to scale.
+    def cone_dual(self, c: np.ndarray, free: np.ndarray, maximizer: bool = True) -> tuple[float, np.ndarray | None]:
+        """max <c, d> over d >= 0, d_k = 0 off ``free``, N(Ld) <= 1, and (with ``maximizer``) a maximizer up to scale.
 
         Exact: for lambda N(Ld)^p = sum_i dW_i u_i^p, for s the same sum over
         C_i = sum_{k<i} x_k d_k read backwards (weights dPsi_1..., the tail);
         the maximizer differences ``_level_dual``'s levels (None at 0 or inf).
         """
-        _, lengths, left, moments, tail = self.grid_cells
-        x = left + lengths if self.flavor == "s" else np.ones_like(c)
-        order = slice(None, None, -1 if self.flavor == "s" else 1)  # s reads backwards
-        X = np.append(moments[1:], tail)[::-1].cumsum() if self.flavor == "s" else moments.cumsum()
-        keep = free[order]
-        value, level = _level_dual((c / x)[order][keep], X[keep], self.p)
-        if level is None:
+        keep = free[self.order]
+        value, level = _level_dual((c / self.x)[self.order][keep], self.X[keep], self.p)
+        if level is None or not maximizer:
             return value, None
-        d = np.zeros_like(c)
-        d[keep] = level - np.append(level[1:], 0.0)
-        return value, d[order] / x
+        d = np.zeros(c.size)
+        d[keep] = level - np.concatenate((level[1:], [0.0]))
+        return value, d[self.order] / self.x
+
+
+def _forward_rows(B: np.ndarray, omega: np.ndarray, ps: Sequence[float], X: np.ndarray, hess: bool = False):
+    """N(Lx) at each row x of X[k] in space k (B[k], omega[k] and exponent ps[k]), a list in row
+    order, and the gradients in x and with ``hess`` the Hessians, arrays over X's axes.
+
+    With y = Bx and r = N^{1-p} omega y^{p-1}: gradient B^T r, Hessian B^T ((p-1)/N)(N^{2-p}
+    diag(omega y^{p-2}) - r r^T) B without the rows y_i = 0 in the diagonal; at N = 0 or p = 1,
+    N = sum omega y^p, gradient B^T omega y^{p-1} (0 at p > 1) and Hessian 0.  Each product is
+    one BLAS call per row, each power of N a float's and each y^{p-1} taken with a scalar exponent
+    (numpy's special cases then match), so a row's values are those of a pass on that row alone.
+    """
+    y = (B @ X[..., None])[..., 0]
+    wy = np.empty_like(y)
+    for k, p in enumerate(ps):
+        np.power(y[k], p - 1.0, out=wy[k])
+    wy *= omega
+    powered = (wy[..., None, :] @ y[..., None])[..., 0, 0]
+    n, scale, curv, coef, kinked = [], [], [], [], False
+    for p, row in zip(ps, powered.reshape(len(ps), -1).tolist()):
+        for pw in row:
+            smooth = pw != 0.0 and p != 1.0
+            kinked = kinked or not smooth
+            n.append(pw ** (1.0 / p) if smooth else pw)
+            scale.append(n[-1] ** (1.0 - p) if smooth else 1.0)
+            curv.append(n[-1] ** (2.0 - p) if smooth else 0.0)
+            coef.append((p - 1.0) / n[-1] if smooth else 0.0)
+    shape = powered.shape + (1,)
+    grad = ((np.array(scale).reshape(shape) * wy)[..., None, :] @ B)[..., 0, :]
+    if not hess:
+        return n, grad, None
+    diag = np.divide(wy, y, out=np.zeros(y.shape), where=y > 0.0)
+    diag *= np.array(curv).reshape(shape)
+    H = (B.swapaxes(-1, -2) * diag[..., None, :]) @ B
+    H -= grad[..., :, None] * grad[..., None, :]
+    coef = np.array(coef).reshape(shape)
+    H *= coef[..., None]
+    if kinked:
+        H[coef[..., 0] == 0.0] = 0.0
+    return n, grad, H
 
 
 class _Vertex:
@@ -528,18 +495,25 @@ class _Vertex:
     wv N_van(L exit)(1 - D), curving by wl exit^T H_live(F) exit.
     """
 
-    def __init__(self, vanishing: _SpaceOnGrid, live: _SpaceOnGrid, hi: np.ndarray, low: bool):
-        self.low, self.hi, self.spaces = low, hi, (vanishing, live)
+    def __init__(self, obj: "_CoupleObjective", low: bool):
+        hi, v = obj.hi, 0 if low else 1  # v: the vanishing space
+        self.low, self.hi, self.spaces = low, hi, ((obj.ev0, obj.ev1) if low else (obj.ev1, obj.ev0))
         self.d, self.e = (np.zeros_like(hi), hi) if low else (hi, np.zeros_like(hi))
-        self.a = vanishing.forward(np.zeros_like(hi))[1]
-        self.j, self.G, _ = live.forward(hi)
-        self.dual, self.exit = None, None
-        if vanishing.p > 1.0:
-            self.dual, direction = vanishing.cone_dual(self.G, hi > 0.0)
-            if direction is not None:
-                self.exit = direction if low else -direction
-                moving = direction > 0.0
-                self.reach = float((hi[moving] / direction[moving]).min())
+        n, grad, _ = obj.fused(np.array((self.d, self.e)))
+        self.a, self.j, self.G = grad[v], n[1 - v], grad[1 - v]
+        self.dual = self.spaces[0].cone_dual(self.G, hi > 0.0, maximizer=False)[0] if self.spaces[0].p > 1.0 else None
+
+    @cached_property
+    def exit(self) -> np.ndarray | None:
+        """The cone dual's maximizer as a step in d (None at p = 1, or at D = 0 or +inf)."""
+        direction = None if self.dual is None else self.spaces[0].cone_dual(self.G, self.hi > 0.0)[1]
+        return direction if direction is None or self.low else -direction
+
+    @cached_property
+    def reach(self) -> float:
+        """How far along ``exit`` the box reaches."""
+        step = np.abs(self.exit)
+        return float((self.hi[step > 0.0] / step[step > 0.0]).min())
 
     def value(self, t: float) -> float:
         return (t if self.low else 1.0) * self.j
@@ -569,7 +543,26 @@ class _CoupleObjective:
                  vertices: list[_Vertex | None] | None = None):
         self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
         self.hi = F - np.append(F[1:], 0.0)
+        self.hh = np.outer(self.hi, self.hi)  # Newton's scaling z = d / hi
+        self.sign = np.array([[1.0], [-1.0]])  # a step in d moves e back
         self.vertices = [None, None] if vertices is None else vertices
+        # both spaces stacked for ``fused``, the shorter B padded by zero rows of weight 0
+        rows = max(ev0.omega.size, ev1.omega.size)
+        self.B, self.omega = np.zeros((2, rows, F.size)), np.zeros((2, rows))
+        for k, ev in enumerate((ev0, ev1)):
+            self.B[k, : ev.omega.size], self.omega[k, : ev.omega.size] = ev.B, ev.omega
+        self.ps = (ev0.p, ev1.p)
+
+    def at(self, t: float) -> "_CoupleObjective":
+        """This objective at parameter t, its arrays and corners shared."""
+        other = copy.copy(self)
+        other.t = t
+        return other
+
+    def fused(self, X: np.ndarray, hess: bool = False):
+        """``_forward_rows`` of N0 at X[0] and N1 at X[1], differences d and e or stacks of them."""
+        B, omega = (self.B, self.omega) if X.ndim == 2 else (self.B[:, None], self.omega[:, None])
+        return _forward_rows(B, omega, self.ps, X, hess)
 
     def norms_batch(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """N0 and N1(F - U) of the rows of U, which do not depend on t."""
@@ -607,13 +600,12 @@ class _CoupleObjective:
 
     def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
         """The corner of the box at d, e = hi - d, if it is one."""
-        low = not d.any()
-        if not low and e.any():
+        low = not np.count_nonzero(d)
+        if not low and np.count_nonzero(e):
             return None
-        k = 0 if low else 1
-        if self.vertices[k] is None:
-            self.vertices[k] = _Vertex(*((self.ev0, self.ev1) if low else (self.ev1, self.ev0)), self.hi, low)
-        return self.vertices[k]
+        if self.vertices[1 - low] is None:
+            self.vertices[1 - low] = _Vertex(self, low)
+        return self.vertices[1 - low]
 
     def point(self, d: np.ndarray, hess: bool = False, e: np.ndarray | None = None
               ) -> tuple[float, np.ndarray, float, np.ndarray | None]:
@@ -627,12 +619,11 @@ class _CoupleObjective:
         """
         hi, t = self.hi, self.t
         e = hi - d if e is None else e
-        n0, g0, h0 = self.ev0.forward(d, hess)
-        n1, g1, h1 = self.ev1.forward(e, hess)
-        val, g = n0 + t * n1, g0 - t * g1
+        (n0, n1), grad, H = self.fused(np.array((d, e)), hess)
+        val, g = n0 + t * n1, grad[0] - t * grad[1]
         vertex = self.vertex(d, e)
         gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
-        return val, g, gap, (h0 + t * h1 if hess else None)
+        return val, g, gap, (H[0] + t * H[1] if hess else None)
 
     def leave(self, vertex: _Vertex):
         """(d, e, ``point``) at the minimizer of J, convex, along the exit ray of a corner: Newton
@@ -667,30 +658,30 @@ class _CoupleObjective:
         when in ``_STALL`` steps J has not fallen nor the least gap halved.
         d and e are both stepped, each keeping its digits near its bound.
         """
-        hi = self.hi
-        hh = np.outer(hi, hi)
+        hi, hh, X = self.hi, self.hh, np.array((d, e))
         val, g, gap, H = self.point(d, True, e)
         seen = [(val, gap)]  # J and the least gap so far, after each step
         for step in range(_NEWTON_STEPS):
             if gap <= _GAP_REL_TOL * val:
-                return d, e, val, gap, step
+                return X[0], X[1], val, gap, step
             if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
                 break
-            vertex = self.vertex(d, e)
+            vertex = self.vertex(*X)
             if vertex is not None and vertex.exit is not None:
-                trial, trial_e, (f_t, g_t, gap_t, H_t) = self.leave(vertex)
+                *trial, (f_t, g_t, gap_t, H_t) = self.leave(vertex)
+                trial = np.array(trial)
                 if not f_t < val:
                     break
             else:
-                z, gz, Hz = d / hi, g * hi, H * hh
+                Z, gz, Hz = X / hi, g * hi, H * hh
+                z = Z[0]
                 pg = z - np.minimum(np.maximum(z - gz, 0.0), 1.0)
-                room = np.where(gz > 0.0, z, e / hi)  # to the bound the gradient points out of
-                free = (room > min(_ACTIVE_EPS, math.sqrt(pg @ pg))) | (np.abs(gz) < Hz.flat[:: gz.size + 1] * room)
-                dz = -gz
-                if free.any():
-                    gf = gz[free]
-                    Hf = Hz[free][:, free]
-                    Hf.flat[:: gf.size + 1] += math.sqrt(gf @ gf)
+                room = np.where(gz > 0.0, z, Z[1])  # to the bound the gradient points out of
+                free = (room > min(_ACTIVE_EPS, math.sqrt(pg @ pg))) | (np.abs(gz) < Hz.diagonal() * room)
+                dz, n_free = -gz, np.count_nonzero(free)
+                if n_free:
+                    gf, Hf = (gz, Hz) if n_free == gz.size else (gz[free], Hz[free][:, free])
+                    Hf.flat[:: n_free + 1] += math.sqrt(gf @ gf)
                     try:
                         newton_dz = np.linalg.solve(Hf, -gf)
                     except np.linalg.LinAlgError:
@@ -698,26 +689,46 @@ class _CoupleObjective:
                     if newton_dz @ gf < 0.0:  # a descent direction
                         dz[free] = newton_dz
                 for _ in range(_BACKTRACKS):
-                    move = dz * hi
-                    trial, trial_e = np.minimum(np.maximum(d + move, 0.0), hi), np.minimum(np.maximum(e - move, 0.0), hi)
-                    f_t, g_t, gap_t, H_t = self.point(trial, True, trial_e)
-                    if f_t <= val + _ARMIJO * (g @ (trial - d)) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
+                    d_t, e_t = trial = np.minimum(np.maximum(X + dz * hi * self.sign, 0.0), hi)  # d + move, e - move
+                    f_t, g_t, gap_t, H_t = self.point(d_t, True, e_t)
+                    if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
                         break
                     dz = 0.1 * dz
                 else:
                     break
-            d, e, val, g, gap, H = trial, trial_e, f_t, g_t, gap_t, H_t
+            X, val, g, gap, H = trial, f_t, g_t, gap_t, H_t
             seen.append((val, min(gap, seen[-1][1])))
         else:
             step = _NEWTON_STEPS
-        return d, e, val, gap, step
+        return X[0], X[1], val, gap, step
+
+    def polish(self, d: np.ndarray, e: np.ndarray, best_f: float, best_u: np.ndarray, lower: float):
+        """(value, u, lower bound, steps, runs) of ``newton`` from the centre, then from the best point,
+        at first the candidate d, e = hi - d of value best_f, while value - lower > ``_GAP_REL_TOL``
+        value; at p_0 = p_1 = 1, where J is linear, the vertex of the slope signs joins."""
+        hi, best, iters, used = self.hi, (d, e), 0, 0
+        for start in (True, False):
+            if best_f - lower <= _GAP_REL_TOL * best_f:
+                break
+            d, e, f_d, gap_d, steps = self.newton(*((hi / 2.0, hi / 2.0) if start else best))
+            used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
+            if f_d < best_f:
+                best, best_u, best_f = (d, e), self.to_u(d), f_d
+        if self.ev0.p == self.ev1.p == 1.0:
+            vertex = np.where(self.point(hi / 2.0)[1] < 0.0, hi, 0.0)
+            f_vertex, _, gap_vertex, _ = self.point(vertex)
+            lower = max(lower, f_vertex - gap_vertex)
+            if f_vertex < best_f:
+                best_u, best_f = self.to_u(vertex), f_vertex
+        return best_f, best_u, lower, iters, used
 
 
-def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _level_slopes(c: Sequence[float], X: Sequence[float]) -> np.ndarray:
     """The slope over (X_{k-1}, X_k] of the least concave majorant of (0, 0)
     and the points (X_k, c_k), X non-decreasing and X_{-1} = 0: one per point,
-    +inf where the majorant jumps up at X = 0, -inf on a drop at equal X."""
-    xs, ys = [0.0, *X.tolist()], [0.0, *c.tolist()]
+    +inf where the majorant jumps up at X = 0, -inf on a drop at equal X.
+    The hull and its slopes are taken in floats, and made an array once."""
+    xs, ys = [0.0, *X], [0.0, *c]
     hull = [0]
     for j in range(1, len(xs)):
         while len(hull) > 1:
@@ -726,11 +737,11 @@ def _level_slopes(c: np.ndarray, X: np.ndarray) -> np.ndarray:
                 break
             hull.pop()  # b lies on or below the chord from a to j
         hull.append(j)
-    v = np.array(hull)
-    dx, dy = np.diff(np.array(xs)[v]), np.diff(np.array(ys)[v])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seg = np.where(dx > 0.0, dy / dx, np.where(dy > 0.0, math.inf, -math.inf))
-    return np.repeat(seg, np.diff(v))
+    slopes: list[float] = []
+    for a, b in zip(hull, hull[1:]):
+        dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+        slopes += [dy / dx if dx > 0.0 else (math.inf if dy > 0.0 else -math.inf)] * (b - a)
+    return np.array(slopes)
 
 
 def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> tuple[float, np.ndarray | None]:
@@ -745,14 +756,15 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> tuple[float, np.ndarr
     [1/2, 1) and the value back, so subnormal coefficients keep their digits.
     """
     c = np.maximum(c, 0.0)
-    e = math.frexp(float(c.max(initial=0.0)))[1]
-    sigma = np.maximum(_level_slopes(np.ldexp(c, -e), X), 0.0)
-    top, q = sigma.max(initial=0.0), p / (p - 1.0)
+    e = math.frexp(float(np.maximum.reduce(c, initial=0.0)))[1]
+    sigma = np.maximum(_level_slopes(np.ldexp(c, -e).tolist(), X.tolist()), 0.0)
+    top, q = np.maximum.reduce(sigma, initial=0.0), p / (p - 1.0)
     if top == 0.0 or top == math.inf:
         return float(top), None
     # scaled by the largest slope, so that sigma^q cannot underflow
     ratio = sigma / top
-    return float(np.ldexp(top * (np.diff(X, prepend=0.0) @ ratio**q) ** (1.0 / q), e)), ratio ** (q - 1.0)
+    widths = X - np.concatenate(([0.0], X[:-1]))
+    return float(np.ldexp(top * (widths @ ratio**q) ** (1.0 / q), e)), ratio ** (q - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -791,19 +803,24 @@ class OracleResult:
         return Decomposition(StepFunction(g, self.u), StepFunction(g, self.rest), self.provenance)
 
 
-def _checked_parts(u: np.ndarray, rest: np.ndarray, F: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views of u and rest, after checking at every cell of g that both are finite and non-negative
-    and that |u + rest - F| <= ``_SUM_REL_TOL`` max(F, u + rest, 1) (a nan fails every comparison)."""
-    total = u + rest
+def _checked_parts(problem: "_GridProblem", U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views of the rows of U and of rest = F - U (its running minimum in monotone mode, which
+    kills rounding wiggles), after checking at every cell that both are finite and non-negative and that
+    |u + rest - F| <= ``_SUM_REL_TOL`` max(F, u + rest, 1) (a nan fails every comparison)."""
+    F = problem.F
+    rest = np.maximum(F - U, 0.0)
+    if problem.monotone:
+        rest = np.minimum.accumulate(rest, axis=-1)
+    total = U + rest
     ok = (np.abs(total - F) <= _SUM_REL_TOL * np.maximum(np.maximum(F, total), 1.0)) & (total < math.inf)
-    ok &= np.minimum(u, rest) >= 0.0
+    ok &= np.minimum(U, rest) >= 0.0
     if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"decomposition does not sum to the target at t={float(g[i])!r}: "
-                         f"{float(u[i])!r} + {float(rest[i])!r} vs {float(F[i])!r}")
-    u, rest = u.view(), rest.view()
-    u.flags.writeable = rest.flags.writeable = False
-    return u, rest
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"decomposition does not sum to the target at t={float(problem.grid.points[at[-1]])!r}: "
+                         f"{float(U[at])!r} + {float(rest[at])!r} vs {float(F[at[-1]])!r}")
+    U, rest = U.view(), rest.view()
+    U.flags.writeable = rest.flags.writeable = False
+    return U, rest
 
 
 def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
@@ -853,115 +870,104 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _GridProblem:
-    """Everything of a K-query but its parameter, in one mode: f* sampled on
-    the grid, both spaces on the grid, and the truncation family with its
-    norms N0(U) and N1(F - U), built once.  Each search depends on its t alone.
-    """
+    """Everything of a K-query but its parameter, in one mode: f* sampled on the grid, both spaces on
+    it, their objective (its corners included) and the truncation family with its norms N0(U) and
+    N1(F - U), built once; a sweep of t is one ``curve``, unconstrained mode a ``search`` per t."""
 
     def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
                  monotone: bool):
         self.grid, self.monotone = grid, monotone
         g = grid.points
         self.F = fstar.at(g)
-        self.ev0 = _SpaceOnGrid(space0, g)
-        self.ev1 = _SpaceOnGrid(space1, g)
+        self.ev0, self.ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
         if not monotone:
             self.ev0.check_unconstrained()
             self.ev1.check_unconstrained()
-        self.family: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.vertices: list[_Vertex | None] = [None, None]  # each corner, once a search reaches it
+        self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan, monotone)  # t set by ``at``
 
-    def truncation(self, obj: _CoupleObjective) -> tuple[np.ndarray, float]:
-        """The best truncation candidate at the objective's t, and its value."""
-        if self.family is None:
-            U = _truncation_family(self.F, self.monotone)
-            self.family = (U, *obj.norms_batch(U))
-        U, n0, n1 = self.family
-        tvals = n0 + obj.t * n1  # value_batch's arithmetic
-        k_best = int(np.argmin(tvals))
-        return U[k_best], float(tvals[k_best])
+    @cached_property
+    def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        U = _truncation_family(self.F, self.monotone)
+        return (U, *self.objective.norms_batch(U))
+
+    def truncations(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each t's best truncation candidate, as a row of ``family``, and its value, from one
+        (T x family) array of ``value_batch``'s arithmetic, n0 + t n1 row by row."""
+        _, n0, n1 = self.family
+        tvals = n0 + ts[:, None] * n1
+        pick = tvals.argmin(axis=1)
+        return pick, tvals[np.arange(ts.size), pick]
+
+    def curve(self, ts: np.ndarray):
+        """(values, parts u, truncation values, iterations, converged, gaps, starts) in monotone mode,
+        one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
+
+        At p >= 1 each t's truncation candidate is certified at a corner of the box by
+        ``_Vertex.gap``, elsewhere by the Frank-Wolfe gap of ``point``, all t at once in batched
+        products of one BLAS call per row; the t's left uncertified, and all at p_0 = p_1 = 1,
+        go on to ``polish``.  Below exponent 1 each t runs ``search``.  The gap is the value less
+        the best lower bound seen."""
+        if min(self.ev0.p, self.ev1.p) < 1.0:
+            value, U, trunc, iters, conv, gap, starts = map(list, zip(*(self.search(t) for t in ts.tolist())))
+            return value, np.array(U), trunc, iters, conv, gap, starts
+        obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
+        pick, trunc = self.truncations(ts)
+        U = self.family[0][pick]
+        d = U.copy()
+        d[:, :-1] -= U[:, 1:]
+        np.minimum(d, hi, out=d)  # a cut cell can pass hi by rounding
+        e, gap = hi - d, np.zeros(ts.size)
+        inner = d.any(axis=1) & e.any(axis=1)  # not a corner of the box
+        if inner.any():
+            grad = obj.fused(np.array((d[inner], e[inner])))[1]
+            g = grad[0] - ts[inner, None] * grad[1]
+            fw = g[:, None] @ d[inner, :, None] - np.minimum(g, 0.0)[:, None] @ hi[:, None]
+            gap[inner] = np.maximum(fw[:, 0, 0], 0.0)
+        # min J lies above each lower bound
+        value, lower, iters, starts = trunc.tolist(), (trunc - gap).tolist(), [0] * ts.size, [0] * ts.size
+        for i, (t, at_corner) in enumerate(zip(tl, (~inner).tolist())):
+            if at_corner:
+                lower[i] = value[i] - obj.vertex(d[i], e[i]).gap(t)
+            if not value[i] - lower[i] <= _GAP_REL_TOL * value[i] or self.ev0.p == self.ev1.p == 1.0:
+                value[i], U[i], lower[i], iters[i], starts[i] = obj.at(t).polish(d[i], e[i], value[i], U[i], lower[i])
+        gap = [max(v - lo, 0.0) for v, lo in zip(value, lower)]
+        return value, U, trunc.tolist(), iters, [g <= _GAP_REL_TOL * v for g, v in zip(gap, value)], gap, starts
 
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, converged, gap, starts) at t, by
-        ``k_oracle``'s searches.  At p >= 1 monotone, the gap is the best value less the
-        best value-less-gap seen; elsewhere +inf, and converged means no capped L-BFGS-B."""
-        F = self.F
-        obj = _CoupleObjective(self.ev0, self.ev1, F, t, self.monotone, self.vertices)
-        u_trunc, trunc_val = self.truncation(obj)
+        """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B, in unconstrained
+        mode or below exponent 1 (not convex, no certificate): converged means that no start was capped."""
+        F, obj = self.F, self.objective.at(t)
+        pick, trunc = self.truncations(np.array([t]))
+        u_trunc, trunc_val = self.family[0][pick[0]], float(trunc[0])
         best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
-        if not self.monotone or min(self.ev0.p, self.ev1.p) < 1.0:
-            # not convex and no certificate: L-BFGS-B from several starts
-            if self.monotone:
-                fun, upper = obj.diff_value_grad, obj.hi
-                starts = (upper / 2.0, upper, np.zeros_like(upper))
-            else:
-                fun, upper = obj.value_grad, F
-                starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
-            conv = True
-            tried: list[np.ndarray] = []
-            for x0 in starts:
-                if any(np.array_equal(x0, y) for y in tried):
-                    continue  # L-BFGS-B would repeat that start's run
-                tried.append(x0)
-                res = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                               bounds=Bounds(np.zeros_like(upper), upper), options=_LBFGSB_OPTIONS)
-                used, iters = used + 1, iters + res.nit
-                conv = conv and res.status != 1  # status 1: iteration or evaluation cap
-                if res.fun < best_f:
-                    best_u, best_f = obj.to_u(res.x), float(res.fun)
-            return best_f, best_u, trunc_val, iters, conv, math.inf, used
-        hi = obj.hi
-        d = np.minimum(u_trunc - np.append(u_trunc[1:], 0.0), hi)  # its cut cell can pass hi by rounding
-        best = (d, hi - d)
-        vertex = obj.vertex(*best)
-        lower = trunc_val - (obj.point(d)[2] if vertex is None else vertex.gap(t))  # min J lies above it
-        # Newton from the centre, then from the best point
-        for start in (True, False):
-            if best_f - lower <= _GAP_REL_TOL * best_f:
-                break
-            d, e, f_d, gap_d, steps = obj.newton(*((hi / 2.0, hi / 2.0) if start else best))
-            used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
-            if f_d < best_f:
-                best, best_u, best_f = (d, e), obj.to_u(d), f_d
-        if self.ev0.p == self.ev1.p == 1.0:
-            vertex = np.where(obj.point(hi / 2.0)[1] < 0.0, hi, 0.0)
-            f_vertex, _, gap_vertex, _ = obj.point(vertex)
-            lower = max(lower, f_vertex - gap_vertex)
-            if f_vertex < best_f:
-                best_u, best_f = obj.to_u(vertex), f_vertex
-        gap = max(best_f - lower, 0.0)
-        return best_f, best_u, trunc_val, iters, gap <= _GAP_REL_TOL * best_f, gap, used
-
-
-def _solve(t: float, mono: _GridProblem, free: _GridProblem | None, seed: int) -> OracleResult:
-    """The monotone search at t, and the unconstrained one too when ``free`` is given: the better
-    search's parts u and rest = F - u (its running minimum in monotone mode), checked to sum to F."""
-    value, u, trunc_val, iters, conv, gap, used = mono.search(t)
-    provenance = "optimizer" if value < trunc_val else "truncation"
-    won = mono
-    if free is not None:
-        v2, u2, t2, it2, c2, _, used2 = free.search(t, seed)
-        iters += it2
-        used += used2
-        gap, conv = math.inf, c2  # the certificate covers the monotone problem only
-        trunc_val = min(trunc_val, t2)
-        if v2 < value:
-            value, u, won = v2, u2, free
-            provenance = "optimizer" if v2 < t2 else "truncation"
-    rest = np.maximum(won.F - u, 0.0)
-    if won.monotone:
-        # F - u is non-increasing in exact arithmetic; kill rounding wiggles
-        rest = np.minimum.accumulate(rest)
-    u, rest = _checked_parts(u, rest, won.F, won.grid.points)
-    return OracleResult(value, u, rest, provenance, trunc_val, conv, iters, free is None, won.grid, gap, used)
+        if self.monotone:
+            fun, upper = obj.diff_value_grad, obj.hi
+            starts = (upper / 2.0, upper, np.zeros_like(upper))
+        else:
+            fun, upper = obj.value_grad, F
+            starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
+        conv = True
+        tried: list[np.ndarray] = []
+        for x0 in starts:
+            if any(np.array_equal(x0, y) for y in tried):
+                continue  # L-BFGS-B would repeat that start's run
+            tried.append(x0)
+            res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                           bounds=Bounds(np.zeros_like(upper), upper), options=_LBFGSB_OPTIONS)
+            used, iters = used + 1, iters + res.nit
+            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
+            if res.fun < best_f:
+                best_u, best_f = obj.to_u(res.x), float(res.fun)
+        return best_f, best_u, trunc_val, iters, conv, math.inf, used
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
                   grid: Grid | None, free_m: int | None = None, seed: int = 0) -> list[OracleResult]:
-    """The monotone oracle at each t, and the unconstrained one too (on ``grid``
-    or ``oracle_grid(f*, free_m)``) unless ``free_m`` is None."""
-    ts = [float(t) for t in ts]
-    if not all(t > 0.0 and math.isfinite(t) for t in ts):
+    """The monotone oracle's ``curve`` over ts, and the unconstrained one's ``search`` at each t too
+    (on ``grid`` or ``oracle_grid(f*, free_m)``) unless ``free_m`` is None: the better one's parts,
+    checked to sum to F."""
+    ts = np.array([float(t) for t in ts])
+    if not all(t > 0.0 and math.isfinite(t) for t in ts.tolist()):
         raise ValueError("K-parameter t must be positive and finite")
     fstar = rearrange(f)
     # the monotone problem on the steps of the target: its parts can only jump where F does
@@ -971,25 +977,34 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
         zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
         return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
     mono = _GridProblem(fstar, space0, space1, Grid(cells.breakpoints), True)
-    free = None
-    if free_m is not None:
-        free = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, free_m), False)
-    return [_solve(t, mono, free, seed) for t in ts]
+    value, U, trunc, iters, conv, gap, starts = mono.curve(ts)
+    if free_m is None:
+        rows = zip(*_checked_parts(mono, U), value, trunc, conv, iters, gap, starts)
+        return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, True, mono.grid, gp, st)
+                for u, rest, v, tv, c, it, gp, st in rows]
+    free = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, free_m), False)
+    results = []
+    for t, v, u, tv, it, st in zip(ts.tolist(), value, U, trunc, iters, starts):
+        # the better search wins; the certificate covers the monotone problem only
+        v2, u2, t2, it2, c2, _, st2 = free.search(t, seed)
+        won, v, u, t_won = (free, v2, u2, t2) if v2 < v else (mono, v, u, tv)
+        u, rest = _checked_parts(won, u)
+        results.append(OracleResult(v, u, rest, "optimizer" if v < t_won else "truncation", min(tv, t2), c2,
+                                    it + it2, False, won.grid, math.inf, st + st2))
+    return results
 
 
-def k_curve(
-    f: StepFunction,
-    space0: LorentzSpace,
-    space1: LorentzSpace,
-    ts: Sequence[float],
-    grid: Grid | None = None,
-) -> list[OracleResult]:
+def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
+            grid: Grid | None = None) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
     The cells (see ``k_oracle``), both spaces, the truncation family's norms
-    and the corners of the box are built once; each t runs its own search,
-    so each result is bit for bit ``k_oracle``'s at its t, whatever the
-    order of ``ts`` (unsorted, or with a value repeated).
+    and the corners of the box are built once.  Every t's truncation candidate
+    comes from one array and is certified with the others
+    (``_GridProblem.curve``); only the t's left uncertified run Newton.  No
+    row of that work depends on the other t's, so each result is bit for bit
+    ``k_oracle``'s at its t, whatever the order of ``ts`` (unsorted, or with
+    a value repeated).
     """
     return _oracle_curve(f, space0, space1, ts, grid)
 
@@ -1008,61 +1023,47 @@ def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np
     so a point is marked only when no values within the gaps obey them.  One
     flag per result, in the order of ``ts``.
     """
-    t = np.asarray(ts, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    hi = np.array([results[i].value for i in order], dtype=float)
-    lo = hi - np.array([results[i].gap for i in order], dtype=float)
-    slack = 1.0 + _CURVE_REL_TOL
-    bad = np.zeros(t.size, dtype=bool)
-    # neighbours: K(t) non-decreasing and K(t)/t non-increasing
-    pair = (lo[:-1] > hi[1:] * slack) | (lo[1:] / t[1:] > hi[:-1] / t[:-1] * slack)
-    bad[:-1] |= pair
-    bad[1:] |= pair
-    # triples: the middle value at or above the chord of the outer ones
-    with np.errstate(invalid="ignore", divide="ignore"):  # infinite gaps and equal outer t give nan
-        weight = (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
-        chord = lo[:-2] + (lo[2:] - lo[:-2]) * weight
-        triple = hi[1:-1] * slack < chord
-    for k in range(3):
-        bad[k : k + triple.size] |= triple
-    flags = np.empty_like(bad)
+    order = sorted(range(len(ts)), key=lambda i: ts[i])  # stable, as the sort of equal t must be
+    t = [float(ts[i]) for i in order]
+    hi = [results[i].value for i in order]
+    lo = [results[i].value - results[i].gap for i in order]
+    slack, bad = 1.0 + _CURVE_REL_TOL, [False] * len(t)
+    for k in range(len(t) - 1):
+        # neighbours: K(t) non-decreasing and K(t)/t non-increasing
+        if lo[k] > hi[k + 1] * slack or lo[k + 1] / t[k + 1] > hi[k] / t[k] * slack:
+            bad[k] = bad[k + 1] = True
+    for k in range(len(t) - 2):
+        # triples: the middle value at or above the chord of the outer ones (an infinite gap gives nan)
+        weight = (t[k + 1] - t[k]) / (t[k + 2] - t[k]) if t[k + 2] > t[k] else math.nan
+        if hi[k + 1] * slack < lo[k] + (lo[k + 2] - lo[k]) * weight:
+            bad[k] = bad[k + 1] = bad[k + 2] = True
+    flags = np.empty(len(t), dtype=bool)
     flags[order] = bad
     return flags
 
 
-def k_oracle(
-    q: KQuery,
-    grid: Grid | None = None,
-    m: int = 64,
-    monotone_only: bool = True,
-    seed: int = 0,
-) -> OracleResult:
-    """Brute-force K-functional value over step decompositions.
+def k_oracle(q: KQuery, grid: Grid | None = None, m: int = 64, monotone_only: bool = True,
+             seed: int = 0) -> OracleResult:
+    """Brute-force K-functional value over step decompositions: ``k_curve``'s routine at one t.
 
     f* (sampled on ``grid`` when given, 0 beyond it) is split monotonically
     on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences,
     and in unconstrained mode also on the whole grid (``oracle_grid(f*, m)``
     by default), 0 <= u_i <= f*_i.  A truncation candidate with a gap of at
     most ``_GAP_REL_TOL`` of its value stands; else projected Newton
-    (``_CoupleObjective.newton``) runs from the centre, then from the best
-    point, while uncertified, leaving a corner u = 0 or f* with dual norm
-    above 1 along the dual's maximizer.  Ties go to the truncation candidate;
-    at p_0 = p_1 = 1 the slope-sign vertex joins.  Below exponent 1, and in
-    unconstrained mode (not convex), L-BFGS-B runs from the centre and both
-    corners, unconstrained also from the truncation candidate and a point
-    drawn from ``seed``; the better search wins.  The one-t case of ``k_curve``.
+    (``_CoupleObjective.newton``, both spaces in one pass per point) runs from
+    the centre, then from the best point, while uncertified, leaving a corner
+    u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to
+    the truncation candidate; at p_0 = p_1 = 1 the slope-sign vertex joins.
+    Below exponent 1, and in unconstrained mode (not convex), L-BFGS-B runs
+    from the centre and both corners, unconstrained also from the truncation
+    candidate and a point drawn from ``seed``; the better search wins.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, None if monotone_only else m, seed)[0]
 
 
-def k_oracle_exhaustive(
-    q: KQuery,
-    grid: Grid,
-    quantum: float,
-    monotone_only: bool = True,
-    max_candidates: int = 4_000_000,
-) -> float:
+def k_oracle_exhaustive(q: KQuery, grid: Grid, quantum: float, monotone_only: bool = True,
+                        max_candidates: int = 4_000_000) -> float:
     """Ground-truth lattice search for tiny instances.
 
     Enumerates every candidate whose cell values are multiples of ``quantum``
@@ -1101,12 +1102,8 @@ class SCoupleOracleResult:
     ratio: float
 
 
-def k_curve_s_couple(
-    f: StepFunction,
-    space0: LorentzSpace,
-    space1: LorentzSpace,
-    ts: Sequence[float],
-) -> list[SCoupleOracleResult]:
+def k_curve_s_couple(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace,
+                     ts: Sequence[float]) -> list[SCoupleOracleResult]:
     """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
 
     Route one is the monotone K-curve of f* under the s-norms, route two the
@@ -1167,7 +1164,7 @@ def near_optimal_s_decomposition(
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
     problem = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), monotone=True)
     g, F = problem.grid.points, problem.F
-    u = problem.truncation(_CoupleObjective(problem.ev0, problem.ev1, F, t, monotone=True))[0]
+    u = problem.family[0][problem.truncations(np.array([t]))[0][0]]
     f0_init = StepFunction(g, u)
     f1_init = StepFunction(g, np.minimum.accumulate(np.maximum(F - u, 0.0)))
     initial = Decomposition(f0_init, f1_init, "truncation")

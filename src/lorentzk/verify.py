@@ -135,9 +135,9 @@ def t_sweep(fn: StepFunction, count: int = 15) -> tuple[float, ...]:
     fstar = rearrange(fn)
     lo = fstar.first_breakpoint / 10.0
     hi = fstar.support_end * 10.0
-    ts = np.geomspace(lo, hi, count)
-    ts = np.where(np.isin(ts, fstar.breakpoints), ts * (1.0 + 1e-7), ts)
-    return tuple(ts.tolist())
+    # a t on a breakpoint moves off it, by a set lookup (np.isin costs more than the sweep)
+    jumps = set(fstar.breakpoints.tolist())
+    return tuple(t * (1.0 + 1e-7) if t in jumps else t for t in np.geomspace(lo, hi, count).tolist())
 
 
 @dataclass(frozen=True)

@@ -971,6 +971,34 @@ def _same_result(a, b):
     return (a.value, a.gap, a.truncation_value, a.decomposition) == (b.value, b.gap, b.truncation_value, b.decomposition)
 
 
+@st.composite
+def curve_cases(draw):
+    """A non-increasing function of 1 to 8 steps, a lambda or s couple with power weights at
+    exponents in [1, 3], and 1 to 7 parameters, unsorted and with repeats."""
+    n = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.floats(1.0, 3.0))
+        # lambda needs beta > -1 at 0, s needs beta < p - 1 at infinity
+        beta = draw(st.floats(-0.5, 0.5) if flavor == "lambda" else st.floats(-0.5, p - 1.1))
+        spaces.append(LorentzSpace(flavor, p, PowerWeight(beta)))
+    pool = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4))
+    return f, spaces, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+
+
+# a t11 query of the CLI defaults whose best truncation candidate, u = 0, Newton improves on
+NEWTON_F = StepFunction((1.0, 1.5, 2.5), (3.0, 1.0, 0.5))
+CURVE_ROUTES = {
+    "corner": (STAIR, (LAMBDA2, LAMBDA2), [0.05, 20.0, 0.05]),  # u = 0, then u = f*
+    "interior": (STAIR, (LorentzSpace("lambda", 1.0, FLAT), LAMBDA2), [2.0]),
+    "newton": (NEWTON_F, _verify_spaces()[:2], [t_sweep(NEWTON_F, 15)[7]]),
+}
+
+
 class TestKCurve:
     """``k_curve`` shares the set-up of one sweep; each value is the per-t oracle's, up to its gap."""
 
@@ -1004,6 +1032,28 @@ class TestKCurve:
         for res, t in zip(curve, ts):
             assert _same_result(res, k_oracle(KQuery(f, t, s0, s1), m=16))
         assert not curve_violations(ts, curve).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_cases())
+    @example(CURVE_ROUTES["corner"])
+    @example(CURVE_ROUTES["interior"])
+    @example(CURVE_ROUTES["newton"])
+    def test_each_point_is_the_single_query_bit_for_bit(self, case):
+        f, (space0, space1), ts = case
+        for res, t in zip(k_curve(f, space0, space1, ts), ts):
+            single = k_oracle(KQuery(f, t, space0, space1))
+            fields = ("value", "gap", "truncation_value", "converged", "starts", "iterations")
+            assert [getattr(res, k) for k in fields] == [getattr(single, k) for k in fields]
+            assert np.array_equal(res.u, single.u) and np.array_equal(res.rest, single.rest)
+
+    def test_the_examples_take_each_route(self):
+        """The examples of the bit-for-bit test: truncation candidates certified at a corner of
+        the box and inside it, and one that Newton improves on."""
+        for route, (f, (space0, space1), ts) in CURVE_ROUTES.items():
+            for res in k_curve(f, space0, space1, ts):
+                corner = not res.u.any() or not res.rest.any()
+                assert res.converged and corner == (route == "corner")
+                assert (res.starts > 0, res.provenance == "optimizer") == ((route == "newton"),) * 2
 
     def test_one_parameter_is_the_single_query(self):
         s0, s1, _, _ = _verify_spaces()
@@ -1090,12 +1140,21 @@ class TestArrayResults:
     def test_a_spoiled_part_fails_the_sum_check(self, spoiled, monotone_only, monkeypatch):
         """u_0 above f*_0 leaves rest_0 = 0, so the parts do not sum; a nan or a negative u_0 fails
         even though rest_0 = f*_0 - u_0 makes the sum right."""
-        real = kfunctional._GridProblem.search
+        def spoil(problem, u):
+            return np.where(np.arange(problem.F.size) == 0, problem.F[0] * spoiled, u)
+
+        # the monotone curve and the unconstrained search each spoil their parts
+        real_curve, real_search = kfunctional._GridProblem.curve, kfunctional._GridProblem.search
+
+        def curve(problem, ts):
+            value, U, *rest = real_curve(problem, ts)
+            return (value, spoil(problem, U), *rest)
 
         def search(problem, t, seed=0):
-            value, u, *rest = real(problem, t, seed)
-            return (value, np.where(np.arange(u.size) == 0, problem.F[0] * spoiled, u), *rest)
+            value, u, *rest = real_search(problem, t, seed)
+            return (value, spoil(problem, u), *rest)
 
+        monkeypatch.setattr(kfunctional._GridProblem, "curve", curve)
         monkeypatch.setattr(kfunctional._GridProblem, "search", search)
         q = KQuery(STAIR, 1.0, LAMBDA2, LorentzSpace("lambda", 1.5, FLAT))
         with pytest.raises(ValueError, match="does not sum to the target at t="):
@@ -1165,6 +1224,35 @@ class TestCurveViolations:
         assert not curve_violations(self.TS, explained).any()
         unbounded = [replace(curve[0], gap=math.inf), broken[1], replace(curve[2], gap=math.inf), curve[3]]
         assert not curve_violations(self.TS, unbounded).any()
+
+    @staticmethod
+    def _array_reference(ts, results):
+        """The laws as whole-array comparisons; an infinite gap or equal outer t gives nan, never a flag."""
+        order = np.argsort(np.asarray(ts, dtype=float), kind="stable")
+        t = np.asarray(ts, dtype=float)[order]
+        hi = np.array([results[i].value for i in order])
+        lo = hi - np.array([results[i].gap for i in order])
+        slack, bad = 1.0 + kfunctional._CURVE_REL_TOL, np.zeros(t.size, dtype=bool)
+        pair = (lo[:-1] > hi[1:] * slack) | (lo[1:] / t[1:] > hi[:-1] / t[:-1] * slack)
+        bad[:-1] |= pair
+        bad[1:] |= pair
+        with np.errstate(invalid="ignore", divide="ignore"):
+            triple = hi[1:-1] * slack < lo[:-2] + (lo[2:] - lo[:-2]) * ((t[1:-1] - t[:-2]) / (t[2:] - t[:-2]))
+        for k in range(3):
+            bad[k : k + triple.size] |= triple
+        flags = np.empty_like(bad)
+        flags[order] = bad
+        return flags
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0),
+                              st.sampled_from([0.0, 1e-3, 0.5, math.inf])), max_size=7))
+    def test_matches_the_array_form(self, points):
+        """Repeated t, infinite gaps and every order, against the laws taken on whole arrays."""
+        base = self._curve()[0]
+        curve = [replace(base, value=v, gap=g) for _, v, g in points]
+        ts = [t for t, _, _ in points]
+        assert curve_violations(ts, curve).tolist() == self._array_reference(ts, curve).tolist()
 
     def test_ratio_and_order_laws(self):
         curve = self._curve()

@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lorentzk import verify
@@ -69,6 +70,17 @@ class TestSweep:
         fn = SMALL[1].fn  # indicator-1.0 has breakpoint 1.0 inside the sweep
         fstar = rearrange(fn)
         assert not set(t_sweep(fn, 15)) & set(fstar.breakpoints)
+
+    @pytest.mark.parametrize("count", [3, 7, 15])
+    def test_matches_the_isin_form(self, count):
+        """The sweep of every corpus entry as whole-array ``np.isin`` moves it; at count 3,
+        indicator-1.0's middle point is its breakpoint 1.0."""
+        for entry in make_corpus(7, 20):
+            fstar = rearrange(entry.fn)
+            ts = np.geomspace(fstar.first_breakpoint / 10.0, fstar.support_end * 10.0, count)
+            want = tuple(np.where(np.isin(ts, fstar.breakpoints), ts * (1.0 + 1e-7), ts).tolist())
+            assert t_sweep(entry.fn, count) == want
+        assert t_sweep(SMALL[1].fn, 3)[1] == 1.0 * (1.0 + 1e-7)
 
 
 class TestIdentitySuite:

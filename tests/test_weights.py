@@ -1,5 +1,6 @@
 """Weight moments, duality, and condition checkers against closed forms."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -725,3 +726,16 @@ class TestVerdictSerialization:
         d = v.to_json_dict()
         assert d["constant"] == "inf"
         assert d["holds"] is False
+
+    @pytest.mark.parametrize("verdict", [
+        check_bp(PowerWeight(2.0), 2.0),  # infinite constant
+        check_rbp(PowerWeight(0.0), 2.0),
+        check_rbp(PowerLogWeight(0.5, 1.0), 2.0, grid=Grid.log(1e-3, 1e3, 8)),  # a grid verdict
+        check_cond3(CoupleConfig(2.0, PowerWeight(0.0), 2.0, PowerWeight(-1.0)), 0.5),
+    ])
+    def test_matches_the_asdict_form(self, verdict):
+        """The same keys in the same order, the same values and the same types as ``asdict``'s copy."""
+        want = {**dataclasses.asdict(verdict), "constant": verdict.constant if math.isfinite(verdict.constant) else "inf"}
+        got = verdict.to_json_dict()
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
