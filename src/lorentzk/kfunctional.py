@@ -37,7 +37,8 @@ and certifies them together (``_GridProblem.curve``); an uncertified one is
 followed by projected Newton from the centre, then from the best point.  At
 p < 1 (not convex, no certificate) L-BFGS-B runs from the centre and both
 corners, as in unconstrained mode on the whole grid; the truncation family and
-these searches take the norms' cell kernel on the cell moments.  An
+these searches take the norms' cell kernel on the cell moments; scipy stays a
+dependency for them and for the remainder quadratures of ``weights``.  An
 uncertified value at p >= 1 is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
@@ -51,7 +52,6 @@ from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .grids import Grid
 from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
@@ -936,6 +936,7 @@ class _GridProblem:
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
         """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B, in unconstrained
         mode or below exponent 1 (not convex, no certificate): converged means that no start was capped."""
+        from scipy.optimize import Bounds  # loaded with ``minimize``, on first use
         F, obj = self.F, self.objective.at(t)
         pick, trunc = self.truncations(np.array([t]))
         u_trunc, trunc_val = self.family[0][pick[0]], float(trunc[0])
@@ -959,6 +960,12 @@ class _GridProblem:
             if res.fun < best_f:
                 best_u, best_f = obj.to_u(res.x), float(res.fun)
         return best_f, best_u, trunc_val, iters, conv, math.inf, used
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: loading it is most of the import time of lorentzk."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],

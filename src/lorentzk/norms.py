@@ -13,9 +13,9 @@ integral, so the s-flavor integrand is c^p t^{-p} w(t) per cell and every
 piece reduces to a weight moment; beyond the support f* vanishes and both
 gamma- and s-integrands equal (M/t)^p w(t) with M the total mass.  The
 running mean f** = v + c/t has no moment form; its cells between the first
-(where f** = f*) and the tail are summed over fixed Gauss-Legendre nodes in
-log t, on panels cut at the weight's kinks, against the weight's density in
-log t (``gamma_nodes``, ``Weight.u_density``).  For a power-log weight the
+(where f** = f*) and the tail are summed over Gauss-Legendre nodes in log t,
+on panels cut at the weight's kinks and sized like the power-log moments', for
+the log-derivative scale of w plus p (``gamma_nodes``).  For a power-log weight the
 cell moments take three routes: log panels on the finite cells, the
 incomplete-gamma kernel on the first cell's piece below s = 1 and the
 tail's piece above it, and quadrature on the remainder of a first cell
@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad
 
 from .stepfn import StepFunction, maximal, osc_transform, rearrange
-from .weights import _GL_W, QUAD_REL_TOL, Weight, _log_panels, check_rbp, reciprocal_weight
+from .weights import QUAD_REL_TOL, Weight, _log_nodes, check_rbp, reciprocal_weight
 
 __all__ = [
     "LorentzSpace",
@@ -111,41 +110,39 @@ def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaNodes:
-    """Quadrature nodes of the gamma cell integrals, one column of 8 per panel.
+    """Quadrature nodes of the gamma cell integrals: ``groups`` of (cell, inv, weight), one per rule.
 
-    On a cell i >= 1 the running mean is f** = v_i + c_i / s, with
-    c_i = A_{i-1} - v_i x_{i-1}.  ``cell`` holds each panel's cell index,
-    ``inv`` 1/s at its nodes and ``weight`` the Gauss-Legendre weight x ds
-    x w(s).  ``head`` is the first cell's moment of w, on which f** = v_0.
-    """
+    On a cell i >= 1 the running mean is f** = v_i + c_i / s, with c_i =
+    A_{i-1} - v_i x_{i-1}.  A group has one column of 4 or 8 nodes per panel:
+    ``cell`` its cell index, ``inv`` 1/s at the nodes and ``weight`` the
+    Gauss-Legendre weight x ds x w(s).  ``head`` is the first cell's moment
+    of w, on which f** = v_0."""
 
-    cell: np.ndarray
-    inv: np.ndarray
-    weight: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     head: float
 
 
-def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float) -> GammaNodes:
-    """Nodes for the integrals over the cells (x_{i-1}, x_i], i >= 1, clipped to (lo, hi).
+def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float, p: float = 0.0) -> GammaNodes:
+    """Nodes for the integrals of (f**)^p w over the cells (x_{i-1}, x_i], i >= 1, clipped to (lo, hi).
 
-    In the variable u = log s the cells are cut at the weight's kinks and
-    into the panels of ``weights._log_panels``, log-width at most 0.5, with 8
-    nodes each: the nodes of the power-log moments.  On such a panel
-    the integrand is analytic: v + c/s vanishes only where s < 0, a distance
-    pi from the real u axis.
-    """
-    edges = np.clip(x, lo, hi)
+    In u = log s the cells are cut at the weight's kinks and sized by ``weights._log_nodes``
+    for the scale K of the weight's density plus p, which bounds the log-derivative of
+    (v + c/s)^p (p = 0: the nodes of w's own moments; no K: 8-point panels of log-width
+    0.5).  The integrand is analytic on every panel: v + c/s vanishes only where s < 0,
+    a distance pi from the real u axis."""
+    edges = x.clip(lo, hi)
     kinks = np.array(w.kinks(), dtype=float)
     kinks = kinks[(kinks > edges[0]) & (kinks < edges[-1])]
-    cuts = np.insert(edges, np.searchsorted(edges, kinks), kinks)
-    cuts = cuts[np.append(True, cuts[1:] > cuts[:-1])]  # sorted already: drop repeats, without a sort
+    cuts = np.insert(edges, np.searchsorted(edges, kinks), kinks) if kinks.size else edges
+    cuts = cuts[np.concatenate(([True], cuts[1:] > cuts[:-1]))]  # sorted already: drop repeats, without a sort
     start = cuts[:-1]
-    piece, step, u = _log_panels(start, cuts[1:])
-    weight = w.u_density(u)
-    weight *= 0.5 * step
-    weight *= _GL_W[:, None]
-    cell = np.searchsorted(x, start, side="right")[piece]
-    return GammaNodes(cell, np.exp(np.negative(u, out=u), out=u), weight, head)
+    scale, cells, groups = w._log_scale(0.0), np.searchsorted(x, start, side="right"), []
+    for piece, step, u, rule in _log_nodes(start, cuts[1:], None if scale is None else scale + p):
+        weight = w.u_density(u)
+        weight *= 0.5 * step
+        weight *= rule[:, None]
+        groups.append((cells[piece], np.exp(np.negative(u, out=u), out=u), weight))
+    return GammaNodes(tuple(groups), head)
 
 
 def cell_sums(
@@ -183,14 +180,15 @@ def cell_sums(
     np.maximum(C, 0.0, out=C)
     M = (V * lengths).sum(axis=-1)
     if flavor == "gamma":
-        nodes = moments
-        vals = C[..., None, nodes.cell] * nodes.inv
-        vals += V[..., None, nodes.cell]
-        # summed by numpy: one long BLAS product over all nodes ran on OpenBLAS's threads, ~100x slower on 2 CPUs
-        vals **= p
-        vals *= nodes.weight
-        powered = vals.sum(axis=(-2, -1))
-        return V[..., 0] ** p * nodes.head + powered + (M ** p) * tail, None, None
+        powered = V[..., 0] ** p * moments.head + (M ** p) * tail
+        for cell, inv, weight in moments.groups:
+            vals = C[..., None, cell] * inv
+            vals += V[..., None, cell]
+            # summed by numpy: one long BLAS product over all nodes ran on OpenBLAS's threads, ~100x slower on 2 CPUs
+            vals **= p
+            vals *= weight
+            powered = powered + vals.sum(axis=(-2, -1))
+        return powered, None, None
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
 
 
@@ -205,23 +203,27 @@ def cell_moments(
     ``gamma_nodes`` with the first cell's dW (gamma); the tail is the moment of
     s^{-p} w from the support end to hi (s, gamma).  One ``Weight.moment``
     call takes the clipped cells (a cell outside the window gets an empty
-    interval, so 0) and one the tail; the norms and the oracle grids take
-    weight moments here and nowhere else.
+    interval, so 0), with the tail as a last pair for s, whose cells share
+    its exponent, and one more the gamma tail; the norms and the oracle grids
+    take weight moments here and nowhere else.
     """
     left = np.concatenate(([0.0], x[:-1]))
+    end = max(float(x[-1]), lo)
     cells = slice(1) if flavor == "gamma" else slice(None)
     a = np.maximum(left[cells], lo)
     b = np.maximum(np.minimum(x[cells], hi), a)
     if flavor == "s":
         b[0] = a[0]  # dPsi_1 = 0: no oscillation on the first cell
+        a, b = np.concatenate((a, [min(end, hi)])), np.concatenate((b, [hi]))  # the tail, at the cells' exponent
     pieces = w.moment(-p if flavor == "s" else 0.0, a, b)
     if np.isinf(pieces).any():
         return None
-    end = max(float(x[-1]), lo)
-    tail = float(w.moment(-p, end, hi)) if flavor != "lambda" and end < hi else 0.0
+    if flavor == "s":
+        return x - left, left, pieces[:-1], float(pieces[-1])
+    tail = float(w.moment(-p, end, hi)) if flavor == "gamma" and end < hi else 0.0
     if math.isinf(tail):
         return None
-    moments = gamma_nodes(w, x, lo, hi, float(pieces[0])) if flavor == "gamma" else pieces
+    moments = gamma_nodes(w, x, lo, hi, float(pieces[0]), p) if flavor == "gamma" else pieces
     return x - left, left, moments, tail
 
 
@@ -328,6 +330,7 @@ def s_lambda_identity_check(
     hi = 1.0 / fstar.first_breakpoint  # the transform vanishes beyond this point
     if lo >= hi:
         return left, 0.0
+    from scipy.integrate import quad  # loaded here only: nothing else in the norms takes quadrature
     jumps = 1.0 / fstar.breakpoints[::-1]
     interior = jumps[(lo < jumps) & (jumps < hi)]
     val, _err = quad(

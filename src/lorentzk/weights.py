@@ -15,13 +15,16 @@ integrals of s^e w(s) over (a, b) for a and b broadcast against each other
 weights integrate in closed form, tabulated ones by the same power primitive
 over every pair and table cell at once, the reciprocal family by its base's
 moment over (1/b, 1/a).  PowerLog sums finite pairs 0 < a < b < inf on
-Gauss-Legendre log panels cut at s = 1 (``_log_panels``, about 1e-14 relative),
-the pieces (0, a], a <= 1, and [b, inf), b >= 1, by a numpy kernel for the
-upper incomplete gamma function (``_gamma_tail``, about 1e-13), and the
-remainder (a, 1) or (1, b) of an unbounded pair across s = 1 by adaptive
-quadrature (target 1e-8), kept because pinned check-weights verdicts come
-from it.  The norms' cells, the K-oracle's sorted rows and each grid checker
-take their moments in one call; ``primitive`` W(t) and ``tail_moment`` are
+Gauss-Legendre panels in log s cut at s = 1 (``_log_nodes``, about 1e-14 relative),
+sized by the log-derivative scale K of the density (``Weight._log_scale``: |beta +
+e + 1| + max(1, |gamma|); max(1, |beta + e + 1|) for a power weight): one 4-point
+panel where the log-width h has h K <= 0.035, else 8-point panels of log-width at
+most 0.45 / K, each within 1e-16 of its exact value.  The pieces (0, a], a <= 1,
+and [b, inf), b >= 1, take a numpy kernel for the upper incomplete gamma function
+(``_gamma_tail``, about 1e-13), and the remainder (a, 1) or (1, b) of an unbounded
+pair across s = 1 adaptive quadrature (target 1e-8; scipy loads on first use),
+kept because pinned check-weights verdicts come from it.  The norms' cells, the
+K-oracle's sorted rows and each grid checker take their moments in one call; ``primitive`` W(t) and ``tail_moment`` are
 its scalar wrappers.  The gamma norm's node sums and the sufficient
 conditions read weights through ``u_density`` (s w(s) at s = e^u, one exp
 per node for power and power-log weights) and ``kinks`` (non-smooth points).
@@ -46,7 +49,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import DEFAULT_CHECK_GRID, Grid
 from .stepfn import StepFunction, json_number, json_numbers
@@ -114,40 +116,56 @@ def _power_int(q: float, a, b) -> np.ndarray:
     return np.where(a == b, 0.0, out)
 
 
-# the 8-point Gauss-Legendre rule on [-1, 1], written out (numpy's leggauss(8)
-# would load LAPACK at import for these 8 numbers)
+# the 8- and 4-point Gauss-Legendre rules on [-1, 1], written out (numpy's leggauss
+# would load LAPACK at import for these numbers)
 _GL_HALF_X = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
 _GL_HALF_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
 _GL_X = np.concatenate((-_GL_HALF_X[::-1], _GL_HALF_X))
 _GL_W = np.concatenate((_GL_HALF_W[::-1], _GL_HALF_W))
 _GL_T = 0.5 * (1.0 + _GL_X)  # the nodes on [0, 1]
+_GL4_X = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526])
+_GL4_W = np.array([0.34785484513745385, 0.6521451548625461, 0.6521451548625461, 0.34785484513745385])
+_GL4_T = 0.5 * (1.0 + _GL4_X)
+# Panel sizes under a log-derivative scale K: the n-point error falls like (h K)^{2n} (Bernstein
+# ellipse), and its worst case, gamma = -1 by the power-log kink (a pole at distance 1), is 4.5e-17
+# for both rules in mpmath with exact nodes (8 points at log-width 0.5 and K = 1: 1.8e-16).
+_C4, _C8 = 0.035, 0.45
 
 
-def _log_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in u = log s on the pieces [a_k, b_k], 0 < a_k < b_k < inf,
-    each cut into n equal panels of log-width log1p((b - a) / a) / n <= 0.5 (width 1
-    loses digits next to the power-log kink u = 0 at negative gamma): each panel's
-    piece, its log-width and its column of 8 nodes u, an (8, panels) array so that
-    numpy's loops run along the panels.  The integral of w over a piece is then the
-    sum over its panels of log-width / 2 x ``_GL_W`` x ``w.u_density(u)``."""
+def _log_nodes(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> list[tuple]:
+    """Gauss-Legendre nodes in u = log s on the pieces [a_k, b_k], 0 < a_k < b_k < inf, of an
+    integrand smooth on each with log-derivative in u at most ``scale`` = K: a piece of
+    log-width h with h K <= ``_C4`` is one 4-point panel, any other n equal 8-point panels
+    of log-width h / n <= ``_C8`` / K (0.5 for K = None).  Groups (piece, log-width, u, rule
+    weights), the 4-point one first: each panel's piece and log-width, its column of nodes u
+    in a (4 or 8, panels) array; a piece's integral is the sum over its panels of
+    log-width / 2 x rule weights x density.  A 4-point piece is one panel: no index repeats."""
     with np.errstate(over="ignore"):
         width = np.log1p((b - a) / a)
     wide = np.isinf(width)  # b / a overflows: a subnormal left end
-    width[wide] = np.log(b[wide]) - np.log(a[wide])
-    panels = np.maximum(np.ceil(width / 0.5), 1.0).astype(np.intp)
-    piece = np.repeat(np.arange(width.size), panels)
-    step = (width / panels)[piece]
-    j = np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)  # a panel's place in its piece
+    if wide.any():
+        width[wide] = np.log(b[wide]) - np.log(a[wide])
+    log_a, groups, rest, most = np.log(a), [], np.arange(width.size), 0.5
+    if scale is not None:
+        narrow = width <= _C4 / scale
+        piece, rest, most = narrow.nonzero()[0], (~narrow).nonzero()[0], _C8 / scale
+        step = width[piece]
+        groups.append((piece, step, np.multiply.outer(_GL4_T, step) + log_a[piece], _GL4_W))
+    width = width[rest]
+    panels = np.maximum(np.ceil(width / most), 1.0).astype(np.intp)
+    piece = rest.repeat(panels)  # array methods, not numpy's wrapper functions: this runs per norm
+    step = (width / panels).repeat(panels)
+    j = np.arange(piece.size) - (panels.cumsum() - panels).repeat(panels)  # a panel's place in its piece
     u = np.multiply.outer(_GL_T, step)
-    u += np.log(a)[piece] + step * j
-    return piece, step, u
+    u += log_a[piece] + step * j
+    return groups + [(piece, step, u, _GL_W)]
 
 
 def _node_sum(f: np.ndarray) -> np.ndarray:
-    """Each panel's sum over its 8 nodes (axis 0), in halves: in an order that the number of panels does not change."""
-    f = f[:4] + f[4:]
-    f = f[:2] + f[2:]
-    return f[0] + f[1]
+    """Each panel's sum over its 4 or 8 nodes (axis 0), in halves: in an order that the number of panels does not change."""
+    while len(f) > 1:
+        f = f[: len(f) // 2] + f[len(f) // 2 :]
+    return f[0]
 
 
 def _powerlog_density(q1: float, gamma: float, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -166,24 +184,28 @@ def _gamma_tail(kappa: float, gamma: float, v0: np.ndarray) -> np.ndarray:
     Gamma(gamma + 1, kappa v0) (DLMF 8.2) per v0 >= 1, for kappa > 0 or kappa = 0 > gamma + 1.
 
     In z = kappa (v - v0) and lam = kappa v0, G = e^{-kappa (v0 - 1)} v0^gamma J / kappa
-    with J the integral of e^{-z} (1 + z / lam)^gamma over z > 0: ``_log_panels`` in
+    with J the integral of e^{-z} (1 + z / lam)^gamma over z > 0: 8-point ``_log_nodes`` in
     log(1 + z / lam) up to lam + z = max(lam, 3), then unit panels in z, 3.5
     half-widths or more from the pole z = -lam, up to 40 + 5 max(gamma, 0) beyond,
     where the integrand is e^-40 below its peak.  e^{-kappa (v0 - 1)} is taken in
     halves, so a G near the smallest float does not pass through 0."""
     if kappa == 0.0:
         return v0 ** (gamma + 1.0) / (-gamma - 1.0)
-    v0, back = np.unique(v0, return_inverse=True)  # a grid's pairs repeat their pieces (0, 1] and [1, inf)
+    # a grid's pairs repeat their pieces (0, 1] and [1, inf)
+    v0, back = np.unique(v0, return_inverse=True) if v0.size > 1 else (v0, slice(None))
     lam = kappa * v0
     top = np.maximum(lam, 3.0)
-    piece, step, ell = _log_panels(np.ones(lam.size), top / lam)  # ell = log(1 + z / lam) at the nodes
-    f = np.expm1(ell)
-    f *= -lam[piece]  # -z
-    ell *= gamma + 1.0
-    f += ell
-    np.exp(f, out=f)
-    f *= _GL_W[:, None]
-    near = np.bincount(piece, weights=_node_sum(f) * (0.5 * step), minlength=lam.size)  # J / lam up to top - lam
+    near = np.zeros(lam.size)  # J / lam up to top - lam, 0 where lam >= 3
+    close = (lam < 3.0).nonzero()[0]
+    if close.size:
+        ((piece, step, ell, _),) = _log_nodes(np.ones(close.size), 3.0 / lam[close])  # ell = log(1 + z / lam)
+        f = np.expm1(ell)
+        f *= -lam[close][piece]  # -z
+        ell *= gamma + 1.0
+        f += ell
+        np.exp(f, out=f)
+        f *= _GL_W[:, None]
+        near[close] = np.bincount(piece, weights=_node_sum(f) * (0.5 * step), minlength=close.size)
     z = (top - lam)[:, None, None] + (np.arange(math.ceil(40.0 + 5.0 * max(gamma, 0.0)))[:, None] + _GL_T)
     f = np.divide(z, lam[:, None, None])
     np.log1p(f, out=f)
@@ -221,6 +243,10 @@ class Weight:
     def kinks(self) -> tuple[float, ...]:
         """The increasing points of (0, inf) where w is not smooth."""
         return ()
+
+    def _log_scale(self, e: float) -> float | None:
+        """K >= 1 above |d/du log(s^{e+1} w(s))|, s = e^u, between the kinks (``_log_nodes``); None if unknown."""
+        return None
 
     def primitive(self, t: float) -> float:
         """W(t) = integral_0^t w; raises InvalidWeightError when W is not finite."""
@@ -266,6 +292,9 @@ class PowerWeight(Weight):
         out = np.multiply(u, self.beta + 1.0)
         return np.exp(out, out=out)
 
+    def _log_scale(self, e: float) -> float:
+        return max(1.0, abs(self.beta + e + 1.0))
+
     def moment(self, e: float, a, b) -> np.ndarray:
         return _power_int(self.beta + e, a, b)
 
@@ -308,32 +337,42 @@ class PowerLogWeight(Weight):
         """The log factor's kink at s = 1."""
         return (1.0,)
 
+    def _log_scale(self, e: float) -> float:  # the log-derivative is beta + e + 1 +/- gamma / (1 + |u|)
+        return abs(self.beta + e + 1.0) + max(1.0, abs(self.gamma))
+
     def moment(self, e: float, a, b) -> np.ndarray:
         """Finite pairs 0 < a < b < inf by ``_panel_moment``, pairs with a = 0 or
         b = inf by ``_quad_moment``, each route all at once."""
         a, b = _bounds(a, b)
-        q = self.beta + e
-        out = np.zeros(a.shape)
-        finite = (0.0 < a) & (a < b) & (b < math.inf)
+        out, live = np.zeros(a.shape), a < b
+        finite = live & (a > 0.0) & (b < math.inf)
         if finite.any():
-            out[finite] = self._panel_moment(q, a[finite], b[finite])
-        rest = (a < b) & ~finite
+            out[finite] = self._panel_moment(e, a[finite], b[finite])
+        rest = live & ~finite
         if rest.any():
-            out[rest] = self._quad_moment(q, a[rest], b[rest])
+            out[rest] = self._quad_moment(self.beta + e, a[rest], b[rest])
         return out
 
-    def _panel_moment(self, q: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """integral_a^b s^q (1 + |log s|)^gamma ds per pair, 0 < a < b < inf: in
-        u = log s, the ``_log_panels`` nodes with each pair cut at s = 1.
-        Every panel is reduced on its own (``_node_sum``), so a pair's value
-        does not depend on the other pairs."""
+    def _panel_moment(self, e: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """integral_a^b s^{beta + e} (1 + |log s|)^gamma ds per pair, 0 < a < b < inf, on the
+        ``_log_nodes`` of u = log s with each pair cut at s = 1.  Each panel is reduced on its own
+        (``_node_sum``), a piece's panels in order, so a pair's value does not depend on the others."""
         below = np.where(a < 1.0, np.minimum(b, 1.0), b)  # each pair up to s = 1,
-        cut = np.flatnonzero(below < b)  # then the pairs that go on past it
-        piece, step, u = _log_panels(np.append(a, np.ones(cut.size)), np.append(below, b[cut]))
-        f = _powerlog_density(q + 1.0, self.gamma, u, out=u)
-        f *= _GL_W[:, None]
-        panel = _node_sum(f) * (0.5 * step)
-        return np.bincount(np.append(np.arange(a.size), cut)[piece], weights=panel, minlength=a.size)
+        cut = (below < b).nonzero()[0]  # then the pairs that go on past it
+        if cut.size:
+            a, below = np.concatenate((a, np.ones(cut.size))), np.concatenate((below, b[cut]))
+        out = np.zeros(a.size)  # per piece
+        for piece, step, u, rule in _log_nodes(a, below, self._log_scale(e)):
+            f = _powerlog_density(self.beta + e + 1.0, self.gamma, u, out=u)
+            f *= rule[:, None]
+            panel = _node_sum(f) * (0.5 * step)
+            if rule is _GL_W:  # pieces of several panels
+                out += np.bincount(piece, weights=panel, minlength=out.size)
+            else:
+                out[piece] = panel
+        n = out.size - cut.size
+        out[cut] += out[n:]
+        return out[:n]
 
     def _quad_moment(self, q: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """integral_a^b s^q (1 + |log s|)^gamma ds per pair with a = 0 or b = inf, a < b.
@@ -345,21 +384,15 @@ class PowerLogWeight(Weight):
         (a, 1), by ``_quad_improper``: verdicts pinned in the benchmark's
         check-weights reference come from those quadratures, so they move to
         exact moments together with that reference."""
-        g = self.gamma
-        head, tail = a == 0.0, np.isinf(b)
-        borderline = q == -1.0 and g >= -1.0
-        diverges = (head & (q < -1.0 or borderline)) | (tail & (q > -1.0 or borderline))
-        out = np.zeros(a.shape)
-        h, t = head & ~diverges, tail & ~diverges
-        if h.any():
-            out[h] = _gamma_tail(q + 1.0, g, 1.0 - np.log(np.minimum(b[h], 1.0)))
-        if t.any():
-            out[t] += _gamma_tail(-q - 1.0, g, 1.0 + np.log(np.maximum(a[t], 1.0)))
+        g, out = self.gamma, np.zeros(a.shape)
+        for side, kappa, v0 in ((a == 0.0, q + 1.0, 1.0 - np.log(np.minimum(b, 1.0))),
+                                (b == math.inf, -q - 1.0, 1.0 + np.log(np.maximum(a, 1.0)))):
+            if side.any():  # G converges for kappa > 0, and for kappa = 0 if gamma < -1
+                out[side] += _gamma_tail(kappa, g, v0[side]) if kappa > 0.0 or kappa == 0.0 > g + 1.0 else math.inf
         fn = lambda x: x ** q * (1.0 + abs(math.log(x))) ** g
-        lo, hi = np.where(head, 1.0, a), np.where(head, b, 1.0)
-        for i in np.flatnonzero(~diverges & (lo < hi) & (hi < math.inf)):
-            out[i] += _quad_improper(fn, lo[i], hi[i])
-        out[diverges] = math.inf
+        for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            if x < 1.0 < y and (x == 0.0) != (y == math.inf) and out[i] < math.inf:
+                out[i] += _quad_improper(fn, *((1.0, y) if x == 0.0 else (x, 1.0)))
         return out
 
     def describe(self) -> str:
@@ -367,6 +400,12 @@ class PowerLogWeight(Weight):
 
     def to_json_dict(self) -> dict:
         return {"family": "powerlog", "beta": self.beta, "gamma": self.gamma}
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: scipy.integrate takes most of a second to load."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
 
 
 def _quad_improper(fn, a: float, b: float) -> float:
@@ -835,7 +874,7 @@ def check_sufconds(
     First: integral_0^t phi1(s)^{-p0} w0(s) ds <= C sigma(t)^{p0}.
     Second: sigma(t) (integral_t^inf phi0(s)^{-p1} w1(s) ds)^{1/p1} <= C.
     Closed form for Power couples; otherwise a log grid of t, one pass of sums
-    on the ``_log_panels`` nodes between cutoff/32, cutoff = t_min/100, the
+    on the 8-point ``_log_nodes`` between cutoff/32, cutoff = t_min/100, the
     grid points, hi = 100 t_max and the weights' kinks, with W = W(cutoff/32)
     plus finite moments and x / 0 read by ``_ratio``.  The head integrals from
     the cutoff are a prefix sum, divergent if the piece below the cutoff adds
@@ -855,7 +894,7 @@ def check_sufconds(
     low = cutoff / 32.0
     kinks = np.concatenate([np.asarray(w.kinks(), dtype=float) for w in (cfg.w0, cfg.w1)])
     edges = np.union1d(np.append(pts, kinks[(kinks > low) & (kinks < hi)]), (low, cutoff, hi))
-    piece, step, u = _log_panels(edges[:-1], edges[1:])
+    ((piece, step, u, _),) = _log_nodes(edges[:-1], edges[1:])
     du = np.multiply.outer(_GL_W, 0.5 * step)  # the Gauss-Legendre weight x du at each node
     s = np.exp(u)
 

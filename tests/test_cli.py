@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -394,3 +398,36 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "norm", "--fn", fn_file])
         assert result.exit_code == 1
         assert "cannot read config" in result.output
+
+
+# runs the command given as arguments, if any, after ``import lorentzk``; prints the heavy scipy modules loaded
+_LOADED = """
+import sys
+import lorentzk
+if sys.argv[1:]:
+    from lorentzk.cli import main
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print(sorted({"scipy.optimize", "scipy.integrate"} & set(sys.modules)))
+"""
+
+
+class TestLeanImport:
+    """The norms and the monotone oracle need neither the optimizer nor quadrature, which
+    take most of a second to load; they are imported where they are called."""
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["norm", "--flavor", "gamma", "--weight", "power:0.5", "--fn", "f.json"],
+        ["verify", "--suite", "t11", "--size", "3", "--t-count", "2"],
+    ], ids=["import", "norm", "verify"])
+    def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
+        (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,10 +31,17 @@ from lorentzk import (
 )
 from lorentzk import weights
 from lorentzk.norms import _powered, gamma_nodes
-from lorentzk.weights import _GL_W, _GL_X
+from lorentzk.weights import _GL4_W, _GL4_X, _GL_W, _GL_X
 
 FLAT = PowerWeight(0.0)
 IND4 = StepFunction.indicator(4.0)
+
+
+def _and_quadrature(fn):
+    """fn() and whether it ran a remainder quadrature of a power-log moment, (1, b) of a
+    pair from 0 past s = 1 or (a, 1) of a pair to inf from below it (``weights.quad``)."""
+    with mock.patch.object(weights, "quad", wraps=weights.quad) as spy:
+        return fn(), spy.called
 
 
 class TestWorkedExamples:
@@ -97,11 +105,10 @@ class TestStructure:
     def test_rearrangement_invariance(self, case):
         f, g, flavor, p, w = case
         sp = LorentzSpace(flavor, p, w)
-        a, b = norm_result(sp, f), norm_result(sp, g)
+        (a, quad_a), (b, quad_b) = _and_quadrature(lambda: norm_result(sp, f)), _and_quadrature(lambda: norm_result(sp, g))
         assert a.diverged == b.diverged
-        # power-log moments from 0 and to inf are still quadratures, which see
-        # breakpoints shifted by an ulp
-        rel = 1e-7 if isinstance(w, PowerLogWeight) else 1e-12
+        # the remainder quadratures are good to 1e-8 and see breakpoints shifted by an ulp
+        rel = 1e-7 if quad_a or quad_b else 1e-12
         assert a.value == pytest.approx(b.value, rel=rel)
 
     def test_homogeneity(self):
@@ -302,24 +309,53 @@ def windowed_integrals(draw):
 
 
 def _log_quad(integrand, cuts):
-    """The integral over (cuts[0], cuts[-1]) by mpmath's tanh-sinh rule in u = log s on each
-    piece between the cuts (0 and inf allowed): a piecewise smooth integrand of a convergent
-    integral decays exponentially in u towards 0 and infinity."""
-    def in_u(u):
-        return integrand(math.exp(u)) * math.exp(u) if -150.0 < u < 150.0 else 0.0  # e^-45 and beyond: 0
+    """The integral over (cuts[0], cuts[-1]) by mpmath's tanh-sinh rule on each piece (a, b]
+    between the cuts (0 and inf allowed), in t = log(s / c), c = a or, from 0, b: a piecewise
+    smooth integrand of a convergent integral decays exponentially in t towards 0 and
+    infinity.  Each piece is scaled to about 1, as mpmath's tolerance is absolute, its ends
+    in t are exact to rounding in its own width, and s is kept in (a, b], as tanh-sinh
+    samples so close to the ends that s could round across a jump: without these, short
+    pieces were 3e-11 off."""
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        c = a if a > 0.0 else b
 
-    return float(mpmath.quad(in_u, [mpmath.log(c) for c in cuts]))
+        def in_t(t, c=c, lo=math.nextafter(a, math.inf), hi=b):
+            if not -150.0 < t < 150.0:
+                return 0.0  # e^-45 below the integrand's scale and beyond
+            s = c * math.exp(t)
+            return integrand(min(max(s, lo), hi)) * s
+
+        ends = [0.0, math.log1p((b - a) / a)] if a > 0.0 else [-math.inf, 0.0]
+        width = ends[1] - ends[0]
+        finite = [t for t in (ends[0], sum(ends) / 2, ends[1]) if math.isfinite(t)]
+        scale = max(map(in_t, finite)) * (width if math.isfinite(width) else 1.0)
+        if scale:
+            total += scale * mpmath.quad(lambda t: in_t(t) / scale, ends)
+    return float(total)
 
 
 class TestCellKernel:
     """The cell sums against quadrature of the integrands."""
 
     def test_gauss_legendre_rule(self):
-        x, w = np.polynomial.legendre.leggauss(8)
-        np.testing.assert_allclose(_GL_X, x, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(_GL_W, w, rtol=0.0, atol=1e-15)
-        for k in range(16):  # exact up to degree 15
-            assert _GL_W @ _GL_X ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-15)
+        for nodes, weights_ in ((_GL_X, _GL_W), (_GL4_X, _GL4_W)):
+            x, w = np.polynomial.legendre.leggauss(nodes.size)
+            np.testing.assert_allclose(nodes, x, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(weights_, w, rtol=0.0, atol=1e-15)
+            for k in range(2 * nodes.size):  # exact up to degree 15 and 7
+                assert weights_ @ nodes ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-15)
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s", "gamma"])
+    def test_a_long_powerlog_norm_matches_the_8_point_panels(self, flavor):
+        # 10,000 cells of log-widths 5e-6 to 2.3, 99% of them on one 4-point panel
+        rng = np.random.default_rng(3)
+        f = StepFunction(tuple(np.cumsum(np.exp(rng.uniform(math.log(0.01), 0.0, 10_000))).tolist()),
+                         tuple(rng.uniform(0.1, 10.0, 10_000).tolist()))
+        sp = LorentzSpace(flavor, 2.0, PowerLogWeight(0.3, -0.7))
+        got = norm(sp, f)
+        with mock.patch.object(weights, "_C4", -1.0):  # every piece on 8-point panels
+            assert got == pytest.approx(norm(sp, f), rel=1e-15, abs=0.0)
 
     def test_gamma_nodes_match_the_moments_next_to_the_kink(self):
         # the gamma nodes and the power-log moments share their log panels; at
@@ -327,7 +363,8 @@ class TestCellKernel:
         w = PowerLogWeight(2.0, -2.0)
         x = np.array([1.0 / math.e, 1.0])
         nodes = gamma_nodes(w, x, 0.0, math.inf, 0.0)
-        assert nodes.weight.sum() == pytest.approx(float(w.moment(0.0, x[0], x[1])), rel=1e-13)
+        total = sum(weight.sum() for _, _, weight in nodes.groups)
+        assert total == pytest.approx(float(w.moment(0.0, x[0], x[1])), rel=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(windowed_integrals())
@@ -349,9 +386,8 @@ class TestCellKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = _log_quad(integrand, [a, *sorted(x for x in jumps if a < x < b), b]) if a < b else 0.0
-        got = _powered(flavor, fstar, p, w, lo, hi)
-        # power-log moments from 0 and to inf are quadratures to a relative 1e-8
-        # (finite ones are log-panel sums); the gamma node sums and the other
-        # moments are good to a few ulps
-        rel = 1e-9 if flavor == "gamma" and not isinstance(w, PowerLogWeight) else 1e-7
+        got, quadrature = _and_quadrature(lambda: _powered(flavor, fstar, p, w, lo, hi))
+        # a remainder quadrature is good to 1e-8; the closed forms, the incomplete-gamma
+        # kernel, the log panels and the gamma node sums to a few ulps each
+        rel = 1e-7 if quadrature else 1e-12
         assert got == pytest.approx(ref, rel=rel, abs=1e-300)
