@@ -35,11 +35,11 @@ cone of non-increasing functions (at the corners of the box a closed form in
 t, ``_Vertex``).  A sweep picks every t's truncation candidate from one array
 and certifies them together (``_GridProblem.curve``); an uncertified one is
 followed by projected Newton from the centre, then from the best point.  At
-p < 1 (not convex, no certificate) L-BFGS-B runs from the centre and both
-corners, as in unconstrained mode on the whole grid; the truncation family and
-these searches take the norms' cell kernel on the cell moments; scipy stays a
-dependency for them and for the remainder quadratures of ``weights``.  An
-uncertified value at p >= 1 is flagged unconverged, never silently accepted.
+p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1 linear, so
+``_GridProblem.corners`` takes the best corner of the box, d_k in {0, hi_k}.
+Unconstrained mode runs L-BFGS-B on the norms' cell kernel: scipy stays a
+dependency for its ``minimize`` and the remainder quadratures of ``weights``.
+An uncertified value is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
 """
@@ -593,11 +593,6 @@ class _CoupleObjective:
         # the array methods skip the Python-level wrappers of np.clip and np.cumsum
         return np.minimum(np.maximum(x[::-1].cumsum()[::-1] if self.monotone else x, 0.0), self.F)
 
-    def diff_value_grad(self, d: np.ndarray) -> tuple[float, np.ndarray]:
-        """J(Ld) and its gradient L^T grad J in the differences, by the cell kernel (p < 1)."""
-        val, gu = self.value_grad(self.to_u(d))
-        return val, gu.cumsum()
-
     def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
         """The corner of the box at d, e = hi - d, if it is one."""
         low = not np.count_nonzero(d)
@@ -704,8 +699,7 @@ class _CoupleObjective:
 
     def polish(self, d: np.ndarray, e: np.ndarray, best_f: float, best_u: np.ndarray, lower: float):
         """(value, u, lower bound, steps, runs) of ``newton`` from the centre, then from the best point,
-        at first the candidate d, e = hi - d of value best_f, while value - lower > ``_GAP_REL_TOL``
-        value; at p_0 = p_1 = 1, where J is linear, the vertex of the slope signs joins."""
+        at first the candidate d, e = hi - d of value best_f, while value - lower > ``_GAP_REL_TOL`` value."""
         hi, best, iters, used = self.hi, (d, e), 0, 0
         for start in (True, False):
             if best_f - lower <= _GAP_REL_TOL * best_f:
@@ -714,12 +708,6 @@ class _CoupleObjective:
             used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
             if f_d < best_f:
                 best, best_u, best_f = (d, e), self.to_u(d), f_d
-        if self.ev0.p == self.ev1.p == 1.0:
-            vertex = np.where(self.point(hi / 2.0)[1] < 0.0, hi, 0.0)
-            f_vertex, _, gap_vertex, _ = self.point(vertex)
-            lower = max(lower, f_vertex - gap_vertex)
-            if f_vertex < best_f:
-                best_u, best_f = self.to_u(vertex), f_vertex
         return best_f, best_u, lower, iters, used
 
 
@@ -778,11 +766,11 @@ class OracleResult:
     ``u`` and ``rest``: read-only arrays of the parts' values on the cells
     ending at ``grid``, checked by ``_checked_parts`` to sum to f*;
     ``decomposition``, the parts as step functions, is built on first read.
-    ``gap`` bounds ``value`` minus the monotone minimum (+inf in unconstrained
-    mode or at p < 1); ``converged`` means ``gap <= _GAP_REL_TOL * value``, or
-    without a certificate that no L-BFGS-B start was capped.  ``starts`` counts
-    the Newton runs (p >= 1; 0 when the truncation candidate stands) or the
-    L-BFGS-B starts, ``iterations`` their steps (an exit from a corner is one).
+    ``gap`` bounds ``value`` minus the monotone minimum (0 at an exact corner,
+    +inf uncertified and in unconstrained mode); ``converged`` means ``gap <=
+    _GAP_REL_TOL * value``, in unconstrained mode that no L-BFGS-B start was
+    capped.  ``starts`` counts the Newton runs or L-BFGS-B starts (0 when the
+    truncation candidate or a corner stands), ``iterations`` their steps or flips.
     """
 
     value: float
@@ -856,8 +844,8 @@ def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
     return np.unique(np.concatenate(rows), axis=0)
 
 
-# per L-BFGS-B start, which only unconstrained mode and p < 1 run; at scipy's default ftol and
-# gtol some K values stop ~1e-9 above the optimum
+# per L-BFGS-B start, which only unconstrained mode runs; at scipy's default ftol and gtol some
+# K values stop ~1e-9 above the optimum
 _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 # projected Newton: steps per run, tenfold cuts per step, the Armijo share, the active-set
 # width and the steps without progress that end a run
@@ -866,6 +854,7 @@ _NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS, _STALL = 50, 20, 1e-4, 1e-3, 8
 _EXIT_STEPS, _EXIT_REL = 20, 1e-6
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
+_CORNER_STEPS = 16  # the most steps whose 2^n corners ``_GridProblem.corners`` tables: 20-130 ms for 15 t
 _EPS = float(np.finfo(float).eps)
 
 
@@ -902,14 +891,12 @@ class _GridProblem:
         """(values, parts u, truncation values, iterations, converged, gaps, starts) in monotone mode,
         one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
 
-        At p >= 1 each t's truncation candidate is certified at a corner of the box by
-        ``_Vertex.gap``, elsewhere by the Frank-Wolfe gap of ``point``, all t at once in batched
-        products of one BLAS call per row; the t's left uncertified, and all at p_0 = p_1 = 1,
-        go on to ``polish``.  Below exponent 1 each t runs ``search``.  The gap is the value less
-        the best lower bound seen."""
-        if min(self.ev0.p, self.ev1.p) < 1.0:
-            value, U, trunc, iters, conv, gap, starts = map(list, zip(*(self.search(t) for t in ts.tolist())))
-            return value, np.array(U), trunc, iters, conv, gap, starts
+        Below exponent 1 and at p_0 = p_1 = 1 the t's go to ``corners``; else each t's truncation
+        candidate is certified at a corner of the box by ``_Vertex.gap``, elsewhere by the Frank-Wolfe
+        gap of ``point``, all t at once in batched products of one BLAS call per row, and the t's left
+        uncertified go on to ``polish``.  The gap is the value less the best lower bound seen."""
+        if min(self.ev0.p, self.ev1.p) < 1.0 or self.ev0.p == self.ev1.p == 1.0:
+            return self.corners(ts)
         obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
         pick, trunc = self.truncations(ts)
         U = self.family[0][pick]
@@ -928,33 +915,56 @@ class _GridProblem:
         for i, (t, at_corner) in enumerate(zip(tl, (~inner).tolist())):
             if at_corner:
                 lower[i] = value[i] - obj.vertex(d[i], e[i]).gap(t)
-            if not value[i] - lower[i] <= _GAP_REL_TOL * value[i] or self.ev0.p == self.ev1.p == 1.0:
+            if not value[i] - lower[i] <= _GAP_REL_TOL * value[i]:
                 value[i], U[i], lower[i], iters[i], starts[i] = obj.at(t).polish(d[i], e[i], value[i], U[i], lower[i])
         gap = [max(v - lo, 0.0) for v, lo in zip(value, lower)]
         return value, U, trunc.tolist(), iters, [g <= _GAP_REL_TOL * v for g, v in zip(gap, value)], gap, starts
 
+    def corners(self, ts: np.ndarray):
+        """``curve`` at the corners d_k in {0, hi_k} of the box: all of them up to ``_CORNER_STEPS`` steps,
+        else a descent from each t's truncation candidate (d = hi on a head of cells), a corner's n flips in
+        one batch.  Exact, gap 0, if all were tabled at p_0, p_1 <= 1 (J concave) or at p_0 = p_1 = 1 (J
+        separable); else gap +inf, as for mixed exponents.  Ties go to the truncation candidate."""
+        hi, n, tabled = self.objective.hi, self.F.size, self.F.size <= _CORNER_STEPS
+
+        def J(D, t):  # from y = Bd and y = B(hi - d): sums of non-negative terms, a vanishing y exactly 0
+            n0, n1 = (((X @ s.B.T) ** s.p @ s.omega) ** (1.0 / s.p) for s, X in ((self.ev0, D), (self.ev1, hi - D)))
+            return n0 + t * n1
+
+        D = (np.arange(2**n)[:, None] >> np.arange(n) & 1) * hi if tabled else np.tri(n + 1, n, -1) * hi
+        heads = 2 ** np.arange(n + 1) - 1 if tabled else np.arange(n + 1)  # the rows of the truncation candidates
+        values = J(D, ts[:, None])
+        trunc = values[:, heads].min(axis=1)
+        pick = np.where(values.min(axis=1) < trunc, values.argmin(axis=1), heads[values[:, heads].argmin(axis=1)])
+        D, value, iters = D[pick], values[np.arange(ts.size), pick], [0] * ts.size
+        for i in range(0 if tabled else ts.size):
+            while True:  # to the best flip while it lowers J
+                flips = np.where(np.eye(n, dtype=bool), hi - D[i], D[i])
+                flipped = J(flips, ts[i])
+                if not flipped.min() < value[i]:
+                    break
+                D[i], value[i], iters[i] = flips[flipped.argmin()], flipped.min(), iters[i] + 1
+        gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or self.ev0.p == self.ev1.p == 1.0 else math.inf
+        U = np.array([self.objective.to_u(d) for d in D])
+        return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size
+
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B, in unconstrained
-        mode or below exponent 1 (not convex, no certificate): converged means that no start was capped."""
+        """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B in unconstrained
+        mode (not convex, no certificate): converged means that no start was capped."""
         from scipy.optimize import Bounds  # loaded with ``minimize``, on first use
         F, obj = self.F, self.objective.at(t)
         pick, trunc = self.truncations(np.array([t]))
         u_trunc, trunc_val = self.family[0][pick[0]], float(trunc[0])
         best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
-        if self.monotone:
-            fun, upper = obj.diff_value_grad, obj.hi
-            starts = (upper / 2.0, upper, np.zeros_like(upper))
-        else:
-            fun, upper = obj.value_grad, F
-            starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
+        starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
         conv = True
         tried: list[np.ndarray] = []
         for x0 in starts:
             if any(np.array_equal(x0, y) for y in tried):
                 continue  # L-BFGS-B would repeat that start's run
             tried.append(x0)
-            res = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                           bounds=Bounds(np.zeros_like(upper), upper), options=_LBFGSB_OPTIONS)
+            res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
+                           bounds=Bounds(np.zeros_like(F), F), options=_LBFGSB_OPTIONS)
             used, iters = used + 1, iters + res.nit
             conv = conv and res.status != 1  # status 1: iteration or evaluation cap
             if res.fun < best_f:
@@ -1061,10 +1071,10 @@ def k_oracle(q: KQuery, grid: Grid | None = None, m: int = 64, monotone_only: bo
     (``_CoupleObjective.newton``, both spaces in one pass per point) runs from
     the centre, then from the best point, while uncertified, leaving a corner
     u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to
-    the truncation candidate; at p_0 = p_1 = 1 the slope-sign vertex joins.
-    Below exponent 1, and in unconstrained mode (not convex), L-BFGS-B runs
-    from the centre and both corners, unconstrained also from the truncation
-    candidate and a point drawn from ``seed``; the better search wins.
+    the truncation candidate.  Below exponent 1 and at p_0 = p_1 = 1 the best
+    corner of the box is taken (``_GridProblem.corners``).  In unconstrained
+    mode (not convex) L-BFGS-B runs from the truncation candidate, both
+    corners, the centre and a point drawn from ``seed``; the better wins.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, None if monotone_only else m, seed)[0]
 

@@ -422,7 +422,11 @@ class TestLeanImport:
         [],
         ["norm", "--flavor", "gamma", "--weight", "power:0.5", "--fn", "f.json"],
         ["verify", "--suite", "t11", "--size", "3", "--t-count", "2"],
-    ], ids=["import", "norm", "verify"])
+        ["k", "--fn", "f.json", "--t", "1.5"],
+        ["verify", "--suite", "t11", "--suite", "cor1", "--suite", "t2", "--suite", "generalk"],
+        # below exponent 1 the monotone oracle takes the best corner of the box, with no search
+        ["verify", "--suite", "generalk", "--p", "0.5", "--alpha", "0.5"],
+    ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one"])
     def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
         (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
         src = str(Path(cli.__file__).resolve().parents[1])

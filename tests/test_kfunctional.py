@@ -1,5 +1,6 @@
 """Tests for explicit K-values, constructive decompositions, and the oracles."""
 
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -419,11 +420,13 @@ class TestOracleCertificate:
 
     @pytest.mark.parametrize("p0,p1,t,value", [(0.5, 2.0, 1.0, 4.5334517648099535), (0.7, 0.7, 3.0, 12.265963273248264)])
     def test_below_exponent_one_there_is_no_certificate(self, p0, p1, t, value):
-        """At p < 1 the problem is not convex and has no certificate: L-BFGS-B runs from the
-        centre and both corners, and the value converges when no start stopped at its cap."""
+        """Below exponent 1 the oracle takes the best corner of the box and runs no search.  At
+        p_0, p_1 <= 1, J is concave and that corner is exact; a mixed couple, neither convex nor
+        concave, has no certificate and is not converged."""
         q = KQuery(STAIR, t, LorentzSpace("lambda", p0, FLAT), LorentzSpace("lambda", p1, PowerWeight(-0.5)))
         res = k_oracle(q)
-        assert (res.starts, res.converged, res.gap) == (3, True, math.inf)
+        concave = max(p0, p1) <= 1.0
+        assert (res.starts, res.converged, res.gap) == (0, concave, 0.0 if concave else math.inf)
         assert res.value == pytest.approx(value, rel=1e-14)
 
     def test_below_exponent_one_verify_flags_nothing(self):
@@ -468,6 +471,96 @@ class TestOracleCertificate:
             assert res.gap <= 1e-10 * res.value or res.starts == 5
             starts.append(res.starts)
         assert starts.count(0) > len(queries) // 2
+
+
+@st.composite
+def concave_curves(draw):
+    """A non-increasing function of at most 6 steps, a lambda or s couple with power weights at
+    exponents in (0, 1], and a parameter."""
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.floats(0.1, 1.0))
+        # lambda needs beta > -1 at 0, s needs beta < p - 1 at infinity
+        beta = draw(st.floats(-0.5, 0.5) if flavor == "lambda" else st.floats(-1.5, p - 1.1))
+        spaces.append(LorentzSpace(flavor, p, PowerWeight(beta)))
+    return f, tuple(spaces), draw(st.floats(0.05, 20.0))
+
+
+def _objective_from_y(space0, space1, f, t, D):
+    """J at the differences in the rows of D, from y = Bd and y = B(hi - d): sums of
+    non-negative terms, so a vanishing y is exactly 0 and no digits cancel."""
+    ev0, ev1 = _SpaceOnGrid(space0, f.breakpoints), _SpaceOnGrid(space1, f.breakpoints)
+    hi = f.values - np.append(f.values[1:], 0.0)
+    n0, n1 = ((((X @ ev.B.T) ** ev.p) @ ev.omega) ** (1.0 / ev.p) for ev, X in ((ev0, D), (ev1, hi - D)))
+    return n0 + t * n1
+
+
+LAMBDA_HALF = (LorentzSpace("lambda", 0.5, PowerWeight(-0.5)), LorentzSpace("lambda", 0.5, PowerWeight(0.3)))
+# six steps; at t = 0.2154 L-BFGS-B from the centre and both corners stops at 196.44275257338668,
+# 2.16 times the minimum
+RANDOM_MONOTONE_1 = next(e.fn for e in make_corpus(7, 20) if e.f_id == "random-monotone-1")
+
+
+class TestCorners:
+    """At p_0, p_1 <= 1 the objective is concave in the differences, so its minimum over the box
+    lies at a corner, d_k in {0, hi_k}; at p_0 = p_1 = 1 it is linear."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(concave_curves())
+    @example((RANDOM_MONOTONE_1, LAMBDA_HALF, 0.21544346900318834))
+    def test_the_best_corner_is_exact(self, case):
+        f, (space0, space1), t = case
+        (res,) = k_curve(f, space0, space1, [t])
+        hi = f.values - np.append(f.values[1:], 0.0)
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=hi.size))) * hi
+        assert res.value == pytest.approx(_objective_from_y(space0, space1, f, t, corners).min(), rel=1e-14)
+        assert (res.gap, res.converged, res.starts) == (0.0, True, 0)
+        # u jumps only where f* does, each time by 0 or the whole jump
+        d = res.u - np.append(res.u[1:], 0.0)
+        assert np.all(np.isclose(d, 0.0, rtol=0.0, atol=1e-12 * f.values[0]) | np.isclose(d, hi, rtol=1e-12))
+        # box points: each difference at 0, at its bound or in between
+        rng = np.random.default_rng(0)
+        W = rng.uniform(size=(200, hi.size))
+        pick = rng.uniform(size=W.shape)
+        W[pick < 0.25], W[pick > 0.75] = 0.0, 1.0
+        assert _objective_from_y(space0, space1, f, t, W * hi).min() >= res.value * (1.0 - 1e-13)
+
+    def test_the_case_the_search_missed(self):
+        res = k_oracle(KQuery(RANDOM_MONOTONE_1, 0.21544346900318834, *LAMBDA_HALF))
+        assert res.value == pytest.approx(90.86458431896317, rel=1e-14)
+
+    def test_above_the_table_the_descent_is_flagged(self):
+        """17 steps: each t descends one flip at a time from its truncation candidate, with no certificate."""
+        f = random_nonincreasing(np.random.default_rng(5), n=17)
+        assert f.values.size == 17
+        ts = np.logspace(-2.0, 2.0, 7).tolist()
+        for res in k_curve(f, *LAMBDA_HALF, ts):
+            assert (res.converged, res.gap, res.starts) == (False, math.inf, 0)
+            assert res.value <= res.truncation_value
+        report = run_theorem_suite("generalk", corpus=[replace(make_corpus(7, 1)[0], fn=f)], p=0.5, alpha=0.5, t_count=3)
+        assert all("oracle-unconverged" in r.flags for r in report.records)
+
+    def test_a_linear_couple_descends_to_the_slope_sign_corner(self):
+        """At p_0 = p_1 = 1, J(d) = c_0 d + t c_1 (hi - d) with c = omega B: the descent from the
+        truncation candidate ends at d_k = hi_k where c_0k < t c_1k, 0 elsewhere, above the table too."""
+        f = random_nonincreasing(np.random.default_rng(3), n=20, lo=0.5, hi=20.0)
+        space0, space1 = LorentzSpace("lambda", 1.0, PowerWeight(-0.5)), LorentzSpace("lambda", 1.0, PowerWeight(0.3))
+        ev0, ev1 = _SpaceOnGrid(space0, f.breakpoints), _SpaceOnGrid(space1, f.breakpoints)
+        c0, c1 = ev0.omega @ ev0.B, ev1.omega @ ev1.B
+        hi = f.values - np.append(f.values[1:], 0.0)
+        ts = [0.1, 0.3, 0.6, 1.0, 3.0]
+        mixed = 0
+        for res, t in zip(k_curve(f, space0, space1, ts), ts):
+            d = np.where(c0 < t * c1, hi, 0.0)
+            mixed += 0 < np.count_nonzero(d) < d.size
+            assert (res.gap, res.converged) == (0.0, True)
+            assert res.value == pytest.approx(c0 @ d + t * (c1 @ (hi - d)), rel=1e-13)
+        assert mixed  # some corner is neither u = 0 nor u = f*
 
 
 def _verify_spaces():
@@ -690,7 +783,12 @@ class TestNewtonPolish:
         q = KQuery(tstep, 2.6355253153338025, *spaces)
         g = tstep.breakpoints
         obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t, True)
-        centre = minimize(obj.diff_value_grad, obj.hi / 2.0, jac=True, method="L-BFGS-B",
+
+        def value_grad(d):  # J(Ld) and its gradient in the differences, by the cell kernel
+            val, gu = obj.value_grad(obj.to_u(d))
+            return val, gu.cumsum()
+
+        centre = minimize(value_grad, obj.hi / 2.0, jac=True, method="L-BFGS-B",
                           bounds=Bounds(np.zeros_like(obj.hi), obj.hi), options=kfunctional._LBFGSB_OPTIONS)
         assert not centre.x.any() and obj.point(centre.x)[2] > 1.0
         res = k_oracle(q)
@@ -811,13 +909,15 @@ class TestFusedPass:
 
 
 class TestNewtonOnly:
-    """The monotone search at p >= 1 runs no L-BFGS-B."""
+    """The monotone oracle runs no L-BFGS-B: Newton at p >= 1, the corners of the box below."""
 
     @pytest.mark.parametrize("suites,kwargs", [
         (("t11", "cor1", "t2", "generalk"), dict(seed=7, size=20, p=2.0, alpha=1.0, t_count=15)),
         (("t11", "cor1", "generalk"), dict(seed=7, size=20, p=1.5, alpha=0.4, t_count=15)),
         (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.2, alpha=0.5, t_count=7)),
-    ], ids=["cli-defaults", "p-1.5", "p-1.2"])
+        (("generalk",), dict(seed=7, size=20, p=0.5, alpha=0.5, t_count=15)),
+        (("generalk",), dict(seed=7, size=20, p=0.8, alpha=0.5, t_count=15)),
+    ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-0.5", "p-0.8"])
     def test_the_ci_oracle_configurations(self, suites, kwargs, monkeypatch):
         calls = []
         monkeypatch.setattr(kfunctional, "minimize", lambda *a, **k: calls.append(1))
