@@ -27,18 +27,22 @@ This module provides:
 Both parts of a monotone decomposition can only jump where f* does, so it is
 optimized on the steps of f* (sampled on the grid, when one is given), in
 differences d, where the chain constraints become a box and the objective is
-convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd: one
-pass over both spaces' stacked arrays (``_forward_rows``) gives the objective,
-its gradient and Hessian, and ``_CoupleObjective.point`` the certificate, a
-Frank-Wolfe gap or, at a vanishing part, the level-function dual over the
-cone of non-increasing functions (at the corners of the box a closed form in
-t, ``_Vertex``).  A sweep picks every t's truncation candidate from one array
-and certifies them together (``_GridProblem.curve``); an uncertified one is
-followed by projected Newton from the centre, then from the best point.  At
-p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1 linear, so
-``_GridProblem.corners`` takes the best corner of the box, d_k in {0, hi_k}.
-Unconstrained mode runs L-BFGS-B on the norms' cell kernel: scipy stays a
-dependency for its ``minimize`` and the remainder quadratures of ``weights``.
+convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd, and
+a monotone candidate is evaluated from y alone.  The corners of the box, the
+truncation candidates among them (the head corners d = hi on the cells < k),
+take ``_SpaceOnGrid.norms``; one pass over both spaces' stacked arrays
+(``_forward_rows``) gives the objective at any d, its gradient and Hessian,
+and ``_CoupleObjective.point`` the certificate, a Frank-Wolfe gap or, at a
+vanishing part, the level-function dual over the cone of non-increasing
+functions (at the corners u = 0 and f* a closed form in t, ``_Vertex``).  A
+sweep picks every t's truncation candidate from one array and certifies them
+together (``_GridProblem.curve``); an uncertified one is followed by projected
+Newton from the centre, then from the best point.  At p <= 1, J is concave in
+d (reverse Minkowski), at p_0 = p_1 = 1 linear, so ``_GridProblem.corners``
+takes the best corner of the box, d_k in {0, hi_k}.  Unconstrained mode sorts
+its rows into the norms' cell kernel (``norms.cell_sums``) and runs L-BFGS-B:
+scipy stays a dependency for its ``minimize`` and the remainder quadratures of
+``weights``.
 An uncertified value is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
@@ -332,10 +336,11 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 class _SpaceOnGrid:
     """Norms of step functions with fixed cells (g_{i-1}, g_i], g_0 = 0, and variable values.
 
-    Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``,
-    evaluated by ``norms.cell_sums`` on values and by ``forward`` on monotone
-    differences.  Unconstrained rows are sorted first, their moments taken in
-    one ``Weight.moment`` call (power weights only).
+    Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``.
+    A monotone candidate u = Ld is evaluated in its differences d from y = Bd
+    (``norms``, ``forward``).  Unconstrained rows are sorted and go through
+    ``norms.cell_sums``, their moments taken in one ``Weight.moment`` call
+    (power weights only).
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -343,12 +348,11 @@ class _SpaceOnGrid:
             raise ValueError("the oracle supports finite exponents only")
         if space.flavor == "gamma":
             raise InvalidWeightError("the oracle takes lambda- and s-flavor spaces, not gamma")
-        self.flavor, self.p = space.flavor, float(space.p)
+        self.flavor, self.p, self.w = space.flavor, float(space.p), space.w
         cells = cell_moments(self.flavor, self.p, space.w, g)
         if cells is None:
             raise InvalidWeightError(f"a weight moment diverges on this grid; {self.flavor}-norms are infinite")
         self.lengths, left, moments, tail = cells
-        self.grid_cells, self.w = (None, *cells), space.w
         # N(Ld)^p = sum_i omega_i y_i^p with y = B d, B = 1 on and above the diagonal (lambda) or
         # x_k below it, a last row all x (s); ``cone_dual``'s scale x of the differences, and its
         # weights X, read backwards for s
@@ -367,61 +371,48 @@ class _SpaceOnGrid:
             raise InvalidWeightError("unconstrained oracle candidates need power weights "
                                      "(rearranged norms require vectorized primitives)")
 
-    def _sorted_cells(self, U: np.ndarray):
-        """Sort order, lengths, left edges, moments and tail moment of the cells
-        of each row after sorting its values into non-increasing order."""
+    def norm_pow(self, U: np.ndarray):
+        """(p-th powers of the norms of the rows of U, in any order, and what ``grad`` reuses): each
+        row sorted into non-increasing order (a 1-d U is one row), its cells' moments taken again."""
         self.check_unconstrained()
         order = np.argsort(-U, axis=-1, kind="stable")
         lengths = self.lengths[order]
         right = np.cumsum(lengths, axis=-1)
         left = np.concatenate((np.zeros(U.shape[:-1] + (1,)), right[..., :-1]), axis=-1)
         if self.flavor == "lambda":
-            return order, lengths, left, self.w.moment(0.0, left, right), 0.0
-        # the s moment diverges at 0, where the oscillation vanishes anyway
-        moments = np.where(left > 0.0, self.w.moment(-self.p, left, right), 0.0)
-        return order, lengths, left, moments, self.w.moment(-self.p, right[..., -1], math.inf)
+            moments, tail = self.w.moment(0.0, left, right), 0.0
+        else:  # the s moment diverges at 0, where the oscillation vanishes anyway
+            moments = np.where(left > 0.0, self.w.moment(-self.p, left, right), 0.0)
+            tail = self.w.moment(-self.p, right[..., -1], math.inf)
+        V = np.take_along_axis(U, order, axis=-1)
+        powered, C, M = cell_sums(self.flavor, self.p, V, lengths, left, moments, tail)
+        return powered, (V, C, M, order, lengths, left, moments, tail)
 
-    def _forward(self, U: np.ndarray, monotone: bool):
-        """(powered norms of the rows of U, what the backward pass reuses)."""
-        if monotone:
-            cells = self.grid_cells
-        else:
-            cells = self._sorted_cells(U)
-            U = np.take_along_axis(U, cells[0], axis=-1)
-        powered, C, M = cell_sums(self.flavor, self.p, U, *cells[1:])
-        return powered, (U, C, M, cells)
-
-    def norm_pow(self, U: np.ndarray, monotone: bool) -> np.ndarray:
-        """p-th powers of the norms of the rows of U (a 1-d U is one row)."""
-        return self._forward(U, monotone)[0]
-
-    def norm(self, u: np.ndarray, monotone: bool) -> float:
-        return float(self.norm_pow(u, monotone)) ** (1.0 / self.p)
-
-    def grad(self, u: np.ndarray, monotone: bool) -> tuple[float, np.ndarray]:
-        """(norm, gradient) of one candidate, from one forward pass.
+    def grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """(norm, gradient) of one unconstrained candidate, from one forward pass.
 
         Derivatives at zero values are right ones (at p = 1 the linear
-        coefficient, at p > 1 0 at u = 0); unconstrained candidates are
-        differentiated through their sort order, locally constant.
+        coefficient, at p > 1 0 at u = 0), taken through the sort order,
+        locally constant.
         """
         p = self.p
-        npow, saved = self._forward(u, monotone)
+        npow, (v, C, M, order, lengths, left, moments, tail) = self.norm_pow(u)
         n = float(npow) ** (1.0 / p)
         if n == 0.0 and p != 1.0:
             return 0.0, np.zeros_like(u)
-        v, C, M, (order, lengths, left, moments, tail) = saved
         if self.flavor == "lambda":
             gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
         else:
             Cp = _pow_slope(C, p) * moments
             grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
             gs = (1.0 / p) * n ** (1.0 - p) * grad_pow
-        if order is None:
-            return n, gs
         grad = np.empty_like(u)
         grad[order] = gs
         return n, grad
+
+    def norms(self, D: np.ndarray) -> np.ndarray:
+        """N(Ld) at each row d of D, from y = Bd: a sum of non-negative terms, so a vanishing y is exactly 0."""
+        return (((D @ self.B.T) ** self.p) @ self.omega) ** (1.0 / self.p)
 
     def forward(self, x: np.ndarray, hess: bool = False) -> tuple[float, np.ndarray, np.ndarray | None]:
         """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian), by ``_forward_rows``."""
@@ -532,16 +523,17 @@ class _Vertex:
 
 
 class _CoupleObjective:
-    """J(u) = ||u||_0 + t ||F - u||_1 on the grid, monotone or unconstrained.
+    """J(u) = ||u||_0 + t ||F - u||_1 on the grid.
 
     Monotone candidates are u = Ld, d in the box 0 <= d <= hi_k = F_k -
     F_{k+1}; ``point`` takes them in d at p >= 1, with ``vertices``, the
-    corners (built on first use unless given).  The rest takes the cell kernel.
+    corners (built on first use unless given).  Unconstrained candidates,
+    rows of values, take the sorted cell kernel (``norms_batch``, ``value_grad``).
     """
 
-    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float, monotone: bool,
+    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float,
                  vertices: list[_Vertex | None] | None = None):
-        self.ev0, self.ev1, self.F, self.t, self.monotone = ev0, ev1, F, t, monotone
+        self.ev0, self.ev1, self.F, self.t = ev0, ev1, F, t
         self.hi = F - np.append(F[1:], 0.0)
         self.hh = np.outer(self.hi, self.hi)  # Newton's scaling z = d / hi
         self.sign = np.array([[1.0], [-1.0]])  # a step in d moves e back
@@ -565,33 +557,23 @@ class _CoupleObjective:
         return _forward_rows(B, omega, self.ps, X, hess)
 
     def norms_batch(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """N0 and N1(F - U) of the rows of U, which do not depend on t."""
+        """N0 and N1(F - U) of the unconstrained rows of U, which do not depend on t."""
         rest = np.maximum(self.F - U, 0.0)
-        n0 = self.ev0.norm_pow(U, self.monotone) ** (1.0 / self.ev0.p)
-        n1 = self.ev1.norm_pow(rest, self.monotone) ** (1.0 / self.ev1.p)
-        return n0, n1
-
-    def value_batch(self, U: np.ndarray) -> np.ndarray:
-        n0, n1 = self.norms_batch(U)
-        return n0 + self.t * n1
-
-    def value(self, u: np.ndarray) -> float:
-        return float(self.value_batch(u[None, :])[0])
+        return self.ev0.norm_pow(U)[0] ** (1.0 / self.ev0.p), self.ev1.norm_pow(rest)[0] ** (1.0 / self.ev1.p)
 
     def value_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        rest = np.maximum(self.F - u, 0.0)
-        n0, g0 = self.ev0.grad(u, self.monotone)
-        n1, g1 = self.ev1.grad(rest, self.monotone)
+        """J and its gradient at the unconstrained candidate u."""
+        n0, g0 = self.ev0.grad(u)
+        n1, g1 = self.ev1.grad(np.maximum(self.F - u, 0.0))
         return n0 + self.t * n1, g0 - self.t * g1
 
-    def to_u(self, x: np.ndarray) -> np.ndarray:
-        """The candidate of search point x (differences d in monotone mode, so
-        Ld), clipped to [0, F] against rounding; the upper corner is F exactly,
-        which the sum of the differences can miss by rounding."""
-        if self.monotone and np.array_equal(x, self.hi):
+    def to_u(self, d: np.ndarray) -> np.ndarray:
+        """The candidate Ld of differences d, clipped to [0, F] against rounding; the upper
+        corner is F exactly, which the sum of the differences can miss by rounding."""
+        if np.array_equal(d, self.hi):
             return self.F
         # the array methods skip the Python-level wrappers of np.clip and np.cumsum
-        return np.minimum(np.maximum(x[::-1].cumsum()[::-1] if self.monotone else x, 0.0), self.F)
+        return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), self.F)
 
     def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
         """The corner of the box at d, e = hi - d, if it is one."""
@@ -825,17 +807,14 @@ def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
     return Grid.log(lo, hi, m).union(fstar.breakpoints)
 
 
-def _truncation_family(F: np.ndarray, monotone: bool) -> np.ndarray:
-    """Candidates (F - level)^+ on head cells up to each cut, zero beyond.
+def _truncation_family(F: np.ndarray) -> np.ndarray:
+    """Unconstrained candidates (F - level)^+ on head cells up to each cut, zero beyond.
 
     A level at or above F[k-1] zeroes the last head cell of cut k, which
     repeats cut k-1, so each cut k >= 1 takes only the levels below F[k-1].
-    In monotone mode also level >= F[k], so the rows are (F - level)^+, in ``np.unique``'s order.
     """
     m = F.size
     levels = np.unique(np.concatenate((F, [0.0])))
-    if monotone:
-        return np.maximum(F - levels[::-1, None], 0.0)
     rows = [np.zeros((1, m))]
     arange = np.arange(m)
     for k in range(1, m + 1):
@@ -860,8 +839,8 @@ _EPS = float(np.finfo(float).eps)
 
 class _GridProblem:
     """Everything of a K-query but its parameter, in one mode: f* sampled on the grid, both spaces on
-    it, their objective (its corners included) and the truncation family with its norms N0(U) and
-    N1(F - U), built once; a sweep of t is one ``curve``, unconstrained mode a ``search`` per t."""
+    it, their objective (its corners included) and the truncation family with its norms N0 and N1 of
+    the rest, built once; a sweep of t is one ``curve``, unconstrained mode a ``search`` per t."""
 
     def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
                  monotone: bool):
@@ -872,16 +851,27 @@ class _GridProblem:
         if not monotone:
             self.ev0.check_unconstrained()
             self.ev1.check_unconstrained()
-        self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan, monotone)  # t set by ``at``
+        self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan)  # t set by ``at``
 
     @cached_property
     def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        U = _truncation_family(self.F, self.monotone)
-        return (U, *self.objective.norms_batch(U))
+        """The truncation candidates and their norms (rows, N0, N1 of the rest).  In monotone mode the
+        rows are the head corners, d = hi on the cells < k for k = 0..n (``parts``), their norms from
+        y = Bd and y = B(hi - d); unconstrained, the values of ``_truncation_family``."""
+        if not self.monotone:
+            U = _truncation_family(self.F)
+            return (U, *self.objective.norms_batch(U))
+        hi = self.objective.hi
+        D = np.tri(hi.size + 1, hi.size, -1) * hi
+        return D, self.ev0.norms(D), self.ev1.norms(hi - D)
+
+    def parts(self, heads: np.ndarray) -> np.ndarray:
+        """The parts u = (F - F_k)^+ of the head corners k (F_n = 0), exact where Ld would round."""
+        return np.maximum(self.F - np.append(self.F, 0.0)[heads, None], 0.0)
 
     def truncations(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each t's best truncation candidate, as a row of ``family``, and its value, from one
-        (T x family) array of ``value_batch``'s arithmetic, n0 + t n1 row by row."""
+        (T x family) array n0 + t n1, row by row as a single t takes it."""
         _, n0, n1 = self.family
         tvals = n0 + ts[:, None] * n1
         pick = tvals.argmin(axis=1)
@@ -899,10 +889,7 @@ class _GridProblem:
             return self.corners(ts)
         obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
         pick, trunc = self.truncations(ts)
-        U = self.family[0][pick]
-        d = U.copy()
-        d[:, :-1] -= U[:, 1:]
-        np.minimum(d, hi, out=d)  # a cut cell can pass hi by rounding
+        U, d = self.parts(pick), self.family[0][pick]
         e, gap = hi - d, np.zeros(ts.size)
         inner = d.any(axis=1) & e.any(axis=1)  # not a corner of the box
         if inner.any():
@@ -922,21 +909,23 @@ class _GridProblem:
 
     def corners(self, ts: np.ndarray):
         """``curve`` at the corners d_k in {0, hi_k} of the box: all of them up to ``_CORNER_STEPS`` steps,
-        else a descent from each t's truncation candidate (d = hi on a head of cells), a corner's n flips in
-        one batch.  Exact, gap 0, if all were tabled at p_0, p_1 <= 1 (J concave) or at p_0 = p_1 = 1 (J
-        separable); else gap +inf, as for mixed exponents.  Ties go to the truncation candidate."""
+        else a descent from each t's truncation candidate (a head corner), a corner's n flips in one batch,
+        each corner's J from ``_SpaceOnGrid.norms`` as the truncation family's.  Exact, gap 0, if all were
+        tabled at p_0, p_1 <= 1 (J concave) or at p_0 = p_1 = 1 (J separable); else gap +inf, as for mixed
+        exponents.  Ties go to the truncation candidate."""
         hi, n, tabled = self.objective.hi, self.F.size, self.F.size <= _CORNER_STEPS
 
-        def J(D, t):  # from y = Bd and y = B(hi - d): sums of non-negative terms, a vanishing y exactly 0
-            n0, n1 = (((X @ s.B.T) ** s.p @ s.omega) ** (1.0 / s.p) for s, X in ((self.ev0, D), (self.ev1, hi - D)))
-            return n0 + t * n1
+        def J(D, t):
+            return self.ev0.norms(D) + t * self.ev1.norms(hi - D)
 
-        D = (np.arange(2**n)[:, None] >> np.arange(n) & 1) * hi if tabled else np.tri(n + 1, n, -1) * hi
-        heads = 2 ** np.arange(n + 1) - 1 if tabled else np.arange(n + 1)  # the rows of the truncation candidates
-        values = J(D, ts[:, None])
-        trunc = values[:, heads].min(axis=1)
-        pick = np.where(values.min(axis=1) < trunc, values.argmin(axis=1), heads[values[:, heads].argmin(axis=1)])
-        D, value, iters = D[pick], values[np.arange(ts.size), pick], [0] * ts.size
+        pick, trunc = self.truncations(ts)
+        D, value, iters = self.family[0][pick], trunc.copy(), [0] * ts.size
+        if tabled:
+            corners = (np.arange(2**n)[:, None] >> np.arange(n) & 1) * hi
+            values = J(corners, ts[:, None])
+            best = values.argmin(axis=1)
+            lower = values[np.arange(ts.size), best] < trunc
+            D[lower], value[lower] = corners[best[lower]], values[lower, best[lower]]
         for i in range(0 if tabled else ts.size):
             while True:  # to the best flip while it lowers J
                 flips = np.where(np.eye(n, dtype=bool), hi - D[i], D[i])
@@ -968,7 +957,7 @@ class _GridProblem:
             used, iters = used + 1, iters + res.nit
             conv = conv and res.status != 1  # status 1: iteration or evaluation cap
             if res.fun < best_f:
-                best_u, best_f = obj.to_u(res.x), float(res.fun)
+                best_u, best_f = np.minimum(np.maximum(res.x, 0.0), F), float(res.fun)
         return best_f, best_u, trunc_val, iters, conv, math.inf, used
 
 
@@ -1098,16 +1087,21 @@ def k_oracle_exhaustive(q: KQuery, grid: Grid, quantum: float, monotone_only: bo
         raise ValueError("instance values are not multiples of the quantum")
     if np.any(steps >= 16):
         raise ValueError("instance needs more than 16 lattice levels")
-    ev0 = _SpaceOnGrid(q.space0, g)
-    ev1 = _SpaceOnGrid(q.space1, g)
-    obj = _CoupleObjective(ev0, ev1, F, q.t, monotone_only)
+    evs = [_SpaceOnGrid(space, g) for space in (q.space0, q.space1)]
+    cells = [cell_moments(ev.flavor, ev.p, ev.w, g) for ev in evs]
+
+    def value(U):  # a monotone row by the norms' cell kernel on its values, not by the oracle's y = Bd
+        n0, n1 = ((cell_sums(ev.flavor, ev.p, X, *c) if monotone_only else ev.norm_pow(X))[0] ** (1.0 / ev.p)
+                  for ev, c, X in zip(evs, cells, (U, np.maximum(F - U, 0.0))))
+        return n0 + q.t * n1
+
     # monotone candidates are the lattice points of the differences, summed from the right
     axes = [np.arange(k + 1) for k in (steps - np.append(steps[1:], 0) if monotone_only else steps)]
     if math.prod(a.size for a in axes) > max_candidates:
         raise ValueError("lattice too large for exhaustive mode")
     X = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1).astype(float) * quantum
     U = np.cumsum(X[:, ::-1], axis=1)[:, ::-1] if monotone_only else X
-    return min(float(obj.value_batch(U[start : start + 200_000]).min()) for start in range(0, U.shape[0], 200_000))
+    return min(float(value(U[start : start + 200_000]).min()) for start in range(0, U.shape[0], 200_000))
 
 
 @dataclass(frozen=True)
@@ -1181,7 +1175,7 @@ def near_optimal_s_decomposition(
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
     problem = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), monotone=True)
     g, F = problem.grid.points, problem.F
-    u = problem.family[0][problem.truncations(np.array([t]))[0][0]]
+    u = problem.parts(problem.truncations(np.array([t]))[0])[0]
     f0_init = StepFunction(g, u)
     f1_init = StepFunction(g, np.minimum.accumulate(np.maximum(F - u, 0.0)))
     initial = Decomposition(f0_init, f1_init, "truncation")

@@ -25,8 +25,10 @@ above 1 take no quadrature.  The three
 flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
-norms, the explicit K-formulas of ``kfunctional`` and the K-oracle's grids
-all go through this pair.  Divergent integrals yield +inf with a flag
+norms and the explicit K-formulas of ``kfunctional`` go through this pair; the
+K-oracle takes its grids' moments from ``cell_moments``, evaluates monotone
+candidates from their differences (y = Bd) and only unconstrained ones, sorted,
+by ``cell_sums``.  Divergent integrals yield +inf with a flag
 rather than an error.  p = inf flavors are grid suprema over breakpoints
 plus refinement points (grid-level accuracy).
 

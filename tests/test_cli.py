@@ -415,8 +415,8 @@ print(sorted({"scipy.optimize", "scipy.integrate"} & set(sys.modules)))
 
 
 class TestLeanImport:
-    """The norms and the monotone oracle need neither the optimizer nor quadrature, which
-    take most of a second to load; they are imported where they are called."""
+    """The norms, the monotone oracle and the closed-form weight checks need neither the optimizer
+    nor quadrature, which take most of a second to load; they are imported where they are called."""
 
     @pytest.mark.parametrize("args", [
         [],
@@ -426,7 +426,9 @@ class TestLeanImport:
         ["verify", "--suite", "t11", "--suite", "cor1", "--suite", "t2", "--suite", "generalk"],
         # below exponent 1 the monotone oracle takes the best corner of the box, with no search
         ["verify", "--suite", "generalk", "--p", "0.5", "--alpha", "0.5"],
-    ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one"])
+        # power weights: every checker has a closed form
+        ["check-weights", "--weight", "power:0.5", "--weight2", "power:-1"],
+    ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one", "check-weights-power"])
     def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
         (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
         src = str(Path(cli.__file__).resolve().parents[1])

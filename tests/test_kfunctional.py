@@ -33,7 +33,7 @@ from lorentzk.kfunctional import (
     oracle_grid,
     truncation_decomposition,
 )
-from lorentzk.norms import LorentzSpace, norm
+from lorentzk.norms import LorentzSpace, cell_moments, cell_sums, norm
 from lorentzk.grids import Grid
 from lorentzk.stepfn import StepFunction, add, osc_transform, rearrange
 from lorentzk.verify import _default_couple, make_corpus, run_theorem_suite, t_sweep
@@ -306,14 +306,78 @@ def _brute_truncation_family(F, monotone):
 class TestTruncationFamily:
     @pytest.mark.parametrize("monotone", [True, False])
     def test_matches_brute_force_construction(self, monotone):
+        """Unconstrained on a grid finer than f*; monotone on the steps of f*, where the family is
+        the head corners d = hi on the cells < k, with the parts (F - F_k)^+."""
         rng = np.random.default_rng(41)
         for _ in range(25):
             m = int(rng.integers(1, 12))
             # repeated values and trailing zeros, as on a grid finer than f*
             F = np.sort(rng.choice(np.append(rng.uniform(0.1, 5.0, 4), 0.0), m))[::-1]
-            np.testing.assert_array_equal(
-                _truncation_family(F, monotone), _brute_truncation_family(F, monotone)
-            )
+            if not monotone:
+                np.testing.assert_array_equal(_truncation_family(F), _brute_truncation_family(F, False))
+                continue
+            f = StepFunction(np.arange(1.0, m + 1.0), F)  # the steps of f*: runs merged, no zero tail
+            if f.is_zero:
+                continue
+            problem = kfunctional._GridProblem(f, LAMBDA2, LAMBDA2, Grid(f.breakpoints), True)
+            D = problem.family[0]
+            hi = problem.objective.hi
+            np.testing.assert_array_equal(D, [np.where(np.arange(hi.size) < k, hi, 0.0) for k in range(hi.size + 1)])
+            parts = problem.parts(np.arange(hi.size + 1))
+            np.testing.assert_array_equal(parts, _brute_truncation_family(problem.F, True))
+            np.testing.assert_allclose(D[:, ::-1].cumsum(axis=1)[:, ::-1], parts, rtol=1e-14, atol=1e-14 * F[0])
+
+
+@st.composite
+def head_corner_cases(draw):
+    """A function of 1 to 8 strictly decreasing cells, a lambda or s couple of power or power-log
+    weights at exponents in [1, 4], and a parameter."""
+    n = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.floats(1.0, 4.0))
+        # lambda needs beta > -1 at 0, s needs beta < p - 1 at infinity
+        beta = draw(st.floats(-0.5, 0.5) if flavor == "lambda" else st.floats(-0.5, p - 1.1))
+        w = PowerLogWeight(beta, draw(st.floats(-1.0, 1.0))) if draw(st.booleans()) else PowerWeight(beta)
+        spaces.append(LorentzSpace(flavor, p, w))
+    return f, spaces, draw(st.floats(0.05, 20.0))
+
+
+class TestHeadCorners:
+    """The monotone truncation candidates are the head corners, evaluated from y = Bd."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(head_corner_cases())
+    def test_values_match_the_cell_kernel(self, case):
+        """N0 + t N1 of each head corner, from y = Bd, is the cell kernel's N0((F - F_k)^+) + t N1 of
+        the rest min(F, F_k), to a few ulps."""
+        f, (space0, space1), t = case
+        problem = kfunctional._GridProblem(f, space0, space1, Grid(f.breakpoints), True)
+        _, n0, n1 = problem.family
+        levels = np.append(f.values, 0.0)[:, None]
+
+        def kernel(space, V):
+            cells = cell_moments(space.flavor, space.p, space.w, f.breakpoints)
+            return cell_sums(space.flavor, space.p, V, *cells)[0] ** (1.0 / space.p)
+
+        expected = kernel(space0, np.maximum(f.values - levels, 0.0)) + t * kernel(space1, np.minimum(f.values, levels))
+        np.testing.assert_allclose(n0 + t * n1, expected, rtol=2e-15, atol=0.0)
+
+    def test_the_exhaustive_reference_does_not_evaluate_from_y(self, monkeypatch):
+        """Scaling the y = Bd norms moves the oracle, not the lattice search, which takes the cell kernel."""
+        f, grid = StepFunction((1.0, 2.0, 3.0), (3.0, 2.0, 1.0)), Grid((1.0, 2.0, 3.0))
+        queries = [KQuery(f, t, LorentzSpace("lambda", 1.0, FLAT), LorentzSpace("lambda", 1.0, PowerWeight(0.5)))
+                   for t in (0.4, 1.1, 2.5)]
+        before = [(k_oracle(q, grid=grid).value, k_oracle_exhaustive(q, grid, quantum=1.0)) for q in queries]
+        real = _SpaceOnGrid.norms
+        monkeypatch.setattr(_SpaceOnGrid, "norms", lambda self, D: 1.01 * real(self, D))
+        for q, (oracle, exhaustive) in zip(queries, before):
+            assert k_oracle(q, grid=grid).value == pytest.approx(1.01 * oracle, rel=1e-14)
+            assert k_oracle_exhaustive(q, grid, quantum=1.0) == exhaustive
 
 
 @st.composite
@@ -349,15 +413,21 @@ class TestOracleProperties:
         assert direct == pytest.approx(res.value, rel=1e-9)
 
 
+def _values(obj, U):
+    """J at the rows of U, each non-increasing, by the unconstrained cell kernel, which leaves them in place."""
+    n0, n1 = obj.norms_batch(np.atleast_2d(U))
+    return n0 + obj.t * n1
+
+
 def _monotone_problem(q, m=16):
     """The objective on the padded grid ``oracle_grid(f*, m)`` and its best truncation candidate:
     the same minimum as ``k_oracle``'s problem on the steps of f*, with more coordinates."""
     fstar = rearrange(q.f)
     g = oracle_grid(fstar, m).points
     F = fstar.at(g)
-    obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), F, q.t, monotone=True)
-    U = _truncation_family(F, monotone=True)
-    return obj, F, U[int(np.argmin(obj.value_batch(U)))]
+    obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), F, q.t)
+    U = _brute_truncation_family(F, monotone=True)
+    return obj, F, U[int(np.argmin(_values(obj, U)))]
 
 
 def _gap(obj, u):
@@ -379,7 +449,7 @@ def _five_start_search(obj, F, u_trunc, seed=0):
     rng = np.random.default_rng(seed)
     x_trunc = u_trunc - np.append(u_trunc[1:], 0.0)
     starts = [x_trunc, hi, np.zeros_like(hi), hi / 2.0, rng.uniform(size=hi.size) * hi]
-    best, ends = obj.value(u_trunc), []
+    best, ends = _values(obj, u_trunc)[0], []
     for x0 in starts:
         res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(np.zeros_like(hi), hi),
                        options=kfunctional._LBFGSB_OPTIONS)
@@ -413,8 +483,8 @@ class TestOracleCertificate:
         W[pick < 0.25], W[pick > 0.75] = 0.0, 1.0
         U = np.minimum(np.cumsum((W * hi)[:, ::-1], axis=1)[:, ::-1], F)
         _, ends = _five_start_search(obj, F, u_trunc)
-        lowest = min(obj.value_batch(U).min(), min(obj.value(u) for u in ends))
-        for value, gap in ((obj.value(u_trunc), _gap(obj, u_trunc)), (res.value, res.gap)):
+        lowest = min(_values(obj, U).min(), _values(obj, ends).min())
+        for value, gap in ((_values(obj, u_trunc)[0], _gap(obj, u_trunc)), (res.value, res.gap)):
             assert gap >= 0.0
             assert lowest >= value - gap - 1e-12 * value
 
@@ -578,10 +648,10 @@ def dual_problems(draw):
     g = np.cumsum(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
     flavor = draw(st.sampled_from(["lambda", "s"]))
     beta = draw(st.sampled_from([-0.5, 0.0, 0.5] if flavor == "lambda" else [-0.5, 0.0, 0.3]))
-    ev = _SpaceOnGrid(LorentzSpace(flavor, draw(st.sampled_from([1.5, 2.0, 3.0])), PowerWeight(beta)), g)
+    space = LorentzSpace(flavor, draw(st.sampled_from([1.5, 2.0, 3.0])), PowerWeight(beta))
     c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     free = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return ev, c, free
+    return space, g, c, free
 
 
 def _block_maximizer(c, X, p, free):
@@ -601,12 +671,13 @@ class TestLevelDual:
     @settings(max_examples=80, deadline=None)
     @given(dual_problems(), st.integers(0, 2**32 - 1), st.integers(-300, 300))
     # subnormal coefficients, on which both the dual and <c, d> / N(Ld) round
-    @example((_SpaceOnGrid(LorentzSpace("s", 2.0, FLAT), np.array([1.0, 2.0, 3.0])),
+    @example((LorentzSpace("s", 2.0, FLAT), np.array([1.0, 2.0, 3.0]),
               np.array([0.0, 2.22507386e-313, 0.0]), np.ones(3, dtype=bool)), 0, 1)
-    @example((_SpaceOnGrid(LorentzSpace("lambda", 2.0, FLAT), np.array([1.0, 2.0, 3.0, 4.0])),
+    @example((LorentzSpace("lambda", 2.0, FLAT), np.array([1.0, 2.0, 3.0, 4.0]),
               np.array([0.0, 0.0, 2.22507386e-311, -1.0]), np.array([False, False, True, True])), 0, 0)
     def test_sound_and_attained(self, problem, seed, k):
-        ev, c, free = problem
+        space, g, c, free = problem
+        ev, cells = _SpaceOnGrid(space, g), cell_moments(space.flavor, space.p, space.w, g)
         n, p = c.size, ev.p
         # The checks run on c scaled by a power of two that brings its largest
         # positive free coefficient into [1/2, 1), as far as the others allow:
@@ -618,9 +689,9 @@ class TestLevelDual:
         assert 0.0 <= D < math.inf
         assert ev.cone_dual(np.ldexp(c, k), free)[0] == np.ldexp(D, k)
 
-        def ratio(d):
+        def ratio(d):  # <c, d> / N(Ld), the norm by the cell kernel
             u = np.cumsum(d[::-1])[::-1]
-            return float(c @ d) / ev.norm_pow(u, monotone=True) ** (1.0 / p)
+            return float(c @ d) / cell_sums(space.flavor, p, u, *cells)[0] ** (1.0 / p)
 
         # soundness on drawn differences, some of them zero
         rng = np.random.default_rng(seed)
@@ -629,7 +700,7 @@ class TestLevelDual:
             if d.any():
                 assert ratio(d) <= D * (1.0 + 1e-12)
         # attainment by the block maximizer, mapped to differences of u for the s flavor
-        _, lengths, left, moments, tail = ev.grid_cells
+        lengths, left, moments, tail = cells
         if ev.flavor == "lambda":
             d = _block_maximizer(c, moments.cumsum(), p, free)
         else:
@@ -735,7 +806,7 @@ def hessian_problems(draw):
                                   PowerWeight(draw(st.sampled_from(betas)))), g)
         for _ in range(2)
     )
-    obj = _CoupleObjective(ev0, ev1, hi[::-1].cumsum()[::-1], 1.0, monotone=True)
+    obj = _CoupleObjective(ev0, ev1, hi[::-1].cumsum()[::-1], 1.0)
     return obj, hi * np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
 
 
@@ -746,10 +817,11 @@ class TestNewtonPolish:
     @given(hessian_problems())
     def test_hessian_matches_central_differences(self, problem):
         obj, d = problem
-        # the polish takes H0(d) + t H1(hi - d); each part against its own gradient in differences
+        # the polish takes H0(d) + t H1(hi - d); each part against the cell kernel's gradient of Ly,
+        # a decreasing row, in differences
         for ev, x in ((obj.ev0, d), (obj.ev1, obj.hi - d)):
             def grad(y):
-                return ev.grad(y[::-1].cumsum()[::-1], monotone=True)[1].cumsum()
+                return ev.grad(y[::-1].cumsum()[::-1])[1].cumsum()
 
             H = ev.forward(x, hess=True)[2]
             h = 1e-4 * x.min()
@@ -767,7 +839,7 @@ class TestNewtonPolish:
         s0, s1, _, _ = _verify_spaces()
         q = KQuery(f, t_sweep(f, 15)[7], s0, s1)
         obj, _, u_trunc = _monotone_problem(q, m=64)
-        assert not u_trunc.any() and _gap(obj, u_trunc) > 1e-10 * obj.value(u_trunc)
+        assert not u_trunc.any() and _gap(obj, u_trunc) > 1e-10 * _values(obj, u_trunc)[0]
         res = k_oracle(q)
         assert (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value and res.value < res.truncation_value
@@ -782,7 +854,7 @@ class TestNewtonPolish:
         spaces = [LorentzSpace("lambda", 1.5, reciprocal_weight(w, 1.5)) for w in (cfg.w0, cfg.w1)]
         q = KQuery(tstep, 2.6355253153338025, *spaces)
         g = tstep.breakpoints
-        obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t, True)
+        obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t)
 
         def value_grad(d):  # J(Ld) and its gradient in the differences, by the cell kernel
             val, gu = obj.value_grad(obj.to_u(d))
@@ -808,7 +880,7 @@ class TestNewtonPolish:
         assert res.converged and res.gap <= 1e-10 * res.value
         assert res.value <= 3.2237045816858823 * (1.0 + 1e-12)
         # from the corner itself: the exit, then Newton
-        obj = _CoupleObjective(_SpaceOnGrid(s0, f.breakpoints), _SpaceOnGrid(s1, f.breakpoints), f.values, t, True)
+        obj = _CoupleObjective(_SpaceOnGrid(s0, f.breakpoints), _SpaceOnGrid(s1, f.breakpoints), f.values, t)
         zero = np.zeros_like(obj.hi)
         vertex = obj.vertex(zero, obj.hi)
         assert vertex.gap(t) > 1e-10 * vertex.value(t) and t * vertex.dual > 1.0
@@ -867,8 +939,8 @@ def _direct_gap(obj, u):
 
 
 class TestFusedPass:
-    """``_SpaceOnGrid.forward`` evaluates the monotone objective from y = Bd, and ``_Vertex``
-    certifies the two corners of the box in closed form."""
+    """``_SpaceOnGrid.forward`` evaluates the monotone objective from y = Bd, as the cell kernel
+    does on the values Ld, and ``_Vertex`` certifies the two corners of the box in closed form."""
 
     @settings(max_examples=80, deadline=None)
     @given(fused_cases())
@@ -884,8 +956,8 @@ class TestFusedPass:
         ev, d = case
         u = d[::-1].cumsum()[::-1]
         value, grad, _ = ev.forward(d)
-        assert value == pytest.approx(ev.norm(u, monotone=True), rel=1e-12, abs=0.0)
-        ref = ev.grad(u, monotone=True)[1].cumsum()
+        assert value == pytest.approx(ev.norm_pow(u)[0] ** (1.0 / ev.p), rel=1e-12, abs=0.0)
+        ref = ev.grad(u)[1].cumsum()  # u is sorted, so its cells stay in place
         np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=0.0))
 
     @settings(max_examples=40, deadline=None)
@@ -896,12 +968,12 @@ class TestFusedPass:
         ev0, ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
         vertices = None
         for t in ts:
-            obj = _CoupleObjective(ev0, ev1, F, t, True, vertices)
+            obj = _CoupleObjective(ev0, ev1, F, t, vertices)
             for u in (np.zeros_like(F), F):
                 d = np.minimum(u - np.append(u[1:], 0.0), obj.hi)
                 vertex = obj.vertex(d, obj.hi - d)
                 value = vertex.value(t)
-                assert value == pytest.approx(obj.value(u), rel=1e-12)
+                assert value == pytest.approx(_values(obj, u)[0], rel=1e-12)
                 # the gap can be a difference of near-equal terms (p = 1, t near 1): J sets its rounding
                 assert vertex.gap(t) == pytest.approx(_direct_gap(obj, u), rel=1e-12, abs=1e-14 * value)
                 assert obj.point(d)[2] == vertex.gap(t)
@@ -978,7 +1050,7 @@ class TestRearrangedCandidates:
         space, g, u = case
         ev = _SpaceOnGrid(space, g)
         expected = norm(space, StepFunction(tuple(g), tuple(u)))
-        assert ev.norm(u, monotone=False) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+        assert ev.norm_pow(u)[0] ** (1.0 / ev.p) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize(
         "space",
@@ -1408,6 +1480,10 @@ class TestGradients:
     U_MONO = np.array([3.1, 2.4, 1.6, 0.9, 0.3])
     U_FREE = np.array([1.0, 2.5, 0.3, 1.8, 0.6])
 
+    def _direct(self, space):
+        """The norm of Ld, the step function on GRID of differences d, by ``norms.norm``."""
+        return lambda d: norm(space, StepFunction(self.GRID, d[::-1].cumsum()[::-1]))
+
     @pytest.mark.parametrize(
         "flavor,p,w",
         [
@@ -1417,57 +1493,62 @@ class TestGradients:
         ],
     )
     def test_monotone_gradient_matches_finite_differences(self, flavor, p, w):
-        ev = _SpaceOnGrid(LorentzSpace(flavor, p, w), self.GRID)
-        val, grad = ev.grad(self.U_MONO, monotone=True)
-        assert val == pytest.approx(ev.norm(self.U_MONO, monotone=True), rel=1e-12)
-        fd = finite_difference(lambda u: ev.norm(u, monotone=True), self.U_MONO)
+        """The gradient in the differences from y = Bd."""
+        space = LorentzSpace(flavor, p, w)
+        d = self.U_MONO - np.append(self.U_MONO[1:], 0.0)
+        val, grad, _ = _SpaceOnGrid(space, self.GRID).forward(d)
+        assert val == pytest.approx(self._direct(space)(d), rel=1e-12)
+        fd = finite_difference(self._direct(space), d)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("flavor,p,beta", [("lambda", 2.0, 0.3), ("s", 2.0, 0.2)])
     def test_rearranged_gradient_matches_finite_differences(self, flavor, p, beta):
-        ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
-        val, grad = ev.grad(self.U_FREE, monotone=False)
-        assert val == pytest.approx(ev.norm(self.U_FREE, monotone=False), rel=1e-12)
-        fd = finite_difference(lambda u: ev.norm(u, monotone=False), self.U_FREE)
+        space = LorentzSpace(flavor, p, PowerWeight(beta))
+        val, grad = _SpaceOnGrid(space, self.GRID).grad(self.U_FREE)
+        assert val == pytest.approx(norm(space, StepFunction(self.GRID, self.U_FREE)), rel=1e-12)
+        fd = finite_difference(lambda u: norm(space, StepFunction(self.GRID, u)), self.U_FREE)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("flavor,beta", [("lambda", 0.3), ("s", -0.4)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_monotone_gradient_is_one_sided_at_zero_cells(self, flavor, beta, p):
-        ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(beta)), self.GRID)
-        cases = [(True, np.array([3.1, 2.4, 1.6, 0.0, 0.0])), (False, np.array([1.0, 2.5, 0.0, 1.8, 0.6]))]
-        for monotone, u in cases:
-            val, grad = ev.grad(u, monotone)
-
-            def norm(x):
-                return ev.norm(x, monotone)
-
-            assert val == pytest.approx(norm(u), rel=1e-12)
+        """At a zero difference (u with zero cells) from y = Bd, at a zero value unconstrained."""
+        space = LorentzSpace(flavor, p, PowerWeight(beta))
+        ev = _SpaceOnGrid(space, self.GRID)
+        u = np.array([3.1, 2.4, 1.6, 0.0, 0.0])
+        cases = [(lambda x: ev.forward(x)[:2], self._direct(space), u - np.append(u[1:], 0.0)),
+                 (ev.grad, lambda x: norm(space, StepFunction(self.GRID, x)), np.array([1.0, 2.5, 0.0, 1.8, 0.6]))]
+        for monotone, (value_grad, norm_of, x) in zip((True, False), cases):
+            val, grad = value_grad(x)
+            assert val == pytest.approx(norm_of(x), rel=1e-12)
             h = 1e-7
-            for i in range(u.size):
-                up = u.copy()
+            for i in range(x.size):
+                up = x.copy()
                 up[i] += h
-                if u[i] > 0.0:
-                    um = u.copy()
+                if x[i] > 0.0:
+                    um = x.copy()
                     um[i] -= h
-                    fd = (norm(up) - norm(um)) / (2.0 * h)
+                    fd = (norm_of(up) - norm_of(um)) / (2.0 * h)
                     tol = 1e-5 * abs(fd) + 1e-7
                 else:
                     # a value may not go negative: compare with the right derivative,
                     # whose difference quotient is off by O(h^(p-1)) when p > 1
-                    fd = (norm(up) - val) / h
+                    fd = (norm_of(up) - val) / h
                     tol = 1e-5 * abs(fd) + 1e-6 + (10.0 * h ** (p - 1.0) if p > 1.0 else 0.0)
                 assert grad[i] == pytest.approx(fd, abs=tol), (monotone, i)
 
     def test_couple_objective_gradient(self):
-        ev0 = _SpaceOnGrid(LorentzSpace("lambda", 2.0, FLAT), self.GRID)
-        ev1 = _SpaceOnGrid(LorentzSpace("lambda", 2.0, PowerWeight(-0.5)), self.GRID)
+        space0, space1 = LorentzSpace("lambda", 2.0, FLAT), LorentzSpace("lambda", 2.0, PowerWeight(-0.5))
         F = np.array([4.0, 3.0, 2.2, 1.5, 0.8])
-        obj = _CoupleObjective(ev0, ev1, F, 1.7, monotone=True)
+        obj = _CoupleObjective(_SpaceOnGrid(space0, self.GRID), _SpaceOnGrid(space1, self.GRID), F, 1.7)
+
+        def value(u):
+            return norm(space0, StepFunction(self.GRID, u)) + 1.7 * norm(space1, StepFunction(self.GRID, F - u))
+
         u = 0.6 * F
         val, grad = obj.value_grad(u)
-        assert val == pytest.approx(obj.value(u), rel=1e-12)
-        fd = finite_difference(obj.value, u)
+        assert val == pytest.approx(value(u), rel=1e-12)
+        fd = finite_difference(value, u)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
