@@ -32,7 +32,8 @@ by ``cell_sums``.  Divergent integrals yield +inf with a flag
 rather than an error.  p = inf flavors are grid suprema over breakpoints
 plus refinement points (grid-level accuracy).
 
-The full norms rearrange their argument first, so they are
+The full norms read f* from ``rearrange``, which a function computes once
+and keeps, so every flavor of one function shares it and the norms are
 rearrangement-invariant by construction; the windowed norms take a
 non-increasing function as it is.
 """
@@ -132,13 +133,16 @@ def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float, p: 
     (v + c/s)^p (p = 0: the nodes of w's own moments; no K: 8-point panels of log-width
     0.5).  The integrand is analytic on every panel: v + c/s vanishes only where s < 0,
     a distance pi from the real u axis."""
-    edges = x.clip(lo, hi)
+    cuts = x.clip(lo, hi)
     kinks = np.array(w.kinks(), dtype=float)
-    kinks = kinks[(kinks > edges[0]) & (kinks < edges[-1])]
-    cuts = np.insert(edges, np.searchsorted(edges, kinks), kinks) if kinks.size else edges
-    cuts = cuts[np.concatenate(([True], cuts[1:] > cuts[:-1]))]  # sorted already: drop repeats, without a sort
-    start = cuts[:-1]
-    scale, cells, groups = w._log_scale(0.0), np.searchsorted(x, start, side="right"), []
+    kinks = kinks[(kinks > cuts[0]) & (kinks < cuts[-1])]
+    ranks = np.arange(1, x.size + 1)  # how many breakpoints lie at or below each cut: i + 1 at x_i, i at a kink before it
+    if kinks.size:
+        at = cuts.searchsorted(kinks)
+        cuts, ranks = np.insert(cuts, at, kinks), np.insert(ranks, at, at)
+    kept = np.concatenate(([True], cuts[1:] > cuts[:-1])).nonzero()[0]  # sorted already: drop repeats, without a sort
+    cuts, cells = cuts[kept], ranks[kept[1:] - 1]  # the cell right of a cut: the rank at the end of its run of repeats
+    start, scale, groups = cuts[:-1], w._log_scale(0.0), []
     for piece, step, u, rule in _log_nodes(start, cuts[1:], None if scale is None else scale + p):
         weight = w.u_density(u)
         weight *= 0.5 * step
@@ -177,10 +181,10 @@ def cell_sums(
     if flavor == "lambda":
         return _moment_sum(V ** p, moments), None, None
     # c_i = sum_{j <= i} (v_{j-1} - v_j) x_{j-1}, clamped at 0 for rows non-increasing up to rounding
-    C = np.zeros_like(V)
+    C = np.zeros(V.shape)
     ((V[..., :-1] - V[..., 1:]) * left[..., 1:]).cumsum(axis=-1, out=C[..., 1:])
     np.maximum(C, 0.0, out=C)
-    M = (V * lengths).sum(axis=-1)
+    M = np.add.reduce(V * lengths, axis=-1)  # ndarray.sum's own reduction, without its Python wrapper
     if flavor == "gamma":
         powered = V[..., 0] ** p * moments.head + (M ** p) * tail
         for cell, inv, weight in moments.groups:
@@ -189,7 +193,7 @@ def cell_sums(
             # summed by numpy: one long BLAS product over all nodes ran on OpenBLAS's threads, ~100x slower on 2 CPUs
             vals **= p
             vals *= weight
-            powered = powered + vals.sum(axis=(-2, -1))
+            powered = powered + np.add.reduce(vals, axis=(-2, -1))
         return powered, None, None
     return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
 
@@ -206,8 +210,10 @@ def cell_moments(
     s^{-p} w from the support end to hi (s, gamma).  One ``Weight.moment``
     call takes the clipped cells (a cell outside the window gets an empty
     interval, so 0), with the tail as a last pair for s, whose cells share
-    its exponent, and one more the gamma tail; the norms and the oracle grids
-    take weight moments here and nowhere else.
+    its exponent, and one more the gamma tail.  The norms and the oracle grids
+    take weight moments here; the one other route is the K-oracle's
+    unconstrained rows, whose moments ``kfunctional._SpaceOnGrid.norm_pow``
+    takes from ``Weight.moment`` itself, row by sorted row.
     """
     left = np.concatenate(([0.0], x[:-1]))
     end = max(float(x[-1]), lo)
@@ -218,7 +224,7 @@ def cell_moments(
         b[0] = a[0]  # dPsi_1 = 0: no oscillation on the first cell
         a, b = np.concatenate((a, [min(end, hi)])), np.concatenate((b, [hi]))  # the tail, at the cells' exponent
     pieces = w.moment(-p if flavor == "s" else 0.0, a, b)
-    if np.isinf(pieces).any():
+    if np.count_nonzero(np.isinf(pieces)):
         return None
     if flavor == "s":
         return x - left, left, pieces[:-1], float(pieces[-1])

@@ -93,7 +93,8 @@ def _canonical(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class StepFunction:
-    """Canonical step function; immutable after construction."""
+    """Canonical step function; immutable after construction.  It keeps what it computes of
+    itself once: its prefix integrals (``_prefix``) and its rearrangement f* (``rearrange``)."""
 
     breakpoints: np.ndarray = ()
     values: np.ndarray = ()
@@ -183,6 +184,21 @@ class StepFunction:
         # so non-increasing means strictly decreasing values
         return bool((self.values[1:] < self.values[:-1]).all())
 
+    @cached_property
+    def _rearranged(self) -> "StepFunction | None":
+        """f* (``rearrange``), or None when f is non-increasing: keeping f itself would make a cycle."""
+        if self.is_nonincreasing():
+            return None
+        positive = self.values > 0.0
+        levels, level_of = np.unique(self.values[positive], return_inverse=True)
+        lengths = (self.breakpoints - _left_edges(self.breakpoints))[positive]
+        # each level's measure, summed in cell order; then the levels from the top
+        sizes = np.bincount(level_of, weights=lengths, minlength=levels.size)
+        bps, levels = np.cumsum(sizes[::-1]), levels[::-1]
+        # a level whose breakpoint rounds onto the one before has a measure below the spacing there: dropped
+        keep = np.concatenate(([True], bps[1:] > bps[:-1]))
+        return StepFunction(bps[keep], levels[keep])
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -221,15 +237,10 @@ def dilate(f: StepFunction, a: float) -> StepFunction:
 
 def rearrange(f: StepFunction) -> StepFunction:
     """Non-increasing rearrangement: same values, cell lengths sorted by value.  A non-increasing f is
-    its own rearrangement and is returned itself (re-summing its cell lengths can move a breakpoint one ulp)."""
-    if f.is_nonincreasing():
-        return f
-    positive = f.values > 0.0
-    levels, level_of = np.unique(f.values[positive], return_inverse=True)
-    lengths = (f.breakpoints - _left_edges(f.breakpoints))[positive]
-    # each level's measure, summed in cell order; then the levels from the top
-    sizes = np.bincount(level_of, weights=lengths, minlength=levels.size)
-    return StepFunction(np.cumsum(sizes[::-1]), levels[::-1])
+    its own rearrangement and is returned itself (re-summing its cell lengths can move a breakpoint one ulp);
+    any other f computes f* on the first call and keeps it, and every later call returns that object."""
+    fstar = f._rearranged
+    return f if fstar is None else fstar
 
 
 def _require_nonincreasing(f: StepFunction, what: str) -> None:

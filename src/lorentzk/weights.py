@@ -93,7 +93,7 @@ def _bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    if ((a < 0.0) | (b < a)).any():
+    if np.count_nonzero((a < 0.0) | (b < a)):  # not .any(): its Python wrapper is paid on every moment call
         raise ValueError("need 0 <= a <= b")
     return a, b
 
@@ -143,15 +143,17 @@ def _log_nodes(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> list
     with np.errstate(over="ignore"):
         width = np.log1p((b - a) / a)
     wide = np.isinf(width)  # b / a overflows: a subnormal left end
-    if wide.any():
+    if np.count_nonzero(wide):
         width[wide] = np.log(b[wide]) - np.log(a[wide])
     log_a, groups, rest, most = np.log(a), [], np.arange(width.size), 0.5
     if scale is not None:
         narrow = width <= _C4 / scale
         piece, rest, most = narrow.nonzero()[0], (~narrow).nonzero()[0], _C8 / scale
         step = width[piece]
-        groups.append((piece, step, np.multiply.outer(_GL4_T, step) + log_a[piece], _GL4_W))
-    width = width[rest]
+        u = np.multiply.outer(_GL4_T, step)
+        u += log_a[piece]  # in place: these arrays run to 4 x the cells
+        groups.append((piece, step, u, _GL4_W))
+        width = width[rest]
     panels = np.maximum(np.ceil(width / most), 1.0).astype(np.intp)
     piece = rest.repeat(panels)  # array methods, not numpy's wrapper functions: this runs per norm
     step = (width / panels).repeat(panels)
@@ -213,7 +215,7 @@ def _gamma_tail(kappa: float, gamma: float, v0: np.ndarray) -> np.ndarray:
     f -= z
     np.exp(f, out=f)
     f *= _GL_W
-    far = f.sum(axis=(1, 2)) * 0.5  # J beyond
+    far = np.add.reduce(f, axis=(1, 2)) * 0.5  # J beyond
     half = np.exp(-0.5 * kappa * (v0 - 1.0))
     return (half * (half * v0 ** gamma * (v0 * near + far / kappa)))[back]
 
@@ -346,10 +348,10 @@ class PowerLogWeight(Weight):
         a, b = _bounds(a, b)
         out, live = np.zeros(a.shape), a < b
         finite = live & (a > 0.0) & (b < math.inf)
-        if finite.any():
+        if np.count_nonzero(finite):
             out[finite] = self._panel_moment(e, a[finite], b[finite])
-        rest = live & ~finite
-        if rest.any():
+        rest = live ^ finite
+        if np.count_nonzero(rest):
             out[rest] = self._quad_moment(self.beta + e, a[rest], b[rest])
         return out
 
@@ -385,10 +387,11 @@ class PowerLogWeight(Weight):
         check-weights reference come from those quadratures, so they move to
         exact moments together with that reference."""
         g, out = self.gamma, np.zeros(a.shape)
-        for side, kappa, v0 in ((a == 0.0, q + 1.0, 1.0 - np.log(np.minimum(b, 1.0))),
-                                (b == math.inf, -q - 1.0, 1.0 + np.log(np.maximum(a, 1.0)))):
-            if side.any():  # G converges for kappa > 0, and for kappa = 0 if gamma < -1
-                out[side] += _gamma_tail(kappa, g, v0[side]) if kappa > 0.0 or kappa == 0.0 > g + 1.0 else math.inf
+        for side, kappa, edge, clamp, turn in ((a == 0.0, q + 1.0, b, np.minimum, np.subtract),
+                                               (b == math.inf, -q - 1.0, a, np.maximum, np.add)):
+            if np.count_nonzero(side):  # G converges for kappa > 0, and for kappa = 0 if gamma < -1
+                v0 = turn(1.0, np.log(clamp(edge[side], 1.0)))  # 1 - log min(b, 1) or 1 + log max(a, 1)
+                out[side] += _gamma_tail(kappa, g, v0) if kappa > 0.0 or kappa == 0.0 > g + 1.0 else math.inf
         fn = lambda x: x ** q * (1.0 + abs(math.log(x))) ** g
         for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
             if x < 1.0 < y and (x == 0.0) != (y == math.inf) and out[i] < math.inf:

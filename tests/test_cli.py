@@ -428,9 +428,13 @@ class TestLeanImport:
         ["verify", "--suite", "generalk", "--p", "0.5", "--alpha", "0.5"],
         # power weights: every checker has a closed form
         ["check-weights", "--weight", "power:0.5", "--weight2", "power:-1"],
-    ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one", "check-weights-power"])
+        # power-log: the first cell from 0 below s = 1 and the tail past 1 take the incomplete-gamma kernel
+        *(["norm", "--flavor", flavor, "--weight", "powerlog:0.3:0.5", "--fn", "g.json"] for flavor in ("lambda", "s", "gamma")),
+    ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one", "check-weights-power",
+            "norm-powerlog-lambda", "norm-powerlog-s", "norm-powerlog-gamma"])
     def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
         (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
+        (tmp_path / "g.json").write_text(StepFunction((0.5, 1.2, 3.0), (1.0, 3.0, 2.0)).to_json())
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,

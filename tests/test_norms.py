@@ -1,5 +1,6 @@
 """Lorentz norms of the three flavors: exact values and structural laws."""
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -175,6 +176,47 @@ class TestStructure:
             warnings.simplefilter("error")
             res = norm_result(LorentzSpace(flavor, 2.0, PowerLogWeight(0.3, -0.7)), f)
         assert math.isfinite(res.value) and res.value > 0.0 and not res.diverged
+
+
+def _bits(res):
+    return res.value.hex(), res.diverged, res.flags
+
+
+@st.composite
+def functions_and_spaces(draw):
+    """The data of a step function of at most 10 cells, with tied values and zero cells, that is
+    not non-increasing, and an exponent and a weight under which all three flavors converge."""
+    n = draw(st.integers(2, 10))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    bps = tuple(np.cumsum(widths).tolist())
+    assume(not StepFunction(bps, values).is_nonincreasing())
+    p = draw(st.floats(1.0, 4.0))
+    return bps, values, p, draw_weight(draw, "gamma", p)
+
+
+class TestKeptRearrangement:
+    """norm_result rearranges f once and keeps f*: every flavor, in every order, reads it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(functions_and_spaces())
+    def test_every_order_of_flavors_gives_the_norms_of_f_star(self, case):
+        bps, values, p, w = case
+        fstar = rearrange(StepFunction(bps, values))
+        want = {flavor: _bits(norm_result(LorentzSpace(flavor, p, w), fstar)) for flavor in ("lambda", "s", "gamma")}
+        for order in itertools.permutations(want):
+            f = StepFunction(bps, values)
+            for flavor in order:
+                assert _bits(norm_result(LorentzSpace(flavor, p, w), f)) == want[flavor]
+
+    @pytest.mark.parametrize("f", [StepFunction((1.0, 2.0, 1e16), (1.0, 3.0, 2.0)),
+                                   StepFunction((1e-5, 1e16), (1.0, 2.0))], ids=["middle", "short-first"])
+    @pytest.mark.parametrize("flavor", ["lambda", "s", "gamma"])
+    def test_a_level_below_the_float_spacing(self, f, flavor):
+        # its cumulative breakpoint rounds onto the one before: the level is dropped, not an error
+        sp = LorentzSpace(flavor, 2.0, PowerWeight(0.5))
+        res = norm_result(sp, f)
+        assert math.isfinite(res.value) and _bits(res) == _bits(norm_result(sp, rearrange(f)))
 
 
 class TestDivergenceFlags:

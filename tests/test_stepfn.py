@@ -291,6 +291,24 @@ class TestRearrangement:
         assert fs.breakpoints.tolist() == bps
         assert fs.values.tolist() == vals
 
+    @settings(max_examples=200, deadline=None)
+    @given(unsorted_steps())
+    def test_a_function_keeps_its_rearrangement(self, f):
+        fs = rearrange(f)
+        assert rearrange(f) is fs and rearrange(fs) is fs
+        # f keeps f* unless it is its own: keeping itself would make a reference cycle
+        assert f.__dict__["_rearranged"] is (None if fs is f else fs)
+        if fs is not f:
+            assert (fs.breakpoints.tolist(), fs.values.tolist()) == tuple(reference_rearrange(f))
+
+    @pytest.mark.parametrize("f, want", [
+        # 1 + (1e16 - 2) rounds to 1e16, and the last level's unit length is below the spacing there
+        (StepFunction((1.0, 2.0, 1e16), (1.0, 3.0, 2.0)), StepFunction((1.0, 1e16), (3.0, 2.0))),
+        (StepFunction((1e-5, 1e16), (1.0, 2.0)), StepFunction((1e16,), (2.0,))),
+    ])
+    def test_a_level_below_the_float_spacing_is_dropped(self, f, want):
+        assert rearrange(f) == want
+
 
 class TestMaximal:
     def test_hand_value(self):

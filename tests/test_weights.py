@@ -420,6 +420,34 @@ class TestGammaTail:
                 else _mpmath_gamma_tail(-q - 1.0, gamma, 1.0 + math.log(a)))
         assert float(PowerLogWeight(beta, gamma).moment(e, a, b)) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("side", ["from 0", "to inf"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["gamma+1<0", "gamma+1>0"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.floats(0.05, 2.9),
+        gap=st.floats(0.05, 2.0),
+        e=st.floats(-3.0, 1.0),
+        near=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3),
+        far=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        finite=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 5.0)), max_size=3),
+    )
+    def test_an_unbounded_pair_alone_is_its_entry_in_a_batch(self, side, sign, kappa, gap, e, near, far, finite):
+        # the piece from 0 (to inf) has kappa = q + 1 (-q - 1) and starts at v0 = 1 - log b (1 + log a);
+        # each v0 lies below 3 / kappa (the kernel's log panels) or above it (unit panels only)
+        q, gamma = (kappa - 1.0 if side == "from 0" else -kappa - 1.0), -1.0 + sign * gap
+        v0 = np.array([1.0 + (3.0 / kappa - 1.0) * t for t in near] + [3.0 / kappa * (1.001 + 10.0 * t) for t in far])
+        edge = np.exp(1.0 - v0) if side == "from 0" else np.exp(v0 - 1.0)
+        zero, inf = np.zeros(edge.size), np.full(edge.size, math.inf)
+        a, b = (zero, edge) if side == "from 0" else (edge, inf)
+        # with finite pairs, a piece of the other side (divergent here) and an empty pair
+        lo = np.exp([x for x, _ in finite])
+        a = np.concatenate((a, lo, [1.0 if side == "from 0" else 0.0, 2.0]))
+        b = np.concatenate((b, lo * np.exp([y for _, y in finite]), [math.inf if side == "from 0" else 1.0, 2.0]))
+        w = PowerLogWeight(q - e, gamma)
+        batch = w.moment(e, a, b)
+        alone = np.array([float(w.moment(e, x, y)) for x, y in zip(a, b)])
+        assert batch.tobytes() == alone.tobytes()  # bit for bit
+
     def test_pieces_from_0_and_to_inf_call_no_quad(self, monkeypatch):
         def refuse(*args, **kw):
             raise AssertionError("an unbounded power-log piece reached quad")
