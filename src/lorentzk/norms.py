@@ -16,12 +16,13 @@ running mean f** = v + c/t has no moment form; its cells between the first
 (where f** = f*) and the tail are summed over Gauss-Legendre nodes in log t,
 on panels cut at the weight's kinks and sized like the power-log moments', for
 the log-derivative scale of w plus p (``gamma_nodes``).  For a power-log weight the
-cell moments take three routes: log panels on the finite cells, the
-incomplete-gamma kernel on the first cell's piece below s = 1 and the
-tail's piece above it, and quadrature on the remainder of a first cell
-past s = 1 or a tail from below it, which stays until pinned check-weights
-verdicts move off it; so a first breakpoint below 1 and a support end
-above 1 take no quadrature.  The three
+cell moments take three routes: log panels on the finite cells and on the part
+of a first cell past s = 1, the incomplete-gamma kernel on the first cell's piece
+below s = 1 and the tail's piece above it, and quadrature only on the remainder
+(end, 1) of a tail from a support end below 1: three pinned check-weights
+verdicts come from that route, and it moves to the log panels with ROADMAP
+direction 2's ``[benchmark]`` change.  So the lambda norm takes no quadrature,
+and the s and gamma norms take it only where the support ends below 1.  The three
 flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed

@@ -430,11 +430,15 @@ class TestLeanImport:
         ["check-weights", "--weight", "power:0.5", "--weight2", "power:-1"],
         # power-log: the first cell from 0 below s = 1 and the tail past 1 take the incomplete-gamma kernel
         *(["norm", "--flavor", flavor, "--weight", "powerlog:0.3:0.5", "--fn", "g.json"] for flavor in ("lambda", "s", "gamma")),
+        # a first cell across s = 1: the kernel up to 1, log panels beyond
+        *(["norm", "--flavor", flavor, "--weight", "powerlog:0.3:0.5", "--fn", "h.json"] for flavor in ("lambda", "gamma")),
     ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one", "check-weights-power",
-            "norm-powerlog-lambda", "norm-powerlog-s", "norm-powerlog-gamma"])
+            "norm-powerlog-lambda", "norm-powerlog-s", "norm-powerlog-gamma",
+            "norm-powerlog-lambda-first-cell-past-1", "norm-powerlog-gamma-first-cell-past-1"])
     def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
         (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
         (tmp_path / "g.json").write_text(StepFunction((0.5, 1.2, 3.0), (1.0, 3.0, 2.0)).to_json())
+        (tmp_path / "h.json").write_text(StepFunction((2.0, 3.0), (3.0, 1.0)).to_json())
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path, env=env,

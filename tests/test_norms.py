@@ -39,8 +39,8 @@ IND4 = StepFunction.indicator(4.0)
 
 
 def _and_quadrature(fn):
-    """fn() and whether it ran a remainder quadrature of a power-log moment, (1, b) of a
-    pair from 0 past s = 1 or (a, 1) of a pair to inf from below it (``weights.quad``)."""
+    """fn() and whether it ran the remainder quadrature of a power-log moment, (a, 1) of a
+    pair to inf from below s = 1 (``weights.quad``)."""
     with mock.patch.object(weights, "quad", wraps=weights.quad) as spy:
         return fn(), spy.called
 

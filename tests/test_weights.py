@@ -315,9 +315,20 @@ def _mpmath_powerlog_moment(beta: float, gamma: float, e: float, a: float, b: fl
         return float(scale * mpmath.quad(lambda u: f(u) / scale, cuts))
 
 
+def _mpmath_powerlog_from_0(beta: float, gamma: float, e: float, b: float) -> float:
+    """integral_0^b s^(beta + e) (1 + |log s|)^gamma ds for b > 1 (30 digits): over (0, 1],
+    in v = 1 - log s, e^k k^(-gamma-1) Gamma(gamma + 1, k) with k = beta + e + 1 > 0 (1 / (-gamma - 1)
+    at k = 0), plus ``_mpmath_powerlog_moment`` over (1, b)."""
+    with mpmath.workdps(30):
+        k, g = mpmath.mpf(beta) + e + 1, mpmath.mpf(gamma)
+        head = 1 / (-g - 1) if k == 0 else mpmath.exp(k) * k ** (-g - 1) * mpmath.gammainc(g + 1, k)
+        return float(head + _mpmath_powerlog_moment(beta, gamma, e, 1.0, b))
+
+
 class TestPanelMoments:
-    """Finite power-log pairs, 0 < a < b < inf, by the log-panel Gauss-Legendre
-    sums: against mpmath, and never through ``quad``."""
+    """Finite power-log pairs, 0 < a < b < inf, and the remainder (1, b) of a pair
+    from 0 by the log-panel Gauss-Legendre sums: against mpmath, and never through
+    ``quad``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -378,6 +389,44 @@ class TestPanelMoments:
         got = PowerLogWeight(0.5, 1.0).moment(-2.0, x[:-1], x[1:])
         assert got.shape == (49,) and (got > 0.0).all() and np.isfinite(got).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.floats(-0.9, 2.0),
+        gamma=st.floats(-2.0, 3.0),
+        e=st.sampled_from([0.0, -1.5, -2.0, -3.0]),
+        b=st.floats(1.0, 1e20, exclude_min=True),
+    )
+    @example(beta=0.5, gamma=1.0, e=0.0, b=math.nextafter(1.0, math.inf))
+    @example(beta=-0.9, gamma=-2.0, e=0.0, b=1.0 + 1e-12)
+    @example(beta=1.2, gamma=2.5, e=-2.0, b=2e6)
+    @example(beta=0.7, gamma=-0.5, e=-1.5, b=1e20)
+    @example(beta=2.0, gamma=3.0, e=0.0, b=1e20)  # the widest growth: (beta + e + 1) log b = 138
+    @example(beta=2.0, gamma=-1.5, e=-3.0, b=1e20)  # q = -1 with gamma < -1: the kernel's closed form
+    @example(beta=2.0, gamma=-0.5, e=-3.0, b=2e6)  # q = -1 with gamma >= -1: divergent
+    def test_pairs_from_0_past_1_match_mpmath(self, beta, gamma, e, b):
+        # (0, 1] by ``_gamma_tail``, (1, b) on log panels; k = beta + e + 1 decides convergence at 0
+        k = beta + e + 1.0
+        got = float(PowerLogWeight(beta, gamma).moment(e, 0.0, b))
+        if k < 0.0 or k == 0.0 <= gamma + 1.0:
+            assert got == math.inf
+            return
+        # 2e-14 as for the finite pairs, and beyond it two float spacings per unit of k log b: the
+        # rounding of the nodes u = log s, times k in e^{k u} (2.7e-14 at b = 1e19, beta = 1.99, e = 0)
+        rel = max(2e-14, 4.4e-16 * k * math.log(b))
+        assert got == pytest.approx(_mpmath_powerlog_from_0(beta, gamma, e, b), rel=rel)
+
+    def test_pairs_from_0_past_1_call_no_quad(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a power-log pair from 0 reached quad")
+
+        monkeypatch.setattr(weights, "quad", refuse)
+        w, t = PowerLogWeight(0.5, 1.0), np.geomspace(1e-6, 1e20, 27)
+        W = w.moment(0.0, 0.0, t)
+        assert (W > 0.0).all() and np.isfinite(W).all() and (np.diff(W) > 0.0).all()
+        assert [w.primitive(x) for x in t.tolist()] == W.tolist()
+        assert fundamental(w, 2.0)(1e6) == math.sqrt(w.primitive(1e6))
+        assert check_delta2(w).holds
+
 
 def _mpmath_gamma_tail(kappa: float, gamma: float, v0: float) -> float:
     """integral_{v0}^inf e^{-kappa (v - 1)} v^gamma dv by mpmath.quad (30 digits): in
@@ -430,8 +479,10 @@ class TestGammaTail:
         near=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3),
         far=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
         finite=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 5.0)), max_size=3),
+        past=st.lists(st.floats(0.0, 46.0), max_size=3),
     )
-    def test_an_unbounded_pair_alone_is_its_entry_in_a_batch(self, side, sign, kappa, gap, e, near, far, finite):
+    def test_an_unbounded_pair_alone_is_its_entry_in_a_batch(self, side, sign, kappa, gap, e, near, far, finite,
+                                                             past):
         # the piece from 0 (to inf) has kappa = q + 1 (-q - 1) and starts at v0 = 1 - log b (1 + log a);
         # each v0 lies below 3 / kappa (the kernel's log panels) or above it (unit panels only)
         q, gamma = (kappa - 1.0 if side == "from 0" else -kappa - 1.0), -1.0 + sign * gap
@@ -439,10 +490,12 @@ class TestGammaTail:
         edge = np.exp(1.0 - v0) if side == "from 0" else np.exp(v0 - 1.0)
         zero, inf = np.zeros(edge.size), np.full(edge.size, math.inf)
         a, b = (zero, edge) if side == "from 0" else (edge, inf)
-        # with finite pairs, a piece of the other side (divergent here) and an empty pair
-        lo = np.exp([x for x, _ in finite])
-        a = np.concatenate((a, lo, [1.0 if side == "from 0" else 0.0, 2.0]))
-        b = np.concatenate((b, lo * np.exp([y for _, y in finite]), [math.inf if side == "from 0" else 1.0, 2.0]))
+        # with finite pairs, pairs from 0 past s = 1 (kernel and log panels; divergent to inf), a piece
+        # of the other side (divergent here) and an empty pair
+        lo, beyond = np.exp([x for x, _ in finite]), np.nextafter(np.exp(past), math.inf)
+        a = np.concatenate((a, lo, np.zeros(beyond.size), [1.0 if side == "from 0" else 0.0, 2.0]))
+        b = np.concatenate((b, lo * np.exp([y for _, y in finite]), beyond,
+                            [math.inf if side == "from 0" else 1.0, 2.0]))
         w = PowerLogWeight(q - e, gamma)
         batch = w.moment(e, a, b)
         alone = np.array([float(w.moment(e, x, y)) for x, y in zip(a, b)])
@@ -657,9 +710,10 @@ class TestQuadraturePins:
     """The grid checkers' values on the ROADMAP couple powerlog(0.5, 1) /
     powerlog(-0.5, 0.5) at p = 2.  Each pin agrees with a 25-digit mpmath
     evaluation at its witness t to 2.1e-15 relative (W by closed form and
-    ``gammainc``).  The B_p, RB_p and Delta_2 constants take the pieces from
-    0 and to inf by ``_gamma_tail`` and the finite remainders (a, 1) and
-    (1, b) by quadrature, which warns on the grid's long ranges."""
+    ``gammainc``).  W(t) is a ``_gamma_tail`` piece up to 1 plus log panels
+    beyond it, so Delta_2 takes no quadrature; the tail moments of B_p and
+    RB_p take the remainder (t, 1) of a pair to inf by quadrature, which warns
+    on the grid's long ranges."""
 
     W0 = PowerLogWeight(0.5, 1.0)
     COUPLE = CoupleConfig(2.0, W0, 2.0, PowerLogWeight(-0.5, 0.5))
@@ -667,13 +721,23 @@ class TestQuadraturePins:
     def test_sufficient_conditions(self):
         head, tail = check_sufconds(self.COUPLE, grid=Grid.log(1e-4, 1e4, 5))
         assert head.constant == 1.5411013357293069
-        assert tail.constant == 0.7406479825297091
+        assert tail.constant == 0.7406479825297099
 
     def test_single_weight_checkers(self):
         with pytest.warns(IntegrationWarning):
             assert check_bp(self.W0, 2.0).constant == 7.4269306694082475
             assert check_rbp(self.W0, 2.0).constant == 0.5395799730252667
-            assert check_delta2(self.W0).constant == 3.7165659492910446
+            assert check_delta2(self.W0).constant == 3.716565949291045
+
+    def test_bp_takes_one_quadrature_per_grid_point_below_1(self, monkeypatch):
+        # W(t) none, the tail moment from t the remainder (t, 1) for t < 1 only
+        calls = []
+        monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append(a) or quad(fn, a, b, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            check_bp(self.W0, 2.0)
+        points = weights.DEFAULT_CHECK_GRID.points
+        assert calls == points[points < 1.0].tolist()
 
     def test_sufficient_conditions_quadratures_do_not_grow_with_the_grid(self, monkeypatch):
         calls = []
