@@ -25,12 +25,12 @@ This module provides:
   the transform side and the decomposition lemma.
 
 Both parts of a monotone decomposition can only jump where f* does, so it is
-optimized on the steps of f* (sampled on the grid, when one is given), in
-differences d, where the chain constraints become a box and the objective is
-convex (p >= 1).  Each norm is N(Ld)^p = sum_i omega_i y_i^p with y = Bd, and
-a monotone candidate is evaluated from y alone.  The corners of the box, the
-truncation candidates among them (the head corners d = hi on the cells < k),
-take ``_SpaceOnGrid.norms``; one pass over both spaces' stacked arrays
+optimized on the steps of f* alone, in differences d, where the chain
+constraints become a box and the objective is convex (p >= 1).  Each norm is
+N(Ld)^p = sum_i omega_i y_i^p with y = Bd, and a monotone candidate is
+evaluated from y alone.  The corners of the box, the truncation candidates
+among them (the head corners d = hi on the cells < k), take
+``_SpaceOnGrid.norms``; one pass over both spaces' stacked arrays
 (``_forward_rows``) gives the objective at any d, its gradient and Hessian,
 and ``_CoupleObjective.point`` the certificate, a Frank-Wolfe gap or, at a
 vanishing part, the level-function dual over the cone of non-increasing
@@ -39,10 +39,11 @@ sweep picks every t's truncation candidate from one array and certifies them
 together (``_GridProblem.curve``); an uncertified one is followed by projected
 Newton from the centre, then from the best point.  At p <= 1, J is concave in
 d (reverse Minkowski), at p_0 = p_1 = 1 linear, so ``_GridProblem.corners``
-takes the best corner of the box, d_k in {0, hi_k}.  Unconstrained mode sorts
-its rows into the norms' cell kernel (``norms.cell_sums``) and runs L-BFGS-B:
-scipy stays a dependency for its ``minimize`` and the remainder quadratures of
-``weights``.
+takes the best corner of the box, d_k in {0, hi_k}.  Unconstrained mode
+searches on ``oracle_grid``: it sorts its rows into the norms' cell kernel
+(``norms.cell_sums``, on moments from ``norms.cell_moments``) and runs
+L-BFGS-B.  scipy stays a dependency for its ``minimize`` and the remainder
+quadratures of ``weights``.
 An uncertified value is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
@@ -160,6 +161,7 @@ def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig,
     "norm" form rearranges it to the origin first (equal up to constants when
     the second fundamental function doubles).  The matched parameter sigma(t)
     comes along; an infinite second fundamental function gives sigma = 0 and a flag.
+    A vanishing tail adds 0, even where sigma(t) is infinite.
     """
     _require_nonincreasing(fstar, "the explicit K-formula")
     if not (t > 0.0 and math.isfinite(t)):
@@ -182,7 +184,7 @@ def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig,
     tail_root = tail_pow ** (1.0 / cfg.p1)
     if math.isinf(tail_root):
         flags.append("divergent-tail")
-    right = 0.0 if sigma_t == 0.0 else sigma_t * tail_root
+    right = 0.0 if sigma_t == 0.0 or tail_root == 0.0 else sigma_t * tail_root
     return ExplicitKValue(left + right, sigma_t, left, right, tail_root, tuple(flags))
 
 
@@ -339,8 +341,7 @@ class _SpaceOnGrid:
     Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``.
     A monotone candidate u = Ld is evaluated in its differences d from y = Bd
     (``norms``, ``forward``).  Unconstrained rows are sorted and go through
-    ``norms.cell_sums``, their moments taken in one ``Weight.moment`` call
-    (power weights only).
+    ``norms.cell_sums``, their sorted cells' moments from one ``cell_moments`` call.
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -365,28 +366,14 @@ class _SpaceOnGrid:
             self.B, self.omega = np.tri(m + 1, m, -1) * self.x, np.append(moments, tail)
             self.X, self.order = self.omega[:0:-1].cumsum(), slice(None, None, -1)
 
-    def check_unconstrained(self) -> None:
-        """Raise InvalidWeightError unless unconstrained candidates are supported."""
-        if not isinstance(self.w, PowerWeight):
-            raise InvalidWeightError("unconstrained oracle candidates need power weights "
-                                     "(rearranged norms require vectorized primitives)")
-
     def norm_pow(self, U: np.ndarray):
         """(p-th powers of the norms of the rows of U, in any order, and what ``grad`` reuses): each
-        row sorted into non-increasing order (a 1-d U is one row), its cells' moments taken again."""
-        self.check_unconstrained()
+        row sorted into non-increasing order (a 1-d U is one row), its sorted cells' moments taken again."""
         order = np.argsort(-U, axis=-1, kind="stable")
-        lengths = self.lengths[order]
-        right = np.cumsum(lengths, axis=-1)
-        left = np.concatenate((np.zeros(U.shape[:-1] + (1,)), right[..., :-1]), axis=-1)
-        if self.flavor == "lambda":
-            moments, tail = self.w.moment(0.0, left, right), 0.0
-        else:  # the s moment diverges at 0, where the oscillation vanishes anyway
-            moments = np.where(left > 0.0, self.w.moment(-self.p, left, right), 0.0)
-            tail = self.w.moment(-self.p, right[..., -1], math.inf)
+        cells = cell_moments(self.flavor, self.p, self.w, np.cumsum(self.lengths[order], axis=-1))
         V = np.take_along_axis(U, order, axis=-1)
-        powered, C, M = cell_sums(self.flavor, self.p, V, lengths, left, moments, tail)
-        return powered, (V, C, M, order, lengths, left, moments, tail)
+        powered, C, M = cell_sums(self.flavor, self.p, V, *cells)
+        return powered, (V, C, M, order, *cells)
 
     def grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """(norm, gradient) of one unconstrained candidate, from one forward pass.
@@ -796,8 +783,8 @@ def _checked_parts(problem: "_GridProblem", U: np.ndarray) -> tuple[np.ndarray, 
 def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
     """Log-spaced grid over the support, one decade padding, breakpoints merged.
 
-    The unconstrained oracle searches on it when no grid is given; the
-    monotone one needs only the steps of f*, which it contains."""
+    The unconstrained oracle searches on it; the monotone one solves on
+    the steps of f* alone, which it contains."""
     if fstar.is_zero:
         return Grid.log(0.1, 10.0, m)
     lo = fstar.first_breakpoint * 10.0 ** (-_PAD_DECADES)
@@ -848,9 +835,6 @@ class _GridProblem:
         g = grid.points
         self.F = fstar.at(g)
         self.ev0, self.ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
-        if not monotone:
-            self.ev0.check_unconstrained()
-            self.ev1.check_unconstrained()
         self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan)  # t set by ``at``
 
     @cached_property
@@ -968,27 +952,26 @@ def minimize(*args, **kwargs):
 
 
 def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
-                  grid: Grid | None, free_m: int | None = None, seed: int = 0) -> list[OracleResult]:
-    """The monotone oracle's ``curve`` over ts, and the unconstrained one's ``search`` at each t too
-    (on ``grid`` or ``oracle_grid(f*, free_m)``) unless ``free_m`` is None: the better one's parts,
+                  free_m: int | None = None, seed: int = 0) -> list[OracleResult]:
+    """The monotone oracle's ``curve`` over ts on the steps of f*, and the unconstrained one's ``search``
+    at each t too (on ``oracle_grid(f*, free_m)``) unless ``free_m`` is None: the better one's parts,
     checked to sum to F."""
     ts = np.array([float(t) for t in ts])
     if not all(t > 0.0 and math.isfinite(t) for t in ts.tolist()):
         raise ValueError("K-parameter t must be positive and finite")
     fstar = rearrange(f)
-    # the monotone problem on the steps of the target: its parts can only jump where F does
-    cells = fstar if grid is None else StepFunction(grid.points, fstar.at(grid.points))
-    if cells.is_zero:
-        g0 = grid or Grid.log(0.1, 10.0, 2)
+    if fstar.is_zero:
+        g0 = Grid.log(0.1, 10.0, 2)
         zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
         return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
-    mono = _GridProblem(fstar, space0, space1, Grid(cells.breakpoints), True)
+    # the monotone problem on the steps of the target: its parts can only jump where F does
+    mono = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), True)
     value, U, trunc, iters, conv, gap, starts = mono.curve(ts)
     if free_m is None:
         rows = zip(*_checked_parts(mono, U), value, trunc, conv, iters, gap, starts)
         return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, True, mono.grid, gp, st)
                 for u, rest, v, tv, c, it, gp, st in rows]
-    free = _GridProblem(fstar, space0, space1, grid or oracle_grid(fstar, free_m), False)
+    free = _GridProblem(fstar, space0, space1, oracle_grid(fstar, free_m), False)
     results = []
     for t, v, u, tv, it, st in zip(ts.tolist(), value, U, trunc, iters, starts):
         # the better search wins; the certificate covers the monotone problem only
@@ -1000,8 +983,7 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
     return results
 
 
-def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
-            grid: Grid | None = None) -> list[OracleResult]:
+def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float]) -> list[OracleResult]:
     """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
 
     The cells (see ``k_oracle``), both spaces, the truncation family's norms
@@ -1012,7 +994,7 @@ def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Seq
     ``k_oracle``'s at its t, whatever the order of ``ts`` (unsorted, or with
     a value repeated).
     """
-    return _oracle_curve(f, space0, space1, ts, grid)
+    return _oracle_curve(f, space0, space1, ts)
 
 
 # relative rounding slack of the K-curve laws; the values' own rounding is a few ulps
@@ -1048,14 +1030,12 @@ def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np
     return flags
 
 
-def k_oracle(q: KQuery, grid: Grid | None = None, m: int = 64, monotone_only: bool = True,
-             seed: int = 0) -> OracleResult:
+def k_oracle(q: KQuery, m: int = 64, monotone_only: bool = True, seed: int = 0) -> OracleResult:
     """Brute-force K-functional value over step decompositions: ``k_curve``'s routine at one t.
 
-    f* (sampled on ``grid`` when given, 0 beyond it) is split monotonically
-    on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences,
-    and in unconstrained mode also on the whole grid (``oracle_grid(f*, m)``
-    by default), 0 <= u_i <= f*_i.  A truncation candidate with a gap of at
+    f* is split monotonically on its own steps, in the box
+    0 <= d_i <= f*_i - f*_{i+1} of differences, and in unconstrained mode
+    also on the grid ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate with a gap of at
     most ``_GAP_REL_TOL`` of its value stands; else projected Newton
     (``_CoupleObjective.newton``, both spaces in one pass per point) runs from
     the centre, then from the best point, while uncertified, leaving a corner
@@ -1065,7 +1045,7 @@ def k_oracle(q: KQuery, grid: Grid | None = None, m: int = 64, monotone_only: bo
     mode (not convex) L-BFGS-B runs from the truncation candidate, both
     corners, the centre and a point drawn from ``seed``; the better wins.
     """
-    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), grid, None if monotone_only else m, seed)[0]
+    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), None if monotone_only else m, seed)[0]
 
 
 def k_oracle_exhaustive(q: KQuery, grid: Grid, quantum: float, monotone_only: bool = True,

@@ -27,11 +27,11 @@ flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
 norms and the explicit K-formulas of ``kfunctional`` go through this pair; the
-K-oracle takes its grids' moments from ``cell_moments``, evaluates monotone
-candidates from their differences (y = Bd) and only unconstrained ones, sorted,
-by ``cell_sums``.  Divergent integrals yield +inf with a flag
-rather than an error.  p = inf flavors are grid suprema over breakpoints
-plus refinement points (grid-level accuracy).
+K-oracle takes its grids' moments and its sorted unconstrained rows' (one row
+of edges each) from ``cell_moments``, evaluates monotone candidates from their
+differences (y = Bd) and only unconstrained ones by ``cell_sums``.  Divergent
+integrals yield +inf with a flag rather than an error.  p = inf flavors are
+grid suprema over breakpoints plus refinement points (grid-level accuracy).
 
 The full norms read f* from ``rearrange``, which a function computes once
 and keeps, so every flavor of one function shares it and the norms are
@@ -201,7 +201,7 @@ def cell_sums(
 
 def cell_moments(
     flavor: str, p: float, w: Weight, x: np.ndarray, lo: float = 0.0, hi: float = math.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | GammaNodes, float] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | GammaNodes, float | np.ndarray] | None:
     """What ``cell_sums`` takes after the values: (lengths, left edges, moments,
     tail) of the cells (x_{i-1}, x_i], their moments clipped to (lo, hi), or
     None if one moment diverges.  Lengths and left edges stay unclipped, since
@@ -211,24 +211,26 @@ def cell_moments(
     s^{-p} w from the support end to hi (s, gamma).  One ``Weight.moment``
     call takes the clipped cells (a cell outside the window gets an empty
     interval, so 0), with the tail as a last pair for s, whose cells share
-    its exponent, and one more the gamma tail.  The norms and the oracle grids
-    take weight moments here; the one other route is the K-oracle's
-    unconstrained rows, whose moments ``kfunctional._SpaceOnGrid.norm_pow``
-    takes from ``Weight.moment`` itself, row by sorted row.
+    its exponent, and one more the gamma tail.  For lambda and s, x may have
+    leading axes, one row of right edges each, and every result but a lambda
+    tail has them too; gamma takes one row.  The norms, the oracle grids and
+    the K-oracle's sorted unconstrained rows take their weight moments here
+    alone.
     """
-    left = np.concatenate(([0.0], x[:-1]))
-    end = max(float(x[-1]), lo)
+    left = np.concatenate((np.zeros(x.shape[:-1] + (1,)), x[..., :-1]), axis=-1)
+    end = np.maximum(x[..., -1], lo)
     cells = slice(1) if flavor == "gamma" else slice(None)
-    a = np.maximum(left[cells], lo)
-    b = np.maximum(np.minimum(x[cells], hi), a)
+    a = np.maximum(left[..., cells], lo)
+    b = np.maximum(np.minimum(x[..., cells], hi), a)
     if flavor == "s":
-        b[0] = a[0]  # dPsi_1 = 0: no oscillation on the first cell
-        a, b = np.concatenate((a, [min(end, hi)])), np.concatenate((b, [hi]))  # the tail, at the cells' exponent
+        b[..., 0] = a[..., 0]  # dPsi_1 = 0: no oscillation on the first cell
+        a = np.concatenate((a, np.minimum(end, hi)[..., None]), axis=-1)  # the tail, at the cells' exponent
+        b = np.concatenate((b, np.full(end.shape + (1,), hi)), axis=-1)
     pieces = w.moment(-p if flavor == "s" else 0.0, a, b)
     if np.count_nonzero(np.isinf(pieces)):
         return None
     if flavor == "s":
-        return x - left, left, pieces[:-1], float(pieces[-1])
+        return x - left, left, pieces[..., :-1], pieces[..., -1]
     tail = float(w.moment(-p, end, hi)) if flavor == "gamma" and end < hi else 0.0
     if math.isinf(tail):
         return None

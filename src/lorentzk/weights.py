@@ -25,11 +25,11 @@ and [b, inf), b >= 1, take a numpy kernel for the upper incomplete gamma functio
 panels, so W(t) takes no quadrature.  Only the remainder (a, 1), 0 < a < 1, of a
 pair to inf takes adaptive quadrature (target 1e-8; scipy loads on first use):
 three pinned check-weights verdicts come from it, so it moves to the log panels
-with ROADMAP direction 2's ``[benchmark]`` change.  The norms' cells, the K-oracle's
-sorted rows and each grid checker take their moments in one call; ``primitive`` W(t) and
-``tail_moment`` are its scalar wrappers.  The gamma norm's node sums and the sufficient
-conditions read weights through ``u_density`` (s w(s) at s = e^u, one exp per node for
-power and power-log weights) and ``kinks`` (non-smooth points).
+with ROADMAP direction 2's ``[benchmark]`` change.  The norms' cells and the K-oracle's
+sorted rows (both through ``norms.cell_moments``) and each grid checker take their moments
+in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar wrappers.  The gamma norm's
+node sums and the sufficient conditions read weights through ``u_density`` (s w(s) at
+s = e^u, one exp per node for power and power-log weights) and ``kinks`` (non-smooth points).
 
 Derived functions (the fundamental function phi = W^{1/p}, the tail
 fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)

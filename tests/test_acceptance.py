@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from lorentzk.cli import main as cli_main
-from lorentzk.kfunctional import KQuery, k_oracle, k_oracle_exhaustive, oracle_grid
+from lorentzk.kfunctional import KQuery, k_oracle, k_oracle_exhaustive
 from lorentzk.norms import (
     LorentzSpace,
     TruncatedNorm,
@@ -168,7 +168,7 @@ def test_criterion_06_oracle_matches_exhaustive_search():
         q = KQuery(f, float(rng.uniform(0.2, 5.0)), space0, space1)
         grid = Grid(f.breakpoints)
         exact = k_oracle_exhaustive(q, grid, quantum=quantum)
-        solved = k_oracle(q, grid=grid)
+        solved = k_oracle(q)
         assert abs(solved.value - exact) <= 1e-6 * max(1.0, abs(exact))
     assert time.monotonic() - t0 < 60.0
 
@@ -235,11 +235,10 @@ def test_criterion_11_monotone_restriction_never_wins():
     space1 = LorentzSpace("lambda", 2.0, PowerWeight(0.0))
     for entry in CORPUS[:8]:
         f = rearrange(entry.fn)
-        grid = oracle_grid(f, m=32)
         for t in (0.3, 1.0, 3.0):
             q = KQuery(f, t, space0, space1)
-            mono = k_oracle(q, grid=grid, monotone_only=True, seed=11)
-            free = k_oracle(q, grid=grid, monotone_only=False, seed=11)
+            mono = k_oracle(q, monotone_only=True, seed=11)
+            free = k_oracle(q, m=32, monotone_only=False, seed=11)
             assert mono.value >= free.value
 
 

@@ -42,6 +42,7 @@ from lorentzk.weights import (
     InvalidWeightError,
     PowerLogWeight,
     PowerWeight,
+    TabulatedWeight,
     fundamental_ratio,
     reciprocal_weight,
 )
@@ -192,6 +193,14 @@ class TestExplicitGeneral:
         assert "sigma-degenerate" in res.flags
         assert res.right == 0.0
 
+    @pytest.mark.parametrize("form", ["integral", "norm"])
+    def test_a_vanishing_tail_adds_zero_at_infinite_sigma(self, form):
+        # w1 vanishes on (0, 1], so phi1(0.8) = 0 and sigma(0.8) = inf, and f* vanishes past 0.5
+        cfg = CoupleConfig(2.0, FLAT, 2.0, TabulatedWeight(StepFunction((1.0, 10.0), (0.0, 1.0))))
+        res = k_explicit_general(StepFunction.indicator(0.5), 0.8, cfg, form=form)
+        assert math.isinf(res.param) and res.tail_root == 0.0
+        assert res.right == 0.0 and res.value == res.left == math.sqrt(0.5)
+
     def test_rejects_non_monotone_input(self):
         bumpy = StepFunction((1.0, 2.0), (1.0, 2.0))
         with pytest.raises(ValueError, match="non-increasing"):
@@ -241,12 +250,7 @@ class TestOracle:
     SPACE1 = LorentzSpace("lambda", 2.0, PowerWeight(0.5))
 
     def test_value_monotone_in_t(self):
-        f = STAIR
-        grid = oracle_grid(f)
-        vals = [
-            k_oracle(KQuery(f, t, self.SPACE0, self.SPACE1), grid=grid).value
-            for t in np.geomspace(0.1, 10.0, 8)
-        ]
+        vals = [k_oracle(KQuery(STAIR, t, self.SPACE0, self.SPACE1)).value for t in np.geomspace(0.1, 10.0, 8)]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_beats_or_matches_truncation(self):
@@ -268,11 +272,10 @@ class TestOracle:
         assert direct == pytest.approx(res.value, rel=1e-6)
 
     def test_nonmono_never_exceeds_mono(self):
-        grid = oracle_grid(STAIR, m=24)
         for t in (0.3, 1.0, 3.0):
             q = KQuery(STAIR, t, self.SPACE0, self.SPACE1)
-            mono = k_oracle(q, grid=grid, monotone_only=True)
-            free = k_oracle(q, grid=grid, monotone_only=False)
+            mono = k_oracle(q, monotone_only=True)
+            free = k_oracle(q, m=24, monotone_only=False)
             assert free.value <= mono.value + 1e-12
 
     def test_seed_is_deterministic(self):
@@ -372,11 +375,11 @@ class TestHeadCorners:
         f, grid = StepFunction((1.0, 2.0, 3.0), (3.0, 2.0, 1.0)), Grid((1.0, 2.0, 3.0))
         queries = [KQuery(f, t, LorentzSpace("lambda", 1.0, FLAT), LorentzSpace("lambda", 1.0, PowerWeight(0.5)))
                    for t in (0.4, 1.1, 2.5)]
-        before = [(k_oracle(q, grid=grid).value, k_oracle_exhaustive(q, grid, quantum=1.0)) for q in queries]
+        before = [(k_oracle(q).value, k_oracle_exhaustive(q, grid, quantum=1.0)) for q in queries]
         real = _SpaceOnGrid.norms
         monkeypatch.setattr(_SpaceOnGrid, "norms", lambda self, D: 1.01 * real(self, D))
         for q, (oracle, exhaustive) in zip(queries, before):
-            assert k_oracle(q, grid=grid).value == pytest.approx(1.01 * oracle, rel=1e-14)
+            assert k_oracle(q).value == pytest.approx(1.01 * oracle, rel=1e-14)
             assert k_oracle_exhaustive(q, grid, quantum=1.0) == exhaustive
 
 
@@ -989,7 +992,8 @@ class TestNewtonOnly:
         (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.2, alpha=0.5, t_count=7)),
         (("generalk",), dict(seed=7, size=20, p=0.5, alpha=0.5, t_count=15)),
         (("generalk",), dict(seed=7, size=20, p=0.8, alpha=0.5, t_count=15)),
-    ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-0.5", "p-0.8"])
+        (("generalk",), dict(seed=7, size=20, p=1.0, alpha=0.5, t_count=15)),
+    ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-0.5", "p-0.8", "p-1"])
     def test_the_ci_oracle_configurations(self, suites, kwargs, monkeypatch):
         calls = []
         monkeypatch.setattr(kfunctional, "minimize", lambda *a, **k: calls.append(1))
@@ -1008,8 +1012,7 @@ class TestKFunctionalLaws:
     @given(k_sweeps())
     def test_monotone_concave_and_ratio_non_increasing(self, case):
         f, (space0, space1), (t1, t2, t3) = case
-        grid = oracle_grid(f, 16)
-        k1, k2, k3 = (k_oracle(KQuery(f, t, space0, space1), grid=grid).value for t in (t1, t2, t3))
+        k1, k2, k3 = (k_oracle(KQuery(f, t, space0, space1)).value for t in (t1, t2, t3))
         rel = 1e-9
         assert k1 <= k2 * (1.0 + rel) and k2 <= k3 * (1.0 + rel)
         assert k3 / t3 <= k2 / t2 * (1.0 + rel) and k2 / t2 <= k1 / t1 * (1.0 + rel)
@@ -1022,11 +1025,10 @@ class TestKFunctionalLaws:
     @example(KQuery(StepFunction((1.0, 5.0), (2.0, 1.0)), 2.0,
                     LorentzSpace("lambda", 1.0, PowerWeight(-0.5)), LorentzSpace("lambda", 2.0, PowerWeight(-0.5))))
     def test_swap_law_within_the_gaps(self, q):
-        """K(f, t; X0, X1) = t K(f, 1/t; X1, X0): on one grid u -> f* - u maps one
+        """K(f, t; X0, X1) = t K(f, 1/t; X1, X0): on the steps of f*, u -> f* - u maps one
         problem onto the other, so the two values differ by no more than their gaps."""
-        grid = oracle_grid(rearrange(q.f), 16)
-        a = k_oracle(q, grid=grid)
-        b = k_oracle(KQuery(q.f, 1.0 / q.t, q.space1, q.space0), grid=grid)
+        a = k_oracle(q)
+        b = k_oracle(KQuery(q.f, 1.0 / q.t, q.space1, q.space0))
         assert abs(a.value - q.t * b.value) <= a.gap + q.t * b.gap + 1e-12 * a.value
 
 
@@ -1040,7 +1042,18 @@ def unsorted_candidates(draw):
     # lambda needs beta > -1, s needs beta < p - 1
     lo, hi = (-0.7, 2.0) if flavor == "lambda" else (-1.5, p - 1.3)
     beta = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
-    return LorentzSpace(flavor, p, PowerWeight(beta)), g, u
+    family = draw(st.sampled_from(["power", "powerlog", "tabulated", "reciprocal"]))
+    if family == "power":
+        w = PowerWeight(beta)
+    elif family == "powerlog":
+        w = PowerLogWeight(beta, draw(st.floats(-1.0, 1.0)))
+    else:  # a table of 1 to 4 cells, not all 0; its reciprocal at exponent p keeps the s tail finite
+        k = draw(st.integers(1, 4))
+        edges = np.cumsum(draw(st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k)))
+        values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 5.0)), min_size=k, max_size=k).filter(any))
+        w = TabulatedWeight(StepFunction(tuple(edges), tuple(values)))
+        w = w if family == "tabulated" else reciprocal_weight(w, p)
+    return LorentzSpace(flavor, p, w), g, u
 
 
 class TestRearrangedCandidates:
@@ -1052,11 +1065,9 @@ class TestRearrangedCandidates:
         expected = norm(space, StepFunction(tuple(g), tuple(u)))
         assert ev.norm_pow(u)[0] ** (1.0 / ev.p) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
-    @pytest.mark.parametrize(
-        "space",
-        [LorentzSpace("gamma", 2.0, FLAT), LorentzSpace("lambda", 2.0, PowerLogWeight(0.5, 1.0))],
-    )
-    def test_unconstrained_oracle_needs_power_weights_and_exact_flavors(self, space, monkeypatch):
+    def test_unconstrained_oracle_refuses_gamma_only(self, monkeypatch):
+        """Unconstrained mode takes every weight family that ``cell_moments`` takes; a gamma space is
+        refused before any search."""
         calls = []
         real_minimize = kfunctional.minimize
 
@@ -1065,9 +1076,23 @@ class TestRearrangedCandidates:
             return real_minimize(*args, **kwargs)
 
         monkeypatch.setattr(kfunctional, "minimize", counting_minimize)
-        with pytest.raises(InvalidWeightError):
-            k_oracle(KQuery(STAIR, 1.0, space, space), m=8, monotone_only=False)
+        gamma = LorentzSpace("gamma", 2.0, FLAT)
+        with pytest.raises(InvalidWeightError, match="gamma"):
+            k_oracle(KQuery(STAIR, 1.0, gamma, gamma), m=8, monotone_only=False)
         assert not calls  # refused before the monotone search
+        tab0 = TabulatedWeight(StepFunction((0.5, 3.0), (2.0, 1.0)))
+        tab1 = TabulatedWeight(StepFunction((1.5, 6.0), (0.5, 3.0)))
+        for flavor, w0, w1 in (
+            ("lambda", PowerLogWeight(0.5, 1.0), PowerLogWeight(-0.5, 0.5)),
+            ("s", tab0, tab1),
+            ("lambda", reciprocal_weight(tab0, 2.0), reciprocal_weight(tab1, 1.5)),
+        ):
+            space0, space1 = LorentzSpace(flavor, 2.0, w0), LorentzSpace(flavor, 1.5, w1)
+            q = KQuery(STAIR, 1.0, space0, space1)
+            mono, free = k_oracle(q, m=8), k_oracle(q, m=8, monotone_only=False)
+            free.decomposition.validate_sum(STAIR)
+            assert free.value <= mono.value
+        assert calls
 
 
 class TestExhaustive:
@@ -1080,7 +1105,7 @@ class TestExhaustive:
         for t in (0.4, 1.1, 2.5):
             q = KQuery(f, t, space0, space1)
             exact = k_oracle_exhaustive(q, grid, quantum=1.0)
-            cont = k_oracle(q, grid=grid)
+            cont = k_oracle(q)
             assert cont.value == pytest.approx(exact, rel=1e-9)
             assert cont.value >= exact - 1e-12
 
@@ -1279,25 +1304,17 @@ def grid_independence_cases(draw):
 
 
 class TestStepsOfFstar:
-    """The monotone oracle solves on the steps of f*: a grid with f*'s breakpoints gives the same problem."""
+    """The monotone oracle solves on the steps of f*, whatever the unconstrained grid ``oracle_grid(f*, m)``."""
 
     @settings(max_examples=25, deadline=None)
     @given(grid_independence_cases())
     def test_the_monotone_oracle_does_not_depend_on_the_grid(self, case):
         f, (space0, space1), ts = case
         base = k_curve(f, space0, space1, ts)
-        assert all(len(res.grid) == f.values.size for res in base)
+        assert all(res.grid.points.tolist() == rearrange(f).breakpoints.tolist() for res in base)
         for m in (8, 16, 64):
-            for a, b in zip(base, k_curve(f, space0, space1, ts, grid=oracle_grid(f, m))):
-                assert len(b.grid) == f.values.size
-                assert abs(a.value - b.value) <= a.gap + b.gap + 1e-12 * max(a.value, b.value)
-
-    def test_a_grid_that_misses_a_breakpoint_solves_on_its_own_steps(self):
-        space = LorentzSpace("lambda", 2.0, FLAT)
-        res = k_oracle(KQuery(STAIR, 1.0, space, space), grid=Grid((0.5, 1.5, 2.5, 3.0, 5.0)))
-        # STAIR sampled there is 3, 2, 1, 1, 0: three steps, ending at 0.5, 1.5 and 3
-        assert res.grid.points.tolist() == [0.5, 1.5, 3.0]
-        assert res.decomposition.f0.support_end <= 3.0 and res.decomposition.f1.support_end <= 3.0
+            for a, t in zip(base, ts):
+                assert _same_result(a, k_oracle(KQuery(f, t, space0, space1), m=m))
 
 
 class TestArrayResults:
