@@ -31,19 +31,19 @@ N(Ld)^p = sum_i omega_i y_i^p with y = Bd, and a monotone candidate is
 evaluated from y alone.  The corners of the box, the truncation candidates
 among them (the head corners d = hi on the cells < k), take
 ``_SpaceOnGrid.norms``; one pass over both spaces' stacked arrays
-(``_forward_rows``) gives the objective at any d, its gradient and Hessian,
-and ``_CoupleObjective.point`` the certificate, a Frank-Wolfe gap or, at a
+(``_forward_rows``) gives the objective at any d, its gradient and Hessian, and
+``_CoupleObjective.point`` the certificate, a Frank-Wolfe gap or, at a
 vanishing part, the level-function dual over the cone of non-increasing
 functions (at the corners u = 0 and f* a closed form in t, ``_Vertex``).  A
 sweep picks every t's truncation candidate from one array and certifies them
 together (``_GridProblem.curve``); an uncertified one is followed by projected
-Newton from the centre, then from the best point.  At p <= 1, J is concave in
-d (reverse Minkowski), at p_0 = p_1 = 1 linear, so ``_GridProblem.corners``
-takes the best corner of the box, d_k in {0, hi_k}.  Unconstrained mode
-searches on ``oracle_grid``: it sorts its rows into the norms' cell kernel
-(``norms.cell_sums``, on moments from ``norms.cell_moments``) and runs
-L-BFGS-B.  scipy stays a dependency for its ``minimize`` and the remainder
-quadratures of ``weights``.
+Newton from the centre, then from the best point (off a corner along the dual's
+maximizer).  At p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1
+linear, so ``_GridProblem.corners`` takes the best corner of the box, d_k in
+{0, hi_k}.  Unconstrained mode searches on ``oracle_grid``: it sorts its rows
+into the norms' cell kernel (``norms.cell_sums``, on moments from
+``norms.cell_moments``) and runs L-BFGS-B.  scipy stays a dependency for its
+``minimize`` and the remainder quadratures of ``weights``.
 An uncertified value is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
@@ -469,29 +469,21 @@ class _Vertex:
     and the live part, J = wl N_live(F), g = +-(wv a - wl G) (a the vanishing
     gradient at 0, 0 when p > 1; G the live one at F), FW = (wl G - wv a)^+ .
     hi, and at p > 1 the cone dual is D = wl D_1 / wv, the gap min(FW, (D -
-    1)^+ J).  If D > 1, J falls along the maximizer ``exit`` at the rate
-    wv N_van(L exit)(1 - D), curving by wl exit^T H_live(F) exit.
+    1)^+ J).  If D > 1, J falls along the maximizer ``exit``, ``newton``'s step.
     """
 
     def __init__(self, obj: "_CoupleObjective", low: bool):
         hi, v = obj.hi, 0 if low else 1  # v: the vanishing space
-        self.low, self.hi, self.spaces = low, hi, ((obj.ev0, obj.ev1) if low else (obj.ev1, obj.ev0))
-        self.d, self.e = (np.zeros_like(hi), hi) if low else (hi, np.zeros_like(hi))
-        n, grad, _ = obj.fused(np.array((self.d, self.e)))
+        self.low, self.hi, self.vanishing = low, hi, (obj.ev0, obj.ev1)[v]
+        n, grad, _ = obj.fused(np.outer((not low, low), hi))  # d, e = (0, hi) or (hi, 0)
         self.a, self.j, self.G = grad[v], n[1 - v], grad[1 - v]
-        self.dual = self.spaces[0].cone_dual(self.G, hi > 0.0, maximizer=False)[0] if self.spaces[0].p > 1.0 else None
+        self.dual = self.vanishing.cone_dual(self.G, hi > 0.0, maximizer=False)[0] if self.vanishing.p > 1.0 else None
 
     @cached_property
     def exit(self) -> np.ndarray | None:
         """The cone dual's maximizer as a step in d (None at p = 1, or at D = 0 or +inf)."""
-        direction = None if self.dual is None else self.spaces[0].cone_dual(self.G, self.hi > 0.0)[1]
+        direction = None if self.dual is None else self.vanishing.cone_dual(self.G, self.hi > 0.0)[1]
         return direction if direction is None or self.low else -direction
-
-    @cached_property
-    def reach(self) -> float:
-        """How far along ``exit`` the box reaches."""
-        step = np.abs(self.exit)
-        return float((self.hi[step > 0.0] / step[step > 0.0]).min())
 
     def value(self, t: float) -> float:
         return (t if self.low else 1.0) * self.j
@@ -501,30 +493,22 @@ class _Vertex:
         fw = float(np.maximum(wl * self.G - wv * self.a, 0.0) @ self.hi)
         return fw if self.dual is None else min(fw, max(wl * self.dual / wv - 1.0, 0.0) * self.value(t))
 
-    def slope(self, t: float) -> tuple[float, float]:
-        """J's right derivative and curvature along ``exit`` at the corner."""
-        (wv, wl), (vanishing, live) = ((1.0, t) if self.low else (t, 1.0)), self.spaces
-        direction = self.exit if self.low else -self.exit
-        curvature = float(direction @ live.forward(self.hi, hess=True)[2] @ direction)
-        return wv * vanishing.forward(direction)[0] * (1.0 - wl * self.dual / wv), wl * curvature
-
 
 class _CoupleObjective:
     """J(u) = ||u||_0 + t ||F - u||_1 on the grid.
 
     Monotone candidates are u = Ld, d in the box 0 <= d <= hi_k = F_k -
     F_{k+1}; ``point`` takes them in d at p >= 1, with ``vertices``, the
-    corners (built on first use unless given).  Unconstrained candidates,
+    corners, built on first use and shared by ``at``.  Unconstrained candidates,
     rows of values, take the sorted cell kernel (``norms_batch``, ``value_grad``).
     """
 
-    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float,
-                 vertices: list[_Vertex | None] | None = None):
+    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float):
         self.ev0, self.ev1, self.F, self.t = ev0, ev1, F, t
         self.hi = F - np.append(F[1:], 0.0)
         self.hh = np.outer(self.hi, self.hi)  # Newton's scaling z = d / hi
         self.sign = np.array([[1.0], [-1.0]])  # a step in d moves e back
-        self.vertices = [None, None] if vertices is None else vertices
+        self.vertices: list[_Vertex | None] = [None, None]
         # both spaces stacked for ``fused``, the shorter B padded by zero rows of weight 0
         rows = max(ev0.omega.size, ev1.omega.size)
         self.B, self.omega = np.zeros((2, rows, F.size)), np.zeros((2, rows))
@@ -589,24 +573,6 @@ class _CoupleObjective:
         gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
         return val, g, gap, (H[0] + t * H[1] if hess else None)
 
-    def leave(self, vertex: _Vertex):
-        """(d, e, ``point``) at the minimizer of J, convex, along the exit ray of a corner: Newton
-        steps on the slope from the corner's closed forms, bisecting the bracket of its sign
-        change when one leaves it, up to the box edge, until the bracket is ``_EXIT_REL`` wide."""
-        lo, up, s = 0.0, vertex.reach, 0.0
-        slope, curv = vertex.slope(self.t)
-        for _ in range(_EXIT_STEPS):
-            nxt = s - slope / curv if curv > 0.0 else math.inf
-            s = min(nxt, up) if s == 0.0 else (nxt if lo < nxt < up else 0.5 * (lo + up))
-            d = np.minimum(np.maximum(vertex.d + s * vertex.exit, 0.0), self.hi)
-            e = np.minimum(np.maximum(vertex.e - s * vertex.exit, 0.0), self.hi)
-            res = self.point(d, True, e)
-            slope, curv = float(res[1] @ vertex.exit), float(vertex.exit @ res[3] @ vertex.exit)
-            lo, up = (s, up) if slope < 0.0 else (lo, s)
-            if up - lo <= _EXIT_REL * up:
-                break
-        return d, e, res
-
     def newton(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, int]:
         """Projected Newton from d, e = hi - d: (d, e, J, gap, steps).
 
@@ -617,9 +583,10 @@ class _CoupleObjective:
         Newton step damped by |g_free| I (Li, Fukushima, Qi and Yamashita 2004,
         Comput. Optim. Appl. 28), since J is affine from 0 to hi.  Projected,
         it is cut tenfold until Armijo holds or, with J flat, the gap shrinks;
-        at an uncertified corner the step is ``leave``'s.  It stops at a gap of
-        ``_GAP_REL_TOL`` J, after ``_NEWTON_STEPS``, with no step accepted, or
-        when in ``_STALL`` steps J has not fallen nor the least gap halved.
+        at a corner u = 0 or f* with cone dual above 1 the step is its ``exit``
+        to the edge of the box.  It stops at a gap of ``_GAP_REL_TOL`` J, after
+        ``_NEWTON_STEPS``, with no step accepted, or when in ``_STALL`` steps J
+        has not fallen nor the least gap halved.
         d and e are both stepped, each keeping its digits near its bound.
         """
         hi, hh, X = self.hi, self.hh, np.array((d, e))
@@ -632,10 +599,8 @@ class _CoupleObjective:
                 break
             vertex = self.vertex(*X)
             if vertex is not None and vertex.exit is not None:
-                *trial, (f_t, g_t, gap_t, H_t) = self.leave(vertex)
-                trial = np.array(trial)
-                if not f_t < val:
-                    break
+                dz = vertex.exit / hi
+                dz /= np.abs(dz).max()
             else:
                 Z, gz, Hz = X / hi, g * hi, H * hh
                 z = Z[0]
@@ -652,14 +617,14 @@ class _CoupleObjective:
                         newton_dz = -gf
                     if newton_dz @ gf < 0.0:  # a descent direction
                         dz[free] = newton_dz
-                for _ in range(_BACKTRACKS):
-                    d_t, e_t = trial = np.minimum(np.maximum(X + dz * hi * self.sign, 0.0), hi)  # d + move, e - move
-                    f_t, g_t, gap_t, H_t = self.point(d_t, True, e_t)
-                    if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
-                        break
-                    dz = 0.1 * dz
-                else:
+            for _ in range(_BACKTRACKS):
+                d_t, e_t = trial = np.minimum(np.maximum(X + dz * hi * self.sign, 0.0), hi)  # d + move, e - move
+                f_t, g_t, gap_t, H_t = self.point(d_t, True, e_t)
+                if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
                     break
+                dz = 0.1 * dz
+            else:
+                break
             X, val, g, gap, H = trial, f_t, g_t, gap_t, H_t
             seen.append((val, min(gap, seen[-1][1])))
         else:
@@ -739,7 +704,8 @@ class OracleResult:
     +inf uncertified and in unconstrained mode); ``converged`` means ``gap <=
     _GAP_REL_TOL * value``, in unconstrained mode that no L-BFGS-B start was
     capped.  ``starts`` counts the Newton runs or L-BFGS-B starts (0 when the
-    truncation candidate or a corner stands), ``iterations`` their steps or flips.
+    truncation candidate or a corner stands), ``iterations`` their steps (one
+    off a corner counts as any other) or flips.
     """
 
     value: float
@@ -816,8 +782,6 @@ _LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 # projected Newton: steps per run, tenfold cuts per step, the Armijo share, the active-set
 # width and the steps without progress that end a run
 _NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS, _STALL = 50, 20, 1e-4, 1e-3, 8
-# the exit from a corner: its Newton steps on the slope, and the relative width that ends it
-_EXIT_STEPS, _EXIT_REL = 20, 1e-6
 # a candidate whose gap is at most this share of its value is returned as optimal
 _GAP_REL_TOL = 1e-10
 _CORNER_STEPS = 16  # the most steps whose 2^n corners ``_GridProblem.corners`` tables: 20-130 ms for 15 t
@@ -867,8 +831,9 @@ class _GridProblem:
 
         Below exponent 1 and at p_0 = p_1 = 1 the t's go to ``corners``; else each t's truncation
         candidate is certified at a corner of the box by ``_Vertex.gap``, elsewhere by the Frank-Wolfe
-        gap of ``point``, all t at once in batched products of one BLAS call per row, and the t's left
-        uncertified go on to ``polish``.  The gap is the value less the best lower bound seen."""
+        gap of ``point``, all t at once in batched products of one BLAS call per row; the t's left
+        uncertified go on to ``polish``, whose Newton steps leave a corner along ``_Vertex.exit``.  The
+        gap is the value less the best lower bound seen."""
         if min(self.ev0.p, self.ev1.p) < 1.0 or self.ev0.p == self.ev1.p == 1.0:
             return self.corners(ts)
         obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
@@ -918,7 +883,7 @@ class _GridProblem:
                     break
                 D[i], value[i], iters[i] = flips[flipped.argmin()], flipped.min(), iters[i] + 1
         gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or self.ev0.p == self.ev1.p == 1.0 else math.inf
-        U = np.array([self.objective.to_u(d) for d in D])
+        U = np.array([self.objective.to_u(d) for d in D]).reshape(ts.size, n)
         return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size
 
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
@@ -1033,17 +998,17 @@ def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np
 def k_oracle(q: KQuery, m: int = 64, monotone_only: bool = True, seed: int = 0) -> OracleResult:
     """Brute-force K-functional value over step decompositions: ``k_curve``'s routine at one t.
 
-    f* is split monotonically on its own steps, in the box
-    0 <= d_i <= f*_i - f*_{i+1} of differences, and in unconstrained mode
-    also on the grid ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate with a gap of at
-    most ``_GAP_REL_TOL`` of its value stands; else projected Newton
-    (``_CoupleObjective.newton``, both spaces in one pass per point) runs from
-    the centre, then from the best point, while uncertified, leaving a corner
-    u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to
-    the truncation candidate.  Below exponent 1 and at p_0 = p_1 = 1 the best
-    corner of the box is taken (``_GridProblem.corners``).  In unconstrained
-    mode (not convex) L-BFGS-B runs from the truncation candidate, both
-    corners, the centre and a point drawn from ``seed``; the better wins.
+    f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i -
+    f*_{i+1} of differences, and in unconstrained mode also on the grid
+    ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate with a
+    gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
+    (``_CoupleObjective.newton``) runs from the centre, then from the best
+    point, while uncertified, stepping off a corner u = 0 or f* with dual norm
+    above 1 along the dual's maximizer.  Ties go to the truncation candidate.
+    Below exponent 1 and at p_0 = p_1 = 1 the best corner of the box is taken
+    (``_GridProblem.corners``).  In unconstrained mode (not convex) L-BFGS-B
+    runs from the truncation candidate, both corners, the centre and a point
+    drawn from ``seed``; the better wins.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), None if monotone_only else m, seed)[0]
 

@@ -882,15 +882,21 @@ class TestNewtonPolish:
         res = k_oracle(KQuery(f, t, s0, s1))
         assert res.converged and res.gap <= 1e-10 * res.value
         assert res.value <= 3.2237045816858823 * (1.0 + 1e-12)
-        # from the corner itself: the exit, then Newton
+        # from the corner itself
         obj = _CoupleObjective(_SpaceOnGrid(s0, f.breakpoints), _SpaceOnGrid(s1, f.breakpoints), f.values, t)
         zero = np.zeros_like(obj.hi)
         vertex = obj.vertex(zero, obj.hi)
         assert vertex.gap(t) > 1e-10 * vertex.value(t) and t * vertex.dual > 1.0
-        d, _, (value, _, _, _) = obj.leave(vertex)
-        assert d.any() and value < vertex.value(t)
         _, _, value, gap, _ = obj.newton(zero, obj.hi.copy())
         assert gap <= 1e-10 * value and value <= 3.2237045816858823 * (1.0 + 1e-12)
+        # the mirror: the swapped couple at 1/t, K(f, t; X0, X1) = t K(f, 1/t; X1, X0), from the corner u = f*
+        swapped = _CoupleObjective(obj.ev1, obj.ev0, f.values, 1.0 / t)
+        vertex = swapped.vertex(swapped.hi, zero)
+        assert vertex.gap(1.0 / t) > 1e-10 * vertex.value(1.0 / t) and t * vertex.dual > 1.0
+        _, _, mirrored, mirrored_gap, _ = swapped.newton(swapped.hi.copy(), zero.copy())
+        assert mirrored_gap <= 1e-10 * mirrored
+        # within the gaps, and the rounding of the product by t
+        assert abs(t * mirrored - value) <= gap + t * mirrored_gap + 4.0 * np.finfo(float).eps * value
 
 
 @st.composite
@@ -968,10 +974,9 @@ class TestFusedPass:
     def test_vertex_certificates_match_the_direct_gap(self, case):
         f, (space0, space1), ts = case
         g, F = f.breakpoints, f.values
-        ev0, ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
-        vertices = None
+        base = _CoupleObjective(_SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g), F, ts[0])
         for t in ts:
-            obj = _CoupleObjective(ev0, ev1, F, t, vertices)
+            obj = base.at(t)  # the corners, built at the first t, shared by the others
             for u in (np.zeros_like(F), F):
                 d = np.minimum(u - np.append(u[1:], 0.0), obj.hi)
                 vertex = obj.vertex(d, obj.hi - d)
@@ -980,27 +985,30 @@ class TestFusedPass:
                 # the gap can be a difference of near-equal terms (p = 1, t near 1): J sets its rounding
                 assert vertex.gap(t) == pytest.approx(_direct_gap(obj, u), rel=1e-12, abs=1e-14 * value)
                 assert obj.point(d)[2] == vertex.gap(t)
-            vertices = obj.vertices  # built at the first t, shared by the others
 
 
 class TestNewtonOnly:
     """The monotone oracle runs no L-BFGS-B: Newton at p >= 1, the corners of the box below."""
 
-    @pytest.mark.parametrize("suites,kwargs", [
-        (("t11", "cor1", "t2", "generalk"), dict(seed=7, size=20, p=2.0, alpha=1.0, t_count=15)),
-        (("t11", "cor1", "generalk"), dict(seed=7, size=20, p=1.5, alpha=0.4, t_count=15)),
-        (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.2, alpha=0.5, t_count=7)),
-        (("generalk",), dict(seed=7, size=20, p=0.5, alpha=0.5, t_count=15)),
-        (("generalk",), dict(seed=7, size=20, p=0.8, alpha=0.5, t_count=15)),
-        (("generalk",), dict(seed=7, size=20, p=1.0, alpha=0.5, t_count=15)),
-    ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-0.5", "p-0.8", "p-1"])
-    def test_the_ci_oracle_configurations(self, suites, kwargs, monkeypatch):
+    # the most flagged records each configuration may carry, as its CI step allows
+    @pytest.mark.parametrize("suites,kwargs,most", [
+        (("t11", "cor1", "t2", "generalk"), dict(seed=7, size=20, p=2.0, alpha=1.0, t_count=15), 0),
+        (("t11", "cor1", "generalk"), dict(seed=7, size=20, p=1.5, alpha=0.4, t_count=15), 0),
+        (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.2, alpha=0.5, t_count=7), 0),
+        (("t11", "cor1", "generalk"), dict(seed=11, size=30, p=1.1, alpha=0.5, t_count=7), 28),
+        (("generalk",), dict(seed=7, size=20, p=0.5, alpha=0.5, t_count=15), 0),
+        (("generalk",), dict(seed=7, size=20, p=0.8, alpha=0.5, t_count=15), 0),
+        (("generalk",), dict(seed=7, size=20, p=1.0, alpha=0.5, t_count=15), 0),
+    ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-1.1", "p-0.5", "p-0.8", "p-1"])
+    def test_the_ci_oracle_configurations(self, suites, kwargs, most, monkeypatch):
         calls = []
         monkeypatch.setattr(kfunctional, "minimize", lambda *a, **k: calls.append(1))
         corpus = make_corpus(kwargs.pop("seed"), kwargs.pop("size"))
+        flagged = 0
         for tag in suites:
             report = run_theorem_suite(tag, corpus=corpus, seed=7, **kwargs)
-            assert not any(r.flags for r in report.records), tag
+            flagged += sum(bool(r.flags) for r in report.records)
+        assert flagged <= most
         assert not calls
 
 
@@ -1251,6 +1259,16 @@ class TestKCurve:
                 corner = not res.u.any() or not res.rest.any()
                 assert res.converged and corner == (route == "corner")
                 assert (res.starts > 0, res.provenance == "optimizer") == ((route == "newton"),) * 2
+
+    def test_an_empty_sweep_is_empty_on_every_route(self):
+        """No parameter, no result: the truncation, corner and Newton routes at p >= 1, the corner
+        route below exponent 1 and at p0 = p1 = 1, and the s-couple curve below exponent 1."""
+        half, one = (LorentzSpace("lambda", p, FLAT) for p in (0.5, 1.0))
+        cases = [(f, spaces) for f, spaces, _ in CURVE_ROUTES.values()] + [(STAIR, (half, half)), (STAIR, (one, one))]
+        for f, (space0, space1) in cases:
+            assert k_curve(f, space0, space1, []) == []
+        s08 = LorentzSpace("s", 0.8, PowerWeight(-0.5))
+        assert k_curve_s_couple(STAIR, s08, s08, []) == []
 
     def test_one_parameter_is_the_single_query(self):
         s0, s1, _, _ = _verify_spaces()
