@@ -39,9 +39,9 @@ sweep picks every t's truncation candidate from one array and certifies them
 together (``_GridProblem.curve``); an uncertified one is followed by projected
 Newton from the centre, then from the best point (off a corner along the dual's
 maximizer).  At p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1
-linear, so ``_GridProblem.corners`` takes the best corner of the box, d_k in
-{0, hi_k}.  Unconstrained mode searches on ``oracle_grid``: it sorts its rows
-into the norms' cell kernel (``norms.cell_sums``, on moments from
+and on one step linear, so ``_GridProblem.corners`` takes the best corner of the
+box, d_k in {0, hi_k}.  Unconstrained mode searches on ``oracle_grid``: it sorts
+its rows into the norms' cell kernel (``norms.cell_sums``, on moments from
 ``norms.cell_moments``) and runs L-BFGS-B.  scipy stays a dependency for its
 ``minimize`` and the remainder quadratures of ``weights``.
 An uncertified value is flagged unconverged, never silently accepted.
@@ -829,12 +829,12 @@ class _GridProblem:
         """(values, parts u, truncation values, iterations, converged, gaps, starts) in monotone mode,
         one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
 
-        Below exponent 1 and at p_0 = p_1 = 1 the t's go to ``corners``; else each t's truncation
+        Below exponent 1, at p_0 = p_1 = 1 and on one step the t's go to ``corners``; else each t's truncation
         candidate is certified at a corner of the box by ``_Vertex.gap``, elsewhere by the Frank-Wolfe
         gap of ``point``, all t at once in batched products of one BLAS call per row; the t's left
         uncertified go on to ``polish``, whose Newton steps leave a corner along ``_Vertex.exit``.  The
         gap is the value less the best lower bound seen."""
-        if min(self.ev0.p, self.ev1.p) < 1.0 or self.ev0.p == self.ev1.p == 1.0:
+        if min(self.ev0.p, self.ev1.p) < 1.0 or self.ev0.p == self.ev1.p == 1.0 or self.F.size == 1:
             return self.corners(ts)
         obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
         pick, trunc = self.truncations(ts)
@@ -860,8 +860,8 @@ class _GridProblem:
         """``curve`` at the corners d_k in {0, hi_k} of the box: all of them up to ``_CORNER_STEPS`` steps,
         else a descent from each t's truncation candidate (a head corner), a corner's n flips in one batch,
         each corner's J from ``_SpaceOnGrid.norms`` as the truncation family's.  Exact, gap 0, if all were
-        tabled at p_0, p_1 <= 1 (J concave) or at p_0 = p_1 = 1 (J separable); else gap +inf, as for mixed
-        exponents.  Ties go to the truncation candidate."""
+        tabled at p_0, p_1 <= 1 (J concave), at p_0 = p_1 = 1 (J separable) or on one step (y = Bd one column:
+        J linear at any exponents); else gap +inf, as for mixed exponents.  Ties go to the truncation candidate."""
         hi, n, tabled = self.objective.hi, self.F.size, self.F.size <= _CORNER_STEPS
 
         def J(D, t):
@@ -882,7 +882,8 @@ class _GridProblem:
                 if not flipped.min() < value[i]:
                     break
                 D[i], value[i], iters[i] = flips[flipped.argmin()], flipped.min(), iters[i] + 1
-        gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or self.ev0.p == self.ev1.p == 1.0 else math.inf
+        linear = self.ev0.p == self.ev1.p == 1.0 or n == 1
+        gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or linear else math.inf
         U = np.array([self.objective.to_u(d) for d in D]).reshape(ts.size, n)
         return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size
 
@@ -1005,10 +1006,10 @@ def k_oracle(q: KQuery, m: int = 64, monotone_only: bool = True, seed: int = 0) 
     (``_CoupleObjective.newton``) runs from the centre, then from the best
     point, while uncertified, stepping off a corner u = 0 or f* with dual norm
     above 1 along the dual's maximizer.  Ties go to the truncation candidate.
-    Below exponent 1 and at p_0 = p_1 = 1 the best corner of the box is taken
-    (``_GridProblem.corners``).  In unconstrained mode (not convex) L-BFGS-B
-    runs from the truncation candidate, both corners, the centre and a point
-    drawn from ``seed``; the better wins.
+    Below exponent 1, at p_0 = p_1 = 1 and on one step the best corner of the
+    box is taken (``_GridProblem.corners``).  In unconstrained mode (not
+    convex) L-BFGS-B runs from the truncation candidate, both corners, the
+    centre and a point drawn from ``seed``; the better wins.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), None if monotone_only else m, seed)[0]
 

@@ -34,9 +34,9 @@ s = e^u, one exp per node for power and power-log weights) and ``kinks`` (non-sm
 Derived functions (the fundamental function phi = W^{1/p}, the tail
 fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)
 are a ``PowerLaw`` c t^e where the closed form is known, i.e. for power
-weights, and otherwise a plain function of t over ``primitive`` or
-``tail_moment``, evaluated point by point.  The checkers take the closed form
-when given a ``PowerLaw`` and scan a grid otherwise; the sufficient
+weights, and otherwise a plain function of t over a moment.  The checkers take
+the closed form given a ``PowerLaw`` and scan a grid otherwise, tail doubling
+with psi at every t and 2t from one moment call per weight; the sufficient
 conditions' scan takes W and its integrals in one pass over the log panels.
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
@@ -386,16 +386,16 @@ class PowerLogWeight(Weight):
 
         With v = 1 + |log s|, (0, b], b <= 1, is G(q + 1, gamma, 1 - log b) and [a, inf),
         a >= 1, is G(-q - 1, gamma, 1 + log a), G = ``_gamma_tail``; the power factor decides
-        convergence, and gamma < -1 the q = -1 borderline.  The remainder (a, 1) is the one piece
-        left to ``_quad_improper``: three verdicts pinned in the benchmark's check-weights reference
-        come from it, so it moves to the log panels with ROADMAP direction 2's ``[benchmark]`` change."""
+        convergence, and gamma < -1 the q = -1 borderline.  The remainder (a, 1) is the one piece left
+        to ``_quad_improper``, pair by pair in their order: three pinned check-weights verdicts come
+        from it, so it moves to the log panels with ROADMAP direction 2's ``[benchmark]`` change."""
         g, out = self.gamma, np.zeros(a.shape)
         for side, kappa, edge, clamp, turn in ((a == 0.0, q + 1.0, b, np.minimum, np.subtract),
                                                (b == math.inf, -q - 1.0, a, np.maximum, np.add)):
             if np.count_nonzero(side):  # G converges for kappa > 0, and for kappa = 0 if gamma < -1
                 v0 = turn(1.0, np.log(clamp(edge[side], 1.0)))  # 1 - log min(b, 1) or 1 + log max(a, 1)
                 out[side] += _gamma_tail(kappa, g, v0) if kappa > 0.0 or kappa == 0.0 > g + 1.0 else math.inf
-        fn = lambda x: x ** q * (1.0 + abs(math.log(x))) ** g
+        fn = lambda x, log=math.log: x ** q * (1.0 - log(x)) ** g  # |log x| = -log x on (a, 1)
         for i, x in enumerate(a.tolist()):
             if 0.0 < x < 1.0 and out[i] < math.inf:  # a > 0 here: a pair to inf
                 out[i] += _quad_improper(fn, x, 1.0)
@@ -577,9 +577,15 @@ class PowerLaw:
         return self.coeff * t ** self.exponent
 
 
+def _quotient(num: float, den: float) -> float:
+    """num / den, reading x / 0 as inf for x > 0 and as 0 for x = 0."""
+    if den == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return num / den
+
+
 def _ratio_fn(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
-    """t |-> f(t) / g(t), reading x / 0 as inf for x > 0 and as 0 for x = 0;
-    two power laws fold into one."""
+    """t |-> f(t) / g(t), g read first, x / 0 as ``_quotient`` reads it; two power laws fold into one."""
     if isinstance(f, PowerLaw) and isinstance(g, PowerLaw):
         if g.coeff == 0.0:
             raise ValueError("ratio denominator is identically zero")
@@ -587,12 +593,18 @@ def _ratio_fn(f: Callable[[float], float], g: Callable[[float], float]) -> Calla
 
     def ratio(t: float) -> float:
         den = g(t)
-        num = f(t)
-        if den == 0.0:
-            return math.inf if num > 0.0 else 0.0
-        return num / den
+        return _quotient(f(t), den)
 
     return ratio
+
+
+def _tail_roots(w: Weight, p: float, t) -> list:
+    """psi(t) = (integral_t^inf s^{-p} w)^{1/p} at each t, flattened, from one moment call, in Python numbers
+    (complex at a negative moment, quadrature's reading of a divergence); raises if a moment diverges."""
+    vals = w.moment(-float(p), t, math.inf).ravel().tolist()
+    if any(map(math.isinf, vals)):
+        raise InvalidWeightError(f"tail moment of {w.describe()} diverges at exponent {p:g}")
+    return [v ** (1.0 / p) for v in vals]
 
 
 def tail_fundamental(w: Weight, p: float) -> Callable[[float], float]:
@@ -608,12 +620,7 @@ def tail_fundamental(w: Weight, p: float) -> Callable[[float], float]:
         return PowerLaw((1.0 / (p - 1.0 - w.beta)) ** (1.0 / p), (w.beta + 1.0 - p) / p)
 
     def psi(t: float) -> float:
-        val = w.tail_moment(p, t)
-        if math.isinf(val):
-            raise InvalidWeightError(
-                f"tail moment of {w.describe()} diverges at exponent {p:g}"
-            )
-        return val ** (1.0 / p)
+        return _tail_roots(w, p, t)[0]
 
     psi(1.0)  # raises when the tail integral diverges
     return psi
@@ -777,16 +784,20 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
 
 
 def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
-    """Doubling of both tail fundamentals: psi_i(t) <= C psi_i(2t)."""
+    """Doubling of both tail fundamentals: psi_i(t) <= C psi_i(2t).  On a grid, psi at 2t_0, t_0, 2t_1,
+    t_1, ... (psi(2t) first, as a pointwise scan reads it) comes from one ``_tail_roots`` call per weight,
+    or from its ``PowerLaw``; the ratios (``_quotient``) and their maximum are Python numbers."""
     found = []  # (constant, witness, method) of each weight
     for w, p in ((cfg.w0, cfg.p0), (cfg.w1, cfg.p1)):
         psi = tail_fundamental(w, p)  # raises on divergent tails
         if _resolve_method(w, method) == "closed-form" and isinstance(psi, PowerLaw):
             found.append((2.0 ** (-psi.exponent), 1.0, "closed-form"))
         else:
-            doubling = _ratio_fn(psi, lambda t: psi(2.0 * t))  # psi(2t) = 0 reads inf
-            pts = (grid or DEFAULT_CHECK_GRID).points.tolist()
-            found.append((*_sup_scan([(t, doubling(t)) for t in pts]), "grid"))
+            pts = (grid or DEFAULT_CHECK_GRID).points
+            at = np.multiply.outer(pts, (2.0, 1.0))
+            vals = [psi(x) for x in at.ravel().tolist()] if isinstance(psi, PowerLaw) else _tail_roots(w, p, at)
+            ratios = list(map(_quotient, vals[1::2], vals[::2]))  # psi(2t) = 0 reads inf
+            found.append((*_sup_scan(zip(pts.tolist(), ratios)), "grid"))
     c, witness, _how = max(found, key=lambda row: row[0])
     return ConditionVerdict(
         "tail-doubling", math.isfinite(c), c, witness,
@@ -938,7 +949,8 @@ def check_sufconds(
 
 
 def tail_diverges_at_zero(w: Weight, p: float) -> ConditionVerdict:
-    """psi(0+) = inf: the tail fundamental blows up approaching the origin."""
+    """psi(0+) = inf: the tail fundamental blows up approaching the origin; off the power
+    weights, psi(1e-8) / psi(1e-2) > 100, both taken in one ``_tail_roots`` call."""
     if isinstance(w, PowerWeight):
         if w.beta >= p - 1.0:
             return ConditionVerdict(
@@ -951,8 +963,8 @@ def tail_diverges_at_zero(w: Weight, p: float) -> ConditionVerdict:
             "tail-blowup-at-zero", holds, 1.0, 0.0, "closed-form",
             f"psi exponent {exponent:.6g}",
         )
-    psi = tail_fundamental(w, p)
+    tail_fundamental(w, p)  # raises on divergent tails
     lo, hi = 1e-8, 1e-2
-    ratio = float(_ratio(psi(lo), psi(hi)))
+    ratio = float(_ratio(*_tail_roots(w, p, np.array((lo, hi)))))
     holds = ratio > 1e2
     return ConditionVerdict("tail-blowup-at-zero", holds, ratio, lo, "grid", f"psi({lo:g})/psi({hi:g}) = {ratio:.3g}")

@@ -636,6 +636,44 @@ class TestCorners:
         assert mixed  # some corner is neither u = 0 nor u = f*
 
 
+@st.composite
+def one_step_cases(draw):
+    """A one-step function, a lambda or s couple of power or power-log weights at exponents in [1, 3], and t."""
+    f = StepFunction((draw(st.floats(0.05, 20.0)),), (draw(st.floats(0.1, 10.0)),))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.floats(1.0, 3.0))
+        # lambda needs beta > -1 at 0, s needs beta < p - 1 at infinity
+        beta = draw(st.floats(-0.5, 0.5) if flavor == "lambda" else st.floats(-0.5, p - 1.1))
+        w = PowerWeight(beta) if draw(st.booleans()) else PowerLogWeight(beta, draw(st.floats(-1.0, 1.0)))
+        spaces.append(LorentzSpace(flavor, p, w))
+    return f, spaces, draw(st.floats(0.05, 20.0))
+
+
+class TestOneStep:
+    """On one step, y = Bd is one column, so J(d) = N0(Ld) + t N1(L(hi - d)) is linear in d at any
+    exponents: the corners d = 0 and d = hi are exact, with gap 0 and no Newton run."""
+
+    @staticmethod
+    def _assert_exact(res, f, space0, space1, t):
+        best = min(norm(space0, f), t * norm(space1, f))
+        assert abs(res.value - best) <= 4 * math.ulp(best)
+        assert (res.gap, res.starts, res.converged) == (0.0, 0, True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(one_step_cases())
+    def test_the_best_corner_is_exact(self, case):
+        f, (space0, space1), t = case
+        (res,) = k_curve(f, space0, space1, [t])
+        self._assert_exact(res, f, space0, space1, t)
+        if space0.flavor == "s":
+            (pair,) = k_curve_s_couple(f, space0, space1, [t])
+            self._assert_exact(pair.direct, f, space0, space1, t)
+            tilde = [LorentzSpace("lambda", sp.p, reciprocal_weight(sp.w, sp.p)) for sp in (space0, space1)]
+            self._assert_exact(pair.transformed, osc_transform(f).as_step(), *tilde, t)
+
+
 def _verify_spaces():
     """The s-couple of the t11 and cor1 suites (p = 2, alpha = 1) and its reciprocal lambda-couple."""
     cfg = corollary_couple(2.0, 1.0)
@@ -1010,6 +1048,38 @@ class TestNewtonOnly:
             flagged += sum(bool(r.flags) for r in report.records)
         assert flagged <= most
         assert not calls
+
+
+class TestOracleWork:
+    """The monotone oracle's work on a verify-oracle pass: t11 and cor1 on the seed-7 corpus of 14
+    entries, one entry per call, at p = 2, alpha = 1 and t-count 3, refined, as the benchmark runs it."""
+
+    # the most Newton runs, Newton steps, ``point`` evaluations and ``_Vertex`` constructions per pass
+    BUDGET = {"runs": 16, "steps": 125, "points": 157, "vertices": 48}
+
+    def test_a_pass_stays_within_the_budget(self, monkeypatch):
+        work = dict.fromkeys(self.BUDGET, 0)
+        newton, point, vertex = _CoupleObjective.newton, _CoupleObjective.point, kfunctional._Vertex.__init__
+
+        def counted_newton(obj, *args):
+            out = newton(obj, *args)
+            work["runs"], work["steps"] = work["runs"] + 1, work["steps"] + out[-1]
+            return out
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                work[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_CoupleObjective, "newton", counted_newton)
+        monkeypatch.setattr(_CoupleObjective, "point", counted("points", point))
+        monkeypatch.setattr(kfunctional._Vertex, "__init__", counted("vertices", vertex))
+        for entry in make_corpus(7, 14):
+            for tag in ("t11", "cor1"):
+                run_theorem_suite(tag, (entry,), p=2.0, alpha=1.0, m=64, t_count=3, seed=7, refine=True)
+        assert all(work[key] <= most for key, most in self.BUDGET.items()), work
+        assert work["runs"] > 0
 
 
 class TestKFunctionalLaws:

@@ -756,6 +756,88 @@ class TestQuadraturePins:
         assert head.holds and tail.holds
 
 
+DOUBLING_GRID = Grid.log(1e-3, 1e3, 40)
+
+
+def _pointwise_cond1(cfg, grid):
+    """``check_cond1``'s grid scan one psi at a time, each ratio reading psi(2t) and then psi(t):
+    (holds, constant, witness, detail)."""
+    found = []
+    for w, p in ((cfg.w0, cfg.p0), (cfg.w1, cfg.p1)):
+        psi = tail_fundamental(w, p)
+        doubling = weights._ratio_fn(psi, lambda t, psi=psi: psi(2.0 * t))
+        found.append(weights._sup_scan([(t, doubling(t)) for t in grid.points.tolist()]))
+    c, witness = max(found, key=lambda row: row[0])
+    return math.isfinite(c), c, witness, "; ".join(f"index{i}: C={row[0]:.6g}" for i, row in enumerate(found))
+
+
+def _positive_tail_couples(count):
+    """Seeded power-log couples at p in [1.5, 3] whose tail moments at every t and 2t of
+    ``DOUBLING_GRID`` are positive (the remainder quadrature can read a long range negative)."""
+    couples, rng = [], np.random.default_rng(2)
+    while len(couples) < count:
+        pair = []
+        for _ in range(2):
+            p = rng.uniform(1.5, 3.0)
+            pair += [p, PowerLogWeight(rng.uniform(-0.9, min(0.9, p - 1.2)), rng.uniform(-1.0, 1.0))]
+        at = np.multiply.outer(DOUBLING_GRID.points, (2.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            if all((w.moment(-p, at, math.inf) > 0.0).all() for p, w in (pair[:2], pair[2:])):
+                couples.append(CoupleConfig(*pair))
+    return couples
+
+
+class TestBatchedTailDoubling:
+    """``check_cond1`` takes psi at every t and 2t of its grid from one moment call per weight, in
+    the order a pointwise scan asks for them: the verdict is that scan's bit for bit, and so are its
+    quadratures and their warnings, in order."""
+
+    def _both(self, cfg, monkeypatch, method="auto"):
+        """(verdict fields, quadrature lower limits, warnings) of the batched scan, then the pointwise one."""
+        runs = []
+        batched = lambda: check_cond1(cfg, DOUBLING_GRID, method=method)
+        for scan in (batched, lambda: _pointwise_cond1(cfg, DOUBLING_GRID)):
+            calls = []
+            monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append(a) or quad(fn, a, b, **kw))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = scan()
+            if isinstance(out, weights.ConditionVerdict):
+                out = (out.holds, out.constant, out.witness_t, out.detail)
+            runs.append((out, calls, [(w.category, str(w.message)) for w in caught]))
+        return runs
+
+    def test_power_log_couples_match_the_pointwise_scan(self, monkeypatch):
+        points = DOUBLING_GRID.points
+        for cfg in _positive_tail_couples(4):
+            batched, pointwise = self._both(cfg, monkeypatch)
+            assert batched == pointwise
+            # per weight, each psi(t) and psi(2t) below s = 1 takes a remainder quadrature, the probe psi(1) none
+            assert len(batched[1]) == 2 * (np.count_nonzero(points < 1.0) + np.count_nonzero(points < 0.5))
+
+    def test_a_mixed_couple_keeps_the_power_law(self, monkeypatch):
+        cfg = CoupleConfig(2.0, PowerWeight(-0.5), 2.5, PowerLogWeight(0.3, -0.6))
+        assert isinstance(tail_fundamental(cfg.w0, cfg.p0), PowerLaw)
+        power_moments = []
+        monkeypatch.setattr(PowerWeight, "moment", lambda self, *a: power_moments.append(a))
+        batched, pointwise = self._both(cfg, monkeypatch, method="grid")
+        assert batched == pointwise and power_moments == []
+        assert batched[0][3].startswith(f"index0: C={2.0 ** 0.75:.6g};")  # psi0 = c t^{-3/4}
+
+    def test_two_probes_and_two_batches(self, monkeypatch):
+        calls, moment = [], PowerLogWeight.moment
+        monkeypatch.setattr(PowerLogWeight, "moment", lambda self, *a: calls.append(a) or moment(self, *a))
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5))
+        assert check_cond1(cfg, Grid.log(1.0, 1e6, 50)).holds
+        assert [np.shape(a) for _, a, _ in calls] == [(), (50, 2), (), (50, 2)]
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)  # the remainder (1e-8, 1) is a long range
+            tail_diverges_at_zero(cfg.w0, 2.0)
+        assert [np.shape(a) for _, a, _ in calls] == [(), (2,)]
+
+
 class TestSufficientConditions:
     def test_swapped_couple_closed_form(self):
         # p0 = p1 = 2 with w0 = s, w1 = 1: head constant 2, tail constant 1
