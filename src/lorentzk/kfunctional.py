@@ -18,9 +18,9 @@ This module provides:
   spaces and truncation family built once), with an unconstrained mode and
   an exhaustive lattice mode; ``curve_violations`` checks a sweep against
   the concavity of K(t) and the monotonicity of K(t)/t, within the gaps;
-* ``k_curve_s_couple`` and ``k_oracle_s_couple`` — the s-couple K-functional
-  directly and through the oscillation transform on the reciprocal
-  lambda-couple (different cells and weights: agreement is evidence);
+* ``k_curve_s_couple`` and ``k_oracle_s_couple`` — the s-couple K-functional,
+  solved once, and its optimal parts mapped by the oscillation transform to the
+  reciprocal lambda-couple, one problem in other coordinates;
 * ``near_optimal_s_decomposition`` — the constructive decomposition through
   the transform side and the decomposition lemma.
 
@@ -37,7 +37,7 @@ vanishing part, the level-function dual over the cone of non-increasing
 functions (at the corners u = 0 and f* a closed form in t, ``_Vertex``).  A
 sweep picks every t's truncation candidate from one array and certifies them
 together (``_GridProblem.curve``); an uncertified one is followed by projected
-Newton from the centre, then from the best point (off a corner along the dual's
+Newton from it, then from the centre (off a corner along the dual's
 maximizer).  At p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1
 and on one step linear, so ``_GridProblem.corners`` takes the best corner of the
 box, d_k in {0, hi_k}.  Unconstrained mode searches on ``oracle_grid``: it sorts
@@ -52,7 +52,7 @@ cell; the parts as step functions are built only when read.
 import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Literal, get_args
 
@@ -60,7 +60,7 @@ import numpy as np
 
 from .grids import Grid
 from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
-from .stepfn import StepFunction, _require_nonincreasing, dilate, osc_transform, rearrange
+from .stepfn import StepFunction, _osc_rows, _require_nonincreasing, dilate, osc_transform, rearrange
 from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerLaw, PowerWeight, check_cond1,
                       check_cond3, check_rbp, fundamental_ratio, reciprocal_weight, tail_diverges_at_zero,
                       tail_fundamental, tail_fundamental_ratio)
@@ -539,12 +539,11 @@ class _CoupleObjective:
         return n0 + self.t * n1, g0 - self.t * g1
 
     def to_u(self, d: np.ndarray) -> np.ndarray:
-        """The candidate Ld of differences d, clipped to [0, F] against rounding; the upper
-        corner is F exactly, which the sum of the differences can miss by rounding."""
+        """The candidate Ld of differences d >= 0, not clipped at F, which would break a run of equal values
+        that rounds above it; the upper corner is F exactly, which the sum of the differences can miss."""
         if np.array_equal(d, self.hi):
             return self.F
-        # the array methods skip the Python-level wrappers of np.clip and np.cumsum
-        return np.minimum(np.maximum(d[::-1].cumsum()[::-1], 0.0), self.F)
+        return d[::-1].cumsum()[::-1]  # the array method skips the Python-level wrapper of np.cumsum
 
     def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
         """The corner of the box at d, e = hi - d, if it is one."""
@@ -632,16 +631,16 @@ class _CoupleObjective:
         return X[0], X[1], val, gap, step
 
     def polish(self, d: np.ndarray, e: np.ndarray, best_f: float, best_u: np.ndarray, lower: float):
-        """(value, u, lower bound, steps, runs) of ``newton`` from the centre, then from the best point,
-        at first the candidate d, e = hi - d of value best_f, while value - lower > ``_GAP_REL_TOL`` value."""
-        hi, best, iters, used = self.hi, (d, e), 0, 0
-        for start in (True, False):
+        """(value, u, lower bound, steps, runs) of ``newton`` from the best point, the candidate d, e = hi - d
+        of value best_f, then from the centre, while value - lower > ``_GAP_REL_TOL`` value."""
+        iters, used = 0, 0
+        for start in ((d, e), (self.hi / 2.0, self.hi / 2.0)):
             if best_f - lower <= _GAP_REL_TOL * best_f:
                 break
-            d, e, f_d, gap_d, steps = self.newton(*((hi / 2.0, hi / 2.0) if start else best))
+            d, e, f_d, gap_d, steps = self.newton(*start)
             used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
             if f_d < best_f:
-                best, best_u, best_f = (d, e), self.to_u(d), f_d
+                best_u, best_f = self.to_u(d), f_d
         return best_f, best_u, lower, iters, used
 
 
@@ -697,15 +696,13 @@ def _level_dual(c: np.ndarray, X: np.ndarray, p: float) -> tuple[float, np.ndarr
 class OracleResult:
     """An oracle value with the split f* = u + rest that attains it.
 
-    ``u`` and ``rest``: read-only arrays of the parts' values on the cells
-    ending at ``grid``, checked by ``_checked_parts`` to sum to f*;
-    ``decomposition``, the parts as step functions, is built on first read.
-    ``gap`` bounds ``value`` minus the monotone minimum (0 at an exact corner,
-    +inf uncertified and in unconstrained mode); ``converged`` means ``gap <=
-    _GAP_REL_TOL * value``, in unconstrained mode that no L-BFGS-B start was
-    capped.  ``starts`` counts the Newton runs or L-BFGS-B starts (0 when the
-    truncation candidate or a corner stands), ``iterations`` their steps (one
-    off a corner counts as any other) or flips.
+    ``u`` and ``rest``: read-only arrays of the parts' values on the cells ending at ``grid``, checked by
+    ``_checked_parts`` to sum to f*; ``decomposition``, the parts as step functions, is built on first read.
+    ``gap`` bounds ``value`` minus the monotone minimum (0 at an exact corner, +inf uncertified and in
+    unconstrained mode); ``converged`` means ``gap <= _GAP_REL_TOL * value``, in unconstrained mode that no
+    L-BFGS-B start was capped.  ``starts`` counts the Newton runs or L-BFGS-B starts (0 when the truncation
+    candidate or a corner stands, and for parts mapped by ``k_curve_s_couple``, which searches nothing),
+    ``iterations`` their steps (one off a corner counts as any other) or flips.
     """
 
     value: float
@@ -726,20 +723,20 @@ class OracleResult:
         return Decomposition(StepFunction(g, self.u), StepFunction(g, self.rest), self.provenance)
 
 
-def _checked_parts(problem: "_GridProblem", U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views of the rows of U and of rest = F - U (its running minimum in monotone mode, which
-    kills rounding wiggles), after checking at every cell that both are finite and non-negative and that
+def _checked_parts(F: np.ndarray, grid: Grid, U: np.ndarray, rest: np.ndarray | None = None,
+                   monotone: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views of the rows of U and of rest, by default F - U (its running minimum if ``monotone``,
+    which kills rounding wiggles), after checking at every cell that both are finite and non-negative and that
     |u + rest - F| <= ``_SUM_REL_TOL`` max(F, u + rest, 1) (a nan fails every comparison)."""
-    F = problem.F
-    rest = np.maximum(F - U, 0.0)
-    if problem.monotone:
+    rest = np.maximum(F - U, 0.0) if rest is None else rest
+    if monotone:
         rest = np.minimum.accumulate(rest, axis=-1)
     total = U + rest
     ok = (np.abs(total - F) <= _SUM_REL_TOL * np.maximum(np.maximum(F, total), 1.0)) & (total < math.inf)
     ok &= np.minimum(U, rest) >= 0.0
     if not ok.all():
         at = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError(f"decomposition does not sum to the target at t={float(problem.grid.points[at[-1]])!r}: "
+        raise ValueError(f"decomposition does not sum to the target at t={float(grid.points[at[-1]])!r}: "
                          f"{float(U[at])!r} + {float(rest[at])!r} vs {float(F[at[-1]])!r}")
     U, rest = U.view(), rest.view()
     U.flags.writeable = rest.flags.writeable = False
@@ -826,8 +823,8 @@ class _GridProblem:
         return pick, tvals[np.arange(ts.size), pick]
 
     def curve(self, ts: np.ndarray):
-        """(values, parts u, truncation values, iterations, converged, gaps, starts) in monotone mode,
-        one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
+        """(values, parts u, truncation values, iterations, converged, gaps, starts, parts rest or None for
+        F - u) in monotone mode, one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
 
         Below exponent 1, at p_0 = p_1 = 1 and on one step the t's go to ``corners``; else each t's truncation
         candidate is certified at a corner of the box by ``_Vertex.gap``, elsewhere by the Frank-Wolfe
@@ -854,7 +851,7 @@ class _GridProblem:
             if not value[i] - lower[i] <= _GAP_REL_TOL * value[i]:
                 value[i], U[i], lower[i], iters[i], starts[i] = obj.at(t).polish(d[i], e[i], value[i], U[i], lower[i])
         gap = [max(v - lo, 0.0) for v, lo in zip(value, lower)]
-        return value, U, trunc.tolist(), iters, [g <= _GAP_REL_TOL * v for g, v in zip(gap, value)], gap, starts
+        return value, U, trunc.tolist(), iters, [g <= _GAP_REL_TOL * v for g, v in zip(gap, value)], gap, starts, None
 
     def corners(self, ts: np.ndarray):
         """``curve`` at the corners d_k in {0, hi_k} of the box: all of them up to ``_CORNER_STEPS`` steps,
@@ -884,8 +881,9 @@ class _GridProblem:
                 D[i], value[i], iters[i] = flips[flipped.argmin()], flipped.min(), iters[i] + 1
         linear = self.ev0.p == self.ev1.p == 1.0 or n == 1
         gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or linear else math.inf
-        U = np.array([self.objective.to_u(d) for d in D]).reshape(ts.size, n)
-        return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size
+        # both parts from the differences, whose runs of equal values stay exact: p < 1 magnifies a rounding jump
+        U, REST = (np.array([self.objective.to_u(x) for x in X]).reshape(ts.size, n) for X in (D, hi - D))
+        return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size, REST
 
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
         """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B in unconstrained
@@ -932,9 +930,9 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
         return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
     # the monotone problem on the steps of the target: its parts can only jump where F does
     mono = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), True)
-    value, U, trunc, iters, conv, gap, starts = mono.curve(ts)
+    value, U, trunc, iters, conv, gap, starts, REST = mono.curve(ts)
     if free_m is None:
-        rows = zip(*_checked_parts(mono, U), value, trunc, conv, iters, gap, starts)
+        rows = zip(*_checked_parts(mono.F, mono.grid, U, REST), value, trunc, conv, iters, gap, starts)
         return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, True, mono.grid, gp, st)
                 for u, rest, v, tv, c, it, gp, st in rows]
     free = _GridProblem(fstar, space0, space1, oracle_grid(fstar, free_m), False)
@@ -943,7 +941,7 @@ def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, t
         # the better search wins; the certificate covers the monotone problem only
         v2, u2, t2, it2, c2, _, st2 = free.search(t, seed)
         won, v, u, t_won = (free, v2, u2, t2) if v2 < v else (mono, v, u, tv)
-        u, rest = _checked_parts(won, u)
+        u, rest = _checked_parts(won.F, won.grid, u, monotone=won.monotone)
         results.append(OracleResult(v, u, rest, "optimizer" if v < t_won else "truncation", min(tv, t2), c2,
                                     it + it2, False, won.grid, math.inf, st + st2))
     return results
@@ -999,17 +997,14 @@ def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np
 def k_oracle(q: KQuery, m: int = 64, monotone_only: bool = True, seed: int = 0) -> OracleResult:
     """Brute-force K-functional value over step decompositions: ``k_curve``'s routine at one t.
 
-    f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i -
-    f*_{i+1} of differences, and in unconstrained mode also on the grid
-    ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate with a
-    gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
-    (``_CoupleObjective.newton``) runs from the centre, then from the best
-    point, while uncertified, stepping off a corner u = 0 or f* with dual norm
-    above 1 along the dual's maximizer.  Ties go to the truncation candidate.
-    Below exponent 1, at p_0 = p_1 = 1 and on one step the best corner of the
-    box is taken (``_GridProblem.corners``).  In unconstrained mode (not
-    convex) L-BFGS-B runs from the truncation candidate, both corners, the
-    centre and a point drawn from ``seed``; the better wins.
+    f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences, and
+    in unconstrained mode also on the grid ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate
+    with a gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
+    (``_CoupleObjective.newton``) runs from it, then from the centre, while uncertified, stepping off a
+    corner u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to the truncation
+    candidate.  Below exponent 1, at p_0 = p_1 = 1 and on one step the best corner of the box is taken
+    (``_GridProblem.corners``).  In unconstrained mode (not convex) L-BFGS-B runs from the truncation
+    candidate, both corners, the centre and a point drawn from ``seed``; the better wins.
     """
     return _oracle_curve(q.f, q.space0, q.space1, (q.t,), None if monotone_only else m, seed)[0]
 
@@ -1052,7 +1047,8 @@ def k_oracle_exhaustive(q: KQuery, grid: Grid, quantum: float, monotone_only: bo
 
 @dataclass(frozen=True)
 class SCoupleOracleResult:
-    """The s-couple K-value by two independent routes."""
+    """The s-couple K-value of the monotone oracle (``direct``), of its parts mapped by the oscillation
+    transform (``transformed``, see ``k_curve_s_couple``) and their ratio, the s-lambda identity on them."""
 
     direct: OracleResult
     transformed: OracleResult
@@ -1061,31 +1057,35 @@ class SCoupleOracleResult:
 
 def k_curve_s_couple(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace,
                      ts: Sequence[float]) -> list[SCoupleOracleResult]:
-    """K-functional of an s-flavor couple at each t of ``ts``, directly and through the transform.
+    """K-functional of an s-flavor couple at each t of ``ts``: solved once, and mapped by the transform.
 
-    Route one is the monotone K-curve of f* under the s-norms, route two the
-    K-curve of the transform of f* under the reciprocal-weight lambda-couple;
-    each solves on its own steps, so their ratio measures the equivalence alone.
+    ``direct`` is the monotone K-curve of f* under the s-norms.  T is linear on non-increasing step
+    functions, maps the monotone splits of f* onto those of Tf* and has ||g||_{S(w)} = ||Tg||_{Lambda(w~)}:
+    one problem.  So ``transformed`` solves nothing: T of the direct parts (``stepfn._osc_rows``), checked to
+    sum to Tf*, under the reciprocal lambda couple, with the direct gap, convergence and truncation value.
     """
     if space0.flavor != "s" or space1.flavor != "s":
         raise ValueError("both spaces of the couple must be s-flavor")
     fstar = rearrange(f)
     direct = k_curve(fstar, space0, space1, ts)
-    tstep = osc_transform(fstar).as_step()
-    tilde0 = LorentzSpace("lambda", space0.p, reciprocal_weight(space0.w, space0.p))
-    tilde1 = LorentzSpace("lambda", space1.p, reciprocal_weight(space1.w, space1.p))
-    transformed = k_curve(tstep, tilde0, tilde1, ts)
+    if fstar.is_zero or not direct:
+        return [SCoupleOracleResult(d, d, 1.0) for d in direct]
+    x, grid = fstar.breakpoints, Grid(1.0 / fstar.breakpoints[::-1])
+    mapped = _osc_rows(x, np.array([(d.u, d.rest) for d in direct]))
+    parts = _checked_parts(_osc_rows(x, fstar.values), grid, mapped[:, 0], mapped[:, 1])
+    evs = [_SpaceOnGrid(LorentzSpace("lambda", s.p, reciprocal_weight(s.w, s.p)), grid.points) for s in (space0, space1)]
+    # each row's norm by its own product, as in ``_forward_rows``: no value depends on the other t's
+    norms = [[pw ** (1.0 / ev.p) for pw in (P[:, None] ** ev.p @ ev.omega)[:, 0].tolist()] for ev, P in zip(evs, parts)]
     results = []
-    for d, tr in zip(direct, transformed):
-        a, b = d.value, tr.value
-        ratio = a / b if b > 0.0 else (1.0 if a == 0.0 else math.inf)
+    for d, u, rest, n0, n1, t in zip(direct, *parts, *norms, ts):
+        tr = replace(d, value=n0 + float(t) * n1, u=u, rest=rest, grid=grid, iterations=0, starts=0)
+        ratio = d.value / tr.value if tr.value > 0.0 else (1.0 if d.value == 0.0 else math.inf)
         results.append(SCoupleOracleResult(d, tr, ratio))
     return results
 
 
 def k_oracle_s_couple(q: KQuery) -> SCoupleOracleResult:
-    """K-functional of an s-flavor couple, directly and through the transform: the one-t
-    case of ``k_curve_s_couple``."""
+    """K-functional of an s-flavor couple, solved and mapped by the transform: ``k_curve_s_couple`` at one t."""
     return k_curve_s_couple(q.f, q.space0, q.space1, (q.t,))[0]
 
 

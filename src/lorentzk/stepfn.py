@@ -303,10 +303,17 @@ class OscillationTransform:
         f = self.base
         if f.is_zero:
             return StepFunction.zero()
-        c = f._prefix[:-1] - f.values * _left_edges(f.breakpoints)
-        # c_1 = 0 is the value beyond 1/x_1 and is dropped
-        vals = np.concatenate((f._prefix[-1:], c[:0:-1]))
-        return StepFunction(1.0 / f.breakpoints[::-1], vals)
+        return StepFunction(1.0 / f.breakpoints[::-1], _osc_rows(f.breakpoints, f.values))
+
+
+def _osc_rows(x: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``OscillationTransform.as_step``'s values on the cells ending at 1/x reversed, for each row of V,
+    non-increasing values on the cells ending at x: [c_{n+1}, ..., c_2] with v_{n+1} = 0 (so c_{n+1} = A_n).
+    Each c_i = A_{i-1} - v_i x_{i-1} is summed as jumps (v_{j-1} - v_j) x_{j-1}, as ``norms.cell_sums`` does:
+    a run of equal values gives equal values exactly, and 0 at the start, where A - v x would leave
+    rounding that a power below 1 blows up.  Not canonical: runs of equal values stay."""
+    drops = V - np.concatenate((V[..., 1:], np.zeros(V.shape[:-1] + (1,))), axis=-1)
+    return np.cumsum(drops * x, axis=-1)[..., ::-1]
 
 
 def maximal(fstar: StepFunction) -> MaximalFunction:

@@ -13,9 +13,10 @@ Suites
   f with its cells in reverse order), the s-norm as a reciprocal
   lambda-norm of the oscillation transform (exact sums against independent
   quadrature), and reconstruction of f** from the oscillation tail integral;
-* ``t11``: the s-couple K-functional computed directly versus through the
-  oscillation transform on the reciprocal couple (each on the steps of its
-  own function);
+* ``t11``: the s-couple K-functional of the monotone oracle versus its optimal
+  parts mapped by the oscillation transform and measured in the reciprocal
+  lambda-couple: one problem in two coordinates, so the ratio checks the
+  s-lambda norm identity on those parts, not the oracle;
 * ``t2``: the explicit head/tail s-couple formula at split t versus the
   oracle at the matched parameter theta(t);
 * ``cor1``: the same with w_0 = 1, w_1 = s^{-alpha};
@@ -25,13 +26,13 @@ Suites
   bounded when the reverse balance condition holds).
 
 The oracle suites take one oracle curve per entry and suite
-(``kfunctional.k_curve``; two in ``t11``, one per route) over the sweep's
-parameters t, theta(t) or sigma(t).  The monotone oracle solves exactly on
-the steps of f*, so the resolution m changes no value: it is only recorded in
-the config, and with ``refine`` the refined records are the base records, so
-the drift is 0 by construction.  A record is flagged
-``oracle-unconverged`` when its oracle value is uncertified, and
-``oracle-nonconcave`` when its curve breaks the concavity of K(t) or the
+(``kfunctional.k_curve``; in ``t11`` ``k_curve_s_couple``, whose mapped side
+keeps the curve's gaps) over the sweep's parameters t, theta(t) or sigma(t).
+The monotone oracle solves exactly on the steps of f*, so the resolution m
+changes no value: it is only recorded in the config, and with ``refine`` the
+refined records are the base records, so the drift is 0 by construction.  A
+record is flagged ``oracle-unconverged`` when its oracle value is uncertified,
+and ``oracle-nonconcave`` when its curve breaks the concavity of K(t) or the
 monotonicity of K(t)/t beyond the gaps (``kfunctional.curve_violations``).
 """
 

@@ -1055,7 +1055,7 @@ class TestOracleWork:
     entries, one entry per call, at p = 2, alpha = 1 and t-count 3, refined, as the benchmark runs it."""
 
     # the most Newton runs, Newton steps, ``point`` evaluations and ``_Vertex`` constructions per pass
-    BUDGET = {"runs": 16, "steps": 125, "points": 157, "vertices": 48}
+    BUDGET = {"runs": 11, "steps": 65, "points": 86, "vertices": 32}
 
     def test_a_pass_stays_within_the_budget(self, monkeypatch):
         work = dict.fromkeys(self.BUDGET, 0)
@@ -1217,6 +1217,60 @@ class TestSCoupleOracle:
         sp = LorentzSpace("lambda", 2.0, FLAT)
         with pytest.raises(ValueError, match="s-flavor"):
             k_oracle_s_couple(KQuery(STAIR, 1.0, sp, sp))
+
+
+@st.composite
+def s_couple_cases(draw):
+    """A non-increasing function of 1 to 6 steps, an s couple of power or power-log weights with both
+    exponents at most 1 or both in [1.05, 3], and 0 to 4 parameters."""
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True))
+    f = StepFunction(tuple(np.cumsum(widths)), tuple(sorted(values, reverse=True)))
+    exponents = st.floats(0.5, 1.0) if draw(st.booleans()) else st.floats(1.05, 3.0)
+    spaces = []
+    for _ in range(2):
+        p = draw(exponents)
+        beta = draw(st.floats(min(-0.5, p - 1.6), p - 1.1))  # the s flavor needs beta < p - 1 at infinity
+        w = PowerWeight(beta) if draw(st.booleans()) else PowerLogWeight(beta, draw(st.floats(-1.0, 1.0)))
+        spaces.append(LorentzSpace("s", p, w))
+    return f, spaces, draw(st.lists(st.floats(0.05, 20.0), max_size=4))
+
+
+class TestMappedTransform:
+    """``k_curve_s_couple`` solves the s couple once and maps the optimal parts by the oscillation
+    transform: the transformed curve, solved again under the reciprocal lambda couple, agrees within
+    both gaps, and the mapped parts are a monotone split of Tf*."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(s_couple_cases())
+    @example((StepFunction.zero(), _verify_spaces()[:2], [0.5, 2.0]))
+    @example((STAIR, _verify_spaces()[:2], []))
+    @example((StepFunction.indicator(2.0, 3.0), _verify_spaces()[:2], [0.1, 1.0, 10.0]))
+    # below exponent 1 a part whose values should run equal but differ by an ulp took 1.4e-9 relative
+    # into its s-norm, so the corner route builds both parts from the differences
+    @example((
+        StepFunction((0.32892972334919773, 1.5523375038765248, 4.304775040711325, 8.699277466644494),
+                     (6.609694202282977, 6.1120602236393475, 5.030564510040548, 0.4145470081770781)),
+        [LorentzSpace("s", 0.6737082133248711, PowerWeight(-0.4465977639242226)),
+         LorentzSpace("s", 0.5441838588792534, PowerLogWeight(-0.9032715607825836, -0.4607828304336288))],
+        [14.131126165378255, 13.9170827976235],
+    ))
+    def test_the_mapped_curve_matches_a_second_solve(self, case):
+        f, (space0, space1), ts = case
+        tstep = osc_transform(rearrange(f)).as_step()
+        tilde = [LorentzSpace("lambda", sp.p, reciprocal_weight(sp.w, sp.p)) for sp in (space0, space1)]
+        pairs, again = k_curve_s_couple(f, space0, space1, ts), k_curve(tstep, *tilde, ts)
+        assert len(pairs) == len(again) == len(ts)
+        for pair, solved in zip(pairs, again):
+            direct, mapped = pair.direct, pair.transformed
+            assert abs(mapped.value - solved.value) <= direct.gap + solved.gap + 1e-12 * solved.value
+            assert (mapped.gap, mapped.converged, mapped.starts, mapped.iterations) == (direct.gap, direct.converged, 0, 0)
+            for part in (mapped.u, mapped.rest):
+                assert (part[1:] <= part[:-1]).all() and part.min(initial=0.0) >= 0.0
+            target = tstep.at(mapped.grid.points)
+            # Tf* is at most the mass of f*, its value next to 0
+            np.testing.assert_allclose(mapped.u + mapped.rest, target, rtol=0.0, atol=1e-12 * rearrange(f).total_integral)
 
 
 def _suite_curves(t_count):
