@@ -282,15 +282,13 @@ def k_cmd(fn_path: str, t: float, p_str: str, alpha: float, method: str, fmt: st
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--size", type=click.IntRange(min=1), default=20, show_default=True, help="Corpus size.")
-@click.option("--m", type=int, default=64, show_default=True,
-              help="Recorded in the config only; the monotone oracle solves exactly on the steps of f*.")
 @click.option("--t-count", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit 2 if a suite hypothesis fails.")
 @click.option("--refine", is_flag=True,
-              help="Report refined records for the oracle suites: the base records, as a pass at 2m "
-                   "solves the same problems on the steps of f*, so drift is 0 by construction.")
+              help="Report refined records for the oracle suites: the base records, as the monotone oracle "
+                   "solves exactly on the steps of f* at any resolution, so drift is 0 by construction.")
 @click.pass_context
 def verify_cmd(
     ctx: click.Context,
@@ -299,14 +297,17 @@ def verify_cmd(
     alpha: float,
     seed: int,
     size: int,
-    m: int,
     t_count: int,
     out_path: str | None,
     csv_path: str | None,
     strict: bool,
     refine: bool,
 ) -> None:
-    """Run empirical equivalence suites and summarize the observed bands."""
+    """Run empirical equivalence suites and summarize the observed bands.
+
+    The explicit formulas (t2, cor1, generalk) take each function's sweep of t
+    in one call, the oracle then the matched parameters in one curve.
+    """
     p = _parse_p(p_str)
     corpus = make_corpus(seed, size)
     reports = []
@@ -318,7 +319,6 @@ def verify_cmd(
                     corpus,
                     p=p,
                     alpha=alpha,
-                    m=m,
                     t_count=t_count,
                     seed=seed,
                     refine=refine,

@@ -4,12 +4,12 @@ The K-functional of f at parameter t > 0 for a couple (X_0, X_1) is the
 infimum of ||f_0||_{X_0} + t ||f_1||_{X_1} over decompositions f = f_0 + f_1.
 This module provides:
 
-* ``k_explicit_general`` — the head/tail formula for lambda-flavor couples,
-  (integral_0^t (f*)^{p_0} w_0)^{1/p_0} + sigma(t) (integral_t^inf
-  (f*)^{p_1} w_1)^{1/p_1}, sigma the ratio of fundamental functions;
-* ``k_explicit_s`` — the analogue for s-flavor couples, with f** - f* in both
-  integrals, the tail-fundamental ratio theta as parameter and the verdicts
-  of ``s_couple_hypotheses``; ``corollary_1`` is w_0 = 1, w_1 = s^{-alpha};
+* ``k_explicit_curve`` and its one-t cases ``k_explicit_general`` (lambda) and
+  ``k_explicit_s`` — the head/tail formula (integral_0^t g^{p_0} w_0)^{1/p_0} +
+  r(t) (integral_t^inf g^{p_1} w_1)^{1/p_1} over a sweep of t: g = f* and r = sigma,
+  the ratio of fundamental functions (lambda); g = f** - f*, r = theta, the ratio of
+  tail fundamentals, and the verdicts of ``s_couple_hypotheses`` (s); ``corollary_1``
+  is w_0 = 1, w_1 = s^{-alpha};
 * ``truncation_decomposition`` and ``decomposition_lemma`` — cut f* at a
   point; split non-increasing f <= g + h by the right running supremum of
   (f - g)^+;
@@ -67,7 +67,7 @@ from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerL
 
 __all__ = [
     "Decomposition", "KQuery", "ExplicitKValue", "OracleResult", "SCoupleOracleResult", "NearOptimalSDecomposition",
-    "k_explicit_general", "k_explicit_s", "s_couple_hypotheses", "corollary_couple", "corollary_1",
+    "k_explicit_curve", "k_explicit_general", "k_explicit_s", "s_couple_hypotheses", "corollary_couple", "corollary_1",
     "truncation_decomposition", "decomposition_lemma", "oracle_grid", "k_curve", "k_curve_s_couple",
     "curve_violations", "k_oracle", "k_oracle_exhaustive", "k_oracle_s_couple", "near_optimal_s_decomposition",
 ]
@@ -147,45 +147,50 @@ class ExplicitKValue:
     hypotheses: dict | None = None
 
 
-def _shift_tail(fstar: StepFunction, t: float) -> StepFunction:
-    """Rearrangement of f* restricted to (t, inf): the tail slid to the origin."""
-    tail = fstar.breakpoints > t
-    return StepFunction(fstar.breakpoints[tail] - t, fstar.values[tail])
+def k_explicit_curve(f: StepFunction, ts: Sequence[float], cfg: CoupleConfig, flavor: Literal["lambda", "s"],
+                     eps: float | Literal["auto"] = "auto", check_hypotheses: bool = True) -> list[ExplicitKValue]:
+    """The head/tail explicit K-value of the couple at each split point t of ``ts``, one per t in their order.
 
-
-def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig,
-                       form: Literal["integral", "norm"] = "integral") -> ExplicitKValue:
-    """Head/tail explicit value for a lambda-flavor couple at split point t.
-
-    The "integral" form takes the tail as integral_t^inf (f*)^{p_1} w_1, the
-    "norm" form rearranges it to the origin first (equal up to constants when
-    the second fundamental function doubles).  The matched parameter sigma(t)
-    comes along; an infinite second fundamental function gives sigma = 0 and a flag.
-    A vanishing tail adds 0, even where sigma(t) is infinite.
+    value = (integral_0^t g^{p_0} w_0)^{1/p_0} + r(t) (integral_t^inf g^{p_1} w_1)^{1/p_1}, with g = f* and
+    r = sigma, the ratio of fundamental functions (lambda), or g = f** - f* and r = theta, the ratio of tail
+    fundamentals (s), f* the rearrangement of f.  The matched parameter r(t) comes along; a vanishing tail
+    adds 0, even where r(t) is infinite.  Each integral takes the whole sweep from one ``Weight.moment`` call (``norms._powered``), r(t)
+    is taken point by point.  Flags, in order: divergent-head; sigma-degenerate, an infinite fundamental
+    function read as sigma = 0 (lambda); divergent-tail; hypothesis-violated:<name> for each failed verdict
+    of ``s_couple_hypotheses``, which are attached (s, with ``check_hypotheses``), never assumed away.
     """
-    _require_nonincreasing(fstar, "the explicit K-formula")
-    if not (t > 0.0 and math.isfinite(t)):
+    if flavor not in ("lambda", "s"):
+        raise ValueError("flavor must be 'lambda' or 's'")
+    ts = [float(t) for t in ts]
+    if not all(t > 0.0 and math.isfinite(t) for t in ts):
         raise ValueError("split point t must be positive and finite")
-    flags: list[str] = []
-    left = _powered("lambda", fstar, cfg.p0, cfg.w0, 0.0, t) ** (1.0 / cfg.p0)
-    if math.isinf(left):
-        flags.append("divergent-head")
-    try:
-        sigma_t = fundamental_ratio(cfg)(t)
-    except InvalidWeightError:
-        sigma_t = 0.0
-        flags.append("sigma-degenerate")
-    if form == "integral":
-        tail_pow = _powered("lambda", fstar, cfg.p1, cfg.w1, t, math.inf)
-    elif form == "norm":
-        tail_pow = _powered("lambda", _shift_tail(fstar, t), cfg.p1, cfg.w1, 0.0, math.inf)
+    fstar, degenerate = rearrange(f), False
+    if flavor == "s":
+        params = list(map(tail_fundamental_ratio(cfg), ts))
     else:
-        raise ValueError("form must be 'integral' or 'norm'")
-    tail_root = tail_pow ** (1.0 / cfg.p1)
-    if math.isinf(tail_root):
-        flags.append("divergent-tail")
-    right = 0.0 if sigma_t == 0.0 or tail_root == 0.0 else sigma_t * tail_root
-    return ExplicitKValue(left + right, sigma_t, left, right, tail_root, tuple(flags))
+        try:
+            params = list(map(fundamental_ratio(cfg), ts))
+        except InvalidWeightError:
+            params, degenerate = [0.0] * len(ts), True
+    heads = _powered(flavor, fstar, cfg.p0, cfg.w0, 0.0, np.array(ts)).tolist()
+    tails = _powered(flavor, fstar, cfg.p1, cfg.w1, np.array(ts), math.inf).tolist()
+    hypotheses = s_couple_hypotheses(cfg, eps) if flavor == "s" and check_hypotheses else None
+    violated = [f"hypothesis-violated:{name}" for name, verdict in (hypotheses or {}).items() if not verdict.holds]
+    out = []
+    for head, tail, r in zip(heads, tails, params):
+        left, tail_root = head ** (1.0 / cfg.p0), tail ** (1.0 / cfg.p1)
+        marks = (math.isinf(left), degenerate, math.isinf(tail_root))
+        flags = [name for name, on in zip(("divergent-head", "sigma-degenerate", "divergent-tail"), marks) if on]
+        right = 0.0 if r == 0.0 or tail_root == 0.0 else r * tail_root
+        out.append(ExplicitKValue(left + right, r, left, right, tail_root, tuple(flags + violated), hypotheses))
+    return out
+
+
+def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig) -> ExplicitKValue:
+    """Head/tail explicit value for a lambda-flavor couple at split point t: ``k_explicit_curve``'s one-t case,
+    (integral_0^t (f*)^{p_0} w_0)^{1/p_0} + sigma(t) (integral_t^inf (f*)^{p_1} w_1)^{1/p_1}, f = f* given."""
+    _require_nonincreasing(fstar, "the explicit K-formula")
+    return k_explicit_curve(fstar, (t,), cfg, "lambda")[0]
 
 
 def _auto_eps(cfg: CoupleConfig) -> float:
@@ -218,23 +223,9 @@ def s_couple_hypotheses(cfg: CoupleConfig, eps: float | Literal["auto"] = "auto"
 
 def k_explicit_s(f: StepFunction, t: float, cfg: CoupleConfig, eps: float | Literal["auto"] = "auto",
                  check_hypotheses: bool = True) -> ExplicitKValue:
-    """Explicit head/tail value for an s-flavor couple at split point t.
-
-    value = (integral_0^t (f**-f*)^{p_0} w_0)^{1/p_0} + theta(t) (integral_t^inf
-    (f**-f*)^{p_1} w_1)^{1/p_1}, theta the ratio of tail fundamentals; the verdicts of
-    ``s_couple_hypotheses`` are attached, and a violation is flagged, never assumed away.
-    """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError("split point t must be positive and finite")
-    fstar = rearrange(f)
-    theta_t = tail_fundamental_ratio(cfg)(t)
-    left = _powered("s", fstar, cfg.p0, cfg.w0, 0.0, t) ** (1.0 / cfg.p0)
-    tail_root = _powered("s", fstar, cfg.p1, cfg.w1, t, math.inf) ** (1.0 / cfg.p1)
-    flags = [name for name, val in (("divergent-head", left), ("divergent-tail", tail_root)) if math.isinf(val)]
-    hypotheses = s_couple_hypotheses(cfg, eps) if check_hypotheses else None
-    flags += [f"hypothesis-violated:{name}" for name, verdict in (hypotheses or {}).items() if not verdict.holds]
-    value = left + (0.0 if tail_root == 0.0 else theta_t * tail_root)
-    return ExplicitKValue(value, theta_t, left, theta_t * tail_root if tail_root else 0.0, tail_root, tuple(flags), hypotheses)
+    """Explicit head/tail value for an s-flavor couple at split point t: ``k_explicit_curve``'s one-t case,
+    (integral_0^t (f**-f*)^{p_0} w_0)^{1/p_0} + theta(t) (integral_t^inf (f**-f*)^{p_1} w_1)^{1/p_1}."""
+    return k_explicit_curve(f, (t,), cfg, "s", eps, check_hypotheses)[0]
 
 
 def corollary_couple(p: float, alpha: float) -> CoupleConfig:

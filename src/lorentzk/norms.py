@@ -26,7 +26,8 @@ and the s and gamma norms take it only where the support ends below 1.  The thre
 flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
-norms and the explicit K-formulas of ``kfunctional`` go through this pair; the
+norms and the explicit K-formulas of ``kfunctional`` go through this pair, the
+formulas with every head or tail window of a sweep of t in one call; the
 K-oracle takes its grids' moments and its sorted unconstrained rows' (one row
 of edges each) from ``cell_moments``, evaluates monotone candidates from their
 differences (y = Bd) and only unconstrained ones by ``cell_sums``.  Divergent
@@ -109,7 +110,12 @@ class NormResult:
 
 
 def _moment_sum(X: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    return X @ moments if moments.ndim == 1 else (X * moments).sum(axis=-1)
+    """sum_i X_i moments_i per row; windows (one X, a moments row each) take one-row products, each a lone window's."""
+    if moments.ndim == 1:
+        return X @ moments
+    if X.ndim == 1:
+        return (moments[..., None, :] @ X[:, None])[..., 0, 0]
+    return (X * moments).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def cell_sums(
 
 
 def cell_moments(
-    flavor: str, p: float, w: Weight, x: np.ndarray, lo: float = 0.0, hi: float = math.inf
+    flavor: str, p: float, w: Weight, x: np.ndarray, lo: float | np.ndarray = 0.0, hi: float | np.ndarray = math.inf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | GammaNodes, float | np.ndarray] | None:
     """What ``cell_sums`` takes after the values: (lengths, left edges, moments,
     tail) of the cells (x_{i-1}, x_i], their moments clipped to (lo, hi), or
@@ -213,19 +219,24 @@ def cell_moments(
     interval, so 0), with the tail as a last pair for s, whose cells share
     its exponent, and one more the gamma tail.  For lambda and s, x may have
     leading axes, one row of right edges each, and every result but a lambda
-    tail has them too; gamma takes one row.  The norms, the oracle grids and
-    the K-oracle's sorted unconstrained rows take their weight moments here
-    alone.
+    tail has them too; or x is one row and lo, hi are ndarrays of window ends,
+    and the moments and the s tail have a row per window.  The explicit
+    formulas' windows diverge only at 0 (lambda heads) or inf (s tails), so in
+    all or none.  Gamma takes one row and one window.  The norms, the oracle
+    grids and the K-oracle's sorted unconstrained rows take their weight
+    moments here alone.
     """
     left = np.concatenate((np.zeros(x.shape[:-1] + (1,)), x[..., :-1]), axis=-1)
     end = np.maximum(x[..., -1], lo)
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):  # window ends: each window's cells on a last axis
+        lo, hi = np.broadcast_arrays(np.expand_dims(lo, -1), np.expand_dims(hi, -1))
     cells = slice(1) if flavor == "gamma" else slice(None)
     a = np.maximum(left[..., cells], lo)
     b = np.maximum(np.minimum(x[..., cells], hi), a)
     if flavor == "s":
         b[..., 0] = a[..., 0]  # dPsi_1 = 0: no oscillation on the first cell
-        a = np.concatenate((a, np.minimum(end, hi)[..., None]), axis=-1)  # the tail, at the cells' exponent
-        b = np.concatenate((b, np.full(end.shape + (1,), hi)), axis=-1)
+        start = np.minimum(end[..., None], hi)  # the tail (start, hi), at the cells' exponent
+        a, b = np.concatenate((a, start), axis=-1), np.concatenate((b, np.maximum(start, hi)), axis=-1)
     pieces = w.moment(-p if flavor == "s" else 0.0, a, b)
     if np.count_nonzero(np.isinf(pieces)):
         return None
@@ -238,14 +249,17 @@ def cell_moments(
     return x - left, left, moments, tail
 
 
-def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of (f*)^p w, (f**)^p w or (f** - f*)^p w; +inf on divergence."""
-    if fstar.is_zero:
-        return 0.0
-    cells = cell_moments(flavor, p, w, fstar.breakpoints, lo, hi)
-    if cells is None:
-        return math.inf
-    return float(cell_sums(flavor, p, fstar.values, *cells)[0])
+def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float | np.ndarray,
+             hi: float | np.ndarray) -> float | np.ndarray:
+    """integral over (lo, hi) of (f*)^p w, (f**)^p w or (f** - f*)^p w; +inf on divergence.  With ndarrays
+    of window ends (lambda, s) one per window, every head or tail of a sweep from one ``Weight.moment`` call,
+    each bit for bit its one-window value."""
+    cells = None if fstar.is_zero else cell_moments(flavor, p, w, fstar.breakpoints, lo, hi)
+    if cells is None:  # f = 0, or a moment diverges, and then in every window
+        value, shape = 0.0 if fstar.is_zero else math.inf, np.broadcast_shapes(np.shape(lo), np.shape(hi))
+        return np.full(shape, value) if shape else value
+    powered = cell_sums(flavor, p, fstar.values, *cells)[0]
+    return powered if powered.ndim else float(powered)
 
 
 def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:

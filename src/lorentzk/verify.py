@@ -27,7 +27,9 @@ Suites
 
 The oracle suites take one oracle curve per entry and suite
 (``kfunctional.k_curve``; in ``t11`` ``k_curve_s_couple``, whose mapped side
-keeps the curve's gaps) over the sweep's parameters t, theta(t) or sigma(t).
+keeps the curve's gaps) over the sweep's parameters t, theta(t) or sigma(t);
+``t2``, ``cor1`` and ``generalk`` take the explicit formula over the sweep in
+one ``kfunctional.k_explicit_curve`` call, which gives theta(t) or sigma(t).
 The monotone oracle solves exactly on the steps of f*, so the resolution m
 changes no value: it is only recorded in the config, and with ``refine`` the
 refined records are the base records, so the drift is 0 by construction.  A
@@ -50,13 +52,12 @@ from .kfunctional import (
     curve_violations,
     k_curve,
     k_curve_s_couple,
-    k_explicit_general,
-    k_explicit_s,
+    k_explicit_curve,
     s_couple_hypotheses,
 )
 from .norms import LorentzSpace, gamma_equals_s_check, s_lambda_identity_check
 from .stepfn import StepFunction, add, rearrange
-from .weights import CoupleConfig, PowerWeight, check_rbp, fundamental_ratio
+from .weights import CoupleConfig, PowerWeight, check_rbp
 
 __all__ = [
     "CorpusEntry",
@@ -335,12 +336,10 @@ def run_identity_suite(
 
 
 def _default_couple(tag: str, p: float, alpha: float) -> CoupleConfig:
-    if tag == "cor1":
+    if tag in ("cor1", "t11", "gammaeqs"):
         return corollary_couple(p, alpha)
     if tag == "t2":
         return CoupleConfig(p, PowerWeight(0.5), p, PowerWeight(-alpha))
-    if tag in ("t11", "gammaeqs"):
-        return corollary_couple(p, alpha)
     if tag == "generalk":
         return CoupleConfig(p, PowerWeight(1.0), p, PowerWeight(0.0))
     raise ValueError(f"unknown suite tag {tag!r}")
@@ -385,10 +384,7 @@ def run_theorem_suite(
         "seed": seed,
     }
 
-    space_s0 = LorentzSpace("s", cfg.p0, cfg.w0)
-    space_s1 = LorentzSpace("s", cfg.p1, cfg.w1)
-    space_l0 = LorentzSpace("lambda", cfg.p0, cfg.w0)
-    space_l1 = LorentzSpace("lambda", cfg.p1, cfg.w1)
+    spaces = {fl: (LorentzSpace(fl, cfg.p0, cfg.w0), LorentzSpace(fl, cfg.p1, cfg.w1)) for fl in ("lambda", "s")}
 
     def one(entry: CorpusEntry) -> list[EquivalenceRecord]:
         if tag == "gammaeqs":
@@ -398,18 +394,14 @@ def run_theorem_suite(
             return [EquivalenceRecord(entry.f_id, math.inf, lhs, rhs, _ratio(lhs, rhs))]
         ts = t_sweep(entry.fn, t_count)
         if tag == "t11":
-            pairs = k_curve_s_couple(entry.fn, space_s0, space_s1, ts)
+            pairs = k_curve_s_couple(entry.fn, *spaces["s"], ts)
             sides = [(res.direct.value, res.transformed.value) for res in pairs]
             curves = [(ts, [res.direct for res in pairs]), (ts, [res.transformed for res in pairs])]
-        else:
-            if tag == "generalk":
-                sigma, fstar = fundamental_ratio(cfg), rearrange(entry.fn)
-                explicit = [k_explicit_general(fstar, t, cfg) for t in ts]
-                params, spaces = [sigma(t) for t in ts], (space_l0, space_l1)
-            else:  # t2, cor1: the oracle at the matched parameters theta(t)
-                explicit = [k_explicit_s(entry.fn, t, cfg, check_hypotheses=False) for t in ts]
-                params, spaces = [e.param for e in explicit], (space_s0, space_s1)
-            oracle = k_curve(entry.fn, *spaces, params)
+        else:  # the oracle at the matched parameters, sigma(t) (generalk) or theta(t) (t2, cor1)
+            flavor = "lambda" if tag == "generalk" else "s"
+            explicit = k_explicit_curve(entry.fn, ts, cfg, flavor, check_hypotheses=False)
+            params = [e.param for e in explicit]
+            oracle = k_curve(entry.fn, *spaces[flavor], params)
             sides = [(e.value, res.value) for e, res in zip(explicit, oracle)]
             curves = [(params, oracle)]
         unconverged = np.zeros(len(ts), dtype=bool)

@@ -24,6 +24,7 @@ from lorentzk.kfunctional import (
     decomposition_lemma,
     k_curve,
     k_curve_s_couple,
+    k_explicit_curve,
     k_explicit_general,
     k_explicit_s,
     k_oracle,
@@ -33,7 +34,7 @@ from lorentzk.kfunctional import (
     oracle_grid,
     truncation_decomposition,
 )
-from lorentzk.norms import LorentzSpace, cell_moments, cell_sums, norm
+from lorentzk.norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
 from lorentzk.grids import Grid
 from lorentzk.stepfn import StepFunction, add, osc_transform, rearrange
 from lorentzk.verify import _default_couple, make_corpus, run_theorem_suite, t_sweep
@@ -164,16 +165,6 @@ class TestEqualCouple:
 class TestExplicitGeneral:
     COUPLE = CoupleConfig(2.0, PowerWeight(1.0), 2.0, PowerWeight(0.0))
 
-    def test_forms_agree(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            f = random_nonincreasing(rng)
-            t = float(rng.uniform(0.1, 10.0))
-            a = k_explicit_general(f, t, self.COUPLE, form="integral")
-            b = k_explicit_general(f, t, self.COUPLE, form="norm")
-            assert b.value == pytest.approx(a.value, rel=1e-9)
-            assert b.param == a.param
-
     def test_tracks_oracle_within_constant(self):
         space0 = LorentzSpace("lambda", 2.0, PowerWeight(1.0))
         space1 = LorentzSpace("lambda", 2.0, FLAT)
@@ -193,11 +184,10 @@ class TestExplicitGeneral:
         assert "sigma-degenerate" in res.flags
         assert res.right == 0.0
 
-    @pytest.mark.parametrize("form", ["integral", "norm"])
-    def test_a_vanishing_tail_adds_zero_at_infinite_sigma(self, form):
+    def test_a_vanishing_tail_adds_zero_at_infinite_sigma(self):
         # w1 vanishes on (0, 1], so phi1(0.8) = 0 and sigma(0.8) = inf, and f* vanishes past 0.5
         cfg = CoupleConfig(2.0, FLAT, 2.0, TabulatedWeight(StepFunction((1.0, 10.0), (0.0, 1.0))))
-        res = k_explicit_general(StepFunction.indicator(0.5), 0.8, cfg, form=form)
+        res = k_explicit_general(StepFunction.indicator(0.5), 0.8, cfg)
         assert math.isinf(res.param) and res.tail_root == 0.0
         assert res.right == 0.0 and res.value == res.left == math.sqrt(0.5)
 
@@ -243,6 +233,128 @@ class TestExplicitS:
         tails = [r.tail_root for r in res]
         assert all(b >= a - 1e-12 for a, b in zip(lefts, lefts[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
+
+
+def _explicit_weights(draw, p: float):
+    """A power, power-log, tabulated or reciprocal-tabulated weight; the power exponents reach past both
+    divergences (beta <= -1 at 0, beta >= p - 1 at infinity)."""
+    kind = draw(st.sampled_from(["power", "powerlog", "tabulated", "reciprocal"]))
+    if kind == "power":
+        return PowerWeight(draw(st.one_of(st.sampled_from([-1.25, -1.0, 1.0, 2.0]), st.floats(-0.9, 0.9))))
+    if kind == "powerlog":
+        return PowerLogWeight(draw(st.floats(-0.5, min(0.5, p - 1.2))), draw(st.floats(-1.0, 1.0)))
+    n = draw(st.integers(1, 4))
+    steps = StepFunction(tuple(np.cumsum(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))),
+                         tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n).filter(any))))
+    return TabulatedWeight(steps) if kind == "tabulated" else reciprocal_weight(TabulatedWeight(steps), p)
+
+
+@st.composite
+def explicit_sweeps(draw):
+    """(f, ts, couple, flavor, check_hypotheses): f of 0 to 6 cells in any order, with zero values; ts
+    unsorted, with repeats and jumps of f; hypotheses checked on power couples."""
+    n = draw(st.sampled_from(range(7)))
+    f = StepFunction(tuple(np.cumsum(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))),
+                     tuple(draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, 7.0, 0.0]), min_size=n, max_size=n))))
+    flavor = draw(st.sampled_from(["lambda", "s"]))
+    p0, p1 = draw(st.floats(1.2, 3.0)), draw(st.floats(1.2, 3.0))
+    cfg = CoupleConfig(p0, _explicit_weights(draw, p0), p1, _explicit_weights(draw, p1))
+    pool = np.geomspace(0.01, 100.0, 9).tolist() + f.breakpoints.tolist()
+    ts = draw(st.lists(st.sampled_from(pool), max_size=8))
+    powers = isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)
+    return f, ts, cfg, flavor, powers and draw(st.booleans())
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+DIVERGENT_HEAD = CoupleConfig(2.0, PowerWeight(-1.0), 2.0, FLAT)  # W_0 diverges at 0, and so does phi_0
+SIGMA_DEGENERATE = CoupleConfig(2.0, FLAT, 1.0, PowerWeight(-1.0))  # W_1 diverges at 0: phi_1 is infinite
+
+
+class TestExplicitCurve:
+    """``k_explicit_curve`` is its one-t calls, each integral of a sweep from one moment call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(explicit_sweeps())
+    @example((STAIR, [0.5, 2.0, 0.5, 8.0], DIVERGENT_HEAD, "lambda", False))
+    @example((STAIR, [4.0, 1.0, 0.3], SIGMA_DEGENERATE, "lambda", False))
+    @example((STAIR, [3.0, 0.2, 3.0], corollary_couple(2.0, 1.0), "s", True))
+    def test_each_entry_is_its_one_t_call(self, case):
+        f, ts, cfg, flavor, check = case
+        got = _outcome(lambda: k_explicit_curve(f, ts, cfg, flavor, check_hypotheses=check))
+        if flavor == "lambda":  # which takes f* only
+            if not f.is_nonincreasing():
+                with pytest.raises(ValueError, match="non-increasing"):
+                    k_explicit_general(f, 1.0, cfg)
+            want = [_outcome(lambda t=t: k_explicit_general(rearrange(f), t, cfg)) for t in ts]
+        else:
+            want = [_outcome(lambda t=t: k_explicit_s(f, t, cfg, check_hypotheses=check)) for t in ts]
+        if isinstance(got, tuple):  # a ValueError: every one-t call raises it too
+            assert want == [got] * len(ts)
+            return
+        assert len(got) == len(ts)
+        for a, b in zip(got, want):
+            assert (a.value, a.param, a.left, a.right, a.tail_root, a.flags) == (
+                b.value, b.param, b.left, b.right, b.tail_root, b.flags)
+            assert (a.hypotheses is None) == (b.hypotheses is None) == (flavor == "lambda" or not check)
+            assert repr(a.hypotheses) == repr(b.hypotheses)  # repr: a verdict's witness may be nan
+
+    def test_divergent_head_and_degenerate_sigma_are_flagged(self):
+        res = k_explicit_curve(STAIR, [0.5, 8.0], DIVERGENT_HEAD, "lambda")
+        assert [r.flags for r in res] == [("divergent-head", "sigma-degenerate")] * 2
+        assert all(math.isinf(r.value) and r.param == 0.0 and r.right == 0.0 for r in res)
+        res = k_explicit_curve(STAIR, [0.3, 1.0, 4.0], SIGMA_DEGENERATE, "lambda")
+        assert [r.flags for r in res] == [("sigma-degenerate",)] * 3
+        assert [r.value for r in res] == [r.left for r in res]
+
+    def test_rejects_an_unknown_flavor_and_a_bad_t(self):
+        with pytest.raises(ValueError, match="flavor"):
+            k_explicit_curve(STAIR, [1.0], TestExplicitGeneral.COUPLE, "gamma")
+        with pytest.raises(ValueError, match="split point"):
+            k_explicit_curve(STAIR, [1.0, math.inf], TestExplicitGeneral.COUPLE, "lambda")
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s"])
+    @pytest.mark.parametrize("w", [PowerWeight(0.3), PowerLogWeight(-0.4, 0.7),
+                                   TabulatedWeight(StepFunction((0.5, 2.0, 9.0), (1.0, 0.0, 3.0)))],
+                             ids=["power", "powerlog", "tabulated"])
+    def test_window_arrays_are_one_call_per_window(self, flavor, w):
+        x = STAIR.breakpoints
+        ts = np.array([0.3, 4.0, 1.0, 2.0, 1.0, 50.0])
+        for lo, hi in ((0.0, ts), (ts, math.inf), (ts / 2.0, ts)):
+            lengths, left, moments, tail = cell_moments(flavor, 2.5, w, x, lo, hi)
+            for k in range(ts.size):
+                one = cell_moments(flavor, 2.5, w, x, float(np.broadcast_to(lo, ts.shape)[k]),
+                                   float(np.broadcast_to(hi, ts.shape)[k]))
+                np.testing.assert_array_equal(lengths, one[0])
+                np.testing.assert_array_equal(left, one[1])
+                np.testing.assert_array_equal(moments[k], one[2])
+                assert (tail[k] if flavor == "s" else tail) == one[3]
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s"])
+    def test_windowed_integrals_are_the_one_window_values_bit_for_bit(self, flavor):
+        """A sweep's window takes its own one-row product: a gemv or an elementwise sum of the
+        moment rows would differ from the one-window dot in the last bit on some of these."""
+        for entry, w in itertools.product(make_corpus(7, 20), (PowerWeight(0.3), PowerLogWeight(-0.4, 0.7))):
+            fstar, ts = rearrange(entry.fn), np.array(t_sweep(entry.fn, 9))
+            for p in (1.5, 2.5):
+                assert _powered(flavor, fstar, p, w, 0.0, ts).tolist() == [
+                    _powered(flavor, fstar, p, w, 0.0, t) for t in ts.tolist()]
+                assert _powered(flavor, fstar, p, w, ts, math.inf).tolist() == [
+                    _powered(flavor, fstar, p, w, t, math.inf) for t in ts.tolist()]
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s"])
+    def test_two_moment_calls_per_sweep(self, flavor):
+        real = PowerWeight.moment
+        with mock.patch.object(PowerWeight, "moment", autospec=True, side_effect=real) as moment:
+            cfg = CoupleConfig(2.0, PowerWeight(0.5), 2.0, PowerWeight(-0.5))
+            k_explicit_curve(STAIR, np.geomspace(0.1, 40.0, 15), cfg, flavor, check_hypotheses=False)
+        assert moment.call_count == 2
 
 
 class TestOracle:
