@@ -151,29 +151,28 @@ def k_explicit_curve(f: StepFunction, ts: Sequence[float], cfg: CoupleConfig, fl
                      eps: float | Literal["auto"] = "auto", check_hypotheses: bool = True) -> list[ExplicitKValue]:
     """The head/tail explicit K-value of the couple at each split point t of ``ts``, one per t in their order.
 
-    value = (integral_0^t g^{p_0} w_0)^{1/p_0} + r(t) (integral_t^inf g^{p_1} w_1)^{1/p_1}, with g = f* and
-    r = sigma, the ratio of fundamental functions (lambda), or g = f** - f* and r = theta, the ratio of tail
-    fundamentals (s), f* the rearrangement of f.  The matched parameter r(t) comes along; a vanishing tail
-    adds 0, even where r(t) is infinite.  Each integral takes the whole sweep from one ``Weight.moment`` call (``norms._powered``), r(t)
-    is taken point by point.  Flags, in order: divergent-head; sigma-degenerate, an infinite fundamental
-    function read as sigma = 0 (lambda); divergent-tail; hypothesis-violated:<name> for each failed verdict
-    of ``s_couple_hypotheses``, which are attached (s, with ``check_hypotheses``), never assumed away.
+    value = (integral_0^t g^{p_0} w_0)^{1/p_0} + r(t) (integral_t^inf g^{p_1} w_1)^{1/p_1}, with g = f* and r = sigma,
+    the ratio of fundamental functions (lambda), or g = f** - f* and r = theta, the ratio of tail fundamentals (s),
+    f* the rearrangement of f.  The matched parameter r(t) comes along; a vanishing tail adds 0, even where r(t) is
+    infinite.  r(t) and each integral (``norms._powered``) take the sweep from one moment call per weight.  Flags:
+    divergent-head; sigma-degenerate, an infinite fundamental function read as sigma = 0 (lambda); divergent-tail;
+    hypothesis-violated:<name> per failed ``s_couple_hypotheses`` verdict (s, ``check_hypotheses``), never assumed away.
     """
     if flavor not in ("lambda", "s"):
         raise ValueError("flavor must be 'lambda' or 's'")
     ts = [float(t) for t in ts]
     if not all(t > 0.0 and math.isfinite(t) for t in ts):
         raise ValueError("split point t must be positive and finite")
-    fstar, degenerate = rearrange(f), False
+    fstar, degenerate, sweep = rearrange(f), False, np.array(ts)
     if flavor == "s":
-        params = list(map(tail_fundamental_ratio(cfg), ts))
+        params = tail_fundamental_ratio(cfg)(sweep).tolist()
     else:
         try:
-            params = list(map(fundamental_ratio(cfg), ts))
+            params = fundamental_ratio(cfg)(sweep).tolist()
         except InvalidWeightError:
             params, degenerate = [0.0] * len(ts), True
-    heads = _powered(flavor, fstar, cfg.p0, cfg.w0, 0.0, np.array(ts)).tolist()
-    tails = _powered(flavor, fstar, cfg.p1, cfg.w1, np.array(ts), math.inf).tolist()
+    heads = _powered(flavor, fstar, cfg.p0, cfg.w0, 0.0, sweep).tolist()
+    tails = _powered(flavor, fstar, cfg.p1, cfg.w1, sweep, math.inf).tolist()
     hypotheses = s_couple_hypotheses(cfg, eps) if flavor == "s" and check_hypotheses else None
     violated = [f"hypothesis-violated:{name}" for name, verdict in (hypotheses or {}).items() if not verdict.holds]
     out = []
@@ -197,28 +196,29 @@ def _auto_eps(cfg: CoupleConfig) -> float:
     """A concrete eps for the quasi-monotone hypothesis: midpoint of the
     admissible range when the couple is a pure power couple, 0.5 otherwise."""
     try:
-        theta = tail_fundamental_ratio(cfg)
-        psi0 = tail_fundamental(cfg.w0, cfg.p0)
+        theta, psi0 = tail_fundamental_ratio(cfg), tail_fundamental(cfg.w0, cfg.p0)
     except InvalidWeightError:
         return 0.5
-    if isinstance(theta, PowerLaw) and isinstance(psi0, PowerLaw) and psi0.exponent < 0.0:
-        if theta.exponent > 0.0:
-            return theta.exponent / (-2.0 * psi0.exponent)
+    if isinstance(theta, PowerLaw) and isinstance(psi0, PowerLaw) and psi0.exponent < 0.0 < theta.exponent:
+        return theta.exponent / (-2.0 * psi0.exponent)
     return 0.5
 
 
 def s_couple_hypotheses(cfg: CoupleConfig, eps: float | Literal["auto"] = "auto") -> dict[str, ConditionVerdict]:
-    """The verdicts of the hypotheses under which ``k_explicit_s`` holds, by name: tail
-    doubling, reverse balance of w_0, the quasi-monotone ratio at ``eps`` and the tail
-    blow-up at zero of each weight.  They depend on the couple alone."""
-    eps_val = _auto_eps(cfg) if eps == "auto" else float(eps)
-    return {
-        "tail-doubling": check_cond1(cfg),
-        "reverse-balance-w0": check_rbp(cfg.w0, cfg.p0),
-        "ratio-quasi-monotone": check_cond3(cfg, eps_val),
-        "tail-blowup-at-zero-0": tail_diverges_at_zero(cfg.w0, cfg.p0),
-        "tail-blowup-at-zero-1": tail_diverges_at_zero(cfg.w1, cfg.p1),
-    }
+    """The verdicts of the hypotheses under which ``k_explicit_s`` holds, by name: tail doubling, reverse
+    balance of w_0, the quasi-monotone ratio at ``eps`` and the tail blow-up at zero of each weight; they depend
+    on the couple alone.  A checker that raises InvalidWeightError gives a failed verdict, method "inapplicable"."""
+    checks = {"tail-doubling": (check_cond1, cfg), "reverse-balance-w0": (check_rbp, cfg.w0, cfg.p0),
+              "ratio-quasi-monotone": (check_cond3, cfg, _auto_eps(cfg) if eps == "auto" else float(eps)),
+              "tail-blowup-at-zero-0": (tail_diverges_at_zero, cfg.w0, cfg.p0),
+              "tail-blowup-at-zero-1": (tail_diverges_at_zero, cfg.w1, cfg.p1)}
+    verdicts = {}
+    for name, (check, *args) in checks.items():
+        try:
+            verdicts[name] = check(*args)
+        except InvalidWeightError as exc:
+            verdicts[name] = ConditionVerdict(name, False, math.inf, math.nan, "inapplicable", str(exc))
+    return verdicts
 
 
 def k_explicit_s(f: StepFunction, t: float, cfg: CoupleConfig, eps: float | Literal["auto"] = "auto",

@@ -57,7 +57,7 @@ from .kfunctional import (
 )
 from .norms import LorentzSpace, gamma_equals_s_check, s_lambda_identity_check
 from .stepfn import StepFunction, add, rearrange
-from .weights import CoupleConfig, PowerWeight, check_rbp
+from .weights import CoupleConfig, PowerWeight, check_rbp, fundamental_ratio
 
 __all__ = [
     "CorpusEntry",
@@ -376,6 +376,8 @@ def run_theorem_suite(
         raise ValueError(f"unknown suite tag {tag!r}; expected one of {SUITE_TAGS}")
     corpus = corpus if corpus is not None else make_corpus(seed)
     cfg = couple if couple is not None else _default_couple(tag, p, alpha)
+    if tag == "generalk":
+        fundamental_ratio(cfg)  # sigma(t) is the oracle's parameter: raises InvalidWeightError where W diverges
     config = {
         "tag": tag,
         "couple": cfg.to_json_dict(),

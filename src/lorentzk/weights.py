@@ -33,11 +33,14 @@ s = e^u, one exp per node for power and power-log weights) and ``kinks`` (non-sm
 
 Derived functions (the fundamental function phi = W^{1/p}, the tail
 fundamental psi, and the K-parameters sigma = phi0/phi1, theta = psi0/psi1)
-are a ``PowerLaw`` c t^e where the closed form is known, i.e. for power
-weights, and otherwise a plain function of t over a moment.  The checkers take
+map one t to a float and a 1-d array of t to an array.  For power weights they
+are a ``PowerLaw`` c t^e; otherwise phi and psi take the whole array from one
+moment call and sigma, theta divide them (``_ratio``).  Powers and roots are
+Python's, value by value (numpy's can be an ulp off), and a negative moment,
+quadrature's reading of a divergence, keeps its complex root.  The checkers take
 the closed form given a ``PowerLaw`` and scan a grid otherwise, tail doubling
-with psi at every t and 2t from one moment call per weight; the sufficient
-conditions' scan takes W and its integrals in one pass over the log panels.
+with psi at every t and 2t in one call per weight; the sufficient conditions'
+scan takes W and its integrals in one pass over the log panels.
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
@@ -555,7 +558,7 @@ def weight_from_json_dict(data: dict) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# derived scalar functions
+# derived functions
 
 
 @dataclass(frozen=True)
@@ -571,73 +574,68 @@ class PowerLaw:
         if not math.isfinite(self.exponent):
             raise ValueError("exponent must be finite")
 
-    def __call__(self, t: float) -> float:
-        if not (t > 0.0):
+    def __call__(self, t):
+        """c t^e at one t > 0 (a float) or at each t of a 1-d array (an array), a Python power per value."""
+        ts = np.ravel(t).tolist()
+        if not all(x > 0.0 for x in ts):
             raise ValueError("need t > 0")
-        return self.coeff * t ** self.exponent
+        vals = [self.coeff * x ** self.exponent for x in ts]
+        return np.array(vals) if np.ndim(t) else vals[0]
 
 
-def _quotient(num: float, den: float) -> float:
-    """num / den, reading x / 0 as inf for x > 0 and as 0 for x = 0."""
-    if den == 0.0:
-        return math.inf if num > 0.0 else 0.0
-    return num / den
-
-
-def _ratio_fn(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
-    """t |-> f(t) / g(t), g read first, x / 0 as ``_quotient`` reads it; two power laws fold into one."""
+def _ratio_fn(f: Callable, g: Callable) -> Callable:
+    """t |-> f(t) / g(t) at one t or a 1-d array of t, g read first, x / 0 as ``_ratio`` reads it; two power laws
+    fold into one."""
     if isinstance(f, PowerLaw) and isinstance(g, PowerLaw):
         if g.coeff == 0.0:
             raise ValueError("ratio denominator is identically zero")
         return PowerLaw(f.coeff / g.coeff, f.exponent - g.exponent)
 
-    def ratio(t: float) -> float:
+    def ratio(t):
         den = g(t)
-        return _quotient(f(t), den)
+        out = _ratio(f(t), den)
+        return out if np.ndim(t) else out.item()
 
     return ratio
 
 
-def _tail_roots(w: Weight, p: float, t) -> list:
-    """psi(t) = (integral_t^inf s^{-p} w)^{1/p} at each t, flattened, from one moment call, in Python numbers
-    (complex at a negative moment, quadrature's reading of a divergence); raises if a moment diverges."""
-    vals = w.moment(-float(p), t, math.inf).ravel().tolist()
-    if any(map(math.isinf, vals)):
-        raise InvalidWeightError(f"tail moment of {w.describe()} diverges at exponent {p:g}")
-    return [v ** (1.0 / p) for v in vals]
+def _root_fn(w: Weight, p: float, tail: bool) -> Callable:
+    """t |-> (integral_t^inf s^{-p} w)^{1/p} (``tail``) or W(t)^{1/p} at one t or a 1-d array of t, from one moment
+    call, each root a Python power: complex at a negative moment, quadrature's reading of a divergence, so that
+    comparing it raises TypeError.  Raises InvalidWeightError where a moment diverges, first at its probe t = 1."""
+
+    def fn(t):
+        vals = (w.moment(-float(p), t, math.inf) if tail else w.moment(0.0, 0.0, t)).ravel().tolist()
+        if any(map(math.isinf, vals)):
+            raise InvalidWeightError(f"tail moment of {w.describe()} diverges at exponent {p:g}" if tail
+                                     else f"{w.describe()} is not integrable near zero; W(t) diverges")
+        roots = [v ** (1.0 / p) for v in vals]
+        return np.array(roots) if np.ndim(t) else roots[0]
+
+    fn(1.0)
+    return fn
 
 
-def tail_fundamental(w: Weight, p: float) -> Callable[[float], float]:
-    """t |-> (integral_t^inf s^{-p} w(s) ds)^{1/p}; closed form for Power."""
+def tail_fundamental(w: Weight, p: float) -> Callable:
+    """psi: t |-> (integral_t^inf s^{-p} w(s) ds)^{1/p}; closed form for Power."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     if isinstance(w, PowerWeight):
         if w.beta >= p - 1.0:
-            raise InvalidWeightError(
-                f"tail moment of {w.describe()} diverges for p={p:g} "
-                f"(requires beta < p - 1)"
-            )
+            raise InvalidWeightError(f"tail moment of {w.describe()} diverges for p={p:g} (requires beta < p - 1)")
         return PowerLaw((1.0 / (p - 1.0 - w.beta)) ** (1.0 / p), (w.beta + 1.0 - p) / p)
-
-    def psi(t: float) -> float:
-        return _tail_roots(w, p, t)[0]
-
-    psi(1.0)  # raises when the tail integral diverges
-    return psi
+    return _root_fn(w, p, tail=True)
 
 
-def fundamental(w: Weight, p: float) -> Callable[[float], float]:
-    """t |-> W(t)^{1/p}, the fundamental function of the Lambda-type space."""
+def fundamental(w: Weight, p: float) -> Callable:
+    """phi: t |-> W(t)^{1/p}, the fundamental function of the Lambda-type space."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     if isinstance(w, PowerWeight):
         if w.beta <= -1.0:
-            raise InvalidWeightError(
-                f"{w.describe()} is not integrable near zero (requires beta > -1)"
-            )
+            raise InvalidWeightError(f"{w.describe()} is not integrable near zero (requires beta > -1)")
         return PowerLaw((1.0 / (w.beta + 1.0)) ** (1.0 / p), (w.beta + 1.0) / p)
-    w.primitive(1.0)  # raises when the head integral diverges
-    return lambda t: w.primitive(t) ** (1.0 / p)
+    return _root_fn(w, p, tail=False)
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +666,13 @@ class CoupleConfig:
         return {"p0": self.p0, "w0": self.w0.to_json_dict(), "p1": self.p1, "w1": self.w1.to_json_dict()}
 
 
-def tail_fundamental_ratio(cfg: CoupleConfig) -> Callable[[float], float]:
-    """Ratio of the two tail fundamentals: the K-parameter map of the S-couple."""
+def tail_fundamental_ratio(cfg: CoupleConfig) -> Callable:
+    """theta = psi0 / psi1, the ratio of the two tail fundamentals: the K-parameter map of the S-couple."""
     return _ratio_fn(tail_fundamental(cfg.w0, cfg.p0), tail_fundamental(cfg.w1, cfg.p1))
 
 
-def fundamental_ratio(cfg: CoupleConfig) -> Callable[[float], float]:
-    """Ratio of the two fundamental functions: the K-parameter map of the head couple."""
+def fundamental_ratio(cfg: CoupleConfig) -> Callable:
+    """sigma = phi0 / phi1, the ratio of the two fundamental functions: the K-parameter map of the head couple."""
     return _ratio_fn(fundamental(cfg.w0, cfg.p0), fundamental(cfg.w1, cfg.p1))
 
 
@@ -717,8 +715,8 @@ def _sup_scan(pairs) -> tuple[float, float]:
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den elementwise, reading x / 0 as inf for x > 0 and as 0 for x = 0."""
-    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    """num / den elementwise, reading x / 0 as inf for x > 0 and as 0 for x = 0; complex where either is."""
+    num, den = np.asarray(num), np.asarray(den)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0.0, np.where(num > 0.0, math.inf, 0.0), num / den)
 
@@ -785,8 +783,8 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
 
 def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
     """Doubling of both tail fundamentals: psi_i(t) <= C psi_i(2t).  On a grid, psi at 2t_0, t_0, 2t_1,
-    t_1, ... (psi(2t) first, as a pointwise scan reads it) comes from one ``_tail_roots`` call per weight,
-    or from its ``PowerLaw``; the ratios (``_quotient``) and their maximum are Python numbers."""
+    t_1, ... (psi(2t) first, as a pointwise scan reads it) comes from one ``psi`` call per weight, one
+    moment call or its ``PowerLaw``; the maximum of the ratios (``_ratio``) is taken over Python numbers."""
     found = []  # (constant, witness, method) of each weight
     for w, p in ((cfg.w0, cfg.p0), (cfg.w1, cfg.p1)):
         psi = tail_fundamental(w, p)  # raises on divergent tails
@@ -794,9 +792,8 @@ def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "a
             found.append((2.0 ** (-psi.exponent), 1.0, "closed-form"))
         else:
             pts = (grid or DEFAULT_CHECK_GRID).points
-            at = np.multiply.outer(pts, (2.0, 1.0))
-            vals = [psi(x) for x in at.ravel().tolist()] if isinstance(psi, PowerLaw) else _tail_roots(w, p, at)
-            ratios = list(map(_quotient, vals[1::2], vals[::2]))  # psi(2t) = 0 reads inf
+            vals = psi(np.multiply.outer(pts, (2.0, 1.0)).ravel())
+            ratios = _ratio(vals[1::2], vals[::2]).tolist()  # psi(2t) = 0 reads inf
             found.append((*_sup_scan(zip(pts.tolist(), ratios)), "grid"))
     c, witness, _how = max(found, key=lambda row: row[0])
     return ConditionVerdict(
@@ -950,7 +947,7 @@ def check_sufconds(
 
 def tail_diverges_at_zero(w: Weight, p: float) -> ConditionVerdict:
     """psi(0+) = inf: the tail fundamental blows up approaching the origin; off the power
-    weights, psi(1e-8) / psi(1e-2) > 100, both taken in one ``_tail_roots`` call."""
+    weights, psi(1e-8) / psi(1e-2) > 100, both taken in one ``psi`` call."""
     if isinstance(w, PowerWeight):
         if w.beta >= p - 1.0:
             return ConditionVerdict(
@@ -963,8 +960,8 @@ def tail_diverges_at_zero(w: Weight, p: float) -> ConditionVerdict:
             "tail-blowup-at-zero", holds, 1.0, 0.0, "closed-form",
             f"psi exponent {exponent:.6g}",
         )
-    tail_fundamental(w, p)  # raises on divergent tails
+    psi = tail_fundamental(w, p)  # raises on divergent tails
     lo, hi = 1e-8, 1e-2
-    ratio = float(_ratio(*_tail_roots(w, p, np.array((lo, hi)))))
+    ratio = float(_ratio(*psi(np.array((lo, hi)))))
     holds = ratio > 1e2
     return ConditionVerdict("tail-blowup-at-zero", holds, ratio, lo, "grid", f"psi({lo:g})/psi({hi:g}) = {ratio:.3g}")

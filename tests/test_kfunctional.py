@@ -215,6 +215,16 @@ class TestExplicitS:
         res = k_explicit_s(STAIR, 1.0, corollary_couple(2.0, 1.0), check_hypotheses=False)
         assert res.hypotheses is None
 
+    def test_a_checker_outside_its_weight_range_fails_its_hypothesis(self):
+        # W_0 of s^{-1} diverges at 0: reverse balance is not checked but failed, "inapplicable"
+        res = k_explicit_s(STAIR, 1.0, CoupleConfig(2.0, PowerWeight(-1.0), 2.0, PowerWeight(-1.5)))
+        assert res.value == 1.353553390593274
+        assert res.flags == ("hypothesis-violated:reverse-balance-w0",)
+        verdict = res.hypotheses["reverse-balance-w0"]
+        assert (verdict.holds, verdict.constant, verdict.method) == (False, math.inf, "inapplicable")
+        assert verdict.detail == "power weight s^-1 is not integrable near zero; W(t) diverges"
+        assert all(v.holds for name, v in res.hypotheses.items() if name != "reverse-balance-w0")
+
     def test_corollary_1_shortcut(self):
         a = corollary_1(STAIR, 2.0, p=2.0, alpha=1.0)
         b = k_explicit_s(STAIR, 2.0, corollary_couple(2.0, 1.0))
@@ -355,6 +365,15 @@ class TestExplicitCurve:
             cfg = CoupleConfig(2.0, PowerWeight(0.5), 2.0, PowerWeight(-0.5))
             k_explicit_curve(STAIR, np.geomspace(0.1, 40.0, 15), cfg, flavor, check_hypotheses=False)
         assert moment.call_count == 2
+
+    @pytest.mark.parametrize("flavor", ["lambda", "s"])
+    def test_a_power_log_sweep_takes_r_from_one_moment_call_per_weight(self, flavor):
+        """A probe at t = 1 and one sweep call per weight for r(t), one call per integral: 6, where r(t)
+        taken point by point made 34."""
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5))
+        with mock.patch.object(PowerLogWeight, "moment", autospec=True, side_effect=PowerLogWeight.moment) as moment:
+            k_explicit_curve(STAIR, Grid.log(1.0, 100.0, 15).points, cfg, flavor, check_hypotheses=False)
+        assert moment.call_count <= 6
 
 
 class TestOracle:

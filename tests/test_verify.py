@@ -12,6 +12,7 @@ import pytest
 
 from lorentzk import verify
 from lorentzk.stepfn import rearrange
+from lorentzk.weights import CoupleConfig, InvalidWeightError, PowerWeight
 from lorentzk.verify import (
     SUITE_TAGS,
     EquivalenceRecord,
@@ -136,6 +137,12 @@ class TestTheoremSuites:
         report = run_theorem_suite("generalk", corpus=SMALL[:2], m=16, t_count=3)
         assert len(report.records) == 6
         assert math.isfinite(report.equivalence_constant())
+
+    def test_generalk_names_a_weight_without_a_fundamental_function(self):
+        # W_1 of s^{-1} diverges at 0, so sigma(t), the oracle's parameter, does not exist
+        cfg = CoupleConfig(2.0, PowerWeight(0.0), 2.0, PowerWeight(-1.0))
+        with pytest.raises(InvalidWeightError, match=r"s\^-1 is not integrable near zero"):
+            run_theorem_suite("generalk", make_corpus(7, 3), couple=cfg)
 
     def test_identity_tag_dispatches(self):
         report = run_theorem_suite("identity", corpus=SMALL[:2], t_count=3)

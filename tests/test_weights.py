@@ -598,6 +598,46 @@ class TestFundamentals:
         assert theta(5.0) == theta(6.0) == math.inf
         assert tail_fundamental_ratio(CoupleConfig(2.0, tab, 3.0, tab))(6.0) == 0.0
 
+    @pytest.mark.parametrize("cfg", [
+        CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5)),
+        CoupleConfig(2.0, PowerWeight(0.3), 2.5, TabulatedWeight(StepFunction((0.5, 2.0, 5.0), (1.0, 0.5, 2.0)))),
+        CoupleConfig(1.5, ReciprocalWeight(TabulatedWeight(StepFunction((0.2, 3.0), (2.0, 1.0))), 1.5),
+                     2.0, PowerWeight(-0.5)),
+    ], ids=["powerlog", "power-tabulated", "reciprocal-power"])
+    def test_a_sweep_is_its_one_t_calls_bit_for_bit(self, cfg):
+        ts = np.geomspace(1.0, 1e3, 13)  # from s = 1 on: no remainder quadrature
+        for fn in (fundamental(cfg.w0, cfg.p0), tail_fundamental(cfg.w0, cfg.p0), fundamental(cfg.w1, cfg.p1),
+                   tail_fundamental(cfg.w1, cfg.p1), fundamental_ratio(cfg), tail_fundamental_ratio(cfg)):
+            ones = [fn(t) for t in ts.tolist()]
+            assert all(type(x) is float for x in ones)
+            got = fn(ts)
+            assert isinstance(got, np.ndarray) and got.tolist() == ones
+
+    def test_a_sweep_takes_one_moment_call_per_weight(self):
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, TabulatedWeight(StepFunction((1.0, 4.0), (2.0, 1.0))))
+        for ratio in (fundamental_ratio(cfg), tail_fundamental_ratio(cfg)):
+            with mock.patch.object(PowerLogWeight, "moment", autospec=True, side_effect=PowerLogWeight.moment) as a, \
+                    mock.patch.object(TabulatedWeight, "moment", autospec=True, side_effect=TabulatedWeight.moment) as b:
+                ratio(np.geomspace(1.0, 50.0, 20))
+            assert a.call_count == b.call_count == 1
+
+    def test_a_power_law_takes_python_powers(self):
+        # numpy's array power can differ from Python's in the last bit
+        law, ts = PowerLaw(1.7, -0.5), np.geomspace(0.3, 3e4, 101)
+        assert law(ts).tolist() == [1.7 * t ** -0.5 for t in ts.tolist()] == [law(t) for t in ts.tolist()]
+        with pytest.raises(ValueError, match="need t > 0"):
+            law(np.array([1.0, 0.0]))
+
+    def test_a_negative_tail_moment_keeps_its_complex_root(self):
+        # the remainder quadrature over (1e-8, 1) reads this tail moment negative
+        psi = tail_fundamental(PowerLogWeight(-0.5, 0.5), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            one, sweep = psi(1e-8), psi(np.array([1e-8, 1e-2]))
+            with pytest.raises(TypeError):  # a complex ratio has no float
+                tail_diverges_at_zero(PowerLogWeight(-0.5, 0.5), 2.0)
+        assert isinstance(one, complex) and sweep.tolist()[0] == one
+
     def test_power_couples_keep_power_laws(self):
         cfg = CoupleConfig(2.0, PowerWeight(0.0), 3.0, PowerWeight(-0.5))
         assert isinstance(fundamental_ratio(cfg), PowerLaw)
@@ -760,13 +800,17 @@ DOUBLING_GRID = Grid.log(1e-3, 1e3, 40)
 
 
 def _pointwise_cond1(cfg, grid):
-    """``check_cond1``'s grid scan one psi at a time, each ratio reading psi(2t) and then psi(t):
-    (holds, constant, witness, detail)."""
+    """``check_cond1``'s grid scan from one-t calls, each ratio reading psi(2t) and then psi(t), x / 0 as inf
+    for x > 0 and as 0 for x = 0, the witness the first t attaining the maximum: (holds, constant, witness, detail)."""
     found = []
     for w, p in ((cfg.w0, cfg.p0), (cfg.w1, cfg.p1)):
-        psi = tail_fundamental(w, p)
-        doubling = weights._ratio_fn(psi, lambda t, psi=psi: psi(2.0 * t))
-        found.append(weights._sup_scan([(t, doubling(t)) for t in grid.points.tolist()]))
+        psi, ratios = tail_fundamental(w, p), []
+        for t in grid.points.tolist():
+            den = psi(2.0 * t)
+            num = psi(t)
+            ratios.append((t, num / den if den else (math.inf if num > 0.0 else 0.0)))
+        c = max(r for _, r in ratios)
+        found.append((c, next(t for t, r in ratios if r == c)))
     c, witness = max(found, key=lambda row: row[0])
     return math.isfinite(c), c, witness, "; ".join(f"index{i}: C={row[0]:.6g}" for i, row in enumerate(found))
 
@@ -830,7 +874,7 @@ class TestBatchedTailDoubling:
         monkeypatch.setattr(PowerLogWeight, "moment", lambda self, *a: calls.append(a) or moment(self, *a))
         cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5))
         assert check_cond1(cfg, Grid.log(1.0, 1e6, 50)).holds
-        assert [np.shape(a) for _, a, _ in calls] == [(), (50, 2), (), (50, 2)]
+        assert [np.shape(a) for _, a, _ in calls] == [(), (100,), (), (100,)]  # psi at t and 2t of 50 points
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)  # the remainder (1e-8, 1) is a long range
