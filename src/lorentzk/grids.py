@@ -16,10 +16,10 @@ class Grid:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or not pts.size:
             raise ValueError("grid must be a flat sequence of at least one point")
-        bad = np.flatnonzero(~((pts > 0.0) & np.isfinite(pts)))
-        if bad.size:
-            raise ValueError(f"grid points must be positive and finite, got {float(pts[bad[0]])!r}")
-        if (pts[1:] <= pts[:-1]).any():
+        ok = (pts > 0.0) & (pts < math.inf)  # a nan fails both
+        if np.count_nonzero(ok) < pts.size:
+            raise ValueError(f"grid points must be positive and finite, got {float(pts[np.argmin(ok)])!r}")
+        if np.count_nonzero(pts[1:] <= pts[:-1]):
             raise ValueError("grid points must be strictly increasing")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -52,8 +52,8 @@ cell; the parts as step functions are built only when read.
 import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Literal, get_args
 
 import numpy as np
@@ -61,7 +61,7 @@ import numpy as np
 from .grids import Grid
 from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
 from .stepfn import StepFunction, _osc_rows, _require_nonincreasing, dilate, osc_transform, rearrange
-from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerLaw, PowerWeight, check_cond1,
+from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerWeight, check_cond1,
                       check_cond3, check_rbp, fundamental_ratio, reciprocal_weight, tail_diverges_at_zero,
                       tail_fundamental, tail_fundamental_ratio)
 
@@ -195,30 +195,36 @@ def k_explicit_general(fstar: StepFunction, t: float, cfg: CoupleConfig) -> Expl
 def _auto_eps(cfg: CoupleConfig) -> float:
     """A concrete eps for the quasi-monotone hypothesis: midpoint of the
     admissible range when the couple is a pure power couple, 0.5 otherwise."""
-    try:
+    if not (isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)):
+        return 0.5
+    try:  # two power laws
         theta, psi0 = tail_fundamental_ratio(cfg), tail_fundamental(cfg.w0, cfg.p0)
     except InvalidWeightError:
         return 0.5
-    if isinstance(theta, PowerLaw) and isinstance(psi0, PowerLaw) and psi0.exponent < 0.0 < theta.exponent:
-        return theta.exponent / (-2.0 * psi0.exponent)
-    return 0.5
+    return theta.exponent / (-2.0 * psi0.exponent) if psi0.exponent < 0.0 < theta.exponent else 0.5
 
 
 def s_couple_hypotheses(cfg: CoupleConfig, eps: float | Literal["auto"] = "auto") -> dict[str, ConditionVerdict]:
     """The verdicts of the hypotheses under which ``k_explicit_s`` holds, by name: tail doubling, reverse
     balance of w_0, the quasi-monotone ratio at ``eps`` and the tail blow-up at zero of each weight; they depend
-    on the couple alone.  A checker that raises InvalidWeightError gives a failed verdict, method "inapplicable"."""
+    on the couple alone, so they are taken once per (cfg, eps) and each call gets a fresh dict of them.  A
+    checker that raises InvalidWeightError gives a failed verdict, method "inapplicable"."""
+    return dict(_couple_verdicts(cfg, eps))
+
+
+@lru_cache(maxsize=64)
+def _couple_verdicts(cfg: CoupleConfig, eps: float | Literal["auto"]) -> tuple[tuple[str, ConditionVerdict], ...]:
     checks = {"tail-doubling": (check_cond1, cfg), "reverse-balance-w0": (check_rbp, cfg.w0, cfg.p0),
               "ratio-quasi-monotone": (check_cond3, cfg, _auto_eps(cfg) if eps == "auto" else float(eps)),
               "tail-blowup-at-zero-0": (tail_diverges_at_zero, cfg.w0, cfg.p0),
               "tail-blowup-at-zero-1": (tail_diverges_at_zero, cfg.w1, cfg.p1)}
-    verdicts = {}
+    verdicts = []
     for name, (check, *args) in checks.items():
         try:
-            verdicts[name] = check(*args)
+            verdicts.append((name, check(*args)))
         except InvalidWeightError as exc:
-            verdicts[name] = ConditionVerdict(name, False, math.inf, math.nan, "inapplicable", str(exc))
-    return verdicts
+            verdicts.append((name, ConditionVerdict(name, False, math.inf, math.nan, "inapplicable", str(exc))))
+    return tuple(verdicts)
 
 
 def k_explicit_s(f: StepFunction, t: float, cfg: CoupleConfig, eps: float | Literal["auto"] = "auto",
@@ -349,12 +355,13 @@ class _SpaceOnGrid:
         # x_k below it, a last row all x (s); ``cone_dual``'s scale x of the differences, and its
         # weights X, read backwards for s
         m = g.size
+        below = np.arange(m + 1)[:, None] > np.arange(m)  # row i > column k
         if self.flavor == "lambda":
-            self.B, self.omega = 1.0 - np.tri(m, m, -1), moments
+            self.B, self.omega = 1.0 - below[:m], moments
             self.x, self.X, self.order = np.ones(m), moments.cumsum(), slice(None)
         else:
             self.x = left + self.lengths
-            self.B, self.omega = np.tri(m + 1, m, -1) * self.x, np.append(moments, tail)
+            self.B, self.omega = below * self.x, np.concatenate((moments, [tail]))
             self.X, self.order = self.omega[:0:-1].cumsum(), slice(None, None, -1)
 
     def norm_pow(self, U: np.ndarray):
@@ -429,24 +436,24 @@ def _forward_rows(B: np.ndarray, omega: np.ndarray, ps: Sequence[float], X: np.n
         np.power(y[k], p - 1.0, out=wy[k])
     wy *= omega
     powered = (wy[..., None, :] @ y[..., None])[..., 0, 0]
-    n, scale, curv, coef, kinked = [], [], [], [], False
+    n, factors, kinked = [], [], False  # each row's N and its N^{1-p}, N^{2-p} and (p-1)/N
     for p, row in zip(ps, powered.reshape(len(ps), -1).tolist()):
         for pw in row:
-            smooth = pw != 0.0 and p != 1.0
-            kinked = kinked or not smooth
-            n.append(pw ** (1.0 / p) if smooth else pw)
-            scale.append(n[-1] ** (1.0 - p) if smooth else 1.0)
-            curv.append(n[-1] ** (2.0 - p) if smooth else 0.0)
-            coef.append((p - 1.0) / n[-1] if smooth else 0.0)
-    shape = powered.shape + (1,)
-    grad = ((np.array(scale).reshape(shape) * wy)[..., None, :] @ B)[..., 0, :]
+            if pw != 0.0 and p != 1.0:
+                n.append(pw ** (1.0 / p))
+                factors.append((n[-1] ** (1.0 - p), n[-1] ** (2.0 - p), (p - 1.0) / n[-1]))
+            else:
+                n.append(pw)
+                factors.append((1.0, 0.0, 0.0))
+                kinked = True
+    scale, curv, coef = np.array(factors).T.reshape((3,) + powered.shape + (1,))
+    grad = ((scale * wy)[..., None, :] @ B)[..., 0, :]
     if not hess:
         return n, grad, None
     diag = np.divide(wy, y, out=np.zeros(y.shape), where=y > 0.0)
-    diag *= np.array(curv).reshape(shape)
+    diag *= curv
     H = (B.swapaxes(-1, -2) * diag[..., None, :]) @ B
     H -= grad[..., :, None] * grad[..., None, :]
-    coef = np.array(coef).reshape(shape)
     H *= coef[..., None]
     if kinked:
         H[coef[..., 0] == 0.0] = 0.0
@@ -466,7 +473,7 @@ class _Vertex:
     def __init__(self, obj: "_CoupleObjective", low: bool):
         hi, v = obj.hi, 0 if low else 1  # v: the vanishing space
         self.low, self.hi, self.vanishing = low, hi, (obj.ev0, obj.ev1)[v]
-        n, grad, _ = obj.fused(np.outer((not low, low), hi))  # d, e = (0, hi) or (hi, 0)
+        n, grad, _ = obj.fused(np.array((hi * (not low), hi * low)))  # d, e = (0, hi) or (hi, 0)
         self.a, self.j, self.G = grad[v], n[1 - v], grad[1 - v]
         self.dual = self.vanishing.cone_dual(self.G, hi > 0.0, maximizer=False)[0] if self.vanishing.p > 1.0 else None
 
@@ -496,9 +503,9 @@ class _CoupleObjective:
 
     def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float):
         self.ev0, self.ev1, self.F, self.t = ev0, ev1, F, t
-        self.hi = F - np.append(F[1:], 0.0)
-        self.hh = np.outer(self.hi, self.hi)  # Newton's scaling z = d / hi
-        self.sign = np.array([[1.0], [-1.0]])  # a step in d moves e back
+        self.hi = F - np.concatenate((F[1:], [0.0]))
+        self.hh = self.hi[:, None] * self.hi  # Newton's scaling z = d / hi
+        self.move = self.hi * np.array([[1.0], [-1.0]])  # a step dz in z = d / hi moves d by dz hi, e back
         self.vertices: list[_Vertex | None] = [None, None]
         # both spaces stacked for ``fused``, the shorter B padded by zero rows of weight 0
         rows = max(ev0.omega.size, ev1.omega.size)
@@ -529,12 +536,13 @@ class _CoupleObjective:
         n1, g1 = self.ev1.grad(np.maximum(self.F - u, 0.0))
         return n0 + self.t * n1, g0 - self.t * g1
 
-    def to_u(self, d: np.ndarray) -> np.ndarray:
-        """The candidate Ld of differences d >= 0, not clipped at F, which would break a run of equal values
-        that rounds above it; the upper corner is F exactly, which the sum of the differences can miss."""
-        if np.array_equal(d, self.hi):
-            return self.F
-        return d[::-1].cumsum()[::-1]  # the array method skips the Python-level wrapper of np.cumsum
+    def to_u(self, D: np.ndarray) -> np.ndarray:
+        """The candidate Ld of each row of differences d >= 0 of D (or of one d), not clipped at F, which would
+        break a run of equal values that rounds above it; the upper corner is F exactly, which the sum of the
+        differences can miss."""
+        U = D[..., ::-1].cumsum(axis=-1)[..., ::-1].copy()  # the array method skips np.cumsum's Python wrapper
+        U[np.logical_and.reduce(D == self.hi, axis=-1)] = self.F
+        return U
 
     def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
         """The corner of the box at d, e = hi - d, if it is one."""
@@ -546,9 +554,9 @@ class _CoupleObjective:
         return self.vertices[1 - low]
 
     def point(self, d: np.ndarray, hess: bool = False, e: np.ndarray | None = None
-              ) -> tuple[float, np.ndarray, float, np.ndarray | None]:
-        """(J, gradient in d, gap, Hessian with ``hess``) at d for p >= 1; ``e`` = hi - d, kept by
-        the caller where hi - d would round away digits that a steep gradient needs.
+              ) -> tuple[float, np.ndarray, float, np.ndarray | None, _Vertex | None]:
+        """(J, gradient in d, gap, Hessian with ``hess``, the corner at d or None) at d for p >= 1; ``e`` =
+        hi - d, kept by the caller where hi - d would round away digits that a steep gradient needs.
 
         J is convex in d, so the Frank-Wolfe gap g.d - min_box g.x bounds J(d)
         - min J.  At u = 0 (p_0 > 1) N_0's subgradient vanishes, so J(d) >=
@@ -561,7 +569,7 @@ class _CoupleObjective:
         val, g = n0 + t * n1, grad[0] - t * grad[1]
         vertex = self.vertex(d, e)
         gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
-        return val, g, gap, (H[0] + t * H[1] if hess else None)
+        return val, g, gap, (H[0] + t * H[1] if hess else None), vertex
 
     def newton(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, int]:
         """Projected Newton from d, e = hi - d: (d, e, J, gap, steps).
@@ -580,14 +588,13 @@ class _CoupleObjective:
         d and e are both stepped, each keeping its digits near its bound.
         """
         hi, hh, X = self.hi, self.hh, np.array((d, e))
-        val, g, gap, H = self.point(d, True, e)
+        val, g, gap, H, vertex = self.point(d, True, e)
         seen = [(val, gap)]  # J and the least gap so far, after each step
         for step in range(_NEWTON_STEPS):
             if gap <= _GAP_REL_TOL * val:
                 return X[0], X[1], val, gap, step
             if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
                 break
-            vertex = self.vertex(*X)
             if vertex is not None and vertex.exit is not None:
                 dz = vertex.exit / hi
                 dz /= np.abs(dz).max()
@@ -608,14 +615,14 @@ class _CoupleObjective:
                     if newton_dz @ gf < 0.0:  # a descent direction
                         dz[free] = newton_dz
             for _ in range(_BACKTRACKS):
-                d_t, e_t = trial = np.minimum(np.maximum(X + dz * hi * self.sign, 0.0), hi)  # d + move, e - move
-                f_t, g_t, gap_t, H_t = self.point(d_t, True, e_t)
+                d_t, e_t = trial = np.minimum(np.maximum(X + dz * self.move, 0.0), hi)
+                f_t, g_t, gap_t, H_t, v_t = self.point(d_t, True, e_t)
                 if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
                     break
                 dz = 0.1 * dz
             else:
                 break
-            X, val, g, gap, H = trial, f_t, g_t, gap_t, H_t
+            X, val, g, gap, H, vertex = trial, f_t, g_t, gap_t, H_t, v_t
             seen.append((val, min(gap, seen[-1][1])))
         else:
             step = _NEWTON_STEPS
@@ -725,7 +732,7 @@ def _checked_parts(F: np.ndarray, grid: Grid, U: np.ndarray, rest: np.ndarray | 
     total = U + rest
     ok = (np.abs(total - F) <= _SUM_REL_TOL * np.maximum(np.maximum(F, total), 1.0)) & (total < math.inf)
     ok &= np.minimum(U, rest) >= 0.0
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         at = np.unravel_index(np.argmin(ok), ok.shape)
         raise ValueError(f"decomposition does not sum to the target at t={float(grid.points[at[-1]])!r}: "
                          f"{float(U[at])!r} + {float(rest[at])!r} vs {float(F[at[-1]])!r}")
@@ -798,12 +805,12 @@ class _GridProblem:
             U = _truncation_family(self.F)
             return (U, *self.objective.norms_batch(U))
         hi = self.objective.hi
-        D = np.tri(hi.size + 1, hi.size, -1) * hi
+        D = (np.arange(hi.size + 1)[:, None] > np.arange(hi.size)) * hi
         return D, self.ev0.norms(D), self.ev1.norms(hi - D)
 
     def parts(self, heads: np.ndarray) -> np.ndarray:
         """The parts u = (F - F_k)^+ of the head corners k (F_n = 0), exact where Ld would round."""
-        return np.maximum(self.F - np.append(self.F, 0.0)[heads, None], 0.0)
+        return np.maximum(self.F - np.concatenate((self.F, [0.0]))[heads, None], 0.0)
 
     def truncations(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each t's best truncation candidate, as a row of ``family``, and its value, from one
@@ -873,7 +880,7 @@ class _GridProblem:
         linear = self.ev0.p == self.ev1.p == 1.0 or n == 1
         gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or linear else math.inf
         # both parts from the differences, whose runs of equal values stay exact: p < 1 magnifies a rounding jump
-        U, REST = (np.array([self.objective.to_u(x) for x in X]).reshape(ts.size, n) for X in (D, hi - D))
+        U, REST = self.objective.to_u(D), self.objective.to_u(hi - D)
         return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size, REST
 
     def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
@@ -1064,12 +1071,16 @@ def k_curve_s_couple(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace
     x, grid = fstar.breakpoints, Grid(1.0 / fstar.breakpoints[::-1])
     mapped = _osc_rows(x, np.array([(d.u, d.rest) for d in direct]))
     parts = _checked_parts(_osc_rows(x, fstar.values), grid, mapped[:, 0], mapped[:, 1])
-    evs = [_SpaceOnGrid(LorentzSpace("lambda", s.p, reciprocal_weight(s.w, s.p)), grid.points) for s in (space0, space1)]
-    # each row's norm by its own product, as in ``_forward_rows``: no value depends on the other t's
-    norms = [[pw ** (1.0 / ev.p) for pw in (P[:, None] ** ev.p @ ev.omega)[:, 0].tolist()] for ev, P in zip(evs, parts)]
+    norms = []  # each row's norm by its own product, as in ``_forward_rows``: no value depends on the other t's
+    for s, P in zip((space0, space1), parts):
+        cells, p = cell_moments("lambda", s.p, reciprocal_weight(s.w, s.p), grid.points), float(s.p)
+        if cells is None:
+            raise InvalidWeightError("a weight moment diverges on this grid; lambda-norms are infinite")
+        norms.append([pw ** (1.0 / p) for pw in (P[:, None] ** p @ cells[2])[:, 0].tolist()])
     results = []
     for d, u, rest, n0, n1, t in zip(direct, *parts, *norms, ts):
-        tr = replace(d, value=n0 + float(t) * n1, u=u, rest=rest, grid=grid, iterations=0, starts=0)
+        tr = OracleResult(n0 + float(t) * n1, u, rest, d.provenance, d.truncation_value, d.converged, 0,
+                          d.monotone_only, grid, d.gap, 0)
         ratio = d.value / tr.value if tr.value > 0.0 else (1.0 if d.value == 0.0 else math.inf)
         results.append(SCoupleOracleResult(d, tr, ratio))
     return results

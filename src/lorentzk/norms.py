@@ -229,7 +229,9 @@ def cell_moments(
     left = np.concatenate((np.zeros(x.shape[:-1] + (1,)), x[..., :-1]), axis=-1)
     end = np.maximum(x[..., -1], lo)
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):  # window ends: each window's cells on a last axis
-        lo, hi = np.broadcast_arrays(np.expand_dims(lo, -1), np.expand_dims(hi, -1))
+        ends = np.empty((2, *np.broadcast(lo, hi).shape, 1))
+        ends[0, ..., 0], ends[1, ..., 0] = lo, hi
+        lo, hi = ends
     cells = slice(1) if flavor == "gamma" else slice(None)
     a = np.maximum(left[..., cells], lo)
     b = np.maximum(np.minimum(x[..., cells], hi), a)

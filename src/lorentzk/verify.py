@@ -132,14 +132,22 @@ def make_corpus(seed: int = 7, size: int = 20) -> tuple[CorpusEntry, ...]:
     return tuple(entries[:size])
 
 
+def _geomspace(lo: float, hi: float, count: int) -> list[float]:
+    """``np.geomspace(lo, hi, count).tolist()`` for 0 < lo, hi, bit for bit, from its ufuncs without its wrapper:
+    log10 of the ends, k step + log10(lo), numpy's 10 ** that (Python's differs in the last bit), the ends exact."""
+    a, b = np.log10((lo, hi)).tolist()
+    inner = np.power(10.0, np.arange(1, count - 1) * ((b - a) / max(count - 1, 1)) + a).tolist()
+    return [lo, *inner, hi][:count]
+
+
 def t_sweep(fn: StepFunction, count: int = 15) -> tuple[float, ...]:
-    """Log-spaced parameters from below the support to beyond it."""
+    """Log-spaced parameters from below the support to beyond it; (0.1, 10), as ``oracle_grid`` takes, for a
+    zero function."""
     fstar = rearrange(fn)
-    lo = fstar.first_breakpoint / 10.0
-    hi = fstar.support_end * 10.0
+    lo, hi = (0.1, 10.0) if fstar.is_zero else (fstar.first_breakpoint / 10.0, fstar.support_end * 10.0)
     # a t on a breakpoint moves off it, by a set lookup (np.isin costs more than the sweep)
     jumps = set(fstar.breakpoints.tolist())
-    return tuple(t * (1.0 + 1e-7) if t in jumps else t for t in np.geomspace(lo, hi, count).tolist())
+    return tuple(t * (1.0 + 1e-7) if t in jumps else t for t in _geomspace(lo, hi, count))
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,8 @@ def run_theorem_suite(
         "seed": seed,
     }
 
-    spaces = {fl: (LorentzSpace(fl, cfg.p0, cfg.w0), LorentzSpace(fl, cfg.p1, cfg.w1)) for fl in ("lambda", "s")}
+    flavor = "lambda" if tag == "generalk" else "s"  # of the oracle's couple
+    spaces = (LorentzSpace(flavor, cfg.p0, cfg.w0), LorentzSpace(flavor, cfg.p1, cfg.w1))
 
     def one(entry: CorpusEntry) -> list[EquivalenceRecord]:
         if tag == "gammaeqs":
@@ -396,21 +405,17 @@ def run_theorem_suite(
             return [EquivalenceRecord(entry.f_id, math.inf, lhs, rhs, _ratio(lhs, rhs))]
         ts = t_sweep(entry.fn, t_count)
         if tag == "t11":
-            pairs = k_curve_s_couple(entry.fn, *spaces["s"], ts)
+            pairs = k_curve_s_couple(entry.fn, *spaces, ts)
             sides = [(res.direct.value, res.transformed.value) for res in pairs]
             curves = [(ts, [res.direct for res in pairs]), (ts, [res.transformed for res in pairs])]
         else:  # the oracle at the matched parameters, sigma(t) (generalk) or theta(t) (t2, cor1)
-            flavor = "lambda" if tag == "generalk" else "s"
             explicit = k_explicit_curve(entry.fn, ts, cfg, flavor, check_hypotheses=False)
             params = [e.param for e in explicit]
-            oracle = k_curve(entry.fn, *spaces[flavor], params)
+            oracle = k_curve(entry.fn, *spaces, params)
             sides = [(e.value, res.value) for e, res in zip(explicit, oracle)]
             curves = [(params, oracle)]
-        unconverged = np.zeros(len(ts), dtype=bool)
-        nonconcave = np.zeros(len(ts), dtype=bool)
-        for params, results in curves:
-            unconverged |= [not res.converged for res in results]
-            nonconcave |= curve_violations(params, results)
+        unconverged = np.logical_or.reduce([[not res.converged for res in results] for _, results in curves])
+        nonconcave = np.logical_or.reduce([curve_violations(params, results) for params, results in curves])
         recs = []
         for t, (lhs, rhs), *marks in zip(ts, sides, unconverged, nonconcave):
             flags = tuple(f for f, on in zip(("oracle-unconverged", "oracle-nonconcave"), marks) if on)

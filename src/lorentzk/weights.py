@@ -113,7 +113,7 @@ def _power_int(q: float, a, b) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratio = np.log1p((b - a) / a)
         if qp > 0.0:
-            out = b ** qp * -np.expm1(-qp * log_ratio) / qp
+            out = b ** qp * np.expm1(-qp * log_ratio) / -qp
         elif qp < 0.0:
             out = a ** qp * np.expm1(qp * log_ratio) / qp
         else:

@@ -312,6 +312,19 @@ class TestVerify:
         assert lines[0].startswith("suite=identity")
         assert lines[1].startswith("suite=gammaeqs")
 
+    def test_suite_order_changes_no_report(self, runner, tmp_path):
+        """t11 and cor1 share the corollary couple, whose verdicts the first suite takes and the second
+        reuses: in either order each suite writes the same report."""
+        payloads = []
+        for order in (("t11", "cor1"), ("cor1", "t11")):
+            out = tmp_path / f"{order[0]}-first.json"
+            args = ["verify", "--size", "4", "--t-count", "3", "--refine", "--out", str(out)]
+            result = runner.invoke(main, args + [arg for tag in order for arg in ("--suite", tag)])
+            assert result.exit_code == 0
+            payloads.append(json.loads(out.read_text()))
+        assert [r["theorem"] for r in payloads[0]] == ["t11", "cor1"]
+        assert payloads[0] == payloads[1][::-1]
+
     def test_csv_runs_are_identical(self, runner, tmp_path):
         texts = []
         for name in ("a.csv", "b.csv"):

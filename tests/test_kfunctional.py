@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, minimize
 
-from lorentzk import kfunctional
+from lorentzk import kfunctional, norms
 from lorentzk.kfunctional import (
     Decomposition,
     KQuery,
@@ -32,6 +33,7 @@ from lorentzk.kfunctional import (
     k_oracle_s_couple,
     near_optimal_s_decomposition,
     oracle_grid,
+    s_couple_hypotheses,
     truncation_decomposition,
 )
 from lorentzk.norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
@@ -224,6 +226,17 @@ class TestExplicitS:
         assert (verdict.holds, verdict.constant, verdict.method) == (False, math.inf, "inapplicable")
         assert verdict.detail == "power weight s^-1 is not integrable near zero; W(t) diverges"
         assert all(v.holds for name, v in res.hypotheses.items() if name != "reverse-balance-w0")
+
+    def test_a_power_couple_takes_the_midpoint_eps(self):
+        # at p = 2 on (1, s^-alpha) psi0 falls like t^{-1/2} and theta = psi0 / psi1 grows like t^{alpha/2}
+        assert kfunctional._auto_eps(corollary_couple(2.0, 1.0)) == 0.5
+        assert kfunctional._auto_eps(corollary_couple(2.0, 0.5)) == 0.25
+
+    def test_a_non_power_couple_takes_eps_one_half_without_a_moment_call(self):
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5))
+        with mock.patch.object(PowerLogWeight, "moment", autospec=True, side_effect=PowerLogWeight.moment) as moment:
+            assert kfunctional._auto_eps(cfg) == 0.5
+        assert moment.call_count == 0  # 3 probes, thrown away, when theta and psi0 were built to be looked at
 
     def test_corollary_1_shortcut(self):
         a = corollary_1(STAIR, 2.0, p=2.0, alpha=1.0)
@@ -1185,8 +1198,11 @@ class TestOracleWork:
     """The monotone oracle's work on a verify-oracle pass: t11 and cor1 on the seed-7 corpus of 14
     entries, one entry per call, at p = 2, alpha = 1 and t-count 3, refined, as the benchmark runs it."""
 
-    # the most Newton runs, Newton steps, ``point`` evaluations and ``_Vertex`` constructions per pass
-    BUDGET = {"runs": 11, "steps": 65, "points": 86, "vertices": 32}
+    # the most Newton runs, Newton steps, ``point`` evaluations and ``_Vertex`` constructions per pass; and
+    # the set-up: couple verdicts taken (one ``check_cond1`` each), ``np.geomspace`` and ``cell_moments``
+    # calls (28, 28 and 112 when every call took its couple's verdicts and its sweep from np.geomspace)
+    BUDGET = {"runs": 11, "steps": 65, "points": 86, "vertices": 32, "verdicts": 1, "geomspace": 0,
+              "cell_moments": 112}
 
     def test_a_pass_stays_within_the_budget(self, monkeypatch):
         work = dict.fromkeys(self.BUDGET, 0)
@@ -1206,11 +1222,59 @@ class TestOracleWork:
         monkeypatch.setattr(_CoupleObjective, "newton", counted_newton)
         monkeypatch.setattr(_CoupleObjective, "point", counted("points", point))
         monkeypatch.setattr(kfunctional._Vertex, "__init__", counted("vertices", vertex))
+        monkeypatch.setattr(kfunctional, "check_cond1", counted("verdicts", kfunctional.check_cond1))
+        monkeypatch.setattr(np, "geomspace", counted("geomspace", np.geomspace))
+        for module in (kfunctional, norms):
+            monkeypatch.setattr(module, "cell_moments", counted("cell_moments", module.cell_moments))
         for entry in make_corpus(7, 14):
             for tag in ("t11", "cor1"):
                 run_theorem_suite(tag, (entry,), p=2.0, alpha=1.0, m=64, t_count=3, seed=7, refine=True)
         assert all(work[key] <= most for key, most in self.BUDGET.items()), work
-        assert work["runs"] > 0
+        assert work["runs"] > 0 and work["verdicts"] == 1
+
+
+class TestCoupleVerdicts:
+    """``s_couple_hypotheses`` takes a couple's verdicts once per (cfg, eps) and hands every call a fresh dict."""
+
+    TABLE = TabulatedWeight(StepFunction((0.5, 2.0, 9.0), (1.0, 0.5, 3.0)))
+    COUPLES = {
+        "power": corollary_couple(2.0, 1.0),
+        "powerlog": CoupleConfig(2.0, PowerLogWeight(-0.5, -0.5), 2.0, PowerLogWeight(-1.0, -0.5)),
+        "tabulated": CoupleConfig(2.0, TABLE, 1.5, TabulatedWeight(StepFunction((1.0, 4.0), (2.0, 1.0)))),
+        "reciprocal": CoupleConfig(2.0, reciprocal_weight(TABLE, 2.0), 2.0, PowerWeight(-0.5)),
+    }
+
+    @pytest.mark.parametrize("eps", ["auto", 3.0])
+    @pytest.mark.parametrize("name", COUPLES)
+    def test_the_memoized_verdicts_are_a_fresh_evaluation(self, name, eps):
+        cfg = self.COUPLES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the grid checks' quadrature may warn
+            fresh = dict(kfunctional._couple_verdicts.__wrapped__(cfg, eps))
+            first, again = s_couple_hypotheses(cfg, eps), s_couple_hypotheses(cfg, eps)
+        assert repr(first) == repr(again) == repr(fresh)  # repr: a witness may be nan
+        assert first is not again
+        assert kfunctional._couple_verdicts.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+    def test_a_caller_s_edits_reach_no_other_caller(self):
+        cfg = corollary_couple(2.0, 1.0)
+        verdicts = s_couple_hypotheses(cfg)
+        want = repr(verdicts)
+        verdicts.pop("tail-doubling")
+        verdicts["extra"] = None
+        k_explicit_s(STAIR, 1.0, cfg).hypotheses.clear()
+        assert repr(s_couple_hypotheses(cfg)) == want
+        assert repr(k_explicit_s(STAIR, 2.0, cfg).hypotheses) == want
+
+    def test_a_raising_couple_raises_on_every_call(self):
+        # power-log tail moments that come out negative make a complex psi, which cannot be compared
+        cfg = CoupleConfig(2.0, PowerLogWeight(0.5, 1.0), 2.0, PowerLogWeight(-0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(2):
+                with pytest.raises(TypeError, match="complex"):
+                    s_couple_hypotheses(cfg)
+        assert kfunctional._couple_verdicts.cache_info().currsize == 0
 
 
 class TestKFunctionalLaws:

@@ -9,14 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzk import verify
-from lorentzk.stepfn import rearrange
+from lorentzk.stepfn import StepFunction, rearrange
 from lorentzk.weights import CoupleConfig, InvalidWeightError, PowerWeight
 from lorentzk.verify import (
     SUITE_TAGS,
+    CorpusEntry,
     EquivalenceRecord,
     EquivalenceReport,
+    _geomspace,
     _ratio,
     make_corpus,
     records_to_csv,
@@ -83,6 +87,31 @@ class TestSweep:
             assert t_sweep(entry.fn, count) == want
         assert t_sweep(SMALL[1].fn, 3)[1] == 1.0 * (1.0 + 1e-7)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-8.0, 3.0), st.floats(0.01, 8.0), st.integers(0, 40))
+    def test_the_log_sweep_is_geomspace_bit_for_bit(self, log_lo, decades, count):
+        """The reference is ``np.geomspace`` itself; Python's 10.0 ** y in place of numpy's power
+        differs from it in the last bit on about half of the draws."""
+        lo = 10.0 ** log_lo
+        hi = lo * 10.0 ** decades
+        want = np.geomspace(lo, hi, count).tolist()
+        assert [t.hex() for t in _geomspace(lo, hi, count)] == [t.hex() for t in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-7.0, 2.0), st.floats(0.0, 6.0), st.integers(3, 40), st.data())
+    def test_points_on_breakpoints_move_off_them(self, log_first, decades, count, data):
+        """f's first breakpoint and support end fix the sweep; breakpoints put on its inner points move
+        those points by 1 + 1e-7, and every other point is np.geomspace's."""
+        first = 10.0 ** log_first
+        end = first * 10.0 ** decades
+        ts = np.geomspace(first / 10.0, end * 10.0, count).tolist()
+        inside = [t for t in ts if first < t < end]
+        on = data.draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+        bps = sorted({first, end, *on})
+        fn = StepFunction(bps, np.arange(len(bps), 0, -1.0))
+        jumps = set(bps)
+        assert t_sweep(fn, count) == tuple(t * (1.0 + 1e-7) if t in jumps else t for t in ts)
+
 
 class TestIdentitySuite:
     def test_record_count_and_tight_band(self):
@@ -143,6 +172,16 @@ class TestTheoremSuites:
         cfg = CoupleConfig(2.0, PowerWeight(0.0), 2.0, PowerWeight(-1.0))
         with pytest.raises(InvalidWeightError, match=r"s\^-1 is not integrable near zero"):
             run_theorem_suite("generalk", make_corpus(7, 3), couple=cfg)
+
+    @pytest.mark.parametrize("tag", SUITE_TAGS)
+    def test_a_zero_entry_is_zero_on_both_sides(self, tag):
+        """A zero function sweeps (0.1, 10), as the oracle grid of one does: 0 = 0 on every record."""
+        zero = (CorpusEntry("zero", StepFunction.zero()),)
+        report = run_theorem_suite(tag, zero, t_count=3)
+        assert len(report.records) == {"identity": 7, "gammaeqs": 1}.get(tag, 3)
+        assert all((r.lhs, r.rhs, r.ratio, r.flags[1:]) == (0.0, 0.0, 1.0, ()) for r in report.records)
+        if tag not in ("identity", "gammaeqs"):
+            assert [r.t for r in report.records] == [0.1, 1.0, 10.0]
 
     def test_identity_tag_dispatches(self):
         report = run_theorem_suite("identity", corpus=SMALL[:2], t_count=3)
