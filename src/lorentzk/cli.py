@@ -227,8 +227,8 @@ def k_cmd(fn_path: str, t: float, p_str: str, alpha: float, method: str, fmt: st
     """K-functional of the flat/power s-couple at the matched parameter.
 
     The explicit head/tail formula at split point t approximates the
-    K-functional at parameter theta(t); the oracle minimizes over monotone
-    step decompositions at that same parameter, on the steps of f*, by a
+    K-functional at parameter theta(t); the oracle takes the least value over
+    monotone step decompositions at that same parameter, on the steps of f*, by a
     deterministic search that certifies its value by a duality gap (JSON:
     oracle_converged, oracle_gap, oracle_starts).
     """

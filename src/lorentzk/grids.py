@@ -37,11 +37,6 @@ class Grid:
         pts[0], pts[-1] = lo, hi
         return cls(pts)
 
-    def union(self, extra: np.ndarray | tuple[float, ...]) -> "Grid":
-        """Grid over the same span with the positive extra points merged in."""
-        extra = np.asarray(extra, dtype=float)
-        return Grid(np.union1d(self.points, extra[extra > 0.0]))
-
     def __len__(self) -> int:
         return self.points.size
 

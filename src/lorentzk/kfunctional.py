@@ -13,11 +13,11 @@ This module provides:
 * ``truncation_decomposition`` and ``decomposition_lemma`` — cut f* at a
   point; split non-increasing f <= g + h by the right running supremum of
   (f - g)^+;
-* ``k_curve`` and its one-t case ``k_oracle`` — a brute-force minimizer over
-  monotone step decompositions of f* for a sweep of parameters (the cells,
-  spaces and truncation family built once), with an unconstrained mode and
-  an exhaustive lattice mode; ``curve_violations`` checks a sweep against
-  the concavity of K(t) and the monotonicity of K(t)/t, within the gaps;
+* ``k_curve`` and its one-t case ``k_oracle`` — the least value, bracketed by a gap,
+  over monotone step decompositions of f* for a sweep of parameters (the cells,
+  spaces and truncation family built once); ``curve_violations`` checks a
+  sweep against the concavity of K(t) and the monotonicity of K(t)/t,
+  within the gaps;
 * ``k_curve_s_couple`` and ``k_oracle_s_couple`` — the s-couple K-functional,
   solved once, and its optimal parts mapped by the oscillation transform to the
   reciprocal lambda-couple, one problem in other coordinates;
@@ -40,10 +40,7 @@ together (``_GridProblem.curve``); an uncertified one is followed by projected
 Newton from it, then from the centre (off a corner along the dual's
 maximizer).  At p <= 1, J is concave in d (reverse Minkowski), at p_0 = p_1 = 1
 and on one step linear, so ``_GridProblem.corners`` takes the best corner of the
-box, d_k in {0, hi_k}.  Unconstrained mode searches on ``oracle_grid``: it sorts
-its rows into the norms' cell kernel (``norms.cell_sums``, on moments from
-``norms.cell_moments``) and runs L-BFGS-B.  scipy stays a dependency for its
-``minimize`` and the remainder quadratures of ``weights``.
+box, d_k in {0, hi_k}.  No scipy routine runs here.
 An uncertified value is flagged unconverged, never silently accepted.
 A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
@@ -59,7 +56,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .grids import Grid
-from .norms import LorentzSpace, _powered, cell_moments, cell_sums, norm
+from .norms import LorentzSpace, _powered, cell_moments, norm
 from .stepfn import StepFunction, _osc_rows, _require_nonincreasing, dilate, osc_transform, rearrange
 from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerWeight, check_cond1,
                       check_cond3, check_rbp, fundamental_ratio, reciprocal_weight, tail_diverges_at_zero,
@@ -68,14 +65,13 @@ from .weights import (ConditionVerdict, CoupleConfig, InvalidWeightError, PowerW
 __all__ = [
     "Decomposition", "KQuery", "ExplicitKValue", "OracleResult", "SCoupleOracleResult", "NearOptimalSDecomposition",
     "k_explicit_curve", "k_explicit_general", "k_explicit_s", "s_couple_hypotheses", "corollary_couple", "corollary_1",
-    "truncation_decomposition", "decomposition_lemma", "oracle_grid", "k_curve", "k_curve_s_couple",
-    "curve_violations", "k_oracle", "k_oracle_exhaustive", "k_oracle_s_couple", "near_optimal_s_decomposition",
+    "truncation_decomposition", "decomposition_lemma", "k_curve", "k_curve_s_couple", "curve_violations",
+    "k_oracle", "k_oracle_s_couple", "near_optimal_s_decomposition",
 ]
 
 Provenance = Literal["truncation", "decomposition-lemma", "optimizer", "manual"]
 
 _SUM_REL_TOL = 1e-9
-_PAD_DECADES = 1.0  # the oracle grid's padding beyond the support, each side
 
 
 @dataclass(frozen=True)
@@ -320,25 +316,12 @@ def decomposition_lemma(f: StepFunction, g: StepFunction, h: StepFunction) -> De
 # grid objective machinery for the oracle
 
 
-def _pow_slope(x, p: float):
-    """x^(p-1) for x >= 0, with its right limit at x = 0: 1 when p = 1, 0 when p > 1."""
-    if p < 1.0:  # the limit is infinite; 0 keeps a finite subgradient
-        return np.where(x > 0.0, x, 1.0) ** (p - 1.0) * (x > 0.0)
-    return x ** (p - 1.0)
-
-
-def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """sum_{j > i} x_j for each i."""
-    return np.concatenate((x[::-1].cumsum()[::-1][1:], [0.0]))
-
-
 class _SpaceOnGrid:
     """Norms of step functions with fixed cells (g_{i-1}, g_i], g_0 = 0, and variable values.
 
     Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``.
     A monotone candidate u = Ld is evaluated in its differences d from y = Bd
-    (``norms``, ``forward``).  Unconstrained rows are sorted and go through
-    ``norms.cell_sums``, their sorted cells' moments from one ``cell_moments`` call.
+    (``norms``, ``forward``).
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -346,11 +329,11 @@ class _SpaceOnGrid:
             raise ValueError("the oracle supports finite exponents only")
         if space.flavor == "gamma":
             raise InvalidWeightError("the oracle takes lambda- and s-flavor spaces, not gamma")
-        self.flavor, self.p, self.w = space.flavor, float(space.p), space.w
+        self.flavor, self.p = space.flavor, float(space.p)
         cells = cell_moments(self.flavor, self.p, space.w, g)
         if cells is None:
             raise InvalidWeightError(f"a weight moment diverges on this grid; {self.flavor}-norms are infinite")
-        self.lengths, left, moments, tail = cells
+        lengths, left, moments, tail = cells
         # N(Ld)^p = sum_i omega_i y_i^p with y = B d, B = 1 on and above the diagonal (lambda) or
         # x_k below it, a last row all x (s); ``cone_dual``'s scale x of the differences, and its
         # weights X, read backwards for s
@@ -360,40 +343,9 @@ class _SpaceOnGrid:
             self.B, self.omega = 1.0 - below[:m], moments
             self.x, self.X, self.order = np.ones(m), moments.cumsum(), slice(None)
         else:
-            self.x = left + self.lengths
+            self.x = left + lengths
             self.B, self.omega = below * self.x, np.concatenate((moments, [tail]))
             self.X, self.order = self.omega[:0:-1].cumsum(), slice(None, None, -1)
-
-    def norm_pow(self, U: np.ndarray):
-        """(p-th powers of the norms of the rows of U, in any order, and what ``grad`` reuses): each
-        row sorted into non-increasing order (a 1-d U is one row), its sorted cells' moments taken again."""
-        order = np.argsort(-U, axis=-1, kind="stable")
-        cells = cell_moments(self.flavor, self.p, self.w, np.cumsum(self.lengths[order], axis=-1))
-        V = np.take_along_axis(U, order, axis=-1)
-        powered, C, M = cell_sums(self.flavor, self.p, V, *cells)
-        return powered, (V, C, M, order, *cells)
-
-    def grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """(norm, gradient) of one unconstrained candidate, from one forward pass.
-
-        Derivatives at zero values are right ones (at p = 1 the linear
-        coefficient, at p > 1 0 at u = 0), taken through the sort order,
-        locally constant.
-        """
-        p = self.p
-        npow, (v, C, M, order, lengths, left, moments, tail) = self.norm_pow(u)
-        n = float(npow) ** (1.0 / p)
-        if n == 0.0 and p != 1.0:
-            return 0.0, np.zeros_like(u)
-        if self.flavor == "lambda":
-            gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
-        else:
-            Cp = _pow_slope(C, p) * moments
-            grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
-            gs = (1.0 / p) * n ** (1.0 - p) * grad_pow
-        grad = np.empty_like(u)
-        grad[order] = gs
-        return n, grad
 
     def norms(self, D: np.ndarray) -> np.ndarray:
         """N(Ld) at each row d of D, from y = Bd: a sum of non-negative terms, so a vanishing y is exactly 0."""
@@ -497,8 +449,7 @@ class _CoupleObjective:
 
     Monotone candidates are u = Ld, d in the box 0 <= d <= hi_k = F_k -
     F_{k+1}; ``point`` takes them in d at p >= 1, with ``vertices``, the
-    corners, built on first use and shared by ``at``.  Unconstrained candidates,
-    rows of values, take the sorted cell kernel (``norms_batch``, ``value_grad``).
+    corners, built on first use and shared by ``at``.
     """
 
     def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float):
@@ -524,17 +475,6 @@ class _CoupleObjective:
         """``_forward_rows`` of N0 at X[0] and N1 at X[1], differences d and e or stacks of them."""
         B, omega = (self.B, self.omega) if X.ndim == 2 else (self.B[:, None], self.omega[:, None])
         return _forward_rows(B, omega, self.ps, X, hess)
-
-    def norms_batch(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """N0 and N1(F - U) of the unconstrained rows of U, which do not depend on t."""
-        rest = np.maximum(self.F - U, 0.0)
-        return self.ev0.norm_pow(U)[0] ** (1.0 / self.ev0.p), self.ev1.norm_pow(rest)[0] ** (1.0 / self.ev1.p)
-
-    def value_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """J and its gradient at the unconstrained candidate u."""
-        n0, g0 = self.ev0.grad(u)
-        n1, g1 = self.ev1.grad(np.maximum(self.F - u, 0.0))
-        return n0 + self.t * n1, g0 - self.t * g1
 
     def to_u(self, D: np.ndarray) -> np.ndarray:
         """The candidate Ld of each row of differences d >= 0 of D (or of one d), not clipped at F, which would
@@ -696,11 +636,10 @@ class OracleResult:
 
     ``u`` and ``rest``: read-only arrays of the parts' values on the cells ending at ``grid``, checked by
     ``_checked_parts`` to sum to f*; ``decomposition``, the parts as step functions, is built on first read.
-    ``gap`` bounds ``value`` minus the monotone minimum (0 at an exact corner, +inf uncertified and in
-    unconstrained mode); ``converged`` means ``gap <= _GAP_REL_TOL * value``, in unconstrained mode that no
-    L-BFGS-B start was capped.  ``starts`` counts the Newton runs or L-BFGS-B starts (0 when the truncation
-    candidate or a corner stands, and for parts mapped by ``k_curve_s_couple``, which searches nothing),
-    ``iterations`` their steps (one off a corner counts as any other) or flips.
+    ``gap`` bounds ``value`` minus the monotone minimum (0 at an exact corner, +inf uncertified); ``converged``
+    means ``gap <= _GAP_REL_TOL * value``.  ``starts`` counts the Newton runs (0 when the truncation candidate or
+    a corner stands, and for parts mapped by ``k_curve_s_couple``, which searches nothing), ``iterations`` their
+    steps (one off a corner counts as any other) or flips.
     """
 
     value: float
@@ -710,7 +649,6 @@ class OracleResult:
     truncation_value: float
     converged: bool
     iterations: int
-    monotone_only: bool
     grid: Grid
     gap: float
     starts: int
@@ -721,14 +659,12 @@ class OracleResult:
         return Decomposition(StepFunction(g, self.u), StepFunction(g, self.rest), self.provenance)
 
 
-def _checked_parts(F: np.ndarray, grid: Grid, U: np.ndarray, rest: np.ndarray | None = None,
-                   monotone: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views of the rows of U and of rest, by default F - U (its running minimum if ``monotone``,
-    which kills rounding wiggles), after checking at every cell that both are finite and non-negative and that
+def _checked_parts(F: np.ndarray, grid: Grid, U: np.ndarray,
+                   rest: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views of the rows of U and of rest, by default F - U, as its running minimum, which kills
+    rounding wiggles, after checking at every cell that both are finite and non-negative and that
     |u + rest - F| <= ``_SUM_REL_TOL`` max(F, u + rest, 1) (a nan fails every comparison)."""
-    rest = np.maximum(F - U, 0.0) if rest is None else rest
-    if monotone:
-        rest = np.minimum.accumulate(rest, axis=-1)
+    rest = np.minimum.accumulate(np.maximum(F - U, 0.0) if rest is None else rest, axis=-1)
     total = U + rest
     ok = (np.abs(total - F) <= _SUM_REL_TOL * np.maximum(np.maximum(F, total), 1.0)) & (total < math.inf)
     ok &= np.minimum(U, rest) >= 0.0
@@ -741,39 +677,6 @@ def _checked_parts(F: np.ndarray, grid: Grid, U: np.ndarray, rest: np.ndarray | 
     return U, rest
 
 
-def oracle_grid(fstar: StepFunction, m: int = 64) -> Grid:
-    """Log-spaced grid over the support, one decade padding, breakpoints merged.
-
-    The unconstrained oracle searches on it; the monotone one solves on
-    the steps of f* alone, which it contains."""
-    if fstar.is_zero:
-        return Grid.log(0.1, 10.0, m)
-    lo = fstar.first_breakpoint * 10.0 ** (-_PAD_DECADES)
-    hi = fstar.support_end * 10.0 ** _PAD_DECADES
-    if lo >= hi:
-        lo = hi / 10.0 ** (2 * _PAD_DECADES)
-    return Grid.log(lo, hi, m).union(fstar.breakpoints)
-
-
-def _truncation_family(F: np.ndarray) -> np.ndarray:
-    """Unconstrained candidates (F - level)^+ on head cells up to each cut, zero beyond.
-
-    A level at or above F[k-1] zeroes the last head cell of cut k, which
-    repeats cut k-1, so each cut k >= 1 takes only the levels below F[k-1].
-    """
-    m = F.size
-    levels = np.unique(np.concatenate((F, [0.0])))
-    rows = [np.zeros((1, m))]
-    arange = np.arange(m)
-    for k in range(1, m + 1):
-        cs = levels[levels < F[k - 1]]
-        rows.append(np.where(arange < k, np.maximum(F[None, :] - cs[:, None], 0.0), 0.0))
-    return np.unique(np.concatenate(rows), axis=0)
-
-
-# per L-BFGS-B start, which only unconstrained mode runs; at scipy's default ftol and gtol some
-# K values stop ~1e-9 above the optimum
-_LBFGSB_OPTIONS = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
 # projected Newton: steps per run, tenfold cuts per step, the Armijo share, the active-set
 # width and the steps without progress that end a run
 _NEWTON_STEPS, _BACKTRACKS, _ARMIJO, _ACTIVE_EPS, _STALL = 50, 20, 1e-4, 1e-3, 8
@@ -784,26 +687,22 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _GridProblem:
-    """Everything of a K-query but its parameter, in one mode: f* sampled on the grid, both spaces on
-    it, their objective (its corners included) and the truncation family with its norms N0 and N1 of
-    the rest, built once; a sweep of t is one ``curve``, unconstrained mode a ``search`` per t."""
+    """Everything of a K-query but its parameter: f* on its own steps, both spaces on them, their
+    objective (its corners included) and the truncation family with its norms N0 and N1 of the rest,
+    built once; a sweep of t is one ``curve``."""
 
-    def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace, grid: Grid,
-                 monotone: bool):
-        self.grid, self.monotone = grid, monotone
-        g = grid.points
+    def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace):
+        # the parts of a monotone split can only jump where f* does
+        self.grid = Grid(fstar.breakpoints)
+        g = self.grid.points
         self.F = fstar.at(g)
         self.ev0, self.ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
         self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan)  # t set by ``at``
 
     @cached_property
     def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The truncation candidates and their norms (rows, N0, N1 of the rest).  In monotone mode the
-        rows are the head corners, d = hi on the cells < k for k = 0..n (``parts``), their norms from
-        y = Bd and y = B(hi - d); unconstrained, the values of ``_truncation_family``."""
-        if not self.monotone:
-            U = _truncation_family(self.F)
-            return (U, *self.objective.norms_batch(U))
+        """The truncation candidates and their norms (rows, N0, N1 of the rest): the head corners,
+        d = hi on the cells < k for k = 0..n (``parts``), their norms from y = Bd and y = B(hi - d)."""
         hi = self.objective.hi
         D = (np.arange(hi.size + 1)[:, None] > np.arange(hi.size)) * hi
         return D, self.ev0.norms(D), self.ev1.norms(hi - D)
@@ -822,7 +721,7 @@ class _GridProblem:
 
     def curve(self, ts: np.ndarray):
         """(values, parts u, truncation values, iterations, converged, gaps, starts, parts rest or None for
-        F - u) in monotone mode, one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
+        F - u), one entry per t of ``ts``, each as ``ts`` = (t,) would give it.
 
         Below exponent 1, at p_0 = p_1 = 1 and on one step the t's go to ``corners``; else each t's truncation
         candidate is certified at a corner of the box by ``_Vertex.gap``, elsewhere by the Frank-Wolfe
@@ -883,70 +782,10 @@ class _GridProblem:
         U, REST = self.objective.to_u(D), self.objective.to_u(hi - D)
         return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size, REST
 
-    def search(self, t: float, seed: int = 0) -> tuple[float, np.ndarray, float, int, bool, float, int]:
-        """(value, u, truncation value, iterations, converged, +inf, starts) at t by L-BFGS-B in unconstrained
-        mode (not convex, no certificate): converged means that no start was capped."""
-        from scipy.optimize import Bounds  # loaded with ``minimize``, on first use
-        F, obj = self.F, self.objective.at(t)
-        pick, trunc = self.truncations(np.array([t]))
-        u_trunc, trunc_val = self.family[0][pick[0]], float(trunc[0])
-        best_u, best_f, iters, used = u_trunc, trunc_val, 0, 0
-        starts = (u_trunc, F, np.zeros_like(F), F / 2.0, np.random.default_rng(seed).uniform(size=F.size) * F)
-        conv = True
-        tried: list[np.ndarray] = []
-        for x0 in starts:
-            if any(np.array_equal(x0, y) for y in tried):
-                continue  # L-BFGS-B would repeat that start's run
-            tried.append(x0)
-            res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
-                           bounds=Bounds(np.zeros_like(F), F), options=_LBFGSB_OPTIONS)
-            used, iters = used + 1, iters + res.nit
-            conv = conv and res.status != 1  # status 1: iteration or evaluation cap
-            if res.fun < best_f:
-                best_u, best_f = np.minimum(np.maximum(res.x, 0.0), F), float(res.fun)
-        return best_f, best_u, trunc_val, iters, conv, math.inf, used
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: loading it is most of the import time of lorentzk."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
-
-
-def _oracle_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float],
-                  free_m: int | None = None, seed: int = 0) -> list[OracleResult]:
-    """The monotone oracle's ``curve`` over ts on the steps of f*, and the unconstrained one's ``search``
-    at each t too (on ``oracle_grid(f*, free_m)``) unless ``free_m`` is None: the better one's parts,
-    checked to sum to F."""
-    ts = np.array([float(t) for t in ts])
-    if not all(t > 0.0 and math.isfinite(t) for t in ts.tolist()):
-        raise ValueError("K-parameter t must be positive and finite")
-    fstar = rearrange(f)
-    if fstar.is_zero:
-        g0 = Grid.log(0.1, 10.0, 2)
-        zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
-        return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, free_m is None, g0, 0.0, 0) for _ in ts]
-    # the monotone problem on the steps of the target: its parts can only jump where F does
-    mono = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), True)
-    value, U, trunc, iters, conv, gap, starts, REST = mono.curve(ts)
-    if free_m is None:
-        rows = zip(*_checked_parts(mono.F, mono.grid, U, REST), value, trunc, conv, iters, gap, starts)
-        return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, True, mono.grid, gp, st)
-                for u, rest, v, tv, c, it, gp, st in rows]
-    free = _GridProblem(fstar, space0, space1, oracle_grid(fstar, free_m), False)
-    results = []
-    for t, v, u, tv, it, st in zip(ts.tolist(), value, U, trunc, iters, starts):
-        # the better search wins; the certificate covers the monotone problem only
-        v2, u2, t2, it2, c2, _, st2 = free.search(t, seed)
-        won, v, u, t_won = (free, v2, u2, t2) if v2 < v else (mono, v, u, tv)
-        u, rest = _checked_parts(won.F, won.grid, u, monotone=won.monotone)
-        results.append(OracleResult(v, u, rest, "optimizer" if v < t_won else "truncation", min(tv, t2), c2,
-                                    it + it2, False, won.grid, math.inf, st + st2))
-    return results
-
 
 def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Sequence[float]) -> list[OracleResult]:
-    """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order.
+    """The monotone oracle's K(f, t) for each t of ``ts``, one result per t in their order, its parts checked
+    to sum to f*.
 
     The cells (see ``k_oracle``), both spaces, the truncation family's norms
     and the corners of the box are built once.  Every t's truncation candidate
@@ -956,7 +795,19 @@ def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Seq
     ``k_oracle``'s at its t, whatever the order of ``ts`` (unsorted, or with
     a value repeated).
     """
-    return _oracle_curve(f, space0, space1, ts)
+    ts = np.array([float(t) for t in ts])
+    if not all(t > 0.0 and math.isfinite(t) for t in ts.tolist()):
+        raise ValueError("K-parameter t must be positive and finite")
+    fstar = rearrange(f)
+    if fstar.is_zero:
+        g0 = Grid.log(0.1, 10.0, 2)
+        zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
+        return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, g0, 0.0, 0) for _ in ts]
+    problem = _GridProblem(fstar, space0, space1)
+    value, U, trunc, iters, conv, gap, starts, REST = problem.curve(ts)
+    rows = zip(*_checked_parts(problem.F, problem.grid, U, REST), value, trunc, conv, iters, gap, starts)
+    return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, problem.grid, gp, st)
+            for u, rest, v, tv, c, it, gp, st in rows]
 
 
 # relative rounding slack of the K-curve laws; the values' own rounding is a few ulps
@@ -992,55 +843,17 @@ def curve_violations(ts: Sequence[float], results: Sequence[OracleResult]) -> np
     return flags
 
 
-def k_oracle(q: KQuery, m: int = 64, monotone_only: bool = True, seed: int = 0) -> OracleResult:
-    """Brute-force K-functional value over step decompositions: ``k_curve``'s routine at one t.
+def k_oracle(q: KQuery) -> OracleResult:
+    """K-functional value over monotone step decompositions, with its gap: ``k_curve``'s routine at one t.
 
-    f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences, and
-    in unconstrained mode also on the grid ``oracle_grid(f*, m)``, 0 <= u_i <= f*_i.  A truncation candidate
-    with a gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
+    f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences.  A
+    truncation candidate with a gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
     (``_CoupleObjective.newton``) runs from it, then from the centre, while uncertified, stepping off a
     corner u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to the truncation
     candidate.  Below exponent 1, at p_0 = p_1 = 1 and on one step the best corner of the box is taken
-    (``_GridProblem.corners``).  In unconstrained mode (not convex) L-BFGS-B runs from the truncation
-    candidate, both corners, the centre and a point drawn from ``seed``; the better wins.
+    (``_GridProblem.corners``).
     """
-    return _oracle_curve(q.f, q.space0, q.space1, (q.t,), None if monotone_only else m, seed)[0]
-
-
-def k_oracle_exhaustive(q: KQuery, grid: Grid, quantum: float, monotone_only: bool = True,
-                        max_candidates: int = 4_000_000) -> float:
-    """Ground-truth lattice search for tiny instances.
-
-    Enumerates every candidate whose cell values are multiples of ``quantum``
-    (the instance's values must be lattice-valued themselves).  Exact for
-    p = 1 flavors, where the feasible polytope has lattice vertices and the
-    objective is linear, so the continuous optimum lies on the lattice.
-    """
-    fstar = rearrange(q.f)
-    g = grid.points
-    if g.size > 6:
-        raise ValueError("exhaustive mode is for instances with at most 6 cells")
-    F = fstar.at(g)
-    steps = np.rint(F / quantum).astype(int)
-    if not np.allclose(steps * quantum, F, rtol=0.0, atol=1e-12):
-        raise ValueError("instance values are not multiples of the quantum")
-    if np.any(steps >= 16):
-        raise ValueError("instance needs more than 16 lattice levels")
-    evs = [_SpaceOnGrid(space, g) for space in (q.space0, q.space1)]
-    cells = [cell_moments(ev.flavor, ev.p, ev.w, g) for ev in evs]
-
-    def value(U):  # a monotone row by the norms' cell kernel on its values, not by the oracle's y = Bd
-        n0, n1 = ((cell_sums(ev.flavor, ev.p, X, *c) if monotone_only else ev.norm_pow(X))[0] ** (1.0 / ev.p)
-                  for ev, c, X in zip(evs, cells, (U, np.maximum(F - U, 0.0))))
-        return n0 + q.t * n1
-
-    # monotone candidates are the lattice points of the differences, summed from the right
-    axes = [np.arange(k + 1) for k in (steps - np.append(steps[1:], 0) if monotone_only else steps)]
-    if math.prod(a.size for a in axes) > max_candidates:
-        raise ValueError("lattice too large for exhaustive mode")
-    X = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1).astype(float) * quantum
-    U = np.cumsum(X[:, ::-1], axis=1)[:, ::-1] if monotone_only else X
-    return min(float(value(U[start : start + 200_000]).min()) for start in range(0, U.shape[0], 200_000))
+    return k_curve(q.f, q.space0, q.space1, (q.t,))[0]
 
 
 @dataclass(frozen=True)
@@ -1079,8 +892,8 @@ def k_curve_s_couple(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace
         norms.append([pw ** (1.0 / p) for pw in (P[:, None] ** p @ cells[2])[:, 0].tolist()])
     results = []
     for d, u, rest, n0, n1, t in zip(direct, *parts, *norms, ts):
-        tr = OracleResult(n0 + float(t) * n1, u, rest, d.provenance, d.truncation_value, d.converged, 0,
-                          d.monotone_only, grid, d.gap, 0)
+        tr = OracleResult(n0 + float(t) * n1, u, rest, d.provenance, d.truncation_value, d.converged, 0, grid,
+                          d.gap, 0)
         ratio = d.value / tr.value if tr.value > 0.0 else (1.0 if d.value == 0.0 else math.inf)
         results.append(SCoupleOracleResult(d, tr, ratio))
     return results
@@ -1121,7 +934,7 @@ def near_optimal_s_decomposition(
     if fstar.is_zero:
         zero = Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
-    problem = _GridProblem(fstar, space0, space1, Grid(fstar.breakpoints), monotone=True)
+    problem = _GridProblem(fstar, space0, space1)
     g, F = problem.grid.points, problem.F
     u = problem.parts(problem.truncations(np.array([t]))[0])[0]
     f0_init = StepFunction(g, u)

@@ -28,9 +28,8 @@ flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
 norms and the explicit K-formulas of ``kfunctional`` go through this pair, the
 formulas with every head or tail window of a sweep of t in one call; the
-K-oracle takes its grids' moments and its sorted unconstrained rows' (one row
-of edges each) from ``cell_moments``, evaluates monotone candidates from their
-differences (y = Bd) and only unconstrained ones by ``cell_sums``.  Divergent
+K-oracle takes its grids' moments from ``cell_moments`` and evaluates its
+monotone candidates from their differences (y = Bd).  Divergent
 integrals yield +inf with a flag rather than an error.  p = inf flavors are
 grid suprema over breakpoints plus refinement points (grid-level accuracy).
 
@@ -222,9 +221,8 @@ def cell_moments(
     tail has them too; or x is one row and lo, hi are ndarrays of window ends,
     and the moments and the s tail have a row per window.  The explicit
     formulas' windows diverge only at 0 (lambda heads) or inf (s tails), so in
-    all or none.  Gamma takes one row and one window.  The norms, the oracle
-    grids and the K-oracle's sorted unconstrained rows take their weight
-    moments here alone.
+    all or none.  Gamma takes one row and one window.  The norms and the oracle
+    grids take their weight moments here alone.
     """
     left = np.concatenate((np.zeros(x.shape[:-1] + (1,)), x[..., :-1]), axis=-1)
     end = np.maximum(x[..., -1], lo)

@@ -141,8 +141,8 @@ def _geomspace(lo: float, hi: float, count: int) -> list[float]:
 
 
 def t_sweep(fn: StepFunction, count: int = 15) -> tuple[float, ...]:
-    """Log-spaced parameters from below the support to beyond it; (0.1, 10), as ``oracle_grid`` takes, for a
-    zero function."""
+    """Log-spaced parameters from a decade below the support to a decade beyond it; (0.1, 10) for a zero
+    function."""
     fstar = rearrange(fn)
     lo, hi = (0.1, 10.0) if fstar.is_zero else (fstar.first_breakpoint / 10.0, fstar.support_end * 10.0)
     # a t on a breakpoint moves off it, by a set lookup (np.isin costs more than the sweep)

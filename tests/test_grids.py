@@ -1,4 +1,4 @@
-"""Evaluation grids: validation, log spacing and unions."""
+"""Evaluation grids: validation and log spacing."""
 
 import math
 
@@ -62,8 +62,3 @@ class TestGrid:
     def test_log_rejects_bad_ranges(self, lo, hi, n):
         with pytest.raises(ValueError):
             Grid.log(lo, hi, n)
-
-    def test_union_merges_and_drops_non_positive_extras(self):
-        g = Grid((1.0, 4.0)).union((0.0, -2.0, 2.0, 4.0, math.nan))
-        np.testing.assert_array_equal(g.points, [1.0, 2.0, 4.0])
-        np.testing.assert_array_equal(Grid((1.0, 4.0)).union(np.array([3.0])).points, [1.0, 3.0, 4.0])

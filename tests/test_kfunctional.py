@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, minimize
 
+import oracle_reference as reference
 from lorentzk import kfunctional, norms
 from lorentzk.kfunctional import (
     Decomposition,
     KQuery,
     _CoupleObjective,
+    _GridProblem,
     _SpaceOnGrid,
-    _truncation_family,
     corollary_1,
     corollary_couple,
     curve_violations,
@@ -29,10 +29,8 @@ from lorentzk.kfunctional import (
     k_explicit_general,
     k_explicit_s,
     k_oracle,
-    k_oracle_exhaustive,
     k_oracle_s_couple,
     near_optimal_s_decomposition,
-    oracle_grid,
     s_couple_hypotheses,
     truncation_decomposition,
 )
@@ -418,24 +416,22 @@ class TestOracle:
     def test_nonmono_never_exceeds_mono(self):
         for t in (0.3, 1.0, 3.0):
             q = KQuery(STAIR, t, self.SPACE0, self.SPACE1)
-            mono = k_oracle(q, monotone_only=True)
-            free = k_oracle(q, m=24, monotone_only=False)
+            mono = k_oracle(q)
+            free = reference.free_oracle(q, m=24)
             assert free.value <= mono.value + 1e-12
 
     def test_seed_is_deterministic(self):
         q = KQuery(STAIR, 0.7, self.SPACE0, self.SPACE1)
-        # the seed draws the unconstrained search's last start; the monotone search has none
-        a = k_oracle(q, monotone_only=False, seed=42)
-        b = k_oracle(q, monotone_only=False, seed=42)
+        # the seed draws the reference search's last start
+        a = reference.free_oracle(q, seed=42)
+        b = reference.free_oracle(q, seed=42)
         assert (a.value, a.decomposition) == (b.value, b.decomposition)
-        c, d = k_oracle(q, seed=1), k_oracle(q, seed=2)
-        assert _same_result(c, d) and (c.starts, c.iterations) == (d.starts, d.iterations)
 
     def test_monotone_oracle_refuses_gamma_spaces(self):
         gamma = LorentzSpace("gamma", 2.0, FLAT)
         for space0, space1 in ((gamma, LAMBDA2), (LAMBDA2, gamma)):
             with pytest.raises(InvalidWeightError, match="gamma"):
-                k_oracle(KQuery(STAIR, 1.0, space0, space1), m=8)
+                k_oracle(KQuery(STAIR, 1.0, space0, space1))
 
 
 def _brute_truncation_family(F, monotone):
@@ -453,7 +449,7 @@ def _brute_truncation_family(F, monotone):
 class TestTruncationFamily:
     @pytest.mark.parametrize("monotone", [True, False])
     def test_matches_brute_force_construction(self, monotone):
-        """Unconstrained on a grid finer than f*; monotone on the steps of f*, where the family is
+        """The reference's on a grid finer than f*; the oracle's on the steps of f*, where the family is
         the head corners d = hi on the cells < k, with the parts (F - F_k)^+."""
         rng = np.random.default_rng(41)
         for _ in range(25):
@@ -461,12 +457,12 @@ class TestTruncationFamily:
             # repeated values and trailing zeros, as on a grid finer than f*
             F = np.sort(rng.choice(np.append(rng.uniform(0.1, 5.0, 4), 0.0), m))[::-1]
             if not monotone:
-                np.testing.assert_array_equal(_truncation_family(F), _brute_truncation_family(F, False))
+                np.testing.assert_array_equal(reference.truncation_family(F), _brute_truncation_family(F, False))
                 continue
             f = StepFunction(np.arange(1.0, m + 1.0), F)  # the steps of f*: runs merged, no zero tail
             if f.is_zero:
                 continue
-            problem = kfunctional._GridProblem(f, LAMBDA2, LAMBDA2, Grid(f.breakpoints), True)
+            problem = _GridProblem(f, LAMBDA2, LAMBDA2)
             D = problem.family[0]
             hi = problem.objective.hi
             np.testing.assert_array_equal(D, [np.where(np.arange(hi.size) < k, hi, 0.0) for k in range(hi.size + 1)])
@@ -503,7 +499,7 @@ class TestHeadCorners:
         """N0 + t N1 of each head corner, from y = Bd, is the cell kernel's N0((F - F_k)^+) + t N1 of
         the rest min(F, F_k), to a few ulps."""
         f, (space0, space1), t = case
-        problem = kfunctional._GridProblem(f, space0, space1, Grid(f.breakpoints), True)
+        problem = _GridProblem(f, space0, space1)
         _, n0, n1 = problem.family
         levels = np.append(f.values, 0.0)[:, None]
 
@@ -519,12 +515,12 @@ class TestHeadCorners:
         f, grid = StepFunction((1.0, 2.0, 3.0), (3.0, 2.0, 1.0)), Grid((1.0, 2.0, 3.0))
         queries = [KQuery(f, t, LorentzSpace("lambda", 1.0, FLAT), LorentzSpace("lambda", 1.0, PowerWeight(0.5)))
                    for t in (0.4, 1.1, 2.5)]
-        before = [(k_oracle(q).value, k_oracle_exhaustive(q, grid, quantum=1.0)) for q in queries]
+        before = [(k_oracle(q).value, reference.exhaustive(q, grid, quantum=1.0)) for q in queries]
         real = _SpaceOnGrid.norms
         monkeypatch.setattr(_SpaceOnGrid, "norms", lambda self, D: 1.01 * real(self, D))
         for q, (oracle, exhaustive) in zip(queries, before):
             assert k_oracle(q).value == pytest.approx(1.01 * oracle, rel=1e-14)
-            assert k_oracle_exhaustive(q, grid, quantum=1.0) == exhaustive
+            assert reference.exhaustive(q, grid, quantum=1.0) == exhaustive
 
 
 @st.composite
@@ -548,7 +544,7 @@ class TestOracleProperties:
     @settings(max_examples=40, deadline=None)
     @given(oracle_queries())
     def test_oracle_invariants(self, q):
-        res = k_oracle(q, m=16)
+        res = k_oracle(q)
         # the trivial splits (f, 0) and (0, f) are candidates
         bound = min(norm(q.space0, q.f), q.t * norm(q.space1, q.f))
         assert res.value <= bound * (1.0 + 1e-9)
@@ -560,26 +556,22 @@ class TestOracleProperties:
         assert direct == pytest.approx(res.value, rel=1e-9)
 
 
-def _values(obj, U):
-    """J at the rows of U, each non-increasing, by the unconstrained cell kernel, which leaves them in place."""
-    n0, n1 = obj.norms_batch(np.atleast_2d(U))
-    return n0 + obj.t * n1
-
-
 def _monotone_problem(q, m=16):
-    """The objective on the padded grid ``oracle_grid(f*, m)`` and its best truncation candidate:
-    the same minimum as ``k_oracle``'s problem on the steps of f*, with more coordinates."""
+    """The reference objective on the padded grid ``oracle_reference.oracle_grid(f*, m)`` and its best
+    truncation candidate: the same minimum as ``k_oracle``'s problem on the steps of f*, with more
+    coordinates.  Its rows are non-increasing, so the reference's sort leaves them in place."""
     fstar = rearrange(q.f)
-    g = oracle_grid(fstar, m).points
-    F = fstar.at(g)
-    obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), F, q.t)
-    U = _brute_truncation_family(F, monotone=True)
-    return obj, F, U[int(np.argmin(_values(obj, U)))]
+    g = reference.oracle_grid(fstar, m).points
+    obj = reference.Objective(q.space0, q.space1, g, fstar.at(g), q.t)
+    U = _brute_truncation_family(obj.F, monotone=True)
+    return obj, obj.F, U[int(np.argmin(obj.values(U)))]
 
 
 def _gap(obj, u):
-    """The certificate of ``_CoupleObjective.point`` at the monotone candidate u."""
-    return obj.point(np.minimum(u - np.append(u[1:], 0.0), obj.hi))[2]
+    """The certificate of ``_CoupleObjective.point`` at the monotone candidate u of the reference
+    objective's problem."""
+    lib = _CoupleObjective(_SpaceOnGrid(obj.space0, obj.g), _SpaceOnGrid(obj.space1, obj.g), obj.F, obj.t)
+    return lib.point(np.minimum(u - np.append(u[1:], 0.0), lib.hi))[2]
 
 
 def _five_start_search(obj, F, u_trunc, seed=0):
@@ -596,10 +588,9 @@ def _five_start_search(obj, F, u_trunc, seed=0):
     rng = np.random.default_rng(seed)
     x_trunc = u_trunc - np.append(u_trunc[1:], 0.0)
     starts = [x_trunc, hi, np.zeros_like(hi), hi / 2.0, rng.uniform(size=hi.size) * hi]
-    best, ends = _values(obj, u_trunc)[0], []
+    best, ends = obj.values(u_trunc)[0], []
     for x0 in starts:
-        res = minimize(vg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(np.zeros_like(hi), hi),
-                       options=kfunctional._LBFGSB_OPTIONS)
+        res = reference.lbfgsb(vg, x0, hi)
         best = min(best, float(res.fun))
         ends.append(to_u(res.x))
     return best, ends
@@ -621,7 +612,7 @@ class TestOracleCertificate:
     @example(KQuery(STAIR, 1.0, *BEATEN))
     def test_gap_bounds_every_candidate(self, q):
         obj, F, u_trunc = _monotone_problem(q)
-        res = k_oracle(q, m=16)
+        res = k_oracle(q)
         hi = F - np.append(F[1:], 0.0)
         # box points: each difference at 0, at its bound or in between
         rng = np.random.default_rng(0)
@@ -630,8 +621,8 @@ class TestOracleCertificate:
         W[pick < 0.25], W[pick > 0.75] = 0.0, 1.0
         U = np.minimum(np.cumsum((W * hi)[:, ::-1], axis=1)[:, ::-1], F)
         _, ends = _five_start_search(obj, F, u_trunc)
-        lowest = min(_values(obj, U).min(), _values(obj, ends).min())
-        for value, gap in ((_values(obj, u_trunc)[0], _gap(obj, u_trunc)), (res.value, res.gap)):
+        lowest = min(obj.values(U).min(), obj.values(ends).min())
+        for value, gap in ((obj.values(u_trunc)[0], _gap(obj, u_trunc)), (res.value, res.gap)):
             assert gap >= 0.0
             assert lowest >= value - gap - 1e-12 * value
 
@@ -652,14 +643,15 @@ class TestOracleCertificate:
 
     @pytest.mark.parametrize("t,zero_part", [(0.05, "f0"), (20.0, "f1")])
     def test_vanishing_part_is_certified_at_truncation(self, t, zero_part):
-        res = k_oracle(KQuery(STAIR, t, LAMBDA2, LAMBDA2), m=16)
+        res = k_oracle(KQuery(STAIR, t, LAMBDA2, LAMBDA2))
         assert (res.starts, res.iterations, res.gap) == (0, 0, 0.0)
         assert getattr(res.decomposition, zero_part).is_zero
         assert res.value == pytest.approx(min(1.0, t) * norm(LAMBDA2, STAIR), rel=1e-12)
 
     def test_unconstrained_mode_runs_every_start_and_has_no_certificate(self):
+        """The reference's unconstrained search adds its distinct starts to the oracle's, and certifies nothing."""
         q = KQuery(STAIR, 1.3, TestOracle.SPACE0, TestOracle.SPACE1)
-        mono, free = k_oracle(q, m=16), k_oracle(q, m=16, monotone_only=False)
+        mono, free = k_oracle(q), reference.free_oracle(q, m=16)
         # the distinct starts: the truncation candidate repeats a corner here
         assert free.starts == mono.starts + 4
         assert free.gap == math.inf and math.isfinite(mono.gap)
@@ -680,10 +672,10 @@ class TestOracleCertificate:
                             KQuery(fstar, theta, s0, s1)]
         starts = []
         for q in queries:
-            res = k_oracle(q, m=16, seed=7)
+            res = k_oracle(q)
             obj, F, u_trunc = _monotone_problem(q)
-            reference, _ = _five_start_search(obj, F, u_trunc, seed=7)
-            assert res.value == pytest.approx(reference, rel=1e-10, abs=0.0)
+            expected, _ = _five_start_search(obj, F, u_trunc, seed=7)
+            assert res.value == pytest.approx(expected, rel=1e-10, abs=0.0)
             assert res.gap >= 0.0
             assert res.gap <= 1e-10 * res.value or res.starts == 5
             starts.append(res.starts)
@@ -944,36 +936,36 @@ def _degenerate_verify_queries():
         queries += [KQuery(fstar, t, s0, s1), KQuery(osc_transform(fstar).as_step(), t, tilde0, tilde1)]
     theta = k_explicit_s(fstar, t, cfg, check_hypotheses=False).param
     queries.append(KQuery(fstar, theta, s0, s1))
-    return [(q, m) for q in queries for m in (64, 128)]
+    return queries
 
 
 class TestCertifiedValues:
     """A certified value is never above what the search without the early exit finds."""
 
     @staticmethod
-    def _every_start(q, m):
+    def _every_start(q):
         with mock.patch.object(kfunctional, "_GAP_REL_TOL", -1.0):  # no gap passes, so every start runs
-            return k_oracle(q, m=m, seed=7)
+            return k_oracle(q)
 
     @settings(max_examples=30, deadline=None)
     @given(oracle_queries())
     def test_random_queries(self, q):
-        res = k_oracle(q, m=16, seed=7)
+        res = k_oracle(q)
         if res.converged:
-            assert res.value <= self._every_start(q, 16).value * (1.0 + 1e-12)
+            assert res.value <= self._every_start(q).value * (1.0 + 1e-12)
 
     def test_every_verify_query_is_certified(self):
         """The exact dual certifies the vanishing parts, the Newton polish the smooth optima."""
-        results = [k_oracle(q, m=16, seed=7) for q in _verify_queries()]
+        results = [k_oracle(q) for q in _verify_queries()]
         assert all(res.converged and res.gap <= 1e-10 * res.value for res in results)
         assert sum(res.starts for res in results) < len(results) // 2
 
     def test_degenerate_verify_queries(self):
-        for q, m in _degenerate_verify_queries():
-            res = k_oracle(q, m=m, seed=7)
+        for q in _degenerate_verify_queries():
+            res = k_oracle(q)
             assert (res.starts, res.converged) == (0, True)
             assert res.decomposition.f0.is_zero or res.decomposition.f1.is_zero
-            assert res.value <= self._every_start(q, m).value * (1.0 + 1e-12)
+            assert res.value <= self._every_start(q).value * (1.0 + 1e-12)
 
 
 @st.composite
@@ -986,13 +978,11 @@ def hessian_problems(draw):
     flavor = draw(st.sampled_from(["lambda", "s"]))
     # the s flavor needs beta < p - 1 at infinity
     betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [-0.5, 0.0, 0.3]
-    ev0, ev1 = (
-        _SpaceOnGrid(LorentzSpace(flavor, draw(st.sampled_from([1.5, 2.0, 3.0])),
-                                  PowerWeight(draw(st.sampled_from(betas)))), g)
-        for _ in range(2)
-    )
-    obj = _CoupleObjective(ev0, ev1, hi[::-1].cumsum()[::-1], 1.0)
-    return obj, hi * np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    spaces = [LorentzSpace(flavor, draw(st.sampled_from([1.5, 2.0, 3.0])), PowerWeight(draw(st.sampled_from(betas))))
+              for _ in range(2)]
+    obj = _CoupleObjective(*(_SpaceOnGrid(space, g) for space in spaces), hi[::-1].cumsum()[::-1], 1.0)
+    refs = [reference.Space(space, g) for space in spaces]
+    return obj, refs, hi * np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
 
 
 class TestNewtonPolish:
@@ -1001,12 +991,12 @@ class TestNewtonPolish:
     @settings(max_examples=60, deadline=None)
     @given(hessian_problems())
     def test_hessian_matches_central_differences(self, problem):
-        obj, d = problem
-        # the polish takes H0(d) + t H1(hi - d); each part against the cell kernel's gradient of Ly,
-        # a decreasing row, in differences
-        for ev, x in ((obj.ev0, d), (obj.ev1, obj.hi - d)):
+        obj, refs, d = problem
+        # the polish takes H0(d) + t H1(hi - d); each part against the reference cell kernel's gradient
+        # of Ly, a decreasing row, in differences
+        for ev, ref, x in zip((obj.ev0, obj.ev1), refs, (d, obj.hi - d)):
             def grad(y):
-                return ev.grad(y[::-1].cumsum()[::-1])[1].cumsum()
+                return ref.grad(y[::-1].cumsum()[::-1])[1].cumsum()
 
             H = ev.forward(x, hess=True)[2]
             h = 1e-4 * x.min()
@@ -1024,7 +1014,7 @@ class TestNewtonPolish:
         s0, s1, _, _ = _verify_spaces()
         q = KQuery(f, t_sweep(f, 15)[7], s0, s1)
         obj, _, u_trunc = _monotone_problem(q, m=64)
-        assert not u_trunc.any() and _gap(obj, u_trunc) > 1e-10 * _values(obj, u_trunc)[0]
+        assert not u_trunc.any() and _gap(obj, u_trunc) > 1e-10 * obj.values(u_trunc)[0]
         res = k_oracle(q)
         assert (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value and res.value < res.truncation_value
@@ -1040,13 +1030,13 @@ class TestNewtonPolish:
         q = KQuery(tstep, 2.6355253153338025, *spaces)
         g = tstep.breakpoints
         obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t)
+        ref = reference.Objective(q.space0, q.space1, g, tstep.values, q.t)
 
-        def value_grad(d):  # J(Ld) and its gradient in the differences, by the cell kernel
-            val, gu = obj.value_grad(obj.to_u(d))
+        def value_grad(d):  # J(Ld) and its gradient in the differences, by the reference cell kernel
+            val, gu = ref.value_grad(obj.to_u(d))
             return val, gu.cumsum()
 
-        centre = minimize(value_grad, obj.hi / 2.0, jac=True, method="L-BFGS-B",
-                          bounds=Bounds(np.zeros_like(obj.hi), obj.hi), options=kfunctional._LBFGSB_OPTIONS)
+        centre = reference.lbfgsb(value_grad, obj.hi / 2.0, obj.hi)
         assert not centre.x.any() and obj.point(centre.x)[2] > 1.0
         res = k_oracle(q)
         assert len(res.grid) == 5 and (res.starts, res.converged) == (1, True)
@@ -1110,14 +1100,15 @@ def fused_cases(draw):
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     # the s flavor needs beta < p - 1 at infinity
     betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [b for b in (-0.5, 0.0, 0.3) if b < p - 1.1]
-    ev = _SpaceOnGrid(LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas)))), g)
+    space = LorentzSpace(flavor, p, PowerWeight(draw(st.sampled_from(betas))))
     d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), min_size=n, max_size=n))
-    return ev, np.array(d)
+    return space, g, np.array(d)
 
 
-def _direct_gap(obj, u):
-    """The certificate at u from the cell kernel and the cone dual at the objective's t."""
-    val, gu = obj.value_grad(u)
+def _direct_gap(obj, ref, u):
+    """The certificate at u from the reference cell kernel (``ref``, the objective's problem) and the cone
+    dual at the objective's t."""
+    val, gu = ref.value_grad(u)
     g = gu.cumsum()
     gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ obj.hi), 0.0)
     if obj.ev0.p > 1.0 and not u.any():
@@ -1138,17 +1129,17 @@ class TestFusedPass:
     # u is a run of four equal values: the cell kernel took C = A - u x, which lost all its digits
     # where it vanishes, and C^(1/2) of that rounding moved the s gradient by 5.6e-9 relative
     @example((
-        _SpaceOnGrid(LorentzSpace("s", 1.5, PowerWeight(-0.5)),
-                     np.array([1.962709538354162, 24.230537487596358, 46.83691105615143,
-                               63.837687270172346, 95.38795294754404])),
+        LorentzSpace("s", 1.5, PowerWeight(-0.5)),
+        np.array([1.962709538354162, 24.230537487596358, 46.83691105615143, 63.837687270172346, 95.38795294754404]),
         np.array([0.0, 0.0, 0.0, 1.6014529429280226, 0.0]),
     ))
     def test_matches_the_cell_kernel(self, case):
-        ev, d = case
+        space, g, d = case
+        ev, kernel = _SpaceOnGrid(space, g), reference.Space(space, g)
         u = d[::-1].cumsum()[::-1]
         value, grad, _ = ev.forward(d)
-        assert value == pytest.approx(ev.norm_pow(u)[0] ** (1.0 / ev.p), rel=1e-12, abs=0.0)
-        ref = ev.grad(u)[1].cumsum()  # u is sorted, so its cells stay in place
+        assert value == pytest.approx(kernel.norm_pow(u)[0] ** (1.0 / ev.p), rel=1e-12, abs=0.0)
+        ref = kernel.grad(u)[1].cumsum()  # u is sorted, so its cells stay in place
         np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=0.0))
 
     @settings(max_examples=40, deadline=None)
@@ -1159,18 +1150,20 @@ class TestFusedPass:
         base = _CoupleObjective(_SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g), F, ts[0])
         for t in ts:
             obj = base.at(t)  # the corners, built at the first t, shared by the others
+            ref = reference.Objective(space0, space1, g, F, t)
             for u in (np.zeros_like(F), F):
                 d = np.minimum(u - np.append(u[1:], 0.0), obj.hi)
                 vertex = obj.vertex(d, obj.hi - d)
                 value = vertex.value(t)
-                assert value == pytest.approx(_values(obj, u)[0], rel=1e-12)
+                assert value == pytest.approx(ref.values(u)[0], rel=1e-12)
                 # the gap can be a difference of near-equal terms (p = 1, t near 1): J sets its rounding
-                assert vertex.gap(t) == pytest.approx(_direct_gap(obj, u), rel=1e-12, abs=1e-14 * value)
+                assert vertex.gap(t) == pytest.approx(_direct_gap(obj, ref, u), rel=1e-12, abs=1e-14 * value)
                 assert obj.point(d)[2] == vertex.gap(t)
 
 
 class TestNewtonOnly:
-    """The monotone oracle runs no L-BFGS-B: Newton at p >= 1, the corners of the box below."""
+    """The monotone oracle's flagged records on the CI configurations: Newton at p >= 1, the corners of the
+    box below."""
 
     # the most flagged records each configuration may carry, as its CI step allows
     @pytest.mark.parametrize("suites,kwargs,most", [
@@ -1182,16 +1175,13 @@ class TestNewtonOnly:
         (("generalk",), dict(seed=7, size=20, p=0.8, alpha=0.5, t_count=15), 0),
         (("generalk",), dict(seed=7, size=20, p=1.0, alpha=0.5, t_count=15), 0),
     ], ids=["cli-defaults", "p-1.5", "p-1.2", "p-1.1", "p-0.5", "p-0.8", "p-1"])
-    def test_the_ci_oracle_configurations(self, suites, kwargs, most, monkeypatch):
-        calls = []
-        monkeypatch.setattr(kfunctional, "minimize", lambda *a, **k: calls.append(1))
+    def test_the_ci_oracle_configurations(self, suites, kwargs, most):
         corpus = make_corpus(kwargs.pop("seed"), kwargs.pop("size"))
         flagged = 0
         for tag in suites:
             report = run_theorem_suite(tag, corpus=corpus, seed=7, **kwargs)
             flagged += sum(bool(r.flags) for r in report.records)
         assert flagged <= most
-        assert not calls
 
 
 class TestOracleWork:
@@ -1334,24 +1324,24 @@ class TestRearrangedCandidates:
     @given(unsorted_candidates())
     def test_norm_matches_norms_module(self, case):
         space, g, u = case
-        ev = _SpaceOnGrid(space, g)
+        ev = reference.Space(space, g)
         expected = norm(space, StepFunction(tuple(g), tuple(u)))
         assert ev.norm_pow(u)[0] ** (1.0 / ev.p) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
     def test_unconstrained_oracle_refuses_gamma_only(self, monkeypatch):
-        """Unconstrained mode takes every weight family that ``cell_moments`` takes; a gamma space is
-        refused before any search."""
+        """The reference's unconstrained search takes every weight family that ``cell_moments`` takes; a
+        gamma space is refused before any search."""
         calls = []
-        real_minimize = kfunctional.minimize
+        real_minimize = reference.minimize
 
         def counting_minimize(*args, **kwargs):
             calls.append(1)
             return real_minimize(*args, **kwargs)
 
-        monkeypatch.setattr(kfunctional, "minimize", counting_minimize)
+        monkeypatch.setattr(reference, "minimize", counting_minimize)
         gamma = LorentzSpace("gamma", 2.0, FLAT)
         with pytest.raises(InvalidWeightError, match="gamma"):
-            k_oracle(KQuery(STAIR, 1.0, gamma, gamma), m=8, monotone_only=False)
+            reference.free_oracle(KQuery(STAIR, 1.0, gamma, gamma), m=8)
         assert not calls  # refused before the monotone search
         tab0 = TabulatedWeight(StepFunction((0.5, 3.0), (2.0, 1.0)))
         tab1 = TabulatedWeight(StepFunction((1.5, 6.0), (0.5, 3.0)))
@@ -1362,7 +1352,7 @@ class TestRearrangedCandidates:
         ):
             space0, space1 = LorentzSpace(flavor, 2.0, w0), LorentzSpace(flavor, 1.5, w1)
             q = KQuery(STAIR, 1.0, space0, space1)
-            mono, free = k_oracle(q, m=8), k_oracle(q, m=8, monotone_only=False)
+            mono, free = k_oracle(q), reference.free_oracle(q, m=8)
             free.decomposition.validate_sum(STAIR)
             assert free.value <= mono.value
         assert calls
@@ -1377,7 +1367,7 @@ class TestExhaustive:
         space1 = LorentzSpace("lambda", 1.0, PowerWeight(0.5))
         for t in (0.4, 1.1, 2.5):
             q = KQuery(f, t, space0, space1)
-            exact = k_oracle_exhaustive(q, grid, quantum=1.0)
+            exact = reference.exhaustive(q, grid, quantum=1.0)
             cont = k_oracle(q)
             assert cont.value == pytest.approx(exact, rel=1e-9)
             assert cont.value >= exact - 1e-12
@@ -1386,13 +1376,13 @@ class TestExhaustive:
         f = StepFunction((1.0, 2.0), (1.5, 0.7))
         q = KQuery(f, 1.0, LorentzSpace("lambda", 1.0, FLAT), LorentzSpace("lambda", 1.0, FLAT))
         with pytest.raises(ValueError, match="multiples"):
-            k_oracle_exhaustive(q, Grid((1.0, 2.0)), quantum=1.0)
+            reference.exhaustive(q, Grid((1.0, 2.0)), quantum=1.0)
 
     def test_rejects_large_grids(self):
         f = StepFunction((1.0,), (1.0,))
         q = KQuery(f, 1.0, LorentzSpace("lambda", 1.0, FLAT), LorentzSpace("lambda", 1.0, FLAT))
         with pytest.raises(ValueError, match="at most 6"):
-            k_oracle_exhaustive(q, Grid(tuple(float(i) for i in range(1, 9))), quantum=1.0)
+            reference.exhaustive(q, Grid(tuple(float(i) for i in range(1, 9))), quantum=1.0)
 
 
 class TestSCoupleOracle:
@@ -1554,7 +1544,7 @@ class TestKCurve:
         curve = k_curve(f, s0, s1, ts)
         assert len(curve) == len(ts)
         for res, t in zip(curve, ts):
-            assert _same_result(res, k_oracle(KQuery(f, t, s0, s1), m=16))
+            assert _same_result(res, k_oracle(KQuery(f, t, s0, s1)))
         assert not curve_violations(ts, curve).any()
 
     @settings(max_examples=60, deadline=None)
@@ -1641,7 +1631,7 @@ def grid_independence_cases(draw):
 
 
 class TestStepsOfFstar:
-    """The monotone oracle solves on the steps of f*, whatever the unconstrained grid ``oracle_grid(f*, m)``."""
+    """The monotone oracle solves on the steps of f*."""
 
     @settings(max_examples=25, deadline=None)
     @given(grid_independence_cases())
@@ -1649,9 +1639,8 @@ class TestStepsOfFstar:
         f, (space0, space1), ts = case
         base = k_curve(f, space0, space1, ts)
         assert all(res.grid.points.tolist() == rearrange(f).breakpoints.tolist() for res in base)
-        for m in (8, 16, 64):
-            for a, t in zip(base, ts):
-                assert _same_result(a, k_oracle(KQuery(f, t, space0, space1), m=m))
+        for a, t in zip(base, ts):
+            assert _same_result(a, k_oracle(KQuery(f, t, space0, space1)))
 
 
 class TestArrayResults:
@@ -1661,30 +1650,23 @@ class TestArrayResults:
     ENTRY = next(e.fn for e in make_corpus(7, 20) if e.f_id == "random-monotone-4")
     TS = (0.01, 0.1, 0.5, 1.0, 3.0, 20.0)
 
-    @pytest.mark.parametrize("monotone_only", [True, False])
     @pytest.mark.parametrize("spoiled", [2.0, math.nan, -1.0], ids=["no-sum", "nan", "negative"])
-    def test_a_spoiled_part_fails_the_sum_check(self, spoiled, monotone_only, monkeypatch):
+    def test_a_spoiled_part_fails_the_sum_check(self, spoiled, monkeypatch):
         """u_0 above f*_0 leaves rest_0 = 0, so the parts do not sum; a nan or a negative u_0 fails
         even though rest_0 = f*_0 - u_0 makes the sum right."""
         def spoil(problem, u):
             return np.where(np.arange(problem.F.size) == 0, problem.F[0] * spoiled, u)
 
-        # the monotone curve and the unconstrained search each spoil their parts
-        real_curve, real_search = kfunctional._GridProblem.curve, kfunctional._GridProblem.search
+        real_curve = _GridProblem.curve
 
         def curve(problem, ts):
             value, U, *rest = real_curve(problem, ts)
             return (value, spoil(problem, U), *rest)
 
-        def search(problem, t, seed=0):
-            value, u, *rest = real_search(problem, t, seed)
-            return (value, spoil(problem, u), *rest)
-
-        monkeypatch.setattr(kfunctional._GridProblem, "curve", curve)
-        monkeypatch.setattr(kfunctional._GridProblem, "search", search)
+        monkeypatch.setattr(_GridProblem, "curve", curve)
         q = KQuery(STAIR, 1.0, LAMBDA2, LorentzSpace("lambda", 1.5, FLAT))
         with pytest.raises(ValueError, match="does not sum to the target at t="):
-            k_oracle(q, m=8, monotone_only=monotone_only)
+            k_oracle(q)
 
     def test_parts_are_read_only_and_stay_out_of_repr_and_eq(self):
         res = k_oracle(KQuery(STAIR, 1.0, LAMBDA2, LAMBDA2))
@@ -1716,7 +1698,7 @@ class TestArrayResults:
             created.clear()
 
     def test_the_zero_function_reads_a_zero_decomposition(self):
-        res = k_oracle(KQuery(StepFunction.zero(), 1.0, LAMBDA2, LAMBDA2), monotone_only=False)
+        res = k_oracle(KQuery(StepFunction.zero(), 1.0, LAMBDA2, LAMBDA2))
         assert not res.u.any() and not res.rest.any() and res.provenance == "optimizer"
         assert res.decomposition == Decomposition(StepFunction.zero(), StepFunction.zero(), "optimizer")
 
@@ -1858,7 +1840,7 @@ class TestGradients:
     @pytest.mark.parametrize("flavor,p,beta", [("lambda", 2.0, 0.3), ("s", 2.0, 0.2)])
     def test_rearranged_gradient_matches_finite_differences(self, flavor, p, beta):
         space = LorentzSpace(flavor, p, PowerWeight(beta))
-        val, grad = _SpaceOnGrid(space, self.GRID).grad(self.U_FREE)
+        val, grad = reference.Space(space, self.GRID).grad(self.U_FREE)
         assert val == pytest.approx(norm(space, StepFunction(self.GRID, self.U_FREE)), rel=1e-12)
         fd = finite_difference(lambda u: norm(space, StepFunction(self.GRID, u)), self.U_FREE)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
@@ -1866,12 +1848,12 @@ class TestGradients:
     @pytest.mark.parametrize("flavor,beta", [("lambda", 0.3), ("s", -0.4)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_monotone_gradient_is_one_sided_at_zero_cells(self, flavor, beta, p):
-        """At a zero difference (u with zero cells) from y = Bd, at a zero value unconstrained."""
+        """At a zero difference (u with zero cells) from y = Bd, at a zero value unconstrained (the reference)."""
         space = LorentzSpace(flavor, p, PowerWeight(beta))
-        ev = _SpaceOnGrid(space, self.GRID)
+        ev, ref = _SpaceOnGrid(space, self.GRID), reference.Space(space, self.GRID)
         u = np.array([3.1, 2.4, 1.6, 0.0, 0.0])
         cases = [(lambda x: ev.forward(x)[:2], self._direct(space), u - np.append(u[1:], 0.0)),
-                 (ev.grad, lambda x: norm(space, StepFunction(self.GRID, x)), np.array([1.0, 2.5, 0.0, 1.8, 0.6]))]
+                 (ref.grad, lambda x: norm(space, StepFunction(self.GRID, x)), np.array([1.0, 2.5, 0.0, 1.8, 0.6]))]
         for monotone, (value_grad, norm_of, x) in zip((True, False), cases):
             val, grad = value_grad(x)
             assert val == pytest.approx(norm_of(x), rel=1e-12)
@@ -1894,7 +1876,7 @@ class TestGradients:
     def test_couple_objective_gradient(self):
         space0, space1 = LorentzSpace("lambda", 2.0, FLAT), LorentzSpace("lambda", 2.0, PowerWeight(-0.5))
         F = np.array([4.0, 3.0, 2.2, 1.5, 0.8])
-        obj = _CoupleObjective(_SpaceOnGrid(space0, self.GRID), _SpaceOnGrid(space1, self.GRID), F, 1.7)
+        obj = reference.Objective(space0, space1, self.GRID, F, 1.7)
 
         def value(u):
             return norm(space0, StepFunction(self.GRID, u)) + 1.7 * norm(space1, StepFunction(self.GRID, F - u))
