@@ -68,8 +68,6 @@ def _parse_weight(spec: str) -> Weight:
 
 
 def _parse_p(value: str) -> float:
-    if value.strip().lower() == "inf":
-        return math.inf
     try:
         return float(value)
     except ValueError as exc:
@@ -140,7 +138,7 @@ def main() -> None:
 
 @main.command("norm")
 @click.option("--flavor", type=click.Choice(["lambda", "gamma", "s"]), required=True)
-@click.option("--p", "p_str", default="2", show_default=True, help="Exponent; 'inf' allowed.")
+@click.option("--p", "p_str", default="2", show_default=True, help="Exponent, positive and finite.")
 @click.option("--weight", "weight_spec", default="power:0", show_default=True)
 @click.option("--fn", "fn_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)

@@ -325,8 +325,6 @@ class _SpaceOnGrid:
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
-        if not math.isfinite(space.p):
-            raise ValueError("the oracle supports finite exponents only")
         if space.flavor == "gamma":
             raise InvalidWeightError("the oracle takes lambda- and s-flavor spaces, not gamma")
         self.flavor, self.p = space.flavor, float(space.p)

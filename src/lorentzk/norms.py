@@ -18,20 +18,22 @@ on panels cut at the weight's kinks and sized like the power-log moments', for
 the log-derivative scale of w plus p (``gamma_nodes``).  For a power-log weight the
 cell moments take three routes: log panels on the finite cells and on the part
 of a first cell past s = 1, the incomplete-gamma kernel on the first cell's piece
-below s = 1 and the tail's piece above it, and quadrature only on the remainder
-(end, 1) of a tail from a support end below 1: three pinned check-weights
-verdicts come from that route, and it moves to the log panels with ROADMAP
-direction 2's ``[benchmark]`` change.  So the lambda norm takes no quadrature,
-and the s and gamma norms take it only where the support ends below 1.  The three
+below s = 1 and the tail's piece above it, and adaptive integration in
+``weights`` only on the remainder (end, 1) of a tail from a support end below 1:
+three pinned check-weights verdicts come from that route, and it moves to the
+log panels with ROADMAP direction 2's ``[benchmark]`` change.  So the lambda
+norm integrates nothing adaptively, and the s and gamma norms only where the
+support ends below 1.  The three
 flavors' sums are one vectorized kernel, ``cell_sums``, fed by one builder,
 ``cell_moments``, which takes the weight moments (or gamma nodes) of the
 cells over a window (0, t), (t, inf) or (0, inf).  The norms, the windowed
 norms and the explicit K-formulas of ``kfunctional`` go through this pair, the
 formulas with every head or tail window of a sweep of t in one call; the
 K-oracle takes its grids' moments from ``cell_moments`` and evaluates its
-monotone candidates from their differences (y = Bd).  Divergent
-integrals yield +inf with a flag rather than an error.  p = inf flavors are
-grid suprema over breakpoints plus refinement points (grid-level accuracy).
+monotone candidates from their differences (y = Bd), and both sides of the
+s-lambda identity are its sums.  Divergent integrals yield +inf with a flag
+rather than an error.  The exponent p is positive and finite: no weak-type
+(p = inf) space is defined.
 
 The full norms read f* from ``rearrange``, which a function computes once
 and keeps, so every flavor of one function shares it and the norms are
@@ -45,8 +47,8 @@ from typing import Literal
 
 import numpy as np
 
-from .stepfn import StepFunction, maximal, osc_transform, rearrange
-from .weights import QUAD_REL_TOL, Weight, _log_nodes, check_rbp, reciprocal_weight
+from .stepfn import StepFunction, osc_transform, rearrange
+from .weights import Weight, _log_nodes, check_rbp, reciprocal_weight
 
 __all__ = [
     "LorentzSpace",
@@ -75,15 +77,11 @@ class LorentzSpace:
     def __post_init__(self) -> None:
         if self.flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
-        if not (self.p > 0.0):
-            raise ValueError("exponent p must be positive (math.inf allowed)")
+        if not (self.p > 0.0 and math.isfinite(self.p)):
+            raise ValueError("exponent p must be positive and finite")
 
     def to_json_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "p": self.p if math.isfinite(self.p) else "inf",
-            "w": self.w.to_json_dict(),
-        }
+        return {"flavor": self.flavor, "p": self.p, "w": self.w.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -262,44 +260,8 @@ def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float | 
     return powered if powered.ndim else float(powered)
 
 
-def _sup_samples(fstar: StepFunction, lo: float, hi: float) -> list[float]:
-    """Breakpoints plus geometric refinement points inside (lo, hi)."""
-    if fstar.is_zero:
-        return []
-    hi_eff = hi if math.isfinite(hi) else max(fstar.support_end, lo) * 1e3
-    lo_eff = lo if lo > 0.0 else min(fstar.first_breakpoint, hi_eff) * 1e-3
-    if lo_eff >= hi_eff:
-        lo_eff = hi_eff * 1e-6
-    knots = sorted({lo_eff, hi_eff} | {x for x in fstar.breakpoints.tolist() if lo_eff < x < hi_eff})
-    pts: set[float] = set()
-    for a, b in zip(knots, knots[1:]):
-        for i in range(10):
-            pts.add(a * (b / a) ** (i / 9.0))
-    pts.add(hi_eff)
-    return sorted(pts)
-
-
-def _sup_norm(fstar: StepFunction, flavor: str, w: Weight, lo: float, hi: float) -> float:
-    if fstar.is_zero:
-        return 0.0
-    mean = maximal(fstar)
-    best = 0.0
-    for t in _sup_samples(fstar, lo, hi):
-        if flavor == "lambda":
-            g = fstar(t)
-        elif flavor == "gamma":
-            g = mean(t)
-        else:
-            g = mean(t) - fstar(t)
-        best = max(best, g * w(t))
-    return best
-
-
 def _windowed(space: LorentzSpace, fstar: StepFunction, lo: float, hi: float) -> NormResult:
     """The norm of non-increasing f* over the window (lo, hi)."""
-    if not math.isfinite(space.p):
-        value = _sup_norm(fstar, space.flavor, space.w, lo, hi)
-        return NormResult(value, False, ("grid-supremum",))
     powered = _powered(space.flavor, fstar, space.p, space.w, lo, hi)
     if math.isinf(powered):
         return NormResult(math.inf, True, ("divergent-integral",))
@@ -338,37 +300,19 @@ def s_lambda_identity_check(
 ) -> tuple[float, float]:
     """Both sides of the window identity linking the s-flavor to the transform.
 
-    Left: (integral_0^t (f**-f*)^p w)^{1/p} by the exact s-flavor cell sums.
-    Right: (integral_{1/t}^inf (Tf*)^p w~)^{1/p} with w~ the reciprocal
-    weight, by adaptive quadrature of the pointwise transform (independent
-    route).  t = inf gives the full-norm identity (right side from 0).
+    Left: (integral_0^t (f**-f*)^p w)^{1/p} by the s-flavor cell sums on tail
+    moments of w.  Right: (integral_{1/t}^inf (Tf*)^p w~)^{1/p}, w~ the
+    reciprocal weight, by the lambda-flavor cell sums of the step form of Tf*
+    on moments of w~.  Both are exact, and they share no flavor branch of the
+    cell kernel.  t = inf gives the full-norm identity (right side from 0).
+    Divergent sides read +inf.
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     fstar = rearrange(f)
-    left = _powered("s", fstar, p, w, 0.0, t) ** (1.0 / p)
-    if fstar.is_zero:
-        return left, 0.0
-    transform = osc_transform(fstar)
-    wr = reciprocal_weight(w, p)
-    lo = 0.0 if math.isinf(t) else 1.0 / t
-    hi = 1.0 / fstar.first_breakpoint  # the transform vanishes beyond this point
-    if lo >= hi:
-        return left, 0.0
-    from scipy.integrate import quad  # loaded here only: nothing else in the norms takes quadrature
-    jumps = 1.0 / fstar.breakpoints[::-1]
-    interior = jumps[(lo < jumps) & (jumps < hi)]
-    val, _err = quad(
-        lambda s: transform(s) ** p * wr(s),
-        lo,
-        hi,
-        points=interior if interior.size else None,
-        epsrel=QUAD_REL_TOL,
-        epsabs=0.0,
-        limit=300,
-    )
-    right = val ** (1.0 / p)
-    return left, right
+    left = _powered("s", fstar, p, w, 0.0, t)
+    right = _powered("lambda", osc_transform(fstar).as_step(), p, reciprocal_weight(w, p), 1.0 / t, math.inf)
+    return left ** (1.0 / p), right ** (1.0 / p)
 
 
 def gamma_equals_s_check(f: StepFunction, p: float, w: Weight) -> tuple[float, float]:

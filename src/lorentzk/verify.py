@@ -11,8 +11,10 @@ Suites
 ------
 * identity suite: rearrangement invariance (f* against the rearrangement of
   f with its cells in reverse order), the s-norm as a reciprocal
-  lambda-norm of the oscillation transform (exact sums against independent
-  quadrature), and reconstruction of f** from the oscillation tail integral;
+  lambda-norm of the oscillation transform (the s-flavor cell sums against
+  the lambda-flavor sums of the transform's step form; where both diverge,
+  as for w = 1 at p < 1, the record reads inf = inf and leaves the band),
+  and reconstruction of f** from the oscillation tail integral;
 * ``t11``: the s-couple K-functional of the monotone oracle versus its optimal
   parts mapped by the oscillation transform and measured in the reciprocal
   lambda-couple: one problem in two coordinates, so the ratio checks the

@@ -49,8 +49,6 @@ class Space:
     """Norms of step functions with fixed cells (g_{i-1}, g_i], g_0 = 0, and values in any order."""
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
-        if not math.isfinite(space.p):
-            raise ValueError("the reference supports finite exponents only")
         if space.flavor == "gamma":
             raise InvalidWeightError("the reference takes lambda- and s-flavor spaces, not gamma")
         self.flavor, self.p, self.w = space.flavor, float(space.p), space.w

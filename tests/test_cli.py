@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import math
 import os
@@ -67,10 +68,10 @@ class TestNorm:
         assert payload["diverged"] is True
         assert payload["value"] == "inf"
 
-    def test_sup_norm_with_infinite_exponent(self, runner, fn_file):
+    def test_infinite_exponent_refused(self, runner, fn_file):
         result = runner.invoke(main, ["norm", "--flavor", "lambda", "--p", "inf", "--fn", fn_file])
-        assert result.exit_code == 0
-        assert float(result.output) > 0.0
+        assert result.exit_code == 1
+        assert "exponent p must be positive and finite" in result.output
 
     @pytest.mark.parametrize(
         "weight, message",
@@ -271,6 +272,18 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.output == "suite=identity records=28 band=[1,1] median=1 constant=1\n"
 
+    def test_identity_suite_below_exponent_one(self, runner, tmp_path):
+        # w = 1 at p < 1: every full s-norm diverges, and so does its transform side; inf = inf leaves the band
+        csv_file = tmp_path / "records.csv"
+        result = runner.invoke(
+            main, ["verify", "--suite", "identity", "--p", "0.7", "--size", "6", "--t-count", "3", "--csv", str(csv_file)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "suite=identity records=42 band=[1,1] median=1 constant=1\n"
+        rows = [r for r in csv.DictReader(csv_file.read_text().splitlines()) if r["flags"] == "s-as-transform-norm"]
+        assert len(rows) == 6
+        assert all((r["lhs"], r["rhs"], r["ratio"]) == ("inf", "inf", "nan") for r in rows)
+
     def test_empty_corpus_is_not_a_pass(self, runner):
         # no records would print band=[inf,0] and constant=nan and exit 0: a usage error instead
         result = runner.invoke(main, ["verify", "--suite", "cor1", "--size", "0", "--refine"])
@@ -445,9 +458,11 @@ class TestLeanImport:
         *(["norm", "--flavor", flavor, "--weight", "powerlog:0.3:0.5", "--fn", "g.json"] for flavor in ("lambda", "s", "gamma")),
         # a first cell across s = 1: the kernel up to 1, log panels beyond
         *(["norm", "--flavor", flavor, "--weight", "powerlog:0.3:0.5", "--fn", "h.json"] for flavor in ("lambda", "gamma")),
+        # both sides of the s-lambda identity are exact cell sums
+        ["verify", "--suite", "identity", "--suite", "gammaeqs"],
     ], ids=["import", "norm", "verify", "k", "verify-oracle-suites", "verify-below-one", "check-weights-power",
             "norm-powerlog-lambda", "norm-powerlog-s", "norm-powerlog-gamma",
-            "norm-powerlog-lambda-first-cell-past-1", "norm-powerlog-gamma-first-cell-past-1"])
+            "norm-powerlog-lambda-first-cell-past-1", "norm-powerlog-gamma-first-cell-past-1", "verify-identity-gammaeqs"])
     def test_loads_no_scipy_optimize_or_integrate(self, args, tmp_path):
         (tmp_path / "f.json").write_text(StepFunction((1.0, 2.5), (3.0, 1.0)).to_json())
         (tmp_path / "g.json").write_text(StepFunction((0.5, 1.2, 3.0), (1.0, 3.0, 2.0)).to_json())
