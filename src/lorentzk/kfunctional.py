@@ -32,7 +32,7 @@ evaluated from y alone.  The corners of the box, the truncation candidates
 among them (the head corners d = hi on the cells < k), take
 ``_SpaceOnGrid.norms``; one pass over both spaces' stacked arrays
 (``_forward_rows``) gives the objective at any d, its gradient and Hessian, and
-``_CoupleObjective.point`` the certificate, a Frank-Wolfe gap or, at a
+``_GridProblem.point`` the certificate at any t, a Frank-Wolfe gap or, at a
 vanishing part, the level-function dual over the cone of non-increasing
 functions (at the corners u = 0 and f* a closed form in t, ``_Vertex``).  A
 sweep picks every t's truncation candidate from one array and certifies them
@@ -46,7 +46,6 @@ A result holds its parts as arrays on its cells, checked to sum to f* at every
 cell; the parts as step functions are built only when read.
 """
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -86,8 +85,8 @@ class Decomposition:
         if self.provenance not in get_args(Provenance):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
-    def validate_sum(self, f: StepFunction, rel_tol: float = _SUM_REL_TOL) -> None:
-        """Check f0 + f1 = f on the merged grid (relative tolerance for rounding).
+    def validate_sum(self, f: StepFunction) -> None:
+        """Check f0 + f1 = f on the merged grid (relative tolerance ``_SUM_REL_TOL`` for rounding).
 
         Probes cell midpoints, not breakpoints: after a reciprocal round trip
         a breakpoint can move by one ulp, and a probe at a jump would compare
@@ -102,7 +101,7 @@ class Decomposition:
         wide = pts - prev > 4.0 * np.spacing(np.maximum(pts, 1.0))
         probes = np.append(0.5 * (prev + pts)[wide], 2.0 * pts[-1])
         got, want = self.f0.at(probes) + self.f1.at(probes), f.at(probes)
-        bad = np.flatnonzero(np.abs(got - want) > rel_tol * scale)
+        bad = np.flatnonzero(np.abs(got - want) > _SUM_REL_TOL * scale)
         if bad.size:
             i = bad[0]
             raise ValueError(f"decomposition does not sum to the target at t={float(probes[i])!r}: "
@@ -411,7 +410,7 @@ def _forward_rows(B: np.ndarray, omega: np.ndarray, ps: Sequence[float], X: np.n
 
 
 class _Vertex:
-    """The corner u = 0 (``low``: d = 0) or u = f* (d = hi) of one curve's box.
+    """The corner u = 0 (``low``: d = 0) or u = f* (d = hi) of one problem's box, its value and gap at any t.
 
     One part vanishes, so with wv, wl the factors (1 or t) of the vanishing
     and the live part, J = wl N_live(F), g = +-(wv a - wl G) (a the vanishing
@@ -420,10 +419,10 @@ class _Vertex:
     1)^+ J).  If D > 1, J falls along the maximizer ``exit``, ``newton``'s step.
     """
 
-    def __init__(self, obj: "_CoupleObjective", low: bool):
-        hi, v = obj.hi, 0 if low else 1  # v: the vanishing space
-        self.low, self.hi, self.vanishing = low, hi, (obj.ev0, obj.ev1)[v]
-        n, grad, _ = obj.fused(np.array((hi * (not low), hi * low)))  # d, e = (0, hi) or (hi, 0)
+    def __init__(self, problem: "_GridProblem", low: bool):
+        hi, v = problem.hi, 0 if low else 1  # v: the vanishing space
+        self.low, self.hi, self.vanishing = low, hi, (problem.ev0, problem.ev1)[v]
+        n, grad, _ = problem.fused(np.array((hi * (not low), hi * low)))  # d, e = (0, hi) or (hi, 0)
         self.a, self.j, self.G = grad[v], n[1 - v], grad[1 - v]
         self.dual = self.vanishing.cone_dual(self.G, hi > 0.0, maximizer=False)[0] if self.vanishing.p > 1.0 else None
 
@@ -440,144 +439,6 @@ class _Vertex:
         wv, wl = (1.0, t) if self.low else (t, 1.0)
         fw = float(np.maximum(wl * self.G - wv * self.a, 0.0) @ self.hi)
         return fw if self.dual is None else min(fw, max(wl * self.dual / wv - 1.0, 0.0) * self.value(t))
-
-
-class _CoupleObjective:
-    """J(u) = ||u||_0 + t ||F - u||_1 on the grid.
-
-    Monotone candidates are u = Ld, d in the box 0 <= d <= hi_k = F_k -
-    F_{k+1}; ``point`` takes them in d at p >= 1, with ``vertices``, the
-    corners, built on first use and shared by ``at``.
-    """
-
-    def __init__(self, ev0: _SpaceOnGrid, ev1: _SpaceOnGrid, F: np.ndarray, t: float):
-        self.ev0, self.ev1, self.F, self.t = ev0, ev1, F, t
-        self.hi = F - np.concatenate((F[1:], [0.0]))
-        self.hh = self.hi[:, None] * self.hi  # Newton's scaling z = d / hi
-        self.move = self.hi * np.array([[1.0], [-1.0]])  # a step dz in z = d / hi moves d by dz hi, e back
-        self.vertices: list[_Vertex | None] = [None, None]
-        # both spaces stacked for ``fused``, the shorter B padded by zero rows of weight 0
-        rows = max(ev0.omega.size, ev1.omega.size)
-        self.B, self.omega = np.zeros((2, rows, F.size)), np.zeros((2, rows))
-        for k, ev in enumerate((ev0, ev1)):
-            self.B[k, : ev.omega.size], self.omega[k, : ev.omega.size] = ev.B, ev.omega
-        self.ps = (ev0.p, ev1.p)
-
-    def at(self, t: float) -> "_CoupleObjective":
-        """This objective at parameter t, its arrays and corners shared."""
-        other = copy.copy(self)
-        other.t = t
-        return other
-
-    def fused(self, X: np.ndarray, hess: bool = False):
-        """``_forward_rows`` of N0 at X[0] and N1 at X[1], differences d and e or stacks of them."""
-        B, omega = (self.B, self.omega) if X.ndim == 2 else (self.B[:, None], self.omega[:, None])
-        return _forward_rows(B, omega, self.ps, X, hess)
-
-    def to_u(self, D: np.ndarray) -> np.ndarray:
-        """The candidate Ld of each row of differences d >= 0 of D (or of one d), not clipped at F, which would
-        break a run of equal values that rounds above it; the upper corner is F exactly, which the sum of the
-        differences can miss."""
-        U = D[..., ::-1].cumsum(axis=-1)[..., ::-1].copy()  # the array method skips np.cumsum's Python wrapper
-        U[np.logical_and.reduce(D == self.hi, axis=-1)] = self.F
-        return U
-
-    def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
-        """The corner of the box at d, e = hi - d, if it is one."""
-        low = not np.count_nonzero(d)
-        if not low and np.count_nonzero(e):
-            return None
-        if self.vertices[1 - low] is None:
-            self.vertices[1 - low] = _Vertex(self, low)
-        return self.vertices[1 - low]
-
-    def point(self, d: np.ndarray, hess: bool = False, e: np.ndarray | None = None
-              ) -> tuple[float, np.ndarray, float, np.ndarray | None, _Vertex | None]:
-        """(J, gradient in d, gap, Hessian with ``hess``, the corner at d or None) at d for p >= 1; ``e`` =
-        hi - d, kept by the caller where hi - d would round away digits that a steep gradient needs.
-
-        J is convex in d, so the Frank-Wolfe gap g.d - min_box g.x bounds J(d)
-        - min J.  At u = 0 (p_0 > 1) N_0's subgradient vanishes, so J(d) >=
-        J(0) + (1 - D) N_0(Ld), D the cone dual of -g (``_SpaceOnGrid.cone_dual``),
-        and the gap is (D - 1)^+ J(0); u = f* mirrors it (``_Vertex.gap``).
-        """
-        hi, t = self.hi, self.t
-        e = hi - d if e is None else e
-        (n0, n1), grad, H = self.fused(np.array((d, e)), hess)
-        val, g = n0 + t * n1, grad[0] - t * grad[1]
-        vertex = self.vertex(d, e)
-        gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
-        return val, g, gap, (H[0] + t * H[1] if hess else None), vertex
-
-    def newton(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-        """Projected Newton from d, e = hi - d: (d, e, J, gap, steps).
-
-        Bertsekas (1982, SIAM J. Control Optim. 20) in z = d/hi: a coordinate
-        within eps of the bound its gradient points out of takes a gradient
-        step unless its own Newton step stops short of the bound (at p < 2 an
-        optimum can sit 1e-13 inside, where y^{p-2} blows up); the others a
-        Newton step damped by |g_free| I (Li, Fukushima, Qi and Yamashita 2004,
-        Comput. Optim. Appl. 28), since J is affine from 0 to hi.  Projected,
-        it is cut tenfold until Armijo holds or, with J flat, the gap shrinks;
-        at a corner u = 0 or f* with cone dual above 1 the step is its ``exit``
-        to the edge of the box.  It stops at a gap of ``_GAP_REL_TOL`` J, after
-        ``_NEWTON_STEPS``, with no step accepted, or when in ``_STALL`` steps J
-        has not fallen nor the least gap halved.
-        d and e are both stepped, each keeping its digits near its bound.
-        """
-        hi, hh, X = self.hi, self.hh, np.array((d, e))
-        val, g, gap, H, vertex = self.point(d, True, e)
-        seen = [(val, gap)]  # J and the least gap so far, after each step
-        for step in range(_NEWTON_STEPS):
-            if gap <= _GAP_REL_TOL * val:
-                return X[0], X[1], val, gap, step
-            if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
-                break
-            if vertex is not None and vertex.exit is not None:
-                dz = vertex.exit / hi
-                dz /= np.abs(dz).max()
-            else:
-                Z, gz, Hz = X / hi, g * hi, H * hh
-                z = Z[0]
-                pg = z - np.minimum(np.maximum(z - gz, 0.0), 1.0)
-                room = np.where(gz > 0.0, z, Z[1])  # to the bound the gradient points out of
-                free = (room > min(_ACTIVE_EPS, math.sqrt(pg @ pg))) | (np.abs(gz) < Hz.diagonal() * room)
-                dz, n_free = -gz, np.count_nonzero(free)
-                if n_free:
-                    gf, Hf = (gz, Hz) if n_free == gz.size else (gz[free], Hz[free][:, free])
-                    Hf.flat[:: n_free + 1] += math.sqrt(gf @ gf)
-                    try:
-                        newton_dz = np.linalg.solve(Hf, -gf)
-                    except np.linalg.LinAlgError:
-                        newton_dz = -gf
-                    if newton_dz @ gf < 0.0:  # a descent direction
-                        dz[free] = newton_dz
-            for _ in range(_BACKTRACKS):
-                d_t, e_t = trial = np.minimum(np.maximum(X + dz * self.move, 0.0), hi)
-                f_t, g_t, gap_t, H_t, v_t = self.point(d_t, True, e_t)
-                if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
-                    break
-                dz = 0.1 * dz
-            else:
-                break
-            X, val, g, gap, H, vertex = trial, f_t, g_t, gap_t, H_t, v_t
-            seen.append((val, min(gap, seen[-1][1])))
-        else:
-            step = _NEWTON_STEPS
-        return X[0], X[1], val, gap, step
-
-    def polish(self, d: np.ndarray, e: np.ndarray, best_f: float, best_u: np.ndarray, lower: float):
-        """(value, u, lower bound, steps, runs) of ``newton`` from the best point, the candidate d, e = hi - d
-        of value best_f, then from the centre, while value - lower > ``_GAP_REL_TOL`` value."""
-        iters, used = 0, 0
-        for start in ((d, e), (self.hi / 2.0, self.hi / 2.0)):
-            if best_f - lower <= _GAP_REL_TOL * best_f:
-                break
-            d, e, f_d, gap_d, steps = self.newton(*start)
-            used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
-            if f_d < best_f:
-                best_u, best_f = self.to_u(d), f_d
-        return best_f, best_u, lower, iters, used
 
 
 def _level_slopes(c: Sequence[float], X: Sequence[float]) -> np.ndarray:
@@ -685,23 +546,141 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _GridProblem:
-    """Everything of a K-query but its parameter: f* on its own steps, both spaces on them, their
-    objective (its corners included) and the truncation family with its norms N0 and N1 of the rest,
-    built once; a sweep of t is one ``curve``."""
+    """Everything of a K-query but its parameter t, built once: f* as its values F on the cells ending at
+    the points g (its own steps, or any grid on which it is constant), both spaces there, the box 0 <= d
+    <= hi_k = F_k - F_{k+1} of the monotone candidates u = Ld with its corners (``vertices``, built on first
+    use), and the truncation family with its norms N0 and N1 of the rest.  J(u) = ||u||_0 + t ||F - u||_1
+    at any t is ``point``; a sweep of t is one ``curve``."""
 
-    def __init__(self, fstar: StepFunction, space0: LorentzSpace, space1: LorentzSpace):
-        # the parts of a monotone split can only jump where f* does
-        self.grid = Grid(fstar.breakpoints)
-        g = self.grid.points
-        self.F = fstar.at(g)
-        self.ev0, self.ev1 = _SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g)
-        self.objective = _CoupleObjective(self.ev0, self.ev1, self.F, math.nan)  # t set by ``at``
+    def __init__(self, g: np.ndarray, F: np.ndarray, space0: LorentzSpace, space1: LorentzSpace):
+        self.grid, self.F = Grid(g), F
+        ev0, ev1 = _SpaceOnGrid(space0, self.grid.points), _SpaceOnGrid(space1, self.grid.points)
+        self.ev0, self.ev1, self.hi = ev0, ev1, F - np.concatenate((F[1:], [0.0]))
+        self.hh = self.hi[:, None] * self.hi  # Newton's scaling z = d / hi
+        self.move = self.hi * np.array([[1.0], [-1.0]])  # a step dz in z = d / hi moves d by dz hi, e back
+        self.vertices: list[_Vertex | None] = [None, None]
+        # both spaces stacked for ``fused``, the shorter B padded by zero rows of weight 0
+        rows = max(ev0.omega.size, ev1.omega.size)
+        self.B, self.omega = np.zeros((2, rows, F.size)), np.zeros((2, rows))
+        for k, ev in enumerate((ev0, ev1)):
+            self.B[k, : ev.omega.size], self.omega[k, : ev.omega.size] = ev.B, ev.omega
+        self.ps = (ev0.p, ev1.p)
+
+    def fused(self, X: np.ndarray, hess: bool = False):
+        """``_forward_rows`` of N0 at X[0] and N1 at X[1], differences d and e or stacks of them."""
+        B, omega = (self.B, self.omega) if X.ndim == 2 else (self.B[:, None], self.omega[:, None])
+        return _forward_rows(B, omega, self.ps, X, hess)
+
+    def to_u(self, D: np.ndarray) -> np.ndarray:
+        """The candidate Ld of each row of differences d >= 0 of D (or of one d), not clipped at F, which would
+        break a run of equal values that rounds above it; the upper corner is F exactly, which the sum of the
+        differences can miss."""
+        U = D[..., ::-1].cumsum(axis=-1)[..., ::-1].copy()  # the array method skips np.cumsum's Python wrapper
+        U[np.logical_and.reduce(D == self.hi, axis=-1)] = self.F
+        return U
+
+    def vertex(self, d: np.ndarray, e: np.ndarray) -> _Vertex | None:
+        """The corner of the box at d, e = hi - d, if it is one."""
+        low = not np.count_nonzero(d)
+        if not low and np.count_nonzero(e):
+            return None
+        if self.vertices[1 - low] is None:
+            self.vertices[1 - low] = _Vertex(self, low)
+        return self.vertices[1 - low]
+
+    def point(self, d: np.ndarray, t: float, hess: bool = False, e: np.ndarray | None = None
+              ) -> tuple[float, np.ndarray, float, np.ndarray | None, _Vertex | None]:
+        """(J, gradient in d, gap, Hessian with ``hess``, the corner at d or None) at d and t for p >= 1; ``e`` =
+        hi - d, kept by the caller where hi - d would round away digits that a steep gradient needs.
+
+        J is convex in d, so the Frank-Wolfe gap g.d - min_box g.x bounds J(d)
+        - min J.  At u = 0 (p_0 > 1) N_0's subgradient vanishes, so J(d) >=
+        J(0) + (1 - D) N_0(Ld), D the cone dual of -g (``_SpaceOnGrid.cone_dual``),
+        and the gap is (D - 1)^+ J(0); u = f* mirrors it (``_Vertex.gap``).
+        """
+        hi = self.hi
+        e = hi - d if e is None else e
+        (n0, n1), grad, H = self.fused(np.array((d, e)), hess)
+        val, g = n0 + t * n1, grad[0] - t * grad[1]
+        vertex = self.vertex(d, e)
+        gap = max(float(g @ d - np.minimum(g, 0.0) @ hi), 0.0) if vertex is None else vertex.gap(t)
+        return val, g, gap, (H[0] + t * H[1] if hess else None), vertex
+
+    def newton(self, d: np.ndarray, e: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+        """Projected Newton from d, e = hi - d at t: (d, e, J, gap, steps).
+
+        Bertsekas (1982, SIAM J. Control Optim. 20) in z = d/hi: a coordinate
+        within eps of the bound its gradient points out of takes a gradient
+        step unless its own Newton step stops short of the bound (at p < 2 an
+        optimum can sit 1e-13 inside, where y^{p-2} blows up); the others a
+        Newton step damped by |g_free| I (Li, Fukushima, Qi and Yamashita 2004,
+        Comput. Optim. Appl. 28), since J is affine from 0 to hi.  Projected,
+        it is cut tenfold until Armijo holds or, with J flat, the gap shrinks;
+        at a corner u = 0 or f* with cone dual above 1 the step is its ``exit``
+        to the edge of the box.  It stops at a gap of ``_GAP_REL_TOL`` J, after
+        ``_NEWTON_STEPS``, with no step accepted, or when in ``_STALL`` steps J
+        has not fallen nor the least gap halved.
+        d and e are both stepped, each keeping its digits near its bound.
+        """
+        hi, hh, X = self.hi, self.hh, np.array((d, e))
+        val, g, gap, H, vertex = self.point(d, t, True, e)
+        seen = [(val, gap)]  # J and the least gap so far, after each step
+        for step in range(_NEWTON_STEPS):
+            if gap <= _GAP_REL_TOL * val:
+                return X[0], X[1], val, gap, step
+            if step >= _STALL and val >= seen[-1 - _STALL][0] and seen[-1][1] > 0.5 * seen[-1 - _STALL][1]:
+                break
+            if vertex is not None and vertex.exit is not None:
+                dz = vertex.exit / hi
+                dz /= np.abs(dz).max()
+            else:
+                Z, gz, Hz = X / hi, g * hi, H * hh
+                z = Z[0]
+                pg = z - np.minimum(np.maximum(z - gz, 0.0), 1.0)
+                room = np.where(gz > 0.0, z, Z[1])  # to the bound the gradient points out of
+                free = (room > min(_ACTIVE_EPS, math.sqrt(pg @ pg))) | (np.abs(gz) < Hz.diagonal() * room)
+                dz, n_free = -gz, np.count_nonzero(free)
+                if n_free:
+                    gf, Hf = (gz, Hz) if n_free == gz.size else (gz[free], Hz[free][:, free])
+                    Hf.flat[:: n_free + 1] += math.sqrt(gf @ gf)
+                    try:
+                        newton_dz = np.linalg.solve(Hf, -gf)
+                    except np.linalg.LinAlgError:
+                        newton_dz = -gf
+                    if newton_dz @ gf < 0.0:  # a descent direction
+                        dz[free] = newton_dz
+            for _ in range(_BACKTRACKS):
+                d_t, e_t = trial = np.minimum(np.maximum(X + dz * self.move, 0.0), hi)
+                f_t, g_t, gap_t, H_t, v_t = self.point(d_t, t, True, e_t)
+                if f_t <= val + _ARMIJO * (g @ (d_t - X[0])) or (f_t <= val * (1.0 + 4.0 * _EPS) and gap_t < gap):
+                    break
+                dz = 0.1 * dz
+            else:
+                break
+            X, val, g, gap, H, vertex = trial, f_t, g_t, gap_t, H_t, v_t
+            seen.append((val, min(gap, seen[-1][1])))
+        else:
+            step = _NEWTON_STEPS
+        return X[0], X[1], val, gap, step
+
+    def polish(self, t: float, d: np.ndarray, e: np.ndarray, best_f: float, best_u: np.ndarray, lower: float):
+        """(value, u, lower bound, steps, runs) of ``newton`` at t from the best point, the candidate d, e = hi - d
+        of value best_f, then from the centre, while value - lower > ``_GAP_REL_TOL`` value."""
+        iters, used = 0, 0
+        for start in ((d, e), (self.hi / 2.0, self.hi / 2.0)):
+            if best_f - lower <= _GAP_REL_TOL * best_f:
+                break
+            d, e, f_d, gap_d, steps = self.newton(*start, t)
+            used, iters, lower = used + 1, iters + steps, max(lower, f_d - gap_d)
+            if f_d < best_f:
+                best_u, best_f = self.to_u(d), f_d
+        return best_f, best_u, lower, iters, used
 
     @cached_property
     def family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The truncation candidates and their norms (rows, N0, N1 of the rest): the head corners,
         d = hi on the cells < k for k = 0..n (``parts``), their norms from y = Bd and y = B(hi - d)."""
-        hi = self.objective.hi
+        hi = self.hi
         D = (np.arange(hi.size + 1)[:, None] > np.arange(hi.size)) * hi
         return D, self.ev0.norms(D), self.ev1.norms(hi - D)
 
@@ -728,13 +707,13 @@ class _GridProblem:
         gap is the value less the best lower bound seen."""
         if min(self.ev0.p, self.ev1.p) < 1.0 or self.ev0.p == self.ev1.p == 1.0 or self.F.size == 1:
             return self.corners(ts)
-        obj, tl, hi = self.objective, ts.tolist(), self.objective.hi
+        tl, hi = ts.tolist(), self.hi
         pick, trunc = self.truncations(ts)
         U, d = self.parts(pick), self.family[0][pick]
         e, gap = hi - d, np.zeros(ts.size)
         inner = d.any(axis=1) & e.any(axis=1)  # not a corner of the box
         if inner.any():
-            grad = obj.fused(np.array((d[inner], e[inner])))[1]
+            grad = self.fused(np.array((d[inner], e[inner])))[1]
             g = grad[0] - ts[inner, None] * grad[1]
             fw = g[:, None] @ d[inner, :, None] - np.minimum(g, 0.0)[:, None] @ hi[:, None]
             gap[inner] = np.maximum(fw[:, 0, 0], 0.0)
@@ -742,9 +721,9 @@ class _GridProblem:
         value, lower, iters, starts = trunc.tolist(), (trunc - gap).tolist(), [0] * ts.size, [0] * ts.size
         for i, (t, at_corner) in enumerate(zip(tl, (~inner).tolist())):
             if at_corner:
-                lower[i] = value[i] - obj.vertex(d[i], e[i]).gap(t)
+                lower[i] = value[i] - self.vertex(d[i], e[i]).gap(t)
             if not value[i] - lower[i] <= _GAP_REL_TOL * value[i]:
-                value[i], U[i], lower[i], iters[i], starts[i] = obj.at(t).polish(d[i], e[i], value[i], U[i], lower[i])
+                value[i], U[i], lower[i], iters[i], starts[i] = self.polish(t, d[i], e[i], value[i], U[i], lower[i])
         gap = [max(v - lo, 0.0) for v, lo in zip(value, lower)]
         return value, U, trunc.tolist(), iters, [g <= _GAP_REL_TOL * v for g, v in zip(gap, value)], gap, starts, None
 
@@ -754,7 +733,7 @@ class _GridProblem:
         each corner's J from ``_SpaceOnGrid.norms`` as the truncation family's.  Exact, gap 0, if all were
         tabled at p_0, p_1 <= 1 (J concave), at p_0 = p_1 = 1 (J separable) or on one step (y = Bd one column:
         J linear at any exponents); else gap +inf, as for mixed exponents.  Ties go to the truncation candidate."""
-        hi, n, tabled = self.objective.hi, self.F.size, self.F.size <= _CORNER_STEPS
+        hi, n, tabled = self.hi, self.F.size, self.F.size <= _CORNER_STEPS
 
         def J(D, t):
             return self.ev0.norms(D) + t * self.ev1.norms(hi - D)
@@ -777,7 +756,7 @@ class _GridProblem:
         linear = self.ev0.p == self.ev1.p == 1.0 or n == 1
         gap = 0.0 if (max(self.ev0.p, self.ev1.p) <= 1.0 and tabled) or linear else math.inf
         # both parts from the differences, whose runs of equal values stay exact: p < 1 magnifies a rounding jump
-        U, REST = self.objective.to_u(D), self.objective.to_u(hi - D)
+        U, REST = self.to_u(D), self.to_u(hi - D)
         return value.tolist(), U, trunc.tolist(), iters, [gap == 0.0] * ts.size, [gap] * ts.size, [0] * ts.size, REST
 
 
@@ -801,7 +780,7 @@ def k_curve(f: StepFunction, space0: LorentzSpace, space1: LorentzSpace, ts: Seq
         g0 = Grid.log(0.1, 10.0, 2)
         zero = np.broadcast_to(0.0, len(g0))  # read-only, as every result's parts are
         return [OracleResult(0.0, zero, zero, "optimizer", 0.0, True, 0, g0, 0.0, 0) for _ in ts]
-    problem = _GridProblem(fstar, space0, space1)
+    problem = _GridProblem(fstar.breakpoints, fstar.values, space0, space1)
     value, U, trunc, iters, conv, gap, starts, REST = problem.curve(ts)
     rows = zip(*_checked_parts(problem.F, problem.grid, U, REST), value, trunc, conv, iters, gap, starts)
     return [OracleResult(v, u, rest, "optimizer" if v < tv else "truncation", tv, c, it, problem.grid, gp, st)
@@ -846,7 +825,7 @@ def k_oracle(q: KQuery) -> OracleResult:
 
     f* is split monotonically on its own steps, in the box 0 <= d_i <= f*_i - f*_{i+1} of differences.  A
     truncation candidate with a gap of at most ``_GAP_REL_TOL`` of its value stands; else projected Newton
-    (``_CoupleObjective.newton``) runs from it, then from the centre, while uncertified, stepping off a
+    (``_GridProblem.newton``) runs from it, then from the centre, while uncertified, stepping off a
     corner u = 0 or f* with dual norm above 1 along the dual's maximizer.  Ties go to the truncation
     candidate.  Below exponent 1, at p_0 = p_1 = 1 and on one step the best corner of the box is taken
     (``_GridProblem.corners``).
@@ -932,7 +911,7 @@ def near_optimal_s_decomposition(
     if fstar.is_zero:
         zero = Decomposition(StepFunction.zero(), StepFunction.zero(), "decomposition-lemma")
         return NearOptimalSDecomposition(zero, 0.0, zero, zero)
-    problem = _GridProblem(fstar, space0, space1)
+    problem = _GridProblem(fstar.breakpoints, fstar.values, space0, space1)
     g, F = problem.grid.points, problem.F
     u = problem.parts(problem.truncations(np.array([t]))[0])[0]
     f0_init = StepFunction(g, u)

@@ -303,14 +303,13 @@ def _reversed_cells(f: StepFunction) -> StepFunction:
 def run_identity_suite(
     corpus: tuple[CorpusEntry, ...] | None = None,
     p: float = 2.0,
-    weight_beta: float = 0.0,
     t_count: int = 15,
     seed: int = 7,
 ) -> EquivalenceReport:
     """Exact structural identities: rearrangement invariance (the records keep their
-    name "idempotence"), transform norm, reconstruction."""
+    name "idempotence"), transform norm under the flat weight, reconstruction."""
     corpus = corpus if corpus is not None else make_corpus(seed)
-    w = PowerWeight(weight_beta)
+    w = PowerWeight(0.0)
 
     def one(entry: CorpusEntry) -> list[EquivalenceRecord]:
         recs: list[EquivalenceRecord] = []
@@ -335,7 +334,7 @@ def run_identity_suite(
     all_recs = [r for entry in corpus for r in one(entry)]
     return EquivalenceReport(
         "identity",
-        {"p": p, "weight": f"power:{weight_beta}", "seed": seed},
+        {"p": p, "weight": "power:0.0", "seed": seed},
         None,
         tuple(all_recs),
     )

@@ -26,8 +26,8 @@ panels, so W(t) takes no quadrature.  Only the remainder (a, 1), 0 < a < 1, of a
 pair to inf takes adaptive quadrature (target 1e-8; scipy loads on first use):
 three pinned check-weights verdicts come from it, so it moves to the log panels
 with ROADMAP direction 2's ``[benchmark]`` change.  The norms' cells and the K-oracle's
-sorted rows (both through ``norms.cell_moments``) and each grid checker take their moments
-in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar wrappers.  The gamma norm's
+cells on the steps of f* (both through ``norms.cell_moments``) and each grid checker take their
+moments in one call; ``primitive`` W(t) and ``tail_moment`` are its scalar wrappers.  The gamma norm's
 node sums and the sufficient conditions read weights through ``u_density`` (s w(s) at
 s = e^u, one exp per node for power and power-log weights) and ``kinks`` (non-smooth points).
 
@@ -803,10 +803,8 @@ def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "a
     )
 
 
-def _quasi_monotone_grid(
-    fn: Callable[[float], float], grid: Grid, threshold: float
-) -> tuple[bool, float, float]:
-    """Quasi-monotone non-decreasing check: sup_{s<=t} fn(s)/fn(t) <= threshold."""
+def _quasi_monotone_grid(fn: Callable[[float], float], grid: Grid) -> tuple[bool, float, float]:
+    """Quasi-monotone non-decreasing check: sup_{s<=t} fn(s)/fn(t) <= ``QUASI_MONOTONE_THRESHOLD``."""
     pts = grid.points.tolist()
     best, arg = 1.0, pts[0]
     run = -math.inf
@@ -817,15 +815,10 @@ def _quasi_monotone_grid(
         run = max(run, v)
         if run / v > best:
             best, arg = run / v, t
-    return best <= threshold, best, arg
+    return best <= QUASI_MONOTONE_THRESHOLD, best, arg
 
 
-def check_cond3(
-    cfg: CoupleConfig,
-    eps: float,
-    grid: Grid | None = None,
-    threshold: float = QUASI_MONOTONE_THRESHOLD,
-) -> ConditionVerdict:
+def check_cond3(cfg: CoupleConfig, eps: float, grid: Grid | None = None) -> ConditionVerdict:
     """theta(t) psi_0(t)^eps equivalent to a non-decreasing function."""
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -849,8 +842,9 @@ def check_cond3(
     else:
         psi0_eps = lambda t: psi0(t) ** eps
     grid = grid or DEFAULT_CHECK_GRID
-    holds, c, arg = _quasi_monotone_grid(lambda t: theta(t) * psi0_eps(t), grid, threshold)
-    return ConditionVerdict("ratio-quasi-monotone", holds, c, arg, "grid", f"eps={eps:g}; threshold={threshold:g}")
+    holds, c, arg = _quasi_monotone_grid(lambda t: theta(t) * psi0_eps(t), grid)
+    return ConditionVerdict("ratio-quasi-monotone", holds, c, arg, "grid",
+                            f"eps={eps:g}; threshold={QUASI_MONOTONE_THRESHOLD:g}")
 
 
 def _sufcond_closed_form(cfg: CoupleConfig) -> tuple[ConditionVerdict, ConditionVerdict]:
@@ -875,15 +869,13 @@ def _sufcond_closed_form(cfg: CoupleConfig) -> tuple[ConditionVerdict, Condition
 
 
 def check_sufconds(
-    cfg: CoupleConfig,
-    grid: Grid | None = None,
-    method: Method = "auto",
-    threshold: float = QUASI_MONOTONE_THRESHOLD,
+    cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto"
 ) -> tuple[ConditionVerdict, ConditionVerdict]:
     """The two sufficient conditions for the explicit head/tail K-formula.
 
     First: integral_0^t phi1(s)^{-p0} w0(s) ds <= C sigma(t)^{p0}.
     Second: sigma(t) (integral_t^inf phi0(s)^{-p1} w1(s) ds)^{1/p1} <= C.
+    Each holds where its constant C is at most ``QUASI_MONOTONE_THRESHOLD``.
     Closed form for Power couples; otherwise a log grid of t, one pass of sums
     on the 8-point ``_log_nodes`` between cutoff/32, cutoff = t_min/100, the
     grid points, hi = 100 t_max and the weights' kinks, with W = W(cutoff/32)
@@ -926,7 +918,7 @@ def check_sufconds(
     full = np.cumsum(head[below:])[at - below - 1]  # over (cutoff, t)
     unstable = bool(((full > 0.0) & (head[:below].sum() > 0.05 * full)).any())
     ca, wa = _sup_scan(zip(pts.tolist(), _ratio(full, sigma ** cfg.p0).tolist()))
-    holds_a = math.isfinite(ca) and ca <= threshold and not unstable
+    holds_a = math.isfinite(ca) and ca <= QUASI_MONOTONE_THRESHOLD and not unstable
     detail_a = f"lower cutoff {cutoff:g}" + ("; cutoff-sensitive (divergent head)" if unstable else "")
     va = ConditionVerdict(
         "head-integral-vs-sigma", holds_a, math.inf if unstable else ca, wa, "grid", detail_a
@@ -940,7 +932,7 @@ def check_sufconds(
     with np.errstate(invalid="ignore"):
         terms = np.where(sigma == 0.0, 0.0, sigma * tails ** (1.0 / cfg.p1))
     cb, wb = _sup_scan(zip(pts.tolist(), terms.tolist()))
-    holds_b = math.isfinite(cb) and cb <= threshold
+    holds_b = math.isfinite(cb) and cb <= QUASI_MONOTONE_THRESHOLD
     vb = ConditionVerdict("sigma-vs-tail-integral", holds_b, cb, wb, "grid", "")
     return va, vb
 

@@ -16,7 +16,6 @@ from lorentzk import kfunctional, norms
 from lorentzk.kfunctional import (
     Decomposition,
     KQuery,
-    _CoupleObjective,
     _GridProblem,
     _SpaceOnGrid,
     corollary_1,
@@ -406,7 +405,7 @@ class TestOracle:
 
     def test_decomposition_is_feasible(self):
         res = k_oracle(KQuery(STAIR, 1.3, self.SPACE0, self.SPACE1))
-        res.decomposition.validate_sum(STAIR, rel_tol=1e-9)
+        res.decomposition.validate_sum(STAIR)
         assert res.decomposition.is_monotone()
         direct = norm(self.SPACE0, res.decomposition.f0) + 1.3 * norm(
             self.SPACE1, res.decomposition.f1
@@ -462,9 +461,9 @@ class TestTruncationFamily:
             f = StepFunction(np.arange(1.0, m + 1.0), F)  # the steps of f*: runs merged, no zero tail
             if f.is_zero:
                 continue
-            problem = _GridProblem(f, LAMBDA2, LAMBDA2)
+            problem = _GridProblem(f.breakpoints, f.values, LAMBDA2, LAMBDA2)
             D = problem.family[0]
-            hi = problem.objective.hi
+            hi = problem.hi
             np.testing.assert_array_equal(D, [np.where(np.arange(hi.size) < k, hi, 0.0) for k in range(hi.size + 1)])
             parts = problem.parts(np.arange(hi.size + 1))
             np.testing.assert_array_equal(parts, _brute_truncation_family(problem.F, True))
@@ -499,7 +498,7 @@ class TestHeadCorners:
         """N0 + t N1 of each head corner, from y = Bd, is the cell kernel's N0((F - F_k)^+) + t N1 of
         the rest min(F, F_k), to a few ulps."""
         f, (space0, space1), t = case
-        problem = _GridProblem(f, space0, space1)
+        problem = _GridProblem(f.breakpoints, f.values, space0, space1)
         _, n0, n1 = problem.family
         levels = np.append(f.values, 0.0)[:, None]
 
@@ -568,10 +567,10 @@ def _monotone_problem(q, m=16):
 
 
 def _gap(obj, u):
-    """The certificate of ``_CoupleObjective.point`` at the monotone candidate u of the reference
+    """The certificate of ``_GridProblem.point`` at the monotone candidate u of the reference
     objective's problem."""
-    lib = _CoupleObjective(_SpaceOnGrid(obj.space0, obj.g), _SpaceOnGrid(obj.space1, obj.g), obj.F, obj.t)
-    return lib.point(np.minimum(u - np.append(u[1:], 0.0), lib.hi))[2]
+    lib = _GridProblem(obj.g, obj.F, obj.space0, obj.space1)
+    return lib.point(np.minimum(u - np.append(u[1:], 0.0), lib.hi), obj.t)[2]
 
 
 def _five_start_search(obj, F, u_trunc, seed=0):
@@ -602,7 +601,7 @@ BEATEN = (LorentzSpace("lambda", 2.0, PowerWeight(-0.5)), LorentzSpace("lambda",
 
 
 class TestOracleCertificate:
-    """``_CoupleObjective.gap`` bounds J(u) - min J, and the early exit it drives."""
+    """The gap of ``_GridProblem.point`` bounds J(u) - min J, and the early exit it drives."""
 
     @settings(max_examples=40, deadline=None)
     @given(oracle_queries())
@@ -970,7 +969,7 @@ class TestCertifiedValues:
 
 @st.composite
 def hessian_problems(draw):
-    """A monotone lambda or s couple objective on a grid whose differences are all free,
+    """A monotone lambda or s couple problem on a grid whose differences are all free,
     and a point strictly inside the box 0 <= d <= hi."""
     n = draw(st.integers(1, 6))
     g = np.cumsum(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
@@ -980,7 +979,7 @@ def hessian_problems(draw):
     betas = [-0.5, 0.0, 0.5] if flavor == "lambda" else [-0.5, 0.0, 0.3]
     spaces = [LorentzSpace(flavor, draw(st.sampled_from([1.5, 2.0, 3.0])), PowerWeight(draw(st.sampled_from(betas))))
               for _ in range(2)]
-    obj = _CoupleObjective(*(_SpaceOnGrid(space, g) for space in spaces), hi[::-1].cumsum()[::-1], 1.0)
+    obj = _GridProblem(g, hi[::-1].cumsum()[::-1], *spaces)
     refs = [reference.Space(space, g) for space in spaces]
     return obj, refs, hi * np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
 
@@ -1029,7 +1028,7 @@ class TestNewtonPolish:
         spaces = [LorentzSpace("lambda", 1.5, reciprocal_weight(w, 1.5)) for w in (cfg.w0, cfg.w1)]
         q = KQuery(tstep, 2.6355253153338025, *spaces)
         g = tstep.breakpoints
-        obj = _CoupleObjective(_SpaceOnGrid(q.space0, g), _SpaceOnGrid(q.space1, g), tstep.values, q.t)
+        obj = _GridProblem(g, tstep.values, q.space0, q.space1)
         ref = reference.Objective(q.space0, q.space1, g, tstep.values, q.t)
 
         def value_grad(d):  # J(Ld) and its gradient in the differences, by the reference cell kernel
@@ -1037,7 +1036,7 @@ class TestNewtonPolish:
             return val, gu.cumsum()
 
         centre = reference.lbfgsb(value_grad, obj.hi / 2.0, obj.hi)
-        assert not centre.x.any() and obj.point(centre.x)[2] > 1.0
+        assert not centre.x.any() and obj.point(centre.x, q.t)[2] > 1.0
         res = k_oracle(q)
         assert len(res.grid) == 5 and (res.starts, res.converged) == (1, True)
         assert res.gap <= 1e-10 * res.value
@@ -1055,17 +1054,17 @@ class TestNewtonPolish:
         assert res.converged and res.gap <= 1e-10 * res.value
         assert res.value <= 3.2237045816858823 * (1.0 + 1e-12)
         # from the corner itself
-        obj = _CoupleObjective(_SpaceOnGrid(s0, f.breakpoints), _SpaceOnGrid(s1, f.breakpoints), f.values, t)
+        obj = _GridProblem(f.breakpoints, f.values, s0, s1)
         zero = np.zeros_like(obj.hi)
         vertex = obj.vertex(zero, obj.hi)
         assert vertex.gap(t) > 1e-10 * vertex.value(t) and t * vertex.dual > 1.0
-        _, _, value, gap, _ = obj.newton(zero, obj.hi.copy())
+        _, _, value, gap, _ = obj.newton(zero, obj.hi.copy(), t)
         assert gap <= 1e-10 * value and value <= 3.2237045816858823 * (1.0 + 1e-12)
         # the mirror: the swapped couple at 1/t, K(f, t; X0, X1) = t K(f, 1/t; X1, X0), from the corner u = f*
-        swapped = _CoupleObjective(obj.ev1, obj.ev0, f.values, 1.0 / t)
+        swapped = _GridProblem(f.breakpoints, f.values, s1, s0)
         vertex = swapped.vertex(swapped.hi, zero)
         assert vertex.gap(1.0 / t) > 1e-10 * vertex.value(1.0 / t) and t * vertex.dual > 1.0
-        _, _, mirrored, mirrored_gap, _ = swapped.newton(swapped.hi.copy(), zero.copy())
+        _, _, mirrored, mirrored_gap, _ = swapped.newton(swapped.hi.copy(), zero.copy(), 1.0 / t)
         assert mirrored_gap <= 1e-10 * mirrored
         # within the gaps, and the rounding of the product by t
         assert abs(t * mirrored - value) <= gap + t * mirrored_gap + 4.0 * np.finfo(float).eps * value
@@ -1106,15 +1105,15 @@ def fused_cases(draw):
 
 
 def _direct_gap(obj, ref, u):
-    """The certificate at u from the reference cell kernel (``ref``, the objective's problem) and the cone
-    dual at the objective's t."""
+    """The certificate at u from the reference cell kernel (``ref``, the problem's objective at its t) and the
+    cone dual at that t."""
     val, gu = ref.value_grad(u)
     g = gu.cumsum()
     gap = max(float(g @ (u - np.append(u[1:], 0.0)) - np.minimum(g, 0.0) @ obj.hi), 0.0)
     if obj.ev0.p > 1.0 and not u.any():
         ev, c, scale = obj.ev0, -g, 1.0
     elif obj.ev1.p > 1.0 and np.array_equal(u, obj.F):
-        ev, c, scale = obj.ev1, g, obj.t
+        ev, c, scale = obj.ev1, g, ref.t
     else:
         return gap
     return min(gap, max(ev.cone_dual(c, obj.hi > 0.0)[0] / scale - 1.0, 0.0) * val)
@@ -1147,9 +1146,8 @@ class TestFusedPass:
     def test_vertex_certificates_match_the_direct_gap(self, case):
         f, (space0, space1), ts = case
         g, F = f.breakpoints, f.values
-        base = _CoupleObjective(_SpaceOnGrid(space0, g), _SpaceOnGrid(space1, g), F, ts[0])
-        for t in ts:
-            obj = base.at(t)  # the corners, built at the first t, shared by the others
+        obj = _GridProblem(g, F, space0, space1)
+        for t in ts:  # the corners, built at the first t, shared by the others
             ref = reference.Objective(space0, space1, g, F, t)
             for u in (np.zeros_like(F), F):
                 d = np.minimum(u - np.append(u[1:], 0.0), obj.hi)
@@ -1158,7 +1156,7 @@ class TestFusedPass:
                 assert value == pytest.approx(ref.values(u)[0], rel=1e-12)
                 # the gap can be a difference of near-equal terms (p = 1, t near 1): J sets its rounding
                 assert vertex.gap(t) == pytest.approx(_direct_gap(obj, ref, u), rel=1e-12, abs=1e-14 * value)
-                assert obj.point(d)[2] == vertex.gap(t)
+                assert obj.point(d, t)[2] == vertex.gap(t)
 
 
 class TestNewtonOnly:
@@ -1184,19 +1182,51 @@ class TestNewtonOnly:
         assert flagged <= most
 
 
+class TestProblemWithoutT:
+    """A ``_GridProblem`` stores no t, so one problem serves any sweep (Bergh-Lofstrom, Lemma 3.1.1: K(f, t)
+    is a function of t on one fixed problem)."""
+
+    def test_a_second_sweep_matches_a_fresh_problem(self):
+        """t11's sweep, then cor1's theta(t), as the verify suites ask for them at p = 2, alpha = 1 on the
+        seed-7 corpus of 14 entries: the second sweep reads the corners and the truncation family that the first
+        cached, and each gives bit for bit a fresh problem's values, gaps, verdicts, iterations, starts and parts."""
+        cfg = corollary_couple(2.0, 1.0)
+        spaces = (LorentzSpace("s", cfg.p0, cfg.w0), LorentzSpace("s", cfg.p1, cfg.w1))
+
+        def bits(curve):  # value, u, truncation value, iterations, converged, gap, starts, rest (None: F - u)
+            return [None if x is None else np.asarray(x, dtype=float).tobytes() for x in curve]
+
+        shared = 0
+        for entry in make_corpus(7, 14):
+            fstar, ts = rearrange(entry.fn), t_sweep(entry.fn, 3)
+            thetas = [e.param for e in k_explicit_curve(entry.fn, ts, cfg, "s", check_hypotheses=False)]
+            problem = _GridProblem(fstar.breakpoints, fstar.values, *spaces)
+            first = problem.curve(np.array(ts))
+            family, vertices = problem.family, list(problem.vertices)
+            second = problem.curve(np.array(thetas))
+            assert problem.family is family
+            assert all(v is None or v is w for v, w in zip(vertices, problem.vertices))
+            shared += sum(v is not None for v in vertices)
+            for sweep, got in ((ts, first), (thetas, second)):
+                fresh = _GridProblem(fstar.breakpoints, fstar.values, *spaces).curve(np.array(sweep))
+                assert bits(got) == bits(fresh)
+        assert shared  # some corner built for t11 was there for cor1
+
+
 class TestOracleWork:
     """The monotone oracle's work on a verify-oracle pass: t11 and cor1 on the seed-7 corpus of 14
     entries, one entry per call, at p = 2, alpha = 1 and t-count 3, refined, as the benchmark runs it."""
 
     # the most Newton runs, Newton steps, ``point`` evaluations and ``_Vertex`` constructions per pass; and
-    # the set-up: couple verdicts taken (one ``check_cond1`` each), ``np.geomspace`` and ``cell_moments``
-    # calls (28, 28 and 112 when every call took its couple's verdicts and its sweep from np.geomspace)
-    BUDGET = {"runs": 11, "steps": 65, "points": 86, "vertices": 32, "verdicts": 1, "geomspace": 0,
-              "cell_moments": 112}
+    # the set-up: ``_GridProblem``s built (one per entry and suite), couple verdicts taken (one
+    # ``check_cond1`` each), ``np.geomspace`` and ``cell_moments`` calls (28, 28 and 112 when every call took
+    # its couple's verdicts and its sweep from np.geomspace)
+    BUDGET = {"runs": 11, "steps": 65, "points": 86, "vertices": 32, "problems": 28, "verdicts": 1,
+              "geomspace": 0, "cell_moments": 112}
 
     def test_a_pass_stays_within_the_budget(self, monkeypatch):
         work = dict.fromkeys(self.BUDGET, 0)
-        newton, point, vertex = _CoupleObjective.newton, _CoupleObjective.point, kfunctional._Vertex.__init__
+        newton, point, vertex = _GridProblem.newton, _GridProblem.point, kfunctional._Vertex.__init__
 
         def counted_newton(obj, *args):
             out = newton(obj, *args)
@@ -1209,9 +1239,10 @@ class TestOracleWork:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(_CoupleObjective, "newton", counted_newton)
-        monkeypatch.setattr(_CoupleObjective, "point", counted("points", point))
+        monkeypatch.setattr(_GridProblem, "newton", counted_newton)
+        monkeypatch.setattr(_GridProblem, "point", counted("points", point))
         monkeypatch.setattr(kfunctional._Vertex, "__init__", counted("vertices", vertex))
+        monkeypatch.setattr(_GridProblem, "__init__", counted("problems", _GridProblem.__init__))
         monkeypatch.setattr(kfunctional, "check_cond1", counted("verdicts", kfunctional.check_cond1))
         monkeypatch.setattr(np, "geomspace", counted("geomspace", np.geomspace))
         for module in (kfunctional, norms):
