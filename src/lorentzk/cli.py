@@ -171,13 +171,15 @@ def norm_cmd(flavor: str, p_str: str, weight_spec: str, fn_path: str, fmt: str) 
 @click.option("--weight", "weight_spec", required=True)
 @click.option("--p", "p_str", default="2", show_default=True)
 @click.option("--weight2", "weight2_spec", default=None, help="Second weight: couple conditions too.")
-@click.option("--p2", "p2_str", default=None)
+@click.option("--p2", "p2_str", default=None, help="Exponent of the second weight (default: --p); needs --weight2.")
 @click.option("--eps", type=float, default=0.5, show_default=True, help="Exponent for the quasi-monotone ratio check.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def check_weights_cmd(
     weight_spec: str, p_str: str, weight2_spec: str | None, p2_str: str | None, eps: float, fmt: str
 ) -> None:
     """Integrability and doubling conditions for one weight or a couple."""
+    if p2_str is not None and weight2_spec is None:
+        raise click.ClickException("--p2 is the exponent of the second weight: give --weight2 with it")
     w = _parse_weight(weight_spec)
     p = _parse_p(p_str)
     try:

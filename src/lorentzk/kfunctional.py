@@ -319,8 +319,8 @@ class _SpaceOnGrid:
     """Norms of step functions with fixed cells (g_{i-1}, g_i], g_0 = 0, and variable values.
 
     Lambda or s; lengths, left edges, moments and tail from ``norms.cell_moments``.
-    A monotone candidate u = Ld is evaluated in its differences d from y = Bd
-    (``norms``, ``forward``).
+    A monotone candidate u = Ld is evaluated in its differences d from y = Bd:
+    the corners by ``norms``, Newton's points by ``_forward_rows`` on B and omega.
     """
 
     def __init__(self, space: LorentzSpace, g: np.ndarray):
@@ -347,11 +347,6 @@ class _SpaceOnGrid:
     def norms(self, D: np.ndarray) -> np.ndarray:
         """N(Ld) at each row d of D, from y = Bd: a sum of non-negative terms, so a vanishing y is exactly 0."""
         return (((D @ self.B.T) ** self.p) @ self.omega) ** (1.0 / self.p)
-
-    def forward(self, x: np.ndarray, hess: bool = False) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian), by ``_forward_rows``."""
-        n, grad, H = _forward_rows(self.B[None], self.omega[None], (self.p,), x[None], hess)
-        return n[0], grad[0], (H[0] if hess else None)
 
     def cone_dual(self, c: np.ndarray, free: np.ndarray, maximizer: bool = True) -> tuple[float, np.ndarray | None]:
         """max <c, d> over d >= 0, d_k = 0 off ``free``, N(Ld) <= 1, and (with ``maximizer``) a maximizer up to scale.
@@ -893,9 +888,7 @@ class NearOptimalSDecomposition:
     transform_parts: Decomposition
 
 
-def near_optimal_s_decomposition(
-    f: StepFunction, t: float, cfg: CoupleConfig, m: int = 64
-) -> NearOptimalSDecomposition:
+def near_optimal_s_decomposition(f: StepFunction, t: float, cfg: CoupleConfig) -> NearOptimalSDecomposition:
     """Constructive s-couple decomposition via the transform side.
 
     From the best truncation split f* = f_0 + f_1, the transform of f* is
@@ -924,7 +917,7 @@ def near_optimal_s_decomposition(
     h_step = dilate(osc_transform(f1_init).as_step(), 0.5)
     pts = np.concatenate((tstep.breakpoints, h_step.breakpoints, 1.0 / f0_init.breakpoints))
     start, end = (float(pts.min()), float(pts.max())) if pts.size else (0.1, 1.0)
-    grid_t = Grid(np.union1d(pts, Grid.log(start / 10.0, end, 2 * m).points))
+    grid_t = Grid(np.union1d(pts, Grid.log(start / 10.0, end, 128).points))
 
     # G(s) = 2 integral_0^{1/s} f0 majorizes T f0 and is non-increasing, so the
     # ceiling projection onto the grid takes the left-endpoint value per cell.

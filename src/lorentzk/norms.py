@@ -129,7 +129,7 @@ class GammaNodes:
     head: float
 
 
-def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float, p: float = 0.0) -> GammaNodes:
+def gamma_nodes(w: Weight, x: np.ndarray, lo: float, hi: float, head: float, p: float) -> GammaNodes:
     """Nodes for the integrals of (f**)^p w over the cells (x_{i-1}, x_i], i >= 1, clipped to (lo, hi).
 
     In u = log s the cells are cut at the weight's kinks and sized by ``weights._log_nodes``
@@ -163,8 +163,8 @@ def cell_sums(
     left: np.ndarray,
     moments: np.ndarray | GammaNodes,
     tail: float | np.ndarray = 0.0,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The cell kernel of the three flavors: (powered, C, M), C and M for the s gradient.
+) -> np.ndarray:
+    """The cell kernel of the three flavors: each row's powered sum.
 
     Rows of V hold non-increasing cell values on cells of the given lengths
     and left edges x_{i-1} (the last axis runs over cells; a 1-d V is one
@@ -174,16 +174,14 @@ def cell_sums(
     the s and gamma flavors' moment beyond the support.  A cell whose
     integrand vanishes must carry a finite moment (0 will do).
 
-    ``powered`` is each row's sum of v_i^p dW_i (lambda), c_i^p dPsi_i +
-    M^p tail (s) or v_0^p W + the node sum of (v_i + c_i/s)^p w + M^p tail
-    (gamma), exact but for the gamma nodes; c_i = A_{i-1} - v_i x_{i-1} (A
-    the prefix integral) are the oscillation constants, summed as jumps
-    (v_{j-1} - v_j) x_{j-1}, so a run of equal values gives 0 exactly.  The
-    s flavor also returns them and the mass M, which the K-oracle's s
-    gradient reuses; the other flavors return None for both.
+    The powered sum is v_i^p dW_i summed (lambda), c_i^p dPsi_i + M^p tail
+    (s) or v_0^p W + the node sum of (v_i + c_i/s)^p w + M^p tail (gamma),
+    exact but for the gamma nodes; M is the mass and c_i = A_{i-1} - v_i
+    x_{i-1} (A the prefix integral) are the oscillation constants, summed as
+    jumps (v_{j-1} - v_j) x_{j-1}, so a run of equal values gives 0 exactly.
     """
     if flavor == "lambda":
-        return _moment_sum(V ** p, moments), None, None
+        return _moment_sum(V ** p, moments)
     # c_i = sum_{j <= i} (v_{j-1} - v_j) x_{j-1}, clamped at 0 for rows non-increasing up to rounding
     C = np.zeros(V.shape)
     ((V[..., :-1] - V[..., 1:]) * left[..., 1:]).cumsum(axis=-1, out=C[..., 1:])
@@ -198,8 +196,8 @@ def cell_sums(
             vals **= p
             vals *= weight
             powered = powered + np.add.reduce(vals, axis=(-2, -1))
-        return powered, None, None
-    return _moment_sum(C ** p, moments) + (M ** p) * tail, C, M
+        return powered
+    return _moment_sum(C ** p, moments) + (M ** p) * tail
 
 
 def cell_moments(
@@ -256,7 +254,7 @@ def _powered(flavor: str, fstar: StepFunction, p: float, w: Weight, lo: float | 
     if cells is None:  # f = 0, or a moment diverges, and then in every window
         value, shape = 0.0 if fstar.is_zero else math.inf, np.broadcast_shapes(np.shape(lo), np.shape(hi))
         return np.full(shape, value) if shape else value
-    powered = cell_sums(flavor, p, fstar.values, *cells)[0]
+    powered = cell_sums(flavor, p, fstar.values, *cells)
     return powered if powered.ndim else float(powered)
 
 

@@ -37,10 +37,12 @@ map one t to a float and a 1-d array of t to an array.  For power weights they
 are a ``PowerLaw`` c t^e; otherwise phi and psi take the whole array from one
 moment call and sigma, theta divide them (``_ratio``).  Powers and roots are
 Python's, value by value (numpy's can be an ulp off), and a negative moment,
-quadrature's reading of a divergence, keeps its complex root.  The checkers take
-the closed form given a ``PowerLaw`` and scan a grid otherwise, tail doubling
-with psi at every t and 2t in one call per weight; the sufficient conditions'
-scan takes W and its integrals in one pass over the log panels.
+quadrature's reading of a divergence, keeps its complex root.  The route of a
+checker follows the weight family, with no option to override it: the closed
+form for a power weight (a power couple for the sufficient conditions, a
+``PowerLaw`` psi for tail doubling), a grid scan for any other weight, tail
+doubling with psi at every t and 2t in one call per weight; the sufficient
+conditions' scan takes W and its integrals in one pass over the log panels.
 
 Head-side operations (W, the fundamental function, B_p / RB_p / doubling
 checks) require local integrability near zero and raise InvalidWeightError
@@ -51,7 +53,6 @@ tail-only weights (e.g. negative powers below -1) remain usable.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -676,9 +677,6 @@ def fundamental_ratio(cfg: CoupleConfig) -> Callable:
     return _ratio_fn(fundamental(cfg.w0, cfg.p0), fundamental(cfg.w1, cfg.p1))
 
 
-Method = Literal["auto", "closed-form", "grid"]
-
-
 @dataclass(frozen=True)
 class ConditionVerdict:
     """Outcome of a condition check: decision, best constant found, witness."""
@@ -697,14 +695,6 @@ class ConditionVerdict:
                 "witness_t": self.witness_t, "method": self.method, "detail": self.detail}
 
 
-def _resolve_method(w: Weight, method: Method) -> str:
-    if method == "auto":
-        return "closed-form" if isinstance(w, PowerWeight) else "grid"
-    if method == "closed-form" and not isinstance(w, PowerWeight):
-        raise ValueError("closed-form checks are available for power weights only")
-    return method
-
-
 def _sup_scan(pairs) -> tuple[float, float]:
     """(max ratio, witness t) over (t, ratio) pairs: the first t attaining the max."""
     best, arg = -math.inf, math.nan
@@ -721,14 +711,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.where(den == 0.0, np.where(num > 0.0, math.inf, 0.0), num / den)
 
 
-def check_bp(w: Weight, p: float, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
+def check_bp(w: Weight, p: float, grid: Grid | None = None) -> ConditionVerdict:
     """t^p integral_t^inf w/s^p ds <= C W(t): decisive for Power, grid sup otherwise."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     w.primitive(1.0)  # raises InvalidWeightError where W diverges
-    how = _resolve_method(w, method)
-    if how == "closed-form":
-        beta = w.beta  # type: ignore[attr-defined]
+    if isinstance(w, PowerWeight):
+        beta = w.beta
         if beta >= p - 1.0:
             return ConditionVerdict(
                 "Bp", False, math.inf, math.nan, "closed-form",
@@ -743,14 +732,13 @@ def check_bp(w: Weight, p: float, grid: Grid | None = None, method: Method = "au
     return ConditionVerdict("Bp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
-def check_rbp(w: Weight, p: float, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
+def check_rbp(w: Weight, p: float, grid: Grid | None = None) -> ConditionVerdict:
     """W(t) <= C t^p integral_t^inf w/s^p ds: the reverse balance condition."""
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("exponent p must be positive and finite")
     w.primitive(1.0)  # raises InvalidWeightError where W diverges
-    how = _resolve_method(w, method)
-    if how == "closed-form":
-        beta = w.beta  # type: ignore[attr-defined]
+    if isinstance(w, PowerWeight):
+        beta = w.beta
         if beta >= p - 1.0:
             return ConditionVerdict(
                 "RBp", False, math.inf, math.nan, "closed-form",
@@ -767,13 +755,11 @@ def check_rbp(w: Weight, p: float, grid: Grid | None = None, method: Method = "a
     return ConditionVerdict("RBp", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
-def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
+def check_delta2(w: Weight, grid: Grid | None = None) -> ConditionVerdict:
     """Doubling of the primitive: W(2t) <= C W(t)."""
     w.primitive(1.0)  # raises InvalidWeightError where W diverges
-    how = _resolve_method(w, method)
-    if how == "closed-form":
-        beta = w.beta  # type: ignore[attr-defined]
-        c = 2.0 ** (beta + 1.0)
+    if isinstance(w, PowerWeight):
+        c = 2.0 ** (w.beta + 1.0)
         return ConditionVerdict("Delta2", True, c, 1.0, "closed-form", "ratio is t-independent")
     grid = grid or DEFAULT_CHECK_GRID
     doubled, single = w.moment(0.0, 0.0, np.multiply.outer((2.0, 1.0), grid.points))
@@ -781,14 +767,14 @@ def check_delta2(w: Weight, grid: Grid | None = None, method: Method = "auto") -
     return ConditionVerdict("Delta2", math.isfinite(c), c, arg, "grid", f"grid of {len(grid)} points")
 
 
-def check_cond1(cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto") -> ConditionVerdict:
+def check_cond1(cfg: CoupleConfig, grid: Grid | None = None) -> ConditionVerdict:
     """Doubling of both tail fundamentals: psi_i(t) <= C psi_i(2t).  On a grid, psi at 2t_0, t_0, 2t_1,
     t_1, ... (psi(2t) first, as a pointwise scan reads it) comes from one ``psi`` call per weight, one
     moment call or its ``PowerLaw``; the maximum of the ratios (``_ratio``) is taken over Python numbers."""
     found = []  # (constant, witness, method) of each weight
     for w, p in ((cfg.w0, cfg.p0), (cfg.w1, cfg.p1)):
         psi = tail_fundamental(w, p)  # raises on divergent tails
-        if _resolve_method(w, method) == "closed-form" and isinstance(psi, PowerLaw):
+        if isinstance(psi, PowerLaw):
             found.append((2.0 ** (-psi.exponent), 1.0, "closed-form"))
         else:
             pts = (grid or DEFAULT_CHECK_GRID).points
@@ -847,9 +833,8 @@ def check_cond3(cfg: CoupleConfig, eps: float, grid: Grid | None = None) -> Cond
                             f"eps={eps:g}; threshold={QUASI_MONOTONE_THRESHOLD:g}")
 
 
-def _sufcond_closed_form(cfg: CoupleConfig) -> tuple[ConditionVerdict, ConditionVerdict]:
-    b0 = cfg.w0.beta  # type: ignore[attr-defined]
-    b1 = cfg.w1.beta  # type: ignore[attr-defined]
+def _sufcond_closed_form(cfg: CoupleConfig, b0: float, b1: float) -> tuple[ConditionVerdict, ConditionVerdict]:
+    """The sufficient conditions of a couple of power weights s^b0 and s^b1."""
     if b0 <= -1.0 or b1 <= -1.0:
         raise InvalidWeightError("head couple requires beta > -1 on both weights")
 
@@ -868,9 +853,7 @@ def _sufcond_closed_form(cfg: CoupleConfig) -> tuple[ConditionVerdict, Condition
     return va, vb
 
 
-def check_sufconds(
-    cfg: CoupleConfig, grid: Grid | None = None, method: Method = "auto"
-) -> tuple[ConditionVerdict, ConditionVerdict]:
+def check_sufconds(cfg: CoupleConfig, grid: Grid | None = None) -> tuple[ConditionVerdict, ConditionVerdict]:
     """The two sufficient conditions for the explicit head/tail K-formula.
 
     First: integral_0^t phi1(s)^{-p0} w0(s) ds <= C sigma(t)^{p0}.
@@ -884,11 +867,8 @@ def check_sufconds(
     over 5% to one; the tail ones a suffix sum to hi plus one quadrature over
     (hi, inf) in u = 1/s, whose negative value (a divergence) reads as inf.
     """
-    both_power = isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight)
-    if method == "closed-form" or (method == "auto" and both_power):
-        if not both_power:
-            raise ValueError("closed-form checks are available for power couples only")
-        return _sufcond_closed_form(cfg)
+    if isinstance(cfg.w0, PowerWeight) and isinstance(cfg.w1, PowerWeight):
+        return _sufcond_closed_form(cfg, cfg.w0.beta, cfg.w1.beta)
 
     pts = (grid or Grid.log(1e-4, 1e4, 49)).points
     phi0 = fundamental(cfg.w0, cfg.p0)  # both raise InvalidWeightError where W diverges

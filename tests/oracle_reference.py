@@ -13,7 +13,9 @@ certificate, so that a test can compare:
   of values in any order, with gradients.  Each row is sorted, its sorted
   cells' moments taken again, and summed by the public cell kernel
   (``norms.cell_moments``, ``norms.cell_sums``), not from the library's
-  y = Bd.
+  y = Bd.  The s gradient takes the oscillation constants c_i and the mass
+  M itself, by the kernel's own expressions, since ``cell_sums`` returns
+  the powered sums alone.
 """
 
 import math
@@ -63,8 +65,7 @@ class Space:
         order = np.argsort(-U, axis=-1, kind="stable")
         cells = cell_moments(self.flavor, self.p, self.w, np.cumsum(self.lengths[order], axis=-1))
         V = np.take_along_axis(U, order, axis=-1)
-        powered, C, M = cell_sums(self.flavor, self.p, V, *cells)
-        return powered, (V, C, M, order, *cells)
+        return cell_sums(self.flavor, self.p, V, *cells), (V, order, *cells)
 
     def grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """(norm, gradient) of one row u, from one forward pass.
@@ -74,13 +75,17 @@ class Space:
         locally constant.
         """
         p = self.p
-        npow, (v, C, M, order, lengths, left, moments, tail) = self.norm_pow(u)
+        npow, (v, order, lengths, left, moments, tail) = self.norm_pow(u)
         n = float(npow) ** (1.0 / p)
         if n == 0.0 and p != 1.0:
             return 0.0, np.zeros_like(u)
         if self.flavor == "lambda":
             gs = n ** (1.0 - p) * _pow_slope(v, p) * moments
-        else:
+        else:  # the oscillation constants c_i and the mass M, by ``cell_sums``' own expressions
+            C = np.zeros(v.shape)
+            ((v[..., :-1] - v[..., 1:]) * left[..., 1:]).cumsum(axis=-1, out=C[..., 1:])
+            np.maximum(C, 0.0, out=C)
+            M = np.add.reduce(v * lengths, axis=-1)
             Cp = _pow_slope(C, p) * moments
             grad_pow = p * (lengths * (_suffix_sums(Cp) + _pow_slope(M, p) * tail) - Cp * left)
             gs = (1.0 / p) * n ** (1.0 - p) * grad_pow
@@ -217,6 +222,6 @@ def exhaustive(q: KQuery, grid: Grid, quantum: float) -> float:
         raise ValueError("lattice too large for exhaustive mode")
     X = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1).astype(float) * quantum
     U = np.cumsum(X[:, ::-1], axis=1)[:, ::-1]
-    n0, n1 = (cell_sums(ev.flavor, ev.p, V, *ev.cells)[0] ** (1.0 / ev.p)
+    n0, n1 = (cell_sums(ev.flavor, ev.p, V, *ev.cells) ** (1.0 / ev.p)
               for ev, V in zip(evs, (U, np.maximum(F - U, 0.0))))
     return float((n0 + q.t * n1).min())

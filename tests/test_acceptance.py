@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import oracle_reference as reference
 from identity_reference import transform_side
+from weight_reference import GridOnly
 from lorentzk.cli import main as cli_main
 from lorentzk.kfunctional import KQuery, k_oracle
 from lorentzk.norms import (
@@ -114,29 +115,30 @@ def test_criterion_03_running_mean_reconstruction():
 
 
 def test_criterion_04_closed_form_matches_grid_checkers():
-    """Closed-form and grid condition checkers agree on 50 power-weight cases."""
+    """Closed-form and grid condition checkers agree on 50 power-weight cases; the grid scans a
+    power weight's own moments through ``GridOnly``."""
     cases = _fifty_power_cases()
     assert len(cases) == 50
     for p, beta in cases:
         w = PowerWeight(beta)
         for checker in (check_bp, check_rbp):
             closed = checker(w, p)
-            gridded = checker(w, p, method="grid")
-            assert closed.method == "closed-form"
+            gridded = checker(GridOnly(w), p)
+            assert (closed.method, gridded.method) == ("closed-form", "grid")
             assert closed.holds == gridded.holds, (checker.__name__, p, beta)
             if math.isfinite(closed.constant):
                 assert gridded.constant == pytest.approx(closed.constant, rel=1e-3)
             else:
                 assert math.isinf(gridded.constant)
         d_closed = check_delta2(w)
-        d_grid = check_delta2(w, method="grid")
+        d_grid = check_delta2(GridOnly(w))
         assert d_closed.holds == d_grid.holds
         assert d_grid.constant == pytest.approx(d_closed.constant, rel=1e-3)
-    # below the integrable range both methods refuse identically
+    # below the integrable range both routes refuse identically
     for beta in (-1.0, -1.5):
-        for method in ("auto", "grid"):
+        for w in (PowerWeight(beta), GridOnly(PowerWeight(beta))):
             with pytest.raises(InvalidWeightError):
-                check_bp(PowerWeight(beta), 2.0, method=method)
+                check_bp(w, 2.0)
 
 
 def test_criterion_05_reverse_balance_tilde_duality():

@@ -127,6 +127,11 @@ class TestCheckWeights:
         for name in ("tail-doubling", "ratio-quasi-monotone", "sufficient-head", "sufficient-tail"):
             assert f"{name}: holds" in result.output
 
+    def test_p2_without_a_second_weight_is_refused(self, runner):
+        result = runner.invoke(main, ["check-weights", "--weight", "power:0", "--p2", "3"])
+        assert result.exit_code == 1
+        assert "--weight2" in result.output and "bp:" not in result.output
+
     def test_couple_with_non_integrable_head_is_inapplicable(self, runner):
         result = runner.invoke(
             main,

@@ -18,6 +18,7 @@ from lorentzk.kfunctional import (
     KQuery,
     _GridProblem,
     _SpaceOnGrid,
+    _forward_rows,
     corollary_1,
     corollary_couple,
     curve_violations,
@@ -49,6 +50,12 @@ from lorentzk.weights import (
 
 FLAT = PowerWeight(0.0)
 STAIR = StepFunction((1.0, 2.0, 4.0), (3.0, 2.0, 1.0))
+
+
+def forward(ev: _SpaceOnGrid, x: np.ndarray, hess: bool = False):
+    """(N(Lx), its gradient in the differences x, and with ``hess`` its Hessian) of one space, by ``_forward_rows``."""
+    n, grad, H = _forward_rows(ev.B[None], ev.omega[None], (ev.p,), x[None], hess)
+    return n[0], grad[0], (H[0] if hess else None)
 
 
 def random_nonincreasing(rng, n=5, lo=0.1, hi=20.0):
@@ -504,7 +511,7 @@ class TestHeadCorners:
 
         def kernel(space, V):
             cells = cell_moments(space.flavor, space.p, space.w, f.breakpoints)
-            return cell_sums(space.flavor, space.p, V, *cells)[0] ** (1.0 / space.p)
+            return cell_sums(space.flavor, space.p, V, *cells) ** (1.0 / space.p)
 
         expected = kernel(space0, np.maximum(f.values - levels, 0.0)) + t * kernel(space1, np.minimum(f.values, levels))
         np.testing.assert_allclose(n0 + t * n1, expected, rtol=2e-15, atol=0.0)
@@ -867,7 +874,7 @@ class TestLevelDual:
 
         def ratio(d):  # <c, d> / N(Ld), the norm by the cell kernel
             u = np.cumsum(d[::-1])[::-1]
-            return float(c @ d) / cell_sums(space.flavor, p, u, *cells)[0] ** (1.0 / p)
+            return float(c @ d) / cell_sums(space.flavor, p, u, *cells) ** (1.0 / p)
 
         # soundness on drawn differences, some of them zero
         rng = np.random.default_rng(seed)
@@ -997,7 +1004,7 @@ class TestNewtonPolish:
             def grad(y):
                 return ref.grad(y[::-1].cumsum()[::-1])[1].cumsum()
 
-            H = ev.forward(x, hess=True)[2]
+            H = forward(ev, x, hess=True)[2]
             h = 1e-4 * x.min()
             fd = np.array([(grad(x + h * e) - grad(x - h * e)) / (2.0 * h) for e in np.eye(x.size)]).T
             # a norm is homogeneous of degree 1, so its Hessian is of the size of gradient / u;
@@ -1120,7 +1127,7 @@ def _direct_gap(obj, ref, u):
 
 
 class TestFusedPass:
-    """``_SpaceOnGrid.forward`` evaluates the monotone objective from y = Bd, as the cell kernel
+    """``_forward_rows`` on one ``_SpaceOnGrid`` evaluates the monotone objective from y = Bd, as the cell kernel
     does on the values Ld, and ``_Vertex`` certifies the two corners of the box in closed form."""
 
     @settings(max_examples=80, deadline=None)
@@ -1136,7 +1143,7 @@ class TestFusedPass:
         space, g, d = case
         ev, kernel = _SpaceOnGrid(space, g), reference.Space(space, g)
         u = d[::-1].cumsum()[::-1]
-        value, grad, _ = ev.forward(d)
+        value, grad, _ = forward(ev, d)
         assert value == pytest.approx(kernel.norm_pow(u)[0] ** (1.0 / ev.p), rel=1e-12, abs=0.0)
         ref = kernel.grad(u)[1].cumsum()  # u is sorted, so its cells stay in place
         np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=0.0))
@@ -1863,7 +1870,7 @@ class TestGradients:
         """The gradient in the differences from y = Bd."""
         space = LorentzSpace(flavor, p, w)
         d = self.U_MONO - np.append(self.U_MONO[1:], 0.0)
-        val, grad, _ = _SpaceOnGrid(space, self.GRID).forward(d)
+        val, grad, _ = forward(_SpaceOnGrid(space, self.GRID), d)
         assert val == pytest.approx(self._direct(space)(d), rel=1e-12)
         fd = finite_difference(self._direct(space), d)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
@@ -1883,7 +1890,7 @@ class TestGradients:
         space = LorentzSpace(flavor, p, PowerWeight(beta))
         ev, ref = _SpaceOnGrid(space, self.GRID), reference.Space(space, self.GRID)
         u = np.array([3.1, 2.4, 1.6, 0.0, 0.0])
-        cases = [(lambda x: ev.forward(x)[:2], self._direct(space), u - np.append(u[1:], 0.0)),
+        cases = [(lambda x: forward(ev, x)[:2], self._direct(space), u - np.append(u[1:], 0.0)),
                  (ref.grad, lambda x: norm(space, StepFunction(self.GRID, x)), np.array([1.0, 2.5, 0.0, 1.8, 0.6]))]
         for monotone, (value_grad, norm_of, x) in zip((True, False), cases):
             val, grad = value_grad(x)

@@ -448,7 +448,7 @@ class TestCellKernel:
         # log-width 1 this cell's node sum was 5.1e-10 off
         w = PowerLogWeight(2.0, -2.0)
         x = np.array([1.0 / math.e, 1.0])
-        nodes = gamma_nodes(w, x, 0.0, math.inf, 0.0)
+        nodes = gamma_nodes(w, x, 0.0, math.inf, 0.0, 0.0)
         total = sum(weight.sum() for _, _, weight in nodes.groups)
         assert total == pytest.approx(float(w.moment(0.0, x[0], x[1])), rel=1e-13)
 

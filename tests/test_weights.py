@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from weight_reference import GridOnly
 from lorentzk import weights
 from lorentzk import (
     CoupleConfig,
@@ -685,9 +686,14 @@ class TestConditionCheckers:
         assert not check_rbp(w, 2.0).holds
 
     def test_grid_matches_closed_form(self):
-        for beta in (-0.5, 0.0, 0.7):
-            closed = check_bp(PowerWeight(beta), 2.0, method="closed-form")
-            grid = check_bp(PowerWeight(beta), 2.0, method="grid")
+        # a power weight's closed form against the grid scan of its own moments (``GridOnly``)
+        pairs = [(check_bp(PowerWeight(beta), 2.0), check_bp(GridOnly(PowerWeight(beta)), 2.0))
+                 for beta in (-0.5, 0.0, 0.7)]
+        w0, w1 = PowerWeight(0.0), PowerWeight(-0.5)
+        pairs.append((check_cond1(CoupleConfig(2.0, w0, 2.5, w1)),
+                      check_cond1(CoupleConfig(2.0, GridOnly(w0), 2.5, GridOnly(w1)))))
+        for closed, grid in pairs:
+            assert (closed.method, grid.method) == ("closed-form", "grid")
             assert closed.holds == grid.holds
             assert grid.constant == pytest.approx(closed.constant, rel=1e-3)
 
@@ -837,11 +843,10 @@ class TestBatchedTailDoubling:
     the order a pointwise scan asks for them: the verdict is that scan's bit for bit, and so are its
     quadratures and their warnings, in order."""
 
-    def _both(self, cfg, monkeypatch, method="auto"):
+    def _both(self, cfg, monkeypatch):
         """(verdict fields, quadrature lower limits, warnings) of the batched scan, then the pointwise one."""
         runs = []
-        batched = lambda: check_cond1(cfg, DOUBLING_GRID, method=method)
-        for scan in (batched, lambda: _pointwise_cond1(cfg, DOUBLING_GRID)):
+        for scan in (lambda: check_cond1(cfg, DOUBLING_GRID), lambda: _pointwise_cond1(cfg, DOUBLING_GRID)):
             calls = []
             monkeypatch.setattr(weights, "quad", lambda fn, a, b, **kw: calls.append(a) or quad(fn, a, b, **kw))
             with warnings.catch_warnings(record=True) as caught:
@@ -861,13 +866,18 @@ class TestBatchedTailDoubling:
             assert len(batched[1]) == 2 * (np.count_nonzero(points < 1.0) + np.count_nonzero(points < 0.5))
 
     def test_a_mixed_couple_keeps_the_power_law(self, monkeypatch):
+        # psi0 = c t^{-3/4} takes its closed form, C = 2^{3/4} at witness 1, with no moment of the
+        # power weight; psi1 is the pointwise scan's, with the same quadratures and warnings
         cfg = CoupleConfig(2.0, PowerWeight(-0.5), 2.5, PowerLogWeight(0.3, -0.6))
         assert isinstance(tail_fundamental(cfg.w0, cfg.p0), PowerLaw)
         power_moments = []
         monkeypatch.setattr(PowerWeight, "moment", lambda self, *a: power_moments.append(a))
-        batched, pointwise = self._both(cfg, monkeypatch, method="grid")
-        assert batched == pointwise and power_moments == []
-        assert batched[0][3].startswith(f"index0: C={2.0 ** 0.75:.6g};")  # psi0 = c t^{-3/4}
+        batched, pointwise = self._both(cfg, monkeypatch)
+        (holds, c, witness, detail), quads, caught = batched
+        assert (holds, c, witness) == (True, 2.0 ** 0.75, 1.0) and power_moments == []
+        index0, index1 = detail.split("; ")
+        assert index0 == f"index0: C={2.0 ** 0.75:.6g}"
+        assert index1 == pointwise[0][3].split("; ")[1] and (quads, caught) == pointwise[1:]
 
     def test_two_probes_and_two_batches(self, monkeypatch):
         calls, moment = [], PowerLogWeight.moment
@@ -899,8 +909,10 @@ class TestSufficientConditions:
 
     def test_grid_path_agrees_with_closed_form(self):
         cfg = CoupleConfig(2.0, PowerWeight(1.0), 2.0, PowerWeight(0.0))
-        h_c, t_c = check_sufconds(cfg, method="closed-form")
-        h_g, t_g = check_sufconds(cfg, method="grid", grid=Grid.log(1e-3, 1e3, 31))
+        h_c, t_c = check_sufconds(cfg)
+        gridded = CoupleConfig(cfg.p0, GridOnly(cfg.w0), cfg.p1, GridOnly(cfg.w1))
+        h_g, t_g = check_sufconds(gridded, grid=Grid.log(1e-3, 1e3, 31))
+        assert (h_c.method, h_g.method) == ("closed-form", "grid")
         assert h_c.holds == h_g.holds and t_c.holds == t_g.holds
         assert h_g.constant == pytest.approx(h_c.constant, rel=0.05)
 
